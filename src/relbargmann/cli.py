@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -14,15 +15,13 @@ import numpy as np
 
 from . import __version__
 from .bargmann import SampledFunction, relativistic_transform_grid
-from .coherent import (CoherentLabel, cs_wavefunction, overlap,
-                       transform_kernel)
+from .coherent import (KERNEL_RMAX, CoherentLabel, cs_wavefunction,
+                       overlap, transform_kernel)
 from .disk import LandauIndex, basis_phi, landau_level
 from .errors import (DomainError, InputFormatError, NonConvergenceError,
                      RelBargmannError)
 from .oscillator import ModelParams, OscParams, eigenfunction, energy
 from .verification import SUITES, run_suite
-
-RMAX = 0.85
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -43,6 +42,12 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _finite(values: list, what: str, spec: str) -> list:
+    if not all(cmath.isfinite(v) for v in values):
+        raise ConfigError(f"non-finite value in {what} spec {spec!r}")
+    return values
+
+
 def parse_grid(spec: str) -> list[complex]:
     """Parse a z grid: a comma list of complex numbers, or
     ``mesh:re0:re1:n,im0:im1:n`` for a rectangular mesh."""
@@ -57,26 +62,26 @@ def parse_grid(spec: str) -> list[complex]:
             ims = np.linspace(float(i0), float(i1), int(ni))
         except ValueError as exc:
             raise ConfigError(f"bad mesh spec {spec!r}") from exc
-        return [complex(x, y) for x in res for y in ims]
+        return _finite([complex(x, y) for x in res for y in ims], "mesh", spec)
     try:
-        return [complex(tok) for tok in spec.split(",") if tok.strip()]
+        points = [complex(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad grid spec {spec!r}") from exc
+    return _finite(points, "grid", spec)
 
 
 def parse_xi(spec: str) -> list[float]:
     """Parse a xi grid: a comma list, or ``lin:a:b:n``."""
     spec = spec.strip()
-    if spec.startswith("lin:"):
-        try:
-            a, b, n = spec[len("lin:"):].split(":")
-            return [float(v) for v in np.linspace(float(a), float(b), int(n))]
-        except ValueError as exc:
-            raise ConfigError(f"bad xi spec {spec!r}") from exc
     try:
-        return [float(tok) for tok in spec.split(",") if tok.strip()]
+        if spec.startswith("lin:"):
+            a, b, n = spec[len("lin:"):].split(":")
+            xis = [float(v) for v in np.linspace(float(a), float(b), int(n))]
+        else:
+            xis = [float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad xi spec {spec!r}") from exc
+    return _finite(xis, "xi", spec)
 
 
 def load_config_file(path: str) -> dict:
@@ -125,9 +130,9 @@ def _check_tol(tol: float) -> float:
 
 def _check_grid_cap(points) -> None:
     for z in points:
-        if abs(z) > RMAX:
+        if abs(z) > KERNEL_RMAX:
             raise DomainError(
-                f"grid point {z} violates the evaluation cap |z| <= {RMAX}")
+                f"grid point {z} violates the evaluation cap |z| <= {KERNEL_RMAX}")
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -199,7 +204,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             idx = LandauIndex(sigma, args.m)
             if args.w is None:
                 raise ConfigError("overlap evaluation needs --w")
-            w = complex(args.w)
+            w_points = parse_grid(args.w)
+            if len(w_points) != 1:
+                raise ConfigError(f"--w needs one disk point, got {args.w!r}")
+            w = w_points[0]
             _check_grid_cap([w])
             for z in points:
                 val = complex(overlap(idx, z, w))

@@ -212,9 +212,11 @@ def transform_kernel(params: ModelParams, z, xi) -> np.ndarray:
 
     This is the weight against which f is integrated in the Bargmann-type
     transform; evaluated in the conjugated orientation (spectral parameters
-    gamma - i xi) directly.
+    gamma - i xi) directly.  Restricted to the validated domain of
+    :func:`cs_wavefunction`.
     """
     z = complex(check_disk(z))
+    _check_kernel_domain(z)
     idx = params.landau_index()
     scalar = np.ndim(xi) == 0
     vals = _wavefunction_profile(params, z, np.atleast_1d(xi), conjugate=True)

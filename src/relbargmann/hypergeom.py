@@ -40,6 +40,7 @@ _EPS = float(np.finfo(float).eps)
 DEFAULT_TOL = 1e-10
 MAX_SERIES_TERMS = 10_000
 _CONSECUTIVE_SMALL = 20
+_CHECK_STRIDE = 4
 _SERIES_RADIUS = 0.9
 
 
@@ -165,27 +166,52 @@ def gauss_2f1(a, b, c, z, max_terms: int = MAX_SERIES_TERMS) -> complex:
     return _series_2f1(a, b, c, z, max_terms)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is raised below
 def _series_2f1_vec(a, b, c, w, max_terms=MAX_SERIES_TERMS):
     """Gauss series with ndarray parameters and a common scalar argument.
 
     Used by the transform kernels, where a and b carry a vector of spectral
-    parameters.  All elements are summed to joint convergence.
+    parameters.  Convergence is tested every ``_CHECK_STRIDE`` terms, element
+    by element: an element whose term passes two consecutive tests is done
+    and leaves the sum, so its value does not depend on the other elements.
+
+    Raises
+    ------
+    NonConvergenceError
+        If a sum overflows, or the term budget runs out.
     """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    c = np.asarray(c, dtype=complex)
-    total = np.ones(np.broadcast(a, b, c).shape, dtype=complex)
+    a, b, c = (np.asarray(v, dtype=complex) for v in (a, b, c))
+    out = np.empty(np.broadcast(a, b, c).shape, dtype=complex)
+    flat = out.reshape(-1)
+    # state of the elements still being summed
+    index = np.arange(flat.size)
+    a, b = (np.broadcast_to(v, out.shape).ravel() for v in (a, b))
+    c = np.broadcast_to(c, out.shape).ravel() if c.ndim else complex(c)
+    total = np.ones(flat.size, dtype=complex)
     term = np.ones_like(total)
-    small = 0
+    small = np.zeros(flat.size, dtype=bool)
     for k in range(max_terms):
-        term = term * ((a + k) * (b + k) / ((c + k) * (k + 1))) * w
+        if not index.size:
+            return out
+        # no in-place products: numpy rounds those differently for one element
+        term = term * ((a + k) * (b + k) * (w / ((c + k) * (k + 1))))
         total += term
-        if np.all(np.abs(term) <= _EPS * (1.0 + np.abs(total))):
-            small += 1
-            if small >= 3:
-                return total
-        else:
-            small = 0
+        if k % _CHECK_STRIDE != _CHECK_STRIDE - 1:
+            continue
+        size = np.abs(total)
+        if not math.isfinite(size.max()):
+            raise NonConvergenceError(
+                f"vector 2F1 series overflowed at |w| = {abs(w):.4f}")
+        was_small = small
+        small = np.abs(term) <= _EPS * (1.0 + size)
+        done = small & was_small
+        if done.any():
+            flat[index[done]] = total[done]
+            keep = ~done
+            index, a, b, term, total, small = (
+                v[keep] for v in (index, a, b, term, total, small))
+            if np.ndim(c):
+                c = c[keep]
     raise NonConvergenceError(f"vector 2F1 series stalled at |w| = {abs(w):.4f}")
 
 

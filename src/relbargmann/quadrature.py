@@ -92,17 +92,14 @@ def _panel_values(f, lo: float, hi: float, coarse, fine):
 
 
 def integrate_halfline(f, decay_scale: float = 1.0, tol: float = 1e-10, *,
-                       nodes: int = 16, max_bisect: int = 12,
-                       length: float | None = None):
+                       nodes: int = 16, max_bisect: int = 12):
     """Integrate ``f`` over (0, inf) for integrands with exponential-type decay.
 
     Panels of width ``decay_scale`` are integrated with an embedded
     Gauss-Legendre pair (``nodes`` and ``2*nodes`` points); the pair difference
-    is the per-panel error estimate.  In the default adaptive mode panels with
-    a large estimate are bisected and the panel chain grows until two
-    consecutive panels are negligible.  Passing ``length`` switches to a fixed
-    panel layout on [0, length] with no bisection, which makes the node set
-    independent of ``f`` (so the integral is exactly linear in ``f``).
+    is the per-panel error estimate.  Panels with a large estimate are
+    bisected, and the panel chain grows until two consecutive panels are
+    negligible.
 
     Returns ``(value, err_estimate)``.
 
@@ -119,7 +116,7 @@ def integrate_halfline(f, decay_scale: float = 1.0, tol: float = 1e-10, *,
 
     def do_panel(lo, hi, depth):
         val, err = _panel_values(f, lo, hi, coarse, fine)
-        if length is None and err > tol / 20.0 and depth < max_bisect:
+        if err > tol / 20.0 and depth < max_bisect:
             mid = 0.5 * (lo + hi)
             v1, e1 = do_panel(lo, mid, depth + 1)
             v2, e2 = do_panel(mid, hi, depth + 1)
@@ -128,7 +125,7 @@ def integrate_halfline(f, decay_scale: float = 1.0, tol: float = 1e-10, *,
 
     total = 0.0 + 0.0j
     err_total = 0.0
-    max_length = 64.0 * decay_scale if length is None else length
+    max_length = 64.0 * decay_scale
     n_panels = int(np.ceil(max_length / width))
     quiet = 0
     lo = 0.0
@@ -138,18 +135,15 @@ def integrate_halfline(f, decay_scale: float = 1.0, tol: float = 1e-10, *,
         total += val
         err_total += err
         lo = hi
-        if length is None:
-            if abs(val) + err < tol / 10.0:
-                quiet += 1
-                if quiet >= 2:
-                    err_total += abs(val)
-                    return total, err_total
-            else:
-                quiet = 0
-    if length is None:
-        raise NonConvergenceError(
-            f"half-line tail not converged by L = {max_length:g}")
-    return total, err_total
+        if abs(val) + err < tol / 10.0:
+            quiet += 1
+            if quiet >= 2:
+                err_total += abs(val)
+                return total, err_total
+        else:
+            quiet = 0
+    raise NonConvergenceError(
+        f"half-line tail not converged by L = {max_length:g}")
 
 
 def integrate_disk(g, weight_exponent: float, tol: float = 1e-10, *,

@@ -1,20 +1,24 @@
 """Transforms: classical baseline, relativistic kernel, reductions, isometry."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
+from relbargmann import bargmann
 from relbargmann.bargmann import (SampledFunction, TransformResult,
                                   classical_bargmann, isometry_check,
                                   oscillator_mode, relativistic_transform,
                                   relativistic_transform_grid,
-                                  relativistic_transform_m0)
+                                  relativistic_transform_m0, xi_cutoff)
 from relbargmann.coherent import (CoherentLabel, cs_wavefunction_oracle,
-                                  normalization)
+                                  normalization, transform_kernel)
 from relbargmann.disk import basis_phi, wirtinger_dzbar_fd
-from relbargmann.errors import DomainError, InputFormatError
+from relbargmann.errors import DomainError, InputFormatError, RelBargmannError
 from relbargmann.orthopoly import laguerre_l
 from relbargmann.oscillator import ModelParams, OscParams
 from relbargmann.quadrature import integrate_halfline
@@ -185,6 +189,76 @@ class TestRelativisticTransform:
         for z in (0.1, -0.2 + 0.2j):
             got = relativistic_transform(params, sampled, z)
             assert abs(got - want) < 1e-5
+
+
+def panel_walk_transform(params, f, z):
+    """Reference: the xi layout walked one panel at a time, with one kernel
+    call for the 16-point and one for the 32-point rule of every panel."""
+    width = max(params.gamma / math.pi, 0.25)
+    length = xi_cutoff(params.osc.c)
+    coarse, fine = leggauss(16), leggauss(32)
+    total, err_total, lo = 0.0 + 0.0j, 0.0, 0.0
+    for _ in range(math.ceil(length / width)):
+        hi = min(lo + width, length)
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        vc, vf = (half * np.sum(w * (f(mid + half * x)
+                                     * transform_kernel(params, z, mid + half * x)))
+                  for x, w in (coarse, fine))
+        total += vf
+        err_total += abs(vf - vc)
+        lo = hi
+    return total, err_total
+
+
+class TestFixedLayout:
+    @pytest.mark.parametrize("c", [0.6, 1.0, 2.0])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_matches_panel_walk(self, c, m):
+        params = ModelParams(OscParams(c), m)
+        f = oscillator_mode(1, params.osc)
+        for z in (0.3 + 0.2j, -0.5 + 0.4j):
+            got, got_err = relativistic_transform(params, f, z, with_error=True)
+            want, want_err = panel_walk_transform(params, f, z)
+            assert abs(got - want) <= 1e-12 * abs(want)
+            assert abs(got_err - want_err) <= 1e-12 * want_err
+
+    def test_block_size_does_not_change_result(self, monkeypatch):
+        params = ModelParams(OscParams(1.0), 1)
+        f = oscillator_mode(2, params.osc)
+        whole = relativistic_transform(params, f, 0.2 - 0.3j, with_error=True)
+        # 7 panels a block: 14 blocks, the last one short
+        monkeypatch.setattr(bargmann, "LAYOUT_BLOCK_NODES", 7 * 48)
+        assert relativistic_transform(params, f, 0.2 - 0.3j,
+                                      with_error=True) == whole
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_two_blocks_keep_basis_mapping(self, m):
+        # c = 0.45: 612 panels, 29376 nodes
+        params = ModelParams(OscParams(0.45), m)
+        z = 0.3 + 0.4j
+        got = relativistic_transform(params, oscillator_mode(1, params.osc), z)
+        assert abs(got - basis_phi(1, params.landau_index(), z)) < 1e-6
+
+    def test_long_layout_memory_is_bounded(self):
+        # c = 0.37: 21663 panels, 1.04 M nodes in 64 blocks; the series
+        # overflows at large xi there, so a typed error is allowed
+        params = ModelParams(OscParams(0.37), 0)
+        z = 0.3 + 0.4j
+        f = oscillator_mode(1, params.osc)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            got = relativistic_transform(params, f, z)
+        except RelBargmannError:
+            got = None
+        finally:
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert elapsed < 10.0
+        assert peak < 32 * 2 ** 20
+        if got is not None:
+            assert abs(got - basis_phi(1, params.landau_index(), z)) < 1e-6
 
 
 class TestM0Reduction:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from relbargmann.bargmann import oscillator_mode
-from relbargmann.cli import main, parse_grid, parse_xi
+from relbargmann.cli import ConfigError, main, parse_grid, parse_xi
 from relbargmann.oscillator import OscParams
 
 
@@ -34,6 +34,14 @@ class TestParsers:
     def test_xi_forms(self):
         assert parse_xi("0.5,1,2") == [0.5, 1.0, 2.0]
         assert parse_xi("lin:0:1:3") == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("parse, spec", [
+        (parse_grid, "nan"), (parse_grid, "0.1,inf+0.2j"),
+        (parse_grid, "mesh:0:nan:2,0:0.1:2"), (parse_xi, "nan"),
+        (parse_xi, "1,-inf")])
+    def test_non_finite_rejected(self, parse, spec):
+        with pytest.raises(ConfigError):
+            parse(spec)
 
 
 class TestEval:
@@ -67,6 +75,30 @@ class TestEval:
         code = run(["eval", "--function", "overlap", "--sigma", "5",
                     "--grid", "0.1", "--out", str(tmp_path / "o.csv")])
         assert code == 2
+
+    def test_overlap_bad_w_exit_2(self, tmp_path, capsys):
+        code = run(["eval", "--function", "overlap", "--sigma", "5",
+                    "--grid", "0.1", "--w", "foo",
+                    "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_nan_grid_exit_2(self, tmp_path):
+        code = run(["eval", "--function", "basis_phi", "--sigma", "5",
+                    "--grid", "nan", "--out", str(tmp_path / "v.csv")])
+        assert code == 2
+
+    def test_nan_xi_exit_2(self, tmp_path):
+        code = run(["eval", "--function", "eigenfunction", "--c", "1",
+                    "--xi", "nan", "--out", str(tmp_path / "e.csv")])
+        assert code == 2
+
+    def test_kernel_cap_exit_3(self, tmp_path):
+        # |1 - z| = 0.15 is outside the kernel's validated domain
+        code = run(["eval", "--function", "kernel", "--m", "2",
+                    "--grid", "0.85", "--xi", "20",
+                    "--out", str(tmp_path / "k.csv")])
+        assert code == 3
 
     def test_kernel_json_format(self, tmp_path):
         out = tmp_path / "k.json"

@@ -169,3 +169,9 @@ class TestTransformKernel:
         state = cs_wavefunction(CoherentLabel(z, params), xi)
         n = normalization(params.landau_index(), z)
         assert abs(kern - math.sqrt(n) * np.conj(state)) < 1e-14
+
+    def test_cap_enforced(self):
+        params = ModelParams(OscParams(1.0), 2)
+        for z in (0.86, 0.85, 0.84 + 0.01j):
+            with pytest.raises(DomainError):
+                transform_kernel(params, z, 20.0)

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from relbargmann.errors import DomainError, NonConvergenceError, PoleError
-from relbargmann.hypergeom import (F5Args, appell_f1, gauss_2f1, gauss_2f1_vec,
+from relbargmann.hypergeom import (F5Args, _series_2f1_vec, appell_f1,
+                                   gauss_2f1, gauss_2f1_vec,
                                    hyp3f2_terminating_unit, kdf_f5,
                                    kdf_f5_integral, kdf_f5_series, ln_gamma,
                                    pochhammer, reciprocal_gamma)
+from relbargmann.oscillator import OscParams
 
 # mpmath loggamma(2+3i), 30 digits
 LOGGAMMA_2_3I = complex(-2.0928517530927333496, 2.3023965434668676262)
@@ -150,6 +152,70 @@ class TestGauss2F1:
         got = gauss_2f1_vec(a, b, 1.9, 0.3 + 0.1j)
         want = [gauss_2f1(ai, bi, 1.9, 0.3 + 0.1j) for ai, bi in zip(a, b)]
         assert np.max(np.abs(got - np.asarray(want))) < 1e-13
+
+
+def _abs_series(a, b, c, w):
+    """Sum of the moduli of the Gauss series terms: the scale of the
+    rounding error of any summation of the series."""
+    term = total = 1.0
+    for k in range(100_000):
+        term *= abs((a + k) * (b + k) / ((c + k) * (k + 1)) * w)
+        total += term
+        if term < 1e-18 * total:
+            return total
+    raise AssertionError("reference series did not settle")
+
+
+def _kernel_series_cases():
+    """Parameters a = gamma + m - i xi, xi in (0, 82], at the series
+    arguments the transform kernel sums at for disk points up to |z| = 0.85:
+    s = chi + zeta = -z/(1 - z), or its Pfaff image z, whichever is smaller."""
+    xi = np.linspace(82.0 / 83, 82.0, 83)
+    for c_osc in (0.6, 2.0):
+        gamma = OscParams(c_osc).gamma
+        for m, l in ((0, 0), (2, 2)):
+            for z in (0.3 + 0.2j, -0.85, 0.85j, 0.85 * np.exp(0.6j)):
+                s = -z / (1.0 - z)
+                a = gamma + m - 1j * xi
+                if abs(s) <= abs(z):
+                    yield a, gamma + l + 1j * xi, gamma + 0.5 + l, s
+                else:
+                    yield a, 0.5 - 1j * xi, gamma + 0.5 + l, z
+
+
+class TestSeries2F1Vec:
+    @pytest.mark.parametrize("case", list(_kernel_series_cases()))
+    def test_matches_scalar_series(self, case):
+        a, b, c, w = case
+        got = _series_2f1_vec(a, b, c, w)
+        want = np.array([gauss_2f1(ai, bi, c, w) for ai, bi in zip(a, b)])
+        scale = np.array([_abs_series(ai, bi, c, w) for ai, bi in zip(a, b)])
+        diff = np.abs(got - want)
+        # both sums are exact up to rounding of their largest terms ...
+        assert np.all(diff <= 1e-13 * scale)
+        # ... which is relative accuracy where the terms do not cancel; at
+        # large xi they do, and neither sum keeps relative digits there
+        well = scale <= 100.0 * np.abs(want)
+        assert well[0]
+        assert np.all(diff[well] <= 1e-13 * np.abs(want[well]))
+        # one element at a time (the eval path) gives the same bits
+        for i in (0, len(a) // 2, len(a) - 1):
+            one = _series_2f1_vec(a[i:i + 1], b[i:i + 1], c, w)
+            assert one.shape == (1,) and one[0] == got[i]
+            assert _series_2f1_vec(a[i], b[i], c, w) == got[i]
+
+    def test_overflow_raises(self):
+        xi = np.array([1.0, 3000.0])
+        with pytest.raises(NonConvergenceError):
+            _series_2f1_vec(1.5 - 1j * xi, 1.5 + 1j * xi, 2.0, 0.6)
+        with pytest.raises(NonConvergenceError):
+            gauss_2f1_vec(1.5 - 1j * xi, 0.5 - 1j * xi, 2.0, 0.6 + 0.2j)
+
+    def test_empty_and_scalar_shapes(self):
+        assert _series_2f1_vec(np.zeros(0), np.zeros(0), 1.5, 0.3).shape == (0,)
+        got = _series_2f1_vec(1.2, 0.7, 1.5, 0.3)
+        assert got.shape == ()
+        assert abs(got - gauss_2f1(1.2, 0.7, 1.5, 0.3)) < 1e-14
 
 
 class TestHyp3F2:

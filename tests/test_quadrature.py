@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from relbargmann.bargmann import _integrate_fixed_layout
 from relbargmann.errors import DomainError, NonConvergenceError
 from relbargmann.hypergeom import ln_gamma
+from relbargmann.oscillator import ModelParams, OscParams
 from relbargmann.quadrature import (QuadratureRule, disk_radial_rule,
                                     gauss_jacobi, gauss_legendre,
                                     integrate_disk, integrate_halfline,
@@ -154,13 +156,30 @@ def test_halfline_nonconvergence():
 
 
 def test_halfline_fixed_layout_is_linear():
+    # the transforms' fixed xi layout hands every integrand the same nodes,
+    # so the integral is linear in f up to rounding
+    params = ModelParams(OscParams(1.0), 0)
+    seen = {}
+
+    def recorded(name, fn):
+        def integrand(x):
+            seen.setdefault(name, []).append(np.array(x))
+            return fn(x)
+        return integrand
+
     f = lambda x: np.exp(-x)
     g = lambda x: np.exp(-2.0 * x) * np.cos(x)
     combo = lambda x: 2.0 * f(x) - 3.0 * g(x)
-    vf, _ = integrate_halfline(f, decay_scale=0.5, tol=1e-10, length=30.0)
-    vg, _ = integrate_halfline(g, decay_scale=0.5, tol=1e-10, length=30.0)
-    vc, _ = integrate_halfline(combo, decay_scale=0.5, tol=1e-10, length=30.0)
-    assert abs(vc - (2.0 * vf - 3.0 * vg)) < 1e-15
+    vf, _ = _integrate_fixed_layout(recorded("f", f), params)
+    vg, _ = _integrate_fixed_layout(recorded("g", g), params)
+    vc, _ = _integrate_fixed_layout(recorded("combo", combo), params)
+    for name in ("g", "combo"):
+        assert len(seen[name]) == len(seen["f"])
+        for a, b in zip(seen[name], seen["f"]):
+            assert np.array_equal(a, b)
+    assert abs(vf - 1.0) < 1e-14
+    eps = np.finfo(float).eps
+    assert abs(vc - (2.0 * vf - 3.0 * vg)) <= 8 * eps * (2.0 * abs(vf) + 3.0 * abs(vg))
 
 
 def test_disk_constant_weight_mass():
