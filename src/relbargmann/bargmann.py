@@ -36,12 +36,13 @@ from numpy.polynomial.legendre import leggauss
 from scipy.interpolate import CubicSpline
 from scipy.special import gammaln, loggamma
 
-from .coherent import _check_kernel_domain, transform_kernel
-from .disk import check_disk
+from .coherent import _check_kernel_domain, series_kmax_for, transform_kernel
+from .disk import basis_radial_profiles, check_disk
 from .errors import DomainError, InputFormatError
 from .hypergeom import gauss_2f1_vec
-from .oscillator import ModelParams, OscParams, eigenfunction_batch
-from .quadrature import integrate_halfline, jacobi_rule_01
+from .oscillator import (ModelParams, OscParams, eigenfunction_batch,
+                         project_states)
+from .quadrature import MAX_RULE_SIZE, integrate_halfline, jacobi_rule_01
 
 #: most xi nodes passed to the integrand in one call; one block holds the
 #: whole layout for every c >= 0.525, and blocks bound the memory of the long
@@ -256,24 +257,54 @@ def _annulus_basis_masses(params: ModelParams, kmax: int, r_inner: float,
     r = 1 - (1 - r_inner) u reduces each annulus integral to a Gauss-Jacobi
     rule with weight u^(sigma - 2m - 2), which is exact here.
     """
-    from .disk import _phi_monomial_coeffs
-
     sigma, m = params.sigma, params.m
     expo = sigma - 2.0 * m - 2.0
     rule = jacobi_rule_01(n_nodes, expo, 0.0)
     width = 1.0 - r_inner
     r = 1.0 - width * rule.nodes
-    masses = np.empty(kmax + 1)
-    for k in range(kmax + 1):
-        coeffs = _phi_monomial_coeffs(k, m, sigma)
-        # every (j, j') cross term carries equal powers of z and zbar, so the
-        # angular mean of |Phi_k (1-r)^m|^2 is a perfect square in sqrt(r)
-        shell = np.zeros_like(r)
-        for j, cj in enumerate(coeffs):
-            shell += cj * r ** (0.5 * (k + m - 2 * j))
-        masses[k] = math.pi * width ** (expo + 1.0) * float(
-            np.sum(rule.weights * shell * shell))
-    return masses
+    # every (j, j') cross term carries equal powers of z and zbar, so the
+    # angular mean of |Phi_k (1-r)^m|^2 is the squared radial profile
+    shell = basis_radial_profiles(kmax, params.landau_index(), r)
+    return math.pi * width ** (expo + 1.0) * np.sum(rule.weights * shell * shell,
+                                                    axis=1)
+
+
+_BUDGET_DEFAULTS = {"n_radial": 20, "n_angular": 36, "kmax": 8, "tol": 1e-8,
+                   "r_split": 0.995, "xi_length": 16.0}
+
+
+def _isometry_budget(budget: dict | None) -> dict:
+    """Defaults overlaid with ``budget``; raises DomainError on an unknown key
+    or a value outside its range."""
+    budget = dict(budget or {})
+    unknown = sorted(set(budget) - set(_BUDGET_DEFAULTS))
+    if unknown:
+        raise DomainError(f"unknown isometry budget key(s): {', '.join(unknown)}; "
+                          f"known: {', '.join(_BUDGET_DEFAULTS)}")
+    out = {**_BUDGET_DEFAULTS, **budget}
+    for key, lowest, highest in (("n_radial", 1, MAX_RULE_SIZE),
+                                 ("n_angular", 1, math.inf),
+                                 ("kmax", 0, math.inf)):
+        value = out[key]
+        try:
+            ok = int(value) == float(value) and lowest <= int(value) <= highest
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise DomainError(f"budget {key} must be an integer in "
+                              f"[{lowest}, {highest}], got {value!r}")
+        out[key] = int(value)
+    for key, highest in (("tol", math.inf), ("xi_length", math.inf),
+                         ("r_split", 1.0)):
+        try:
+            value = float(out[key])
+        except (TypeError, ValueError):
+            value = math.nan
+        if not 0.0 < value < highest:
+            raise DomainError(f"budget {key} must lie in (0, {highest}), "
+                              f"got {out[key]!r}")
+        out[key] = value
+    return out
 
 
 def isometry_check(params: ModelParams, f, budget: dict | None = None) -> dict:
@@ -285,27 +316,30 @@ def isometry_check(params: ModelParams, f, budget: dict | None = None) -> dict:
     expansion of B[f] (projections c_k = <f, phi_k> against exact annulus
     norms of the Phi_k).  Near the boundary the closed-form kernel loses
     precision at large xi, so B is evaluated here through the definitional
-    superposition kernel, with a shared xi panel grid and state table across
-    all disk nodes; the pointwise agreement of the two kernels inside the
-    validated cap is covered by the transform test suite.  ``f`` should be
-    representable in the span of the first ``budget["kmax"]`` eigenstates
-    for the annulus term to be complete.
+    superposition B[f] = sum_k c_k Phi_k, whose pointwise agreement with the
+    closed-form kernel inside the validated cap is covered by the transform
+    test suite.  The projections come from one xi panel grid and one real
+    polynomial table.  On a ring |z| = rho every Phi_k is a phase
+    e^(i(k-m) angle) times a radial profile, so the trapezoid mean of |B|^2
+    over the ``n_angular`` equally spaced angles is summed exactly by the
+    discrete Parseval identity: the terms c_k g_k(rho) are folded by k mod
+    ``n_angular`` and the squared moduli of the folded sums added.  ``f``
+    should be representable in the span of the first ``budget["kmax"]``
+    eigenstates for the annulus term to be complete.
+
+    Budget keys, with their defaults and ranges: ``n_radial`` rings (20,
+    1..4096), ``n_angular`` angles (36, >= 1), ``kmax`` (8, >= 0), ``tol``
+    of the ||f||^2 integral (1e-8, > 0), ``r_split`` (0.995, in (0, 1)) and
+    ``xi_length`` (16, > 0).  An unknown key or a value outside its range
+    raises DomainError.
 
     Returns a dict with both norms, the annulus contribution and the
     relative gap.
     """
-    from numpy.polynomial.legendre import leggauss
-
-    from .coherent import series_kmax_for
-    from .disk import basis_phi_batch
-
-    budget = budget or {}
-    n_radial = int(budget.get("n_radial", 20))
-    n_angular = int(budget.get("n_angular", 36))
-    kmax = int(budget.get("kmax", 8))
-    tol = float(budget.get("tol", 1e-8))
-    r_split = float(budget.get("r_split", 0.995)) ** 2
-    xi_len = float(budget.get("xi_length", 16.0))
+    budget = _isometry_budget(budget)
+    n_radial, n_angular = budget["n_radial"], budget["n_angular"]
+    kmax, tol = budget["kmax"], budget["tol"]
+    r_split = budget["r_split"] ** 2
     func = _as_callable(f)
     width, _ = _transform_panels(params)
 
@@ -314,45 +348,43 @@ def isometry_check(params: ModelParams, f, budget: dict | None = None) -> dict:
         decay_scale=width, tol=tol)
     norm_f_sq = float(norm_f_sq.real)
 
-    # shared xi panel grid, f samples and oscillator-state table
-    n_panels = int(math.ceil(xi_len / width))
+    # shared xi panel grid and f samples; one projection table serves both
+    # the inner region (series_k terms) and the annulus (kmax terms)
+    n_panels = int(math.ceil(budget["xi_length"] / width))
     xg, wg = leggauss(32)
     mids = width * (np.arange(n_panels) + 0.5)
     xi_nodes = (mids[:, None] + 0.5 * width * xg[None, :]).ravel()
     xi_weights = np.tile(0.5 * width * wg, n_panels)
     f_nodes = np.asarray(func(xi_nodes))
     series_k = series_kmax_for(math.sqrt(r_split))
-    states_conj = np.conj(eigenfunction_batch(series_k, params.osc, xi_nodes))
+    projections = project_states(max(series_k, kmax), params.osc, xi_nodes,
+                                 xi_weights * f_nodes)
     idx = params.landau_index()
-    weighted_f = xi_weights * f_nodes
 
-    # inner region: transform values on a polar grid; the xi quadrature and
-    # the basis superposition commute, so project f once.  The substitution
-    # r = 1 - exp(-tau) resolves the (1-r)^(sigma-2) endpoint behaviour of
-    # the integrand spectrally.
-    projections = states_conj @ weighted_f
-    sigma = params.sigma
+    # inner region: the substitution r = 1 - exp(-tau) resolves the
+    # (1-r)^(sigma-2) endpoint behaviour of the integrand spectrally; on each
+    # ring the angular mean of |B|^2 is (1-r)^(-2m) sum_s |sum_{k = s mod N}
+    # c_k g_k|^2 for N = n_angular
+    sigma, m = params.sigma, params.m
     xr, wr = leggauss(n_radial)
     tau_max = -math.log(1.0 - r_split)
     tau = 0.5 * tau_max * (xr + 1.0)
     tau_w = 0.5 * tau_max * wr
-    phis = np.arange(n_angular) * (2.0 * np.pi / n_angular)
-    inner_sq = 0.0
-    for tv, wv in zip(tau, tau_w):
-        rv = 1.0 - math.exp(-tv)
-        ring_sq = 0.0
-        for phi in phis:
-            z = math.sqrt(rv) * complex(math.cos(phi), math.sin(phi))
-            ring_sq += abs(basis_phi_batch(series_k, idx, z) @ projections) ** 2
-        angular = (ring_sq / n_angular) * 2.0 * np.pi
-        inner_sq += 0.5 * wv * math.exp(-(sigma - 1.0) * tv) * angular
+    r = 1.0 - np.exp(-tau)
+    terms = (projections[:series_k + 1, None]
+             * basis_radial_profiles(series_k, idx, r))
+    # with more angles than terms no two k share a residue: fold no wider
+    fold = min(n_angular, series_k + 1)
+    terms = np.pad(terms, ((0, -len(terms) % fold), (0, 0)))
+    folded = terms.reshape(-1, fold, n_radial).sum(axis=0)
+    mean_sq = (1.0 - r) ** (-2 * m) * np.sum(np.abs(folded) ** 2, axis=0)
+    inner_sq = float(np.sum(0.5 * tau_w * np.exp(-(sigma - 1.0) * tau)
+                            * 2.0 * np.pi * mean_sq))
 
     # boundary annulus from the basis expansion of B[f]
     if norm_f_sq > 0.0:
-        proj_states = np.conj(eigenfunction_batch(kmax, params.osc, xi_nodes))
-        coeffs = proj_states @ weighted_f
         masses = _annulus_basis_masses(params, kmax, r_split)
-        annulus_sq = float(np.sum(np.abs(coeffs) ** 2 * masses))
+        annulus_sq = float(np.sum(np.abs(projections[:kmax + 1]) ** 2 * masses))
     else:
         annulus_sq = 0.0
 

@@ -121,6 +121,26 @@ def _phi_coeff_matrix(kmax: int, m: int, sigma: float) -> np.ndarray:
     return out
 
 
+def basis_radial_profiles(kmax: int, idx: LandauIndex, r) -> np.ndarray:
+    """Radial profiles g_k at |z|^2 = r for k = 0..kmax, shape (kmax+1, len(r)).
+
+    On the circle |z| = sqrt(r) every basis member factors as
+    Phi_k = (1-r)^-m e^(i(k-m) arg z) g_k, with the real profile
+    g_k = sum_j C_j r^((k+m-2j)/2) over the monomial coefficients C_j.
+    """
+    m, sigma = idx.m, idx.sigma
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    coeffs = _phi_coeff_matrix(kmax, m, sigma)
+    k = np.arange(kmax + 1)
+    out = np.zeros((kmax + 1, len(r)))
+    for j in range(m + 1):
+        # rows k < j carry a zero coefficient; give them the power r^0 so a
+        # negative exponent never meets r = 0
+        half_power = np.where(k >= j, 0.5 * (k + m - 2 * j), 0.0)
+        out += coeffs[:, j, None] * r[None, :] ** half_power[:, None]
+    return out
+
+
 def basis_phi_batch(kmax: int, idx: LandauIndex, z) -> np.ndarray:
     """Stack of basis_phi(k, idx, z) for k = 0..kmax along the first axis.
 

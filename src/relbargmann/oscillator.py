@@ -89,6 +89,23 @@ def _log_norms(kmax: int, gamma: float) -> np.ndarray:
             - gammaln(2.0 * gamma) - gammaln(gamma + 0.5))
 
 
+def _state_prefactor(osc: OscParams, xi: np.ndarray) -> np.ndarray:
+    """The k-independent factor sqrt(2) i^gamma c^(-4 i xi)
+    Gamma(gamma + i xi)^2 / Gamma(i xi) of every phi_k, at xi > 0."""
+    gamma = osc.gamma
+    lpref = (0.5 * math.log(2.0) + 1j * math.pi * gamma / 2.0
+             - 4j * xi * math.log(osc.c)
+             + 2.0 * loggamma(gamma + 1j * xi) - loggamma(1j * xi))
+    return np.exp(lpref)
+
+
+def _check_xi(xi) -> np.ndarray:
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if np.any(xi < 0):
+        raise DomainError("oscillator eigenfunctions live on xi >= 0")
+    return xi
+
+
 def eigenfunction_batch(kmax: int, osc: OscParams, xi) -> np.ndarray:
     """phi_k(xi) for k = 0..kmax stacked on the first axis; xi an array.
 
@@ -97,21 +114,33 @@ def eigenfunction_batch(kmax: int, osc: OscParams, xi) -> np.ndarray:
     levels.
     """
     gamma = osc.gamma
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if np.any(xi < 0):
-        raise DomainError("oscillator eigenfunctions live on xi >= 0")
+    xi = _check_xi(xi)
     poly = cdhahn_normalized_batch(kmax, xi, gamma, gamma, 0.5)
     out = np.zeros((kmax + 1, len(xi)), dtype=complex)
     pos = xi > 0
     if np.any(pos):
-        xp = xi[pos]
-        lpref = (0.5 * math.log(2.0) + 1j * math.pi * gamma / 2.0
-                 - 4j * xp * math.log(osc.c)
-                 + 2.0 * loggamma(gamma + 1j * xp) - loggamma(1j * xp))
-        pref = np.exp(lpref)
+        pref = _state_prefactor(osc, xi[pos])
         norms = np.exp(_log_norms(kmax, gamma))
         out[:, pos] = norms[:, None] * poly[:, pos] * pref[None, :]
     return out
+
+
+def project_states(kmax: int, osc: OscParams, xi, values) -> np.ndarray:
+    """sum_n conj(phi_k(xi_n)) values_n for k = 0..kmax.
+
+    With quadrature weights folded into ``values`` these are the projections
+    <f, phi_k>.  Since conj(phi_k) = norm_k P_k conj(pref) with P_k the real
+    normalised polynomial, only the real polynomial table is built, never the
+    complex state stack.
+    """
+    gamma = osc.gamma
+    xi = _check_xi(xi)
+    values = np.asarray(values, dtype=complex)
+    pos = xi > 0
+    poly = cdhahn_normalized_batch(kmax, xi[pos], gamma, gamma, 0.5)
+    weighted = np.conj(_state_prefactor(osc, xi[pos])) * values[pos]
+    sums = poly @ weighted.real + 1j * (poly @ weighted.imag)
+    return np.exp(_log_norms(kmax, gamma)) * sums
 
 
 def eigenfunction(k: int, osc: OscParams, xi):

@@ -313,3 +313,118 @@ class TestIsometry:
         osc = OscParams(1.0)
         rep = isometry_check(ModelParams(osc, 1), oscillator_mode(1, osc))
         assert rep["relative_gap"] < 1e-4
+
+
+def point_loop_isometry(params, f, budget=None):
+    """Reference: the polar grid summed point by point, with B at every one
+    of the n_radial * n_angular points from a full basis stack and the
+    projections from complex state tables.  Returns (norm_Bf_sq, annulus_sq).
+    """
+    from relbargmann.coherent import series_kmax_for
+    from relbargmann.disk import basis_phi_batch
+    from relbargmann.oscillator import eigenfunction_batch
+
+    budget = budget or {}
+    n_radial = int(budget.get("n_radial", 20))
+    n_angular = int(budget.get("n_angular", 36))
+    kmax = int(budget.get("kmax", 8))
+    r_split = float(budget.get("r_split", 0.995)) ** 2
+    xi_len = float(budget.get("xi_length", 16.0))
+    width = max(params.gamma / math.pi, 0.25)
+    n_panels = int(math.ceil(xi_len / width))
+    xg, wg = leggauss(32)
+    mids = width * (np.arange(n_panels) + 0.5)
+    xi_nodes = (mids[:, None] + 0.5 * width * xg[None, :]).ravel()
+    weighted_f = np.tile(0.5 * width * wg, n_panels) * np.asarray(f(xi_nodes))
+    series_k = series_kmax_for(math.sqrt(r_split))
+    projections = (np.conj(eigenfunction_batch(series_k, params.osc, xi_nodes))
+                   @ weighted_f)
+    idx = params.landau_index()
+    xr, wr = leggauss(n_radial)
+    tau_max = -math.log(1.0 - r_split)
+    inner_sq = 0.0
+    for tv, wv in zip(0.5 * tau_max * (xr + 1.0), 0.5 * tau_max * wr):
+        rv = 1.0 - math.exp(-tv)
+        ring_sq = 0.0
+        for phi in np.arange(n_angular) * (2.0 * np.pi / n_angular):
+            z = math.sqrt(rv) * complex(math.cos(phi), math.sin(phi))
+            ring_sq += abs(basis_phi_batch(series_k, idx, z) @ projections) ** 2
+        inner_sq += (0.5 * wv * math.exp(-(params.sigma - 1.0) * tv)
+                     * (ring_sq / n_angular) * 2.0 * np.pi)
+    coeffs = np.conj(eigenfunction_batch(kmax, params.osc, xi_nodes)) @ weighted_f
+    masses = bargmann._annulus_basis_masses(params, kmax, r_split)
+    annulus_sq = float(np.sum(np.abs(coeffs) ** 2 * masses))
+    return inner_sq + annulus_sq, annulus_sq
+
+
+def mode_mix(osc, weights):
+    modes = [oscillator_mode(j, osc) for j in range(len(weights))]
+
+    def f(xi):
+        return sum(w * g(xi) for w, g in zip(weights, modes))
+
+    return f
+
+
+class TestIsometryRings:
+    MIX = (0.5, 0.6 - 0.3j, 0.2 + 0.5j)
+
+    def assert_matches_point_loop(self, params, f, budget=None):
+        rep = isometry_check(params, f, budget)
+        want_norm, want_annulus = point_loop_isometry(params, f, budget)
+        assert abs(rep["norm_Bf_sq"] - want_norm) <= 1e-12 * want_norm
+        assert abs(rep["annulus_sq"] - want_annulus) <= 1e-12 * want_annulus
+        return rep
+
+    @pytest.mark.parametrize("c", [0.6, 1.0, 2.0])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_matches_point_loop(self, c, m):
+        params = ModelParams(OscParams(c), m)
+        self.assert_matches_point_loop(params, mode_mix(params.osc, self.MIX))
+
+    def test_odd_angle_count(self):
+        params = ModelParams(OscParams(1.0), 1)
+        self.assert_matches_point_loop(params, mode_mix(params.osc, self.MIX),
+                                       {"n_angular": 35})
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_annulus_modes_past_series_order(self, m):
+        # r_split^2 = 0.2 gives series_k = 60 < kmax
+        params = ModelParams(OscParams(1.0), m)
+        self.assert_matches_point_loop(
+            params, mode_mix(params.osc, self.MIX),
+            {"n_angular": 128, "kmax": 80, "r_split": math.sqrt(0.2)})
+
+    def test_angular_aliasing_is_kept(self):
+        # phi_0 and phi_8 share a residue mod 8, so the 8-angle rule adds
+        # their cross term; a per-mode Parseval sum would give 0.76502
+        params = ModelParams(OscParams(2.0), 0)
+        f = mode_mix(params.osc, [1.0 / math.sqrt(2.0)] + [0.0] * 7
+                     + [1.0 / math.sqrt(2.0)])
+        rep = self.assert_matches_point_loop(params, f, {"n_angular": 8})
+        assert abs(rep["norm_Bf_sq"] - 0.91358) < 1e-5
+
+    @pytest.mark.parametrize("c, m", [(0.6, 2), (1.0, 1)])
+    def test_memory_is_bounded(self, c, m):
+        params = ModelParams(OscParams(c), m)
+        f = mode_mix(params.osc, self.MIX)
+        isometry_check(params, f)  # fill the coefficient caches
+        tracemalloc.start()
+        try:
+            isometry_check(params, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2 ** 20
+
+    @pytest.mark.parametrize("budget", [
+        {"r_split": 1.0}, {"r_split": 1.5}, {"r_split": 0.0},
+        {"r_split": float("nan")}, {"n_angular": 0}, {"n_angular": -3},
+        {"n_angular": 2.5}, {"n_radial": 0}, {"n_radial": 5000},
+        {"kmax": -1}, {"kmax": "eight"}, {"xi_length": float("nan")},
+        {"xi_length": 0.0}, {"tol": 0.0}, {"tol": float("inf")},
+        {"n_angle": 36}])
+    def test_bad_budget_raises_domain_error(self, budget):
+        osc = OscParams(1.0)
+        with pytest.raises(DomainError):
+            isometry_check(ModelParams(osc, 0), oscillator_mode(0, osc), budget)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relbargmann.disk import (LandauIndex, basis_gram, basis_phi,
-                              basis_phi_batch, bergman_distance, landau_level,
+                              basis_phi_batch, basis_radial_profiles,
+                              bergman_distance, landau_level,
                               maass_apply_fd, measure_density,
                               wirtinger_dzbar_fd)
 from relbargmann.errors import DomainError
@@ -126,6 +127,20 @@ class TestBasis:
         for k in range(7):
             want = basis_phi(k, idx, z)
             assert abs(batch[k] - want) < 1e-13 * (1.0 + abs(want))
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_radial_profiles_factor_the_basis(self, m):
+        # Phi_k = (1-r)^-m e^(i(k-m) theta) g_k on |z|^2 = r, also at r = 0
+        idx = LandauIndex(9.0, m)
+        r = np.array([0.0, 0.04, 0.3, 0.81])
+        profiles = basis_radial_profiles(12, idx, r)
+        theta = 0.7
+        for k in range(13):
+            z = np.sqrt(r) * np.exp(1j * theta)
+            want = (basis_phi(k, idx, z) * (1.0 - r) ** m
+                    * np.exp(-1j * (k - m) * theta))
+            scale = 1.0 + np.max(np.abs(want))
+            assert np.max(np.abs(profiles[k] - want)) < 1e-13 * scale
 
     def test_normalization_guard(self):
         idx = LandauIndex(5.0, 2)  # sigma - 2m - 1 = 0

@@ -9,7 +9,7 @@ from relbargmann.errors import DomainError
 from relbargmann.hypergeom import ln_gamma
 from relbargmann.oscillator import (ModelParams, OscParams, eigenfunction,
                                     eigenfunction_batch, energy, gamma_of_c,
-                                    oscillator_gram)
+                                    oscillator_gram, project_states)
 
 # 2 |Gamma(g+i)|^4 / (|Gamma(i)|^2 Gamma(g+1/2)^2 Gamma(2g)) at g = (1+sqrt 3)/2
 PHI0_SQ_AT_1 = 0.49802777027855049088
@@ -95,6 +95,17 @@ class TestEigenfunctions:
     def test_negative_xi_rejected(self):
         with pytest.raises(DomainError):
             eigenfunction(0, OscParams(1.0), -0.5)
+        with pytest.raises(DomainError):
+            project_states(2, OscParams(1.0), [1.0, -0.5], [1.0, 1.0])
+
+    def test_projections_match_state_table(self):
+        osc = OscParams(0.8)
+        rng = np.random.default_rng(3)
+        xi = np.r_[0.0, np.sort(rng.uniform(0.0, 12.0, 40))]
+        values = rng.normal(size=41) + 1j * rng.normal(size=41)
+        want = np.conj(eigenfunction_batch(30, osc, xi)) @ values
+        got = project_states(30, osc, xi, values)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_phase_convention_free_modulus(self):
         # the global i^gamma phase drops out of |phi_k|
