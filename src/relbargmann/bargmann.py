@@ -29,11 +29,11 @@ panel.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline
 from scipy.special import gammaln, loggamma
 
 from .coherent import _check_kernel_domain, series_kmax_for, transform_kernel
@@ -52,6 +52,18 @@ LAYOUT_BLOCK_NODES = 16384
 #: value, its difference from the 16-point rule the error estimate
 _COARSE_RULE = leggauss(16)
 _FINE_RULE = leggauss(32)
+
+
+def __getattr__(name):
+    # scipy.interpolate is imported on first use of ``CubicSpline``: it takes
+    # about a third of the package's import time, and only sampled inputs
+    # need it
+    if name == "CubicSpline":
+        from scipy.interpolate import CubicSpline
+
+        globals()[name] = CubicSpline
+        return CubicSpline
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -79,7 +91,8 @@ class SampledFunction:
 
     def as_callable(self):
         """Cubic-spline interpolant, zero outside the sampled range."""
-        spline = CubicSpline(self.grid, self.values)
+        # looked up on the module, so that its first use triggers the import
+        spline = sys.modules[__name__].CubicSpline(self.grid, self.values)
         lo, hi = self.grid[0], self.grid[-1]
 
         def f(xi):
@@ -240,10 +253,11 @@ def relativistic_transform_grid(params: ModelParams, f, points,
                                 tol: float = 1e-8) -> TransformResult:
     """Evaluate the transform on a grid of disk points."""
     pts = np.asarray(points, dtype=complex).ravel()
+    func = _as_callable(f)  # a SampledFunction's spline is built once
     vals = np.empty(len(pts), dtype=complex)
     errs = np.empty(len(pts), dtype=float)
     for i, z in enumerate(pts):
-        vals[i], errs[i] = relativistic_transform(params, f, z, tol,
+        vals[i], errs[i] = relativistic_transform(params, func, z, tol,
                                                   with_error=True)
     return TransformResult(points=pts, values=vals, params=params, errors=errs)
 

@@ -14,7 +14,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bargmann import SampledFunction, relativistic_transform_grid
+from .bargmann import (LAYOUT_BLOCK_NODES, SampledFunction,
+                       relativistic_transform_grid)
 from .coherent import (KERNEL_RMAX, CoherentLabel, cs_wavefunction,
                        overlap, transform_kernel)
 from .disk import LandauIndex, basis_phi, landau_level
@@ -33,6 +34,10 @@ EXIT_INPUT = 5
 EVAL_FUNCTIONS = ("basis_phi", "eigenfunction", "cs_wavefunction", "overlap",
                   "kernel")
 
+#: most points a ``mesh:`` or ``lin:`` spec may hold, and most (z, xi) pairs
+#: one ``eval`` request may tabulate; checked before anything is allocated
+MAX_GRID_POINTS = 1_000_000
+
 
 class ConfigError(Exception):
     pass
@@ -40,6 +45,12 @@ class ConfigError(Exception):
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _check_count(count: int, what: str) -> None:
+    if count > MAX_GRID_POINTS:
+        raise ConfigError(f"{what} has {count} points, more than the limit "
+                          f"of {MAX_GRID_POINTS}")
 
 
 def _finite(values: list, what: str, spec: str) -> list:
@@ -58,8 +69,10 @@ def parse_grid(spec: str) -> list[complex]:
             re_part, im_part = body.split(",")
             r0, r1, nr = re_part.split(":")
             i0, i1, ni = im_part.split(":")
-            res = np.linspace(float(r0), float(r1), int(nr))
-            ims = np.linspace(float(i0), float(i1), int(ni))
+            nr, ni = int(nr), int(ni)
+            _check_count(nr * ni, f"mesh spec {spec!r}")
+            res = np.linspace(float(r0), float(r1), nr)
+            ims = np.linspace(float(i0), float(i1), ni)
         except ValueError as exc:
             raise ConfigError(f"bad mesh spec {spec!r}") from exc
         return _finite([complex(x, y) for x in res for y in ims], "mesh", spec)
@@ -76,7 +89,9 @@ def parse_xi(spec: str) -> list[float]:
     try:
         if spec.startswith("lin:"):
             a, b, n = spec[len("lin:"):].split(":")
-            xis = [float(v) for v in np.linspace(float(a), float(b), int(n))]
+            n = int(n)
+            _check_count(n, f"xi spec {spec!r}")
+            xis = [float(v) for v in np.linspace(float(a), float(b), n)]
         else:
             xis = [float(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError as exc:
@@ -155,6 +170,11 @@ def _records_to_output(records: list[dict], columns: list[str],
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+def _records(columns: list[str], *values) -> list[dict]:
+    """One record per position across the equally long ``values`` lists."""
+    return [dict(zip(columns, row)) for row in zip(*values)]
+
+
 def _meta(args: argparse.Namespace, **extra) -> dict:
     cfg = {k: v for k, v in sorted(vars(args).items())
            if k not in ("func", "explicit_flags") and v is not None}
@@ -167,6 +187,18 @@ def _meta(args: argparse.Namespace, **extra) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    """Tabulate one function of the model on a z grid, a xi grid, or both.
+
+    ``kernel`` and ``cs_wavefunction`` are evaluated once per disk point on
+    blocks of up to ``LAYOUT_BLOCK_NODES`` xi (records stay z-major, then
+    xi), and ``eigenfunction`` on blocks of xi small enough that its table
+    of all k + 1 levels holds at most ``LAYOUT_BLOCK_NODES`` entries.  Each
+    element of those vector calls is computed as it would be alone, so the
+    output does not depend on the blocking.  ``basis_phi`` is evaluated
+    point by point: numpy rounds its scalar and array arithmetic differently
+    (libm ``pow`` against vectorised powers), so one call on all z would
+    move values in the last digit.  ``overlap`` takes one z per call.
+    """
     tol = _check_tol(args.tol)
     fn = args.function
     if fn not in EVAL_FUNCTIONS:
@@ -177,11 +209,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if args.xi is None:
             raise ConfigError("eigenfunction evaluation needs --xi")
         osc = OscParams(args.c)
-        for xi in parse_xi(args.xi):
-            val = eigenfunction(args.k, osc, xi)
-            records.append({"xi": float(xi), "re_val": val.real,
-                            "im_val": val.imag})
+        xis = parse_xi(args.xi)
         columns = ["xi", "re_val", "im_val"]
+        # phi_k comes from a table of all k + 1 levels on the block's xi
+        block = max(1, LAYOUT_BLOCK_NODES // max(1, args.k + 1))
+        for start in range(0, len(xis), block):
+            chunk = xis[start:start + block]
+            vals = eigenfunction(args.k, osc, np.array(chunk))
+            records += _records(columns, chunk, vals.real.tolist(),
+                                vals.imag.tolist())
     else:
         if args.grid is None:
             raise ConfigError("this evaluation needs --grid")
@@ -218,18 +254,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
             if args.xi is None:
                 raise ConfigError(f"{fn} evaluation needs --xi")
             xis = parse_xi(args.xi)
+            _check_count(len(points) * len(xis), f"{fn} evaluation")
             params = ModelParams(OscParams(args.c), args.m)
-            for z in points:
-                for xi in xis:
-                    if fn == "cs_wavefunction":
-                        val = complex(cs_wavefunction(
-                            CoherentLabel(z, params), xi))
-                    else:
-                        val = complex(transform_kernel(params, z, xi))
-                    records.append({"re_z": z.real, "im_z": z.imag,
-                                    "xi": float(xi), "re_val": val.real,
-                                    "im_val": val.imag})
             columns = ["re_z", "im_z", "xi", "re_val", "im_val"]
+            for z in points:
+                for start in range(0, len(xis), LAYOUT_BLOCK_NODES):
+                    chunk = xis[start:start + LAYOUT_BLOCK_NODES]
+                    if fn == "cs_wavefunction":
+                        vals = cs_wavefunction(CoherentLabel(z, params),
+                                               np.array(chunk))
+                    else:
+                        vals = transform_kernel(params, z, np.array(chunk))
+                    n = len(chunk)
+                    records += _records(columns, [z.real] * n, [z.imag] * n,
+                                        chunk, vals.real.tolist(),
+                                        vals.imag.tolist())
 
     text = _records_to_output(records, columns, args.format,
                               _meta(args, tol=tol))
@@ -315,6 +354,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     if args.kmax < 0:
         raise ConfigError("kmax must be nonnegative")
+    if args.m < 0:
+        raise ConfigError("m must be nonnegative")
     osc = OscParams(args.c)
     records = []
     for k in range(args.kmax + 1):

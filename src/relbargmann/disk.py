@@ -39,8 +39,9 @@ class LandauIndex:
     m: int
 
     def __post_init__(self):
-        if self.sigma <= 1.0:
-            raise DomainError("Landau levels require sigma > 1")
+        if not (self.sigma > 1.0 and math.isfinite(self.sigma)):
+            raise DomainError("Landau levels require a finite sigma > 1, "
+                              f"got {self.sigma!r}")
         if self.m < 0 or self.m != int(self.m):
             raise DomainError("level number m must be a nonnegative integer")
         if self.m > math.floor((self.sigma - 1.0) / 2.0):
@@ -112,12 +113,23 @@ def basis_phi(k: int, idx: LandauIndex, z):
 def _phi_coeff_matrix(kmax: int, m: int, sigma: float) -> np.ndarray:
     """Monomial coefficients of the whole basis stack, shape (kmax+1, m+1).
 
-    Cached and shared; treat the returned array as read-only.
+    Cached and shared; treat the returned array as read-only.  Row k equals
+    ``_phi_monomial_coeffs(k, m, sigma)`` bit for bit: the same sums of
+    ``gammaln`` values are formed in the same order on arrays of k, and the
+    exponentials are taken by ``math.exp``, which numpy's vector ``exp``
+    does not match in the last bit.
     """
+    k = np.arange(kmax + 1, dtype=float)
+    lead = 0.5 * (math.log(sigma - 2 * m - 1.0) + gammaln(sigma - m)
+                  + gammaln(k + 1) - math.log(math.pi)
+                  - gammaln(m + 1) - gammaln(sigma - 2 * m + k))
     out = np.zeros((kmax + 1, m + 1))
-    for k in range(kmax + 1):
-        row = _phi_monomial_coeffs(k, m, sigma)
-        out[k, : len(row)] = row
+    for j in range(min(kmax, m) + 1):
+        kj = k[j:]
+        lt = (gammaln(m + 1) + gammaln(sigma + kj - m - j) - gammaln(kj - j + 1)
+              - gammaln(m - j + 1) - gammaln(j + 1))
+        expo = lead[j:] + lt - gammaln(sigma - m)
+        out[j:, j] = [(-1.0) ** j * math.exp(x) for x in expo.tolist()]
     return out
 
 

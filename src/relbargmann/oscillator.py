@@ -40,8 +40,9 @@ class OscParams:
     c: float
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise DomainError("oscillator parameter c must be positive")
+        if not (self.c > 0 and math.isfinite(self.c)):
+            raise DomainError("oscillator parameter c must be positive and "
+                              f"finite, got {self.c!r}")
 
     @property
     def gamma(self) -> float:

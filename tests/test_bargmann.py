@@ -190,6 +190,27 @@ class TestRelativisticTransform:
             got = relativistic_transform(params, sampled, z)
             assert abs(got - want) < 1e-5
 
+    def test_grid_builds_one_spline(self, monkeypatch):
+        params = ModelParams(OscParams(2.0), 1)
+        grid = np.linspace(0.0, 30.0, 301)
+        sampled = SampledFunction(grid=grid,
+                                  values=oscillator_mode(1, params.osc)(grid))
+        points = [0.1, -0.2 + 0.2j, 0.3j, 0.4 - 0.1j]
+        builds = []
+        spline = bargmann.CubicSpline
+
+        def counted(*args, **kwargs):
+            builds.append(1)
+            return spline(*args, **kwargs)
+
+        monkeypatch.setattr(bargmann, "CubicSpline", counted)
+        result = relativistic_transform_grid(params, sampled, points)
+        assert len(builds) == 1
+        for z, value, error in zip(points, result.values, result.errors):
+            assert (value, error) == relativistic_transform(
+                params, sampled, z, with_error=True)
+        assert len(builds) == 1 + len(points)
+
 
 def panel_walk_transform(params, f, z):
     """Reference: the xi layout walked one panel at a time, with one kernel

@@ -2,13 +2,21 @@
 
 import json
 import math
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relbargmann
+from relbargmann import cli
 from relbargmann.bargmann import oscillator_mode
 from relbargmann.cli import ConfigError, main, parse_grid, parse_xi
-from relbargmann.oscillator import OscParams
+from relbargmann.coherent import CoherentLabel, cs_wavefunction, transform_kernel
+from relbargmann.disk import basis_phi
+from relbargmann.oscillator import ModelParams, OscParams, eigenfunction
 
 
 def run(args):
@@ -43,8 +51,166 @@ class TestParsers:
         with pytest.raises(ConfigError):
             parse(spec)
 
+    @pytest.mark.parametrize("parse, spec", [
+        (parse_xi, "lin:0:1:1000000000000"),
+        (parse_grid, "mesh:0:0.1:1000000,0:0.1:1000000"),
+        (parse_grid, "mesh:0:0.1:1000000000000,0:0.1:1")])
+    def test_oversized_spec_allocates_nothing(self, parse, spec):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="limit"):
+                parse(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_size_limit_boundary(self, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 12)
+        assert len(parse_xi("lin:0:1:12")) == 12
+        assert len(parse_grid("mesh:0:0.1:3,0:0.1:4")) == 12
+        with pytest.raises(ConfigError):
+            parse_xi("lin:0:1:13")
+        with pytest.raises(ConfigError):
+            parse_grid("mesh:0:0.1:13,0:0.1:1")
+
+
+#: eval inputs compared with the point-by-point loop
+EVAL_Z = [0.3 + 0.2j, -0.55 + 0j, 0.1 - 0.6j, 0j]
+EVAL_XI = [0.0, 0.05, 0.7, 3.1, 7.25, 12.5, 19.0, 26.3, 33.3, 40.0]
+
+
+def eval_argv(fn, c, m, k, zs, xis, *extra):
+    argv = ["eval", "--function", fn, "--c", repr(c), "--m", str(m),
+            "--k", str(k), *extra]
+    if fn != "eigenfunction":
+        argv.append("--grid=" + ",".join(repr(z) for z in zs))
+    if fn != "basis_phi":
+        argv.append("--xi=" + ",".join(repr(x) for x in xis))
+    return argv
+
+
+def pairwise_records(fn, c, m, k, zs, xis):
+    """Columns and records of one library call per (z, xi) pair, z-major."""
+    params = ModelParams(OscParams(c), m)
+    if fn == "eigenfunction":
+        vals = [eigenfunction(k, params.osc, xi) for xi in xis]
+        return ["xi", "re_val", "im_val"], [
+            {"xi": xi, "re_val": v.real, "im_val": v.imag}
+            for xi, v in zip(xis, vals)]
+    if fn == "basis_phi":
+        idx = params.landau_index()
+        vals = [complex(basis_phi(k, idx, z)) for z in zs]
+        return ["re_z", "im_z", "re_val", "im_val"], [
+            {"re_z": z.real, "im_z": z.imag, "re_val": v.real, "im_val": v.imag}
+            for z, v in zip(zs, vals)]
+    records = []
+    for z in zs:
+        for xi in xis:
+            if fn == "kernel":
+                v = complex(transform_kernel(params, z, xi))
+            else:
+                v = complex(cs_wavefunction(CoherentLabel(z, params), xi))
+            records.append({"re_z": z.real, "im_z": z.imag, "xi": xi,
+                            "re_val": v.real, "im_val": v.imag})
+    return ["re_z", "im_z", "xi", "re_val", "im_val"], records
+
+
+def counting(fn, calls):
+    def wrapped(*args, **kwargs):
+        calls.append(np.size(args[-1]))
+        return fn(*args, **kwargs)
+    return wrapped
+
 
 class TestEval:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fn, c, m, k", [
+        ("kernel", 0.6, 2, 0), ("kernel", 2.0, 0, 0),
+        ("cs_wavefunction", 1.0, 1, 0), ("cs_wavefunction", 3.0, 2, 0),
+        ("basis_phi", 1.0, 2, 3), ("eigenfunction", 1.3, 0, 7),
+        ("eigenfunction", 0.6, 0, 40)])
+    def test_matches_pairwise_loop(self, tmp_path, fn, c, m, k, fmt):
+        out = tmp_path / f"v.{fmt}"
+        assert run(eval_argv(fn, c, m, k, EVAL_Z, EVAL_XI, "--format", fmt,
+                             "--out", str(out))) == 0
+        got = out.read_bytes()
+        columns, records = pairwise_records(fn, c, m, k, EVAL_Z, EVAL_XI)
+        meta = json.loads(got)["meta"] if fmt == "json" else None
+        assert got == cli._records_to_output(records, columns, fmt,
+                                             meta).encode()
+
+    @pytest.mark.parametrize("fn, name, k, calls, blocked_calls", [
+        # one call per disk point on all 20 xi, then blocks of 7
+        ("kernel", "transform_kernel", 0, 2, 6),
+        ("cs_wavefunction", "cs_wavefunction", 0, 2, 6),
+        # blocks of at most 7 // (k + 1) = 2 xi for the (k + 1)-level table
+        ("eigenfunction", "eigenfunction", 2, 1, 10)])
+    def test_blocks_bit_identical(self, tmp_path, monkeypatch, fn, name, k,
+                                  calls, blocked_calls):
+        xis = [0.5 * i for i in range(20)]
+        out = tmp_path / "v.json"
+        argv = eval_argv(fn, 1.0, 1, k, EVAL_Z[:2], xis, "--format", "json",
+                         "--out", str(out))
+        seen = []
+        monkeypatch.setattr(cli, name, counting(getattr(cli, name), seen))
+        assert run(argv) == 0
+        one = out.read_bytes()
+        assert len(seen) == calls and sum(seen) == 20 * calls
+        monkeypatch.setattr(cli, "LAYOUT_BLOCK_NODES", 7)
+        del seen[:]
+        assert run(argv) == 0
+        assert len(seen) == blocked_calls and sum(seen) == 20 * calls
+        assert out.read_bytes() == one
+
+    @pytest.mark.parametrize("fn, xi, code, err", [
+        (fn, xi, code, err)
+        for fn in ("kernel", "cs_wavefunction", "eigenfunction")
+        for xi, code, err in (("0,1", 0, ""), (",", 0, ""),
+                              ("1,-1,2", 3, "xi >= 0"),
+                              ("1,1e300", 4, "non-convergence"))
+        # phi_k is not summed by a series that could overflow
+        if not (fn == "eigenfunction" and code == 4)])
+    def test_xi_edge_cases(self, tmp_path, capsys, fn, xi, code, err):
+        out = tmp_path / "v.csv"
+        argv = ["eval", "--function", fn, "--xi=" + xi, "--out", str(out)]
+        n_z = 1 if fn == "eigenfunction" else 2
+        if fn != "eigenfunction":
+            argv += ["--grid", "0.1,0.2j"]
+        assert run(argv) == code
+        stderr = capsys.readouterr().err
+        assert err in stderr and "Traceback" not in stderr
+        if code:
+            assert not out.exists()
+            return
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == n_z * len(parse_xi(xi))
+        # xi = 0 gives 0 at every z
+        zero_rows = [row for row in rows if row[-3] == "0"]
+        assert len(zero_rows) == (n_z if "0" in xi else 0)
+        assert all(row[-2:] == ["0", "0"] for row in zero_rows)
+
+    @pytest.mark.parametrize("fn", ["kernel", "cs_wavefunction"])
+    def test_near_one_exit_3(self, tmp_path, capsys, fn):
+        # |z| = 0.84 is under the cap, but |1 - z| = 0.17 < 0.2
+        out = tmp_path / "v.csv"
+        assert run(["eval", "--function", fn, "--grid", "0.3,0.84+0.05j",
+                    "--xi", "1,2", "--out", str(out)]) == 3
+        assert "|1 - z| >= 0.2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eigenfunction_table_memory_bounded(self, tmp_path):
+        # one table of all 3001 levels on the 400 xi would take ~55 MiB
+        tracemalloc.start()
+        try:
+            assert run(["eval", "--function", "eigenfunction", "--k", "3000",
+                        "--xi", "lin:0.05:20:400",
+                        "--out", str(tmp_path / "e.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
+
     def test_basis_phi_value(self, tmp_path):
         out = tmp_path / "v.csv"
         code = run(["eval", "--function", "basis_phi", "--k", "0",
@@ -116,6 +282,14 @@ class TestEval:
                     "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_pair_count_limit_exit_2(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 12)
+        out = tmp_path / "k.csv"
+        argv = ["eval", "--function", "kernel", "--grid", "0.1,0.2,0.3",
+                "--out", str(out)]
+        assert run(argv + ["--xi", "1,2,3,4"]) == 0
+        assert run(argv + ["--xi", "1,2,3,4,5"]) == 2
+
     def test_determinism(self, tmp_path):
         args = ["eval", "--function", "cs_wavefunction", "--c", "1",
                 "--m", "0", "--grid", "0.25,0.1+0.2j", "--xi", "0.5,1"]
@@ -123,6 +297,29 @@ class TestEval:
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["eval", "--function", "kernel", "--c", "inf", "--grid", "0.1",
+      "--xi", "1"], 3),
+    (["eval", "--function", "basis_phi", "--sigma", "nan", "--grid", "0.1"], 3),
+    (["eval", "--function", "basis_phi", "--sigma", "inf", "--grid", "0.1"], 3),
+    (["eval", "--function", "eigenfunction", "--c", "nan", "--xi", "1"], 3),
+    (["spectrum", "--m", "-2"], 2),
+    (["spectrum", "--kmax", "-1"], 2)])
+def test_bad_parameters_typed_exit(tmp_path, capsys, argv, code):
+    assert run(argv + ["--out", str(tmp_path / "o.csv")]) == code
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_import_leaves_out_scipy_interpolate():
+    src = str(Path(relbargmann.__file__).resolve().parents[1])
+    probe = ("import sys, relbargmann.cli; "
+             "print('scipy.interpolate' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={"PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 @pytest.fixture(scope="module")

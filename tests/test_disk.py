@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relbargmann.disk import (LandauIndex, basis_gram, basis_phi,
+from relbargmann.disk import (LandauIndex, _phi_coeff_matrix,
+                              _phi_monomial_coeffs, basis_gram, basis_phi,
                               basis_phi_batch, basis_radial_profiles,
                               bergman_distance, landau_level,
                               maass_apply_fd, measure_density,
@@ -38,6 +39,9 @@ class TestLandauIndex:
             LandauIndex(5.0, 3)  # floor((5-1)/2) = 2
         with pytest.raises(DomainError):
             LandauIndex(5.0, -1)
+        for sigma in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                LandauIndex(sigma, 0)
 
 
 class TestBergmanDistance:
@@ -127,6 +131,16 @@ class TestBasis:
         for k in range(7):
             want = basis_phi(k, idx, z)
             assert abs(batch[k] - want) < 1e-13 * (1.0 + abs(want))
+
+    @pytest.mark.parametrize("kmax, m, sigma", [
+        (0, 3, 9.1), (2, 4, 11.3), (60, 0, 2.5), (300, 1, 3.0000001),
+        (6910, 2, 7.46)])
+    def test_coeff_matrix_matches_rows(self, kmax, m, sigma):
+        rows = np.zeros((kmax + 1, m + 1))
+        for k in range(kmax + 1):
+            row = _phi_monomial_coeffs(k, m, sigma)
+            rows[k, :len(row)] = row
+        assert np.array_equal(_phi_coeff_matrix(kmax, m, sigma), rows)
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_radial_profiles_factor_the_basis(self, m):

@@ -28,8 +28,9 @@ class TestParameterization:
     def test_validation(self):
         with pytest.raises(DomainError):
             gamma_of_c(0.0)
-        with pytest.raises(DomainError):
-            OscParams(-1.0)
+        for bad in (-1.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                OscParams(bad)
 
     def test_gamma_is_derived(self):
         osc = OscParams(1.3)
