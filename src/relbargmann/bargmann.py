@@ -23,7 +23,11 @@ The xi quadrature uses a panel layout fixed by the parameters alone, so the
 transforms are exactly linear in f.  Since every node of that layout is
 known in advance, the integrand (f times the kernel) is evaluated in one
 call per block of up to ``LAYOUT_BLOCK_NODES`` nodes rather than once per
-panel.
+panel.  f is evaluated on a block first, and the kernel only at the nodes
+where f is non-zero; the integrand is an exact zero at the others.  For a
+:class:`SampledFunction` that keeps the kernel inside the sample grid, away
+from the large xi where its series is dearest.  The layout, and so every
+result, is the same as with the kernel evaluated at every node.
 """
 
 from __future__ import annotations
@@ -197,13 +201,32 @@ def _integrate_fixed_layout(integrand, params: ModelParams):
     return total, err_total
 
 
+def _kernel_on_support(f_vals: np.ndarray, xi: np.ndarray, kernel) -> np.ndarray:
+    """``kernel`` at the nodes ``xi`` where ``f_vals`` is non-zero, exact
+    zeros at the others.
+
+    f times the kernel vanishes where f does, whatever the kernel's value;
+    the kernel is not evaluated there.  Each kernel element is computed as it
+    would be alone, so the products at the live nodes do not change.  With
+    every node live, ``xi`` goes to ``kernel`` as it is.
+    """
+    live = f_vals != 0
+    if live.all():
+        return kernel(xi)
+    out = np.zeros(xi.shape, dtype=complex)
+    if live.any():
+        out[live] = kernel(xi[live])
+    return out
+
+
 def relativistic_transform(params: ModelParams, f, z, tol: float = 1e-8,
                            with_error: bool = False):
     """Coherent-state Bargmann-type transform B[f] at the disk point z.
 
     B[f](z) = N(z)^(1/2) integral_0^inf f(xi) conj(<xi|z>) dxi, with the
     closed-form F5 kernel.  The panel layout over xi depends only on the
-    model parameters, never on f.
+    model parameters, never on f; the kernel is evaluated only at the nodes
+    where f is non-zero.
     """
     z = complex(check_disk(z))
     _check_kernel_domain(z)
@@ -212,7 +235,9 @@ def relativistic_transform(params: ModelParams, f, z, tol: float = 1e-8,
         raise DomainError("tol must be positive")
 
     def integrand(xi):
-        return np.asarray(func(xi)) * transform_kernel(params, z, xi)
+        f_vals = np.asarray(func(xi))
+        return f_vals * _kernel_on_support(
+            f_vals, xi, lambda x: transform_kernel(params, z, x))
 
     value, err = _integrate_fixed_layout(integrand, params)
     return (value, err) if with_error else value
@@ -220,7 +245,8 @@ def relativistic_transform(params: ModelParams, f, z, tol: float = 1e-8,
 
 def relativistic_transform_m0(osc: OscParams, f, z, tol: float = 1e-8,
                               with_error: bool = False):
-    """The m = 0 transform through its reduced single-2F1 kernel."""
+    """The m = 0 transform through its reduced single-2F1 kernel, evaluated
+    only at the nodes where f is non-zero."""
     z = complex(check_disk(z))
     _check_kernel_domain(z)
     func = _as_callable(f)
@@ -231,17 +257,20 @@ def relativistic_transform_m0(osc: OscParams, f, z, tol: float = 1e-8,
              - math.log(math.pi) - gammaln(2.0 * gamma)) - gammaln(gamma + 0.5))
     pref = math.exp(lpref) * np.exp(-1j * math.pi * gamma / 2.0) * (1.0 - z) ** (-gamma)
 
+    def kernel(xp):
+        gam_fac = np.exp(2.0 * loggamma(gamma - 1j * xp) - loggamma(-1j * xp)
+                         + 4j * xp * math.log(osc.c) - 1j * xp * np.log(1.0 - z))
+        return gam_fac * gauss_2f1_vec(gamma - 1j * xp, 0.5 - 1j * xp,
+                                       gamma + 0.5, z)
+
     def integrand(xi):
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         out = np.zeros(len(xi), dtype=complex)
         pos = xi > 0
         if np.any(pos):
             xp = xi[pos]
-            gam_fac = np.exp(2.0 * loggamma(gamma - 1j * xp) - loggamma(-1j * xp)
-                             + 4j * xp * math.log(osc.c) - 1j * xp * np.log(1.0 - z))
-            kernel = gam_fac * gauss_2f1_vec(gamma - 1j * xp, 0.5 - 1j * xp,
-                                             gamma + 0.5, z)
-            out[pos] = kernel * np.asarray(func(xp))
+            f_vals = np.asarray(func(xp))
+            out[pos] = _kernel_on_support(f_vals, xp, kernel) * f_vals
         return out
 
     value, err = _integrate_fixed_layout(integrand, ModelParams(osc=osc, m=0))

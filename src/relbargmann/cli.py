@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import sys
 
@@ -277,29 +278,39 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def read_sampled_function(path: str) -> SampledFunction:
-    """Load a CSV with header ``xi,re,im`` into a SampledFunction."""
+    """Load a CSV with header ``xi,re,im`` into a SampledFunction.
+
+    All sample tokens go through one numpy conversion, which applies
+    ``float`` to each in file order.  An error names the first bad row or
+    token in the file, as a row-by-row reader would.
+    """
+    tokens: list[str] = []
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip().lower().replace(" ", "")
             if header != "xi,re,im":
                 raise InputFormatError(
                     f"expected header 'xi,re,im', got {header!r}")
-            rows = []
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 3:
-                    raise InputFormatError(f"bad sample row {line!r}")
-                rows.append([float(p) for p in parts])
+            try:
+                for line in fh:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    parts = line.split(",")
+                    if len(parts) != 3:
+                        raise InputFormatError(f"bad sample row {line!r}")
+                    tokens += parts
+            except (InputFormatError, UnicodeDecodeError):
+                # a non-numeric token in an earlier row is reported first
+                np.array(tokens, dtype=float)
+                raise
+        arr = np.array(tokens, dtype=float).reshape(-1, 3)
     except OSError as exc:
         raise InputFormatError(f"cannot read input {path}: {exc}") from exc
     except ValueError as exc:
         raise InputFormatError(f"non-numeric sample in {path}: {exc}") from exc
-    if not rows:
+    if not len(arr):
         raise InputFormatError(f"no samples in {path}")
-    arr = np.asarray(rows, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise InputFormatError(f"non-finite sample value in {path}")
     return SampledFunction(grid=arr[:, 0], values=arr[:, 1] + 1j * arr[:, 2])
@@ -430,8 +441,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of ``build_parser``, built on the first call and reused by
+    every later ``main`` call in the process.
+
+    Parsing leaves it unchanged: each call gets a fresh namespace, and config
+    values are set on that namespace only.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     tokens = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(tokens)
     actions = {a.dest: a for g in parser._subparsers._group_actions

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, loggamma
 
-from .errors import DomainError
+from .errors import DomainError, NonConvergenceError
 from .orthopoly import cdhahn_normalized_batch
 
 
@@ -107,12 +107,19 @@ def _check_xi(xi) -> np.ndarray:
     return xi
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite table is raised below
 def eigenfunction_batch(kmax: int, osc: OscParams, xi) -> np.ndarray:
     """phi_k(xi) for k = 0..kmax stacked on the first axis; xi an array.
 
     Large-k evaluation goes through the normalised three-term recurrence of
     the continuous dual Hahn family, so the stack is stable for hundreds of
     levels.
+
+    Raises
+    ------
+    NonConvergenceError
+        If the table is not finite: the polynomials overflow for k >= 1 once
+        xi^2 does (xi above about 1e154), or at large k and xi.
     """
     gamma = osc.gamma
     xi = _check_xi(xi)
@@ -123,6 +130,10 @@ def eigenfunction_batch(kmax: int, osc: OscParams, xi) -> np.ndarray:
         pref = _state_prefactor(osc, xi[pos])
         norms = np.exp(_log_norms(kmax, gamma))
         out[:, pos] = norms[:, None] * poly[:, pos] * pref[None, :]
+    if not np.isfinite(out).all():
+        raise NonConvergenceError(
+            f"oscillator state table up to k = {kmax} is not finite "
+            f"for xi up to {np.max(xi):.4g}")
     return out
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln
+from scipy.special import gammaln, loggamma
 
 from relbargmann import bargmann
 from relbargmann.bargmann import (SampledFunction, TransformResult,
@@ -19,6 +19,7 @@ from relbargmann.coherent import (CoherentLabel, cs_wavefunction_oracle,
                                   normalization, transform_kernel)
 from relbargmann.disk import basis_phi, wirtinger_dzbar_fd
 from relbargmann.errors import DomainError, InputFormatError, RelBargmannError
+from relbargmann.hypergeom import gauss_2f1_vec
 from relbargmann.orthopoly import laguerre_l
 from relbargmann.oscillator import ModelParams, OscParams
 from relbargmann.quadrature import integrate_halfline
@@ -280,6 +281,122 @@ class TestFixedLayout:
         assert peak < 32 * 2 ** 20
         if got is not None:
             assert abs(got - basis_phi(1, params.landau_index(), z)) < 1e-6
+
+
+def every_node_transform(params, f, z):
+    """Reference: f times the kernel at every node of the fixed layout."""
+    func = f.as_callable() if isinstance(f, SampledFunction) else f
+
+    def integrand(xi):
+        return np.asarray(func(xi)) * transform_kernel(params, z, xi)
+
+    return bargmann._integrate_fixed_layout(integrand, params)
+
+
+def every_node_transform_m0(osc, f, z):
+    """Reference: the reduced m = 0 kernel times f at every node xi > 0."""
+    func = f.as_callable() if isinstance(f, SampledFunction) else f
+    gamma = osc.gamma
+    lpref = (0.5 * math.log(2.0) + 0.5 * (math.log(2.0 * gamma - 1.0)
+             - math.log(math.pi) - gammaln(2.0 * gamma)) - gammaln(gamma + 0.5))
+    pref = (math.exp(lpref) * np.exp(-1j * math.pi * gamma / 2.0)
+            * (1.0 - z) ** (-gamma))
+
+    def integrand(xi):
+        out = np.zeros(len(xi), dtype=complex)
+        pos = xi > 0
+        xp = xi[pos]
+        gam_fac = np.exp(2.0 * loggamma(gamma - 1j * xp) - loggamma(-1j * xp)
+                         + 4j * xp * math.log(osc.c) - 1j * xp * np.log(1.0 - z))
+        kernel = gam_fac * gauss_2f1_vec(gamma - 1j * xp, 0.5 - 1j * xp,
+                                         gamma + 0.5, z)
+        out[pos] = kernel * np.asarray(func(xp))
+        return out
+
+    value, err = bargmann._integrate_fixed_layout(integrand, ModelParams(osc, 0))
+    return pref * value, abs(pref) * err
+
+
+def bits(value, err):
+    """Value and error estimate as bytes, so that signed zeros count."""
+    return np.array([value], dtype=complex).tobytes() + np.float64(err).tobytes()
+
+
+def sampled_modes(osc, grid, coeffs=(1.0, 0.5j, -0.3)):
+    """Samples of sum_j coeffs[j] phi_j on ``grid``."""
+    return SampledFunction(grid=grid, values=sum(
+        a * oscillator_mode(j, osc)(grid) for j, a in enumerate(coeffs)))
+
+
+class TestKernelOnSupport:
+    """The kernel is evaluated only where f is non-zero, with results equal
+    bit for bit to f times the kernel at every node."""
+
+    GRID = np.linspace(0.0, 30.0, 301)
+
+    @pytest.mark.parametrize("c", [0.6, 1.0, 2.0])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_sampled_matches_every_node(self, c, m):
+        params = ModelParams(OscParams(c), m)
+        f = sampled_modes(params.osc, self.GRID)
+        for z in (0.3 + 0.2j, -0.5 + 0.4j):
+            got = relativistic_transform(params, f, z, with_error=True)
+            assert bits(*got) == bits(*every_node_transform(params, f, z))
+            if m == 0:
+                got = relativistic_transform_m0(params.osc, f, z, with_error=True)
+                assert bits(*got) == bits(*every_node_transform_m0(params.osc, f, z))
+
+    def test_grid_from_two_kernel_inside_grid(self, monkeypatch):
+        # c = 0.6: the layout runs to xi = 82, the samples cover [2, 25]
+        params = ModelParams(OscParams(0.6), 1)
+        grid = np.linspace(2.0, 25.0, 231)
+        f = sampled_modes(params.osc, grid)
+        z = 0.25 - 0.35j
+        want = every_node_transform(params, f, z)
+        seen = []
+        kernel = bargmann.transform_kernel
+
+        def recorded(params, z, xi):
+            seen.append(np.array(xi))
+            return kernel(params, z, xi)
+
+        monkeypatch.setattr(bargmann, "transform_kernel", recorded)
+        got = relativistic_transform(params, f, z, with_error=True)
+        assert bits(*got) == bits(*want)
+        nodes = np.concatenate(seen)
+        assert grid[0] <= nodes.min() and nodes.max() <= grid[-1]
+        layout = 48 * math.ceil(xi_cutoff(0.6) / (params.gamma / math.pi))
+        assert len(nodes) < layout / 2
+
+    def test_zero_input_gives_positive_zero(self, monkeypatch):
+        params = ModelParams(OscParams(1.0), 1)
+        f = SampledFunction(grid=self.GRID, values=np.zeros(len(self.GRID)))
+        calls = []
+        monkeypatch.setattr(bargmann, "transform_kernel",
+                            lambda *args: calls.append(args))
+        got = relativistic_transform(params, f, 0.2 + 0.1j, with_error=True)
+        assert bits(*got) == bits(0.0, 0.0) and not calls
+        got = relativistic_transform_m0(params.osc, f, 0.2 + 0.1j, with_error=True)
+        assert bits(*got) == bits(*every_node_transform_m0(params.osc, f,
+                                                           0.2 + 0.1j))
+        assert got == (0.0, 0.0)
+
+    def test_all_live_nodes_pass_xi_itself(self, monkeypatch):
+        params = ModelParams(OscParams(1.0), 0)
+        seen_f, seen_kernel = [], []
+        kernel = bargmann.transform_kernel
+
+        def f(xi):
+            seen_f.append(xi)
+            return np.ones(np.shape(xi))
+
+        def recorded(params, z, xi):
+            seen_kernel.append(xi)
+            return kernel(params, z, xi)
+
+        monkeypatch.setattr(bargmann, "transform_kernel", recorded)
+        relativistic_transform(params, f, 0.1)
+        assert len(seen_kernel) == 1 and seen_kernel[0] is seen_f[0]
 
 
 class TestM0Reduction:

@@ -12,10 +12,11 @@ import pytest
 
 import relbargmann
 from relbargmann import cli
-from relbargmann.bargmann import oscillator_mode
+from relbargmann.bargmann import SampledFunction, oscillator_mode
 from relbargmann.cli import ConfigError, main, parse_grid, parse_xi
 from relbargmann.coherent import CoherentLabel, cs_wavefunction, transform_kernel
 from relbargmann.disk import basis_phi
+from relbargmann.errors import InputFormatError
 from relbargmann.oscillator import ModelParams, OscParams, eigenfunction
 
 
@@ -189,6 +190,17 @@ class TestEval:
         zero_rows = [row for row in rows if row[-3] == "0"]
         assert len(zero_rows) == (n_z if "0" in xi else 0)
         assert all(row[-2:] == ["0", "0"] for row in zero_rows)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_eigenfunction_overflow_exit_4(self, tmp_path, capsys, k):
+        # for k >= 1 the polynomial table overflows once xi^2 does
+        out = tmp_path / "v.csv"
+        assert run(["eval", "--function", "eigenfunction", "--k", str(k),
+                    "--xi", "1,1e300", "--out", str(out)]) == 4
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("non-convergence: ")
+        assert "Traceback" not in stderr and "Warning" not in stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("fn", ["kernel", "cs_wavefunction"])
     def test_near_one_exit_3(self, tmp_path, capsys, fn):
@@ -365,6 +377,185 @@ class TestTransform:
         code = run(["transform", "--c", "1", "--input", str(bad),
                     "--grid", "0.1", "--out", str(tmp_path / "t.csv")])
         assert code == 5
+
+
+def row_reader(path):
+    """Reference: the CSV read row by row, one ``float`` call per token."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip().lower().replace(" ", "")
+            if header != "xi,re,im":
+                raise InputFormatError(
+                    f"expected header 'xi,re,im', got {header!r}")
+            rows = []
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                parts = line.split(",")
+                if len(parts) != 3:
+                    raise InputFormatError(f"bad sample row {line!r}")
+                rows.append([float(p) for p in parts])
+    except OSError as exc:
+        raise InputFormatError(f"cannot read input {path}: {exc}") from exc
+    except ValueError as exc:
+        raise InputFormatError(f"non-numeric sample in {path}: {exc}") from exc
+    if not rows:
+        raise InputFormatError(f"no samples in {path}")
+    arr = np.asarray(rows, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise InputFormatError(f"non-finite sample value in {path}")
+    return SampledFunction(grid=arr[:, 0], values=arr[:, 1] + 1j * arr[:, 2])
+
+
+class TestSampleFile:
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_matches_row_reader(self, tmp_path, newline):
+        rng = np.random.default_rng(5)
+        grid = np.sort(rng.uniform(0.0, 30.0, 200))
+        vals = rng.normal(size=(200, 2)) * 10.0 ** rng.integers(-300, 300, (200, 2))
+        lines = ["XI, Re ,im"]
+        for i, (x, (re, im)) in enumerate(zip(grid.tolist(), vals.tolist())):
+            lines.append(f"{x!r},{re!r},{im!r}")
+            if i % 37 == 0:
+                lines.append("  ")  # blank lines are skipped
+        lines += [" 30.5 , +1_0.5,-.25e-3", "31,-0,1E2", "", ""]
+        path = tmp_path / "f.csv"
+        path.write_bytes(newline.join(lines).encode())
+        got = cli.read_sampled_function(str(path))
+        want = row_reader(path)
+        assert got.grid.tobytes() == want.grid.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+
+    #: undecodable bytes past the first 8 KiB read, after 5000 good rows
+    LATE_BYTE = b"2,2,2\n" * 5000 + b"\xff\n"
+
+    @pytest.mark.parametrize("body", [
+        b"time,value\n0.0,1.0\n",
+        b"xi,re,im\n0,1,0\n1,2\n",
+        b"xi,re,im\n0,1,0\n1,2,3,4\n",
+        b"xi,re,im\n0,1,0\n1,abc,0\n",
+        b"xi,re,im\n0,1,0\n1,2,\n",
+        b"xi,re,im\n0,1,0\n1,nan,0\n",
+        b"xi,re,im\n0,1,0\n1,0,-inf\n",
+        b"xi,re,im\n\n \n",
+        b"",
+        b"xi,re,im\n0,x,0\n1,2\n",
+        b"xi,re,im\n0,1\n1,x,0\n",
+        b"xi,re,im\n0,1,y\n1,x,0\n",
+        b"xi,re,im\n0,1,0\n1,z,0\n" + LATE_BYTE,
+        b"xi,re,im\n0,1,0\n" + LATE_BYTE,
+        b"xi,re,im\n1,1,0\n0,2,0\n",
+        b"xi,re,im\n0,1,0\n"], ids=[
+        "bad-header", "two-fields", "four-fields", "non-numeric",
+        "empty-token", "nan", "inf", "no-rows", "empty-file",
+        "token-before-short-row", "short-row-before-token", "first-bad-token",
+        "token-before-late-byte", "late-byte", "decreasing-grid",
+        "one-sample"])
+    def test_malformed_exit_5_same_message(self, tmp_path, capsys, body):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(body)
+        with pytest.raises(InputFormatError) as want:
+            row_reader(path)
+        code = run(["transform", "--c", "1", "--input", str(path),
+                    "--grid", "0.1", "--out", str(tmp_path / "t.csv")])
+        assert code == 5
+        assert capsys.readouterr().err == f"input error: {want.value}\n"
+
+    def test_missing_file_exit_5(self, tmp_path, capsys):
+        path = tmp_path / "missing.csv"
+        with pytest.raises(InputFormatError) as want:
+            row_reader(path)
+        assert run(["transform", "--c", "1", "--input", str(path),
+                    "--grid", "0.1", "--out", str(tmp_path / "t.csv")]) == 5
+        assert capsys.readouterr().err == f"input error: {want.value}\n"
+
+
+@pytest.mark.parametrize("c", [0.38, 0.4])
+@pytest.mark.parametrize("z", [0.3 + 0.4j, 0.1j])
+def test_transform_near_one_over_e(tmp_path, c, z):
+    # xi_cutoff is 1234 at c = 0.38 and 478 at c = 0.4; the 2F1 series
+    # overflows far out, where the samples (ending at xi = 30) are zero
+    osc = OscParams(c)
+    grid = np.linspace(0.0, 30.0, 1201)
+    path = tmp_path / "phi1.csv"
+    write_samples(path, grid, oscillator_mode(1, osc)(grid))
+    out = tmp_path / "t.csv"
+    assert run(["transform", "--c", repr(c), "--input", str(path),
+                "--grid", repr(z).strip("()"), "--out", str(out)]) == 0
+    row = [float(tok) for tok in out.read_text().splitlines()[1].split(",")]
+    want = basis_phi(1, ModelParams(osc, 0).landau_index(), z)
+    assert abs(complex(row[2], row[3]) - want) < 1e-6
+
+
+class TestSharedParser:
+    def test_sequence_matches_fresh_parsers(self, tmp_path, ground_state_csv):
+        cfg_k = tmp_path / "k.cfg"
+        cfg_k.write_text("k=2\nsigma=6.5\n")
+        cfg_c = tmp_path / "c.cfg"
+        cfg_c.write_text("c=2\nm=1\ntol=1e-9\nformat=json\n")
+        out = tmp_path / "o"
+        calls = [
+            ["eval", "--function", "basis_phi", "--grid", "0.3",
+             "--config", str(cfg_k)],
+            ["eval", "--function", "basis_phi", "--grid", "0.3",
+             "--format", "json"],
+            ["transform", "--input", str(ground_state_csv), "--grid",
+             "0.1,-0.2j", "--config", str(cfg_c)],
+            ["transform", "--input", str(ground_state_csv), "--grid",
+             "0.1,-0.2j"],
+            ["spectrum", "--kmax", "2", "--config", str(cfg_c)],
+            ["spectrum", "--kmax", "2"],
+            ["eval", "--function", "eigenfunction", "--xi", "0.5,1",
+             "--config", str(cfg_k)],
+            ["verify", "--suite", "srivastava-rao", "--config", str(cfg_c)],
+            ["eval", "--function", "kernel", "--grid", "0.2j", "--xi", "1,2",
+             "--k", "1"],
+        ]
+
+        def outputs(fresh):
+            got = []
+            for argv in calls:
+                if fresh:
+                    cli._shared_parser.cache_clear()
+                code = run(argv + ["--out", str(out)])
+                got.append((code, out.read_bytes()))
+                out.unlink()
+            return got
+
+        shared = outputs(fresh=False)
+        assert shared == outputs(fresh=True)
+        assert all(code == 0 for code, _ in shared)
+        # the config values of a call do not reach the next one
+        config = json.loads(shared[1][1])["meta"]["config"]
+        assert config["k"] == 0 and "sigma" not in config
+        assert json.loads(shared[2][1])["meta"]["config"]["c"] == 2.0
+        assert shared[3][1].startswith(b"re_z,im_z,")
+        assert shared[5][1].startswith(b"kind,index,value\n")
+
+    def test_parser_built_once(self, tmp_path, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._shared_parser.cache_clear()
+        try:
+            for kmax in ("1", "2", "3"):
+                assert run(["spectrum", "--kmax", kmax,
+                            "--out", str(tmp_path / "s.csv")]) == 0
+            # a usage error exits through argparse and leaves the parser as
+            # it was
+            with pytest.raises(SystemExit):
+                run(["spectrum", "--kmax", "x"])
+            assert run(["spectrum", "--kmax", "0",
+                        "--out", str(tmp_path / "s.csv")]) == 0
+        finally:
+            cli._shared_parser.cache_clear()
+        assert len(built) == 1
 
 
 class TestVerify:

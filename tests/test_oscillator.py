@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from relbargmann.errors import DomainError
+from relbargmann.errors import DomainError, NonConvergenceError
 from relbargmann.hypergeom import ln_gamma
 from relbargmann.oscillator import (ModelParams, OscParams, eigenfunction,
                                     eigenfunction_batch, energy, gamma_of_c,
@@ -92,6 +92,15 @@ class TestEigenfunctions:
         for k in range(4):
             for i, x in enumerate(xi):
                 assert batch[k, i] == eigenfunction(k, osc, float(x))
+
+    def test_overflowing_table_raises(self):
+        osc = OscParams(1.0)
+        with pytest.raises(NonConvergenceError):
+            eigenfunction_batch(1, osc, [1.0, 1e300])
+        with pytest.raises(NonConvergenceError):
+            eigenfunction(3, osc, 1e200)
+        # phi_0 has no polynomial to overflow: it decays to an exact 0
+        assert eigenfunction(0, osc, 1e300) == 0.0
 
     def test_negative_xi_rejected(self):
         with pytest.raises(DomainError):
