@@ -207,12 +207,9 @@ def _kernel_on_support(f_vals: np.ndarray, xi: np.ndarray, kernel) -> np.ndarray
 
     f times the kernel vanishes where f does, whatever the kernel's value;
     the kernel is not evaluated there.  Each kernel element is computed as it
-    would be alone, so the products at the live nodes do not change.  With
-    every node live, ``xi`` goes to ``kernel`` as it is.
+    would be alone, so the products at the live nodes do not change.
     """
     live = f_vals != 0
-    if live.all():
-        return kernel(xi)
     out = np.zeros(xi.shape, dtype=complex)
     if live.any():
         out[live] = kernel(xi[live])

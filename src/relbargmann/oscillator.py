@@ -137,6 +137,7 @@ def eigenfunction_batch(kmax: int, osc: OscParams, xi) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite sums are raised below
 def project_states(kmax: int, osc: OscParams, xi, values) -> np.ndarray:
     """sum_n conj(phi_k(xi_n)) values_n for k = 0..kmax.
 
@@ -144,6 +145,12 @@ def project_states(kmax: int, osc: OscParams, xi, values) -> np.ndarray:
     <f, phi_k>.  Since conj(phi_k) = norm_k P_k conj(pref) with P_k the real
     normalised polynomial, only the real polynomial table is built, never the
     complex state stack.
+
+    Raises
+    ------
+    NonConvergenceError
+        If a sum is not finite: at large k and xi the polynomials overflow
+        while the prefactor underflows to 0 (from xi near 455 at k = 8000).
     """
     gamma = osc.gamma
     xi = _check_xi(xi)
@@ -152,6 +159,10 @@ def project_states(kmax: int, osc: OscParams, xi, values) -> np.ndarray:
     poly = cdhahn_normalized_batch(kmax, xi[pos], gamma, gamma, 0.5)
     weighted = np.conj(_state_prefactor(osc, xi[pos])) * values[pos]
     sums = poly @ weighted.real + 1j * (poly @ weighted.imag)
+    if not np.isfinite(sums).all():
+        raise NonConvergenceError(
+            f"oscillator projections up to k = {kmax} are not finite "
+            f"for xi up to {np.max(xi):.4g}")
     return np.exp(_log_norms(kmax, gamma)) * sums
 
 

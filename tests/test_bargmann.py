@@ -18,7 +18,8 @@ from relbargmann.bargmann import (SampledFunction, TransformResult,
 from relbargmann.coherent import (CoherentLabel, cs_wavefunction_oracle,
                                   normalization, transform_kernel)
 from relbargmann.disk import basis_phi, wirtinger_dzbar_fd
-from relbargmann.errors import DomainError, InputFormatError, RelBargmannError
+from relbargmann.errors import (DomainError, InputFormatError,
+                                NonConvergenceError, RelBargmannError)
 from relbargmann.hypergeom import gauss_2f1_vec
 from relbargmann.orthopoly import laguerre_l
 from relbargmann.oscillator import ModelParams, OscParams
@@ -381,23 +382,6 @@ class TestKernelOnSupport:
                                                            0.2 + 0.1j))
         assert got == (0.0, 0.0)
 
-    def test_all_live_nodes_pass_xi_itself(self, monkeypatch):
-        params = ModelParams(OscParams(1.0), 0)
-        seen_f, seen_kernel = [], []
-        kernel = bargmann.transform_kernel
-
-        def f(xi):
-            seen_f.append(xi)
-            return np.ones(np.shape(xi))
-
-        def recorded(params, z, xi):
-            seen_kernel.append(xi)
-            return kernel(params, z, xi)
-
-        monkeypatch.setattr(bargmann, "transform_kernel", recorded)
-        relativistic_transform(params, f, 0.1)
-        assert len(seen_kernel) == 1 and seen_kernel[0] is seen_f[0]
-
 
 class TestM0Reduction:
     def test_matches_full_kernel(self):
@@ -554,6 +538,14 @@ class TestIsometryRings:
         finally:
             tracemalloc.stop()
         assert peak < 128 * 2 ** 20
+
+    def test_long_xi_length_raises_instead_of_nan(self):
+        # the projections up to series_k overflow at xi ~ 455 (see
+        # test_overflowing_projections_raise); the gap was NaN before
+        osc = OscParams(1.0)
+        with pytest.raises(NonConvergenceError):
+            isometry_check(ModelParams(osc, 0), oscillator_mode(1, osc),
+                           {"xi_length": 500.0})
 
     @pytest.mark.parametrize("budget", [
         {"r_split": 1.0}, {"r_split": 1.5}, {"r_split": 0.0},

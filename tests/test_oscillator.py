@@ -117,6 +117,14 @@ class TestEigenfunctions:
         got = project_states(30, osc, xi, values)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
+    def test_overflowing_projections_raise(self):
+        # past xi ~ 455 the k = 8000 polynomial overflows while the
+        # prefactor underflows to 0; inf * 0 must not pass on as a NaN
+        osc = OscParams(1.0)
+        assert np.isfinite(project_states(8000, osc, [1.0, 440.0], [1.0, 1.0])).all()
+        with pytest.raises(NonConvergenceError):
+            project_states(8000, osc, [1.0, 500.0], [1.0, 1.0])
+
     def test_phase_convention_free_modulus(self):
         # the global i^gamma phase drops out of |phi_k|
         osc = OscParams(1.2)
