@@ -45,7 +45,7 @@ from .disk import basis_radial_profiles, check_disk
 from .errors import DomainError, InputFormatError
 from .hypergeom import gauss_2f1_vec
 from .oscillator import (ModelParams, OscParams, eigenfunction_batch,
-                         project_states)
+                         panel_width, project_states, xi_panel_grid)
 from .quadrature import MAX_RULE_SIZE, integrate_halfline, jacobi_rule_01
 
 #: most xi nodes passed to the integrand in one call; one block holds the
@@ -160,23 +160,18 @@ def classical_bargmann(sigma: float, f, z, tol: float = 1e-10):
     return pref * value, abs(pref) * err
 
 
-def _transform_panels(params: ModelParams):
-    width = max(params.gamma / math.pi, 0.25)
-    return width, xi_cutoff(params.osc.c)
-
-
 def _integrate_fixed_layout(integrand, params: ModelParams):
     """Integrate ``integrand`` over [0, xi_cutoff(c)] on the fixed panel layout.
 
-    Panels of the width given by ``_transform_panels`` (the last one cut at
-    the cutoff) each carry the 16-point and the 32-point Gauss-Legendre rule.
-    Both rules of up to ``LAYOUT_BLOCK_NODES`` nodes go to ``integrand`` in
-    one call; nodes are built a block at a time, never for the whole layout.
+    Panels of ``oscillator.panel_width`` (the last one cut at the cutoff)
+    each carry the 16-point and the 32-point Gauss-Legendre rule.  Both rules
+    of up to ``LAYOUT_BLOCK_NODES`` nodes go to ``integrand`` in one call;
+    nodes are built a block at a time, never for the whole layout.
 
     Returns ``(value, err_estimate)``: the sums over panels, in panel order,
     of the 32-point values and of their distances from the 16-point values.
     """
-    width, length = _transform_panels(params)
+    width, length = panel_width(params.osc), xi_cutoff(params.osc.c)
     n_panels = math.ceil(length / width)
     (xc, wc), (xf, wf) = _COARSE_RULE, _FINE_RULE
     rule = np.concatenate([xc, xf])
@@ -381,20 +376,14 @@ def isometry_check(params: ModelParams, f, budget: dict | None = None) -> dict:
     kmax, tol = budget["kmax"], budget["tol"]
     r_split = budget["r_split"] ** 2
     func = _as_callable(f)
-    width, _ = _transform_panels(params)
-
     norm_f_sq, _ = integrate_halfline(
         lambda xi: np.abs(np.asarray(func(xi))) ** 2,
-        decay_scale=width, tol=tol)
+        decay_scale=panel_width(params.osc), tol=tol)
     norm_f_sq = float(norm_f_sq.real)
 
     # shared xi panel grid and f samples; one projection table serves both
     # the inner region (series_k terms) and the annulus (kmax terms)
-    n_panels = int(math.ceil(budget["xi_length"] / width))
-    xg, wg = leggauss(32)
-    mids = width * (np.arange(n_panels) + 0.5)
-    xi_nodes = (mids[:, None] + 0.5 * width * xg[None, :]).ravel()
-    xi_weights = np.tile(0.5 * width * wg, n_panels)
+    xi_nodes, xi_weights = xi_panel_grid(params.osc, budget["xi_length"])
     f_nodes = np.asarray(func(xi_nodes))
     series_k = series_kmax_for(math.sqrt(r_split))
     projections = project_states(max(series_k, kmax), params.osc, xi_nodes,

@@ -23,7 +23,7 @@ from .disk import LandauIndex, basis_phi, landau_level
 from .errors import (DomainError, InputFormatError, NonConvergenceError,
                      RelBargmannError)
 from .oscillator import ModelParams, OscParams, eigenfunction, energy
-from .verification import SUITES, run_suite
+from .verification import SUITES, gram_table_entries, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -192,13 +192,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     ``kernel`` and ``cs_wavefunction`` are evaluated once per disk point on
     blocks of up to ``LAYOUT_BLOCK_NODES`` xi (records stay z-major, then
-    xi), and ``eigenfunction`` on blocks of xi small enough that its table
-    of all k + 1 levels holds at most ``LAYOUT_BLOCK_NODES`` entries.  Each
-    element of those vector calls is computed as it would be alone, so the
-    output does not depend on the blocking.  ``basis_phi`` is evaluated
-    point by point: numpy rounds its scalar and array arithmetic differently
-    (libm ``pow`` against vectorised powers), so one call on all z would
-    move values in the last digit.  ``overlap`` takes one z per call.
+    xi), ``basis_phi`` on blocks of up to ``LAYOUT_BLOCK_NODES`` z, and
+    ``eigenfunction`` on blocks of xi small enough that its table of all
+    k + 1 levels holds at most ``LAYOUT_BLOCK_NODES`` entries.  Each element
+    of those vector calls is computed as it would be alone, so the output
+    does not depend on the blocking.  ``overlap`` takes one z per call.
     """
     tol = _check_tol(args.tol)
     fn = args.function
@@ -226,19 +224,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not points:
             raise ConfigError("empty z grid")
         _check_grid_cap(points)
-        if fn == "basis_phi":
+        if fn in ("basis_phi", "overlap"):
             sigma = args.sigma if args.sigma is not None else ModelParams(
                 OscParams(args.c), args.m).sigma
             idx = LandauIndex(sigma, args.m)
-            for z in points:
-                val = complex(basis_phi(args.k, idx, z))
-                records.append({"re_z": z.real, "im_z": z.imag,
-                                "re_val": val.real, "im_val": val.imag})
             columns = ["re_z", "im_z", "re_val", "im_val"]
+        if fn == "basis_phi":
+            for start in range(0, len(points), LAYOUT_BLOCK_NODES):
+                chunk = np.array(points[start:start + LAYOUT_BLOCK_NODES])
+                vals = basis_phi(args.k, idx, chunk)
+                records += _records(columns, chunk.real.tolist(),
+                                    chunk.imag.tolist(), vals.real.tolist(),
+                                    vals.imag.tolist())
         elif fn == "overlap":
-            sigma = args.sigma if args.sigma is not None else ModelParams(
-                OscParams(args.c), args.m).sigma
-            idx = LandauIndex(sigma, args.m)
             if args.w is None:
                 raise ConfigError("overlap evaluation needs --w")
             w_points = parse_grid(args.w)
@@ -250,7 +248,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 val = complex(overlap(idx, z, w))
                 records.append({"re_z": z.real, "im_z": z.imag,
                                 "re_val": val.real, "im_val": val.imag})
-            columns = ["re_z", "im_z", "re_val", "im_val"]
         else:  # cs_wavefunction | kernel, on a z x xi grid
             if args.xi is None:
                 raise ConfigError(f"{fn} evaluation needs --xi")
@@ -351,6 +348,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             config[key] = val
     if tol is not None:
         config["tol"] = tol
+    kmax = config.get("kmax", 0)
+    if kmax < 0:
+        raise ConfigError("kmax must be nonnegative")
+    _check_count(gram_table_entries(args.suite, kmax),
+                 f"the Gram basis table at --kmax {kmax}")
     report = run_suite(args.suite, config)
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     _write_text(args.out, text)
@@ -367,6 +369,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         raise ConfigError("kmax must be nonnegative")
     if args.m < 0:
         raise ConfigError("m must be nonnegative")
+    _check_count(args.kmax + args.m + 2, "the spectrum listing")
     osc = OscParams(args.c)
     records = []
     for k in range(args.kmax + 1):

@@ -13,7 +13,8 @@ negative-integer first parameter once k exceeds m.
 ``basis_phi`` is evaluated through an equivalent finite monomial expansion
 (the image of the Jacobi connection formula), which is single-valued at
 z = 0 where the raw factor zbar^(m-k) and the degenerate polynomial would
-produce 0/0.
+produce 0/0.  ``basis_phi`` and ``basis_phi_batch`` share one elementwise
+evaluation, so Phi_k(z) has the same bits alone, in any array and stack.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError
-from .quadrature import disk_radial_rule
+from .quadrature import jacobi_rule_01
 
 DEFAULT_FD_STEP = 1e-4
 
@@ -73,64 +74,87 @@ def bergman_distance(z, w) -> float:
     return float(np.arccosh(np.sqrt(max(ratio, 1.0))))
 
 
-@lru_cache(maxsize=4096)
-def _phi_monomial_coeffs(k: int, m: int, sigma: float) -> tuple:
-    """Coefficients C_j of Phi_k = (1-|z|^2)^-m sum_j C_j z^(k-j) zbar^(m-j).
+def _phi_coeff_rows(k: np.ndarray, m: int, sigma: float) -> np.ndarray:
+    """Coefficients C_j of Phi_k = (1-|z|^2)^-m sum_j C_j z^(k-j) zbar^(m-j)
+    for each k of the array ``k``, shape (len(k), m+1), zero past j = k.
 
-    The j-sum runs over 0 <= j <= min(k, m).  Derived by pushing the Jacobi
-    polynomial with first parameter m - k through the connection formula and
-    absorbing zbar^(m-k); all gamma factors are combined in log space.
+    Derived by pushing the Jacobi polynomial with first parameter m - k
+    through the connection formula and absorbing zbar^(m-k); ``math.exp``
+    per element keeps a row independent of the other k built with it.
     """
     lead = 0.5 * (math.log(sigma - 2 * m - 1.0) + gammaln(sigma - m)
                   + gammaln(k + 1) - math.log(math.pi)
                   - gammaln(m + 1) - gammaln(sigma - 2 * m + k))
-    coeffs = []
-    for j in range(min(k, m) + 1):
-        lt = (gammaln(m + 1) + gammaln(sigma + k - m - j) - gammaln(k - j + 1)
+    out = np.zeros((len(k), m + 1))
+    for j in range(m + 1):
+        has = k >= j
+        kj = k[has]
+        lt = (gammaln(m + 1) + gammaln(sigma + kj - m - j) - gammaln(kj - j + 1)
               - gammaln(m - j + 1) - gammaln(j + 1))
-        coeffs.append((-1.0) ** j * math.exp(lead + lt - gammaln(sigma - m)))
-    return tuple(coeffs)
+        expo = lead[has] + lt - gammaln(sigma - m)
+        out[has, j] = [(-1.0) ** j * math.exp(x) for x in expo.tolist()]
+    return out
 
 
-def basis_phi(k: int, idx: LandauIndex, z):
-    """Orthonormal eigenbasis member Phi_k^{sigma,m}(z); z may be an ndarray."""
-    if k < 0 or k != int(k):
-        raise DomainError("basis index k must be a nonnegative integer")
-    if idx.sigma - 2 * idx.m - 1.0 <= 0.0:
-        raise DomainError("basis normalization requires sigma - 2m - 1 > 0")
-    zz = check_disk(z)
-    arr = np.asarray(zz, dtype=complex)
-    zb = np.conj(arr)
-    r = (arr * zb).real
-    total = np.zeros_like(arr)
-    for j, cj in enumerate(_phi_monomial_coeffs(int(k), idx.m, float(idx.sigma))):
-        total = total + cj * arr ** (k - j) * zb ** (idx.m - j)
-    total = total * (1.0 - r) ** (-idx.m)
-    return total if total.shape else complex(total)
+@lru_cache(maxsize=4096)
+def _phi_coeff_row(k: int, m: int, sigma: float) -> np.ndarray:
+    """Row k of the coefficients, built alone; cached, treat as read-only."""
+    return _phi_coeff_rows(np.array([k], dtype=float), m, sigma)
 
 
 @lru_cache(maxsize=64)
 def _phi_coeff_matrix(kmax: int, m: int, sigma: float) -> np.ndarray:
-    """Monomial coefficients of the whole basis stack, shape (kmax+1, m+1).
+    """Rows k = 0..kmax of the coefficients; cached, treat as read-only."""
+    return _phi_coeff_rows(np.arange(kmax + 1, dtype=float), m, sigma)
 
-    Cached and shared; treat the returned array as read-only.  Row k equals
-    ``_phi_monomial_coeffs(k, m, sigma)`` bit for bit: the same sums of
-    ``gammaln`` values are formed in the same order on arrays of k, and the
-    exponentials are taken by ``math.exp``, which numpy's vector ``exp``
-    does not match in the last bit.
+
+def _basis_rows(lo: int, coeffs: np.ndarray, idx: LandauIndex, z) -> np.ndarray:
+    """Phi_k(z) for k = lo .. lo + len(coeffs) - 1 from their coefficient
+    rows, stacked on a first axis ahead of the shape of z.
+
+    Phi_k = (1-r)^-m P_k(r) w_k with r = |z|^2, the real Horner sum
+    P_k(r) = sum_j C_j r^(min(k,m)-j) divided m times by 1 - r, and
+    w_k = z^(k-m), or conj(z^(m-k)) for k < m.  Real arithmetic,
+    ``np.power`` and real-times-complex products round alike in numpy's
+    vector and scalar loops (a complex product's fused multiply-add depends
+    on the array layout), so the bits do not depend on how z is batched.
     """
-    k = np.arange(kmax + 1, dtype=float)
-    lead = 0.5 * (math.log(sigma - 2 * m - 1.0) + gammaln(sigma - m)
-                  + gammaln(k + 1) - math.log(math.pi)
-                  - gammaln(m + 1) - gammaln(sigma - 2 * m + k))
-    out = np.zeros((kmax + 1, m + 1))
-    for j in range(min(kmax, m) + 1):
-        kj = k[j:]
-        lt = (gammaln(m + 1) + gammaln(sigma + kj - m - j) - gammaln(kj - j + 1)
-              - gammaln(m - j + 1) - gammaln(j + 1))
-        expo = lead[j:] + lt - gammaln(sigma - m)
-        out[j:, j] = [(-1.0) ** j * math.exp(x) for x in expo.tolist()]
-    return out
+    arr = np.asarray(z, dtype=complex)
+    flat = arr.reshape(-1)
+    r = flat.real * flat.real + flat.imag * flat.imag
+    if not (r < 1.0).all():
+        raise DomainError("z must lie strictly inside the unit disk")
+    m, n_rows = idx.m, len(coeffs)
+    poly = np.empty((n_rows, flat.size))
+    poly[:] = coeffs[:, :1]
+    for j in range(1, m + 1):
+        rows = slice(max(lo, j) - lo, None)  # rows k < j have no j-th term
+        part = poly[rows]
+        part *= r
+        part += coeffs[rows, j, None]
+    gap = 1.0 - r
+    for _ in range(m):
+        poly /= gap
+    w = np.power(flat, np.abs(np.arange(lo - m, lo - m + n_rows))[:, None])
+    if lo < m:
+        w[:m - lo] = w[:m - lo].conj()
+    return (w * poly).reshape((n_rows,) + arr.shape)
+
+
+def _check_basis(k: int, idx: LandauIndex, what: str) -> int:
+    if k < 0 or k != int(k):
+        raise DomainError(f"{what} must be a nonnegative integer")
+    if idx.sigma - 2 * idx.m - 1.0 <= 0.0:
+        raise DomainError("basis normalization requires sigma - 2m - 1 > 0")
+    return int(k)
+
+
+def basis_phi(k: int, idx: LandauIndex, z):
+    """Orthonormal eigenbasis member Phi_k^{sigma,m}(z); z may be an ndarray."""
+    k = _check_basis(k, idx, "basis index k")
+    row = _phi_coeff_row(k, idx.m, float(idx.sigma))
+    out = _basis_rows(k, row, idx, z)[0]
+    return out if out.shape else complex(out)
 
 
 def basis_radial_profiles(kmax: int, idx: LandauIndex, r) -> np.ndarray:
@@ -154,26 +178,11 @@ def basis_radial_profiles(kmax: int, idx: LandauIndex, r) -> np.ndarray:
 
 
 def basis_phi_batch(kmax: int, idx: LandauIndex, z) -> np.ndarray:
-    """Stack of basis_phi(k, idx, z) for k = 0..kmax along the first axis.
-
-    For a scalar label the whole stack is assembled from shared power tables,
-    which keeps thousand-term superpositions cheap.
-    """
-    arr = np.asarray(check_disk(z), dtype=complex)
-    if arr.shape:
-        out = np.empty((kmax + 1,) + arr.shape, dtype=complex)
-        for k in range(kmax + 1):
-            out[k] = basis_phi(k, idx, arr)
-        return out
-    zz = complex(arr)
-    m, sigma = idx.m, idx.sigma
-    coeffs = _phi_coeff_matrix(kmax, m, sigma)
-    zb = np.conj(zz)
-    powers = zz ** np.arange(kmax + 1)
-    out = np.zeros(kmax + 1, dtype=complex)
-    for j in range(m + 1):
-        out[j:] += coeffs[j:, j] * powers[: kmax + 1 - j] * zb ** (m - j)
-    return out * (1.0 - (zz * zb).real) ** (-m)
+    """Stack of basis_phi(k, idx, z) for k = 0..kmax along the first axis,
+    row k with the bits of ``basis_phi(k, idx, z)``."""
+    kmax = _check_basis(kmax, idx, "basis order kmax")
+    coeffs = _phi_coeff_matrix(kmax, idx.m, float(idx.sigma))
+    return _basis_rows(0, coeffs, idx, z)
 
 
 def measure_density(idx: LandauIndex, z) -> float:
@@ -225,32 +234,27 @@ def maass_apply_fd(idx: LandauIndex, psi, z, h: float = DEFAULT_FD_STEP) -> comp
     return -4.0 * (1.0 - r) * ((1.0 - r) * 0.25 * lap - idx.sigma * np.conj(z) * dzbar)
 
 
-def basis_gram(idx: LandauIndex, kmax: int, n_radial: int | None = None,
-               n_angular: int | None = None) -> np.ndarray:
+def _gram_rule_sizes(kmax: int, m: int) -> tuple[int, int]:
+    """Radial and angular node counts that make ``basis_gram`` exact."""
+    return kmax + 2 * m + 4, 2 * (kmax + m) + 4
+
+
+def basis_gram(idx: LandauIndex, kmax: int) -> np.ndarray:
     """Gram matrix of {Phi_k}_{k<=kmax} in L^2 with weight (1-|z|^2)^(sigma-2).
 
     The products Phi_j conj(Phi_k) (1-r)^(2m) are polynomials in (z, zbar),
     so after absorbing (1-r)^(sigma-2m-2) into the radial rule the quadrature
     is exact for node counts past the polynomial degrees: trapezoid in the
-    angle, Gauss-Jacobi in r = |z|^2.
+    angle, Gauss-Jacobi in r = |z|^2.  With F the table of Phi_k (1-r)^m on
+    the nodes and W their weights the matrix is the one product F W F^H.
     """
     sigma, m = idx.sigma, idx.m
-    if sigma - 2 * m - 2.0 <= -1.0:
-        raise DomainError("Gram quadrature needs sigma - 2m > 1")
-    if n_radial is None:
-        n_radial = kmax + 2 * m + 4
-    if n_angular is None:
-        n_angular = 2 * (kmax + m) + 4
-    rule = disk_radial_rule(n_radial, sigma - 2 * m - 2.0)
+    kmax = _check_basis(kmax, idx, "Gram order kmax")
+    n_radial, n_angular = _gram_rule_sizes(kmax, m)
+    rule = jacobi_rule_01(n_radial, 0.0, sigma - 2 * m - 2.0)
     phi = np.arange(n_angular) * (2.0 * np.pi / n_angular)
     grid = np.sqrt(rule.nodes)[:, None] * np.exp(1j * phi)[None, :]
-    fused = basis_phi_batch(kmax, idx, grid) * (1.0 - rule.nodes[None, :, None])**m
-    gram = np.empty((kmax + 1, kmax + 1), dtype=complex)
-    for j in range(kmax + 1):
-        for k in range(j, kmax + 1):
-            prod = fused[j] * np.conj(fused[k])
-            angular = prod.mean(axis=1) * 2.0 * np.pi
-            val = complex(0.5 * np.sum(rule.weights * angular))
-            gram[j, k] = val
-            gram[k, j] = np.conj(val)
-    return gram
+    table = (basis_phi_batch(kmax, idx, grid)
+             * (1.0 - rule.nodes[None, :, None]) ** m).reshape(kmax + 1, -1)
+    weights = np.repeat(rule.weights * (np.pi / n_angular), n_angular)
+    return (table * weights) @ table.conj().T

@@ -24,16 +24,10 @@ MAX_RULE_SIZE = 4096
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Nodes and weights together with a domain descriptor.
-
-    ``domain`` is one of ``"interval"``, ``"half_line"`` or ``"disk_radial"``;
-    ``bounds`` gives the interval endpoints where that makes sense.
-    """
+    """Nodes and weights of a quadrature rule."""
 
     nodes: np.ndarray
     weights: np.ndarray
-    domain: str
-    bounds: tuple[float, float] = (-1.0, 1.0)
 
     def __post_init__(self):
         if len(self.nodes) != len(self.weights):
@@ -47,7 +41,7 @@ def gauss_legendre(n: int) -> QuadratureRule:
     if not 1 <= n <= MAX_RULE_SIZE:
         raise DomainError(f"node count must be in [1, {MAX_RULE_SIZE}], got {n}")
     x, w = leggauss(int(n))
-    return QuadratureRule(nodes=x, weights=w, domain="interval", bounds=(-1.0, 1.0))
+    return QuadratureRule(nodes=x, weights=w)
 
 
 def gauss_jacobi(n: int, alpha: float, beta: float) -> QuadratureRule:
@@ -59,7 +53,7 @@ def gauss_jacobi(n: int, alpha: float, beta: float) -> QuadratureRule:
     if alpha == 0 and beta == 0:
         return gauss_legendre(n)
     x, w = roots_jacobi(int(n), alpha, beta)
-    return QuadratureRule(nodes=x, weights=w, domain="interval", bounds=(-1.0, 1.0))
+    return QuadratureRule(nodes=x, weights=w)
 
 
 def jacobi_rule_01(n: int, exp_at_0: float, exp_at_1: float) -> QuadratureRule:
@@ -72,14 +66,7 @@ def jacobi_rule_01(n: int, exp_at_0: float, exp_at_1: float) -> QuadratureRule:
     rule = gauss_jacobi(n, exp_at_1, exp_at_0)
     t = 0.5 * (rule.nodes + 1.0)
     w = rule.weights / 2.0 ** (exp_at_0 + exp_at_1 + 1.0)
-    return QuadratureRule(nodes=t, weights=w, domain="interval", bounds=(0.0, 1.0))
-
-
-def disk_radial_rule(n: int, weight_exponent: float) -> QuadratureRule:
-    """Radial rule in r = |z|^2 for the weight (1-r)^weight_exponent on (0, 1)."""
-    base = jacobi_rule_01(n, 0.0, weight_exponent)
-    return QuadratureRule(nodes=base.nodes, weights=base.weights,
-                          domain="disk_radial", bounds=(0.0, 1.0))
+    return QuadratureRule(nodes=t, weights=w)
 
 
 def _panel_values(f, lo: float, hi: float, coarse, fine):
@@ -152,7 +139,7 @@ def integrate_disk(g, weight_exponent: float, tol: float = 1e-10, *,
     """Integrate ``g(z) * (1 - |z|^2)^weight_exponent`` over the unit disk.
 
     The disk is factorised in polar form with radial variable r = |z|^2, so
-    the weight is Jacobi-type and handled exactly by ``disk_radial_rule``;
+    the weight is Jacobi-type and handled exactly by ``jacobi_rule_01``;
     the angular direction uses the trapezoid rule on a uniform periodic grid,
     which is exact for trigonometric polynomials of degree below the grid
     size.  Both grids are doubled until the estimate moves by less than
@@ -164,7 +151,7 @@ def integrate_disk(g, weight_exponent: float, tol: float = 1e-10, *,
         raise DomainError("disk weight exponent must exceed -1")
 
     def estimate(nr, nphi):
-        rule = disk_radial_rule(nr, weight_exponent)
+        rule = jacobi_rule_01(nr, 0.0, weight_exponent)
         phi = np.arange(nphi) * (2.0 * np.pi / nphi)
         zg = np.sqrt(rule.nodes)[:, None] * np.exp(1j * phi)[None, :]
         vals = np.asarray(g(zg))

@@ -16,13 +16,14 @@ from . import __version__
 from .bargmann import (classical_bargmann, isometry_check, oscillator_mode,
                        relativistic_transform, relativistic_transform_m0)
 from .coherent import overlap, overlap_series
-from .disk import (LandauIndex, basis_gram, basis_phi, landau_level,
-                   maass_apply_fd, wirtinger_dzbar_fd)
+from .disk import (LandauIndex, _gram_rule_sizes, basis_gram, basis_phi,
+                   landau_level, maass_apply_fd, wirtinger_dzbar_fd)
 from .errors import DomainError
 from .hypergeom import (F5Args, _series_2f1, appell_f1, gauss_2f1, kdf_f5,
                         kdf_f5_integral, kdf_f5_series, pochhammer)
 from .orthopoly import jacobi_p, laguerre_l
-from .oscillator import ModelParams, OscParams, oscillator_gram
+from .oscillator import (GRAM_XI_LENGTH, ModelParams, OscParams,
+                         oscillator_gram, xi_panel_grid)
 from .quadrature import integrate_disk
 
 SUITES = ("orthonormality-disk", "orthonormality-oscillator", "overlap",
@@ -30,12 +31,24 @@ SUITES = ("orthonormality-disk", "orthonormality-oscillator", "overlap",
           "f5-reductions", "isometry", "m0-reduction", "all")
 
 _DISK_CASES = ((5.0, 0), (7.5, 1), (9.0, 2))
+_OSC_CASES = (0.8, 1.0, 1.5)
 _MAPPING_POINTS = (0.25 + 0.1j, -0.2 + 0.15j, 0.3j, -0.35 - 0.1j, 0.1 - 0.25j)
 
 
 def _check(name: str, error: float, tol: float) -> dict:
     return {"name": name, "error": float(error), "tol": float(tol),
             "pass": bool(error < tol)}
+
+
+def gram_table_entries(suite: str, kmax: int) -> int:
+    """Entries of the largest basis table that ``suite`` builds for its Gram
+    matrices at order ``kmax`` (0 for none), found without building it."""
+    disk = [math.prod(_gram_rule_sizes(kmax, m)) for _, m in _DISK_CASES]
+    osc = [xi_panel_grid(OscParams(c), GRAM_XI_LENGTH)[0].size
+           for c in _OSC_CASES]
+    sizes = {"orthonormality-disk": disk, "orthonormality-oscillator": osc,
+             "all": disk + osc}
+    return (kmax + 1) * max(sizes.get(suite, [0]))
 
 
 def suite_orthonormality_disk(config: dict) -> list[dict]:
@@ -54,7 +67,7 @@ def suite_orthonormality_oscillator(config: dict) -> list[dict]:
     kmax = int(config.get("kmax", 5))
     tol = float(config.get("tol", 1e-6))
     checks = []
-    for c in (0.8, 1.0, 1.5):
+    for c in _OSC_CASES:
         gram = oscillator_gram(OscParams(c), kmax)
         dev = float(np.abs(gram - np.eye(kmax + 1)).max())
         checks.append(_check(f"oscillator-gram-c{c}", dev, tol))

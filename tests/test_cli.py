@@ -129,7 +129,9 @@ class TestEval:
     @pytest.mark.parametrize("fn, c, m, k", [
         ("kernel", 0.6, 2, 0), ("kernel", 2.0, 0, 0),
         ("cs_wavefunction", 1.0, 1, 0), ("cs_wavefunction", 3.0, 2, 0),
-        ("basis_phi", 1.0, 2, 3), ("eigenfunction", 1.3, 0, 7),
+        ("basis_phi", 1.0, 2, 3), ("basis_phi", 0.6, 1, 0),
+        ("basis_phi", 2.0, 4, 9), ("basis_phi", 1.0, 1, 1000000000),
+        ("eigenfunction", 1.3, 0, 7),
         ("eigenfunction", 0.6, 0, 40)])
     def test_matches_pairwise_loop(self, tmp_path, fn, c, m, k, fmt):
         out = tmp_path / f"v.{fmt}"
@@ -163,6 +165,28 @@ class TestEval:
         assert run(argv) == 0
         assert len(seen) == blocked_calls and sum(seen) == 20 * calls
         assert out.read_bytes() == one
+
+    def test_basis_phi_blocks_bit_identical(self, tmp_path, monkeypatch):
+        # one call on all 20 z, then blocks of at most 7, and the bytes of
+        # one call per point
+        zs = [complex(0.04 * i - 0.4, 0.5 - 0.03 * i) for i in range(20)]
+        out = tmp_path / "v.json"
+        argv = eval_argv("basis_phi", 0.8, 2, 5, zs, [], "--format", "json",
+                         "--out", str(out))
+        seen = []
+        monkeypatch.setattr(cli, "basis_phi", counting(cli.basis_phi, seen))
+        assert run(argv) == 0
+        one = out.read_bytes()
+        assert seen == [20]
+        monkeypatch.setattr(cli, "LAYOUT_BLOCK_NODES", 7)
+        del seen[:]
+        assert run(argv) == 0
+        assert seen == [7, 7, 6]
+        assert out.read_bytes() == one
+        columns, records = pairwise_records("basis_phi", 0.8, 2, 5, zs, [])
+        meta = json.loads(one)["meta"]
+        assert one == cli._records_to_output(records, columns, "json",
+                                             meta).encode()
 
     @pytest.mark.parametrize("fn, xi, code, err", [
         (fn, xi, code, err)
@@ -322,6 +346,49 @@ class TestEval:
 def test_bad_parameters_typed_exit(tmp_path, capsys, argv, code):
     assert run(argv + ["--out", str(tmp_path / "o.csv")]) == code
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--suite", "orthonormality-disk", "--kmax", "-1"],
+     "kmax must be nonnegative"),
+    (["verify", "--suite", "orthonormality-oscillator", "--kmax", "-1"],
+     "kmax must be nonnegative"),
+    (["verify", "--suite", "all", "--kmax", "-3"], "kmax must be nonnegative"),
+    # the disk table alone would hold 2.5e11 entries
+    (["verify", "--suite", "orthonormality-disk", "--kmax", "5000"],
+     "has 250650440064 points, more than the limit"),
+    (["verify", "--suite", "orthonormality-oscillator", "--kmax", "400"],
+     "more than the limit"),
+    (["verify", "--suite", "all", "--kmax", "100"], "more than the limit"),
+    (["spectrum", "--kmax", "100000000"],
+     "the spectrum listing has 100000002 points, more than the limit"),
+    (["spectrum", "--kmax", "0", "--m", "100000000"], "more than the limit")])
+def test_count_flags_typed_exit(tmp_path, capsys, argv, message):
+    out = tmp_path / "o.json"
+    tracemalloc.start()
+    try:
+        assert run(argv + ["--out", str(out)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert "Traceback" not in err and not out.exists()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("suite", ["orthonormality-disk",
+                                   "orthonormality-oscillator"])
+def test_gram_table_limit_boundary(tmp_path, monkeypatch, suite):
+    from relbargmann.verification import gram_table_entries
+
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", gram_table_entries(suite, 2))
+    argv = ["verify", "--suite", suite, "--out", str(tmp_path / "r.json")]
+    assert run(argv + ["--kmax", "2"]) == 0
+    assert run(argv + ["--kmax", "3"]) == 2
+    # a suite that builds no Gram table ignores --kmax
+    assert run(["verify", "--suite", "srivastava-rao", "--kmax", "3",
+                "--out", str(tmp_path / "s.json")]) == 0
 
 
 def test_import_leaves_out_scipy_interpolate():

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relbargmann.disk import (LandauIndex, _phi_coeff_matrix,
-                              _phi_monomial_coeffs, basis_gram, basis_phi,
-                              basis_phi_batch, basis_radial_profiles,
+from relbargmann.disk import (LandauIndex, _phi_coeff_matrix, basis_gram,
+                              basis_phi, basis_phi_batch, basis_radial_profiles,
                               bergman_distance, landau_level,
                               maass_apply_fd, measure_density,
                               wirtinger_dzbar_fd)
+from scipy.special import gammaln
 from relbargmann.errors import DomainError
 from relbargmann.hypergeom import ln_gamma
 from relbargmann.orthopoly import jacobi_p
@@ -111,6 +111,11 @@ class TestBasis:
             gram = basis_gram(LandauIndex(sigma, m), 4)
             assert np.abs(gram - np.eye(5)).max() < 1e-12
 
+    @pytest.mark.parametrize("kmax", [-1, -7, 2.5])
+    def test_gram_order_validated(self, kmax):
+        with pytest.raises(DomainError):
+            basis_gram(LandauIndex(9.0, 2), kmax)
+
     def test_resolution_weight_orthogonality(self):
         # direct disk quadrature of conj(Phi_j) Phi_k (1-|z|^2)^(sigma-2)
         sigma = 5.0
@@ -129,18 +134,87 @@ class TestBasis:
         z = 0.2 + 0.4j
         batch = basis_phi_batch(6, idx, z)
         for k in range(7):
-            want = basis_phi(k, idx, z)
-            assert abs(batch[k] - want) < 1e-13 * (1.0 + abs(want))
+            assert batch[k] == basis_phi(k, idx, z)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+    def test_bits_independent_of_batching(self, m):
+        # Phi_k(z) alone, in 1-D and 2-D arrays, and as row k of every
+        # stack up to kmax >= k, bit for bit, z = 0 included
+        idx = LandauIndex(2.0 * m + 1.5 + 0.1 * m, m)
+        rng = np.random.default_rng(m)
+        rho = 0.85 * np.sqrt(rng.uniform(0.0, 1.0, 60))
+        z = rho * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, 60))
+        z[0] = 0.0
+        for k in range(9):
+            flat = basis_phi(k, idx, z)
+            assert flat.shape == z.shape
+            alone = np.array([basis_phi(k, idx, complex(w)) for w in z])
+            assert np.array_equal(flat, alone)
+            assert np.array_equal(basis_phi(k, idx, z.reshape(6, 10)),
+                                  flat.reshape(6, 10))
+            assert np.array_equal(basis_phi(k, idx, z[::3]), flat[::3])
+            for kmax in range(k, 13):
+                assert np.array_equal(basis_phi_batch(kmax, idx, z)[k], flat)
+            assert basis_phi_batch(12, idx, complex(z[7]))[k] == alone[7]
 
     @pytest.mark.parametrize("kmax, m, sigma", [
         (0, 3, 9.1), (2, 4, 11.3), (60, 0, 2.5), (300, 1, 3.0000001),
         (6910, 2, 7.46)])
     def test_coeff_matrix_matches_rows(self, kmax, m, sigma):
+        # reference: the coefficients built one row at a time with scalar
+        # gammaln calls, as the row builder this matrix replaced did
+        def row_coeffs(k):
+            lead = 0.5 * (math.log(sigma - 2 * m - 1.0) + gammaln(sigma - m)
+                          + gammaln(k + 1) - math.log(math.pi)
+                          - gammaln(m + 1) - gammaln(sigma - 2 * m + k))
+            coeffs = []
+            for j in range(min(k, m) + 1):
+                lt = (gammaln(m + 1) + gammaln(sigma + k - m - j)
+                      - gammaln(k - j + 1) - gammaln(m - j + 1)
+                      - gammaln(j + 1))
+                coeffs.append((-1.0) ** j
+                              * math.exp(lead + lt - gammaln(sigma - m)))
+            return coeffs
+
         rows = np.zeros((kmax + 1, m + 1))
         for k in range(kmax + 1):
-            row = _phi_monomial_coeffs(k, m, sigma)
+            row = row_coeffs(k)
             rows[k, :len(row)] = row
         assert np.array_equal(_phi_coeff_matrix(kmax, m, sigma), rows)
+
+    def test_mpmath_map(self):
+        # 30-digit reference from the same monomial expansion; the error is
+        # measured against the size of the summed terms, since near a zero of
+        # Phi_k their cancellation alone costs relative digits
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        gamma = gamma_of_c(1.0)
+        worst = 0.0
+        for m in range(5):
+            sigma = 2.0 * (gamma + m)
+            idx = LandauIndex(sigma, m)
+            s = mp.mpf(sigma)
+            for k in (0, 1, 2, 3, 5, 8, 13, 21, 34, 60):
+                lead = (mp.log(s - 2 * m - 1) + mp.loggamma(s - m)
+                        + mp.loggamma(k + 1) - mp.log(mp.pi)
+                        - mp.loggamma(m + 1) - mp.loggamma(s - 2 * m + k)) / 2
+                coeffs = [(-1) ** j * mp.exp(
+                    lead + mp.loggamma(m + 1) + mp.loggamma(s + k - m - j)
+                    - mp.loggamma(k - j + 1) - mp.loggamma(m - j + 1)
+                    - mp.loggamma(j + 1) - mp.loggamma(s - m))
+                    for j in range(min(k, m) + 1)]
+                for rho in (0.3, 0.6, 0.85):
+                    for t in range(4):
+                        z = rho * np.exp(1j * (0.3 + 0.5 * np.pi * t))
+                        zz = mp.mpc(z)
+                        terms = [cj * zz ** (k - j) * mp.conj(zz) ** (m - j)
+                                 for j, cj in enumerate(coeffs)]
+                        scale = (1 - abs(zz) ** 2) ** (-m)
+                        want = complex(mp.fsum(terms) * scale)
+                        size = float(mp.fsum(abs(t) for t in terms) * scale)
+                        err = abs(basis_phi(k, idx, z) - want)
+                        worst = max(worst, err / size)
+        assert worst < 1e-13
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_radial_profiles_factor_the_basis(self, m):

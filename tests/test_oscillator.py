@@ -78,6 +78,18 @@ class TestEigenfunctions:
         gram = oscillator_gram(OscParams(1.0), 5)
         assert np.abs(gram - np.eye(6)).max() < 1e-6
 
+    @pytest.mark.parametrize("c", [0.8, 1.0])
+    def test_gram_resolves_ten_levels(self, c):
+        # all panels to xi = 40; a walk stopped by two quiet panels misses
+        # this by 3e-10
+        gram = oscillator_gram(OscParams(c), 10)
+        assert np.abs(gram - np.eye(11)).max() < 1e-12
+
+    @pytest.mark.parametrize("kmax", [-1, 1.5])
+    def test_gram_order_validated(self, kmax):
+        with pytest.raises(DomainError):
+            oscillator_gram(OscParams(1.0), kmax)
+
     def test_tail_decay(self):
         # |phi_k| falls like exp(-pi xi / 2) times polynomial growth
         osc = OscParams(1.0)

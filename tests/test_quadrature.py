@@ -9,10 +9,9 @@ from relbargmann.bargmann import _integrate_fixed_layout
 from relbargmann.errors import DomainError, NonConvergenceError
 from relbargmann.hypergeom import ln_gamma
 from relbargmann.oscillator import ModelParams, OscParams
-from relbargmann.quadrature import (QuadratureRule, disk_radial_rule,
-                                    gauss_jacobi, gauss_legendre,
-                                    integrate_disk, integrate_halfline,
-                                    jacobi_rule_01)
+from relbargmann.quadrature import (QuadratureRule, gauss_jacobi,
+                                    gauss_legendre, integrate_disk,
+                                    integrate_halfline, jacobi_rule_01)
 
 # int_0^1 t^0.6 (1-t)^(-1/2) cos(0.6 ln t) dt, high-precision reference
 COS_LOG_INTEGRAL = 1.4211313893733018673
@@ -93,11 +92,9 @@ def test_jacobi_log_oscillatory():
 
 def test_quadrature_rule_validation():
     with pytest.raises(DomainError):
-        QuadratureRule(nodes=np.array([0.5]), weights=np.array([-1.0]),
-                       domain="interval")
+        QuadratureRule(nodes=np.array([0.5]), weights=np.array([-1.0]))
     with pytest.raises(DomainError):
-        QuadratureRule(nodes=np.array([0.5]), weights=np.array([1.0, 2.0]),
-                       domain="interval")
+        QuadratureRule(nodes=np.array([0.5]), weights=np.array([1.0, 2.0]))
 
 
 def test_halfline_exponential():
@@ -193,9 +190,8 @@ def test_disk_angular_symmetry():
     assert abs(val) < 1e-14
 
 
-def test_disk_radial_rule_domain_tag():
-    rule = disk_radial_rule(8, 3.0)
-    assert rule.domain == "disk_radial"
+def test_jacobi_rule_01_nodes_inside():
+    rule = jacobi_rule_01(8, 0.0, 3.0)
     assert np.all((rule.nodes > 0) & (rule.nodes < 1))
 
 
