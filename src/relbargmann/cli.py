@@ -120,7 +120,11 @@ def load_config_file(path: str) -> dict:
 
 def _merge_config(args: argparse.Namespace, actions: dict,
                   explicit: set) -> None:
-    """Fill argparse values from the config file; explicitly passed flags win."""
+    """Fill argparse values from the config file; explicitly passed flags win.
+
+    Each key taken from the file joins ``explicit``: a value set in the file
+    counts as given, just as a flag does.
+    """
     if not args.config:
         return
     file_cfg = load_config_file(args.config)
@@ -136,6 +140,7 @@ def _merge_config(args: argparse.Namespace, actions: dict,
         except ValueError as exc:
             raise ConfigError(f"bad value for config key {key!r}: {raw!r}") \
                 from exc
+        explicit.add(key)
 
 
 def _check_tol(tol: float) -> float:
@@ -338,8 +343,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _check_tol(tol)
     if args.suite not in SUITES:
         raise ConfigError(f"unknown suite {args.suite!r}; choose from {SUITES}")
-    # only explicitly supplied parameters reach the suites; otherwise each
-    # suite runs its documented baseline configuration
+    # only parameters given as flags or in the config file reach the suites;
+    # otherwise each suite runs its documented baseline configuration
     explicit = getattr(args, "explicit_flags", set())
     config: dict = {}
     for key in ("c", "m", "sigma", "kmax", "k"):

@@ -57,9 +57,12 @@ def landau_level(idx: LandauIndex) -> float:
 
 
 def check_disk(z, name: str = "z"):
-    """Validate |z| < 1 and return z as a complex scalar or ndarray."""
+    """Validate |z| < 1 and return z as a complex scalar or ndarray.
+
+    NaN fails the test, as it fails every comparison.
+    """
     arr = np.asarray(z, dtype=complex)
-    if np.any(np.abs(arr) >= 1.0):
+    if not np.all(np.abs(arr) < 1.0):
         raise DomainError(f"{name} must lie strictly inside the unit disk")
     return arr if arr.shape else complex(arr)
 

@@ -1,10 +1,12 @@
 """Hypergeometric kernels with complex parameters.
 
 Everything here is built from four primitives: the principal-branch complex
-log-gamma, Pochhammer symbols, the Gauss series for 2F1 (with the Pfaff
-transformation used to shrink the argument), and terminating sums.  On top of
-those sit the two-variable functions: Appell F1 and the Kampe de Feriet
-function F5 defined by the double series
+log-gamma, Pochhammer symbols, terminating sums, and one summation of the
+non-terminating Gauss series for 2F1, ``_series_2f1_vec``, with one stopping
+rule.  ``gauss_2f1_vec`` and ``gauss_2f1`` apply the Pfaff transformation to
+shrink the argument before calling it.  On top of those sit the two-variable
+functions: Appell F1 and the Kampe de Feriet function F5 defined by the
+double series
 
     F5(c, d : a; e : a'; chi, zeta)
         = sum_{p,q} (c)_{p+q} (d)_{p+q} (a)_p / ((e)_{p+q} (a')_p)
@@ -39,6 +41,7 @@ from .errors import DomainError, NonConvergenceError, PoleError
 _EPS = float(np.finfo(float).eps)
 DEFAULT_TOL = 1e-10
 MAX_SERIES_TERMS = 10_000
+_F5_SERIES_TERMS = 2000
 _CONSECUTIVE_SMALL = 20
 _CHECK_STRIDE = 4
 _SERIES_RADIUS = 0.9
@@ -100,25 +103,6 @@ def pochhammer(a, n: int) -> complex:
 # Gauss 2F1
 # ---------------------------------------------------------------------------
 
-def _series_2f1(a, b, c, w, max_terms=MAX_SERIES_TERMS):
-    """Plain Gauss series at argument w, |w| < 1 (or terminating)."""
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    small = 0
-    for k in range(max_terms):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * w
-        total += term
-        if term == 0.0:
-            return total
-        if abs(term) < _EPS * (1.0 + abs(total)):
-            small += 1
-            if small >= _CONSECUTIVE_SMALL:
-                return total
-        else:
-            small = 0
-    raise NonConvergenceError(f"2F1 series did not converge at |w| = {abs(w):.4f}")
-
-
 def _terminating_2f1(n: int, b, c, w):
     """2F1(-n, b; c; w) as an exact finite sum of n+1 terms."""
     qc = _nonpos_int(c)
@@ -132,21 +116,19 @@ def _terminating_2f1(n: int, b, c, w):
     return total
 
 
-def gauss_2f1(a, b, c, z, max_terms: int = MAX_SERIES_TERMS) -> complex:
+def gauss_2f1(a, b, c, z) -> complex:
     """Gauss hypergeometric function 2F1(a, b; c; z).
 
     Terminating cases (a or b a nonpositive integer) are evaluated exactly at
-    any argument.  Otherwise the series is summed at whichever of z and the
-    Pfaff image z/(z-1) has the smaller modulus; for |z| < 1 at least one of
-    the two lies inside the disk, and the choice keeps the worst-case ratio
-    at |z| away from 1.
+    any argument.  Every other case is :func:`gauss_2f1_vec` at scalar
+    parameters, so its domain is min(|z|, |z/(z-1)|) < 1.
 
     Raises
     ------
     PoleError
         For a nonpositive-integer c reached before the series terminates.
     DomainError
-        For non-terminating |z| >= 1.
+        For a non-terminating series with min(|z|, |z/(z-1)|) >= 1.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     na, nb = _nonpos_int(a), _nonpos_int(b)
@@ -156,41 +138,39 @@ def gauss_2f1(a, b, c, z, max_terms: int = MAX_SERIES_TERMS) -> complex:
         return _terminating_2f1(nb, a, c, z)
     if _nonpos_int(c) is not None:
         raise PoleError(f"2F1 lower parameter {c} is a nonpositive integer")
-    if z == 0.0:
-        return 1.0 + 0.0j
-    if abs(z) >= 1.0:
-        raise DomainError(f"non-terminating 2F1 needs |z| < 1, got |z| = {abs(z):.4f}")
-    zp = z / (z - 1.0)
-    if abs(zp) < abs(z):
-        return (1.0 - z) ** (-a) * _series_2f1(a, c - b, c, zp, max_terms)
-    return _series_2f1(a, b, c, z, max_terms)
+    return complex(gauss_2f1_vec(a, b, c, z))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow is raised below
-def _series_2f1_vec(a, b, c, w, max_terms=MAX_SERIES_TERMS):
-    """Gauss series with ndarray parameters and a common scalar argument.
+def _series_2f1_vec(a, b, c, w):
+    """The Gauss series of 2F1(a, b; c; w), |w| < 1, elementwise over arrays.
 
-    Used by the transform kernels, where a and b carry a vector of spectral
-    parameters.  Convergence is tested every ``_CHECK_STRIDE`` terms, element
-    by element: an element whose term passes two consecutive tests is done
-    and leaves the sum, so its value does not depend on the other elements.
+    This is the package's one summation of a non-terminating Gauss series.
+    The parameters and the argument broadcast against each other; the
+    transform kernels pass a vector of spectral parameters at one scalar w,
+    the F5 integral one scalar parameter set at a vector of w.  Convergence
+    is tested every ``_CHECK_STRIDE`` terms, element by element: an element
+    whose term passes two consecutive tests is done and leaves the sum, so
+    its value does not depend on the other elements.
 
     Raises
     ------
     NonConvergenceError
         If a sum overflows, or the term budget runs out.
     """
-    a, b, c = (np.asarray(v, dtype=complex) for v in (a, b, c))
-    out = np.empty(np.broadcast(a, b, c).shape, dtype=complex)
+    a, b, c, w = (np.asarray(v, dtype=complex) for v in (a, b, c, w))
+    out = np.empty(np.broadcast(a, b, c, w).shape, dtype=complex)
     flat = out.reshape(-1)
-    # state of the elements still being summed
+    # state of the elements still being summed; a scalar c or w stays a
+    # Python complex, whose division rounds differently from numpy's
     index = np.arange(flat.size)
     a, b = (np.broadcast_to(v, out.shape).ravel() for v in (a, b))
-    c = np.broadcast_to(c, out.shape).ravel() if c.ndim else complex(c)
+    c, w = (np.broadcast_to(v, out.shape).ravel() if v.ndim else complex(v)
+            for v in (c, w))
     total = np.ones(flat.size, dtype=complex)
     term = np.ones_like(total)
     small = np.zeros(flat.size, dtype=bool)
-    for k in range(max_terms):
+    for k in range(MAX_SERIES_TERMS):
         if not index.size:
             return out
         # no in-place products: numpy rounds those differently for one element
@@ -201,7 +181,7 @@ def _series_2f1_vec(a, b, c, w, max_terms=MAX_SERIES_TERMS):
         size = np.abs(total)
         if not math.isfinite(size.max()):
             raise NonConvergenceError(
-                f"vector 2F1 series overflowed at |w| = {abs(w):.4f}")
+                f"2F1 series overflowed at |w| = {np.max(np.abs(w)):.4f}")
         was_small = small
         small = np.abs(term) <= _EPS * (1.0 + size)
         done = small & was_small
@@ -212,20 +192,29 @@ def _series_2f1_vec(a, b, c, w, max_terms=MAX_SERIES_TERMS):
                 v[keep] for v in (index, a, b, term, total, small))
             if np.ndim(c):
                 c = c[keep]
-    raise NonConvergenceError(f"vector 2F1 series stalled at |w| = {abs(w):.4f}")
+            if np.ndim(w):
+                w = w[keep]
+    raise NonConvergenceError(
+        f"2F1 series stalled at |w| = {np.max(np.abs(w)):.4f}")
 
 
 def gauss_2f1_vec(a, b, c, z) -> np.ndarray:
-    """Vectorised 2F1 over array parameters at one scalar argument z, |z| < 1.
+    """2F1(a, b; c; z) over arrays of pole-free parameters at one scalar z.
 
-    Applies the same Pfaff argument reduction as :func:`gauss_2f1`; the
-    parameter arrays must be pole-free.
+    The series is summed at whichever of z and the Pfaff image z/(z-1) has
+    the smaller modulus, so the domain is min(|z|, |z/(z-1)|) < 1: every z
+    with |z| < 1 or Re z < 1/2.
+
+    Raises
+    ------
+    DomainError
+        For z outside that domain.
     """
     z = complex(z)
     if z == 0.0:
         a = np.asarray(a, dtype=complex)
         return np.ones(np.broadcast(np.asarray(a), np.asarray(b), np.asarray(c)).shape, complex)
-    if abs(z) >= 1.0 and abs(z / (z - 1.0)) >= 1.0:
+    if abs(z) >= 1.0 and (z == 1.0 or abs(z / (z - 1.0)) >= 1.0):
         raise DomainError("2F1 argument outside the series/Pfaff domain")
     zp = z / (z - 1.0)
     if abs(zp) < abs(z):
@@ -260,8 +249,7 @@ def hyp3f2_terminating_unit(n: int, a2, a3, b1, b2) -> complex:
 # Appell F1
 # ---------------------------------------------------------------------------
 
-def appell_f1(a, b, c, d, x, y, tol: float = DEFAULT_TOL,
-              max_terms: int = MAX_SERIES_TERMS) -> complex:
+def appell_f1(a, b, c, d, x, y) -> complex:
     """First Appell function F1(a; b, c; d; x, y).
 
     Double series sum_{p,q} (a)_{p+q} (b)_p (c)_q / ((d)_{p+q} p! q!) x^p y^q.
@@ -282,7 +270,7 @@ def appell_f1(a, b, c, d, x, y, tol: float = DEFAULT_TOL,
             coef *= (a + q) * (c + q) / ((d + q) * (q + 1))
         return total
     if nb is not None:
-        return appell_f1(a, c, b, d, y, x, tol, max_terms)
+        return appell_f1(a, c, b, d, y, x)
     if abs(x) >= 1.0 or abs(y) >= 1.0:
         raise DomainError("non-terminating F1 needs |x| < 1 and |y| < 1")
     if x == 0.0 and y == 0.0:
@@ -291,10 +279,10 @@ def appell_f1(a, b, c, d, x, y, tol: float = DEFAULT_TOL,
     total = 0.0 + 0.0j
     row_head = 1.0 + 0.0j  # (a)_p (b)_p / ((d)_p p!) x^p
     small = 0
-    for p in range(max_terms):
+    for p in range(MAX_SERIES_TERMS):
         term = row_head
         row = term
-        for q in range(max_terms):
+        for q in range(MAX_SERIES_TERMS):
             term *= (a + p + q) * (c + q) / ((d + p + q) * (q + 1)) * y
             row += term
             if abs(term) < _EPS * (1.0 + abs(row)):
@@ -351,8 +339,7 @@ class F5Args:
         return m
 
 
-def kdf_f5_series(args: F5Args, tol: float = DEFAULT_TOL,
-                  max_terms: int = 2000) -> complex:
+def kdf_f5_series(args: F5Args) -> complex:
     """F5 by its double series; requires rough joint convergence |chi|+|zeta| < 1."""
     args.validate()
     c, d, e = complex(args.c), complex(args.d), complex(args.e)
@@ -363,10 +350,10 @@ def kdf_f5_series(args: F5Args, tol: float = DEFAULT_TOL,
     total = 0.0 + 0.0j
     outer = 1.0 + 0.0j
     small = 0
-    for p in range(max_terms):
+    for p in range(_F5_SERIES_TERMS):
         inner = outer
         acc = inner
-        for q in range(max_terms):
+        for q in range(_F5_SERIES_TERMS):
             inner *= (c + p + q) * (d + p + q) / (e + p + q) * zeta / (q + 1)
             acc += inner
             if abs(inner) < _EPS * (1.0 + abs(acc)):
@@ -389,7 +376,7 @@ def _ray_distance(s: complex) -> float:
     return abs(s - 1.0)
 
 
-def _f5_reduction(c, d, e, m: int, ap, chi, zeta, vec: bool = False):
+def _f5_reduction(c, d, e, m: int, ap, chi, zeta):
     """F5 with a = a' + m as a finite combination of 2F1's at s = chi + zeta.
 
     Expanding the (1 - zeta t)^{m-j} polynomials in the regularised
@@ -402,15 +389,14 @@ def _f5_reduction(c, d, e, m: int, ap, chi, zeta, vec: bool = False):
     collapse F5 = 2F1(c, d; e; chi + zeta).
     """
     s = complex(chi) + complex(zeta)
-    two_f1 = gauss_2f1_vec if vec else gauss_2f1
     total = 0.0
-    qj = 1.0 + 0.0j if not vec else np.ones(np.shape(c), dtype=complex)
-    dj_over_ej = 1.0 + 0.0j if not vec else np.ones(np.shape(d), dtype=complex)
+    qj = np.ones(np.shape(c), dtype=complex)
+    dj_over_ej = np.ones(np.shape(d), dtype=complex)
     for j in range(m + 1):
         inner = qj * complex(chi) ** j * dj_over_ej
         for l in range(m - j + 1):
             coef = inner * math.comb(m - j, l) * (-complex(zeta)) ** l
-            val = two_f1(c + m, d + j + l, e + j + l, s)
+            val = gauss_2f1_vec(c + m, d + j + l, e + j + l, s)
             total = total + coef * val
             inner = inner * (d + j + l) / (e + j + l)
         qj = qj * (-m + j) * (ap - c + j) / ((ap + j) * (j + 1))
@@ -469,8 +455,8 @@ def kdf_f5_integral(args: F5Args, tol: float = DEFAULT_TOL) -> complex:
     form (1-st)^{-c-m} * polynomial(t) with s = chi + zeta, which is analytic
     along the whole path whenever s avoids the ray [1, oo); this covers
     argument pairs with |zeta| > 1.  Otherwise the integrand is used verbatim
-    with the inner 2F1 summed at every node, which requires the argument
-    chi t / (1 - zeta t) to stay inside the series disk.
+    with the inner 2F1 summed at all nodes in one vector series, which
+    requires the argument chi t / (1 - zeta t) to stay inside the series disk.
     """
     args.validate()
     c, d, e = complex(args.c), complex(args.d), complex(args.e)
@@ -498,7 +484,7 @@ def kdf_f5_integral(args: F5Args, tol: float = DEFAULT_TOL) -> complex:
         val = _logit_panel_integral(d, e - d, smooth, extra, tol)
         return prefactor * val
 
-    # generic path: live inner 2F1 at every node
+    # generic path: the inner 2F1 as one plain series over all nodes
     if abs(zeta) > 0.97:
         raise DomainError("generic F5 integral needs |zeta| < 1")
     worst = max(abs(chi * t / (1.0 - zeta * t))
@@ -509,10 +495,7 @@ def kdf_f5_integral(args: F5Args, tol: float = DEFAULT_TOL) -> complex:
 
     def smooth(t):
         u = chi * t / (1.0 - zeta * t)
-        vals = np.empty(len(t), dtype=complex)
-        for i, ui in enumerate(u):
-            vals[i] = gauss_2f1(a, c, ap, ui)
-        return (1.0 - zeta * t) ** (-c) * vals
+        return (1.0 - zeta * t) ** (-c) * _series_2f1_vec(a, c, ap, u)
 
     extra = abs(c.imag) * (1.0 + abs(zeta))
     val = _logit_panel_integral(d, e - d, smooth, extra, tol)
@@ -536,10 +519,10 @@ def kdf_f5(args: F5Args, tol: float = DEFAULT_TOL) -> complex:
         s = complex(args.chi) + complex(args.zeta)
         reachable = min(abs(s), abs(s / (s - 1.0)) if s != 1.0 else np.inf) < 1.0
         if _ray_distance(s) > 1e-9 and reachable:
-            return complex(_f5_reduction(args.c, args.d, args.e, m,
+            return complex(f5_kernel_vec(args.c, args.d, args.e, m,
                                          args.a_prime, args.chi, args.zeta))
     if abs(complex(args.chi)) + abs(complex(args.zeta)) < _SERIES_RADIUS:
-        return kdf_f5_series(args, tol)
+        return kdf_f5_series(args)
     return kdf_f5_integral(args, tol)
 
 
@@ -555,4 +538,4 @@ def f5_kernel_vec(c, d, e, m: int, ap, chi, zeta) -> np.ndarray:
     s = complex(chi) + complex(zeta)
     if _ray_distance(s) < 1e-12:
         raise DomainError("F5 kernel needs chi + zeta off the ray [1, oo)")
-    return _f5_reduction(c, d, complex(e), m, complex(ap), chi, zeta, vec=True)
+    return _f5_reduction(c, d, complex(e), m, complex(ap), chi, zeta)

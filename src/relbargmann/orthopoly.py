@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .hypergeom import _nonpos_int, pochhammer
+from .hypergeom import (_nonpos_int, _terminating_2f1,
+                        hyp3f2_terminating_unit, pochhammer)
 
 _REAL_TRUNC = 1e-12
 
@@ -44,13 +45,8 @@ class JacobiParams:
 def _jacobi_series(n: int, alpha, beta, x) -> complex:
     """((alpha+1)_n / n!) 2F1(-n, n+alpha+beta+1; alpha+1; (1-x)/2)."""
     alpha, beta, x = complex(alpha), complex(beta), complex(x)
-    w = 0.5 * (1.0 - x)
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    for j in range(n):
-        term *= (-n + j) * (n + alpha + beta + 1 + j) / ((alpha + 1 + j) * (j + 1)) * w
-        total += term
-    return pochhammer(alpha + 1, n) / math.factorial(n) * total
+    return (pochhammer(alpha + 1, n) / math.factorial(n)
+            * _terminating_2f1(n, n + alpha + beta + 1, alpha + 1, 0.5 * (1.0 - x)))
 
 
 def _jacobi_explicit(n: int, alpha, beta, x) -> complex:
@@ -136,13 +132,8 @@ def cdhahn_s(n: int, xi: float, a: float, b: float, c: float) -> float:
     if n < 0 or n != int(n):
         raise DomainError("polynomial degree must be a nonnegative integer")
     n = int(n)
-    total = 1.0 + 0.0j
-    term = 1.0 + 0.0j
-    for j in range(n):
-        term *= ((-n + j) * (a + 1j * xi + j) * (a - 1j * xi + j)
-                 / ((a + b + j) * (a + c + j) * (j + 1)))
-        total += term
-    val = complex(pochhammer(a + b, n) * pochhammer(a + c, n)) * total
+    val = (complex(pochhammer(a + b, n) * pochhammer(a + c, n))
+           * hyp3f2_terminating_unit(n, a + 1j * xi, a - 1j * xi, a + b, a + c))
     return float(val.real)
 
 

@@ -697,3 +697,29 @@ class TestConfigFile:
                     "--grid", "0", "--config", str(cfg),
                     "--out", str(tmp_path / "v.csv")])
         assert code == 2
+
+    def test_verify_rejects_bad_value_from_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kmax=-1\n")
+        out = tmp_path / "r.json"
+        code = run(["verify", "--suite", "orthonormality-disk",
+                    "--config", str(cfg), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert "kmax must be nonnegative" in err
+
+    def test_verify_takes_parameters_from_file_flags_win(self, tmp_path):
+        from relbargmann.verification import run_suite
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kmax=3\n")
+        out = tmp_path / "r.json"
+        argv = ["verify", "--suite", "orthonormality-disk",
+                "--config", str(cfg), "--out", str(out)]
+        assert run(argv) == 0
+        report = json.loads(out.read_text())
+        assert report["config"] == {"kmax": 3}
+        assert report == run_suite("orthonormality-disk", {"kmax": 3})
+        assert run(argv + ["--kmax", "2"]) == 0
+        assert json.loads(out.read_text())["config"] == {"kmax": 2}

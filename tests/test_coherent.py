@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relbargmann.bargmann import relativistic_transform
 from relbargmann.coherent import (CoherentLabel, cs_distance, cs_wavefunction,
                                   cs_wavefunction_oracle, normalization,
                                   overlap, overlap_series, transform_kernel,
@@ -68,6 +69,22 @@ class TestOverlap:
     def test_modulus_one_only_on_diagonal(self):
         idx = LandauIndex(5.0, 0)
         assert abs(overlap(idx, 0.2, 0.201)) < 1.0
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0),
+                                 np.array([0.1, complex(0.2, math.nan)])])
+def test_nan_label_rejected(bad):
+    # NaN fails |z| < 1 like a point outside the disk, as a scalar and
+    # inside an array
+    idx = LandauIndex(5.0, 0)
+    params = ModelParams(OscParams(1.0), 1)
+    calls = (lambda: overlap(idx, bad, 0.1), lambda: overlap(idx, 0.1, bad),
+             lambda: normalization(idx, bad),
+             lambda: transform_kernel(params, bad, 1.0),
+             lambda: relativistic_transform(params, lambda x: np.exp(-x), bad))
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
 
 
 class TestDistance:

@@ -24,6 +24,28 @@ HYP2F1_SPOT = complex(1.1827288309065334069, 0.26332115111934873008)
 HYP3F2_SPOT = 0.25588969726658213052
 
 
+def _scalar_series_2f1(a, b, c, w):
+    """Reference: the Gauss series summed one term at a time in Python
+    complex arithmetic, stopping after 20 consecutive terms below eps times
+    the sum -- the scalar summation the vector series replaced."""
+    eps = float(np.finfo(float).eps)
+    a, b, c, w = complex(a), complex(b), complex(c), complex(w)
+    total = term = 1.0 + 0.0j
+    small = 0
+    for k in range(10_000):
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * w
+        total += term
+        if term == 0.0:
+            return total
+        if abs(term) < eps * (1.0 + abs(total)):
+            small += 1
+            if small >= 20:
+                return total
+        else:
+            small = 0
+    raise AssertionError("reference series did not settle")
+
+
 class TestLnGamma:
     def test_at_one(self):
         assert ln_gamma(1.0) == 0.0
@@ -109,8 +131,18 @@ class TestGauss2F1:
         assert abs(got - HYP2F1_SPOT) < 1e-13
 
     def test_domain_error_outside_disk(self):
-        with pytest.raises(DomainError):
-            gauss_2f1(0.5, 0.7, 1.9, 1.2)
+        # min(|z|, |z/(z-1)|) >= 1: Re z >= 1/2 outside the unit disk
+        for z in (1.2, 1.0, 0.6 + 0.9j):
+            with pytest.raises(DomainError):
+                gauss_2f1(0.5, 0.7, 1.9, z)
+
+    def test_pfaff_domain_outside_disk(self):
+        # |z| >= 1 with Re z < 1/2 is summed at the Pfaff image z/(z-1)
+        a, b, c = 0.5, 0.7, 1.9
+        for z in (-3.0, -0.9 + 0.5j):
+            zp = z / (z - 1.0)
+            want = (1.0 - z) ** (-a) * _scalar_series_2f1(a, c - b, c, zp)
+            assert abs(gauss_2f1(a, b, c, z) - want) < 1e-14
 
     def test_terminating_outside_disk(self):
         # polynomial case is exact at any argument
@@ -150,8 +182,12 @@ class TestGauss2F1:
         a = 1.4 - 1j * xi
         b = 0.5 - 1j * xi
         got = gauss_2f1_vec(a, b, 1.9, 0.3 + 0.1j)
-        want = [gauss_2f1(ai, bi, 1.9, 0.3 + 0.1j) for ai, bi in zip(a, b)]
+        # |z| < |z/(z-1)| here, so the plain series at z is summed
+        want = [_scalar_series_2f1(ai, bi, 1.9, 0.3 + 0.1j)
+                for ai, bi in zip(a, b)]
         assert np.max(np.abs(got - np.asarray(want))) < 1e-13
+        for ai, bi, gi in zip(a, b, got):
+            assert gauss_2f1(ai, bi, 1.9, 0.3 + 0.1j) == gi
 
 
 def _abs_series(a, b, c, w):
@@ -183,12 +219,58 @@ def _kernel_series_cases():
                     yield a, 0.5 - 1j * xi, gamma + 0.5 + l, z
 
 
+def _gauss_map_cases():
+    """(label, a, b, c, z) for the mpmath map of gauss_2f1: the transform
+    kernel's series, the oracles' ranges, and |z| >= 1 with Re z < 1/2."""
+    for a, b, c, w in _kernel_series_cases():
+        for ai, bi in zip(a, b):
+            yield "kernel", complex(ai), complex(bi), c, w
+    rng = np.random.default_rng(20240617)
+    for _ in range(200):
+        a, b = rng.uniform(-2.0, 3.0, 2)
+        yield "oracle", a, b, rng.uniform(0.4, 4.0), rng.uniform(-0.5, 0.5)
+    for _ in range(200):
+        a, b = rng.uniform(-2.0, 3.0, 2) + 1j * rng.uniform(-1.5, 1.5, 2)
+        z = 0.5 * math.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
+        yield "oracle", a, b, rng.uniform(0.4, 4.0), z
+    for z in (-3.0, -0.9 + 0.5j):
+        for _ in range(20):
+            a, b = rng.uniform(-2.0, 3.0, 2) + 1j * rng.uniform(-1.0, 1.0, 2)
+            yield "wide", a, b, rng.uniform(0.4, 4.0), z
+
+
+def test_gauss_2f1_mpmath_map():
+    # error against 30 digits, measured on the scale of the series actually
+    # summed (z or its Pfaff image); the oracles' ranges also keep it
+    # relative to max(1, |F|)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    worst = {}
+    for label, a, b, c, z in _gauss_map_cases():
+        got = gauss_2f1(a, b, c, z)
+        want = complex(mp.hyp2f1(mp.mpc(a), mp.mpc(b), mp.mpc(c), mp.mpc(z)))
+        zp = z / (z - 1.0)
+        if abs(zp) < abs(z):
+            scale = (abs((1.0 - z) ** (-a))
+                     * _abs_series(complex(a), complex(c - b), c, zp))
+        else:
+            scale = _abs_series(a, b, c, z)
+        err = abs(got - want)
+        old = worst.get(label, (0.0, 0.0))
+        worst[label] = (max(old[0], err / scale),
+                        max(old[1], err / max(1.0, abs(want))))
+    assert set(worst) == {"kernel", "oracle", "wide"}
+    assert all(on_scale <= 1e-13 for on_scale, _ in worst.values())
+    assert worst["oracle"][1] <= 1e-14
+
+
 class TestSeries2F1Vec:
     @pytest.mark.parametrize("case", list(_kernel_series_cases()))
     def test_matches_scalar_series(self, case):
         a, b, c, w = case
         got = _series_2f1_vec(a, b, c, w)
-        want = np.array([gauss_2f1(ai, bi, c, w) for ai, bi in zip(a, b)])
+        want = np.array([_scalar_series_2f1(ai, bi, c, w)
+                         for ai, bi in zip(a, b)])
         scale = np.array([_abs_series(ai, bi, c, w) for ai, bi in zip(a, b)])
         diff = np.abs(got - want)
         # both sums are exact up to rounding of their largest terms ...
@@ -215,7 +297,32 @@ class TestSeries2F1Vec:
         assert _series_2f1_vec(np.zeros(0), np.zeros(0), 1.5, 0.3).shape == (0,)
         got = _series_2f1_vec(1.2, 0.7, 1.5, 0.3)
         assert got.shape == ()
-        assert abs(got - gauss_2f1(1.2, 0.7, 1.5, 0.3)) < 1e-14
+        assert abs(got - _scalar_series_2f1(1.2, 0.7, 1.5, 0.3)) < 1e-14
+        assert _series_2f1_vec(np.zeros(0), 0.7, 1.5, np.zeros(0)).shape == (0,)
+
+    def test_array_argument_elementwise(self):
+        # an array of w (the F5 integral's nodes) against one call per
+        # element, each with w as a length-1 array: the same bits
+        rng = np.random.default_rng(3)
+        w = 0.9 * np.sqrt(rng.uniform(0, 1, 40)) * np.exp(
+            2j * np.pi * rng.uniform(0, 1, 40))
+        for a, b, c in ((1.3 + 0.4j, 0.6 - 0.2j, 1.7), (2.5, -0.5, 0.9 + 0.3j)):
+            got = _series_2f1_vec(a, b, c, w)
+            assert got.shape == w.shape
+            alone = np.array([_series_2f1_vec(a, b, c, w[i:i + 1])[0]
+                              for i in range(w.size)])
+            assert np.array_equal(got, alone)
+            want = np.array([_scalar_series_2f1(a, b, c, wi) for wi in w])
+            assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+        # parameters and argument broadcast against each other
+        xi = np.array([0.5, 2.0, 4.0])
+        got = _series_2f1_vec(1.2 - 1j * xi[:, None], 0.5 + 1j * xi[:, None],
+                              1.8, w[None, :5])
+        assert got.shape == (3, 5)
+        for i in range(3):
+            assert np.array_equal(
+                got[i], _series_2f1_vec(1.2 - 1j * xi[i], 0.5 + 1j * xi[i],
+                                        1.8, w[:5]))
 
 
 class TestHyp3F2:
@@ -309,10 +416,11 @@ class TestKdfF5:
         assert abs(kdf_f5_integral(args) - want) < 1e-10
 
     def test_a_equals_aprime_collapse(self):
+        # kdf_f5 itself sums this 2F1 here, so the double series checks it
         args = F5Args(c=1.2 + 0.5j, d=1.2 - 0.5j, e=1.7, a=2.4, a_prime=2.4,
                       chi=0.15, zeta=0.2)
         want = gauss_2f1(args.c, args.d, args.e, 0.35)
-        assert abs(kdf_f5(args) - want) < 1e-12
+        assert abs(kdf_f5_series(args) - want) < 1e-12
 
     def test_series_vs_integral_generic(self):
         args = F5Args(c=1.5 + 0.3j, d=1.5 - 0.3j, e=2.0, a=4.2, a_prime=3.0,
