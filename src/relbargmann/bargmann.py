@@ -94,9 +94,16 @@ class SampledFunction:
         object.__setattr__(self, "values", values)
 
     def as_callable(self):
-        """Cubic-spline interpolant, zero outside the sampled range."""
+        """Cubic-spline interpolant, zero outside the sampled range; raises
+        InputFormatError if the spline overflows (samples too close)."""
         # looked up on the module, so that its first use triggers the import
-        spline = sys.modules[__name__].CubicSpline(self.grid, self.values)
+        try:
+            with np.errstate(all="ignore"):
+                spline = sys.modules[__name__].CubicSpline(self.grid, self.values)
+            if not np.all(np.isfinite(spline.c)):
+                raise ValueError("non-finite coefficients")
+        except ValueError as exc:
+            raise InputFormatError(f"no finite cubic spline: {exc}") from exc
         lo, hi = self.grid[0], self.grid[-1]
 
         def f(xi):
@@ -196,89 +203,83 @@ def _integrate_fixed_layout(integrand, params: ModelParams):
     return total, err_total
 
 
-def _kernel_on_support(f_vals: np.ndarray, xi: np.ndarray, kernel) -> np.ndarray:
-    """``kernel`` at the nodes ``xi`` where ``f_vals`` is non-zero, exact
-    zeros at the others.
+def _transform_on_layout(params: ModelParams, f, z, weigh, with_error: bool,
+                         prefactor=None):
+    """prefactor(z) times the integral of f times a kernel on the fixed layout
+    of ``params``, the body of both F5-layout transforms.
 
-    f times the kernel vanishes where f does, whatever the kernel's value;
-    the kernel is not evaluated there.  Each kernel element is computed as it
-    would be alone, so the products at the live nodes do not change.
-    """
-    live = f_vals != 0
-    out = np.zeros(xi.shape, dtype=complex)
-    if live.any():
-        out[live] = kernel(xi[live])
-    return out
-
-
-def relativistic_transform(params: ModelParams, f, z, tol: float = 1e-8,
-                           with_error: bool = False):
-    """Coherent-state Bargmann-type transform B[f] at the disk point z.
-
-    B[f](z) = N(z)^(1/2) integral_0^inf f(xi) conj(<xi|z>) dxi, with the
-    closed-form F5 kernel.  The panel layout over xi depends only on the
-    model parameters, never on f; the kernel is evaluated only at the nodes
-    where f is non-zero.
+    ``weigh(z, f_vals, xi)`` is f times the kernel at the nodes ``xi`` where
+    f takes the non-zero values ``f_vals``; the integrand is an exact zero at
+    the others.  Every Gauss node lies inside its panel, so xi > 0.
     """
     z = complex(check_disk(z))
     _check_kernel_domain(z)
     func = _as_callable(f)
-    if tol <= 0:
-        raise DomainError("tol must be positive")
 
     def integrand(xi):
         f_vals = np.asarray(func(xi))
-        return f_vals * _kernel_on_support(
-            f_vals, xi, lambda x: transform_kernel(params, z, x))
+        live = f_vals != 0
+        out = np.zeros(xi.shape, dtype=complex)
+        if live.any():
+            out[live] = weigh(z, f_vals[live], xi[live])
+        return out
 
     value, err = _integrate_fixed_layout(integrand, params)
+    if prefactor is not None:
+        pref = prefactor(z)
+        value, err = pref * value, abs(pref) * err
     return (value, err) if with_error else value
 
 
-def relativistic_transform_m0(osc: OscParams, f, z, tol: float = 1e-8,
-                              with_error: bool = False):
-    """The m = 0 transform through its reduced single-2F1 kernel, evaluated
-    only at the nodes where f is non-zero."""
-    z = complex(check_disk(z))
-    _check_kernel_domain(z)
-    func = _as_callable(f)
-    if tol <= 0:
-        raise DomainError("tol must be positive")
+def relativistic_transform(params: ModelParams, f, z, with_error: bool = False):
+    """Coherent-state Bargmann-type transform B[f] at the disk point z.
+
+    B[f](z) = N(z)^(1/2) integral_0^inf f(xi) conj(<xi|z>) dxi, with the
+    closed-form F5 kernel, on the fixed panel layout to ``xi_cutoff(c)``.
+    The layout depends only on the model parameters, never on f, and there
+    is no tolerance to set; the kernel is evaluated only at the nodes where
+    f is non-zero.  Returns B[f](z), or ``(value, err_estimate)`` with
+    ``with_error``: the estimate is the sum over the panels of the distance
+    between the 32-point and the 16-point Gauss-Legendre values.
+    """
+    return _transform_on_layout(
+        params, f, z,
+        lambda z, f_vals, xi: f_vals * transform_kernel(params, z, xi),
+        with_error)
+
+
+def relativistic_transform_m0(osc: OscParams, f, z, with_error: bool = False):
+    """The m = 0 transform through its reduced single-2F1 kernel.
+
+    Same layout, evaluation on the support of f and return value as
+    :func:`relativistic_transform` at m = 0.
+    """
     gamma = osc.gamma
     lpref = (0.5 * math.log(2.0) + 0.5 * (math.log(2.0 * gamma - 1.0)
              - math.log(math.pi) - gammaln(2.0 * gamma)) - gammaln(gamma + 0.5))
-    pref = math.exp(lpref) * np.exp(-1j * math.pi * gamma / 2.0) * (1.0 - z) ** (-gamma)
+    scale = math.exp(lpref) * np.exp(-1j * math.pi * gamma / 2.0)
 
-    def kernel(xp):
-        gam_fac = np.exp(2.0 * loggamma(gamma - 1j * xp) - loggamma(-1j * xp)
-                         + 4j * xp * math.log(osc.c) - 1j * xp * np.log(1.0 - z))
-        return gam_fac * gauss_2f1_vec(gamma - 1j * xp, 0.5 - 1j * xp,
-                                       gamma + 0.5, z)
+    def weigh(z, f_vals, xi):
+        gam_fac = np.exp(2.0 * loggamma(gamma - 1j * xi) - loggamma(-1j * xi)
+                         + 4j * xi * math.log(osc.c) - 1j * xi * np.log(1.0 - z))
+        # kernel times f, in this order: the product is not bitwise symmetric
+        return gam_fac * gauss_2f1_vec(gamma - 1j * xi, 0.5 - 1j * xi,
+                                       gamma + 0.5, z) * f_vals
 
-    def integrand(xi):
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        out = np.zeros(len(xi), dtype=complex)
-        pos = xi > 0
-        if np.any(pos):
-            xp = xi[pos]
-            f_vals = np.asarray(func(xp))
-            out[pos] = _kernel_on_support(f_vals, xp, kernel) * f_vals
-        return out
-
-    value, err = _integrate_fixed_layout(integrand, ModelParams(osc=osc, m=0))
-    value, err = pref * value, abs(pref) * err
-    return (value, err) if with_error else value
+    return _transform_on_layout(ModelParams(osc=osc, m=0), f, z, weigh,
+                                with_error,
+                                lambda z: scale * (1.0 - z) ** (-gamma))
 
 
-def relativistic_transform_grid(params: ModelParams, f, points,
-                                tol: float = 1e-8) -> TransformResult:
+def relativistic_transform_grid(params: ModelParams, f,
+                                points) -> TransformResult:
     """Evaluate the transform on a grid of disk points."""
     pts = np.asarray(points, dtype=complex).ravel()
     func = _as_callable(f)  # a SampledFunction's spline is built once
     vals = np.empty(len(pts), dtype=complex)
     errs = np.empty(len(pts), dtype=float)
     for i, z in enumerate(pts):
-        vals[i], errs[i] = relativistic_transform(params, func, z, tol,
+        vals[i], errs[i] = relativistic_transform(params, func, z,
                                                   with_error=True)
     return TransformResult(points=pts, values=vals, params=params, errors=errs)
 

@@ -11,6 +11,7 @@ import cmath
 import functools
 import json
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,40 +114,9 @@ def load_config_file(path: str) -> dict:
                     raise ConfigError(f"bad config line {line!r}")
                 key, val = line.split("=", 1)
                 out[key.strip()] = val.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return out
-
-
-def _merge_config(args: argparse.Namespace, actions: dict,
-                  explicit: set) -> None:
-    """Fill argparse values from the config file; explicitly passed flags win.
-
-    Each key taken from the file joins ``explicit``: a value set in the file
-    counts as given, just as a flag does.
-    """
-    if not args.config:
-        return
-    file_cfg = load_config_file(args.config)
-    for key, raw in file_cfg.items():
-        if key not in actions:
-            raise ConfigError(f"unknown config key {key!r}")
-        if key in explicit:
-            continue
-        action = actions[key]
-        caster = action.type or str
-        try:
-            setattr(args, key, caster(raw))
-        except ValueError as exc:
-            raise ConfigError(f"bad value for config key {key!r}: {raw!r}") \
-                from exc
-        explicit.add(key)
-
-
-def _check_tol(tol: float) -> float:
-    if not 1e-12 <= tol <= 1e-2:
-        raise ConfigError(f"tol must lie in [1e-12, 1e-2], got {tol}")
-    return tol
 
 
 def _check_grid_cap(points) -> None:
@@ -181,10 +151,8 @@ def _records(columns: list[str], *values) -> list[dict]:
     return [dict(zip(columns, row)) for row in zip(*values)]
 
 
-def _meta(args: argparse.Namespace, **extra) -> dict:
-    cfg = {k: v for k, v in sorted(vars(args).items())
-           if k not in ("func", "explicit_flags") and v is not None}
-    cfg.update(extra)
+def _meta(args: argparse.Namespace) -> dict:
+    cfg = {k: v for k, v in sorted(vars(args).items()) if v is not None}
     return {"version": __version__, "config": cfg}
 
 
@@ -203,10 +171,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     of those vector calls is computed as it would be alone, so the output
     does not depend on the blocking.  ``overlap`` takes one z per call.
     """
-    tol = _check_tol(args.tol)
     fn = args.function
-    if fn not in EVAL_FUNCTIONS:
-        raise ConfigError(f"unknown function {fn!r}; choose from {EVAL_FUNCTIONS}")
     records: list[dict] = []
 
     if fn == "eigenfunction":
@@ -273,8 +238,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                                         chunk, vals.real.tolist(),
                                         vals.imag.tolist())
 
-    text = _records_to_output(records, columns, args.format,
-                              _meta(args, tol=tol))
+    text = _records_to_output(records, columns, args.format, _meta(args))
     _write_text(args.out, text)
     return EXIT_OK
 
@@ -319,40 +283,31 @@ def read_sampled_function(path: str) -> SampledFunction:
 
 
 def cmd_transform(args: argparse.Namespace) -> int:
-    tol = _check_tol(args.tol)
     sampled = read_sampled_function(args.input)
     points = parse_grid(args.grid) if args.grid else []
     if not points:
         raise ConfigError("transform needs a nonempty --grid")
     _check_grid_cap(points)
     params = ModelParams(OscParams(args.c), args.m)
-    result = relativistic_transform_grid(params, sampled, points, tol=tol)
+    result = relativistic_transform_grid(params, sampled, points)
     records = [{"re_z": z.real, "im_z": z.imag, "re_val": v.real,
                 "im_val": v.imag, "quad_error": float(e)}
                for z, v, e in zip(result.points, result.values, result.errors)]
     columns = ["re_z", "im_z", "re_val", "im_val", "quad_error"]
-    text = _records_to_output(records, columns, args.format,
-                              _meta(args, tol=tol))
+    text = _records_to_output(records, columns, args.format, _meta(args))
     _write_text(args.out, text)
     return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    tol = args.tol
-    if tol is not None:
-        _check_tol(tol)
+    # verify's flags default to None: only values given by flag or file reach
+    # the suites, and each suite runs its documented baseline otherwise
+    config = {key: getattr(args, key) for key in _SUITE_KEYS
+              if getattr(args, key) is not None}
+    if "tol" in config and not 1e-12 <= config["tol"] <= 1e-2:
+        raise ConfigError(f"tol must lie in [1e-12, 1e-2], got {config['tol']}")
     if args.suite not in SUITES:
         raise ConfigError(f"unknown suite {args.suite!r}; choose from {SUITES}")
-    # only parameters given as flags or in the config file reach the suites;
-    # otherwise each suite runs its documented baseline configuration
-    explicit = getattr(args, "explicit_flags", set())
-    config: dict = {}
-    for key in ("c", "m", "sigma", "kmax", "k"):
-        val = getattr(args, key, None)
-        if val is not None and key in explicit:
-            config[key] = val
-    if tol is not None:
-        config["tol"] = tol
     kmax = config.get("kmax", 0)
     if kmax < 0:
         raise ConfigError("kmax must be nonnegative")
@@ -391,62 +346,110 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# flag tables and parser
 # ---------------------------------------------------------------------------
 
+class Flag(NamedTuple):
+    """One ``--name`` flag of a subcommand; ``choices`` limits its value,
+    and a ``required`` flag must be given on the command line."""
+
+    name: str
+    type: type = str
+    default: object = None
+    help: str | None = None
+    choices: tuple | None = None
+    required: bool = False
+
+
+_C = Flag("c", float, 1.0, "oscillator parameter c > 0")
+_M = Flag("m", int, 0, "Landau level number")
+_GRID = Flag("grid", help="z grid: comma list or mesh:re0:re1:n,im0:im1:n")
+_FORMAT = Flag("format", default="csv", choices=("csv", "json"))
+_OUT = Flag("out", help="output path")
+
+#: the flags each subcommand reads; besides these, every subcommand takes
+#: ``--config FILE``, whose ``key=value`` lines may set any of them
+FLAGS = {
+    "eval": (
+        Flag("function", choices=EVAL_FUNCTIONS, required=True),
+        _C, _M,
+        Flag("k", int, 0, "basis/state index"),
+        Flag("sigma", float, None, "disk weight (defaults to 2(gamma+m))"),
+        _GRID,
+        Flag("xi", help="xi grid: comma list or lin:a:b:n"),
+        Flag("w", help="second disk point for overlap"),
+        _FORMAT, _OUT),
+    "transform": (
+        Flag("input", required=True, help="CSV file with header xi,re,im"),
+        _C, _M, _GRID, _FORMAT, _OUT),
+    "verify": (
+        Flag("suite", required=True, help=f"one of {', '.join(SUITES)}"),
+        Flag("c", float, help="oscillator parameter (isometry, m0-reduction)"),
+        Flag("m", int, help="Landau level number (eigen-equation)"),
+        Flag("sigma", float, help="disk weight (eigen-equation)"),
+        Flag("kmax", int, help="basis order of the Gram matrices"),
+        Flag("k", int, help="basis index (eigen-equation)"),
+        Flag("tol", float, help="check tolerance in [1e-12, 1e-2]"),
+        _OUT),
+    "spectrum": (_C, _M, Flag("kmax", int, 5, "highest oscillator level"),
+                 _FORMAT, _OUT),
+}
+
+#: verify flags that are suite parameters
+_SUITE_KEYS = ("c", "m", "sigma", "kmax", "k", "tol")
+
+COMMANDS = {
+    "eval": (cmd_eval, "evaluate a kernel on a grid"),
+    "transform": (cmd_transform, "apply the transform to samples"),
+    "verify": (cmd_verify, "run a verification suite"),
+    "spectrum": (cmd_spectrum, "list oscillator and Landau levels"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand's flags, all with default None, so
+    that a flag is set exactly when it was given, in full or abbreviated."""
     parser = argparse.ArgumentParser(
         prog="relbargmann",
         description="Relativistic Bargmann-type transforms on the Poincare disk")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--c", type=float, default=1.0,
-                       help="oscillator parameter c > 0")
-        p.add_argument("--m", type=int, default=0, help="Landau level number")
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="tolerance in [1e-12, 1e-2]")
-        p.add_argument("--out", type=str, default=None, help="output path")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--grid", type=str, default=None,
-                       help="z grid: comma list or mesh:re0:re1:n,im0:im1:n")
-        p.add_argument("--config", type=str, default=None,
-                       help="key=value config file; flags win")
-
-    p_eval = sub.add_parser("eval", help="evaluate a kernel on a grid")
-    common(p_eval)
-    p_eval.add_argument("--function", type=str, required=True,
-                        choices=EVAL_FUNCTIONS)
-    p_eval.add_argument("--k", type=int, default=0, help="basis/state index")
-    p_eval.add_argument("--sigma", type=float, default=None,
-                        help="disk weight (defaults to 2(gamma+m))")
-    p_eval.add_argument("--xi", type=str, default=None,
-                        help="xi grid: comma list or lin:a:b:n")
-    p_eval.add_argument("--w", type=str, default=None,
-                        help="second disk point for overlap")
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_tr = sub.add_parser("transform", help="apply the transform to samples")
-    common(p_tr)
-    p_tr.add_argument("--input", type=str, required=True,
-                      help="CSV file with header xi,re,im")
-    p_tr.set_defaults(func=cmd_transform)
-
-    p_ver = sub.add_parser("verify", help="run a verification suite")
-    common(p_ver)
-    p_ver.set_defaults(tol=None)
-    p_ver.add_argument("--suite", type=str, required=True)
-    p_ver.add_argument("--sigma", type=float, default=None)
-    p_ver.add_argument("--kmax", type=int, default=None)
-    p_ver.add_argument("--k", type=int, default=None)
-    p_ver.set_defaults(func=cmd_verify)
-
-    p_sp = sub.add_parser("spectrum", help="list oscillator and Landau levels")
-    common(p_sp)
-    p_sp.add_argument("--kmax", type=int, default=5)
-    p_sp.set_defaults(func=cmd_spectrum)
+    for command, (_, help_text) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag in FLAGS[command]:
+            p.add_argument(f"--{flag.name}", type=flag.type,
+                           choices=flag.choices, required=flag.required,
+                           help=flag.help)
+        p.add_argument("--config", help="key=value file of flag values; a "
+                                        "flag given here wins over the file")
     return parser
+
+
+def resolve_flags(args: argparse.Namespace) -> None:
+    """Set every flag of ``args.command`` on ``args`` to its value: the flag
+    as given, else the config file's, else the table default.
+
+    Every line of the file is checked, also for a flag given on the command
+    line; an unknown key or a value its flag cannot take raises ConfigError.
+    """
+    table = {flag.name: flag for flag in FLAGS[args.command]}
+    file_cfg = load_config_file(args.config) if args.config else {}
+    from_file = {}
+    for key, raw in file_cfg.items():
+        flag = table.get(key)
+        if flag is None:
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            from_file[key] = flag.type(raw)
+        except ValueError as exc:
+            raise ConfigError(f"bad value for config key {key!r}: {raw!r}") \
+                from exc
+        if flag.choices and from_file[key] not in flag.choices:
+            raise ConfigError(f"bad value for config key {key!r}: {raw!r}; "
+                              f"choose from {flag.choices}")
+    for name, flag in table.items():
+        if getattr(args, name) is None:
+            setattr(args, name, from_file.get(name, flag.default))
 
 
 @functools.cache
@@ -461,18 +464,10 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _shared_parser()
-    tokens = list(sys.argv[1:] if argv is None else argv)
-    args = parser.parse_args(tokens)
-    actions = {a.dest: a for g in parser._subparsers._group_actions
-               for a in g.choices[args.command]._actions}
-    explicit = {dest for dest, action in actions.items()
-                if any(t == opt or t.startswith(opt + "=")
-                       for t in tokens for opt in action.option_strings)}
-    args.explicit_flags = explicit
+    args = _shared_parser().parse_args(argv)
     try:
-        _merge_config(args, actions, explicit)
-        return args.func(args)
+        resolve_flags(args)
+        return COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -224,14 +224,13 @@ def transform_kernel(params: ModelParams, z, xi) -> np.ndarray:
     return complex(out[0]) if scalar else out
 
 
-def series_kmax_for(z: complex, tol: float = 1e-15, lo: int = 60,
-                    hi: int = 8000) -> int:
-    """Truncation order at which the |z|^k coefficient decay reaches tol."""
+def series_kmax_for(z: complex) -> int:
+    """Truncation order 20 past where |z|^k reaches 1e-15, in [60, 8000]."""
     rho = abs(complex(z))
     if rho < 1e-6:
-        return lo
-    k = int(math.log(tol) / math.log(rho)) + 20
-    return min(max(k, lo), hi)
+        return 60
+    k = int(math.log(1e-15) / math.log(rho)) + 20
+    return min(max(k, 60), 8000)
 
 
 def transform_kernel_series(params: ModelParams, z, xi,

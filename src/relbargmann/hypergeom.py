@@ -39,7 +39,6 @@ from scipy.special import loggamma
 from .errors import DomainError, NonConvergenceError, PoleError
 
 _EPS = float(np.finfo(float).eps)
-DEFAULT_TOL = 1e-10
 MAX_SERIES_TERMS = 10_000
 _F5_SERIES_TERMS = 2000
 _CONSECUTIVE_SMALL = 20
@@ -404,15 +403,15 @@ def _f5_reduction(c, d, e, m: int, ap, chi, zeta):
     return total
 
 
-def _logit_panel_integral(exp0, exp1, smooth, extra_freq: float = 0.0,
-                          tol: float = DEFAULT_TOL, nodes: int = 16):
+def _logit_panel_integral(exp0, exp1, smooth, extra_freq: float = 0.0):
     """Evaluate int_0^1 t^(exp0-1) (1-t)^(exp1-1) smooth(t) dt.
 
     The logit substitution t = 1/(1 + e^-v) turns the endpoint algebra into
     two-sided exponential decay and the log-oscillation of complex exponents
-    into a bounded-frequency phase e^{i Im(exp0) v}; composite Gauss-Legendre
-    panels then converge spectrally.  The panel width is halved until two
-    successive estimates agree to tol.
+    into a bounded-frequency phase e^{i Im(exp0) v}; composite 16-point
+    Gauss-Legendre panels then converge spectrally.  The panel width is
+    halved, at most four times, until two successive estimates agree to
+    1e-10 relative to 1 + |estimate|.
 
     ``smooth`` must accept an ndarray of t values in (0, 1).
     """
@@ -425,7 +424,7 @@ def _logit_panel_integral(exp0, exp1, smooth, extra_freq: float = 0.0,
 
     def estimate(h):
         edges = np.arange(-span_neg, span_pos + h, h)
-        xg, wg = leggauss(nodes)
+        xg, wg = leggauss(16)
         mids = 0.5 * (edges[1:] + edges[:-1])
         halves = 0.5 * np.diff(edges)
         v = (mids[:, None] + halves[:, None] * xg[None, :]).ravel()
@@ -441,13 +440,13 @@ def _logit_panel_integral(exp0, exp1, smooth, extra_freq: float = 0.0,
     for _ in range(4):
         h *= 0.5
         cur = estimate(h)
-        if abs(cur - prev) <= tol * (1.0 + abs(cur)):
+        if abs(cur - prev) <= 1e-10 * (1.0 + abs(cur)):
             return cur
         prev = cur
     raise NonConvergenceError("logit panel integral did not settle under refinement")
 
 
-def kdf_f5_integral(args: F5Args, tol: float = DEFAULT_TOL) -> complex:
+def kdf_f5_integral(args: F5Args) -> complex:
     """F5 through the Kulshreshtha integral representation.
 
     When a - a' is a nonnegative integer m the inner Gauss function collapses
@@ -457,6 +456,7 @@ def kdf_f5_integral(args: F5Args, tol: float = DEFAULT_TOL) -> complex:
     argument pairs with |zeta| > 1.  Otherwise the integrand is used verbatim
     with the inner 2F1 summed at all nodes in one vector series, which
     requires the argument chi t / (1 - zeta t) to stay inside the series disk.
+    The integral is refined until it settles to 1e-10 relative to 1 + |value|.
     """
     args.validate()
     c, d, e = complex(args.c), complex(args.d), complex(args.e)
@@ -481,7 +481,7 @@ def kdf_f5_integral(args: F5Args, tol: float = DEFAULT_TOL) -> complex:
             return (1.0 - s * t) ** (-c - m) * inner
 
         extra = abs(c.imag) * (1.0 + abs(s))
-        val = _logit_panel_integral(d, e - d, smooth, extra, tol)
+        val = _logit_panel_integral(d, e - d, smooth, extra)
         return prefactor * val
 
     # generic path: the inner 2F1 as one plain series over all nodes
@@ -498,11 +498,11 @@ def kdf_f5_integral(args: F5Args, tol: float = DEFAULT_TOL) -> complex:
         return (1.0 - zeta * t) ** (-c) * _series_2f1_vec(a, c, ap, u)
 
     extra = abs(c.imag) * (1.0 + abs(zeta))
-    val = _logit_panel_integral(d, e - d, smooth, extra, tol)
+    val = _logit_panel_integral(d, e - d, smooth, extra)
     return prefactor * val
 
 
-def kdf_f5(args: F5Args, tol: float = DEFAULT_TOL) -> complex:
+def kdf_f5(args: F5Args) -> complex:
     """Evaluate F5, choosing the most reliable path for the arguments.
 
     Order of preference: the exact finite 2F1 reduction (integer a - a'),
@@ -523,7 +523,7 @@ def kdf_f5(args: F5Args, tol: float = DEFAULT_TOL) -> complex:
                                          args.a_prime, args.chi, args.zeta))
     if abs(complex(args.chi)) + abs(complex(args.zeta)) < _SERIES_RADIUS:
         return kdf_f5_series(args)
-    return kdf_f5_integral(args, tol)
+    return kdf_f5_integral(args)
 
 
 def f5_kernel_vec(c, d, e, m: int, ap, chi, zeta) -> np.ndarray:

@@ -77,14 +77,13 @@ def suite_orthonormality_oscillator(config: dict) -> list[dict]:
 
 def suite_overlap(config: dict) -> list[dict]:
     tol = float(config.get("tol", 1e-8))
-    n_pairs = int(config.get("pairs", 50))
     rng = np.random.default_rng(20240611)
     checks = []
     for sigma, m in _DISK_CASES:
         idx = LandauIndex(sigma, m)
         worst = 0.0
         worst_sym = 0.0
-        for _ in range(n_pairs):
+        for _ in range(50):
             z, w = (complex(*p) for p in rng.uniform(-0.354, 0.354, (2, 2)))
             worst = max(worst, abs(overlap(idx, z, w)
                                    - overlap_series(idx, z, w, kmax=120)))
@@ -130,7 +129,6 @@ def _reproducing_composition(idx: LandauIndex, z: complex, zp: complex) -> compl
 
 def suite_eigen_equation(config: dict) -> list[dict]:
     tol = float(config.get("tol", 1e-4))
-    h = float(config.get("h", 1e-4))
     sigma = float(config.get("sigma", 7.5))
     m = int(config.get("m", 1))
     k = int(config.get("k", 3))
@@ -141,11 +139,11 @@ def suite_eigen_equation(config: dict) -> list[dict]:
     for x in np.linspace(-0.32, 0.32, 5):
         for y in np.linspace(-0.32, 0.32, 5):
             z = complex(x, y)
-            lhs = maass_apply_fd(idx, psi, z, h)
+            lhs = maass_apply_fd(idx, psi, z, 1e-4)
             ref = eps * psi(z)
             worst = max(worst, abs(lhs - ref) / (1.0 + abs(psi(z))))
     checks = [_check(f"maass-eigen-sigma{sigma}-m{m}-k{k}", worst, tol)]
-    hol = max(abs(wirtinger_dzbar_fd(lambda w: w ** 3, z, h))
+    hol = max(abs(wirtinger_dzbar_fd(lambda w: w ** 3, z, 1e-4))
               for z in (0.2 + 0.1j, -0.3j))
     checks.append(_check("holomorphic-killed", hol, 1e-6))
     return checks

@@ -155,7 +155,7 @@ class TestRelativisticTransform:
         params = ModelParams(OscParams(1.0), 0)
         pts = [0.1, 0.2j, -0.15 - 0.1j]
         res = relativistic_transform_grid(params, oscillator_mode(0, params.osc),
-                                          pts, tol=1e-8)
+                                          pts)
         assert isinstance(res, TransformResult)
         assert len(res.values) == 3
         assert res.quadrature_error < 1e-8
@@ -173,7 +173,7 @@ class TestRelativisticTransform:
         params = ModelParams(OscParams(1.0), 1)
         idx = params.landau_index()
         f = oscillator_mode(1, params.osc)
-        B = lambda w: relativistic_transform(params, f, w, tol=1e-10)
+        B = lambda w: relativistic_transform(params, f, w)
         z = 0.25 + 0.15j
         got = maass_apply_fd(idx, B, z, h=5e-3)
         want = landau_level(idx) * B(z)

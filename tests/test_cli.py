@@ -312,11 +312,18 @@ class TestEval:
         assert payload["meta"]["version"]
         assert len(payload["records"]) == 2
 
-    def test_bad_tol_exit_2(self, tmp_path):
-        code = run(["eval", "--function", "basis_phi", "--sigma", "5",
-                    "--grid", "0", "--tol", "1.0",
-                    "--out", str(tmp_path / "x.csv")])
+    def test_bad_tol_exit_2(self, tmp_path, capsys):
+        # eval reads no tolerance: --tol is a usage error there, and the
+        # range check is verify's
+        with pytest.raises(SystemExit) as usage:
+            run(["eval", "--function", "basis_phi", "--sigma", "5",
+                 "--grid", "0", "--tol", "1e-8",
+                 "--out", str(tmp_path / "x.csv")])
+        assert usage.value.code == 2
+        code = run(["verify", "--suite", "srivastava-rao", "--tol", "1.0",
+                    "--out", str(tmp_path / "x.json")])
         assert code == 2
+        assert "tol must lie in [1e-12, 1e-2]" in capsys.readouterr().err
 
     def test_pair_count_limit_exit_2(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "MAX_GRID_POINTS", 12)
@@ -416,7 +423,7 @@ class TestTransform:
         code = run(["transform", "--c", "1", "--m", "0",
                     "--input", str(ground_state_csv),
                     "--grid", "mesh:-0.2:0.2:2,-0.2:0.2:2",
-                    "--tol", "1e-8", "--out", str(out)])
+                    "--out", str(out)])
         assert code == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "re_z,im_z,re_val,im_val,quad_error"
@@ -437,6 +444,20 @@ class TestTransform:
         code = run(["transform", "--c", "1", "--input", str(bad),
                     "--grid", "0.1", "--out", str(tmp_path / "t.csv")])
         assert code == 5
+
+    @pytest.mark.parametrize("body", [
+        "0.0,0.0,0.0\n2.225073858507203e-309,0.0,0.0\n",
+        "0,0,0\n1e-200,1.5,0\n2e-200,-2,0\n"], ids=["slopes", "coefficients"])
+    def test_samples_without_spline_exit_5(self, tmp_path, capsys, body):
+        # samples a subnormal distance apart overflow the spline's slopes
+        bad = tmp_path / "bad.csv"
+        bad.write_text("xi,re,im\n" + body)
+        code = run(["transform", "--input", str(bad), "--grid", "0.1",
+                    "--out", str(tmp_path / "t.csv")])
+        assert code == 5
+        err = capsys.readouterr().err
+        assert err.startswith("input error: no finite cubic spline: ")
+        assert "Traceback" not in err
 
     def test_unparseable_input_exit_5(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -560,7 +581,9 @@ class TestSharedParser:
         cfg_k = tmp_path / "k.cfg"
         cfg_k.write_text("k=2\nsigma=6.5\n")
         cfg_c = tmp_path / "c.cfg"
-        cfg_c.write_text("c=2\nm=1\ntol=1e-9\nformat=json\n")
+        cfg_c.write_text("c=2\nm=1\nformat=json\n")
+        cfg_v = tmp_path / "v.cfg"
+        cfg_v.write_text("c=2\nm=1\ntol=1e-9\n")
         out = tmp_path / "o"
         calls = [
             ["eval", "--function", "basis_phi", "--grid", "0.3",
@@ -575,7 +598,7 @@ class TestSharedParser:
             ["spectrum", "--kmax", "2"],
             ["eval", "--function", "eigenfunction", "--xi", "0.5,1",
              "--config", str(cfg_k)],
-            ["verify", "--suite", "srivastava-rao", "--config", str(cfg_c)],
+            ["verify", "--suite", "srivastava-rao", "--config", str(cfg_v)],
             ["eval", "--function", "kernel", "--grid", "0.2j", "--xi", "1,2",
              "--k", "1"],
         ]
@@ -723,3 +746,90 @@ class TestConfigFile:
         assert report == run_suite("orthonormality-disk", {"kmax": 3})
         assert run(argv + ["--kmax", "2"]) == 0
         assert json.loads(out.read_text())["config"] == {"kmax": 2}
+
+
+#: each subcommand's flags, ``--config`` included
+FLAG_SETS = {
+    "eval": {"function", "c", "m", "k", "sigma", "grid", "xi", "w", "format",
+             "out", "config"},
+    "transform": {"input", "c", "m", "grid", "format", "out", "config"},
+    "verify": {"suite", "c", "m", "sigma", "kmax", "k", "tol", "out",
+               "config"},
+    "spectrum": {"c", "m", "kmax", "format", "out", "config"},
+}
+#: the least argv each subcommand parses
+REQUIRED = {"eval": ["--function", "kernel"], "transform": ["--input", "f.csv"],
+            "verify": ["--suite", "all"], "spectrum": []}
+
+
+class TestFlagTables:
+    @pytest.mark.parametrize("command", sorted(FLAG_SETS))
+    def test_flag_set_is_pinned(self, command):
+        args = cli.build_parser().parse_args([command, *REQUIRED[command]])
+        assert set(vars(args)) - {"command"} == FLAG_SETS[command]
+        assert ({flag.name for flag in cli.FLAGS[command]} | {"config"}
+                == FLAG_SETS[command])
+
+    @pytest.mark.parametrize("command, flag", [
+        ("eval", "--tol"), ("transform", "--tol"), ("spectrum", "--tol"),
+        ("verify", "--grid"), ("spectrum", "--grid"), ("verify", "--format")])
+    def test_flag_nothing_reads_is_a_usage_error(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as usage:
+            run([command, *REQUIRED[command], flag, "1"])
+        assert usage.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_abbreviated_flag_reaches_the_suite(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["verify", "--suite", "orthonormality-disk", "--kma", "3",
+                    "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"] == {"kmax": 3}
+
+    def test_abbreviated_flag_beats_the_file(self, tmp_path):
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("kmax=4\n")
+        out = tmp_path / "s.csv"
+        assert run(["spectrum", "--config", str(cfg), "--kma", "1",
+                    "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [row[1] for row in rows if row[0] == "energy"] == ["0", "1"]
+
+    @pytest.mark.parametrize("command", sorted(FLAG_SETS))
+    @pytest.mark.parametrize("body, message", [
+        (None, "cannot read config file"),
+        (b"c=\xff\n", "cannot read config file"),
+        (b"c 2\n", "bad config line"),
+        (b"bogus=1\n", "unknown config key 'bogus'"),
+        (b"config=x.cfg\n", "unknown config key 'config'"),
+        (b"m=one\n", "bad value for config key 'm'"),
+        # checked although the flag is also given
+        (b"c=two\n", "bad value for config key 'c'")],
+        ids=["missing", "undecodable", "bad-line", "unknown-key", "config-key",
+             "bad-type", "bad-type-under-flag"])
+    def test_config_fault_exit_2(self, tmp_path, capsys, command, body,
+                                 message):
+        cfg = tmp_path / "run.cfg"
+        if body is not None:
+            cfg.write_bytes(body)
+        out = tmp_path / "o"
+        assert run([command, *REQUIRED[command], "--c", "1", "--config",
+                    str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, body, message", [
+        ("eval", "format=xml\n", "choose from ('csv', 'json')"),
+        ("eval", "function=nope\n", "choose from ('basis_phi'"),
+        ("transform", "format=xml\n", "choose from ('csv', 'json')"),
+        ("spectrum", "format=xml\n", "choose from ('csv', 'json')"),
+        ("verify", "format=json\n", "unknown config key 'format'"),
+        ("spectrum", "tol=1e-8\n", "unknown config key 'tol'")])
+    def test_config_value_outside_flag_exit_2(self, tmp_path, capsys, command,
+                                              body, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(body)
+        assert run([command, *REQUIRED[command], "--config", str(cfg),
+                    "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
