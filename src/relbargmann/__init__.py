@@ -26,8 +26,7 @@ from .errors import (DomainError, InputFormatError, NonConvergenceError,
 from .hypergeom import (F5Args, appell_f1, gauss_2f1, hyp3f2_terminating_unit,
                         kdf_f5, kdf_f5_integral, kdf_f5_series, ln_gamma,
                         pochhammer, reciprocal_gamma)
-from .orthopoly import (JacobiParams, cdhahn_s, jacobi_connection, jacobi_p,
-                        laguerre_l)
+from .orthopoly import cdhahn_s, jacobi_connection, jacobi_p, laguerre_l
 from .oscillator import (ModelParams, OscParams, eigenfunction,
                          eigenfunction_batch, energy, gamma_of_c,
                          oscillator_gram)
@@ -50,7 +49,7 @@ __all__ = [
     "F5Args", "appell_f1", "gauss_2f1", "hyp3f2_terminating_unit", "kdf_f5",
     "kdf_f5_integral", "kdf_f5_series", "ln_gamma", "pochhammer",
     "reciprocal_gamma",
-    "JacobiParams", "cdhahn_s", "jacobi_connection", "jacobi_p", "laguerre_l",
+    "cdhahn_s", "jacobi_connection", "jacobi_p", "laguerre_l",
     "ModelParams", "OscParams", "eigenfunction", "eigenfunction_batch",
     "energy", "gamma_of_c", "oscillator_gram",
     "QuadratureRule", "gauss_jacobi", "gauss_legendre", "integrate_disk",

@@ -46,16 +46,13 @@ from .errors import DomainError, InputFormatError
 from .hypergeom import gauss_2f1_vec
 from .oscillator import (ModelParams, OscParams, eigenfunction_batch,
                          panel_width, project_states, xi_panel_grid)
-from .quadrature import MAX_RULE_SIZE, integrate_halfline, jacobi_rule_01
+from .quadrature import (_COARSE_RULE, _FINE_RULE, integrate_halfline,
+                         jacobi_rule_01)
 
 #: most xi nodes passed to the integrand in one call; one block holds the
 #: whole layout for every c >= 0.525, and blocks bound the memory of the long
 #: layouts near c = 1/e
 LAYOUT_BLOCK_NODES = 16384
-#: embedded Gauss-Legendre pair on every panel: the 32-point rule gives the
-#: value, its difference from the 16-point rule the error estimate
-_COARSE_RULE = leggauss(16)
-_FINE_RULE = leggauss(32)
 
 
 def __getattr__(name):
@@ -145,10 +142,11 @@ def xi_cutoff(c: float) -> float:
     return max(40.0, 40.0 / min(1.0, math.log(math.e * c)))
 
 
-def classical_bargmann(sigma: float, f, z, tol: float = 1e-10):
+def classical_bargmann(sigma: float, f, z):
     """Laguerre-kernel Bargmann transform of f at the disk point z.
 
-    Returns ``(value, err_estimate)``.
+    Returns ``(value, err_estimate)`` of the half-line integral, taken to a
+    tolerance of 1e-10.
     """
     if sigma <= 1.0:
         raise DomainError("classical transform requires sigma > 1")
@@ -163,7 +161,7 @@ def classical_bargmann(sigma: float, f, z, tol: float = 1e-10):
         return np.exp(-s * x) * np.asarray(func(x)) * x ** (0.5 * (sigma - 1.0))
 
     decay = 1.0 / max(s.real, 0.05)
-    value, err = integrate_halfline(integrand, decay_scale=decay, tol=tol)
+    value, err = integrate_halfline(integrand, decay_scale=decay, tol=1e-10)
     return pref * value, abs(pref) * err
 
 
@@ -284,18 +282,18 @@ def relativistic_transform_grid(params: ModelParams, f,
     return TransformResult(points=pts, values=vals, params=params, errors=errs)
 
 
-def _annulus_basis_masses(params: ModelParams, kmax: int, r_inner: float,
-                          n_nodes: int = 64) -> np.ndarray:
+def _annulus_basis_masses(params: ModelParams, kmax: int,
+                          r_inner: float) -> np.ndarray:
     """Exact norms of the basis functions over the annulus |z|^2 > r_inner.
 
     Writing Phi_k (1-r)^m as a finite monomial sum, the angular average of
     |Phi_k|^2 is a polynomial in r = |z|^2, so the substitution
-    r = 1 - (1 - r_inner) u reduces each annulus integral to a Gauss-Jacobi
-    rule with weight u^(sigma - 2m - 2), which is exact here.
+    r = 1 - (1 - r_inner) u reduces each annulus integral to a 64-point
+    Gauss-Jacobi rule with weight u^(sigma - 2m - 2), which is exact here.
     """
     sigma, m = params.sigma, params.m
     expo = sigma - 2.0 * m - 2.0
-    rule = jacobi_rule_01(n_nodes, expo, 0.0)
+    rule = jacobi_rule_01(64, expo, 0.0)
     width = 1.0 - r_inner
     r = 1.0 - width * rule.nodes
     # every (j, j') cross term carries equal powers of z and zbar, so the
@@ -305,116 +303,80 @@ def _annulus_basis_masses(params: ModelParams, kmax: int, r_inner: float,
                                                     axis=1)
 
 
-_BUDGET_DEFAULTS = {"n_radial": 20, "n_angular": 36, "kmax": 8, "tol": 1e-8,
-                   "r_split": 0.995, "xi_length": 16.0}
+#: the fixed rule of ``isometry_check``: Gauss-Legendre rings over the inner
+#: disk, equally spaced angles on each ring, basis modes in the annulus term,
+#: tolerance of the ||f||^2 integral, radius of the inner disk and length of
+#: the xi panel grid of the projections
+_N_RADIAL = 20
+_N_ANGULAR = 36
+_ANNULUS_KMAX = 8
+_NORM_TOL = 1e-8
+_R_SPLIT = 0.995
+_XI_LENGTH = 16.0
 
 
-def _isometry_budget(budget: dict | None) -> dict:
-    """Defaults overlaid with ``budget``; raises DomainError on an unknown key
-    or a value outside its range."""
-    budget = dict(budget or {})
-    unknown = sorted(set(budget) - set(_BUDGET_DEFAULTS))
-    if unknown:
-        raise DomainError(f"unknown isometry budget key(s): {', '.join(unknown)}; "
-                          f"known: {', '.join(_BUDGET_DEFAULTS)}")
-    out = {**_BUDGET_DEFAULTS, **budget}
-    for key, lowest, highest in (("n_radial", 1, MAX_RULE_SIZE),
-                                 ("n_angular", 1, math.inf),
-                                 ("kmax", 0, math.inf)):
-        value = out[key]
-        try:
-            ok = int(value) == float(value) and lowest <= int(value) <= highest
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-        if not ok:
-            raise DomainError(f"budget {key} must be an integer in "
-                              f"[{lowest}, {highest}], got {value!r}")
-        out[key] = int(value)
-    for key, highest in (("tol", math.inf), ("xi_length", math.inf),
-                         ("r_split", 1.0)):
-        try:
-            value = float(out[key])
-        except (TypeError, ValueError):
-            value = math.nan
-        if not 0.0 < value < highest:
-            raise DomainError(f"budget {key} must lie in (0, {highest}), "
-                              f"got {out[key]!r}")
-        out[key] = value
-    return out
-
-
-def isometry_check(params: ModelParams, f, budget: dict | None = None) -> dict:
+def isometry_check(params: ModelParams, f) -> dict:
     """Compare the L^2 norm of f with the Bergman-type norm of B[f].
 
     The disk-side norm integrates |B[f]|^2 (1 - |z|^2)^(sigma - 2) in polar
-    coordinates over |z| <= budget["r_split"] (default 0.995); the thin
-    boundary annulus left over is added analytically from the basis
-    expansion of B[f] (projections c_k = <f, phi_k> against exact annulus
-    norms of the Phi_k).  Near the boundary the closed-form kernel loses
-    precision at large xi, so B is evaluated here through the definitional
-    superposition B[f] = sum_k c_k Phi_k, whose pointwise agreement with the
-    closed-form kernel inside the validated cap is covered by the transform
-    test suite.  The projections come from one xi panel grid and one real
-    polynomial table.  On a ring |z| = rho every Phi_k is a phase
-    e^(i(k-m) angle) times a radial profile, so the trapezoid mean of |B|^2
-    over the ``n_angular`` equally spaced angles is summed exactly by the
-    discrete Parseval identity: the terms c_k g_k(rho) are folded by k mod
-    ``n_angular`` and the squared moduli of the folded sums added.  ``f``
-    should be representable in the span of the first ``budget["kmax"]``
-    eigenstates for the annulus term to be complete.
-
-    Budget keys, with their defaults and ranges: ``n_radial`` rings (20,
-    1..4096), ``n_angular`` angles (36, >= 1), ``kmax`` (8, >= 0), ``tol``
-    of the ||f||^2 integral (1e-8, > 0), ``r_split`` (0.995, in (0, 1)) and
-    ``xi_length`` (16, > 0).  An unknown key or a value outside its range
-    raises DomainError.
+    coordinates over |z| <= 0.995; the thin boundary annulus left over is
+    added analytically from the basis expansion of B[f] (projections
+    c_k = <f, phi_k> for k <= 8 against exact annulus norms of the Phi_k).
+    Near the boundary the closed-form kernel loses precision at large xi, so
+    B is evaluated here through the definitional superposition
+    B[f] = sum_k c_k Phi_k, whose pointwise agreement with the closed-form
+    kernel inside the validated cap is covered by the transform test suite.
+    The projections come from one xi panel grid on [0, 16] and one real
+    polynomial table.  The radial rule has 20 Gauss-Legendre rings.  On a
+    ring |z| = rho every Phi_k is a phase e^(i(k-m) angle) times a radial
+    profile, so the trapezoid mean of |B|^2 over 36 equally spaced angles is
+    summed exactly by the discrete Parseval identity: the terms
+    c_k g_k(rho) are folded by k mod 36 and the squared moduli of the folded
+    sums added.  ||f||^2 is integrated to a tolerance of 1e-8.  ``f``
+    should be representable in the span of the first 9 eigenstates for the
+    annulus term to be complete.
 
     Returns a dict with both norms, the annulus contribution and the
     relative gap.
     """
-    budget = _isometry_budget(budget)
-    n_radial, n_angular = budget["n_radial"], budget["n_angular"]
-    kmax, tol = budget["kmax"], budget["tol"]
-    r_split = budget["r_split"] ** 2
+    r_split = _R_SPLIT ** 2
     func = _as_callable(f)
     norm_f_sq, _ = integrate_halfline(
         lambda xi: np.abs(np.asarray(func(xi))) ** 2,
-        decay_scale=panel_width(params.osc), tol=tol)
+        decay_scale=panel_width(params.osc), tol=_NORM_TOL)
     norm_f_sq = float(norm_f_sq.real)
 
     # shared xi panel grid and f samples; one projection table serves both
-    # the inner region (series_k terms) and the annulus (kmax terms)
-    xi_nodes, xi_weights = xi_panel_grid(params.osc, budget["xi_length"])
+    # the inner region (series_k terms) and the annulus (its first terms)
+    xi_nodes, xi_weights = xi_panel_grid(params.osc, _XI_LENGTH)
     f_nodes = np.asarray(func(xi_nodes))
-    series_k = series_kmax_for(math.sqrt(r_split))
-    projections = project_states(max(series_k, kmax), params.osc, xi_nodes,
+    series_k = series_kmax_for(_R_SPLIT)
+    projections = project_states(series_k, params.osc, xi_nodes,
                                  xi_weights * f_nodes)
     idx = params.landau_index()
 
     # inner region: the substitution r = 1 - exp(-tau) resolves the
     # (1-r)^(sigma-2) endpoint behaviour of the integrand spectrally; on each
     # ring the angular mean of |B|^2 is (1-r)^(-2m) sum_s |sum_{k = s mod N}
-    # c_k g_k|^2 for N = n_angular
+    # c_k g_k|^2 for N = _N_ANGULAR
     sigma, m = params.sigma, params.m
-    xr, wr = leggauss(n_radial)
+    xr, wr = leggauss(_N_RADIAL)
     tau_max = -math.log(1.0 - r_split)
     tau = 0.5 * tau_max * (xr + 1.0)
     tau_w = 0.5 * tau_max * wr
     r = 1.0 - np.exp(-tau)
-    terms = (projections[:series_k + 1, None]
-             * basis_radial_profiles(series_k, idx, r))
-    # with more angles than terms no two k share a residue: fold no wider
-    fold = min(n_angular, series_k + 1)
-    terms = np.pad(terms, ((0, -len(terms) % fold), (0, 0)))
-    folded = terms.reshape(-1, fold, n_radial).sum(axis=0)
+    terms = projections[:, None] * basis_radial_profiles(series_k, idx, r)
+    terms = np.pad(terms, ((0, -len(terms) % _N_ANGULAR), (0, 0)))
+    folded = terms.reshape(-1, _N_ANGULAR, _N_RADIAL).sum(axis=0)
     mean_sq = (1.0 - r) ** (-2 * m) * np.sum(np.abs(folded) ** 2, axis=0)
     inner_sq = float(np.sum(0.5 * tau_w * np.exp(-(sigma - 1.0) * tau)
                             * 2.0 * np.pi * mean_sq))
 
     # boundary annulus from the basis expansion of B[f]
     if norm_f_sq > 0.0:
-        masses = _annulus_basis_masses(params, kmax, r_split)
-        annulus_sq = float(np.sum(np.abs(projections[:kmax + 1]) ** 2 * masses))
+        masses = _annulus_basis_masses(params, _ANNULUS_KMAX, r_split)
+        annulus_sq = float(np.sum(np.abs(projections[:_ANNULUS_KMAX + 1]) ** 2
+                                  * masses))
     else:
         annulus_sq = 0.0
 

@@ -24,7 +24,8 @@ from .disk import LandauIndex, basis_phi, landau_level
 from .errors import (DomainError, InputFormatError, NonConvergenceError,
                      RelBargmannError)
 from .oscillator import ModelParams, OscParams, eigenfunction, energy
-from .verification import SUITES, gram_table_entries, run_suite
+from .verification import (SUITE_KEYS, SUITES, gram_table_entries, run_suite,
+                           unread_keys)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -304,10 +305,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # the suites, and each suite runs its documented baseline otherwise
     config = {key: getattr(args, key) for key in _SUITE_KEYS
               if getattr(args, key) is not None}
-    if "tol" in config and not 1e-12 <= config["tol"] <= 1e-2:
-        raise ConfigError(f"tol must lie in [1e-12, 1e-2], got {config['tol']}")
     if args.suite not in SUITES:
         raise ConfigError(f"unknown suite {args.suite!r}; choose from {SUITES}")
+    unread = unread_keys(args.suite, config)
+    if unread:
+        raise ConfigError(f"suite {args.suite} does not read {', '.join(unread)}")
+    if "tol" in config and not 1e-12 <= config["tol"] <= 1e-2:
+        raise ConfigError(f"tol must lie in [1e-12, 1e-2], got {config['tol']}")
     kmax = config.get("kmax", 0)
     if kmax < 0:
         raise ConfigError("kmax must be nonnegative")
@@ -387,16 +391,18 @@ FLAGS = {
         Flag("c", float, help="oscillator parameter (isometry, m0-reduction)"),
         Flag("m", int, help="Landau level number (eigen-equation)"),
         Flag("sigma", float, help="disk weight (eigen-equation)"),
-        Flag("kmax", int, help="basis order of the Gram matrices"),
+        Flag("kmax", int, help="basis order of the Gram matrices "
+                               "(orthonormality-disk, -oscillator)"),
         Flag("k", int, help="basis index (eigen-equation)"),
-        Flag("tol", float, help="check tolerance in [1e-12, 1e-2]"),
+        Flag("tol", float,
+             help="check tolerance in [1e-12, 1e-2] (every suite)"),
         _OUT),
     "spectrum": (_C, _M, Flag("kmax", int, 5, "highest oscillator level"),
                  _FORMAT, _OUT),
 }
 
 #: verify flags that are suite parameters
-_SUITE_KEYS = ("c", "m", "sigma", "kmax", "k", "tol")
+_SUITE_KEYS = sorted(set().union(*SUITE_KEYS.values()))
 
 COMMANDS = {
     "eval": (cmd_eval, "evaluate a kernel on a grid"),

@@ -375,34 +375,6 @@ def _ray_distance(s: complex) -> float:
     return abs(s - 1.0)
 
 
-def _f5_reduction(c, d, e, m: int, ap, chi, zeta):
-    """F5 with a = a' + m as a finite combination of 2F1's at s = chi + zeta.
-
-    Expanding the (1 - zeta t)^{m-j} polynomials in the regularised
-    Kulshreshtha integrand and integrating each Euler kernel exactly gives
-
-        F5 = sum_{j<=m} sum_{l<=m-j} q_j C(m-j, l) chi^j (-zeta)^l
-             * (d)_{j+l}/(e)_{j+l} * 2F1(c + m, d + j + l; e + j + l; s)
-
-    with q_j = (-m)_j (a'-c)_j / ((a')_j j!).  For m = 0 this is the familiar
-    collapse F5 = 2F1(c, d; e; chi + zeta).
-    """
-    s = complex(chi) + complex(zeta)
-    total = 0.0
-    qj = np.ones(np.shape(c), dtype=complex)
-    dj_over_ej = np.ones(np.shape(d), dtype=complex)
-    for j in range(m + 1):
-        inner = qj * complex(chi) ** j * dj_over_ej
-        for l in range(m - j + 1):
-            coef = inner * math.comb(m - j, l) * (-complex(zeta)) ** l
-            val = gauss_2f1_vec(c + m, d + j + l, e + j + l, s)
-            total = total + coef * val
-            inner = inner * (d + j + l) / (e + j + l)
-        qj = qj * (-m + j) * (ap - c + j) / ((ap + j) * (j + 1))
-        dj_over_ej = dj_over_ej * (d + j) / (e + j)
-    return total
-
-
 def _logit_panel_integral(exp0, exp1, smooth, extra_freq: float = 0.0):
     """Evaluate int_0^1 t^(exp0-1) (1-t)^(exp1-1) smooth(t) dt.
 
@@ -527,15 +499,38 @@ def kdf_f5(args: F5Args) -> complex:
 
 
 def f5_kernel_vec(c, d, e, m: int, ap, chi, zeta) -> np.ndarray:
-    """Vectorised F5 reduction over arrays of (c, d) with a - a' = m.
+    """Vectorised F5 reduction over arrays of (c, d) with a = a' + m.
 
     Exposed for the coherent-state and transform kernels, where c and d carry
     a whole vector of spectral points and (chi, zeta) are fixed by the disk
     label.  Requires min(|s|, |s/(s-1)|) < 1 for s = chi + zeta.
+
+    Expanding the (1 - zeta t)^{m-j} polynomials in the regularised
+    Kulshreshtha integrand and integrating each Euler kernel exactly gives
+    F5 as a finite combination of 2F1's at s:
+
+        F5 = sum_{j<=m} sum_{l<=m-j} q_j C(m-j, l) chi^j (-zeta)^l
+             * (d)_{j+l}/(e)_{j+l} * 2F1(c + m, d + j + l; e + j + l; s)
+
+    with q_j = (-m)_j (a'-c)_j / ((a')_j j!).  For m = 0 this is the familiar
+    collapse F5 = 2F1(c, d; e; chi + zeta).
     """
     c = np.asarray(c, dtype=complex)
     d = np.asarray(d, dtype=complex)
+    e, ap = complex(e), complex(ap)
     s = complex(chi) + complex(zeta)
     if _ray_distance(s) < 1e-12:
         raise DomainError("F5 kernel needs chi + zeta off the ray [1, oo)")
-    return _f5_reduction(c, d, complex(e), m, complex(ap), chi, zeta)
+    total = 0.0
+    qj = np.ones(np.shape(c), dtype=complex)
+    dj_over_ej = np.ones(np.shape(d), dtype=complex)
+    for j in range(m + 1):
+        inner = qj * complex(chi) ** j * dj_over_ej
+        for l in range(m - j + 1):
+            coef = inner * math.comb(m - j, l) * (-complex(zeta)) ** l
+            val = gauss_2f1_vec(c + m, d + j + l, e + j + l, s)
+            total = total + coef * val
+            inner = inner * (d + j + l) / (e + j + l)
+        qj = qj * (-m + j) * (ap - c + j) / ((ap + j) * (j + 1))
+        dj_over_ej = dj_over_ej * (d + j) / (e + j)
+    return total

@@ -14,7 +14,6 @@ maps those cases onto admissible parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,23 +22,6 @@ from .hypergeom import (_nonpos_int, _terminating_2f1,
                         hyp3f2_terminating_unit, pochhammer)
 
 _REAL_TRUNC = 1e-12
-
-
-@dataclass(frozen=True)
-class JacobiParams:
-    """Degree, parameters and argument of a Jacobi polynomial."""
-
-    n: int
-    alpha: float
-    beta: float
-    x: complex
-
-    def __post_init__(self):
-        if self.n < 0 or self.n != int(self.n):
-            raise DomainError("Jacobi degree must be a nonnegative integer")
-
-    def evaluate(self) -> complex:
-        return jacobi_p(self.n, self.alpha, self.beta, self.x)
 
 
 def _jacobi_series(n: int, alpha, beta, x) -> complex:

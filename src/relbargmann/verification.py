@@ -122,8 +122,7 @@ def _reproducing_composition(idx: LandauIndex, z: complex, zp: complex) -> compl
         profile = overlap(idx, z, w) * np.conj(overlap(idx, zp, w))
         return profile * (1.0 - np.abs(w) ** 2) ** (-(sigma - 2.0 * m))
 
-    val = integrate_disk(g, sigma - 2 * m - 2.0, tol=1e-9,
-                         n_radial=96, n_angular=128, max_doublings=2)
+    val = integrate_disk(g, sigma - 2 * m - 2.0)
     return val * (sigma - 2 * m - 1.0) / math.pi
 
 
@@ -338,18 +337,46 @@ _SUITE_FUNCS = {
     "m0-reduction": suite_m0_reduction,
 }
 
+#: the config keys each suite reads
+SUITE_KEYS = {
+    "orthonormality-disk": ("kmax", "tol"),
+    "orthonormality-oscillator": ("kmax", "tol"),
+    "overlap": ("tol",),
+    "resolution": ("tol",),
+    "eigen-equation": ("sigma", "m", "k", "tol"),
+    "srivastava-rao": ("tol",),
+    "saran": ("tol",),
+    "f5-reductions": ("tol",),
+    "isometry": ("c", "tol"),
+    "m0-reduction": ("c", "tol"),
+}
+
+
+def _suite_names(suite: str) -> list[str]:
+    if suite == "all":
+        return list(_SUITE_FUNCS)
+    if suite in _SUITE_FUNCS:
+        return [suite]
+    raise DomainError(f"unknown suite {suite!r}; choose from {SUITES}")
+
+
+def unread_keys(suite: str, config) -> list[str]:
+    """The keys of ``config`` that no suite run by ``suite`` reads, sorted."""
+    read = set().union(*(SUITE_KEYS[name] for name in _suite_names(suite)))
+    return sorted(set(config) - read)
+
 
 def run_suite(suite: str, config: dict | None = None) -> dict:
-    """Run one named suite (or ``all``) and return the JSON-ready report."""
+    """Run one named suite (or ``all``) and return the JSON-ready report.
+
+    Raises DomainError for an unknown suite or a config key it does not read.
+    """
     config = dict(config or {})
-    if suite == "all":
-        names = [n for n in SUITES if n != "all"]
-    elif suite in _SUITE_FUNCS:
-        names = [suite]
-    else:
-        raise DomainError(f"unknown suite {suite!r}; choose from {SUITES}")
+    unread = unread_keys(suite, config)
+    if unread:
+        raise DomainError(f"suite {suite} does not read {', '.join(unread)}")
     checks = []
-    for name in names:
+    for name in _suite_names(suite):
         checks.extend(_SUITE_FUNCS[name](config))
     return {
         "suite": suite,

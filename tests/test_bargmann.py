@@ -19,7 +19,7 @@ from relbargmann.coherent import (CoherentLabel, cs_wavefunction_oracle,
                                   normalization, transform_kernel)
 from relbargmann.disk import basis_phi, wirtinger_dzbar_fd
 from relbargmann.errors import (DomainError, InputFormatError,
-                                NonConvergenceError, RelBargmannError)
+                                RelBargmannError)
 from relbargmann.hypergeom import gauss_2f1_vec
 from relbargmann.orthopoly import laguerre_l
 from relbargmann.oscillator import ModelParams, OscParams
@@ -436,22 +436,27 @@ class TestIsometry:
         rep = isometry_check(ModelParams(osc, 1), oscillator_mode(1, osc))
         assert rep["relative_gap"] < 1e-4
 
+    def test_takes_no_budget(self):
+        osc = OscParams(1.0)
+        with pytest.raises(TypeError):
+            isometry_check(ModelParams(osc, 0), oscillator_mode(0, osc), {})
 
-def point_loop_isometry(params, f, budget=None):
+
+def point_loop_isometry(params, f):
     """Reference: the polar grid summed point by point, with B at every one
-    of the n_radial * n_angular points from a full basis stack and the
-    projections from complex state tables.  Returns (norm_Bf_sq, annulus_sq).
+    of the rings times angles points from a full basis stack and the
+    projections from complex state tables.  Reads the rule's constants from
+    ``bargmann``, so a test that patches one changes both sides.  Returns
+    (norm_Bf_sq, annulus_sq).
     """
     from relbargmann.coherent import series_kmax_for
     from relbargmann.disk import basis_phi_batch
     from relbargmann.oscillator import eigenfunction_batch
 
-    budget = budget or {}
-    n_radial = int(budget.get("n_radial", 20))
-    n_angular = int(budget.get("n_angular", 36))
-    kmax = int(budget.get("kmax", 8))
-    r_split = float(budget.get("r_split", 0.995)) ** 2
-    xi_len = float(budget.get("xi_length", 16.0))
+    n_radial, n_angular = bargmann._N_RADIAL, bargmann._N_ANGULAR
+    kmax = bargmann._ANNULUS_KMAX
+    r_split = bargmann._R_SPLIT ** 2
+    xi_len = bargmann._XI_LENGTH
     width = max(params.gamma / math.pi, 0.25)
     n_panels = int(math.ceil(xi_len / width))
     xg, wg = leggauss(32)
@@ -491,9 +496,9 @@ def mode_mix(osc, weights):
 class TestIsometryRings:
     MIX = (0.5, 0.6 - 0.3j, 0.2 + 0.5j)
 
-    def assert_matches_point_loop(self, params, f, budget=None):
-        rep = isometry_check(params, f, budget)
-        want_norm, want_annulus = point_loop_isometry(params, f, budget)
+    def assert_matches_point_loop(self, params, f):
+        rep = isometry_check(params, f)
+        want_norm, want_annulus = point_loop_isometry(params, f)
         assert abs(rep["norm_Bf_sq"] - want_norm) <= 1e-12 * want_norm
         assert abs(rep["annulus_sq"] - want_annulus) <= 1e-12 * want_annulus
         return rep
@@ -504,26 +509,14 @@ class TestIsometryRings:
         params = ModelParams(OscParams(c), m)
         self.assert_matches_point_loop(params, mode_mix(params.osc, self.MIX))
 
-    def test_odd_angle_count(self):
-        params = ModelParams(OscParams(1.0), 1)
-        self.assert_matches_point_loop(params, mode_mix(params.osc, self.MIX),
-                                       {"n_angular": 35})
-
-    @pytest.mark.parametrize("m", [0, 2])
-    def test_annulus_modes_past_series_order(self, m):
-        # r_split^2 = 0.2 gives series_k = 60 < kmax
-        params = ModelParams(OscParams(1.0), m)
-        self.assert_matches_point_loop(
-            params, mode_mix(params.osc, self.MIX),
-            {"n_angular": 128, "kmax": 80, "r_split": math.sqrt(0.2)})
-
-    def test_angular_aliasing_is_kept(self):
+    def test_angular_aliasing_is_kept(self, monkeypatch):
         # phi_0 and phi_8 share a residue mod 8, so the 8-angle rule adds
         # their cross term; a per-mode Parseval sum would give 0.76502
+        monkeypatch.setattr(bargmann, "_N_ANGULAR", 8)
         params = ModelParams(OscParams(2.0), 0)
         f = mode_mix(params.osc, [1.0 / math.sqrt(2.0)] + [0.0] * 7
                      + [1.0 / math.sqrt(2.0)])
-        rep = self.assert_matches_point_loop(params, f, {"n_angular": 8})
+        rep = self.assert_matches_point_loop(params, f)
         assert abs(rep["norm_Bf_sq"] - 0.91358) < 1e-5
 
     @pytest.mark.parametrize("c, m", [(0.6, 2), (1.0, 1)])
@@ -538,23 +531,3 @@ class TestIsometryRings:
         finally:
             tracemalloc.stop()
         assert peak < 128 * 2 ** 20
-
-    def test_long_xi_length_raises_instead_of_nan(self):
-        # the projections up to series_k overflow at xi ~ 455 (see
-        # test_overflowing_projections_raise); the gap was NaN before
-        osc = OscParams(1.0)
-        with pytest.raises(NonConvergenceError):
-            isometry_check(ModelParams(osc, 0), oscillator_mode(1, osc),
-                           {"xi_length": 500.0})
-
-    @pytest.mark.parametrize("budget", [
-        {"r_split": 1.0}, {"r_split": 1.5}, {"r_split": 0.0},
-        {"r_split": float("nan")}, {"n_angular": 0}, {"n_angular": -3},
-        {"n_angular": 2.5}, {"n_radial": 0}, {"n_radial": 5000},
-        {"kmax": -1}, {"kmax": "eight"}, {"xi_length": float("nan")},
-        {"xi_length": 0.0}, {"tol": 0.0}, {"tol": float("inf")},
-        {"n_angle": 36}])
-    def test_bad_budget_raises_domain_error(self, budget):
-        osc = OscParams(1.0)
-        with pytest.raises(DomainError):
-            isometry_check(ModelParams(osc, 0), oscillator_mode(0, osc), budget)

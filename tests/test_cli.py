@@ -333,6 +333,29 @@ class TestEval:
         assert run(argv + ["--xi", "1,2,3,4"]) == 0
         assert run(argv + ["--xi", "1,2,3,4,5"]) == 2
 
+    def test_unread_key_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        code = run(["verify", "--suite", "srivastava-rao", "--kmax", "3",
+                    "--c", "2", "--sigma", "9", "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            "config error: suite srivastava-rao does not read c, kmax, sigma\n")
+
+    def test_unread_key_from_file_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k=2\n")
+        out = tmp_path / "rep.json"
+        code = run(["verify", "--suite", "orthonormality-disk", "--config",
+                    str(cfg), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_all_reads_every_given_key(self, tmp_path):
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--suite", "all", "--c", "2", "--kmax", "3",
+                    "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"] == {"c": 2.0, "kmax": 3}
+
     def test_determinism(self, tmp_path):
         args = ["eval", "--function", "cs_wavefunction", "--c", "1",
                 "--m", "0", "--grid", "0.25,0.1+0.2j", "--xi", "0.5,1"]
@@ -393,9 +416,9 @@ def test_gram_table_limit_boundary(tmp_path, monkeypatch, suite):
     argv = ["verify", "--suite", suite, "--out", str(tmp_path / "r.json")]
     assert run(argv + ["--kmax", "2"]) == 0
     assert run(argv + ["--kmax", "3"]) == 2
-    # a suite that builds no Gram table ignores --kmax
+    # a suite that builds no Gram table does not read --kmax
     assert run(["verify", "--suite", "srivastava-rao", "--kmax", "3",
-                "--out", str(tmp_path / "s.json")]) == 0
+                "--out", str(tmp_path / "s.json")]) == 2
 
 
 def test_import_leaves_out_scipy_interpolate():
@@ -583,7 +606,7 @@ class TestSharedParser:
         cfg_c = tmp_path / "c.cfg"
         cfg_c.write_text("c=2\nm=1\nformat=json\n")
         cfg_v = tmp_path / "v.cfg"
-        cfg_v.write_text("c=2\nm=1\ntol=1e-9\n")
+        cfg_v.write_text("tol=1e-9\n")
         out = tmp_path / "o"
         calls = [
             ["eval", "--function", "basis_phi", "--grid", "0.3",
@@ -663,6 +686,29 @@ class TestVerify:
         code = run(["verify", "--suite", "nope",
                     "--out", str(tmp_path / "rep.json")])
         assert code == 2
+
+    def test_unread_key_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        code = run(["verify", "--suite", "srivastava-rao", "--kmax", "3",
+                    "--c", "2", "--sigma", "9", "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err == (
+            "config error: suite srivastava-rao does not read c, kmax, sigma\n")
+
+    def test_unread_key_from_file_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k=2\n")
+        out = tmp_path / "rep.json"
+        code = run(["verify", "--suite", "orthonormality-disk", "--config",
+                    str(cfg), "--out", str(out)])
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_all_reads_every_given_key(self, tmp_path):
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--suite", "all", "--c", "2", "--kmax", "3",
+                    "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"] == {"c": 2.0, "kmax": 3}
 
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relbargmann import cli
-from relbargmann.verification import SUITES
+from relbargmann.verification import SUITE_KEYS, SUITES, unread_keys
 
 #: valid values of each flag; ``out`` and ``input`` name files in a scratch
 #: directory
@@ -30,6 +30,10 @@ VALUES = {
     "input": ("f.csv", "g.csv"), "suite": SUITES, "kmax": (0, 2, 4),
     "tol": (1e-10, 1e-6, 1e-3),
 }
+
+
+#: the keys verify hands to its suites
+SUITE_PARAMS = ("c", "m", "sigma", "kmax", "k", "tol")
 
 
 def spellings(command: str, name: str) -> list[str]:
@@ -91,19 +95,21 @@ def test_flag_beats_file_beats_default(data, command):
             assert getattr(args, flag.name) == expected
 
         if command == "verify":
-            # the suites get exactly the keys given by flag or file
+            # the suites get exactly the keys given by flag or file, and a
+            # given key that the suite does not read is a config error
             seen = []
 
             def fake_run_suite(suite, config):
                 seen.append(dict(config))
                 return {"pass": True, "checks": [], "config": config}
 
+            given = {key: want[key] for key in SUITE_PARAMS if key in want}
+            unread = unread_keys(want["suite"], given)
             with mock.patch.object(cli, "run_suite", fake_run_suite), \
-                    contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(argv) == 0
-            given_keys = {key for key in ("c", "m", "sigma", "kmax", "k", "tol")
-                          if key in want}
-            assert seen == [{key: want[key] for key in given_keys}]
+                    contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(argv) == (2 if unread else 0)
+            assert seen == ([] if unread else [given])
 
 
 # ---------------------------------------------------------------------------
@@ -199,5 +205,60 @@ def test_fuzz_typed_exit_and_finite_output(case):
         if code == 0:
             fmt = argv[3].split("=", 1)[1]
             assert _all_finite(out.read_text(), fmt)
+        else:
+            assert not out.exists()
+
+
+#: verify's suites short enough to fuzz: ``isometry`` and ``m0-reduction``
+#: take about a second a run, and ``all`` holds them
+FUZZ_SUITES = [s for s in SUITES if s not in ("isometry", "m0-reduction", "all")]
+#: each suite parameter inside and outside its range; kmax stays <= 8
+PARAM_VALUES = {
+    "c": st.one_of(st.floats(0.05, 5.0),
+                   st.sampled_from([0.0, -1.0, math.inf, math.nan])),
+    "m": st.integers(-2, 3),
+    "sigma": st.one_of(st.floats(-1.0, 12.0), st.just(math.nan)),
+    "kmax": st.integers(-2, 8),
+    "k": st.integers(-2, 8),
+    "tol": st.one_of(st.floats(1e-12, 1e-2), st.floats(1e-13, 1.0),
+                     st.sampled_from([0.0, -1e-6, math.nan, math.inf])),
+}
+
+
+@st.composite
+def verify_case(draw):
+    """A suite and a random subset of the suite parameters with values: of
+    the keys the suite reads, and in one case out of four of any key."""
+    suite = draw(st.sampled_from(FUZZ_SUITES))
+    keys = draw(st.sets(st.sampled_from(SUITE_KEYS[suite])))
+    if draw(st.integers(0, 3)) == 0:
+        keys |= draw(st.sets(st.sampled_from(SUITE_PARAMS), min_size=1))
+    return suite, {key: draw(PARAM_VALUES[key]) for key in sorted(keys)}
+
+
+@settings(max_examples=25, deadline=timedelta(seconds=30), database=None)
+@given(case=verify_case())
+def test_fuzz_verify_typed_exit_and_given_config(case):
+    suite, given = case
+    argv = ["verify", f"--suite={suite}"]
+    argv += [f"--{key}={value!r}" for key, value in given.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), \
+                contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = cli.main(argv + [f"--out={out}"])
+            except SystemExit as usage:  # argparse usage error
+                code = usage.code
+        assert code in (0, 1, 2, 3, 4), (code, stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue()
+        if set(given) - set(SUITE_KEYS[suite]):
+            assert code == 2, stderr.getvalue()
+        if code in (0, 1):
+            # NaN is compared through its JSON spelling
+            config = json.loads(out.read_text())["config"]
+            assert (json.dumps(config, sort_keys=True)
+                    == json.dumps(given, sort_keys=True))
         else:
             assert not out.exists()

@@ -122,10 +122,9 @@ class TestBasis:
         idx = LandauIndex(sigma, 0)
         off = integrate_disk(
             lambda z: np.conj(basis_phi(0, idx, z)) * basis_phi(1, idx, z),
-            sigma - 2.0, tol=1e-12)
+            sigma - 2.0)
         diag = integrate_disk(
-            lambda z: np.abs(basis_phi(1, idx, z)) ** 2, sigma - 2.0,
-            tol=1e-10)
+            lambda z: np.abs(basis_phi(1, idx, z)) ** 2, sigma - 2.0)
         assert abs(off) < 1e-12
         assert abs(diag - 1.0) < 1e-10
 

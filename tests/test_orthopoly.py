@@ -7,9 +7,8 @@ import pytest
 
 from relbargmann.errors import DomainError
 from relbargmann.hypergeom import ln_gamma
-from relbargmann.orthopoly import (JacobiParams, cdhahn_normalized_batch,
-                                   cdhahn_s, jacobi_connection, jacobi_p,
-                                   laguerre_l)
+from relbargmann.orthopoly import (cdhahn_normalized_batch, cdhahn_s,
+                                   jacobi_connection, jacobi_p, laguerre_l)
 from relbargmann.quadrature import integrate_halfline
 
 
@@ -107,11 +106,9 @@ class TestJacobi:
         ref = jacobi_recurrence(3, -2.0 + 1e-10, -1.0 + 1e-10, 0.4)
         assert abs(val - ref) < 1e-6
 
-    def test_params_dataclass(self):
-        p = JacobiParams(n=2, alpha=0.5, beta=1.5, x=0.3)
-        assert abs(p.evaluate() - jacobi_p(2, 0.5, 1.5, 0.3)) == 0.0
+    def test_negative_degree_raises(self):
         with pytest.raises(DomainError):
-            JacobiParams(n=-1, alpha=0.0, beta=0.0, x=0.0)
+            jacobi_p(-1, 0.0, 0.0, 0.0)
 
 
 class TestLaguerre:

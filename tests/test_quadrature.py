@@ -124,26 +124,8 @@ def test_halfline_gamma_ratio_weight():
     val, _ = integrate_halfline(f, decay_scale=0.5, tol=1e-10)
     assert abs(val.real - GAMMA_RATIO_HALFLINE) < 1e-8 * GAMMA_RATIO_HALFLINE
     # step-halving reference run: finer panels agree
-    ref, _ = integrate_halfline(f, decay_scale=0.25, tol=1e-11, nodes=32)
+    ref, _ = integrate_halfline(f, decay_scale=0.25, tol=1e-11)
     assert abs(val - ref) < 1e-8 * abs(ref)
-
-
-def test_halfline_error_estimate_shrinks_with_nodes():
-    from scipy.special import loggamma
-
-    def f(x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        pos = x > 0
-        out[pos] = np.exp(4.0 * loggamma(1.6 + 1j * x[pos]).real
-                          - 2.0 * loggamma(1j * x[pos]).real)
-        return out
-
-    _, err_coarse = integrate_halfline(f, decay_scale=1.0, tol=1e-6, nodes=6,
-                                       max_bisect=0)
-    _, err_fine = integrate_halfline(f, decay_scale=1.0, tol=1e-6, nodes=12,
-                                     max_bisect=0)
-    assert err_fine < err_coarse
 
 
 def test_halfline_nonconvergence():
@@ -181,12 +163,12 @@ def test_halfline_fixed_layout_is_linear():
 
 def test_disk_constant_weight_mass():
     sigma = 4.0
-    val = integrate_disk(lambda z: np.ones(z.shape), sigma - 2.0, tol=1e-12)
+    val = integrate_disk(lambda z: np.ones(z.shape), sigma - 2.0)
     assert abs(val - math.pi / (sigma - 1.0)) < 1e-12
 
 
 def test_disk_angular_symmetry():
-    val = integrate_disk(lambda z: z, 2.0, tol=1e-12)
+    val = integrate_disk(lambda z: z, 2.0)
     assert abs(val) < 1e-14
 
 
