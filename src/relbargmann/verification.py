@@ -369,12 +369,16 @@ def unread_keys(suite: str, config) -> list[str]:
 def run_suite(suite: str, config: dict | None = None) -> dict:
     """Run one named suite (or ``all``) and return the JSON-ready report.
 
-    Raises DomainError for an unknown suite or a config key it does not read.
+    Raises DomainError for an unknown suite, a config key it does not read,
+    or a tolerance outside (0, inf): at 0 every check fails, at inf every
+    check passes.
     """
     config = dict(config or {})
     unread = unread_keys(suite, config)
     if unread:
         raise DomainError(f"suite {suite} does not read {', '.join(unread)}")
+    if "tol" in config and not 0.0 < float(config["tol"]) < math.inf:
+        raise DomainError(f"tol must lie in (0, inf), got {config['tol']!r}")
     checks = []
     for name in _suite_names(suite):
         checks.extend(_SUITE_FUNCS[name](config))

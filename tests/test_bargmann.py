@@ -531,3 +531,18 @@ class TestIsometryRings:
         finally:
             tracemalloc.stop()
         assert peak < 128 * 2 ** 20
+
+    @pytest.mark.parametrize("budget", [
+        {"r_split": 1.0}, {"r_split": 1.5}, {"r_split": 0.0},
+        {"r_split": float("nan")}, {"n_angular": 0}, {"n_angular": -3},
+        {"n_angular": 2.5}, {"n_radial": 0}, {"n_radial": 5000},
+        {"kmax": -1}, {"kmax": "eight"}, {"xi_length": float("nan")},
+        {"xi_length": 0.0}, {"tol": 0.0}, {"tol": float("inf")},
+        {"n_angle": 36}])
+    def test_bad_budget_raises_domain_error(self, budget):
+        # the rule is fixed, so the isometry suite's config is the only
+        # budget a caller can hand it: a rule key is refused rather than
+        # ignored, and a tolerance that fails or passes everything is refused
+        from relbargmann.verification import run_suite
+        with pytest.raises(DomainError):
+            run_suite("isometry", budget)
