@@ -20,11 +20,11 @@ Transforms are evaluated at one disk point per call against either a
 callable f(xi) (vectorised over ndarray) or a :class:`SampledFunction`,
 which is interpolated by a cubic spline and taken as zero outside its grid.
 The xi quadrature uses a panel layout fixed by the parameters alone, so the
-transforms are exactly linear in f.  Since every node of that layout is
-known in advance, the integrand (f times the kernel) is evaluated in one
-call per block of up to ``LAYOUT_BLOCK_NODES`` nodes rather than once per
-panel.  f is evaluated on a block first, and the kernel only at the nodes
-where f is non-zero; the integrand is an exact zero at the others.  For a
+transforms are exactly linear in f.  It ends at ``oscillator.XI_LENGTH``
+= 40 for every c, which takes at most 126 panels of width gamma/pi, and
+the integrand (f times the kernel) is evaluated in one call on all of its
+nodes.  f is evaluated first, and the kernel only at the nodes where f is
+non-zero; the integrand is an exact zero at the others.  For a
 :class:`SampledFunction` that keeps the kernel inside the sample grid, away
 from the large xi where its series is dearest.  The layout, and so every
 result, is the same as with the kernel evaluated at every node.
@@ -44,15 +44,11 @@ from .coherent import _check_kernel_domain, series_kmax_for, transform_kernel
 from .disk import basis_radial_profiles, check_disk
 from .errors import DomainError, InputFormatError
 from .hypergeom import gauss_2f1_vec
-from .oscillator import (ModelParams, OscParams, eigenfunction_batch,
-                         panel_width, project_states, xi_panel_grid)
+from .oscillator import (XI_LENGTH, ModelParams, OscParams,
+                         eigenfunction_batch, panel_width, project_states,
+                         xi_panel_grid)
 from .quadrature import (_COARSE_RULE, _FINE_RULE, integrate_halfline,
                          jacobi_rule_01)
-
-#: most xi nodes passed to the integrand in one call; one block holds the
-#: whole layout for every c >= 0.525, and blocks bound the memory of the long
-#: layouts near c = 1/e
-LAYOUT_BLOCK_NODES = 16384
 
 
 def __getattr__(name):
@@ -136,12 +132,6 @@ def _as_callable(f):
     raise InputFormatError("f must be callable or a SampledFunction")
 
 
-def xi_cutoff(c: float) -> float:
-    """Truncation point of the xi integration; the kernel tail beyond it is
-    below 1e-12 of the integral for c near 1."""
-    return max(40.0, 40.0 / min(1.0, math.log(math.e * c)))
-
-
 def classical_bargmann(sigma: float, f, z):
     """Laguerre-kernel Bargmann transform of f at the disk point z.
 
@@ -166,38 +156,33 @@ def classical_bargmann(sigma: float, f, z):
 
 
 def _integrate_fixed_layout(integrand, params: ModelParams):
-    """Integrate ``integrand`` over [0, xi_cutoff(c)] on the fixed panel layout.
+    """Integrate ``integrand`` over [0, XI_LENGTH] on the fixed panel layout.
 
-    Panels of ``oscillator.panel_width`` (the last one cut at the cutoff)
-    each carry the 16-point and the 32-point Gauss-Legendre rule.  Both rules
-    of up to ``LAYOUT_BLOCK_NODES`` nodes go to ``integrand`` in one call;
-    nodes are built a block at a time, never for the whole layout.
+    Panels of ``oscillator.panel_width`` (the last one cut at XI_LENGTH)
+    each carry the 16-point and the 32-point Gauss-Legendre rule; both rules
+    of every panel go to ``integrand`` in one call.
 
     Returns ``(value, err_estimate)``: the sums over panels, in panel order,
     of the 32-point values and of their distances from the 16-point values.
     """
-    width, length = panel_width(params.osc), xi_cutoff(params.osc.c)
-    n_panels = math.ceil(length / width)
+    width = panel_width(params.osc)
+    n_panels = math.ceil(XI_LENGTH / width)
     (xc, wc), (xf, wf) = _COARSE_RULE, _FINE_RULE
     rule = np.concatenate([xc, xf])
-    per_block = max(1, LAYOUT_BLOCK_NODES // len(rule))
+    # edges by repeated addition of the width, as a panel walk makes them
+    edges = np.minimum(np.cumsum(np.r_[0.0, np.full(n_panels, width)]),
+                       XI_LENGTH)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = mid[:, None] + half[:, None] * rule
+    vals = np.asarray(integrand(nodes.ravel())).reshape(n_panels, len(rule))
+    coarse = half * np.sum(wc * vals[:, :len(xc)], axis=1)
+    fine = half * np.sum(wf * vals[:, len(xc):], axis=1)
     total = 0.0 + 0.0j
     err_total = 0.0
-    lo = 0.0
-    for start in range(0, n_panels, per_block):
-        count = min(per_block, n_panels - start)
-        # edges by repeated addition of the width, as a panel walk makes them
-        edges = np.minimum(np.cumsum(np.r_[lo, np.full(count, width)]), length)
-        lo = edges[-1]
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        nodes = mid[:, None] + half[:, None] * rule
-        vals = np.asarray(integrand(nodes.ravel())).reshape(count, len(rule))
-        coarse = half * np.sum(wc * vals[:, :len(xc)], axis=1)
-        fine = half * np.sum(wf * vals[:, len(xc):], axis=1)
-        for value, coarse_value in zip(fine.tolist(), coarse.tolist()):
-            total += value
-            err_total += abs(value - coarse_value)
+    for value, coarse_value in zip(fine.tolist(), coarse.tolist()):
+        total += value
+        err_total += abs(value - coarse_value)
     return total, err_total
 
 
@@ -233,12 +218,13 @@ def relativistic_transform(params: ModelParams, f, z, with_error: bool = False):
     """Coherent-state Bargmann-type transform B[f] at the disk point z.
 
     B[f](z) = N(z)^(1/2) integral_0^inf f(xi) conj(<xi|z>) dxi, with the
-    closed-form F5 kernel, on the fixed panel layout to ``xi_cutoff(c)``.
-    The layout depends only on the model parameters, never on f, and there
-    is no tolerance to set; the kernel is evaluated only at the nodes where
-    f is non-zero.  Returns B[f](z), or ``(value, err_estimate)`` with
-    ``with_error``: the estimate is the sum over the panels of the distance
-    between the 32-point and the 16-point Gauss-Legendre values.
+    closed-form F5 kernel, on the fixed panel layout cut at xi = 40
+    (``XI_LENGTH``) for every c.  The layout depends only on the model
+    parameters, never on f, and there is no tolerance to set; the kernel is
+    evaluated only at the nodes where f is non-zero.  Returns B[f](z), or
+    ``(value, err_estimate)`` with ``with_error``: the estimate is the sum
+    over the panels of the distance between the 32-point and the 16-point
+    Gauss-Legendre values.
     """
     return _transform_on_layout(
         params, f, z,

@@ -16,8 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .bargmann import (LAYOUT_BLOCK_NODES, SampledFunction,
-                       relativistic_transform_grid)
+from .bargmann import SampledFunction, relativistic_transform_grid
 from .coherent import (KERNEL_RMAX, CoherentLabel, cs_wavefunction,
                        overlap, transform_kernel)
 from .disk import LandauIndex, basis_phi, landau_level
@@ -40,6 +39,10 @@ EVAL_FUNCTIONS = ("basis_phi", "eigenfunction", "cs_wavefunction", "overlap",
 #: most points a ``mesh:`` or ``lin:`` spec may hold, and most (z, xi) pairs
 #: one ``eval`` request may tabulate; checked before anything is allocated
 MAX_GRID_POINTS = 1_000_000
+
+#: most values one vector call of ``eval`` computes: xi or z per call, or
+#: entries of the eigenfunction table
+LAYOUT_BLOCK_NODES = 16384
 
 
 class ConfigError(Exception):

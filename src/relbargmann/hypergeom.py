@@ -33,10 +33,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import loggamma
 
 from .errors import DomainError, NonConvergenceError, PoleError
+from .quadrature import _COARSE_RULE
 
 _EPS = float(np.finfo(float).eps)
 MAX_SERIES_TERMS = 10_000
@@ -396,7 +396,7 @@ def _logit_panel_integral(exp0, exp1, smooth, extra_freq: float = 0.0):
 
     def estimate(h):
         edges = np.arange(-span_neg, span_pos + h, h)
-        xg, wg = leggauss(16)
+        xg, wg = _COARSE_RULE
         mids = 0.5 * (edges[1:] + edges[:-1])
         halves = 0.5 * np.diff(edges)
         v = (mids[:, None] + halves[:, None] * xg[None, :]).ravel()

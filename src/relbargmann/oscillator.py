@@ -20,11 +20,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln, loggamma
 
 from .errors import DomainError, NonConvergenceError
 from .orthopoly import cdhahn_normalized_batch
+from .quadrature import _FINE_RULE
 
 
 def gamma_of_c(c: float) -> float:
@@ -82,13 +82,13 @@ def energy(k: int, osc: OscParams) -> float:
     return 2.0 * k + 2.0 * osc.gamma
 
 
-#: end of the xi panels on which ``oscillator_gram`` integrates
-GRAM_XI_LENGTH = 40.0
+#: end of the xi layouts of the transforms and of ``oscillator_gram``
+XI_LENGTH = 40.0
 
 
 def panel_width(osc: OscParams) -> float:
-    """Width max(gamma/pi, 0.25) of the xi panels of every layout in xi."""
-    return max(osc.gamma / math.pi, 0.25)
+    """Width gamma/pi > 1/pi of the xi panels of every layout in xi."""
+    return osc.gamma / math.pi
 
 
 def xi_panel_grid(osc: OscParams, length: float) -> tuple[np.ndarray, np.ndarray]:
@@ -96,7 +96,7 @@ def xi_panel_grid(osc: OscParams, length: float) -> tuple[np.ndarray, np.ndarray
     ceil(length / width) panels of ``panel_width(osc)`` from xi = 0."""
     width = panel_width(osc)
     n_panels = int(math.ceil(length / width))
-    xg, wg = leggauss(32)
+    xg, wg = _FINE_RULE
     mids = width * (np.arange(n_panels) + 0.5)
     nodes = (mids[:, None] + 0.5 * width * xg[None, :]).ravel()
     weights = np.tile(0.5 * width * wg, n_panels)
@@ -203,12 +203,12 @@ def eigenfunction(k: int, osc: OscParams, xi):
 
 def oscillator_gram(osc: OscParams, kmax: int) -> np.ndarray:
     """Gram matrix of {phi_k}_{k<=kmax} on L^2(0, inf): the one product
-    S W S^H of the table S of phi_k on ``xi_panel_grid(osc, GRAM_XI_LENGTH)``
+    S W S^H of the table S of phi_k on ``xi_panel_grid(osc, XI_LENGTH)``
     and its weights W.  The cut at xi = 40 resolves kmax = 10 to 1.3e-13 at
     c <= 1 and 1.3e-10 at c = 2, but the tails past 40 grow with k and c.
     """
     if kmax < 0 or kmax != int(kmax):
         raise DomainError("Gram order kmax must be a nonnegative integer")
-    xi, weights = xi_panel_grid(osc, GRAM_XI_LENGTH)
+    xi, weights = xi_panel_grid(osc, XI_LENGTH)
     table = eigenfunction_batch(int(kmax), osc, xi)
     return (table * weights) @ table.conj().T

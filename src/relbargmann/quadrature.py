@@ -71,7 +71,9 @@ def jacobi_rule_01(n: int, exp_at_0: float, exp_at_1: float) -> QuadratureRule:
 
 #: embedded Gauss-Legendre pair on every half-line panel, here and in the
 #: transforms' fixed layout: the 32-point rule gives the value, its
-#: difference from the 16-point rule the error estimate
+#: difference from the 16-point rule the error estimate.  The 32-point rule
+#: alone makes ``oscillator.xi_panel_grid``, the 16-point rule the panels of
+#: ``hypergeom._logit_panel_integral``
 _COARSE_RULE = leggauss(16)
 _FINE_RULE = leggauss(32)
 

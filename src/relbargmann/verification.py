@@ -23,7 +23,7 @@ from .hypergeom import (F5Args, _series_2f1_vec, _terminating_2f1, appell_f1,
                         gauss_2f1, kdf_f5, kdf_f5_integral, kdf_f5_series,
                         pochhammer)
 from .orthopoly import jacobi_p, laguerre_l
-from .oscillator import (GRAM_XI_LENGTH, ModelParams, OscParams,
+from .oscillator import (XI_LENGTH, ModelParams, OscParams,
                          oscillator_gram, xi_panel_grid)
 from .quadrature import integrate_disk
 
@@ -45,7 +45,7 @@ def gram_table_entries(suite: str, kmax: int) -> int:
     """Entries of the largest basis table that ``suite`` builds for its Gram
     matrices at order ``kmax`` (0 for none), found without building it."""
     disk = [math.prod(_gram_rule_sizes(kmax, m)) for _, m in _DISK_CASES]
-    osc = [xi_panel_grid(OscParams(c), GRAM_XI_LENGTH)[0].size
+    osc = [xi_panel_grid(OscParams(c), XI_LENGTH)[0].size
            for c in _OSC_CASES]
     sizes = {"orthonormality-disk": disk, "orthonormality-oscillator": osc,
              "all": disk + osc}

@@ -14,15 +14,14 @@ from relbargmann.bargmann import (SampledFunction, TransformResult,
                                   classical_bargmann, isometry_check,
                                   oscillator_mode, relativistic_transform,
                                   relativistic_transform_grid,
-                                  relativistic_transform_m0, xi_cutoff)
+                                  relativistic_transform_m0)
 from relbargmann.coherent import (CoherentLabel, cs_wavefunction_oracle,
                                   normalization, transform_kernel)
 from relbargmann.disk import basis_phi, wirtinger_dzbar_fd
-from relbargmann.errors import (DomainError, InputFormatError,
-                                RelBargmannError)
+from relbargmann.errors import DomainError, InputFormatError
 from relbargmann.hypergeom import gauss_2f1_vec
 from relbargmann.orthopoly import laguerre_l
-from relbargmann.oscillator import ModelParams, OscParams
+from relbargmann.oscillator import XI_LENGTH, ModelParams, OscParams
 from relbargmann.quadrature import integrate_halfline
 
 
@@ -214,22 +213,28 @@ class TestRelativisticTransform:
         assert len(builds) == 1 + len(points)
 
 
+def layout_panels(params):
+    """(mid, half width) of each panel of the fixed xi layout, walked one
+    panel at a time: width gamma/pi, the last panel cut at xi = 40."""
+    width = params.gamma / math.pi
+    lo = 0.0
+    for _ in range(math.ceil(XI_LENGTH / width)):
+        hi = min(lo + width, XI_LENGTH)
+        yield 0.5 * (hi + lo), 0.5 * (hi - lo)
+        lo = hi
+
+
 def panel_walk_transform(params, f, z):
     """Reference: the xi layout walked one panel at a time, with one kernel
     call for the 16-point and one for the 32-point rule of every panel."""
-    width = max(params.gamma / math.pi, 0.25)
-    length = xi_cutoff(params.osc.c)
     coarse, fine = leggauss(16), leggauss(32)
-    total, err_total, lo = 0.0 + 0.0j, 0.0, 0.0
-    for _ in range(math.ceil(length / width)):
-        hi = min(lo + width, length)
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    total, err_total = 0.0 + 0.0j, 0.0
+    for mid, half in layout_panels(params):
         vc, vf = (half * np.sum(w * (f(mid + half * x)
                                      * transform_kernel(params, z, mid + half * x)))
                   for x, w in (coarse, fine))
         total += vf
         err_total += abs(vf - vc)
-        lo = hi
     return total, err_total
 
 
@@ -245,26 +250,18 @@ class TestFixedLayout:
             assert abs(got - want) <= 1e-12 * abs(want)
             assert abs(got_err - want_err) <= 1e-12 * want_err
 
-    def test_block_size_does_not_change_result(self, monkeypatch):
-        params = ModelParams(OscParams(1.0), 1)
-        f = oscillator_mode(2, params.osc)
-        whole = relativistic_transform(params, f, 0.2 - 0.3j, with_error=True)
-        # 7 panels a block: 14 blocks, the last one short
-        monkeypatch.setattr(bargmann, "LAYOUT_BLOCK_NODES", 7 * 48)
-        assert relativistic_transform(params, f, 0.2 - 0.3j,
-                                      with_error=True) == whole
-
     @pytest.mark.parametrize("m", [0, 2])
     def test_two_blocks_keep_basis_mapping(self, m):
-        # c = 0.45: 612 panels, 29376 nodes
+        # c = 0.45 once took 612 panels in two blocks; the layout now ends
+        # at xi = 40 with 126 panels, 6048 nodes, in one call
         params = ModelParams(OscParams(0.45), m)
         z = 0.3 + 0.4j
         got = relativistic_transform(params, oscillator_mode(1, params.osc), z)
         assert abs(got - basis_phi(1, params.landau_index(), z)) < 1e-6
 
     def test_long_layout_memory_is_bounded(self):
-        # c = 0.37: 21663 panels, 1.04 M nodes in 64 blocks; the series
-        # overflows at large xi there, so a typed error is allowed
+        # c = 0.37 once took 21663 panels, 1.04 M nodes, where the series
+        # overflowed; the layout now ends at xi = 40, 126 panels
         params = ModelParams(OscParams(0.37), 0)
         z = 0.3 + 0.4j
         f = oscillator_mode(1, params.osc)
@@ -272,15 +269,23 @@ class TestFixedLayout:
         start = time.perf_counter()
         try:
             got = relativistic_transform(params, f, z)
-        except RelBargmannError:
-            got = None
         finally:
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         assert elapsed < 10.0
         assert peak < 32 * 2 ** 20
-        if got is not None:
+        assert abs(got - basis_phi(1, params.landau_index(), z)) < 1e-6
+
+    @pytest.mark.parametrize("c", [0.38, 0.4])
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_callable_near_one_over_e_keeps_basis_mapping(self, c, m):
+        # phi_1 does not vanish before xi = 450, and the 2F1 series of the
+        # kernel overflows far out; the layout stops at xi = 40 for every c
+        params = ModelParams(OscParams(c), m)
+        f = oscillator_mode(1, params.osc)
+        for z in (0.3 + 0.4j, 0.1j):
+            got = relativistic_transform(params, f, z)
             assert abs(got - basis_phi(1, params.landau_index(), z)) < 1e-6
 
 
@@ -348,7 +353,7 @@ class TestKernelOnSupport:
                 assert bits(*got) == bits(*every_node_transform_m0(params.osc, f, z))
 
     def test_grid_from_two_kernel_inside_grid(self, monkeypatch):
-        # c = 0.6: the layout runs to xi = 82, the samples cover [2, 25]
+        # c = 0.6: the layout runs to xi = 40, the samples cover [2, 25]
         params = ModelParams(OscParams(0.6), 1)
         grid = np.linspace(2.0, 25.0, 231)
         f = sampled_modes(params.osc, grid)
@@ -366,8 +371,11 @@ class TestKernelOnSupport:
         assert bits(*got) == bits(*want)
         nodes = np.concatenate(seen)
         assert grid[0] <= nodes.min() and nodes.max() <= grid[-1]
-        layout = 48 * math.ceil(xi_cutoff(0.6) / (params.gamma / math.pi))
-        assert len(nodes) < layout / 2
+        inside = sum(np.count_nonzero((grid[0] <= x) & (x <= grid[-1]))
+                     for mid, half in layout_panels(params)
+                     for x in (mid + half * leggauss(16)[0],
+                               mid + half * leggauss(32)[0]))
+        assert len(nodes) == inside
 
     def test_zero_input_gives_positive_zero(self, monkeypatch):
         params = ModelParams(OscParams(1.0), 1)

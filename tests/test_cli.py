@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -582,18 +583,21 @@ class TestSampleFile:
         assert capsys.readouterr().err == f"input error: {want.value}\n"
 
 
-@pytest.mark.parametrize("c", [0.38, 0.4])
+@pytest.mark.parametrize("c", [0.38, 0.4, 1 / math.e,
+                               math.nextafter(1 / math.e, 1)])
 @pytest.mark.parametrize("z", [0.3 + 0.4j, 0.1j])
 def test_transform_near_one_over_e(tmp_path, c, z):
-    # xi_cutoff is 1234 at c = 0.38 and 478 at c = 0.4; the 2F1 series
-    # overflows far out, where the samples (ending at xi = 30) are zero
+    # the xi layout ends at 40 for every c: no pole at c = 1/e, and no
+    # nodes far out where the 2F1 series of the kernel overflows
     osc = OscParams(c)
     grid = np.linspace(0.0, 30.0, 1201)
     path = tmp_path / "phi1.csv"
     write_samples(path, grid, oscillator_mode(1, osc)(grid))
     out = tmp_path / "t.csv"
+    start = time.perf_counter()
     assert run(["transform", "--c", repr(c), "--input", str(path),
                 "--grid", repr(z).strip("()"), "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 10.0
     row = [float(tok) for tok in out.read_text().splitlines()[1].split(",")]
     want = basis_phi(1, ModelParams(osc, 0).landau_index(), z)
     assert abs(complex(row[2], row[3]) - want) < 1e-6
@@ -709,6 +713,15 @@ class TestVerify:
         assert run(["verify", "--suite", "all", "--c", "2", "--kmax", "3",
                     "--out", str(out)]) == 0
         assert json.loads(out.read_text())["config"] == {"c": 2.0, "kmax": 3}
+
+    @pytest.mark.parametrize("suite, c", [
+        ("isometry", 1 / math.e), ("m0-reduction", math.nextafter(1 / math.e, 1))])
+    def test_suite_at_one_over_e_exit_0(self, tmp_path, suite, c):
+        out = tmp_path / "rep.json"
+        start = time.perf_counter()
+        assert run(["verify", "--suite", suite, "--c", repr(c),
+                    "--out", str(out)]) == 0
+        assert time.perf_counter() - start < 10.0
 
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

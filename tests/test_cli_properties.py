@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relbargmann import cli
@@ -116,11 +116,13 @@ def test_flag_beats_file_beats_default(data, command):
 # in-process fuzz
 # ---------------------------------------------------------------------------
 
-#: c skips the band (0.3, 0.45) around 1/e: xi_cutoff(c) has a pole at 1/e,
-#: and the transform layout grows to millions of nodes as c falls towards it
+#: 1/e and its two float neighbours, where the transforms' xi layout once
+#: had a pole; the fuzz runs each as an explicit example too
+ONE_OVER_E = (math.nextafter(1 / math.e, 0), 1 / math.e,
+              math.nextafter(1 / math.e, 1))
 C_VALUES = st.one_of(
-    st.floats(0.05, 0.3), st.floats(0.45, 5.0),
-    st.sampled_from([0.0, -1.0, math.inf, math.nan]))
+    st.floats(0.05, 5.0),
+    st.sampled_from(ONE_OVER_E + (0.0, -1.0, math.inf, math.nan)))
 POINTS = st.complex_numbers(max_magnitude=0.9, allow_nan=False,
                             allow_infinity=False)
 XI = st.floats(-1.0, 60.0)
@@ -181,8 +183,18 @@ def _all_finite(text: str, fmt: str) -> bool:
     return all(math.isfinite(v) for v in values if not isinstance(v, str))
 
 
+def one_over_e_case(c: float):
+    """A transform at m = 2 on samples that reach xi = 30."""
+    argv = ["transform", f"--c={c!r}", "--m=2", "--format=csv",
+            "--grid=0.3+0.4j,0.1j"]
+    return argv, [(0.0, 0.0, 0.0), (1.5, 0.5, -0.2), (30.0, 0.1, 0.0)]
+
+
 @settings(max_examples=60, deadline=timedelta(seconds=30), database=None)
 @given(case=fuzz_argv())
+@example(case=one_over_e_case(ONE_OVER_E[0]))
+@example(case=one_over_e_case(ONE_OVER_E[1]))
+@example(case=one_over_e_case(ONE_OVER_E[2]))
 def test_fuzz_typed_exit_and_finite_output(case):
     argv, rows = case
     with tempfile.TemporaryDirectory() as tmp:
