@@ -37,18 +37,16 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln, loggamma
 
-from .coherent import _check_kernel_domain, series_kmax_for, transform_kernel
-from .disk import basis_radial_profiles, check_disk
-from .errors import DomainError, InputFormatError
+from .coherent import _check_kernel_domain, transform_kernel
+from .disk import basis_gram, check_disk
+from .errors import DomainError, InputFormatError, NonConvergenceError
 from .hypergeom import gauss_2f1_vec
 from .oscillator import (XI_LENGTH, ModelParams, OscParams,
                          eigenfunction_batch, panel_width, project_states,
-                         xi_panel_grid)
-from .quadrature import (_COARSE_RULE, _FINE_RULE, integrate_halfline,
-                         jacobi_rule_01)
+                         state_end, xi_panel_grid)
+from .quadrature import _COARSE_RULE, _FINE_RULE, integrate_halfline
 
 
 def __getattr__(name):
@@ -268,111 +266,53 @@ def relativistic_transform_grid(params: ModelParams, f,
     return TransformResult(points=pts, values=vals, params=params, errors=errs)
 
 
-def _annulus_basis_masses(params: ModelParams, kmax: int,
-                          r_inner: float) -> np.ndarray:
-    """Exact norms of the basis functions over the annulus |z|^2 > r_inner.
-
-    Writing Phi_k (1-r)^m as a finite monomial sum, the angular average of
-    |Phi_k|^2 is a polynomial in r = |z|^2, so the substitution
-    r = 1 - (1 - r_inner) u reduces each annulus integral to a 64-point
-    Gauss-Jacobi rule with weight u^(sigma - 2m - 2), which is exact here.
-    """
-    sigma, m = params.sigma, params.m
-    expo = sigma - 2.0 * m - 2.0
-    rule = jacobi_rule_01(64, expo, 0.0)
-    width = 1.0 - r_inner
-    r = 1.0 - width * rule.nodes
-    # every (j, j') cross term carries equal powers of z and zbar, so the
-    # angular mean of |Phi_k (1-r)^m|^2 is the squared radial profile
-    shell = basis_radial_profiles(kmax, params.landau_index(), r)
-    return math.pi * width ** (expo + 1.0) * np.sum(rule.weights * shell * shell,
-                                                    axis=1)
-
-
-#: the fixed rule of ``isometry_check``: Gauss-Legendre rings over the inner
-#: disk, equally spaced angles on each ring, basis modes in the annulus term,
-#: tolerance of the ||f||^2 integral, radius of the inner disk and length of
-#: the xi panel grid of the projections
-_N_RADIAL = 20
-_N_ANGULAR = 36
-_ANNULUS_KMAX = 8
+#: the fixed rule of ``isometry_check``: oscillator states projected on, and
+#: the largest share of ||f||^2 the last two panels of its layout may hold
+_ISOMETRY_KMAX = 20
 _NORM_TOL = 1e-8
-_R_SPLIT = 0.995
-_XI_LENGTH = 16.0
 
 
 def isometry_check(params: ModelParams, f) -> dict:
     """Compare the L^2 norm of f with the Bergman-type norm of B[f].
 
-    The disk-side norm integrates |B[f]|^2 (1 - |z|^2)^(sigma - 2) in polar
-    coordinates over |z| <= 0.995; the thin boundary annulus left over is
-    added analytically from the basis expansion of B[f] (projections
-    c_k = <f, phi_k> for k <= 8 against exact annulus norms of the Phi_k).
-    Near the boundary the closed-form kernel loses precision at large xi, so
-    B is evaluated here through the definitional superposition
-    B[f] = sum_k c_k Phi_k, whose pointwise agreement with the closed-form
-    kernel inside the validated cap is covered by the transform test suite.
-    The projections come from one xi panel grid on [0, 16] and one real
-    polynomial table.  The radial rule has 20 Gauss-Legendre rings.  On a
-    ring |z| = rho every Phi_k is a phase e^(i(k-m) angle) times a radial
-    profile, so the trapezoid mean of |B|^2 over 36 equally spaced angles is
-    summed exactly by the discrete Parseval identity: the terms
-    c_k g_k(rho) are folded by k mod 36 and the squared moduli of the folded
-    sums added.  ||f||^2 is integrated to a tolerance of 1e-8.  ``f``
-    should be representable in the span of the first 9 eigenstates for the
-    annulus term to be complete.
+    B[f] = sum_k c_k Phi_k with c_k = <f, phi_k>, so the isometry rests on
+    two identities, and each side is computed by one of them.  The half
+    line: ||f||^2 = sum w |f|^2 and the projections c_k, k <= 20, are
+    taken on one layout, ``xi_panel_grid(osc, state_end(20))``, which ends
+    at xi = 80.  The disk: ||B[f]||^2 = c^T G conj(c) with G =
+    ``basis_gram(idx, 20)``, an exact polar rule over the whole disk.  The
+    relative gap is then the Parseval defect of f against phi_0 .. phi_20
+    plus the orthonormality defect of Phi_0 .. Phi_20, so it is small
+    exactly when f lies in the span of the first 21 states.
 
-    Returns a dict with both norms, the annulus contribution and the
-    relative gap.
+    Raises
+    ------
+    NonConvergenceError
+        If the last two panels of the layout hold more than 1e-8 of
+        ||f||^2: f does not decay within the layout.
+
+    Returns a dict with both norms and their relative gap.
     """
-    r_split = _R_SPLIT ** 2
     func = _as_callable(f)
-    norm_f_sq, _ = integrate_halfline(
-        lambda xi: np.abs(np.asarray(func(xi))) ** 2,
-        decay_scale=panel_width(params.osc), tol=_NORM_TOL)
-    norm_f_sq = float(norm_f_sq.real)
-
-    # shared xi panel grid and f samples; one projection table serves both
-    # the inner region (series_k terms) and the annulus (its first terms)
-    xi_nodes, xi_weights = xi_panel_grid(params.osc, _XI_LENGTH)
-    f_nodes = np.asarray(func(xi_nodes))
-    series_k = series_kmax_for(_R_SPLIT)
-    projections = project_states(series_k, params.osc, xi_nodes,
-                                 xi_weights * f_nodes)
-    idx = params.landau_index()
-
-    # inner region: the substitution r = 1 - exp(-tau) resolves the
-    # (1-r)^(sigma-2) endpoint behaviour of the integrand spectrally; on each
-    # ring the angular mean of |B|^2 is (1-r)^(-2m) sum_s |sum_{k = s mod N}
-    # c_k g_k|^2 for N = _N_ANGULAR
-    sigma, m = params.sigma, params.m
-    xr, wr = leggauss(_N_RADIAL)
-    tau_max = -math.log(1.0 - r_split)
-    tau = 0.5 * tau_max * (xr + 1.0)
-    tau_w = 0.5 * tau_max * wr
-    r = 1.0 - np.exp(-tau)
-    terms = projections[:, None] * basis_radial_profiles(series_k, idx, r)
-    terms = np.pad(terms, ((0, -len(terms) % _N_ANGULAR), (0, 0)))
-    folded = terms.reshape(-1, _N_ANGULAR, _N_RADIAL).sum(axis=0)
-    mean_sq = (1.0 - r) ** (-2 * m) * np.sum(np.abs(folded) ** 2, axis=0)
-    inner_sq = float(np.sum(0.5 * tau_w * np.exp(-(sigma - 1.0) * tau)
-                            * 2.0 * np.pi * mean_sq))
-
-    # boundary annulus from the basis expansion of B[f]
-    if norm_f_sq > 0.0:
-        masses = _annulus_basis_masses(params, _ANNULUS_KMAX, r_split)
-        annulus_sq = float(np.sum(np.abs(projections[:_ANNULUS_KMAX + 1]) ** 2
-                                  * masses))
-    else:
-        annulus_sq = 0.0
-
-    norm_B_sq = inner_sq + annulus_sq
+    end = state_end(_ISOMETRY_KMAX)
+    xi, weights = xi_panel_grid(params.osc, end)
+    f_nodes = np.asarray(func(xi))
+    mass = weights * np.abs(f_nodes) ** 2
+    norm_f_sq = float(np.sum(mass))
+    tail = float(np.sum(mass[-2 * len(_FINE_RULE[0]):]))
+    if tail > _NORM_TOL * norm_f_sq:
+        raise NonConvergenceError(
+            f"the last two xi panels before {end:g} hold {tail:.3g} of "
+            f"||f||^2 = {norm_f_sq:.3g}; f does not decay within the layout")
+    coeffs = project_states(_ISOMETRY_KMAX, params.osc, xi, weights * f_nodes)
+    gram = basis_gram(params.landau_index(), _ISOMETRY_KMAX)
+    norm_B_sq = float((coeffs @ gram @ coeffs.conj()).real)
     if norm_f_sq == 0.0 and norm_B_sq == 0.0:
         gap = 0.0
     else:
         gap = abs(norm_B_sq - norm_f_sq) / max(norm_f_sq, norm_B_sq)
-    return {"norm_f_sq": norm_f_sq, "norm_Bf_sq": float(norm_B_sq),
-            "annulus_sq": float(annulus_sq), "relative_gap": float(gap)}
+    return {"norm_f_sq": norm_f_sq, "norm_Bf_sq": norm_B_sq,
+            "relative_gap": float(gap)}
 
 
 def oscillator_mode(j: int, osc: OscParams):

@@ -82,8 +82,16 @@ def energy(k: int, osc: OscParams) -> float:
     return 2.0 * k + 2.0 * osc.gamma
 
 
-#: end of the xi layouts of the transforms and of ``oscillator_gram``
+#: end of the xi layouts of the transforms, and the shortest end of
+#: ``state_end``
 XI_LENGTH = 40.0
+
+
+def state_end(kmax: int) -> float:
+    """End max(XI_LENGTH, 3 kmax + 20) of a layout that holds the states
+    phi_0 .. phi_kmax: phi_k reaches about xi = 2k, past which the tail
+    of phi_0 adds about 20."""
+    return max(XI_LENGTH, 3.0 * kmax + 20.0)
 
 
 def panel_width(osc: OscParams) -> float:
@@ -101,6 +109,11 @@ def xi_panel_grid(osc: OscParams, length: float) -> tuple[np.ndarray, np.ndarray
     nodes = (mids[:, None] + 0.5 * width * xg[None, :]).ravel()
     weights = np.tile(0.5 * width * wg, n_panels)
     return nodes, weights
+
+
+def xi_node_count(osc: OscParams, length: float) -> int:
+    """Size of ``xi_panel_grid(osc, length)``, found without building it."""
+    return int(math.ceil(length / panel_width(osc))) * len(_FINE_RULE[0])
 
 
 def _log_norms(kmax: int, gamma: float) -> np.ndarray:
@@ -203,12 +216,13 @@ def eigenfunction(k: int, osc: OscParams, xi):
 
 def oscillator_gram(osc: OscParams, kmax: int) -> np.ndarray:
     """Gram matrix of {phi_k}_{k<=kmax} on L^2(0, inf): the one product
-    S W S^H of the table S of phi_k on ``xi_panel_grid(osc, XI_LENGTH)``
-    and its weights W.  The cut at xi = 40 resolves kmax = 10 to 1.3e-13 at
-    c <= 1 and 1.3e-10 at c = 2, but the tails past 40 grow with k and c.
+    S W S^H of the table S of phi_k on ``xi_panel_grid(osc, state_end(kmax))``
+    and its weights W.  That end grows with kmax, as the states' tails do:
+    kmax = 20 (xi = 80) meets the identity to about 2e-14 for c <= 3, and
+    kmax <= 6 keeps the end at xi = 40.
     """
     if kmax < 0 or kmax != int(kmax):
         raise DomainError("Gram order kmax must be a nonnegative integer")
-    xi, weights = xi_panel_grid(osc, XI_LENGTH)
+    xi, weights = xi_panel_grid(osc, state_end(kmax))
     table = eigenfunction_batch(int(kmax), osc, xi)
     return (table * weights) @ table.conj().T

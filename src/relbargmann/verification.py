@@ -23,8 +23,8 @@ from .hypergeom import (F5Args, _series_2f1_vec, _terminating_2f1, appell_f1,
                         gauss_2f1, kdf_f5, kdf_f5_integral, kdf_f5_series,
                         pochhammer)
 from .orthopoly import jacobi_p, laguerre_l
-from .oscillator import (XI_LENGTH, ModelParams, OscParams,
-                         oscillator_gram, xi_panel_grid)
+from .oscillator import (ModelParams, OscParams, oscillator_gram, state_end,
+                         xi_node_count)
 from .quadrature import integrate_disk
 
 SUITES = ("orthonormality-disk", "orthonormality-oscillator", "overlap",
@@ -45,8 +45,7 @@ def gram_table_entries(suite: str, kmax: int) -> int:
     """Entries of the largest basis table that ``suite`` builds for its Gram
     matrices at order ``kmax`` (0 for none), found without building it."""
     disk = [math.prod(_gram_rule_sizes(kmax, m)) for _, m in _DISK_CASES]
-    osc = [xi_panel_grid(OscParams(c), XI_LENGTH)[0].size
-           for c in _OSC_CASES]
+    osc = [xi_node_count(OscParams(c), state_end(kmax)) for c in _OSC_CASES]
     sizes = {"orthonormality-disk": disk, "orthonormality-oscillator": osc,
              "all": disk + osc}
     return (kmax + 1) * max(sizes.get(suite, [0]))
@@ -282,7 +281,7 @@ def suite_isometry(config: dict) -> list[dict]:
                  (1, oscillator_mode(1, osc))):
         rep = isometry_check(ModelParams(osc, m), f)
         worst = max(worst, rep["relative_gap"])
-    checks.append(_check("norm-preservation", worst, 1e-4))
+    checks.append(_check("norm-preservation", worst, 1e-10))
 
     # classical baseline: Laguerre modes map to monomials
     worst = 0.0

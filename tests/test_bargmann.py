@@ -18,7 +18,7 @@ from relbargmann.bargmann import (SampledFunction, TransformResult,
 from relbargmann.coherent import (CoherentLabel, cs_wavefunction_oracle,
                                   normalization, transform_kernel)
 from relbargmann.disk import basis_phi, wirtinger_dzbar_fd
-from relbargmann.errors import DomainError, InputFormatError
+from relbargmann.errors import DomainError, InputFormatError, NonConvergenceError
 from relbargmann.hypergeom import gauss_2f1_vec
 from relbargmann.orthopoly import laguerre_l
 from relbargmann.oscillator import XI_LENGTH, ModelParams, OscParams
@@ -451,45 +451,38 @@ class TestIsometry:
 
 
 def point_loop_isometry(params, f):
-    """Reference: the polar grid summed point by point, with B at every one
-    of the rings times angles points from a full basis stack and the
-    projections from complex state tables.  Reads the rule's constants from
-    ``bargmann``, so a test that patches one changes both sides.  Returns
-    (norm_Bf_sq, annulus_sq).
+    """Reference: both norms summed panel by panel and point by point on the
+    rule of ``isometry_check``, with the projections from complex state
+    tables and B at every node of the exact polar rule from its own basis
+    stack.
+    Returns (norm_f_sq, norm_Bf_sq).
     """
-    from relbargmann.coherent import series_kmax_for
-    from relbargmann.disk import basis_phi_batch
-    from relbargmann.oscillator import eigenfunction_batch
+    from relbargmann.disk import _gram_rule_sizes, basis_phi_batch
+    from relbargmann.oscillator import eigenfunction_batch, state_end
+    from relbargmann.quadrature import jacobi_rule_01
 
-    n_radial, n_angular = bargmann._N_RADIAL, bargmann._N_ANGULAR
-    kmax = bargmann._ANNULUS_KMAX
-    r_split = bargmann._R_SPLIT ** 2
-    xi_len = bargmann._XI_LENGTH
-    width = max(params.gamma / math.pi, 0.25)
-    n_panels = int(math.ceil(xi_len / width))
+    kmax = bargmann._ISOMETRY_KMAX
+    width = params.gamma / math.pi
+    n_panels = int(math.ceil(state_end(kmax) / width))
     xg, wg = leggauss(32)
-    mids = width * (np.arange(n_panels) + 0.5)
-    xi_nodes = (mids[:, None] + 0.5 * width * xg[None, :]).ravel()
-    weighted_f = np.tile(0.5 * width * wg, n_panels) * np.asarray(f(xi_nodes))
-    series_k = series_kmax_for(math.sqrt(r_split))
-    projections = (np.conj(eigenfunction_batch(series_k, params.osc, xi_nodes))
-                   @ weighted_f)
+    norm_f_sq = 0.0
+    projections = np.zeros(kmax + 1, dtype=complex)
+    for p in range(n_panels):
+        xi = width * (p + 0.5 + 0.5 * xg)
+        weighted_f = 0.5 * width * wg * np.asarray(f(xi))
+        norm_f_sq += float(np.sum(weighted_f.conj() * f(xi)).real)
+        projections += np.conj(eigenfunction_batch(kmax, params.osc, xi)) @ weighted_f
     idx = params.landau_index()
-    xr, wr = leggauss(n_radial)
-    tau_max = -math.log(1.0 - r_split)
-    inner_sq = 0.0
-    for tv, wv in zip(0.5 * tau_max * (xr + 1.0), 0.5 * tau_max * wr):
-        rv = 1.0 - math.exp(-tv)
-        ring_sq = 0.0
+    n_radial, n_angular = _gram_rule_sizes(kmax, params.m)
+    rule = jacobi_rule_01(n_radial, 0.0, params.sigma - 2 * params.m - 2.0)
+    norm_Bf_sq = 0.0
+    for r, w in zip(rule.nodes, rule.weights):
         for phi in np.arange(n_angular) * (2.0 * np.pi / n_angular):
-            z = math.sqrt(rv) * complex(math.cos(phi), math.sin(phi))
-            ring_sq += abs(basis_phi_batch(series_k, idx, z) @ projections) ** 2
-        inner_sq += (0.5 * wv * math.exp(-(params.sigma - 1.0) * tv)
-                     * (ring_sq / n_angular) * 2.0 * np.pi)
-    coeffs = np.conj(eigenfunction_batch(kmax, params.osc, xi_nodes)) @ weighted_f
-    masses = bargmann._annulus_basis_masses(params, kmax, r_split)
-    annulus_sq = float(np.sum(np.abs(coeffs) ** 2 * masses))
-    return inner_sq + annulus_sq, annulus_sq
+            z = math.sqrt(r) * complex(math.cos(phi), math.sin(phi))
+            value = basis_phi_batch(kmax, idx, z) @ projections
+            norm_Bf_sq += (w * np.pi / n_angular * abs(value) ** 2
+                           * (1.0 - r) ** (2 * params.m))
+    return norm_f_sq, norm_Bf_sq
 
 
 def mode_mix(osc, weights):
@@ -504,31 +497,67 @@ def mode_mix(osc, weights):
 class TestIsometryRings:
     MIX = (0.5, 0.6 - 0.3j, 0.2 + 0.5j)
 
-    def assert_matches_point_loop(self, params, f):
-        rep = isometry_check(params, f)
-        want_norm, want_annulus = point_loop_isometry(params, f)
-        assert abs(rep["norm_Bf_sq"] - want_norm) <= 1e-12 * want_norm
-        assert abs(rep["annulus_sq"] - want_annulus) <= 1e-12 * want_annulus
-        return rep
-
     @pytest.mark.parametrize("c", [0.6, 1.0, 2.0])
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_matches_point_loop(self, c, m):
         params = ModelParams(OscParams(c), m)
-        self.assert_matches_point_loop(params, mode_mix(params.osc, self.MIX))
+        f = mode_mix(params.osc, self.MIX)
+        rep = isometry_check(params, f)
+        want_f, want_B = point_loop_isometry(params, f)
+        assert abs(rep["norm_f_sq"] - want_f) <= 1e-12 * want_f
+        assert abs(rep["norm_Bf_sq"] - want_B) <= 1e-12 * want_B
 
-    def test_angular_aliasing_is_kept(self, monkeypatch):
-        # phi_0 and phi_8 share a residue mod 8, so the 8-angle rule adds
-        # their cross term; a per-mode Parseval sum would give 0.76502
-        monkeypatch.setattr(bargmann, "_N_ANGULAR", 8)
-        params = ModelParams(OscParams(2.0), 0)
-        f = mode_mix(params.osc, [1.0 / math.sqrt(2.0)] + [0.0] * 7
+    @pytest.mark.parametrize("c", [0.6, 1.0, 2.0])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_superposition_norms_are_exact(self, c, m):
+        # f = sum_j a_j phi_j: both sides equal sum_j |a_j|^2
+        weights = np.array([1.0, 1.0j]) @ np.random.default_rng(7).normal(
+            size=(2, 6))
+        params = ModelParams(OscParams(c), m)
+        rep = isometry_check(params, mode_mix(params.osc, weights))
+        want = float(np.sum(np.abs(weights) ** 2))
+        assert abs(rep["norm_f_sq"] - want) < 1e-12
+        assert abs(rep["norm_Bf_sq"] - want) < 1e-12
+
+    @pytest.mark.parametrize("c, m", [(1.0, 0), (2.0, 1), (0.6, 0), (3.0, 4)])
+    def test_nine_modes_pass(self, c, m):
+        # the equal-weight phi_0 .. phi_8 mix once raised at c <= 1 and
+        # missed by 1.7e-2 at c = 2
+        params = ModelParams(OscParams(c), m)
+        rep = isometry_check(params, mode_mix(params.osc, [1.0 / 3.0] * 9))
+        assert rep["relative_gap"] < 1e-13
+
+    def test_scaled_basis_member_fails(self, monkeypatch):
+        from relbargmann import disk
+
+        batch = disk.basis_phi_batch
+
+        def scaled(kmax, idx, z):
+            out = batch(kmax, idx, z).copy()
+            out[1] *= 1.0 + 1e-3
+            return out
+
+        monkeypatch.setattr(disk, "basis_phi_batch", scaled)
+        params = ModelParams(OscParams(1.0), 0)
+        f = mode_mix(params.osc, [1.0 / math.sqrt(3.0)] * 3)
+        assert isometry_check(params, f)["relative_gap"] > 6e-4
+
+    def test_mode_past_the_projections_fails(self):
+        params = ModelParams(OscParams(1.0), 0)
+        f = mode_mix(params.osc, [1.0 / math.sqrt(2.0)] + [0.0] * 20
                      + [1.0 / math.sqrt(2.0)])
-        rep = self.assert_matches_point_loop(params, f)
-        assert abs(rep["norm_Bf_sq"] - 0.91358) < 1e-5
+        rep = isometry_check(params, f)
+        assert abs(rep["norm_f_sq"] - 1.0) < 1e-12
+        assert abs(rep["relative_gap"] - 0.5) < 1e-12
+
+    def test_slow_decay_raises(self):
+        params = ModelParams(OscParams(1.0), 0)
+        with pytest.raises(NonConvergenceError):
+            isometry_check(params, lambda xi: np.exp(-np.asarray(xi) / 50.0))
 
     @pytest.mark.parametrize("c, m", [(0.6, 2), (1.0, 1)])
     def test_memory_is_bounded(self, c, m):
+        # the rule's peak is 2.0 MiB at (0.6, 2); the ring rule's was 81 MiB
         params = ModelParams(OscParams(c), m)
         f = mode_mix(params.osc, self.MIX)
         isometry_check(params, f)  # fill the coefficient caches
@@ -538,7 +567,7 @@ class TestIsometryRings:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 128 * 2 ** 20
+        assert peak < 4.5 * 2 ** 20
 
     @pytest.mark.parametrize("budget", [
         {"r_split": 1.0}, {"r_split": 1.5}, {"r_split": 0.0},

@@ -686,6 +686,15 @@ class TestVerify:
         for check in report["checks"]:
             assert set(check) == {"name", "error", "tol", "pass"}
 
+    def test_oscillator_gram_twenty_levels_exit_0(self, tmp_path):
+        # the Gram layout ends at state_end(20) = 80; cut at xi = 40 this
+        # run exited 1 with misses of 0.15 to 0.30
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--suite", "orthonormality-oscillator",
+                    "--kmax", "20", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert max(c["error"] for c in report["checks"]) < 1e-12
+
     def test_unknown_suite_exit_2(self, tmp_path):
         code = run(["verify", "--suite", "nope",
                     "--out", str(tmp_path / "rep.json")])

@@ -9,7 +9,8 @@ from relbargmann.errors import DomainError, NonConvergenceError
 from relbargmann.hypergeom import ln_gamma
 from relbargmann.oscillator import (ModelParams, OscParams, eigenfunction,
                                     eigenfunction_batch, energy, gamma_of_c,
-                                    oscillator_gram, project_states)
+                                    oscillator_gram, project_states,
+                                    state_end, xi_node_count, xi_panel_grid)
 
 # 2 |Gamma(g+i)|^4 / (|Gamma(i)|^2 Gamma(g+1/2)^2 Gamma(2g)) at g = (1+sqrt 3)/2
 PHI0_SQ_AT_1 = 0.49802777027855049088
@@ -80,10 +81,26 @@ class TestEigenfunctions:
 
     @pytest.mark.parametrize("c", [0.8, 1.0])
     def test_gram_resolves_ten_levels(self, c):
-        # all panels to xi = 40; a walk stopped by two quiet panels misses
+        # all panels to xi = 50; a walk stopped by two quiet panels misses
         # this by 3e-10
         gram = oscillator_gram(OscParams(c), 10)
         assert np.abs(gram - np.eye(11)).max() < 1e-12
+
+    @pytest.mark.parametrize("c", [0.8, 1.0, 1.5, 3.0])
+    def test_gram_resolves_twenty_levels(self, c):
+        # the layout ends at state_end(20) = 80; cut at xi = 40 it missed
+        # the identity by 0.15 to 0.30
+        gram = oscillator_gram(OscParams(c), 20)
+        assert np.abs(gram - np.eye(21)).max() < 1e-12
+
+    def test_state_end(self):
+        assert [state_end(k) for k in (0, 6, 7, 20)] == [40.0, 40.0, 41.0, 80.0]
+
+    @pytest.mark.parametrize("c, length", [(0.8, 40.0), (1.0, 80.0),
+                                           (3.0, 1220.0)])
+    def test_node_count_matches_grid(self, c, length):
+        osc = OscParams(c)
+        assert xi_node_count(osc, length) == xi_panel_grid(osc, length)[0].size
 
     @pytest.mark.parametrize("kmax", [-1, 1.5])
     def test_gram_order_validated(self, kmax):
