@@ -454,8 +454,7 @@ def point_loop_isometry(params, f):
     """Reference: both norms summed panel by panel and point by point on the
     rule of ``isometry_check``, with the projections from complex state
     tables and B at every node of the exact polar rule from its own basis
-    stack.
-    Returns (norm_f_sq, norm_Bf_sq).
+    stack.  Returns (norm_f_sq, norm_Bf_sq).
     """
     from relbargmann.disk import _gram_rule_sizes, basis_phi_batch
     from relbargmann.oscillator import eigenfunction_batch, state_end
@@ -469,9 +468,9 @@ def point_loop_isometry(params, f):
     projections = np.zeros(kmax + 1, dtype=complex)
     for p in range(n_panels):
         xi = width * (p + 0.5 + 0.5 * xg)
-        weighted_f = 0.5 * width * wg * np.asarray(f(xi))
-        norm_f_sq += float(np.sum(weighted_f.conj() * f(xi)).real)
-        projections += np.conj(eigenfunction_batch(kmax, params.osc, xi)) @ weighted_f
+        w, fx = 0.5 * width * wg, np.asarray(f(xi))
+        norm_f_sq += float(np.sum(w * np.abs(fx) ** 2))
+        projections += np.conj(eigenfunction_batch(kmax, params.osc, xi)) @ (w * fx)
     idx = params.landau_index()
     n_radial, n_angular = _gram_rule_sizes(kmax, params.m)
     rule = jacobi_rule_01(n_radial, 0.0, params.sigma - 2 * params.m - 2.0)
@@ -521,8 +520,7 @@ class TestIsometryRings:
 
     @pytest.mark.parametrize("c, m", [(1.0, 0), (2.0, 1), (0.6, 0), (3.0, 4)])
     def test_nine_modes_pass(self, c, m):
-        # the equal-weight phi_0 .. phi_8 mix once raised at c <= 1 and
-        # missed by 1.7e-2 at c = 2
+        # the benchmark's known-defect span, equal weights on phi_0 .. phi_8
         params = ModelParams(OscParams(c), m)
         rep = isometry_check(params, mode_mix(params.osc, [1.0 / 3.0] * 9))
         assert rep["relative_gap"] < 1e-13
@@ -557,7 +555,7 @@ class TestIsometryRings:
 
     @pytest.mark.parametrize("c, m", [(0.6, 2), (1.0, 1)])
     def test_memory_is_bounded(self, c, m):
-        # the rule's peak is 2.0 MiB at (0.6, 2); the ring rule's was 81 MiB
+        # twice the rule's measured peak, 2.0 MiB at (0.6, 2)
         params = ModelParams(OscParams(c), m)
         f = mode_mix(params.osc, self.MIX)
         isometry_check(params, f)  # fill the coefficient caches

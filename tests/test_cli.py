@@ -687,8 +687,7 @@ class TestVerify:
             assert set(check) == {"name", "error", "tol", "pass"}
 
     def test_oscillator_gram_twenty_levels_exit_0(self, tmp_path):
-        # the Gram layout ends at state_end(20) = 80; cut at xi = 40 this
-        # run exited 1 with misses of 0.15 to 0.30
+        # the Gram layout ends at state_end(20) = 80, past phi_20's reach
         out = tmp_path / "rep.json"
         assert run(["verify", "--suite", "orthonormality-oscillator",
                     "--kmax", "20", "--out", str(out)]) == 0

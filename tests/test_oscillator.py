@@ -88,8 +88,8 @@ class TestEigenfunctions:
 
     @pytest.mark.parametrize("c", [0.8, 1.0, 1.5, 3.0])
     def test_gram_resolves_twenty_levels(self, c):
-        # the layout ends at state_end(20) = 80; cut at xi = 40 it missed
-        # the identity by 0.15 to 0.30
+        # phi_20 reaches about xi = 40, and the layout ends at
+        # state_end(20) = 80
         gram = oscillator_gram(OscParams(c), 20)
         assert np.abs(gram - np.eye(21)).max() < 1e-12
 
