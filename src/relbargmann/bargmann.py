@@ -130,6 +130,15 @@ def _as_callable(f):
     raise InputFormatError("f must be callable or a SampledFunction")
 
 
+def _values_on(func, xi: np.ndarray) -> np.ndarray:
+    """f at the nodes xi; a NaN or inf raises, naming the smallest such xi."""
+    vals = np.asarray(func(xi))
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise InputFormatError(f"f is not finite at xi = {xi[bad].min():.6g}")
+    return vals
+
+
 def classical_bargmann(sigma: float, f, z):
     """Laguerre-kernel Bargmann transform of f at the disk point z.
 
@@ -198,7 +207,7 @@ def _transform_on_layout(params: ModelParams, f, z, weigh, with_error: bool,
     func = _as_callable(f)
 
     def integrand(xi):
-        f_vals = np.asarray(func(xi))
+        f_vals = _values_on(func, xi)
         live = f_vals != 0
         out = np.zeros(xi.shape, dtype=complex)
         if live.any():
@@ -222,7 +231,8 @@ def relativistic_transform(params: ModelParams, f, z, with_error: bool = False):
     evaluated only at the nodes where f is non-zero.  Returns B[f](z), or
     ``(value, err_estimate)`` with ``with_error``: the estimate is the sum
     over the panels of the distance between the 32-point and the 16-point
-    Gauss-Legendre values.
+    Gauss-Legendre values.  A non-finite value of f at a node raises
+    InputFormatError.
     """
     return _transform_on_layout(
         params, f, z,
@@ -290,13 +300,15 @@ def isometry_check(params: ModelParams, f) -> dict:
     NonConvergenceError
         If the last two panels of the layout hold more than 1e-8 of
         ||f||^2: f does not decay within the layout.
+    InputFormatError
+        If f is not finite at a node of the layout.
 
     Returns a dict with both norms and their relative gap.
     """
     func = _as_callable(f)
     end = state_end(_ISOMETRY_KMAX)
     xi, weights = xi_panel_grid(params.osc, end)
-    f_nodes = np.asarray(func(xi))
+    f_nodes = _values_on(func, xi)
     mass = weights * np.abs(f_nodes) ** 2
     norm_f_sq = float(np.sum(mass))
     tail = float(np.sum(mass[-2 * len(_FINE_RULE[0]):]))

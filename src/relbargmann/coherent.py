@@ -7,9 +7,8 @@ oscillator eigenstates with the conjugated disk eigenbasis as coefficients,
     N(z) = (sigma - 2m - 1) / (pi (1 - |z|^2)^sigma).
 
 Two independent evaluation routes are provided for the wave function
-<xi|z>: the defining superposition truncated at a controllable order
-(``cs_wavefunction_oracle``) and the closed form through the Kampe de Feriet
-function F5 with arguments
+<xi|z>: the defining superposition (``cs_wavefunction_oracle``) and the
+closed form through the Kampe de Feriet function F5 with arguments
 
     tau_z = -(1 - |z|^2)/|1 - z|^2,      nu_z = 1/(1 - z),
 
@@ -17,6 +16,10 @@ function F5 with arguments
 (1 - |z|^2)^gamma (1 - zbar)^(-2 gamma) ((z - 1)/(1 - zbar))^m and the
 oscillator gamma-weights; the conjugate of this kernel, scaled by N^(1/2),
 is the integral kernel of the Bargmann-type transform.
+
+Every sum over the disk basis here (both superposition oracles and
+``overlap_series``) is cut at ``truncation_order``, set by the summed tail
+of |Phi_k(z)|^2, so the cut follows the level (sigma, m) as well as |z|.
 """
 
 from __future__ import annotations
@@ -27,14 +30,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, loggamma
 
-from .disk import LandauIndex, basis_phi_batch, check_disk
+from .disk import (LandauIndex, basis_phi_batch, basis_radial_profiles,
+                   check_disk)
 from .errors import DomainError, NonConvergenceError
 from .hypergeom import f5_kernel_vec
-from .oscillator import ModelParams, eigenfunction_batch
+from .oscillator import ModelParams, _check_xi, eigenfunction_batch
 
 #: evaluation caps for the closed-form kernel and the transforms
 KERNEL_RMAX = 0.85
 KERNEL_MIN_DIST_ONE = 0.2
+
+#: relative size of the k-tail at which every superposition is cut, and the
+#: largest order it may be cut at
+TAIL_LEVEL = 1e-15
+K_CAP = 8000
 
 
 @dataclass(frozen=True)
@@ -89,17 +98,44 @@ def overlap(idx: LandauIndex, z, w):
     return out if out.shape else complex(out)
 
 
-def overlap_series(idx: LandauIndex, z, w, kmax: int = 160) -> complex:
-    """Overlap by the defining basis expansion, truncated at kmax.
+def truncation_order(idx: LandauIndex, z) -> int:
+    """Smallest K with sum_{k>K} |Phi_k(z)|^2 <= TAIL_LEVEL^2 N(z); past
+    K_CAP (|z| near 1) it raises NonConvergenceError.
+
+    The tail is summed term by term, smallest first, from the radial
+    profiles up to at least 2K, never as N(z) minus a partial sum, which
+    cancels below about 1e-13.  At z = 0, K = m.
+    """
+    r = abs(complex(z)) ** 2
+    # |Phi_k(z)| = (1 - r)^-m |g_k(r)|: the level on the scale of the g_k
+    level = TAIL_LEVEL ** 2 * normalization(idx, z) * (1.0 - r) ** (2 * idx.m)
+    n = 128
+    while True:
+        g = basis_radial_profiles(n, idx, r)[:, 0]
+        tails = np.cumsum((g * g)[::-1])[::-1]  # sum of g_j^2 over j >= k
+        order = max(int(np.count_nonzero(tails > level)) - 1, 0)
+        if order > K_CAP:
+            raise NonConvergenceError(
+                f"the basis sum at |z| = {math.sqrt(r):.6g} needs more than "
+                f"{K_CAP} terms to reach a relative tail of {TAIL_LEVEL:g}")
+        if 2 * order <= n:
+            return order
+        n *= 2
+
+
+def overlap_series(idx: LandauIndex, z, w) -> complex:
+    """Overlap by the defining basis expansion, cut at the
+    ``truncation_order`` of the label farther from the origin.
 
     Independent of :func:`overlap`; serves as its brute-force oracle.
     """
     z = complex(check_disk(z, "z"))
     w = complex(check_disk(w, "w"))
-    phi_z = basis_phi_batch(kmax, idx, z)
-    phi_w = basis_phi_batch(kmax, idx, w)
-    total = complex(np.sum(phi_z * np.conj(phi_w)))
-    return total / math.sqrt(normalization(idx, z) * normalization(idx, w))
+    kmax = truncation_order(idx, max(z, w, key=abs))
+    zw = np.array([z, w])
+    phi_z, phi_w = basis_phi_batch(kmax, idx, zw).T
+    norms = normalization(idx, zw)
+    return complex(np.vdot(phi_w, phi_z)) / math.sqrt(norms[0] * norms[1])
 
 
 def cs_distance(idx: LandauIndex, z, w) -> float:
@@ -132,9 +168,7 @@ def _wavefunction_profile(params: ModelParams, z: complex, xi: np.ndarray,
     spectral parameters flipped), which is the transform-kernel orientation.
     """
     gamma, m = params.gamma, params.m
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if np.any(xi < 0):
-        raise DomainError("wave functions live on xi >= 0")
+    xi = _check_xi(xi)
     out = np.zeros(len(xi), dtype=complex)
     pos = xi > 0
     if not np.any(pos):
@@ -170,41 +204,14 @@ def cs_wavefunction(label: CoherentLabel, xi):
     return complex(vals[0]) if scalar else vals
 
 
-def cs_wavefunction_oracle(label: CoherentLabel, xi, kmax: int = 160,
-                           tol: float = 1e-8):
-    """Wave function by the truncated defining superposition.
-
-    Sums N^(-1/2) conj(Phi_k(z)) phi_k(xi) for k <= kmax.  Ten further terms
-    are evaluated beyond the truncation point; their magnitudes, extended
-    geometrically with ratio |z|, bound the discarded tail.
-
-    Raises
-    ------
-    NonConvergenceError
-        If the tail estimate exceeds ``tol``.
-    """
-    if kmax < 0:
-        raise DomainError("oracle truncation order must be nonnegative")
-    params = label.params
-    z = complex(label.z)
-    idx = params.landau_index()
-    scalar = np.ndim(xi) == 0
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-    probe = kmax + 10
-    coeffs = np.conj(basis_phi_batch(probe, idx, z))
-    states = eigenfunction_batch(probe, params.osc, xi_arr)
-    terms = coeffs[:, None] * states
-    norm = math.sqrt(normalization(idx, z))
-    total = terms[: kmax + 1].sum(axis=0) / norm
-    probe_mags = np.abs(terms[kmax + 1:]).sum(axis=0) / norm
-    last_mag = float(np.max(np.abs(terms[-1]))) / norm
-    ratio = min(abs(z), 0.9)
-    tail = float(np.max(probe_mags)) + last_mag * ratio / (1.0 - ratio)
-    if tail > tol:
-        raise NonConvergenceError(
-            f"superposition tail estimate {tail:.3e} exceeds tol = {tol:.1e}; "
-            f"raise kmax")
-    return complex(total[0]) if scalar else total
+def cs_wavefunction_oracle(label: CoherentLabel, xi):
+    """Wave function by the defining superposition
+    N(z)^(-1/2) sum_k conj(Phi_k(z)) phi_k(xi), cut at ``truncation_order``:
+    the conjugate of :func:`transform_kernel_series` over N(z)^(1/2)."""
+    params, z = label.params, complex(label.z)
+    out = (np.conj(transform_kernel_series(params, z, xi))
+           / math.sqrt(normalization(params.landau_index(), z)))
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def transform_kernel(params: ModelParams, z, xi) -> np.ndarray:
@@ -224,32 +231,15 @@ def transform_kernel(params: ModelParams, z, xi) -> np.ndarray:
     return complex(out[0]) if scalar else out
 
 
-def series_kmax_for(z: complex) -> int:
-    """Truncation order 20 past where |z|^k reaches 1e-15, in [60, 8000]."""
-    rho = abs(complex(z))
-    if rho < 1e-6:
-        return 60
-    k = int(math.log(1e-15) / math.log(rho)) + 20
-    return min(max(k, 60), 8000)
-
-
-def transform_kernel_series(params: ModelParams, z, xi,
-                            kmax: int | None = None) -> np.ndarray:
-    """The transform kernel through its defining expansion.
-
-    Identically K(z, xi) = sum_k Phi_k(z) conj(phi_k(xi)) (the normalization
-    factors cancel).  This route is free of the large-xi cancellation that
-    limits the closed form near the disk boundary, so it serves both as the
-    independent oracle and as the evaluation path for norm integrals over
-    nearly the whole disk.
-    """
-    z = complex(check_disk(z))
-    if kmax is None:
-        kmax = series_kmax_for(z)
+def transform_kernel_series(params: ModelParams, z, xi) -> np.ndarray:
+    """The transform kernel by its defining expansion
+    K(z, xi) = sum_k Phi_k(z) conj(phi_k(xi)), k <= ``truncation_order``:
+    the oracle of :func:`transform_kernel`, with no code in common with the
+    F5 closed form and no cap on |z| or |1 - z|."""
     idx = params.landau_index()
+    kmax = truncation_order(idx, z)
     scalar = np.ndim(xi) == 0
-    xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
     coeffs = basis_phi_batch(kmax, idx, z)
-    states = eigenfunction_batch(kmax, params.osc, xi_arr)
+    states = eigenfunction_batch(kmax, params.osc, np.atleast_1d(xi))
     out = coeffs @ np.conj(states)
     return complex(out[0]) if scalar else out

@@ -165,26 +165,20 @@ def basis_radial_profiles(kmax: int, idx: LandauIndex, r) -> np.ndarray:
 
     On the circle |z| = sqrt(r) every basis member factors as
     Phi_k = (1-r)^-m e^(i(k-m) arg z) g_k, with the real profile
-    g_k = sum_j C_j r^((k+m-2j)/2) over the monomial coefficients C_j.
+    g_k = sum_j C_j r^((k+m-2j)/2) over the monomial coefficients C_j,
+    here (1-r)^m Phi_k(sqrt(r)) on the one evaluation path of Phi_k.
     """
-    m, sigma = idx.m, idx.sigma
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    coeffs = _phi_coeff_matrix(kmax, m, sigma)
-    k = np.arange(kmax + 1)
-    out = np.zeros((kmax + 1, len(r)))
-    for j in range(m + 1):
-        # rows k < j carry a zero coefficient; give them the power r^0 so a
-        # negative exponent never meets r = 0
-        half_power = np.where(k >= j, 0.5 * (k + m - 2 * j), 0.0)
-        out += coeffs[:, j, None] * r[None, :] ** half_power[:, None]
-    return out
+    return basis_phi_batch(kmax, idx, np.sqrt(r)).real * (1.0 - r) ** idx.m
 
 
 def basis_phi_batch(kmax: int, idx: LandauIndex, z) -> np.ndarray:
     """Stack of basis_phi(k, idx, z) for k = 0..kmax along the first axis,
     row k with the bits of ``basis_phi(k, idx, z)``."""
     kmax = _check_basis(kmax, idx, "basis order kmax")
-    coeffs = _phi_coeff_matrix(kmax, idx.m, float(idx.sigma))
+    # rows are built and cached in whole blocks of 32, so that a kmax that
+    # moves from call to call (a truncation order) reuses one build
+    coeffs = _phi_coeff_matrix(kmax | 31, idx.m, float(idx.sigma))[:kmax + 1]
     return _basis_rows(0, coeffs, idx, z)
 
 

@@ -137,8 +137,10 @@ def _state_prefactor(osc: OscParams, xi: np.ndarray) -> np.ndarray:
 
 def _check_xi(xi) -> np.ndarray:
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if np.any(xi < 0):
-        raise DomainError("oscillator eigenfunctions live on xi >= 0")
+    bad = ~(np.isfinite(xi) & (xi >= 0))
+    if bad.any():
+        raise DomainError("wave functions live on finite xi >= 0, got "
+                          f"xi = {float(xi[bad][0])!r}")
     return xi
 
 

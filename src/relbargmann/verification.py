@@ -75,7 +75,7 @@ def suite_orthonormality_oscillator(config: dict) -> list[dict]:
 
 
 def suite_overlap(config: dict) -> list[dict]:
-    tol = float(config.get("tol", 1e-8))
+    tol = float(config.get("tol", 1e-12))
     rng = np.random.default_rng(20240611)
     checks = []
     for sigma, m in _DISK_CASES:
@@ -84,10 +84,9 @@ def suite_overlap(config: dict) -> list[dict]:
         worst_sym = 0.0
         for _ in range(50):
             z, w = (complex(*p) for p in rng.uniform(-0.354, 0.354, (2, 2)))
-            worst = max(worst, abs(overlap(idx, z, w)
-                                   - overlap_series(idx, z, w, kmax=120)))
-            worst_sym = max(worst_sym, abs(overlap(idx, z, w)
-                                           - np.conj(overlap(idx, w, z))))
+            zw = overlap(idx, z, w)
+            worst = max(worst, abs(zw - overlap_series(idx, z, w)))
+            worst_sym = max(worst_sym, abs(zw - np.conj(overlap(idx, w, z))))
         checks.append(_check(f"overlap-series-sigma{sigma}-m{m}", worst, tol))
         checks.append(_check(f"overlap-hermitian-sigma{sigma}-m{m}", worst_sym, 1e-12))
     return checks

@@ -74,7 +74,7 @@ def test_criterion_03_overlap_closed_form():
         for _ in range(50):
             z, w = (complex(*p) for p in rng.uniform(-0.354, 0.354, (2, 2)))
             worst = max(worst, abs(overlap(idx, z, w)
-                                   - overlap_series(idx, z, w, kmax=120)))
+                                   - overlap_series(idx, z, w)))
     elapsed = report(3, "overlap closed form vs series (150 pairs)",
                      worst, 1e-8, t0)
     assert elapsed < 10.0
@@ -117,7 +117,7 @@ def test_criterion_06_wavefunction_closed_form():
             label = CoherentLabel(z, params)
             for xi in (0.4, 0.8, 1.5, 2.5):
                 closed = cs_wavefunction(label, xi)
-                oracle = cs_wavefunction_oracle(label, xi, kmax=200)
+                oracle = cs_wavefunction_oracle(label, xi)
                 worst = max(worst, abs(closed - oracle))
     elapsed = report(6, "coherent wave function: closed form vs oracle "
                         "(3z x 4xi x 2m)", worst, 1e-6, t0)

@@ -126,7 +126,7 @@ class TestRelativisticTransform:
 
         def integrand(xi):
             return (np.asarray(f(xi))
-                    * np.conj(cs_wavefunction_oracle(label, xi, kmax=200)))
+                    * np.conj(cs_wavefunction_oracle(label, xi)))
 
         want, _ = integrate_halfline(integrand, decay_scale=0.5, tol=1e-10)
         assert abs(got - root_n * want) < 1e-6
@@ -149,6 +149,23 @@ class TestRelativisticTransform:
             relativistic_transform(params, f, 0.86)
         with pytest.raises(DomainError):
             relativistic_transform(params, f, 0.84 + 0.01j)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_f_rejected(self, bad):
+        # a NaN past xi = 5 once came back as the value (nan, nan)
+        params = ModelParams(OscParams(1.0), 0)
+        phi0 = oscillator_mode(0, params.osc)
+
+        def f(xi):
+            return np.where(np.asarray(xi) > 5.0, bad, phi0(xi))
+
+        calls = (lambda: relativistic_transform(params, f, 0.3),
+                 lambda: relativistic_transform_m0(params.osc, f, 0.3),
+                 lambda: relativistic_transform_grid(params, f, [0.3]),
+                 lambda: isometry_check(params, f))
+        for call in calls:
+            with pytest.raises(InputFormatError, match=r"xi = 5\.\d"):
+                call()
 
     def test_grid_result(self):
         params = ModelParams(OscParams(1.0), 0)

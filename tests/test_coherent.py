@@ -8,13 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relbargmann.bargmann import relativistic_transform
-from relbargmann.coherent import (CoherentLabel, cs_distance, cs_wavefunction,
+from relbargmann.coherent import (K_CAP, TAIL_LEVEL, CoherentLabel,
+                                  cs_distance, cs_wavefunction,
                                   cs_wavefunction_oracle, normalization,
                                   overlap, overlap_series, transform_kernel,
-                                  transform_kernel_series)
-from relbargmann.disk import LandauIndex
+                                  transform_kernel_series, truncation_order)
+from relbargmann.disk import LandauIndex, basis_phi_batch, basis_radial_profiles
 from relbargmann.errors import DomainError, NonConvergenceError
-from relbargmann.oscillator import ModelParams, OscParams, eigenfunction
+from relbargmann.oscillator import (ModelParams, OscParams, eigenfunction,
+                                    eigenfunction_batch)
 
 
 class TestNormalization:
@@ -52,8 +54,14 @@ class TestOverlap:
         idx = LandauIndex(7.5, 2)
         z, w = 0.3 + 0.1j, -0.2 + 0.25j
         got = overlap(idx, z, w)
-        want = overlap_series(idx, z, w, kmax=120)
+        want = overlap_series(idx, z, w)
         assert abs(got - want) < 1e-8
+
+    def test_against_series_near_the_rim(self):
+        # a fixed 160 terms missed the closed form by 1.2e-8 here
+        idx = LandauIndex(5.0, 0)
+        assert abs(overlap(idx, 0.95, 0.9j)
+                   - overlap_series(idx, 0.95, 0.9j)) < 1e-14
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(-0.49, 0.49), st.floats(-0.49, 0.49),
@@ -110,14 +118,14 @@ class TestWaveFunction:
         label = CoherentLabel(0.25, params)
         for xi in (0.5, 1.0, 2.0):
             closed = cs_wavefunction(label, xi)
-            oracle = cs_wavefunction_oracle(label, xi, kmax=160)
+            oracle = cs_wavefunction_oracle(label, xi)
             assert abs(closed - oracle) < 1e-6
 
     def test_closed_form_vs_oracle_m1(self):
         params = ModelParams(OscParams(1.0), 1)
         label = CoherentLabel(0.2 + 0.15j, params)
         closed = cs_wavefunction(label, 0.8)
-        oracle = cs_wavefunction_oracle(label, 0.8, kmax=160)
+        oracle = cs_wavefunction_oracle(label, 0.8)
         assert abs(closed - oracle) < 1e-6
 
     def test_boundary_zero(self):
@@ -142,28 +150,40 @@ class TestOracle:
         params = ModelParams(OscParams(1.0), 0)
         label = CoherentLabel(0.0, params)
         for xi in (0.3, 1.2):
-            got = cs_wavefunction_oracle(label, xi, kmax=0)
+            got = cs_wavefunction_oracle(label, xi)
             want = eigenfunction(0, params.osc, xi)
             assert abs(got - want) < 1e-15
 
     def test_truncation_stability(self):
-        params = ModelParams(OscParams(1.0), 1)
-        label = CoherentLabel(0.25j, params)
-        a = cs_wavefunction_oracle(label, 1.0, kmax=80)
-        b = cs_wavefunction_oracle(label, 1.0, kmax=160)
-        assert abs(a - b) < 1e-9
+        # the terms past the cut move the normalized sum by less than ten
+        # times the tail level; at (3, 4) a cut in |z| alone moved it by 6e-8
+        xi = np.array([0.5, 2.0, 5.0])
+        for c, m, z in ((1.0, 1, 0.6j), (3.0, 4, -0.85j)):
+            params = ModelParams(OscParams(c), m)
+            idx = params.landau_index()
+            kmax = 3 * truncation_order(idx, z)
+            longer = (np.conj(basis_phi_batch(kmax, idx, z))
+                      @ eigenfunction_batch(kmax, params.osc, xi)
+                      / math.sqrt(normalization(idx, z)))
+            got = cs_wavefunction_oracle(CoherentLabel(z, params), xi)
+            assert np.max(np.abs(got - longer)) < 10.0 * TAIL_LEVEL
 
     def test_tail_guard(self):
-        params = ModelParams(OscParams(1.0), 0)
-        label = CoherentLabel(0.8, params)
-        with pytest.raises(NonConvergenceError):
-            cs_wavefunction_oracle(label, 1.0, kmax=5, tol=1e-10)
+        # near the rim the rule raises rather than cut a tail it cannot reach
+        params = ModelParams(OscParams(1.0), 2)
+        label = CoherentLabel(0.999, params)
+        calls = (lambda: cs_wavefunction_oracle(label, 1.0),
+                 lambda: transform_kernel_series(params, 0.999, 1.0),
+                 lambda: overlap_series(params.landau_index(), 0.1, 0.999))
+        for call in calls:
+            with pytest.raises(NonConvergenceError, match=str(K_CAP)):
+                call()
 
     def test_vectorised_xi(self):
         params = ModelParams(OscParams(1.0), 0)
         label = CoherentLabel(0.2, params)
         xi = np.array([0.0, 0.7, 1.9])
-        vals = cs_wavefunction_oracle(label, xi, kmax=120)
+        vals = cs_wavefunction_oracle(label, xi)
         assert vals.shape == (3,)
         assert vals[0] == 0.0
 
@@ -192,3 +212,79 @@ class TestTransformKernel:
         for z in (0.86, 0.85, 0.84 + 0.01j):
             with pytest.raises(DomainError):
                 transform_kernel(params, z, 20.0)
+
+
+class TestTruncationOrder:
+    @pytest.mark.parametrize("c", [0.6, 1.0, 3.0])
+    @pytest.mark.parametrize("m", [0, 2, 4])
+    @pytest.mark.parametrize("rho", [0.3, 0.6, 0.85])
+    def test_smallest_order_meeting_the_level(self, c, m, rho):
+        # K meets sum_{k>K} |Phi_k|^2 <= TAIL_LEVEL^2 N and K - 1 does not,
+        # with the tail summed, smallest term first, over 4K + 64 terms
+        idx = ModelParams(OscParams(c), m).landau_index()
+        z = rho * np.exp(0.9j)
+        order = truncation_order(idx, z)
+        r = rho ** 2
+        g = basis_radial_profiles(4 * order + 64, idx, r)[:, 0]
+        tails = (np.cumsum((g * g)[::-1])[::-1]
+                 / (1.0 - r) ** (2 * m) / normalization(idx, z))
+        assert tails[order + 1] <= TAIL_LEVEL ** 2 < tails[order]
+
+    def test_grows_with_the_level(self):
+        # (3, 4) at |z| = 0.85 needs 405 terms, (1, 0) at 0.3 only 30; a rule
+        # in |z| alone took 232 and 60
+        big = ModelParams(OscParams(3.0), 4).landau_index()
+        small = ModelParams(OscParams(1.0), 0).landau_index()
+        assert truncation_order(big, 0.85) == 405
+        assert truncation_order(small, 0.3) == 30
+
+    def test_origin(self):
+        # at z = 0 only Phi_m is non-zero
+        for m in (0, 1, 2):
+            idx = LandauIndex(9.0, m)
+            assert truncation_order(idx, 0.0) == m
+
+    def test_oracles_take_no_budget(self):
+        params = ModelParams(OscParams(1.0), 0)
+        label = CoherentLabel(0.2, params)
+        calls = (lambda: cs_wavefunction_oracle(label, 1.0, 160),
+                 lambda: cs_wavefunction_oracle(label, 1.0, tol=1e-8),
+                 lambda: transform_kernel_series(params, 0.2, 1.0, 160),
+                 lambda: overlap_series(params.landau_index(), 0.2, 0.1, 120))
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
+
+    def test_cap_raises(self):
+        idx = ModelParams(OscParams(1.0), 2).landau_index()
+        with pytest.raises(NonConvergenceError):
+            truncation_order(idx, 0.999)
+        assert truncation_order(idx, 0.98) <= K_CAP
+
+
+@pytest.mark.parametrize("xi", [math.nan, math.inf, np.array([1.0, math.nan])])
+def test_non_finite_xi_rejected(xi):
+    # NaN fails xi > 0 and once read as the boundary value 0
+    params = ModelParams(OscParams(1.0), 1)
+    label = CoherentLabel(0.3 + 0.1j, params)
+    calls = (lambda: transform_kernel(params, label.z, xi),
+             lambda: cs_wavefunction(label, xi),
+             lambda: transform_kernel_series(params, label.z, xi),
+             lambda: cs_wavefunction_oracle(label, xi),
+             lambda: eigenfunction(2, params.osc, xi))
+    for call in calls:
+        with pytest.raises(DomainError, match="finite xi"):
+            call()
+
+
+def test_finite_overflow_is_non_convergence():
+    params = ModelParams(OscParams(1.0), 1)
+    label = CoherentLabel(0.3 + 0.1j, params)
+    calls = (lambda: transform_kernel(params, label.z, 1e300),
+             lambda: cs_wavefunction(label, 1e300),
+             lambda: transform_kernel_series(params, label.z, 1e300),
+             lambda: cs_wavefunction_oracle(label, 1e300),
+             lambda: eigenfunction(2, params.osc, 1e300))
+    for call in calls:
+        with pytest.raises(NonConvergenceError):
+            call()
