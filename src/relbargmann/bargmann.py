@@ -8,26 +8,31 @@ Three transforms are implemented:
   exp(-(x/2)(1+z)/(1-z)) x^((sigma-1)/2);
 
 * ``relativistic_transform`` -- the coherent-state transform B[f](z)
-  = N(z)^(1/2) <f, phi_z> whose kernel carries the F5 closed form; it maps
-  the oscillator eigenstate phi_j to the disk eigenfunction Phi_j of the
-  level (2(gamma+m), m), and is an isometry onto that eigenspace;
+  = N(z)^(1/2) <f, phi_z>, whose kernel is the paper's superposition
+  K(z, xi) = sum_k Phi_k(z) conj(phi_k(xi)); it maps the oscillator
+  eigenstate phi_j to the disk eigenfunction Phi_j of the level
+  (2(gamma+m), m), and is an isometry onto that eigenspace;
 
 * ``relativistic_transform_m0`` -- the analytic (m = 0) reduction, whose
   kernel collapses to a single Gauss function 2F1(gamma - i xi, 1/2 - i xi;
   gamma + 1/2; z); its image consists of holomorphic functions.
 
-Transforms are evaluated at one disk point per call against either a
-callable f(xi) (vectorised over ndarray) or a :class:`SampledFunction`,
-which is interpolated by a cubic spline and taken as zero outside its grid.
-The xi quadrature uses a panel layout fixed by the parameters alone, so the
-transforms are exactly linear in f.  It ends at ``oscillator.XI_LENGTH``
-= 40 for every c, which takes at most 126 panels of width gamma/pi, and
-the integrand (f times the kernel) is evaluated in one call on all of its
-nodes.  f is evaluated first, and the kernel only at the nodes where f is
-non-zero; the integrand is an exact zero at the others.  For a
-:class:`SampledFunction` that keeps the kernel inside the sample grid, away
-from the large xi where its series is dearest.  The layout, and so every
-result, is the same as with the kernel evaluated at every node.
+Transforms are evaluated against either a callable f(xi) (vectorised over
+ndarray) or a :class:`SampledFunction`, which is interpolated by a cubic
+spline and taken as zero outside its grid.  The xi quadrature uses a panel
+layout fixed by the parameters alone, so the transforms are linear in f.
+It ends at ``oscillator.XI_LENGTH`` = 40 for every c, which takes at most
+126 panels of width gamma/pi, and f is evaluated in one call on all of its
+nodes.  The kernel of ``relativistic_transform`` is summed at the nodes
+where f is non-zero, up to the ``coherent.truncation_order`` of the point,
+from one real table of the states' polynomials, which
+``relativistic_transform_grid`` builds once for all of its points; the
+integrand is an exact zero at the other nodes.  Each node's kernel value
+has the same bits whatever the other nodes and points, so every result is
+the same as with the kernel evaluated at every node, and a grid value the
+same as the single-point value.  The F5 closed form
+(``coherent.transform_kernel``) is not used here; the m = 0 reduction keeps
+its 2F1 kernel.
 """
 
 from __future__ import annotations
@@ -39,13 +44,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammaln, loggamma
 
-from .coherent import _check_kernel_domain, transform_kernel
+from .coherent import _check_kernel_domain, _kernel_expansion, truncation_order
+# looked up here by the layer tracer of bench/tracing.py
+from .coherent import transform_kernel  # noqa: F401
 from .disk import basis_gram, check_disk
 from .errors import DomainError, InputFormatError, NonConvergenceError
 from .hypergeom import gauss_2f1_vec
 from .oscillator import (XI_LENGTH, ModelParams, OscParams,
-                         eigenfunction_batch, panel_width, project_states,
-                         state_end, xi_panel_grid)
+                         conj_state_factors, eigenfunction_batch, panel_width,
+                         project_states, state_end, xi_panel_grid)
 from .quadrature import _COARSE_RULE, _FINE_RULE, integrate_halfline
 
 
@@ -162,29 +169,30 @@ def classical_bargmann(sigma: float, f, z):
     return pref * value, abs(pref) * err
 
 
-def _integrate_fixed_layout(integrand, params: ModelParams):
-    """Integrate ``integrand`` over [0, XI_LENGTH] on the fixed panel layout.
+def _layout(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes, shape (panels, 48), and half widths of the fixed panel layout.
 
     Panels of ``oscillator.panel_width`` (the last one cut at XI_LENGTH)
-    each carry the 16-point and the 32-point Gauss-Legendre rule; both rules
-    of every panel go to ``integrand`` in one call.
-
-    Returns ``(value, err_estimate)``: the sums over panels, in panel order,
-    of the 32-point values and of their distances from the 16-point values.
+    each carry the 16-point and then the 32-point Gauss-Legendre rule.
     """
     width = panel_width(params.osc)
     n_panels = math.ceil(XI_LENGTH / width)
-    (xc, wc), (xf, wf) = _COARSE_RULE, _FINE_RULE
-    rule = np.concatenate([xc, xf])
+    rule = np.concatenate([_COARSE_RULE[0], _FINE_RULE[0]])
     # edges by repeated addition of the width, as a panel walk makes them
     edges = np.minimum(np.cumsum(np.r_[0.0, np.full(n_panels, width)]),
                        XI_LENGTH)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mid[:, None] + half[:, None] * rule
-    vals = np.asarray(integrand(nodes.ravel())).reshape(n_panels, len(rule))
-    coarse = half * np.sum(wc * vals[:, :len(xc)], axis=1)
-    fine = half * np.sum(wf * vals[:, len(xc):], axis=1)
+    return mid[:, None] + half[:, None] * rule, half
+
+
+def _panel_sums(vals: np.ndarray, half: np.ndarray):
+    """``(value, err_estimate)`` from the integrand on the ``_layout``
+    nodes: the sums over panels, in panel order, of the 32-point values and
+    of their distances from the 16-point values."""
+    (_, wc), (_, wf) = _COARSE_RULE, _FINE_RULE
+    coarse = half * np.sum(wc * vals[:, :len(wc)], axis=1)
+    fine = half * np.sum(wf * vals[:, len(wc):], axis=1)
     total = 0.0 + 0.0j
     err_total = 0.0
     for value, coarse_value in zip(fine.tolist(), coarse.tolist()):
@@ -193,87 +201,123 @@ def _integrate_fixed_layout(integrand, params: ModelParams):
     return total, err_total
 
 
-def _transform_on_layout(params: ModelParams, f, z, weigh, with_error: bool,
-                         prefactor=None):
-    """prefactor(z) times the integral of f times a kernel on the fixed layout
-    of ``params``, the body of both F5-layout transforms.
+def _integrate_fixed_layout(integrand, params: ModelParams):
+    """Integrate ``integrand`` over [0, XI_LENGTH] on the fixed panel layout,
+    with both rules of every panel in one call of ``integrand``.
 
-    ``weigh(z, f_vals, xi)`` is f times the kernel at the nodes ``xi`` where
-    f takes the non-zero values ``f_vals``; the integrand is an exact zero at
-    the others.  Every Gauss node lies inside its panel, so xi > 0.
+    Returns ``(value, err_estimate)`` as :func:`_panel_sums`.
     """
-    z = complex(check_disk(z))
-    _check_kernel_domain(z)
-    func = _as_callable(f)
+    nodes, half = _layout(params)
+    vals = np.asarray(integrand(nodes.ravel())).reshape(nodes.shape)
+    return _panel_sums(vals, half)
 
-    def integrand(xi):
-        f_vals = _values_on(func, xi)
-        live = f_vals != 0
-        out = np.zeros(xi.shape, dtype=complex)
-        if live.any():
-            out[live] = weigh(z, f_vals[live], xi[live])
-        return out
 
-    value, err = _integrate_fixed_layout(integrand, params)
-    if prefactor is not None:
-        pref = prefactor(z)
-        value, err = pref * value, abs(pref) * err
-    return (value, err) if with_error else value
+def _check_points(points) -> list[complex]:
+    """The disk points as complex numbers, each inside the kernel cap."""
+    pts = [complex(check_disk(z)) for z in points]
+    for z in pts:
+        _check_kernel_domain(z)
+    return pts
+
+
+def _expansion_transform(params: ModelParams, func, points):
+    """``(values, err_estimates)`` of B[f] at each of ``points``, through the
+    basis expansion of the kernel on the fixed layout.
+
+    f is evaluated once on the layout, and the table of the states is built
+    once, on the nodes where f is non-zero, up to the largest
+    ``truncation_order`` of the points; each point sums the rows up to its
+    own order.  The integrand is an exact zero at the other nodes, and a
+    zero f builds no table.  Every Gauss node lies inside its panel, so
+    xi > 0.
+    """
+    pts = _check_points(points)
+    if not pts:
+        return [], []
+    nodes, half = _layout(params)
+    xi = nodes.ravel()
+    f_vals = _values_on(func, xi)
+    live = np.flatnonzero(f_vals != 0)
+    values, errors = [], []
+    if live.size:
+        idx = params.landau_index()
+        orders = [truncation_order(idx, z) for z in pts]
+        factors = conj_state_factors(max(orders), params.osc, xi[live])
+        f_live = f_vals[live]
+    integrand = np.zeros(xi.shape, dtype=complex)
+    for i, z in enumerate(pts):
+        if live.size:
+            # f times the kernel, in this order, as at every node
+            integrand[live] = f_live * _kernel_expansion(params, z, orders[i],
+                                                         factors)
+        value, err = _panel_sums(integrand.reshape(nodes.shape), half)
+        values.append(value)
+        errors.append(err)
+    return values, errors
 
 
 def relativistic_transform(params: ModelParams, f, z, with_error: bool = False):
     """Coherent-state Bargmann-type transform B[f] at the disk point z.
 
     B[f](z) = N(z)^(1/2) integral_0^inf f(xi) conj(<xi|z>) dxi, with the
-    closed-form F5 kernel, on the fixed panel layout cut at xi = 40
-    (``XI_LENGTH``) for every c.  The layout depends only on the model
-    parameters, never on f, and there is no tolerance to set; the kernel is
-    evaluated only at the nodes where f is non-zero.  Returns B[f](z), or
-    ``(value, err_estimate)`` with ``with_error``: the estimate is the sum
-    over the panels of the distance between the 32-point and the 16-point
-    Gauss-Legendre values.  A non-finite value of f at a node raises
-    InputFormatError.
+    kernel summed as its basis expansion sum_k Phi_k(z) conj(phi_k(xi)),
+    cut at ``coherent.truncation_order``, on the fixed panel layout cut at
+    xi = 40 (``XI_LENGTH``) for every c.  The layout depends only on the
+    model parameters, never on f, and there is no tolerance to set; the
+    states are evaluated only at the nodes where f is non-zero.  Returns
+    B[f](z), or ``(value, err_estimate)`` with ``with_error``: the estimate
+    is the sum over the panels of the distance between the 32-point and the
+    16-point Gauss-Legendre values.  A non-finite value of f at a node
+    raises InputFormatError, a kernel that is not finite (at very large c)
+    NonConvergenceError.
     """
-    return _transform_on_layout(
-        params, f, z,
-        lambda z, f_vals, xi: f_vals * transform_kernel(params, z, xi),
-        with_error)
+    (value,), (err,) = _expansion_transform(params, _as_callable(f), [z])
+    return (value, err) if with_error else value
 
 
 def relativistic_transform_m0(osc: OscParams, f, z, with_error: bool = False):
     """The m = 0 transform through its reduced single-2F1 kernel.
 
-    Same layout, evaluation on the support of f and return value as
-    :func:`relativistic_transform` at m = 0.
+    Same layout and return value as :func:`relativistic_transform` at
+    m = 0; the kernel is evaluated only at the nodes where f is non-zero.
     """
+    (z,) = _check_points([z])
+    func = _as_callable(f)
     gamma = osc.gamma
     lpref = (0.5 * math.log(2.0) + 0.5 * (math.log(2.0 * gamma - 1.0)
              - math.log(math.pi) - gammaln(2.0 * gamma)) - gammaln(gamma + 0.5))
-    scale = math.exp(lpref) * np.exp(-1j * math.pi * gamma / 2.0)
+    pref = (math.exp(lpref) * np.exp(-1j * math.pi * gamma / 2.0)
+            * (1.0 - z) ** (-gamma))
 
-    def weigh(z, f_vals, xi):
-        gam_fac = np.exp(2.0 * loggamma(gamma - 1j * xi) - loggamma(-1j * xi)
-                         + 4j * xi * math.log(osc.c) - 1j * xi * np.log(1.0 - z))
-        # kernel times f, in this order: the product is not bitwise symmetric
-        return gam_fac * gauss_2f1_vec(gamma - 1j * xi, 0.5 - 1j * xi,
-                                       gamma + 0.5, z) * f_vals
+    def integrand(xi):
+        f_vals = _values_on(func, xi)
+        live = f_vals != 0
+        out = np.zeros(xi.shape, dtype=complex)
+        if live.any():
+            xl = xi[live]
+            gam_fac = np.exp(2.0 * loggamma(gamma - 1j * xl) - loggamma(-1j * xl)
+                             + 4j * xl * math.log(osc.c)
+                             - 1j * xl * np.log(1.0 - z))
+            # kernel times f, in this order: the product is not bitwise
+            # symmetric
+            out[live] = gam_fac * gauss_2f1_vec(gamma - 1j * xl, 0.5 - 1j * xl,
+                                                gamma + 0.5, z) * f_vals[live]
+        return out
 
-    return _transform_on_layout(ModelParams(osc=osc, m=0), f, z, weigh,
-                                with_error,
-                                lambda z: scale * (1.0 - z) ** (-gamma))
+    value, err = _integrate_fixed_layout(integrand, ModelParams(osc=osc, m=0))
+    value, err = pref * value, abs(pref) * err
+    return (value, err) if with_error else value
 
 
 def relativistic_transform_grid(params: ModelParams, f,
                                 points) -> TransformResult:
-    """Evaluate the transform on a grid of disk points."""
+    """Evaluate the transform on a grid of disk points, with one evaluation
+    of f and one table of the states for the whole grid; each value has the
+    bits of :func:`relativistic_transform` at its point."""
     pts = np.asarray(points, dtype=complex).ravel()
-    func = _as_callable(f)  # a SampledFunction's spline is built once
-    vals = np.empty(len(pts), dtype=complex)
-    errs = np.empty(len(pts), dtype=float)
-    for i, z in enumerate(pts):
-        vals[i], errs[i] = relativistic_transform(params, func, z,
-                                                  with_error=True)
-    return TransformResult(points=pts, values=vals, params=params, errors=errs)
+    vals, errs = _expansion_transform(params, _as_callable(f), pts)
+    return TransformResult(points=pts, values=np.array(vals, dtype=complex),
+                           params=params, errors=np.array(errs, dtype=float))
 
 
 #: the fixed rule of ``isometry_check``: oscillator states projected on, and

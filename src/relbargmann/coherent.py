@@ -20,6 +20,9 @@ is the integral kernel of the Bargmann-type transform.
 Every sum over the disk basis here (both superposition oracles and
 ``overlap_series``) is cut at ``truncation_order``, set by the summed tail
 of |Phi_k(z)|^2, so the cut follows the level (sigma, m) as well as |z|.
+The superposition route of the kernel, ``transform_kernel_series``, is the
+one sum ``_kernel_expansion`` that the transforms of ``bargmann``
+integrate; the closed form is checked against it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,9 @@ from .disk import (LandauIndex, basis_phi_batch, basis_radial_profiles,
                    check_disk)
 from .errors import DomainError, NonConvergenceError
 from .hypergeom import f5_kernel_vec
-from .oscillator import ModelParams, _check_xi, eigenfunction_batch
+from .oscillator import ModelParams, _check_xi, conj_state_factors
+# looked up here by the layer tracer of bench/tracing.py
+from .oscillator import eigenfunction_batch  # noqa: F401
 
 #: evaluation caps for the closed-form kernel and the transforms
 KERNEL_RMAX = 0.85
@@ -100,25 +105,34 @@ def overlap(idx: LandauIndex, z, w):
 
 def truncation_order(idx: LandauIndex, z) -> int:
     """Smallest K with sum_{k>K} |Phi_k(z)|^2 <= TAIL_LEVEL^2 N(z); past
-    K_CAP (|z| near 1) it raises NonConvergenceError.
+    K_CAP (|z| near 1, or a large sigma) it raises NonConvergenceError.
 
     The tail is summed term by term, smallest first, from the radial
     profiles up to at least 2K, never as N(z) minus a partial sum, which
-    cancels below about 1e-13.  At z = 0, K = m.
+    cancels below about 1e-13; the profiles summed must also hold at least
+    half of N(z), so that the bulk of the sum, which moves out with sigma,
+    is not missed.  At z = 0, K = m.
     """
     r = abs(complex(z)) ** 2
-    # |Phi_k(z)| = (1 - r)^-m |g_k(r)|: the level on the scale of the g_k
-    level = TAIL_LEVEL ** 2 * normalization(idx, z) * (1.0 - r) ** (2 * idx.m)
+    # |Phi_k(z)| = (1 - r)^-m |g_k(r)|: N(z) and the level on the scale of
+    # the g_k
+    with np.errstate(over="ignore", divide="ignore"):
+        total = normalization(idx, z) * (1.0 - r) ** (2 * idx.m)
+    if not math.isfinite(total):
+        raise NonConvergenceError(
+            f"N(z) overflows at |z| = {math.sqrt(r):.6g}, sigma = {idx.sigma:.6g}")
+    level = TAIL_LEVEL ** 2 * total
     n = 128
     while True:
         g = basis_radial_profiles(n, idx, r)[:, 0]
         tails = np.cumsum((g * g)[::-1])[::-1]  # sum of g_j^2 over j >= k
         order = max(int(np.count_nonzero(tails > level)) - 1, 0)
-        if order > K_CAP:
+        bulk = tails[0] >= 0.5 * total
+        if order > K_CAP or (not bulk and n >= K_CAP):
             raise NonConvergenceError(
                 f"the basis sum at |z| = {math.sqrt(r):.6g} needs more than "
                 f"{K_CAP} terms to reach a relative tail of {TAIL_LEVEL:g}")
-        if 2 * order <= n:
+        if bulk and 2 * order <= n:
             return order
         n *= 2
 
@@ -231,15 +245,45 @@ def transform_kernel(params: ModelParams, z, xi) -> np.ndarray:
     return complex(out[0]) if scalar else out
 
 
+@np.errstate(over="ignore", invalid="ignore")  # non-finite values raise below
+def _kernel_expansion(params: ModelParams, z: complex, kmax: int,
+                      factors) -> np.ndarray:
+    """sum_{k<=kmax} Phi_k(z) conj(phi_k(xi)) on the nodes of ``factors``,
+    the ``conj_state_factors`` table of any order >= kmax.
+
+    The sum over k is two real products of the rows k <= kmax of the
+    polynomial table, by ``einsum``: each node's value has the same bits
+    whatever the other nodes and rows of the table, so a sum on some of the
+    nodes of a table, or on the first rows of a longer one, equals the same
+    sum on a table built for just those.
+
+    Raises NonConvergenceError if a value is not finite.
+    """
+    poly, norms, conj_pref = factors
+    rows = poly[:kmax + 1]
+    coeffs = basis_phi_batch(kmax, params.landau_index(), z) * norms[:kmax + 1]
+    sums = (np.einsum("kn,k->n", rows, coeffs.real)
+            + 1j * np.einsum("kn,k->n", rows, coeffs.imag))
+    out = conj_pref * sums
+    if not np.isfinite(out).all():
+        raise NonConvergenceError(
+            f"kernel expansion up to k = {kmax} at z = {z:.6g} is not finite")
+    return out
+
+
 def transform_kernel_series(params: ModelParams, z, xi) -> np.ndarray:
     """The transform kernel by its defining expansion
-    K(z, xi) = sum_k Phi_k(z) conj(phi_k(xi)), k <= ``truncation_order``:
-    the oracle of :func:`transform_kernel`, with no code in common with the
-    F5 closed form and no cap on |z| or |1 - z|."""
-    idx = params.landau_index()
-    kmax = truncation_order(idx, z)
+    K(z, xi) = sum_k Phi_k(z) conj(phi_k(xi)), k <= ``truncation_order``,
+    the kernel the transforms integrate: the oracle of
+    :func:`transform_kernel`, with no code in common with the F5 closed form
+    and no cap on |z| or |1 - z|."""
+    z = complex(check_disk(z))
+    kmax = truncation_order(params.landau_index(), z)
     scalar = np.ndim(xi) == 0
-    coeffs = basis_phi_batch(kmax, idx, z)
-    states = eigenfunction_batch(kmax, params.osc, np.atleast_1d(xi))
-    out = coeffs @ np.conj(states)
+    xi = _check_xi(xi)
+    out = np.zeros(len(xi), dtype=complex)
+    pos = xi > 0
+    if pos.any():
+        out[pos] = _kernel_expansion(
+            params, z, kmax, conj_state_factors(kmax, params.osc, xi[pos]))
     return complex(out[0]) if scalar else out

@@ -125,11 +125,13 @@ def _log_norms(kmax: int, gamma: float) -> np.ndarray:
             - gammaln(2.0 * gamma) - gammaln(gamma + 0.5))
 
 
-def _state_prefactor(osc: OscParams, xi: np.ndarray) -> np.ndarray:
+def _state_prefactor(osc: OscParams, xi: np.ndarray,
+                     log_scale: float = 0.0) -> np.ndarray:
     """The k-independent factor sqrt(2) i^gamma c^(-4 i xi)
-    Gamma(gamma + i xi)^2 / Gamma(i xi) of every phi_k, at xi > 0."""
+    Gamma(gamma + i xi)^2 / Gamma(i xi) of every phi_k, at xi > 0, times
+    exp(log_scale), which is added to its exponent."""
     gamma = osc.gamma
-    lpref = (0.5 * math.log(2.0) + 1j * math.pi * gamma / 2.0
+    lpref = (0.5 * math.log(2.0) + log_scale + 1j * math.pi * gamma / 2.0
              - 4j * xi * math.log(osc.c)
              + 2.0 * loggamma(gamma + 1j * xi) - loggamma(1j * xi))
     return np.exp(lpref)
@@ -201,6 +203,25 @@ def project_states(kmax: int, osc: OscParams, xi, values) -> np.ndarray:
             f"oscillator projections up to k = {kmax} are not finite "
             f"for xi up to {np.max(xi):.4g}")
     return np.exp(_log_norms(kmax, gamma)) * sums
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the kernel sum checks finiteness
+def conj_state_factors(kmax: int, osc: OscParams, xi):
+    """conj(phi_k(xi)) for k = 0..kmax at nodes xi > 0 as the three factors
+    ``(poly, norms, conj_pref)`` of norms[k] * poly[k] * conj_pref.
+
+    ``poly`` is the real normalised polynomial table, as in
+    :func:`project_states`; the log of the k = 0 norm is folded into the
+    exponent of the prefactor, and ``norms`` holds the ratios norm_k / norm_0.
+    Apart, the prefactor overflows and norm_0 underflows once gamma is large
+    (norm_0 = exp(-813) against a prefactor of exp(739) and more at c = 12);
+    the folded factors stay finite.
+    """
+    gamma = osc.gamma
+    log_norms = _log_norms(kmax, gamma)
+    poly = cdhahn_normalized_batch(kmax, xi, gamma, gamma, 0.5)
+    conj_pref = np.conj(_state_prefactor(osc, xi, log_norms[0]))
+    return poly, np.exp(log_norms - log_norms[0]), conj_pref
 
 
 def eigenfunction(k: int, osc: OscParams, xi):

@@ -16,7 +16,7 @@ from relbargmann.bargmann import (SampledFunction, TransformResult,
                                   relativistic_transform_grid,
                                   relativistic_transform_m0)
 from relbargmann.coherent import (CoherentLabel, cs_wavefunction_oracle,
-                                  normalization, transform_kernel)
+                                  normalization, transform_kernel_series)
 from relbargmann.disk import basis_phi, wirtinger_dzbar_fd
 from relbargmann.errors import DomainError, InputFormatError, NonConvergenceError
 from relbargmann.hypergeom import gauss_2f1_vec
@@ -208,6 +208,16 @@ class TestRelativisticTransform:
             got = relativistic_transform(params, sampled, z)
             assert abs(got - want) < 1e-5
 
+    def test_mid_disk_basis_mapping(self):
+        # here the closed-form F5 kernel cancels: through it B[phi_10] was
+        # off by 2.5e-2 and B[phi_20] by 87; the expansion keeps 5e-11, 2e-7
+        params = ModelParams(OscParams(2.0), 1)
+        idx = params.landau_index()
+        z = 0.479 - 0.379j
+        for j, tol in ((10, 1e-9), (20, 1e-6)):
+            got = relativistic_transform(params, oscillator_mode(j, params.osc), z)
+            assert abs(got - basis_phi(j, idx, z)) < tol
+
     def test_grid_builds_one_spline(self, monkeypatch):
         params = ModelParams(OscParams(2.0), 1)
         grid = np.linspace(0.0, 30.0, 301)
@@ -242,13 +252,15 @@ def layout_panels(params):
 
 
 def panel_walk_transform(params, f, z):
-    """Reference: the xi layout walked one panel at a time, with one kernel
-    call for the 16-point and one for the 32-point rule of every panel."""
+    """Reference: the xi layout walked one panel at a time, with one call of
+    the expansion kernel for the 16-point and one for the 32-point rule of
+    every panel."""
     coarse, fine = leggauss(16), leggauss(32)
     total, err_total = 0.0 + 0.0j, 0.0
     for mid, half in layout_panels(params):
         vc, vf = (half * np.sum(w * (f(mid + half * x)
-                                     * transform_kernel(params, z, mid + half * x)))
+                                     * transform_kernel_series(params, z,
+                                                               mid + half * x)))
                   for x, w in (coarse, fine))
         total += vf
         err_total += abs(vf - vc)
@@ -307,11 +319,12 @@ class TestFixedLayout:
 
 
 def every_node_transform(params, f, z):
-    """Reference: f times the kernel at every node of the fixed layout."""
+    """Reference: f times the expansion kernel at every node of the fixed
+    layout."""
     func = f.as_callable() if isinstance(f, SampledFunction) else f
 
     def integrand(xi):
-        return np.asarray(func(xi)) * transform_kernel(params, z, xi)
+        return np.asarray(func(xi)) * transform_kernel_series(params, z, xi)
 
     return bargmann._integrate_fixed_layout(integrand, params)
 
@@ -352,7 +365,7 @@ def sampled_modes(osc, grid, coeffs=(1.0, 0.5j, -0.3)):
 
 
 class TestKernelOnSupport:
-    """The kernel is evaluated only where f is non-zero, with results equal
+    """The states are evaluated only where f is non-zero, with results equal
     bit for bit to f times the kernel at every node."""
 
     GRID = np.linspace(0.0, 30.0, 301)
@@ -377,13 +390,13 @@ class TestKernelOnSupport:
         z = 0.25 - 0.35j
         want = every_node_transform(params, f, z)
         seen = []
-        kernel = bargmann.transform_kernel
+        table = bargmann.conj_state_factors
 
-        def recorded(params, z, xi):
+        def recorded(kmax, osc, xi):
             seen.append(np.array(xi))
-            return kernel(params, z, xi)
+            return table(kmax, osc, xi)
 
-        monkeypatch.setattr(bargmann, "transform_kernel", recorded)
+        monkeypatch.setattr(bargmann, "conj_state_factors", recorded)
         got = relativistic_transform(params, f, z, with_error=True)
         assert bits(*got) == bits(*want)
         nodes = np.concatenate(seen)
@@ -398,7 +411,7 @@ class TestKernelOnSupport:
         params = ModelParams(OscParams(1.0), 1)
         f = SampledFunction(grid=self.GRID, values=np.zeros(len(self.GRID)))
         calls = []
-        monkeypatch.setattr(bargmann, "transform_kernel",
+        monkeypatch.setattr(bargmann, "conj_state_factors",
                             lambda *args: calls.append(args))
         got = relativistic_transform(params, f, 0.2 + 0.1j, with_error=True)
         assert bits(*got) == bits(0.0, 0.0) and not calls

@@ -457,6 +457,27 @@ class TestTransform:
             vals = [float(tok) for tok in line.split(",")]
             assert abs(complex(vals[2], vals[3]) - want) < 1e-5
 
+    @pytest.mark.parametrize("c", [12.0, 20.0])
+    def test_large_c_finite_exit_0(self, ground_state_csv, tmp_path, c):
+        # Gamma(gamma + i xi)^2 / Gamma(i xi) overflows here while the
+        # state norm underflows: the product once came out as nan,nan,nan
+        # with exit 0
+        out = tmp_path / "t.csv"
+        code = run(["transform", "--c", repr(c), "--m", "1",
+                    "--input", str(ground_state_csv), "--grid=0.3+0.4j",
+                    "--out", str(out)])
+        assert code == 0
+        row = [float(tok) for tok in out.read_text().splitlines()[1].split(",")]
+        assert len(row) == 5 and all(math.isfinite(v) for v in row)
+
+    def test_overflowing_normalization_exit_4(self, ground_state_csv, tmp_path,
+                                              capsys):
+        code = run(["transform", "--c", "20", "--m", "1",
+                    "--input", str(ground_state_csv), "--grid=0.85j",
+                    "--out", str(tmp_path / "t.csv")])
+        assert code == 4
+        assert "N(z) overflows" in capsys.readouterr().err
+
     def test_empty_grid_exit_2(self, ground_state_csv, tmp_path):
         code = run(["transform", "--c", "1", "--input", str(ground_state_csv),
                     "--grid", " ", "--out", str(tmp_path / "t.csv")])

@@ -255,6 +255,27 @@ class TestTruncationOrder:
             with pytest.raises(TypeError):
                 call()
 
+    @pytest.mark.parametrize("c, rho", [(8.0, 0.85), (12.0, 0.85), (12.0, 0.5)])
+    def test_bulk_past_the_first_block(self, c, rho):
+        # at large sigma the terms peak past the first 128 (at k ~ 540 for
+        # c = 12, |z| = 0.85): all 128 under the level once gave K = 0
+        idx = ModelParams(OscParams(c), 1).landau_index()
+        z = rho * np.exp(0.4j)
+        order = truncation_order(idx, z)
+        r = rho ** 2
+        g = basis_radial_profiles(4 * order + 64, idx, r)[:, 0]
+        total = normalization(idx, z) * (1.0 - r) ** 2
+        tails = np.cumsum((g * g)[::-1])[::-1] / total
+        assert abs(tails[0] - 1.0) < 1e-12
+        assert tails[order + 1] <= TAIL_LEVEL ** 2 < tails[order]
+
+    def test_overflowing_normalization_raises(self):
+        # c = 20: sigma = 569, and N(0.85) = 563 / (pi 0.2775^569) overflows
+        idx = ModelParams(OscParams(20.0), 1).landau_index()
+        with pytest.raises(NonConvergenceError, match="overflows"):
+            truncation_order(idx, 0.85j)
+        assert truncation_order(idx, 0.5j) > 128
+
     def test_cap_raises(self):
         idx = ModelParams(OscParams(1.0), 2).landau_index()
         with pytest.raises(NonConvergenceError):

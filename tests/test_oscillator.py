@@ -7,8 +7,9 @@ import pytest
 
 from relbargmann.errors import DomainError, NonConvergenceError
 from relbargmann.hypergeom import ln_gamma
-from relbargmann.oscillator import (ModelParams, OscParams, eigenfunction,
-                                    eigenfunction_batch, energy, gamma_of_c,
+from relbargmann.oscillator import (ModelParams, OscParams, conj_state_factors,
+                                    eigenfunction, eigenfunction_batch,
+                                    energy, gamma_of_c,
                                     oscillator_gram, project_states,
                                     state_end, xi_node_count, xi_panel_grid)
 
@@ -153,6 +154,40 @@ class TestEigenfunctions:
         assert np.isfinite(project_states(8000, osc, [1.0, 440.0], [1.0, 1.0])).all()
         with pytest.raises(NonConvergenceError):
             project_states(8000, osc, [1.0, 500.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("c", [0.6, 1.0, 3.0])
+    def test_state_factors_match_state_table(self, c):
+        osc = OscParams(c)
+        xi = np.linspace(0.05, 40.0, 97)
+        poly, norms, conj_pref = conj_state_factors(60, osc, xi)
+        want = np.conj(eigenfunction_batch(60, osc, xi))
+        got = norms[:, None] * poly * conj_pref
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("c", [12.0, 20.0])
+    def test_state_factors_finite_at_large_c(self, c):
+        # Gamma(gamma + i xi)^2 / Gamma(i xi) overflows past c ~ 10 and the
+        # k = 0 norm underflows; folded together they give phi_k, checked
+        # against the terminating 3F2 at unit argument in 40 digits
+        mp = pytest.importorskip("mpmath")
+        osc = OscParams(c)
+        xi = np.array([0.5, 5.0, 17.0, 39.0])
+        with pytest.raises(NonConvergenceError):
+            eigenfunction_batch(0, osc, xi)
+        poly, norms, conj_pref = conj_state_factors(12, osc, xi)
+        got = norms[:, None] * poly * conj_pref
+        assert np.isfinite(got).all()
+        with mp.workdps(40):
+            g = (1 + mp.sqrt(1 + 2 * mp.mpf(c) ** 4)) / 2
+            for i, x in enumerate(xi.tolist()):
+                pref = (mp.sqrt(2) * mp.expjpi(g / 2) * mp.exp(-4j * x * mp.log(c))
+                        * mp.gamma(g + 1j * x) ** 2 / mp.gamma(1j * x))
+                for k in (0, 1, 5, 12):
+                    s = mp.hyp3f2(-k, g + 1j * x, g - 1j * x, 2 * g, g + 0.5, 1)
+                    phi = (pref * mp.sqrt(mp.gamma(k + 2 * g) / mp.factorial(k))
+                           / (mp.gamma(2 * g) * mp.gamma(g + 0.5)) * s.real)
+                    want = complex(mp.conj(phi))
+                    assert abs(got[k, i] - want) <= 1e-11 * abs(want)
 
     def test_phase_convention_free_modulus(self):
         # the global i^gamma phase drops out of |phi_k|
