@@ -262,6 +262,9 @@ def _kernel_expansion(params: ModelParams, z: complex, kmax: int,
     poly, norms, conj_pref = factors
     rows = poly[:kmax + 1]
     coeffs = basis_phi_batch(kmax, params.landau_index(), z) * norms[:kmax + 1]
+    # the real and imaginary parts are strided views: with them einsum adds
+    # the rows in order even for a lone node (a contiguous vector would be
+    # summed pairwise there)
     sums = (np.einsum("kn,k->n", rows, coeffs.real)
             + 1j * np.einsum("kn,k->n", rows, coeffs.imag))
     out = conj_pref * sums

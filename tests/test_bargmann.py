@@ -116,7 +116,8 @@ class TestRelativisticTransform:
             assert abs(got - basis_phi(j, idx, z)) < 1e-6
 
     def test_oracle_path_agreement(self):
-        # independent route avoiding the closed-form kernel entirely
+        # the superposition oracle under the adaptive half-line rule: an
+        # independent quadrature of the kernel the transform sums
         params = ModelParams(OscParams(1.0), 1)
         z = -0.2 + 0.2j
         f = oscillator_mode(2, params.osc)

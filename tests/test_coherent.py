@@ -198,6 +198,19 @@ class TestTransformKernel:
                 b = transform_kernel_series(params, z, xi)
                 assert np.max(np.abs(a - b)) < 1e-12
 
+    def test_series_bits_do_not_depend_on_the_other_nodes(self):
+        # the transforms sum this kernel on the nodes where f is non-zero,
+        # bit for bit as on every node; einsum with a contiguous coefficient
+        # vector would sum a lone node in another order
+        params = ModelParams(OscParams(1.0), 2)
+        xi = np.array([0.4, 1.3, 3.2, 7.5])
+        z = 0.3 - 0.45j
+        full = transform_kernel_series(params, z, xi)
+        for i, x in enumerate(xi.tolist()):
+            assert transform_kernel_series(params, z, x) == full[i]
+        assert np.array_equal(transform_kernel_series(params, z, xi[1:3]),
+                              full[1:3])
+
     def test_kernel_is_conjugate_of_state(self):
         params = ModelParams(OscParams(1.0), 1)
         z = 0.2 - 0.3j
@@ -270,7 +283,7 @@ class TestTruncationOrder:
         assert tails[order + 1] <= TAIL_LEVEL ** 2 < tails[order]
 
     def test_overflowing_normalization_raises(self):
-        # c = 20: sigma = 569, and N(0.85) = 563 / (pi 0.2775^569) overflows
+        # c = 20: sigma = 568.7, and N(0.85) = 565.7 / (pi 0.2775^568.7) overflows
         idx = ModelParams(OscParams(20.0), 1).landau_index()
         with pytest.raises(NonConvergenceError, match="overflows"):
             truncation_order(idx, 0.85j)
