@@ -23,16 +23,18 @@ spline and taken as zero outside its grid.  The xi quadrature uses a panel
 layout fixed by the parameters alone, so the transforms are linear in f.
 It ends at ``oscillator.XI_LENGTH`` = 40 for every c, which takes at most
 126 panels of width gamma/pi, and f is evaluated in one call on all of its
-nodes.  The kernel of ``relativistic_transform`` is summed at the nodes
-where f is non-zero, up to the ``coherent.truncation_order`` of the point,
-from one real table of the states' polynomials, which
-``relativistic_transform_grid`` builds once for all of its points; the
-integrand is an exact zero at the other nodes.  Each node's kernel value
-has the same bits whatever the other nodes and points, so every result is
-the same as with the kernel evaluated at every node, and a grid value the
-same as the single-point value.  The F5 closed form
-(``coherent.transform_kernel``) is not used here; the m = 0 reduction keeps
-its 2F1 kernel.
+nodes.  The layout depends on c alone: its nodes, half widths and the
+k-independent state prefactor at every node are built once per c and kept
+in a small cache (read-only arrays), which both transforms share.  The
+kernel of ``relativistic_transform`` is summed at the nodes where f is
+non-zero, up to the ``coherent.truncation_order`` of the point, from one
+real table of the states' polynomials, which ``relativistic_transform_grid``
+builds once for all of its points; the integrand is an exact zero at the
+other nodes.  Each node's kernel value has the same bits whatever the other
+nodes and points, so every result is the same as with the kernel evaluated
+at every node, and a grid value the same as the single-point value.  The
+F5 closed form (``coherent.transform_kernel``) is not used here; the m = 0
+reduction keeps its 2F1 kernel.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, loggamma
@@ -51,8 +54,9 @@ from .disk import basis_gram, check_disk
 from .errors import DomainError, InputFormatError, NonConvergenceError
 from .hypergeom import gauss_2f1_vec
 from .oscillator import (XI_LENGTH, ModelParams, OscParams,
-                         conj_state_factors, eigenfunction_batch, panel_width,
-                         project_states, state_end, xi_panel_grid)
+                         conj_state_prefactor, eigenfunction_batch,
+                         panel_width, project_states, state_end,
+                         state_polynomials, xi_panel_grid)
 from .quadrature import _COARSE_RULE, _FINE_RULE, integrate_halfline
 
 
@@ -169,13 +173,17 @@ def classical_bargmann(sigma: float, f, z):
     return pref * value, abs(pref) * err
 
 
-def _layout(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes, shape (panels, 48), and half widths of the fixed panel layout.
+@lru_cache(maxsize=32)
+def _layout(osc: OscParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, shape (panels, 48), half widths, and the flat
+    ``conj_state_prefactor`` at every node of the fixed panel layout of c.
 
     Panels of ``oscillator.panel_width`` (the last one cut at XI_LENGTH)
-    each carry the 16-point and then the 32-point Gauss-Legendre rule.
+    each carry the 16-point and then the 32-point Gauss-Legendre rule.  All
+    three depend on c alone, so they are built once per c and cached
+    (at most 6,048 nodes, under 150 kB an entry); the arrays are read-only.
     """
-    width = panel_width(params.osc)
+    width = panel_width(osc)
     n_panels = math.ceil(XI_LENGTH / width)
     rule = np.concatenate([_COARSE_RULE[0], _FINE_RULE[0]])
     # edges by repeated addition of the width, as a panel walk makes them
@@ -183,7 +191,11 @@ def _layout(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
                        XI_LENGTH)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    return mid[:, None] + half[:, None] * rule, half
+    nodes = mid[:, None] + half[:, None] * rule
+    conj_pref = conj_state_prefactor(osc, nodes.ravel())
+    for arr in (nodes, half, conj_pref):
+        arr.flags.writeable = False
+    return nodes, half, conj_pref
 
 
 def _panel_sums(vals: np.ndarray, half: np.ndarray):
@@ -207,7 +219,7 @@ def _integrate_fixed_layout(integrand, params: ModelParams):
 
     Returns ``(value, err_estimate)`` as :func:`_panel_sums`.
     """
-    nodes, half = _layout(params)
+    nodes, half, _ = _layout(params.osc)
     vals = np.asarray(integrand(nodes.ravel())).reshape(nodes.shape)
     return _panel_sums(vals, half)
 
@@ -224,17 +236,18 @@ def _expansion_transform(params: ModelParams, func, points):
     """``(values, err_estimates)`` of B[f] at each of ``points``, through the
     basis expansion of the kernel on the fixed layout.
 
-    f is evaluated once on the layout, and the table of the states is built
-    once, on the nodes where f is non-zero, up to the largest
-    ``truncation_order`` of the points; each point sums the rows up to its
-    own order.  The integrand is an exact zero at the other nodes, and a
+    f is evaluated once on the layout, and the real polynomial table of the
+    states is built once, on the nodes where f is non-zero, up to the
+    largest ``truncation_order`` of the points; the state prefactor on those
+    nodes comes from the cached layout of c.  Each point sums the rows up to
+    its own order.  The integrand is an exact zero at the other nodes, and a
     zero f builds no table.  Every Gauss node lies inside its panel, so
     xi > 0.
     """
     pts = _check_points(points)
     if not pts:
         return [], []
-    nodes, half = _layout(params)
+    nodes, half, conj_pref = _layout(params.osc)
     xi = nodes.ravel()
     f_vals = _values_on(func, xi)
     live = np.flatnonzero(f_vals != 0)
@@ -242,7 +255,8 @@ def _expansion_transform(params: ModelParams, func, points):
     if live.size:
         idx = params.landau_index()
         orders = [truncation_order(idx, z) for z in pts]
-        factors = conj_state_factors(max(orders), params.osc, xi[live])
+        factors = (*state_polynomials(max(orders), params.osc, xi[live]),
+                   conj_pref[live])
         f_live = f_vals[live]
     integrand = np.zeros(xi.shape, dtype=complex)
     for i, z in enumerate(pts):
@@ -332,12 +346,13 @@ def isometry_check(params: ModelParams, f) -> dict:
     B[f] = sum_k c_k Phi_k with c_k = <f, phi_k>, so the isometry rests on
     two identities, and each side is computed by one of them.  The half
     line: ||f||^2 = sum w |f|^2 and the projections c_k, k <= 20, are
-    taken on one layout, ``xi_panel_grid(osc, state_end(20))``, which ends
-    at xi = 80.  The disk: ||B[f]||^2 = c^T G conj(c) with G =
-    ``basis_gram(idx, 20)``, an exact polar rule over the whole disk.  The
-    relative gap is then the Parseval defect of f against phi_0 .. phi_20
-    plus the orthonormality defect of Phi_0 .. Phi_20, so it is small
-    exactly when f lies in the span of the first 21 states.
+    taken on one layout, ``xi_panel_grid(osc, state_end(20, osc))``, which
+    ends at xi = 80 for c <= 2.5 and at 2 gamma + 70 beyond.  The disk:
+    ||B[f]||^2 = c^T G conj(c) with G = ``basis_gram(idx, 20)``, an exact
+    polar rule over the whole disk.  The relative gap is then the Parseval
+    defect of f against phi_0 .. phi_20 plus the orthonormality defect of
+    Phi_0 .. Phi_20, so it is small exactly when f lies in the span of the
+    first 21 states.
 
     Raises
     ------
@@ -350,7 +365,7 @@ def isometry_check(params: ModelParams, f) -> dict:
     Returns a dict with both norms and their relative gap.
     """
     func = _as_callable(f)
-    end = state_end(_ISOMETRY_KMAX)
+    end = state_end(_ISOMETRY_KMAX, params.osc)
     xi, weights = xi_panel_grid(params.osc, end)
     f_nodes = _values_on(func, xi)
     mass = weights * np.abs(f_nodes) ** 2

@@ -87,11 +87,12 @@ def energy(k: int, osc: OscParams) -> float:
 XI_LENGTH = 40.0
 
 
-def state_end(kmax: int) -> float:
-    """End max(XI_LENGTH, 3 kmax + 20) of a layout that holds the states
-    phi_0 .. phi_kmax: phi_k reaches about xi = 2k, past which the tail
-    of phi_0 adds about 20."""
-    return max(XI_LENGTH, 3.0 * kmax + 20.0)
+def state_end(kmax: int, osc: OscParams) -> float:
+    """End max(XI_LENGTH, 3 kmax + 20, 3 kmax + 2 gamma + 10) of a layout
+    that holds the states phi_0 .. phi_kmax: phi_k reaches about xi = 2k,
+    past which the tail of phi_0 adds about 20, or 2 gamma + 10 once gamma
+    passes 5 (c above about 2.5), where phi_0 peaks near xi = gamma."""
+    return max(XI_LENGTH, 3.0 * kmax + 20.0, 3.0 * kmax + 2.0 * osc.gamma + 10.0)
 
 
 def panel_width(osc: OscParams) -> float:
@@ -206,22 +207,35 @@ def project_states(kmax: int, osc: OscParams, xi, values) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the kernel sum checks finiteness
-def conj_state_factors(kmax: int, osc: OscParams, xi):
-    """conj(phi_k(xi)) for k = 0..kmax at nodes xi > 0 as the three factors
-    ``(poly, norms, conj_pref)`` of norms[k] * poly[k] * conj_pref.
-
-    ``poly`` is the real normalised polynomial table, as in
-    :func:`project_states`; the log of the k = 0 norm is folded into the
-    exponent of the prefactor, and ``norms`` holds the ratios norm_k / norm_0.
-    Apart, the prefactor overflows and norm_0 underflows once gamma is large
-    (norm_0 = exp(-813) against a prefactor of exp(739) and more at c = 12);
-    the folded factors stay finite.
-    """
+def state_polynomials(kmax: int, osc: OscParams, xi):
+    """``(poly, norms)``: the real normalised polynomial table of phi_0 ..
+    phi_kmax at the nodes xi, as in :func:`project_states`, and the norm
+    ratios norm_k / norm_0, the k-dependent factors of
+    conj(phi_k) = norms[k] * poly[k] * ``conj_state_prefactor``."""
     gamma = osc.gamma
     log_norms = _log_norms(kmax, gamma)
     poly = cdhahn_normalized_batch(kmax, xi, gamma, gamma, 0.5)
-    conj_pref = np.conj(_state_prefactor(osc, xi, log_norms[0]))
-    return poly, np.exp(log_norms - log_norms[0]), conj_pref
+    return poly, np.exp(log_norms - log_norms[0])
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the kernel sum checks finiteness
+def conj_state_prefactor(osc: OscParams, xi) -> np.ndarray:
+    """The conjugated prefactor of every phi_k at nodes xi > 0, with the log
+    of the k = 0 norm folded into its exponent.
+
+    Apart, the prefactor overflows and norm_0 underflows once gamma is large
+    (norm_0 = exp(-813) against a prefactor of exp(739) and more at c = 12);
+    the folded factor stays finite.  Elementwise: its value at a node has the
+    same bits whatever the other nodes.
+    """
+    return np.conj(_state_prefactor(osc, xi, _log_norms(0, osc.gamma)[0]))
+
+
+def conj_state_factors(kmax: int, osc: OscParams, xi):
+    """conj(phi_k(xi)) for k = 0..kmax at nodes xi > 0 as the three factors
+    ``(poly, norms, conj_pref)`` of norms[k] * poly[k] * conj_pref, from
+    :func:`state_polynomials` and :func:`conj_state_prefactor`."""
+    return (*state_polynomials(kmax, osc, xi), conj_state_prefactor(osc, xi))
 
 
 def eigenfunction(k: int, osc: OscParams, xi):
@@ -239,13 +253,15 @@ def eigenfunction(k: int, osc: OscParams, xi):
 
 def oscillator_gram(osc: OscParams, kmax: int) -> np.ndarray:
     """Gram matrix of {phi_k}_{k<=kmax} on L^2(0, inf): the one product
-    S W S^H of the table S of phi_k on ``xi_panel_grid(osc, state_end(kmax))``
-    and its weights W.  That end grows with kmax, as the states' tails do:
-    kmax = 20 (xi = 80) meets the identity to about 2e-14 for c <= 3, and
-    kmax <= 6 keeps the end at xi = 40.
+    S W S^H of the table S of phi_k on
+    ``xi_panel_grid(osc, state_end(kmax, osc))`` and its weights W.  That
+    end grows with kmax and gamma, as the states' tails do: kmax = 20
+    (xi = 80 for c <= 2.5) meets the identity to about 2e-14 for c <= 3 and
+    to 2e-13 at c = 5 and 8, and kmax <= 6 keeps the end at xi = 40 for
+    c <= 2.5.
     """
     if kmax < 0 or kmax != int(kmax):
         raise DomainError("Gram order kmax must be a nonnegative integer")
-    xi, weights = xi_panel_grid(osc, state_end(kmax))
+    xi, weights = xi_panel_grid(osc, state_end(kmax, osc))
     table = eigenfunction_batch(int(kmax), osc, xi)
     return (table * weights) @ table.conj().T

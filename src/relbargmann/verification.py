@@ -14,7 +14,9 @@ import numpy as np
 
 from . import __version__
 from .bargmann import (classical_bargmann, isometry_check, oscillator_mode,
-                       relativistic_transform, relativistic_transform_m0)
+                       relativistic_transform_grid, relativistic_transform_m0)
+# looked up here by the layer tracer of bench/tracing.py
+from .bargmann import relativistic_transform  # noqa: F401
 from .coherent import overlap, overlap_series
 from .disk import (LandauIndex, _gram_rule_sizes, basis_gram, basis_phi,
                    landau_level, maass_apply_fd, wirtinger_dzbar_fd)
@@ -45,7 +47,8 @@ def gram_table_entries(suite: str, kmax: int) -> int:
     """Entries of the largest basis table that ``suite`` builds for its Gram
     matrices at order ``kmax`` (0 for none), found without building it."""
     disk = [math.prod(_gram_rule_sizes(kmax, m)) for _, m in _DISK_CASES]
-    osc = [xi_node_count(OscParams(c), state_end(kmax)) for c in _OSC_CASES]
+    osc = [xi_node_count(p, state_end(kmax, p))
+           for p in map(OscParams, _OSC_CASES)]
     sizes = {"orthonormality-disk": disk, "orthonormality-oscillator": osc,
              "all": disk + osc}
     return (kmax + 1) * max(sizes.get(suite, [0]))
@@ -265,10 +268,11 @@ def suite_isometry(config: dict) -> list[dict]:
         params = ModelParams(osc, m)
         idx = params.landau_index()
         for j in (0, 1, 2):
-            f = oscillator_mode(j, osc)
-            for z in _MAPPING_POINTS:
-                got = relativistic_transform(params, f, z)
-                worst = max(worst, abs(got - basis_phi(j, idx, z)))
+            # one grid call: each value has the bits of the one-point call
+            got = relativistic_transform_grid(params, oscillator_mode(j, osc),
+                                              _MAPPING_POINTS).values
+            for z, value in zip(_MAPPING_POINTS, got.tolist()):
+                worst = max(worst, abs(value - basis_phi(j, idx, z)))
     checks.append(_check("basis-mapping", worst, tol_map))
 
     def mix(xi):
@@ -309,8 +313,8 @@ def suite_m0_reduction(config: dict) -> list[dict]:
     f = oscillator_mode(1, osc)
     worst = 0.0
     grid = [complex(x, y) for x in (-0.3, 0.0, 0.3) for y in (-0.3, 0.0, 0.3)]
-    for z in grid:
-        full = relativistic_transform(params, f, z)
+    full_values = relativistic_transform_grid(params, f, grid).values.tolist()
+    for z, full in zip(grid, full_values):
         reduced = relativistic_transform_m0(osc, f, z)
         worst = max(worst, abs(full - reduced))
     checks = [_check("m0-kernel-consistency", worst, tol)]

@@ -9,7 +9,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln, loggamma
 
-from relbargmann import bargmann
+from relbargmann import bargmann, oscillator
 from relbargmann.bargmann import (SampledFunction, TransformResult,
                                   classical_bargmann, isometry_check,
                                   oscillator_mode, relativistic_transform,
@@ -21,7 +21,8 @@ from relbargmann.disk import basis_phi, wirtinger_dzbar_fd
 from relbargmann.errors import DomainError, InputFormatError, NonConvergenceError
 from relbargmann.hypergeom import gauss_2f1_vec
 from relbargmann.orthopoly import laguerre_l
-from relbargmann.oscillator import XI_LENGTH, ModelParams, OscParams
+from relbargmann.oscillator import (XI_LENGTH, ModelParams, OscParams,
+                                    state_end, xi_panel_grid)
 from relbargmann.quadrature import integrate_halfline
 
 
@@ -391,13 +392,13 @@ class TestKernelOnSupport:
         z = 0.25 - 0.35j
         want = every_node_transform(params, f, z)
         seen = []
-        table = bargmann.conj_state_factors
+        table = bargmann.state_polynomials
 
         def recorded(kmax, osc, xi):
             seen.append(np.array(xi))
             return table(kmax, osc, xi)
 
-        monkeypatch.setattr(bargmann, "conj_state_factors", recorded)
+        monkeypatch.setattr(bargmann, "state_polynomials", recorded)
         got = relativistic_transform(params, f, z, with_error=True)
         assert bits(*got) == bits(*want)
         nodes = np.concatenate(seen)
@@ -412,7 +413,7 @@ class TestKernelOnSupport:
         params = ModelParams(OscParams(1.0), 1)
         f = SampledFunction(grid=self.GRID, values=np.zeros(len(self.GRID)))
         calls = []
-        monkeypatch.setattr(bargmann, "conj_state_factors",
+        monkeypatch.setattr(bargmann, "state_polynomials",
                             lambda *args: calls.append(args))
         got = relativistic_transform(params, f, 0.2 + 0.1j, with_error=True)
         assert bits(*got) == bits(0.0, 0.0) and not calls
@@ -420,6 +421,76 @@ class TestKernelOnSupport:
         assert bits(*got) == bits(*every_node_transform_m0(params.osc, f,
                                                            0.2 + 0.1j))
         assert got == (0.0, 0.0)
+
+
+class TestLayoutCache:
+    """The nodes, half widths and conjugated state prefactor of the fixed
+    layout are built once per c."""
+
+    @staticmethod
+    def fresh_prefactor(osc, xi):
+        log_norm0 = oscillator._log_norms(0, osc.gamma)[0]
+        return np.conj(oscillator._state_prefactor(osc, xi, log_norm0))
+
+    @pytest.mark.parametrize("c, f", [
+        (0.6, "sampled"),
+        (1.0, "scattered"),
+        (2.0, "scattered")])
+    def test_live_prefactor_has_the_bits_of_a_fresh_one(self, c, f):
+        osc = OscParams(c)
+        if f == "sampled":
+            func = sampled_modes(osc, np.linspace(2.0, 25.0, 231)).as_callable()
+        else:
+            def func(xi):
+                # phi_1, zero on every third stretch of width 1/7
+                return oscillator_mode(1, osc)(xi) * (np.floor(7.0 * xi) % 3 != 0)
+        nodes, _, conj_pref = bargmann._layout(osc)
+        xi = nodes.ravel()
+        live = np.flatnonzero(func(xi) != 0)
+        assert 0 < live.size < xi.size
+        want = self.fresh_prefactor(osc, xi[live])
+        assert conj_pref[live].tobytes() == want.tobytes()
+
+    def test_arrays_are_read_only(self):
+        for arr in bargmann._layout(OscParams(1.0)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
+
+    def test_cache_is_bounded(self):
+        maxsize = bargmann._layout.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 64
+
+    def test_second_transform_builds_no_prefactor(self, monkeypatch):
+        params = ModelParams(OscParams(1.3), 1)
+        f = sampled_modes(params.osc, np.linspace(0.0, 30.0, 301))
+        calls = []
+        prefactor = oscillator._state_prefactor
+
+        def counted(*args):
+            calls.append(args)
+            return prefactor(*args)
+
+        monkeypatch.setattr(oscillator, "_state_prefactor", counted)
+        bargmann._layout.cache_clear()
+        first = relativistic_transform(params, f, 0.2 - 0.3j, with_error=True)
+        assert len(calls) == 1
+        again = relativistic_transform(params, f, 0.2 - 0.3j, with_error=True)
+        grid = relativistic_transform_grid(params, f, [0.1j, 0.2 - 0.3j])
+        relativistic_transform_m0(params.osc, f, 0.1j)
+        assert len(calls) == 1
+        assert bits(*again) == bits(*first)
+        assert bits(grid.values[1], grid.errors[1]) == bits(*first)
+
+    def test_each_c_has_its_own_entry(self):
+        one, two = bargmann._layout(OscParams(1.0)), bargmann._layout(OscParams(2.0))
+        assert bargmann._layout(OscParams(1.0)) is one
+        assert one is not two
+        assert one[0].shape != two[0].shape
+        for osc, (nodes, _, conj_pref) in ((OscParams(1.0), one),
+                                           (OscParams(2.0), two)):
+            want = self.fresh_prefactor(osc, nodes.ravel())
+            assert conj_pref.tobytes() == want.tobytes()
 
 
 class TestM0Reduction:
@@ -493,7 +564,7 @@ def point_loop_isometry(params, f):
 
     kmax = bargmann._ISOMETRY_KMAX
     width = params.gamma / math.pi
-    n_panels = int(math.ceil(state_end(kmax) / width))
+    n_panels = int(math.ceil(state_end(kmax, params.osc) / width))
     xg, wg = leggauss(32)
     norm_f_sq = 0.0
     projections = np.zeros(kmax + 1, dtype=complex)
@@ -578,6 +649,17 @@ class TestIsometryRings:
         rep = isometry_check(params, f)
         assert abs(rep["norm_f_sq"] - 1.0) < 1e-12
         assert abs(rep["relative_gap"] - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_large_c_ground_state_fits_the_layout(self, m):
+        # at c = 8 (gamma = 45.8) phi_0 peaks near xi = gamma; a layout
+        # ending at xi = 80 left 0.66% of its norm in the last two panels
+        params = ModelParams(OscParams(8.0), m)
+        f = oscillator_mode(0, params.osc)
+        xi, weights = xi_panel_grid(params.osc, state_end(20, params.osc))
+        mass = weights * np.abs(f(xi)) ** 2
+        assert np.sum(mass[-64:]) < 1e-40 * np.sum(mass)
+        assert isometry_check(params, f)["relative_gap"] < 1e-12
 
     def test_slow_decay_raises(self):
         params = ModelParams(OscParams(1.0), 0)

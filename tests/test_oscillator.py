@@ -95,7 +95,28 @@ class TestEigenfunctions:
         assert np.abs(gram - np.eye(21)).max() < 1e-12
 
     def test_state_end(self):
-        assert [state_end(k) for k in (0, 6, 7, 20)] == [40.0, 40.0, 41.0, 80.0]
+        osc = OscParams(1.0)
+        assert [state_end(k, osc) for k in (0, 6, 7, 20)] == [40.0, 40.0, 41.0, 80.0]
+
+    @pytest.mark.parametrize("c", [0.3, 0.6, 1.0, 2.0, 2.5])
+    def test_state_end_depends_on_kmax_alone_up_to_gamma_5(self, c):
+        osc = OscParams(c)
+        assert osc.gamma <= 5.0
+        for k in (0, 5, 6, 7, 10, 20):
+            assert state_end(k, osc) == max(40.0, 3.0 * k + 20.0)
+
+    def test_state_end_grows_with_gamma(self):
+        osc = OscParams(5.0)
+        assert [state_end(k, osc) for k in (0, 20)] == [
+            2.0 * osc.gamma + 10.0, 2.0 * osc.gamma + 70.0]
+
+    @pytest.mark.parametrize("c", [3.0, 5.0, 8.0])
+    @pytest.mark.parametrize("kmax", [5, 10, 20])
+    def test_gram_at_large_c(self, c, kmax):
+        # an end fixed by kmax alone missed the identity by 3.3e-5 to
+        # 1.3e-2 at c = 5
+        gram = oscillator_gram(OscParams(c), kmax)
+        assert np.abs(gram - np.eye(kmax + 1)).max() < 1e-12
 
     @pytest.mark.parametrize("c, length", [(0.8, 40.0), (1.0, 80.0),
                                            (3.0, 1220.0)])

@@ -1,9 +1,14 @@
-"""The verify suites read exactly the config keys their table names."""
+"""The verify suites read exactly the config keys their table names, and
+their grid calls give the bits of the one-point calls."""
 
 import pytest
 
 from relbargmann import verification
+from relbargmann.bargmann import (oscillator_mode, relativistic_transform,
+                                  relativistic_transform_m0)
+from relbargmann.disk import basis_phi
 from relbargmann.errors import DomainError
+from relbargmann.oscillator import ModelParams, OscParams
 from relbargmann.verification import SUITE_KEYS, SUITES, run_suite, unread_keys
 
 
@@ -53,3 +58,35 @@ def test_run_suite_rejects_unread_key():
 def test_run_suite_rejects_unknown_suite():
     with pytest.raises(DomainError, match="unknown suite"):
         run_suite("nope")
+
+
+def check_error(checks, name):
+    (error,) = [c["error"] for c in checks if c["name"] == name]
+    return error
+
+
+def test_basis_mapping_equals_point_loop():
+    osc = OscParams(1.0)
+    worst = 0.0
+    for m in (0, 1):
+        params = ModelParams(osc, m)
+        for j in (0, 1, 2):
+            f = oscillator_mode(j, osc)
+            for z in verification._MAPPING_POINTS:
+                got = relativistic_transform(params, f, z)
+                worst = max(worst, abs(got - basis_phi(j, params.landau_index(), z)))
+    checks = verification.suite_isometry({})
+    assert check_error(checks, "basis-mapping") == worst
+
+
+def test_m0_kernel_consistency_equals_point_loop():
+    osc = OscParams(1.0)
+    f = oscillator_mode(1, osc)
+    worst = 0.0
+    for x in (-0.3, 0.0, 0.3):
+        for y in (-0.3, 0.0, 0.3):
+            z = complex(x, y)
+            full = relativistic_transform(ModelParams(osc, 0), f, z)
+            worst = max(worst, abs(full - relativistic_transform_m0(osc, f, z)))
+    checks = verification.suite_m0_reduction({})
+    assert check_error(checks, "m0-kernel-consistency") == worst
