@@ -34,7 +34,14 @@ other nodes.  Each node's kernel value has the same bits whatever the other
 nodes and points, so every result is the same as with the kernel evaluated
 at every node, and a grid value the same as the single-point value.  The
 F5 closed form (``coherent.transform_kernel``) is not used here; the m = 0
-reduction keeps its 2F1 kernel.
+reduction keeps its 2F1 kernel, whose z-independent exponent (its
+``loggamma``s) is cached per c on the same nodes.
+
+Every other input of ``isometry_check`` than f depends on the parameters
+alone too: its half-line layout with the state prefactor is cached per c,
+and the disk Gram matrix per level.  All of these caches are bounded
+``lru_cache``s of read-only arrays, built elementwise or by the uncached
+code, so a cached result has the bits of an uncached one.
 """
 
 from __future__ import annotations
@@ -47,15 +54,16 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln, loggamma
 
+from . import oscillator
 from .coherent import _check_kernel_domain, _kernel_expansion, truncation_order
 # looked up here by the layer tracer of bench/tracing.py
 from .coherent import transform_kernel  # noqa: F401
-from .disk import basis_gram, check_disk
+from .disk import LandauIndex, basis_gram, check_disk
 from .errors import DomainError, InputFormatError, NonConvergenceError
 from .hypergeom import gauss_2f1_vec
 from .oscillator import (XI_LENGTH, ModelParams, OscParams,
-                         conj_state_prefactor, eigenfunction_batch,
-                         panel_width, project_states, state_end,
+                         _check_order, _project_weighted, conj_state_prefactor,
+                         eigenfunction_batch, panel_width, state_end,
                          state_polynomials, xi_panel_grid)
 from .quadrature import _COARSE_RULE, _FINE_RULE, integrate_halfline
 
@@ -289,11 +297,29 @@ def relativistic_transform(params: ModelParams, f, z, with_error: bool = False):
     return (value, err) if with_error else value
 
 
+@lru_cache(maxsize=32)
+def _m0_exponent(osc: OscParams) -> np.ndarray:
+    """The z-independent part 2 loggamma(gamma - i xi) - loggamma(-i xi)
+    + 4 i xi log c of the exponent of the m = 0 kernel, at every node of
+    ``_layout(osc)`` (flat).  Built once per c and cached (at most 6,048
+    nodes, under 100 kB an entry); the array is read-only."""
+    xi = _layout(osc)[0].ravel()
+    gamma = osc.gamma
+    expo = (2.0 * loggamma(gamma - 1j * xi) - loggamma(-1j * xi)
+            + 4j * xi * math.log(osc.c))
+    expo.flags.writeable = False
+    return expo
+
+
 def relativistic_transform_m0(osc: OscParams, f, z, with_error: bool = False):
     """The m = 0 transform through its reduced single-2F1 kernel.
 
     Same layout and return value as :func:`relativistic_transform` at
     m = 0; the kernel is evaluated only at the nodes where f is non-zero.
+    Its z-independent exponent (the ``loggamma``s and the c^(4 i xi)
+    phase) comes from a per-c cache, ``_m0_exponent``, and each call adds
+    only -i xi log(1 - z) and the 2F1 at the live nodes; elementwise, so
+    the bits are those of the kernel built at those nodes alone.
     """
     (z,) = _check_points([z])
     func = _as_callable(f)
@@ -303,15 +329,16 @@ def relativistic_transform_m0(osc: OscParams, f, z, with_error: bool = False):
     pref = (math.exp(lpref) * np.exp(-1j * math.pi * gamma / 2.0)
             * (1.0 - z) ** (-gamma))
 
+    expo = _m0_exponent(osc)
+
     def integrand(xi):
+        # xi is the flat layout of c, on which ``expo`` was built
         f_vals = _values_on(func, xi)
         live = f_vals != 0
         out = np.zeros(xi.shape, dtype=complex)
         if live.any():
             xl = xi[live]
-            gam_fac = np.exp(2.0 * loggamma(gamma - 1j * xl) - loggamma(-1j * xl)
-                             + 4j * xl * math.log(osc.c)
-                             - 1j * xl * np.log(1.0 - z))
+            gam_fac = np.exp(expo[live] - 1j * xl * np.log(1.0 - z))
             # kernel times f, in this order: the product is not bitwise
             # symmetric
             out[live] = gam_fac * gauss_2f1_vec(gamma - 1j * xl, 0.5 - 1j * xl,
@@ -340,6 +367,31 @@ _ISOMETRY_KMAX = 20
 _NORM_TOL = 1e-8
 
 
+@lru_cache(maxsize=32)
+def _isometry_layout(osc: OscParams):
+    """``(end, nodes, weights, conj_pref)`` of the half-line rule of
+    ``isometry_check``: ``xi_panel_grid(osc, state_end(20, osc))`` and the
+    conjugated state prefactor ``conj(_state_prefactor(osc, xi))`` at its
+    nodes, all xi > 0.  They depend on c alone, so they are built once per
+    c and cached (at most about 8,000 nodes, under 260 kB an entry); the
+    arrays are read-only."""
+    end = state_end(_ISOMETRY_KMAX, osc)
+    xi, weights = xi_panel_grid(osc, end)
+    conj_pref = np.conj(oscillator._state_prefactor(osc, xi))
+    for arr in (xi, weights, conj_pref):
+        arr.flags.writeable = False
+    return end, xi, weights, conj_pref
+
+
+@lru_cache(maxsize=32)
+def _isometry_gram(idx: LandauIndex) -> np.ndarray:
+    """``basis_gram(idx, 20)``, built once per level and cached read-only;
+    the public ``basis_gram`` still returns a fresh array."""
+    gram = basis_gram(idx, _ISOMETRY_KMAX)
+    gram.flags.writeable = False
+    return gram
+
+
 def isometry_check(params: ModelParams, f) -> dict:
     """Compare the L^2 norm of f with the Bergman-type norm of B[f].
 
@@ -352,7 +404,11 @@ def isometry_check(params: ModelParams, f) -> dict:
     polar rule over the whole disk.  The relative gap is then the Parseval
     defect of f against phi_0 .. phi_20 plus the orthonormality defect of
     Phi_0 .. Phi_20, so it is small exactly when f lies in the span of the
-    first 21 states.
+    first 21 states.  Everything but f depends on the parameters alone:
+    the nodes, weights and conjugated state prefactor of the layout are
+    cached per c (``_isometry_layout``) and G per level
+    (``_isometry_gram``), so a call evaluates f, builds the real
+    polynomial table of the projections and takes the two sums.
 
     Raises
     ------
@@ -365,8 +421,7 @@ def isometry_check(params: ModelParams, f) -> dict:
     Returns a dict with both norms and their relative gap.
     """
     func = _as_callable(f)
-    end = state_end(_ISOMETRY_KMAX, params.osc)
-    xi, weights = xi_panel_grid(params.osc, end)
+    end, xi, weights, conj_pref = _isometry_layout(params.osc)
     f_nodes = _values_on(func, xi)
     mass = weights * np.abs(f_nodes) ** 2
     norm_f_sq = float(np.sum(mass))
@@ -375,8 +430,10 @@ def isometry_check(params: ModelParams, f) -> dict:
         raise NonConvergenceError(
             f"the last two xi panels before {end:g} hold {tail:.3g} of "
             f"||f||^2 = {norm_f_sq:.3g}; f does not decay within the layout")
-    coeffs = project_states(_ISOMETRY_KMAX, params.osc, xi, weights * f_nodes)
-    gram = basis_gram(params.landau_index(), _ISOMETRY_KMAX)
+    # project_states' arithmetic, with the prefactor from the cache
+    coeffs = _project_weighted(_ISOMETRY_KMAX, params.osc, xi,
+                               conj_pref * (weights * f_nodes))
+    gram = _isometry_gram(params.landau_index())
     norm_B_sq = float((coeffs @ gram @ coeffs.conj()).real)
     if norm_f_sq == 0.0 and norm_B_sq == 0.0:
         gap = 0.0
@@ -387,7 +444,9 @@ def isometry_check(params: ModelParams, f) -> dict:
 
 
 def oscillator_mode(j: int, osc: OscParams):
-    """Callable xi -> phi_j(xi), convenient as a transform input."""
+    """Callable xi -> phi_j(xi), convenient as a transform input; a j that
+    is not a nonnegative integer raises DomainError."""
+    j = _check_order(j, "level index j")
 
     def f(xi):
         return eigenfunction_batch(j, osc, np.atleast_1d(xi))[j]

@@ -75,10 +75,20 @@ class ModelParams:
         return LandauIndex(sigma=self.sigma, m=self.m)
 
 
+def _check_order(k, what: str) -> int:
+    """k as an int; DomainError unless it is a nonnegative integer."""
+    try:
+        ok = k >= 0 and k == int(k)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise DomainError(f"{what} must be a nonnegative integer")
+    return int(k)
+
+
 def energy(k: int, osc: OscParams) -> float:
     """Energy level E_k = 2k + 2 gamma (equal spacing 2)."""
-    if k < 0 or k != int(k):
-        raise DomainError("level index k must be a nonnegative integer")
+    _check_order(k, "level index k")
     return 2.0 * k + 2.0 * osc.gamma
 
 
@@ -157,10 +167,13 @@ def eigenfunction_batch(kmax: int, osc: OscParams, xi) -> np.ndarray:
 
     Raises
     ------
+    DomainError
+        If kmax is not a nonnegative integer, or xi is not finite and >= 0.
     NonConvergenceError
         If the table is not finite: the polynomials overflow for k >= 1 once
         xi^2 does (xi above about 1e154), or at large k and xi.
     """
+    kmax = _check_order(kmax, "state order kmax")
     gamma = osc.gamma
     xi = _check_xi(xi)
     poly = cdhahn_normalized_batch(kmax, xi, gamma, gamma, 0.5)
@@ -188,16 +201,28 @@ def project_states(kmax: int, osc: OscParams, xi, values) -> np.ndarray:
 
     Raises
     ------
+    DomainError
+        If kmax is not a nonnegative integer, or xi is not finite and >= 0.
     NonConvergenceError
         If a sum is not finite: at large k and xi the polynomials overflow
         while the prefactor underflows to 0 (from xi near 455 at k = 8000).
     """
-    gamma = osc.gamma
+    kmax = _check_order(kmax, "projection order kmax")
     xi = _check_xi(xi)
     values = np.asarray(values, dtype=complex)
     pos = xi > 0
-    poly = cdhahn_normalized_batch(kmax, xi[pos], gamma, gamma, 0.5)
     weighted = np.conj(_state_prefactor(osc, xi[pos])) * values[pos]
+    return _project_weighted(kmax, osc, xi[pos], weighted)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # non-finite sums are raised below
+def _project_weighted(kmax: int, osc: OscParams, xi: np.ndarray,
+                      weighted: np.ndarray) -> np.ndarray:
+    """:func:`project_states` from nodes xi > 0 and
+    ``weighted = conj(_state_prefactor(osc, xi)) * values``, for callers
+    that keep that prefactor."""
+    gamma = osc.gamma
+    poly = cdhahn_normalized_batch(kmax, xi, gamma, gamma, 0.5)
     sums = poly @ weighted.real + 1j * (poly @ weighted.imag)
     if not np.isfinite(sums).all():
         raise NonConvergenceError(
@@ -211,7 +236,9 @@ def state_polynomials(kmax: int, osc: OscParams, xi):
     """``(poly, norms)``: the real normalised polynomial table of phi_0 ..
     phi_kmax at the nodes xi, as in :func:`project_states`, and the norm
     ratios norm_k / norm_0, the k-dependent factors of
-    conj(phi_k) = norms[k] * poly[k] * ``conj_state_prefactor``."""
+    conj(phi_k) = norms[k] * poly[k] * ``conj_state_prefactor``; a kmax
+    that is not a nonnegative integer raises DomainError."""
+    kmax = _check_order(kmax, "state order kmax")
     gamma = osc.gamma
     log_norms = _log_norms(kmax, gamma)
     poly = cdhahn_normalized_batch(kmax, xi, gamma, gamma, 0.5)
@@ -244,10 +271,9 @@ def eigenfunction(k: int, osc: OscParams, xi):
     phi_k(0) = 0 for every k: the 1/Gamma(i xi) factor vanishes in the limit,
     matching the boundary condition of the underlying wave equation.
     """
-    if k < 0 or k != int(k):
-        raise DomainError("level index k must be a nonnegative integer")
+    k = _check_order(k, "level index k")
     scalar = np.ndim(xi) == 0
-    vals = eigenfunction_batch(int(k), osc, np.atleast_1d(xi))[int(k)]
+    vals = eigenfunction_batch(k, osc, np.atleast_1d(xi))[k]
     return complex(vals[0]) if scalar else vals
 
 
@@ -260,8 +286,7 @@ def oscillator_gram(osc: OscParams, kmax: int) -> np.ndarray:
     to 2e-13 at c = 5 and 8, and kmax <= 6 keeps the end at xi = 40 for
     c <= 2.5.
     """
-    if kmax < 0 or kmax != int(kmax):
-        raise DomainError("Gram order kmax must be a nonnegative integer")
+    kmax = _check_order(kmax, "Gram order kmax")
     xi, weights = xi_panel_grid(osc, state_end(kmax, osc))
-    table = eigenfunction_batch(int(kmax), osc, xi)
+    table = eigenfunction_batch(kmax, osc, xi)
     return (table * weights) @ table.conj().T

@@ -9,7 +9,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln, loggamma
 
-from relbargmann import bargmann, oscillator
+from relbargmann import bargmann, cli, disk, oscillator
 from relbargmann.bargmann import (SampledFunction, TransformResult,
                                   classical_bargmann, isometry_check,
                                   oscillator_mode, relativistic_transform,
@@ -17,12 +17,12 @@ from relbargmann.bargmann import (SampledFunction, TransformResult,
                                   relativistic_transform_m0)
 from relbargmann.coherent import (CoherentLabel, cs_wavefunction_oracle,
                                   normalization, transform_kernel_series)
-from relbargmann.disk import basis_phi, wirtinger_dzbar_fd
+from relbargmann.disk import basis_gram, basis_phi, wirtinger_dzbar_fd
 from relbargmann.errors import DomainError, InputFormatError, NonConvergenceError
 from relbargmann.hypergeom import gauss_2f1_vec
 from relbargmann.orthopoly import laguerre_l
 from relbargmann.oscillator import (XI_LENGTH, ModelParams, OscParams,
-                                    state_end, xi_panel_grid)
+                                    project_states, state_end, xi_panel_grid)
 from relbargmann.quadrature import integrate_halfline
 
 
@@ -331,14 +331,20 @@ def every_node_transform(params, f, z):
     return bargmann._integrate_fixed_layout(integrand, params)
 
 
+def m0_prefactor(osc, z):
+    """The xi-independent factor of the reduced m = 0 kernel."""
+    gamma = osc.gamma
+    lpref = (0.5 * math.log(2.0) + 0.5 * (math.log(2.0 * gamma - 1.0)
+             - math.log(math.pi) - gammaln(2.0 * gamma)) - gammaln(gamma + 0.5))
+    return (math.exp(lpref) * np.exp(-1j * math.pi * gamma / 2.0)
+            * (1.0 - z) ** (-gamma))
+
+
 def every_node_transform_m0(osc, f, z):
     """Reference: the reduced m = 0 kernel times f at every node xi > 0."""
     func = f.as_callable() if isinstance(f, SampledFunction) else f
     gamma = osc.gamma
-    lpref = (0.5 * math.log(2.0) + 0.5 * (math.log(2.0 * gamma - 1.0)
-             - math.log(math.pi) - gammaln(2.0 * gamma)) - gammaln(gamma + 0.5))
-    pref = (math.exp(lpref) * np.exp(-1j * math.pi * gamma / 2.0)
-            * (1.0 - z) ** (-gamma))
+    pref = m0_prefactor(osc, z)
 
     def integrand(xi):
         out = np.zeros(len(xi), dtype=complex)
@@ -464,14 +470,7 @@ class TestLayoutCache:
     def test_second_transform_builds_no_prefactor(self, monkeypatch):
         params = ModelParams(OscParams(1.3), 1)
         f = sampled_modes(params.osc, np.linspace(0.0, 30.0, 301))
-        calls = []
-        prefactor = oscillator._state_prefactor
-
-        def counted(*args):
-            calls.append(args)
-            return prefactor(*args)
-
-        monkeypatch.setattr(oscillator, "_state_prefactor", counted)
+        calls = counting(monkeypatch, oscillator, "_state_prefactor")
         bargmann._layout.cache_clear()
         first = relativistic_transform(params, f, 0.2 - 0.3j, with_error=True)
         assert len(calls) == 1
@@ -627,7 +626,7 @@ class TestIsometryRings:
         rep = isometry_check(params, mode_mix(params.osc, [1.0 / 3.0] * 9))
         assert rep["relative_gap"] < 1e-13
 
-    def test_scaled_basis_member_fails(self, monkeypatch):
+    def test_scaled_basis_member_fails(self, monkeypatch, cold_caches):
         from relbargmann import disk
 
         batch = disk.basis_phi_batch
@@ -638,6 +637,7 @@ class TestIsometryRings:
             return out
 
         monkeypatch.setattr(disk, "basis_phi_batch", scaled)
+        cold_caches()  # a warm Gram would never call the scaled batch
         params = ModelParams(OscParams(1.0), 0)
         f = mode_mix(params.osc, [1.0 / math.sqrt(3.0)] * 3)
         assert isometry_check(params, f)["relative_gap"] > 6e-4
@@ -694,3 +694,151 @@ class TestIsometryRings:
         from relbargmann.verification import run_suite
         with pytest.raises(DomainError):
             run_suite("isometry", budget)
+
+
+def uncached_isometry(params, f):
+    """Reference: the three values of ``isometry_check`` from a layout, a
+    prefactor and a Gram matrix built afresh."""
+    kmax = bargmann._ISOMETRY_KMAX
+    xi, weights = xi_panel_grid(params.osc, state_end(kmax, params.osc))
+    f_nodes = np.asarray(f(xi))
+    norm_f_sq = float(np.sum(weights * np.abs(f_nodes) ** 2))
+    coeffs = project_states(kmax, params.osc, xi, weights * f_nodes)
+    gram = basis_gram(params.landau_index(), kmax)
+    norm_B_sq = float((coeffs @ gram @ coeffs.conj()).real)
+    gap = abs(norm_B_sq - norm_f_sq) / max(norm_f_sq, norm_B_sq)
+    return {"norm_f_sq": norm_f_sq, "norm_Bf_sq": norm_B_sq,
+            "relative_gap": gap}
+
+
+def live_node_transform_m0(osc, f, z):
+    """Reference: the reduced m = 0 kernel built afresh, its loggammas
+    included, at the nodes where f is non-zero, times f."""
+    func = f.as_callable() if isinstance(f, SampledFunction) else f
+    gamma = osc.gamma
+
+    def integrand(xi):
+        f_vals = np.asarray(func(xi))
+        live = f_vals != 0
+        xl = xi[live]
+        out = np.zeros(xi.shape, dtype=complex)
+        gam_fac = np.exp(2.0 * loggamma(gamma - 1j * xl) - loggamma(-1j * xl)
+                         + 4j * xl * math.log(osc.c) - 1j * xl * np.log(1.0 - z))
+        out[live] = gam_fac * gauss_2f1_vec(gamma - 1j * xl, 0.5 - 1j * xl,
+                                            gamma + 0.5, z) * f_vals[live]
+        return out
+
+    value, err = bargmann._integrate_fixed_layout(integrand, ModelParams(osc, 0))
+    pref = m0_prefactor(osc, z)
+    return pref * value, abs(pref) * err
+
+
+def counting(monkeypatch, module, name):
+    """Replace ``module.name`` by a wrapper that records its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestParameterCaches:
+    """The isometry check's layout, prefactor and disk Gram, and the m = 0
+    kernel's exponent, are built once per parameter set, with the bits of
+    an uncached build."""
+
+    @pytest.mark.parametrize("c", [0.6, 1.0, 2.0, 8.0])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_isometry_has_the_bits_of_an_uncached_check(self, c, m,
+                                                        cold_caches):
+        params = ModelParams(OscParams(c), m)
+        f = mode_mix(params.osc, TestIsometryRings.MIX)
+        want = {k: v.hex() for k, v in uncached_isometry(params, f).items()}
+        for _ in ("cold", "warm"):
+            got = isometry_check(params, f)
+            assert {k: v.hex() for k, v in got.items()} == want
+
+    @pytest.mark.parametrize("c", [0.6, 1.0, 2.0])
+    @pytest.mark.parametrize("f", ["sampled", "scattered"])
+    def test_m0_has_the_bits_of_an_uncached_kernel(self, c, f, cold_caches):
+        osc = OscParams(c)
+        if f == "sampled":
+            func = sampled_modes(osc, np.linspace(2.0, 25.0, 231))
+        else:
+            def func(xi):
+                # phi_1, zero on every third stretch of width 1/7
+                return oscillator_mode(1, osc)(xi) * (np.floor(7.0 * xi) % 3 != 0)
+        for z in (0.3 + 0.2j, -0.5 + 0.4j, 0.3 + 0.2j):
+            got = relativistic_transform_m0(osc, func, z, with_error=True)
+            assert bits(*got) == bits(*live_node_transform_m0(osc, func, z))
+
+    def test_cached_arrays_are_read_only(self):
+        osc = OscParams(1.0)
+        _, *arrays = bargmann._isometry_layout(osc)
+        arrays += [bargmann._isometry_gram(ModelParams(osc, 1).landau_index()),
+                   bargmann._m0_exponent(osc)]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
+
+    @pytest.mark.parametrize("cache", ["_isometry_layout", "_isometry_gram",
+                                       "_m0_exponent"])
+    def test_cache_is_bounded(self, cache):
+        maxsize = getattr(bargmann, cache).cache_info().maxsize
+        assert maxsize is not None and maxsize <= 64
+
+    def test_second_isometry_check_builds_nothing(self, monkeypatch,
+                                                  cold_caches):
+        # an f that calls neither function itself
+        def f(xi):
+            return xi ** 2 * np.exp(-xi) * (1.0 + 0.5j)
+
+        prefactors = counting(monkeypatch, oscillator, "_state_prefactor")
+        batches = counting(monkeypatch, disk, "basis_phi_batch")
+        params = ModelParams(OscParams(1.0), 1)
+        first = isometry_check(params, f)
+        assert len(prefactors) == 1 and len(batches) == 1
+        assert isometry_check(params, f) == first
+        assert len(prefactors) == 1 and len(batches) == 1
+        # another level at the same c needs a Gram, not a layout
+        isometry_check(ModelParams(OscParams(1.0), 0), f)
+        assert len(prefactors) == 1 and len(batches) == 2
+
+    def test_second_m0_call_calls_no_loggamma(self, monkeypatch, cold_caches):
+        osc = OscParams(1.3)
+        f = sampled_modes(osc, np.linspace(0.0, 30.0, 301))
+        calls = counting(monkeypatch, bargmann, "loggamma")
+        relativistic_transform_m0(osc, f, 0.2 - 0.3j)
+        assert len(calls) == 2
+        relativistic_transform_m0(osc, f, 0.1j)
+        relativistic_transform_m0(osc, f, 0.2 - 0.3j)
+        assert len(calls) == 2
+
+    def test_public_gram_is_fresh_and_writable(self):
+        params = ModelParams(OscParams(1.0), 0)
+        f = mode_mix(params.osc, TestIsometryRings.MIX)
+        first = isometry_check(params, f)
+        gram = basis_gram(params.landau_index(), bargmann._ISOMETRY_KMAX)
+        assert gram.flags.writeable
+        assert gram is not bargmann._isometry_gram(params.landau_index())
+        gram[1, 1] = 2.0
+        assert isometry_check(params, f) == first
+
+    def test_cold_caches_clears_every_package_cache(self, cold_caches):
+        osc = OscParams(1.0)
+        isometry_check(ModelParams(osc, 0), oscillator_mode(0, osc))
+        relativistic_transform_m0(osc, oscillator_mode(0, osc), 0.1)
+        basis_phi(2, ModelParams(osc, 0).landau_index(), 0.1)
+        cli.main(["spectrum", "--c", "1", "--kmax", "1", "--m", "0"])
+        caches = [bargmann._layout, bargmann._isometry_layout,
+                  bargmann._isometry_gram, bargmann._m0_exponent,
+                  disk._phi_coeff_row, disk._phi_coeff_matrix,
+                  cli._shared_parser]
+        assert all(cache.cache_info().currsize for cache in caches)
+        cold_caches()
+        assert not any(cache.cache_info().currsize for cache in caches)

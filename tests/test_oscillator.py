@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from relbargmann.bargmann import oscillator_mode
 from relbargmann.errors import DomainError, NonConvergenceError
 from relbargmann.hypergeom import ln_gamma
 from relbargmann.oscillator import (ModelParams, OscParams, conj_state_factors,
                                     eigenfunction, eigenfunction_batch,
                                     energy, gamma_of_c,
                                     oscillator_gram, project_states,
-                                    state_end, xi_node_count, xi_panel_grid)
+                                    state_end, state_polynomials,
+                                    xi_node_count, xi_panel_grid)
 
 # 2 |Gamma(g+i)|^4 / (|Gamma(i)|^2 Gamma(g+1/2)^2 Gamma(2g)) at g = (1+sqrt 3)/2
 PHI0_SQ_AT_1 = 0.49802777027855049088
@@ -128,6 +130,31 @@ class TestEigenfunctions:
     def test_gram_order_validated(self, kmax):
         with pytest.raises(DomainError):
             oscillator_gram(OscParams(1.0), kmax)
+
+    ORDER_CALLS = {
+        "eigenfunction_batch": lambda k, osc, xi: eigenfunction_batch(k, osc, xi),
+        "project_states": lambda k, osc, xi: project_states(k, osc, xi, 1.0 + xi),
+        "state_polynomials": lambda k, osc, xi: state_polynomials(k, osc, xi),
+        "oscillator_mode": lambda k, osc, xi: oscillator_mode(k, osc)(xi),
+    }
+
+    @pytest.mark.parametrize("call", sorted(ORDER_CALLS))
+    @pytest.mark.parametrize("kmax", [-1, 2.5, math.nan, math.inf, "two", None])
+    def test_bad_order_raises_domain_error(self, call, kmax):
+        with pytest.raises(DomainError):
+            self.ORDER_CALLS[call](kmax, OscParams(1.0), np.array([0.5, 2.0]))
+
+    @pytest.mark.parametrize("call", sorted(ORDER_CALLS))
+    def test_integral_orders_keep_their_bits(self, call):
+        osc, xi = OscParams(0.8), np.array([0.5, 2.0, 7.5])
+
+        def raw(k):
+            out = self.ORDER_CALLS[call](k, osc, xi)
+            parts = out if isinstance(out, tuple) else (out,)
+            return b"".join(np.asarray(part).tobytes() for part in parts)
+
+        for k in (np.int64(3), 3.0):
+            assert raw(k) == raw(3)
 
     def test_tail_decay(self):
         # |phi_k| falls like exp(-pi xi / 2) times polynomial growth

@@ -1,6 +1,8 @@
 """The verify suites read exactly the config keys their table names, and
 their grid calls give the bits of the one-point calls."""
 
+import json
+
 import pytest
 
 from relbargmann import verification
@@ -90,3 +92,9 @@ def test_m0_kernel_consistency_equals_point_loop():
             worst = max(worst, abs(full - relativistic_transform_m0(osc, f, z)))
     checks = verification.suite_m0_reduction({})
     assert check_error(checks, "m0-kernel-consistency") == worst
+
+
+def test_report_is_the_same_cold_and_warm(cold_caches):
+    # every package cache empty, then filled by the first run
+    cold = json.dumps(run_suite("all"), sort_keys=True)
+    assert json.dumps(run_suite("all"), sort_keys=True) == cold
