@@ -23,9 +23,12 @@ spline and taken as zero outside its grid.  The xi quadrature uses a panel
 layout fixed by the parameters alone, so the transforms are linear in f.
 It ends at ``oscillator.XI_LENGTH`` = 40 for every c, which takes at most
 126 panels of width gamma/pi, and f is evaluated in one call on all of its
-nodes.  The layout depends on c alone: its nodes, half widths and the
-k-independent state prefactor at every node are built once per c and kept
-in a small cache (read-only arrays), which both transforms share.  The
+nodes.  The package has one source of xi nodes, ``oscillator.xi_layout``,
+keyed on (c, end): its nodes, half widths and the folded state prefactor
+``conj_state_prefactor`` at every node are built once per key and kept in
+a small cache (read-only arrays).  Both transforms read it at XI_LENGTH;
+``isometry_check`` reads the 32-point columns of the one at
+``state_end(20, osc)``, as ``oscillator_gram`` does at its own end.  The
 kernel of ``relativistic_transform`` is summed at the nodes where f is
 non-zero, up to the ``coherent.truncation_order`` of the point, from one
 real table of the states' polynomials, which ``relativistic_transform_grid``
@@ -37,11 +40,14 @@ F5 closed form (``coherent.transform_kernel``) is not used here; the m = 0
 reduction keeps its 2F1 kernel, whose z-independent exponent (its
 ``loggamma``s) is cached per c on the same nodes.
 
-Every other input of ``isometry_check`` than f depends on the parameters
-alone too: its half-line layout with the state prefactor is cached per c,
-and the disk Gram matrix per level.  All of these caches are bounded
-``lru_cache``s of read-only arrays, built elementwise or by the uncached
-code, so a cached result has the bits of an uncached one.
+Every state, in the kernel, the projections of ``isometry_check`` and the
+Gram matrices alike, comes from the one factorisation conj(phi_k) =
+norms[k] P_k conj_pref of ``oscillator.conj_state_factors``, whose folded
+prefactor stays finite at large c.  The disk Gram matrix of
+``isometry_check`` is cached per level.  These three caches (the layout,
+the Gram and the m = 0 exponent) are bounded ``lru_cache``s of read-only
+arrays, built elementwise or by the uncached code, so a cached result has
+the bits of an uncached one.
 """
 
 from __future__ import annotations
@@ -54,17 +60,15 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln, loggamma
 
-from . import oscillator
 from .coherent import _check_kernel_domain, _kernel_expansion, truncation_order
 # looked up here by the layer tracer of bench/tracing.py
 from .coherent import transform_kernel  # noqa: F401
 from .disk import LandauIndex, basis_gram, check_disk
 from .errors import DomainError, InputFormatError, NonConvergenceError
 from .hypergeom import gauss_2f1_vec
-from .oscillator import (XI_LENGTH, ModelParams, OscParams,
-                         _check_order, _project_weighted, conj_state_prefactor,
-                         eigenfunction_batch, panel_width, state_end,
-                         state_polynomials, xi_panel_grid)
+from .oscillator import (XI_LENGTH, ModelParams, OscParams, _check_order,
+                         _fine_columns, _project, eigenfunction_batch,
+                         state_end, state_polynomials, xi_layout)
 from .quadrature import _COARSE_RULE, _FINE_RULE, integrate_halfline
 
 
@@ -181,35 +185,11 @@ def classical_bargmann(sigma: float, f, z):
     return pref * value, abs(pref) * err
 
 
-@lru_cache(maxsize=32)
-def _layout(osc: OscParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes, shape (panels, 48), half widths, and the flat
-    ``conj_state_prefactor`` at every node of the fixed panel layout of c.
-
-    Panels of ``oscillator.panel_width`` (the last one cut at XI_LENGTH)
-    each carry the 16-point and then the 32-point Gauss-Legendre rule.  All
-    three depend on c alone, so they are built once per c and cached
-    (at most 6,048 nodes, under 150 kB an entry); the arrays are read-only.
-    """
-    width = panel_width(osc)
-    n_panels = math.ceil(XI_LENGTH / width)
-    rule = np.concatenate([_COARSE_RULE[0], _FINE_RULE[0]])
-    # edges by repeated addition of the width, as a panel walk makes them
-    edges = np.minimum(np.cumsum(np.r_[0.0, np.full(n_panels, width)]),
-                       XI_LENGTH)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mid[:, None] + half[:, None] * rule
-    conj_pref = conj_state_prefactor(osc, nodes.ravel())
-    for arr in (nodes, half, conj_pref):
-        arr.flags.writeable = False
-    return nodes, half, conj_pref
-
-
 def _panel_sums(vals: np.ndarray, half: np.ndarray):
-    """``(value, err_estimate)`` from the integrand on the ``_layout``
-    nodes: the sums over panels, in panel order, of the 32-point values and
-    of their distances from the 16-point values."""
+    """``(value, err_estimate)`` from the integrand on the nodes of an
+    ``xi_layout``, shape (panels, 48), and its half widths ``half``: the
+    sums over panels, in panel order, of the 32-point values and of their
+    distances from the 16-point values."""
     (_, wc), (_, wf) = _COARSE_RULE, _FINE_RULE
     coarse = half * np.sum(wc * vals[:, :len(wc)], axis=1)
     fine = half * np.sum(wf * vals[:, len(wc):], axis=1)
@@ -219,17 +199,6 @@ def _panel_sums(vals: np.ndarray, half: np.ndarray):
         total += value
         err_total += abs(value - coarse_value)
     return total, err_total
-
-
-def _integrate_fixed_layout(integrand, params: ModelParams):
-    """Integrate ``integrand`` over [0, XI_LENGTH] on the fixed panel layout,
-    with both rules of every panel in one call of ``integrand``.
-
-    Returns ``(value, err_estimate)`` as :func:`_panel_sums`.
-    """
-    nodes, half, _ = _layout(params.osc)
-    vals = np.asarray(integrand(nodes.ravel())).reshape(nodes.shape)
-    return _panel_sums(vals, half)
 
 
 def _check_points(points) -> list[complex]:
@@ -247,15 +216,15 @@ def _expansion_transform(params: ModelParams, func, points):
     f is evaluated once on the layout, and the real polynomial table of the
     states is built once, on the nodes where f is non-zero, up to the
     largest ``truncation_order`` of the points; the state prefactor on those
-    nodes comes from the cached layout of c.  Each point sums the rows up to
-    its own order.  The integrand is an exact zero at the other nodes, and a
-    zero f builds no table.  Every Gauss node lies inside its panel, so
-    xi > 0.
+    nodes comes from the cached ``xi_layout`` of c at XI_LENGTH.  Each point
+    sums the rows up to its own order.  The integrand is an exact zero at
+    the other nodes, and a zero f builds no table.  Every Gauss node lies
+    inside its panel, so xi > 0.
     """
     pts = _check_points(points)
     if not pts:
         return [], []
-    nodes, half, conj_pref = _layout(params.osc)
+    nodes, half, conj_pref = xi_layout(params.osc, XI_LENGTH)
     xi = nodes.ravel()
     f_vals = _values_on(func, xi)
     live = np.flatnonzero(f_vals != 0)
@@ -301,9 +270,9 @@ def relativistic_transform(params: ModelParams, f, z, with_error: bool = False):
 def _m0_exponent(osc: OscParams) -> np.ndarray:
     """The z-independent part 2 loggamma(gamma - i xi) - loggamma(-i xi)
     + 4 i xi log c of the exponent of the m = 0 kernel, at every node of
-    ``_layout(osc)`` (flat).  Built once per c and cached (at most 6,048
-    nodes, under 100 kB an entry); the array is read-only."""
-    xi = _layout(osc)[0].ravel()
+    ``xi_layout(osc, XI_LENGTH)`` (flat).  Built once per c and cached (at
+    most 6,048 nodes, under 100 kB an entry); the array is read-only."""
+    xi = xi_layout(osc, XI_LENGTH)[0].ravel()
     gamma = osc.gamma
     expo = (2.0 * loggamma(gamma - 1j * xi) - loggamma(-1j * xi)
             + 4j * xi * math.log(osc.c))
@@ -329,23 +298,19 @@ def relativistic_transform_m0(osc: OscParams, f, z, with_error: bool = False):
     pref = (math.exp(lpref) * np.exp(-1j * math.pi * gamma / 2.0)
             * (1.0 - z) ** (-gamma))
 
-    expo = _m0_exponent(osc)
-
-    def integrand(xi):
-        # xi is the flat layout of c, on which ``expo`` was built
-        f_vals = _values_on(func, xi)
-        live = f_vals != 0
-        out = np.zeros(xi.shape, dtype=complex)
-        if live.any():
-            xl = xi[live]
-            gam_fac = np.exp(expo[live] - 1j * xl * np.log(1.0 - z))
-            # kernel times f, in this order: the product is not bitwise
-            # symmetric
-            out[live] = gam_fac * gauss_2f1_vec(gamma - 1j * xl, 0.5 - 1j * xl,
-                                                gamma + 0.5, z) * f_vals[live]
-        return out
-
-    value, err = _integrate_fixed_layout(integrand, ModelParams(osc=osc, m=0))
+    nodes, half, _ = xi_layout(osc, XI_LENGTH)
+    xi = nodes.ravel()
+    f_vals = _values_on(func, xi)
+    live = f_vals != 0
+    integrand = np.zeros(xi.shape, dtype=complex)
+    if live.any():
+        xl = xi[live]
+        gam_fac = np.exp(_m0_exponent(osc)[live] - 1j * xl * np.log(1.0 - z))
+        # kernel times f, in this order: the product is not bitwise symmetric
+        integrand[live] = gam_fac * gauss_2f1_vec(gamma - 1j * xl,
+                                                  0.5 - 1j * xl, gamma + 0.5,
+                                                  z) * f_vals[live]
+    value, err = _panel_sums(integrand.reshape(nodes.shape), half)
     value, err = pref * value, abs(pref) * err
     return (value, err) if with_error else value
 
@@ -368,22 +333,6 @@ _NORM_TOL = 1e-8
 
 
 @lru_cache(maxsize=32)
-def _isometry_layout(osc: OscParams):
-    """``(end, nodes, weights, conj_pref)`` of the half-line rule of
-    ``isometry_check``: ``xi_panel_grid(osc, state_end(20, osc))`` and the
-    conjugated state prefactor ``conj(_state_prefactor(osc, xi))`` at its
-    nodes, all xi > 0.  They depend on c alone, so they are built once per
-    c and cached (at most about 8,000 nodes, under 260 kB an entry); the
-    arrays are read-only."""
-    end = state_end(_ISOMETRY_KMAX, osc)
-    xi, weights = xi_panel_grid(osc, end)
-    conj_pref = np.conj(oscillator._state_prefactor(osc, xi))
-    for arr in (xi, weights, conj_pref):
-        arr.flags.writeable = False
-    return end, xi, weights, conj_pref
-
-
-@lru_cache(maxsize=32)
 def _isometry_gram(idx: LandauIndex) -> np.ndarray:
     """``basis_gram(idx, 20)``, built once per level and cached read-only;
     the public ``basis_gram`` still returns a fresh array."""
@@ -398,17 +347,20 @@ def isometry_check(params: ModelParams, f) -> dict:
     B[f] = sum_k c_k Phi_k with c_k = <f, phi_k>, so the isometry rests on
     two identities, and each side is computed by one of them.  The half
     line: ||f||^2 = sum w |f|^2 and the projections c_k, k <= 20, are
-    taken on one layout, ``xi_panel_grid(osc, state_end(20, osc))``, which
-    ends at xi = 80 for c <= 2.5 and at 2 gamma + 70 beyond.  The disk:
+    taken on the 32-point rule (weights half w_32) of one layout,
+    ``xi_layout(osc, state_end(20, osc))``, which ends at xi = 80 for
+    c <= 2.5 and at 2 gamma + 70 beyond.  The disk:
     ||B[f]||^2 = c^T G conj(c) with G = ``basis_gram(idx, 20)``, an exact
     polar rule over the whole disk.  The relative gap is then the Parseval
     defect of f against phi_0 .. phi_20 plus the orthonormality defect of
     Phi_0 .. Phi_20, so it is small exactly when f lies in the span of the
     first 21 states.  Everything but f depends on the parameters alone:
-    the nodes, weights and conjugated state prefactor of the layout are
-    cached per c (``_isometry_layout``) and G per level
-    (``_isometry_gram``), so a call evaluates f, builds the real
-    polynomial table of the projections and takes the two sums.
+    the nodes and the folded state prefactor of the layout are cached per
+    (c, end) and G per level (``_isometry_gram``), so a call evaluates f,
+    builds the real polynomial table of the projections, c_k = norms[k]
+    sum_n P_k(xi_n) conj_pref_n w_n f(xi_n), and takes the two sums.  The
+    folded prefactor keeps them finite at large c (a gap of 3.8e-12 for
+    phi_0 at c = 20).
 
     Raises
     ------
@@ -421,7 +373,8 @@ def isometry_check(params: ModelParams, f) -> dict:
     Returns a dict with both norms and their relative gap.
     """
     func = _as_callable(f)
-    end, xi, weights, conj_pref = _isometry_layout(params.osc)
+    end = state_end(_ISOMETRY_KMAX, params.osc)
+    xi, weights, conj_pref = _fine_columns(params.osc, end)
     f_nodes = _values_on(func, xi)
     mass = weights * np.abs(f_nodes) ** 2
     norm_f_sq = float(np.sum(mass))
@@ -430,9 +383,9 @@ def isometry_check(params: ModelParams, f) -> dict:
         raise NonConvergenceError(
             f"the last two xi panels before {end:g} hold {tail:.3g} of "
             f"||f||^2 = {norm_f_sq:.3g}; f does not decay within the layout")
-    # project_states' arithmetic, with the prefactor from the cache
-    coeffs = _project_weighted(_ISOMETRY_KMAX, params.osc, xi,
-                               conj_pref * (weights * f_nodes))
+    # project_states' arithmetic, with the prefactor from the cached layout
+    factors = (*state_polynomials(_ISOMETRY_KMAX, params.osc, xi), conj_pref)
+    coeffs = _project(factors, weights * f_nodes)
     gram = _isometry_gram(params.landau_index())
     norm_B_sq = float((coeffs @ gram @ coeffs.conj()).real)
     if norm_f_sq == 0.0 and norm_B_sq == 0.0:

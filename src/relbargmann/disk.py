@@ -27,6 +27,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError
+from .oscillator import _check_order
 from .quadrature import jacobi_rule_01
 
 DEFAULT_FD_STEP = 1e-4
@@ -43,8 +44,7 @@ class LandauIndex:
         if not (self.sigma > 1.0 and math.isfinite(self.sigma)):
             raise DomainError("Landau levels require a finite sigma > 1, "
                               f"got {self.sigma!r}")
-        if self.m < 0 or self.m != int(self.m):
-            raise DomainError("level number m must be a nonnegative integer")
+        object.__setattr__(self, "m", _check_order(self.m, "level number m"))
         if self.m > math.floor((self.sigma - 1.0) / 2.0):
             raise DomainError(
                 f"m = {self.m} exceeds floor((sigma-1)/2) = "
@@ -145,11 +145,10 @@ def _basis_rows(lo: int, coeffs: np.ndarray, idx: LandauIndex, z) -> np.ndarray:
 
 
 def _check_basis(k: int, idx: LandauIndex, what: str) -> int:
-    if k < 0 or k != int(k):
-        raise DomainError(f"{what} must be a nonnegative integer")
+    k = _check_order(k, what)
     if idx.sigma - 2 * idx.m - 1.0 <= 0.0:
         raise DomainError("basis normalization requires sigma - 2m - 1 > 0")
-    return int(k)
+    return k
 
 
 def basis_phi(k: int, idx: LandauIndex, z):

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, loggamma
 
 from .errors import DomainError, NonConvergenceError
 from .orthopoly import cdhahn_normalized_batch
-from .quadrature import _FINE_RULE
+from .quadrature import _COARSE_RULE, _FINE_RULE
 
 
 def gamma_of_c(c: float) -> float:
@@ -58,8 +59,7 @@ class ModelParams:
     m: int
 
     def __post_init__(self):
-        if self.m < 0 or self.m != int(self.m):
-            raise DomainError("level number m must be a nonnegative integer")
+        object.__setattr__(self, "m", _check_order(self.m, "level number m"))
 
     @property
     def gamma(self) -> float:
@@ -101,30 +101,15 @@ def state_end(kmax: int, osc: OscParams) -> float:
     """End max(XI_LENGTH, 3 kmax + 20, 3 kmax + 2 gamma + 10) of a layout
     that holds the states phi_0 .. phi_kmax: phi_k reaches about xi = 2k,
     past which the tail of phi_0 adds about 20, or 2 gamma + 10 once gamma
-    passes 5 (c above about 2.5), where phi_0 peaks near xi = gamma."""
+    passes 5 (c above about 2.5), where phi_0 peaks near xi = gamma.  The
+    ``xi_layout`` of c at this end is the one ``isometry_check`` (kmax = 20)
+    and ``oscillator_gram`` integrate on."""
     return max(XI_LENGTH, 3.0 * kmax + 20.0, 3.0 * kmax + 2.0 * osc.gamma + 10.0)
 
 
 def panel_width(osc: OscParams) -> float:
     """Width gamma/pi > 1/pi of the xi panels of every layout in xi."""
     return osc.gamma / math.pi
-
-
-def xi_panel_grid(osc: OscParams, length: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 32-point Gauss-Legendre rule on each of the
-    ceil(length / width) panels of ``panel_width(osc)`` from xi = 0."""
-    width = panel_width(osc)
-    n_panels = int(math.ceil(length / width))
-    xg, wg = _FINE_RULE
-    mids = width * (np.arange(n_panels) + 0.5)
-    nodes = (mids[:, None] + 0.5 * width * xg[None, :]).ravel()
-    weights = np.tile(0.5 * width * wg, n_panels)
-    return nodes, weights
-
-
-def xi_node_count(osc: OscParams, length: float) -> int:
-    """Size of ``xi_panel_grid(osc, length)``, found without building it."""
-    return int(math.ceil(length / panel_width(osc))) * len(_FINE_RULE[0])
 
 
 def _log_norms(kmax: int, gamma: float) -> np.ndarray:
@@ -163,7 +148,9 @@ def eigenfunction_batch(kmax: int, osc: OscParams, xi) -> np.ndarray:
 
     Large-k evaluation goes through the normalised three-term recurrence of
     the continuous dual Hahn family, so the stack is stable for hundreds of
-    levels.
+    levels.  phi_k = norms[k] P_k conj(conj_pref) from the
+    :func:`conj_state_factors`, whose folded prefactor stays finite at
+    large c.
 
     Raises
     ------
@@ -174,15 +161,12 @@ def eigenfunction_batch(kmax: int, osc: OscParams, xi) -> np.ndarray:
         xi^2 does (xi above about 1e154), or at large k and xi.
     """
     kmax = _check_order(kmax, "state order kmax")
-    gamma = osc.gamma
     xi = _check_xi(xi)
-    poly = cdhahn_normalized_batch(kmax, xi, gamma, gamma, 0.5)
     out = np.zeros((kmax + 1, len(xi)), dtype=complex)
     pos = xi > 0
     if np.any(pos):
-        pref = _state_prefactor(osc, xi[pos])
-        norms = np.exp(_log_norms(kmax, gamma))
-        out[:, pos] = norms[:, None] * poly[:, pos] * pref[None, :]
+        poly, norms, conj_pref = conj_state_factors(kmax, osc, xi[pos])
+        out[:, pos] = norms[:, None] * poly * np.conj(conj_pref)[None, :]
     if not np.isfinite(out).all():
         raise NonConvergenceError(
             f"oscillator state table up to k = {kmax} is not finite "
@@ -190,14 +174,13 @@ def eigenfunction_batch(kmax: int, osc: OscParams, xi) -> np.ndarray:
     return out
 
 
-@np.errstate(over="ignore", invalid="ignore")  # non-finite sums are raised below
 def project_states(kmax: int, osc: OscParams, xi, values) -> np.ndarray:
     """sum_n conj(phi_k(xi_n)) values_n for k = 0..kmax.
 
     With quadrature weights folded into ``values`` these are the projections
-    <f, phi_k>.  Since conj(phi_k) = norm_k P_k conj(pref) with P_k the real
-    normalised polynomial, only the real polynomial table is built, never the
-    complex state stack.
+    <f, phi_k>.  Since conj(phi_k) = norms[k] P_k conj_pref with P_k the
+    real normalised polynomial (:func:`conj_state_factors`), only the real
+    polynomial table is built, never the complex state stack.
 
     Raises
     ------
@@ -211,24 +194,22 @@ def project_states(kmax: int, osc: OscParams, xi, values) -> np.ndarray:
     xi = _check_xi(xi)
     values = np.asarray(values, dtype=complex)
     pos = xi > 0
-    weighted = np.conj(_state_prefactor(osc, xi[pos])) * values[pos]
-    return _project_weighted(kmax, osc, xi[pos], weighted)
+    return _project(conj_state_factors(kmax, osc, xi[pos]), values[pos])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite sums are raised below
-def _project_weighted(kmax: int, osc: OscParams, xi: np.ndarray,
-                      weighted: np.ndarray) -> np.ndarray:
-    """:func:`project_states` from nodes xi > 0 and
-    ``weighted = conj(_state_prefactor(osc, xi)) * values``, for callers
-    that keep that prefactor."""
-    gamma = osc.gamma
-    poly = cdhahn_normalized_batch(kmax, xi, gamma, gamma, 0.5)
+def _project(factors, values: np.ndarray) -> np.ndarray:
+    """sum_n conj(phi_k(xi_n)) values_n from the ``conj_state_factors``
+    ``(poly, norms, conj_pref)`` at nodes xi_n > 0, by two real products
+    with the polynomial table."""
+    poly, norms, conj_pref = factors
+    weighted = conj_pref * values
     sums = poly @ weighted.real + 1j * (poly @ weighted.imag)
     if not np.isfinite(sums).all():
         raise NonConvergenceError(
-            f"oscillator projections up to k = {kmax} are not finite "
-            f"for xi up to {np.max(xi):.4g}")
-    return np.exp(_log_norms(kmax, gamma)) * sums
+            f"oscillator projections up to k = {len(poly) - 1} are not "
+            "finite")
+    return norms * sums
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the kernel sum checks finiteness
@@ -261,8 +242,54 @@ def conj_state_prefactor(osc: OscParams, xi) -> np.ndarray:
 def conj_state_factors(kmax: int, osc: OscParams, xi):
     """conj(phi_k(xi)) for k = 0..kmax at nodes xi > 0 as the three factors
     ``(poly, norms, conj_pref)`` of norms[k] * poly[k] * conj_pref, from
-    :func:`state_polynomials` and :func:`conj_state_prefactor`."""
+    :func:`state_polynomials` and :func:`conj_state_prefactor`: the one
+    factorisation of the states that every table, projection, Gram matrix
+    and kernel sum of the package uses."""
     return (*state_polynomials(kmax, osc, xi), conj_state_prefactor(osc, xi))
+
+
+def _panel_count(osc: OscParams, end: float) -> int:
+    """Number ceil(end / width) of the panels of ``xi_layout(osc, end)``."""
+    return math.ceil(end / panel_width(osc))
+
+
+@lru_cache(maxsize=32)
+def xi_layout(osc: OscParams, end: float):
+    """``(nodes, half, conj_pref)`` of the xi layout of c that ends at
+    ``end``: the one source of xi nodes of the package.
+
+    Panels of ``panel_width(osc)`` from xi = 0, their edges made by repeated
+    addition of the width as a panel walk makes them, the last one cut at
+    ``end``; ``nodes``, shape (panels, 48), carries the 16-point and then
+    the 32-point Gauss-Legendre rule of each panel, ``half`` the half widths
+    and ``conj_pref`` the flat :func:`conj_state_prefactor` at every node
+    (all xi > 0).  The transforms read it at XI_LENGTH, ``isometry_check``
+    and ``oscillator_gram`` at ``state_end``.  It depends on (c, end) alone,
+    so it is built once per key and cached (24 bytes a node, under 0.3 MB
+    an entry for an end <= 80); the arrays are read-only.
+    """
+    width = panel_width(osc)
+    n_panels = _panel_count(osc, end)
+    rule = np.concatenate([_COARSE_RULE[0], _FINE_RULE[0]])
+    edges = np.minimum(np.cumsum(np.r_[0.0, np.full(n_panels, width)]), end)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    nodes = mid[:, None] + half[:, None] * rule
+    conj_pref = conj_state_prefactor(osc, nodes.ravel())
+    for arr in (nodes, half, conj_pref):
+        arr.flags.writeable = False
+    return nodes, half, conj_pref
+
+
+def _fine_columns(osc: OscParams, end: float):
+    """``(xi, weights, conj_pref)`` of the 32-point rule alone on
+    ``xi_layout(osc, end)``, flat in panel order, with weights half w_32:
+    the half-line rule of the norms and Gram matrices."""
+    nodes, half, conj_pref = xi_layout(osc, end)
+    fine = slice(len(_COARSE_RULE[0]), None)
+    weights = (half[:, None] * _FINE_RULE[1]).ravel()
+    return (nodes[:, fine].ravel(), weights,
+            conj_pref.reshape(nodes.shape)[:, fine].ravel())
 
 
 def eigenfunction(k: int, osc: OscParams, xi):
@@ -277,16 +304,26 @@ def eigenfunction(k: int, osc: OscParams, xi):
     return complex(vals[0]) if scalar else vals
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite Gram is raised below
 def oscillator_gram(osc: OscParams, kmax: int) -> np.ndarray:
-    """Gram matrix of {phi_k}_{k<=kmax} on L^2(0, inf): the one product
-    S W S^H of the table S of phi_k on
-    ``xi_panel_grid(osc, state_end(kmax, osc))`` and its weights W.  That
-    end grows with kmax and gamma, as the states' tails do: kmax = 20
-    (xi = 80 for c <= 2.5) meets the identity to about 2e-14 for c <= 3 and
-    to 2e-13 at c = 5 and 8, and kmax <= 6 keeps the end at xi = 40 for
-    c <= 2.5.
+    """Gram matrix of {phi_k}_{k<=kmax} on L^2(0, inf), real, as the one
+    real product (nP) diag(w |pref|^2) (nP)^T of the state factors
+    conj(phi_k) = norms[k] P_k conj_pref on the 32-point rule of
+    ``xi_layout(osc, state_end(kmax, osc))`` with weights w.  That end grows
+    with kmax and gamma, as the states' tails do: kmax <= 20 (xi = 80 for
+    c <= 2.5) meets the identity to about 7e-14 for c <= 5 and to 2.4e-13
+    at c = 8, and kmax <= 6 keeps the end at xi = 40 (the transforms'
+    layout) for c <= 2.5.  The folded prefactor keeps it finite at large c
+    (within 1.5e-12 of the identity at c = 12 and 20).
+
+    Raises NonConvergenceError if the matrix is not finite.
     """
     kmax = _check_order(kmax, "Gram order kmax")
-    xi, weights = xi_panel_grid(osc, state_end(kmax, osc))
-    table = eigenfunction_batch(kmax, osc, xi)
-    return (table * weights) @ table.conj().T
+    xi, weights, conj_pref = _fine_columns(osc, state_end(kmax, osc))
+    poly, norms = state_polynomials(kmax, osc, xi)
+    table = norms[:, None] * poly
+    gram = (table * (weights * np.abs(conj_pref) ** 2)) @ table.T
+    if not np.isfinite(gram).all():
+        raise NonConvergenceError(
+            f"oscillator Gram matrix up to k = {kmax} is not finite")
+    return gram

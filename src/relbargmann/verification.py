@@ -25,9 +25,9 @@ from .hypergeom import (F5Args, _series_2f1_vec, _terminating_2f1, appell_f1,
                         gauss_2f1, kdf_f5, kdf_f5_integral, kdf_f5_series,
                         pochhammer)
 from .orthopoly import jacobi_p, laguerre_l
-from .oscillator import (ModelParams, OscParams, oscillator_gram, state_end,
-                         xi_node_count)
-from .quadrature import integrate_disk
+from .oscillator import (ModelParams, OscParams, _panel_count, oscillator_gram,
+                         state_end)
+from .quadrature import _FINE_RULE, integrate_disk
 
 SUITES = ("orthonormality-disk", "orthonormality-oscillator", "overlap",
           "resolution", "eigen-equation", "srivastava-rao", "saran",
@@ -47,7 +47,8 @@ def gram_table_entries(suite: str, kmax: int) -> int:
     """Entries of the largest basis table that ``suite`` builds for its Gram
     matrices at order ``kmax`` (0 for none), found without building it."""
     disk = [math.prod(_gram_rule_sizes(kmax, m)) for _, m in _DISK_CASES]
-    osc = [xi_node_count(p, state_end(kmax, p))
+    # the 32-point columns of each ``oscillator_gram`` layout
+    osc = [_panel_count(p, state_end(kmax, p)) * len(_FINE_RULE[0])
            for p in map(OscParams, _OSC_CASES)]
     sizes = {"orthonormality-disk": disk, "orthonormality-oscillator": osc,
              "all": disk + osc}

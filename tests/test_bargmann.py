@@ -22,7 +22,8 @@ from relbargmann.errors import DomainError, InputFormatError, NonConvergenceErro
 from relbargmann.hypergeom import gauss_2f1_vec
 from relbargmann.orthopoly import laguerre_l
 from relbargmann.oscillator import (XI_LENGTH, ModelParams, OscParams,
-                                    project_states, state_end, xi_panel_grid)
+                                    conj_state_factors, project_states,
+                                    state_end, xi_layout)
 from relbargmann.quadrature import integrate_halfline
 
 
@@ -242,13 +243,14 @@ class TestRelativisticTransform:
         assert len(builds) == 1 + len(points)
 
 
-def layout_panels(params):
-    """(mid, half width) of each panel of the fixed xi layout, walked one
-    panel at a time: width gamma/pi, the last panel cut at xi = 40."""
+def layout_panels(params, end=XI_LENGTH):
+    """(mid, half width) of each panel of the xi layout that ends at
+    ``end``, walked one panel at a time: width gamma/pi, the last panel cut
+    at ``end`` (xi = 40 for the transforms)."""
     width = params.gamma / math.pi
     lo = 0.0
-    for _ in range(math.ceil(XI_LENGTH / width)):
-        hi = min(lo + width, XI_LENGTH)
+    for _ in range(math.ceil(end / width)):
+        hi = min(lo + width, end)
         yield 0.5 * (hi + lo), 0.5 * (hi - lo)
         lo = hi
 
@@ -320,6 +322,15 @@ class TestFixedLayout:
             assert abs(got - basis_phi(1, params.landau_index(), z)) < 1e-6
 
 
+def layout_integral(integrand, layout):
+    """``(value, err_estimate)`` of ``integrand``, called once on all the
+    nodes of ``layout`` (an ``xi_layout`` triple), by the transforms' panel
+    sums."""
+    nodes, half, _ = layout
+    vals = np.asarray(integrand(nodes.ravel())).reshape(nodes.shape)
+    return bargmann._panel_sums(vals, half)
+
+
 def every_node_transform(params, f, z):
     """Reference: f times the expansion kernel at every node of the fixed
     layout."""
@@ -328,7 +339,7 @@ def every_node_transform(params, f, z):
     def integrand(xi):
         return np.asarray(func(xi)) * transform_kernel_series(params, z, xi)
 
-    return bargmann._integrate_fixed_layout(integrand, params)
+    return layout_integral(integrand, xi_layout(params.osc, XI_LENGTH))
 
 
 def m0_prefactor(osc, z):
@@ -357,7 +368,7 @@ def every_node_transform_m0(osc, f, z):
         out[pos] = kernel * np.asarray(func(xp))
         return out
 
-    value, err = bargmann._integrate_fixed_layout(integrand, ModelParams(osc, 0))
+    value, err = layout_integral(integrand, xi_layout(osc, XI_LENGTH))
     return pref * value, abs(pref) * err
 
 
@@ -427,69 +438,6 @@ class TestKernelOnSupport:
         assert bits(*got) == bits(*every_node_transform_m0(params.osc, f,
                                                            0.2 + 0.1j))
         assert got == (0.0, 0.0)
-
-
-class TestLayoutCache:
-    """The nodes, half widths and conjugated state prefactor of the fixed
-    layout are built once per c."""
-
-    @staticmethod
-    def fresh_prefactor(osc, xi):
-        log_norm0 = oscillator._log_norms(0, osc.gamma)[0]
-        return np.conj(oscillator._state_prefactor(osc, xi, log_norm0))
-
-    @pytest.mark.parametrize("c, f", [
-        (0.6, "sampled"),
-        (1.0, "scattered"),
-        (2.0, "scattered")])
-    def test_live_prefactor_has_the_bits_of_a_fresh_one(self, c, f):
-        osc = OscParams(c)
-        if f == "sampled":
-            func = sampled_modes(osc, np.linspace(2.0, 25.0, 231)).as_callable()
-        else:
-            def func(xi):
-                # phi_1, zero on every third stretch of width 1/7
-                return oscillator_mode(1, osc)(xi) * (np.floor(7.0 * xi) % 3 != 0)
-        nodes, _, conj_pref = bargmann._layout(osc)
-        xi = nodes.ravel()
-        live = np.flatnonzero(func(xi) != 0)
-        assert 0 < live.size < xi.size
-        want = self.fresh_prefactor(osc, xi[live])
-        assert conj_pref[live].tobytes() == want.tobytes()
-
-    def test_arrays_are_read_only(self):
-        for arr in bargmann._layout(OscParams(1.0)):
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr.flat[0] = 1.0
-
-    def test_cache_is_bounded(self):
-        maxsize = bargmann._layout.cache_info().maxsize
-        assert maxsize is not None and maxsize <= 64
-
-    def test_second_transform_builds_no_prefactor(self, monkeypatch):
-        params = ModelParams(OscParams(1.3), 1)
-        f = sampled_modes(params.osc, np.linspace(0.0, 30.0, 301))
-        calls = counting(monkeypatch, oscillator, "_state_prefactor")
-        bargmann._layout.cache_clear()
-        first = relativistic_transform(params, f, 0.2 - 0.3j, with_error=True)
-        assert len(calls) == 1
-        again = relativistic_transform(params, f, 0.2 - 0.3j, with_error=True)
-        grid = relativistic_transform_grid(params, f, [0.1j, 0.2 - 0.3j])
-        relativistic_transform_m0(params.osc, f, 0.1j)
-        assert len(calls) == 1
-        assert bits(*again) == bits(*first)
-        assert bits(grid.values[1], grid.errors[1]) == bits(*first)
-
-    def test_each_c_has_its_own_entry(self):
-        one, two = bargmann._layout(OscParams(1.0)), bargmann._layout(OscParams(2.0))
-        assert bargmann._layout(OscParams(1.0)) is one
-        assert one is not two
-        assert one[0].shape != two[0].shape
-        for osc, (nodes, _, conj_pref) in ((OscParams(1.0), one),
-                                           (OscParams(2.0), two)):
-            want = self.fresh_prefactor(osc, nodes.ravel())
-            assert conj_pref.tobytes() == want.tobytes()
 
 
 class TestM0Reduction:
@@ -562,14 +510,12 @@ def point_loop_isometry(params, f):
     from relbargmann.quadrature import jacobi_rule_01
 
     kmax = bargmann._ISOMETRY_KMAX
-    width = params.gamma / math.pi
-    n_panels = int(math.ceil(state_end(kmax, params.osc) / width))
     xg, wg = leggauss(32)
     norm_f_sq = 0.0
     projections = np.zeros(kmax + 1, dtype=complex)
-    for p in range(n_panels):
-        xi = width * (p + 0.5 + 0.5 * xg)
-        w, fx = 0.5 * width * wg, np.asarray(f(xi))
+    for mid, half in layout_panels(params, state_end(kmax, params.osc)):
+        xi = mid + half * xg
+        w, fx = half * wg, np.asarray(f(xi))
         norm_f_sq += float(np.sum(w * np.abs(fx) ** 2))
         projections += np.conj(eigenfunction_batch(kmax, params.osc, xi)) @ (w * fx)
     idx = params.landau_index()
@@ -656,10 +602,27 @@ class TestIsometryRings:
         # ending at xi = 80 left 0.66% of its norm in the last two panels
         params = ModelParams(OscParams(8.0), m)
         f = oscillator_mode(0, params.osc)
-        xi, weights = xi_panel_grid(params.osc, state_end(20, params.osc))
+        xi, weights, _ = oscillator._fine_columns(params.osc,
+                                                  state_end(20, params.osc))
         mass = weights * np.abs(f(xi)) ** 2
         assert np.sum(mass[-64:]) < 1e-40 * np.sum(mass)
         assert isometry_check(params, f)["relative_gap"] < 1e-12
+
+    @pytest.mark.parametrize("c", [12.0, 20.0])
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_large_c_superposition_passes(self, c, m):
+        # (phi_0 + phi_3) / sqrt(2) from the state factors; the unfolded
+        # prefactor overflowed here, and the check raised
+        params = ModelParams(OscParams(c), m)
+
+        def f(xi):
+            poly, norms, conj_pref = conj_state_factors(3, params.osc, xi)
+            return np.conj(conj_pref) * (norms[0] * poly[0]
+                                         + norms[3] * poly[3]) / math.sqrt(2.0)
+
+        rep = isometry_check(params, f)
+        assert abs(rep["norm_f_sq"] - 1.0) < 1e-11
+        assert rep["relative_gap"] <= 1e-11
 
     def test_slow_decay_raises(self):
         params = ModelParams(OscParams(1.0), 0)
@@ -696,11 +659,19 @@ class TestIsometryRings:
             run_suite("isometry", budget)
 
 
+def fresh_layout(osc, end):
+    """``xi_layout(osc, end)`` built afresh, past its cache."""
+    return xi_layout.__wrapped__(osc, end)
+
+
 def uncached_isometry(params, f):
-    """Reference: the three values of ``isometry_check`` from a layout, a
-    prefactor and a Gram matrix built afresh."""
+    """Reference: the three values of ``isometry_check`` from the 32-point
+    columns of a freshly built layout, the public projections and a Gram
+    matrix built afresh."""
     kmax = bargmann._ISOMETRY_KMAX
-    xi, weights = xi_panel_grid(params.osc, state_end(kmax, params.osc))
+    nodes, half, _ = fresh_layout(params.osc, state_end(kmax, params.osc))
+    xi = nodes[:, 16:].ravel()
+    weights = (half[:, None] * leggauss(32)[1]).ravel()
     f_nodes = np.asarray(f(xi))
     norm_f_sq = float(np.sum(weights * np.abs(f_nodes) ** 2))
     coeffs = project_states(kmax, params.osc, xi, weights * f_nodes)
@@ -713,7 +684,8 @@ def uncached_isometry(params, f):
 
 def live_node_transform_m0(osc, f, z):
     """Reference: the reduced m = 0 kernel built afresh, its loggammas
-    included, at the nodes where f is non-zero, times f."""
+    included, at the nodes of a freshly built layout where f is non-zero,
+    times f."""
     func = f.as_callable() if isinstance(f, SampledFunction) else f
     gamma = osc.gamma
 
@@ -728,7 +700,7 @@ def live_node_transform_m0(osc, f, z):
                                             gamma + 0.5, z) * f_vals[live]
         return out
 
-    value, err = bargmann._integrate_fixed_layout(integrand, ModelParams(osc, 0))
+    value, err = layout_integral(integrand, fresh_layout(osc, XI_LENGTH))
     pref = m0_prefactor(osc, z)
     return pref * value, abs(pref) * err
 
@@ -746,10 +718,139 @@ def counting(monkeypatch, module, name):
     return calls
 
 
+def scattered_mode(osc):
+    """phi_1, zero on every third stretch of width 1/7."""
+    def f(xi):
+        return oscillator_mode(1, osc)(xi) * (np.floor(7.0 * xi) % 3 != 0)
+
+    return f
+
+
+class TestLayoutCache:
+    """The transforms' xi layout, ``oscillator.xi_layout`` at XI_LENGTH."""
+
+    def test_arrays_are_read_only(self):
+        for arr in xi_layout(OscParams(1.0), XI_LENGTH):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
+
+    def test_cache_is_bounded(self):
+        maxsize = oscillator.xi_layout.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 64
+
+
 class TestParameterCaches:
-    """The isometry check's layout, prefactor and disk Gram, and the m = 0
-    kernel's exponent, are built once per parameter set, with the bits of
-    an uncached build."""
+    """The package's parameter caches: the xi layout per (c, end), the disk
+    Gram of the isometry check per level and the m = 0 kernel's exponent
+    per c.  Each holds read-only arrays, is bounded, builds each key once
+    and has the bits of an uncached build."""
+
+    CACHES = ["xi_layout", "_isometry_gram", "_m0_exponent"]
+
+    @staticmethod
+    def cache_and_keys(name):
+        """The cache called ``name`` and two of its keys."""
+        one, two = OscParams(1.3), OscParams(2.0)
+        if name == "xi_layout":
+            return oscillator.xi_layout, [(one, XI_LENGTH), (one, 80.0)]
+        keys = {"_isometry_gram": [(ModelParams(one, 1).landau_index(),),
+                                   (ModelParams(two, 0).landau_index(),)],
+                "_m0_exponent": [(one,), (two,)]}[name]
+        return getattr(bargmann, name), keys
+
+    @staticmethod
+    def arrays(entry):
+        return entry if isinstance(entry, tuple) else (entry,)
+
+    def test_cached_arrays_are_read_only(self):
+        # the isometry check's layout is xi_layout at state_end(20)
+        osc = OscParams(1.0)
+        arrays = [*xi_layout(osc, state_end(20, osc)),
+                  bargmann._isometry_gram(ModelParams(osc, 1).landau_index()),
+                  bargmann._m0_exponent(osc)]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
+
+    # the cache each reader keeps its arrays in; the isometry check's
+    # layout, once a cache of its own, is an entry of xi_layout
+    @pytest.mark.parametrize("cache", [
+        pytest.param(oscillator.xi_layout, id="_isometry_layout"),
+        pytest.param(bargmann._isometry_gram, id="_isometry_gram"),
+        pytest.param(bargmann._m0_exponent, id="_m0_exponent")])
+    def test_cache_is_bounded(self, cache):
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and maxsize <= 64
+
+    @pytest.mark.parametrize("name", CACHES)
+    def test_each_key_is_built_once(self, name, cold_caches):
+        cache, (one, two) = self.cache_and_keys(name)
+        first = cache(*one)
+        assert cache(*one) is first
+        assert cache(*two) is not first
+        assert cache(*two) is cache(*two)
+        assert cache.cache_info().misses == 2
+
+    @pytest.mark.parametrize("name", CACHES)
+    def test_cached_bits_equal_uncached_bits(self, name):
+        cache, keys = self.cache_and_keys(name)
+        for key in keys:
+            got, want = cache(*key), cache.__wrapped__(*key)
+            for a, b in zip(self.arrays(got), self.arrays(want), strict=True):
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("c, f", [
+        (0.6, "sampled"),
+        (1.0, "scattered"),
+        (2.0, "scattered")])
+    def test_live_prefactor_has_the_bits_of_a_fresh_one(self, c, f):
+        osc = OscParams(c)
+        if f == "sampled":
+            func = sampled_modes(osc, np.linspace(2.0, 25.0, 231)).as_callable()
+        else:
+            func = scattered_mode(osc)
+        nodes, _, conj_pref = xi_layout(osc, XI_LENGTH)
+        xi = nodes.ravel()
+        live = np.flatnonzero(func(xi) != 0)
+        assert 0 < live.size < xi.size
+        want = oscillator.conj_state_prefactor(osc, xi[live])
+        assert conj_pref[live].tobytes() == want.tobytes()
+
+    def test_second_transform_builds_no_prefactor(self, monkeypatch,
+                                                  cold_caches):
+        params = ModelParams(OscParams(1.3), 1)
+        f = sampled_modes(params.osc, np.linspace(0.0, 30.0, 301))
+        calls = counting(monkeypatch, oscillator, "_state_prefactor")
+        first = relativistic_transform(params, f, 0.2 - 0.3j, with_error=True)
+        assert len(calls) == 1
+        again = relativistic_transform(params, f, 0.2 - 0.3j, with_error=True)
+        grid = relativistic_transform_grid(params, f, [0.1j, 0.2 - 0.3j])
+        relativistic_transform_m0(params.osc, f, 0.1j)
+        assert len(calls) == 1
+        assert bits(*again) == bits(*first)
+        assert bits(grid.values[1], grid.errors[1]) == bits(*first)
+
+    def test_one_layout_per_end(self, monkeypatch, cold_caches):
+        # at c = 1 the transforms and the Gram of phi_0 .. phi_5 share the
+        # layout that ends at xi = 40, and the isometry check reads the one
+        # that ends at state_end(20) = 80
+        osc = OscParams(1.0)
+
+        def f(xi):
+            return xi ** 2 * np.exp(-xi) * (1.0 + 0.5j)
+
+        prefactors = counting(monkeypatch, oscillator, "_state_prefactor")
+        relativistic_transform(ModelParams(osc, 1), f, 0.2 - 0.3j)
+        relativistic_transform_m0(osc, f, 0.1j)
+        isometry_check(ModelParams(osc, 0), f)
+        oscillator.oscillator_gram(osc, 5)
+        info = oscillator.xi_layout.cache_info()
+        assert (info.currsize, info.misses) == (2, 2)
+        xi_layout(osc, 40.0), xi_layout(osc, 80.0)
+        assert oscillator.xi_layout.cache_info().misses == 2
+        assert len(prefactors) == 2
 
     @pytest.mark.parametrize("c", [0.6, 1.0, 2.0, 8.0])
     @pytest.mark.parametrize("m", [0, 1, 2])
@@ -769,28 +870,10 @@ class TestParameterCaches:
         if f == "sampled":
             func = sampled_modes(osc, np.linspace(2.0, 25.0, 231))
         else:
-            def func(xi):
-                # phi_1, zero on every third stretch of width 1/7
-                return oscillator_mode(1, osc)(xi) * (np.floor(7.0 * xi) % 3 != 0)
+            func = scattered_mode(osc)
         for z in (0.3 + 0.2j, -0.5 + 0.4j, 0.3 + 0.2j):
             got = relativistic_transform_m0(osc, func, z, with_error=True)
             assert bits(*got) == bits(*live_node_transform_m0(osc, func, z))
-
-    def test_cached_arrays_are_read_only(self):
-        osc = OscParams(1.0)
-        _, *arrays = bargmann._isometry_layout(osc)
-        arrays += [bargmann._isometry_gram(ModelParams(osc, 1).landau_index()),
-                   bargmann._m0_exponent(osc)]
-        for arr in arrays:
-            assert not arr.flags.writeable
-            with pytest.raises(ValueError):
-                arr.flat[0] = 1.0
-
-    @pytest.mark.parametrize("cache", ["_isometry_layout", "_isometry_gram",
-                                       "_m0_exponent"])
-    def test_cache_is_bounded(self, cache):
-        maxsize = getattr(bargmann, cache).cache_info().maxsize
-        assert maxsize is not None and maxsize <= 64
 
     def test_second_isometry_check_builds_nothing(self, monkeypatch,
                                                   cold_caches):
@@ -835,8 +918,8 @@ class TestParameterCaches:
         relativistic_transform_m0(osc, oscillator_mode(0, osc), 0.1)
         basis_phi(2, ModelParams(osc, 0).landau_index(), 0.1)
         cli.main(["spectrum", "--c", "1", "--kmax", "1", "--m", "0"])
-        caches = [bargmann._layout, bargmann._isometry_layout,
-                  bargmann._isometry_gram, bargmann._m0_exponent,
+        caches = [oscillator.xi_layout, bargmann._isometry_gram,
+                  bargmann._m0_exponent,
                   disk._phi_coeff_row, disk._phi_coeff_matrix,
                   cli._shared_parser]
         assert all(cache.cache_info().currsize for cache in caches)

@@ -16,7 +16,7 @@ from scipy.special import gammaln
 from relbargmann.errors import DomainError
 from relbargmann.hypergeom import ln_gamma
 from relbargmann.orthopoly import jacobi_p
-from relbargmann.oscillator import gamma_of_c
+from relbargmann.oscillator import ModelParams, OscParams, gamma_of_c
 from relbargmann.quadrature import integrate_disk
 
 
@@ -42,6 +42,34 @@ class TestLandauIndex:
         for sigma in (math.inf, math.nan):
             with pytest.raises(DomainError):
                 LandauIndex(sigma, 0)
+
+
+#: every entry point that takes an order or a level number, as a function of it
+ORDER_ENTRY_POINTS = {
+    "basis_phi": lambda k: basis_phi(k, LandauIndex(3.0, 0), 0.1),
+    "basis_phi_batch": lambda k: basis_phi_batch(k, LandauIndex(3.0, 0), 0.1),
+    "basis_gram": lambda k: basis_gram(LandauIndex(3.0, 0), k),
+    "LandauIndex.m": lambda m: LandauIndex(5.0, m),
+    "ModelParams.m": lambda m: ModelParams(OscParams(1.0), m),
+}
+
+
+@pytest.mark.parametrize("order", [math.nan, math.inf, -math.inf, 2.5, -1,
+                                   "one", None])
+@pytest.mark.parametrize("entry", list(ORDER_ENTRY_POINTS))
+def test_bad_order_raises_domain_error(entry, order):
+    # NaN gave ValueError, inf OverflowError and a string or None TypeError
+    with pytest.raises(DomainError):
+        ORDER_ENTRY_POINTS[entry](order)
+
+
+def test_integral_level_numbers_are_ints():
+    for m in (1.0, np.int64(1)):
+        idx = LandauIndex(5.0, m)
+        assert type(idx.m) is int and idx == LandauIndex(5.0, 1)
+        assert basis_phi(2, idx, 0.3 + 0.1j) == basis_phi(2, LandauIndex(5.0, 1),
+                                                          0.3 + 0.1j)
+        assert type(ModelParams(OscParams(1.0), m).m) is int
 
 
 class TestBergmanDistance:

@@ -8,12 +8,12 @@ import pytest
 from relbargmann.bargmann import oscillator_mode
 from relbargmann.errors import DomainError, NonConvergenceError
 from relbargmann.hypergeom import ln_gamma
-from relbargmann.oscillator import (ModelParams, OscParams, conj_state_factors,
+from relbargmann.oscillator import (ModelParams, OscParams, _fine_columns,
+                                    _panel_count, conj_state_factors,
                                     eigenfunction, eigenfunction_batch,
                                     energy, gamma_of_c,
                                     oscillator_gram, project_states,
-                                    state_end, state_polynomials,
-                                    xi_node_count, xi_panel_grid)
+                                    state_end, state_polynomials)
 
 # 2 |Gamma(g+i)|^4 / (|Gamma(i)|^2 Gamma(g+1/2)^2 Gamma(2g)) at g = (1+sqrt 3)/2
 PHI0_SQ_AT_1 = 0.49802777027855049088
@@ -123,8 +123,28 @@ class TestEigenfunctions:
     @pytest.mark.parametrize("c, length", [(0.8, 40.0), (1.0, 80.0),
                                            (3.0, 1220.0)])
     def test_node_count_matches_grid(self, c, length):
+        # verify's table-size guard counts the 32-point columns of the
+        # layout without building it
         osc = OscParams(c)
-        assert xi_node_count(osc, length) == xi_panel_grid(osc, length)[0].size
+        xi, weights, _ = _fine_columns(osc, length)
+        assert _panel_count(osc, length) * 32 == xi.size
+        assert 0.0 < xi.min() and xi.max() < length
+        assert abs(weights.sum() - length) < 1e-12 * length
+
+    @pytest.mark.parametrize("c", [12.0, 20.0])
+    @pytest.mark.parametrize("kmax", [5, 20])
+    def test_gram_at_very_large_c(self, c, kmax):
+        # the unfolded state prefactor overflowed here, and the Gram raised
+        gram = oscillator_gram(OscParams(c), kmax)
+        assert gram.dtype == float
+        assert np.abs(gram - np.eye(kmax + 1)).max() < 1e-11
+
+    def test_table_is_finite_at_very_large_c(self):
+        # gamma = 283 at c = 20: norm_0 alone underflows
+        xi = np.linspace(0.0, 40.0, 161)
+        table = eigenfunction_batch(20, OscParams(20.0), xi)
+        assert np.isfinite(table).all()
+        assert np.abs(table[:, 1:]).min() > 0.0
 
     @pytest.mark.parametrize("kmax", [-1, 1.5])
     def test_gram_order_validated(self, kmax):
@@ -216,15 +236,15 @@ class TestEigenfunctions:
     def test_state_factors_finite_at_large_c(self, c):
         # Gamma(gamma + i xi)^2 / Gamma(i xi) overflows past c ~ 10 and the
         # k = 0 norm underflows; folded together they give phi_k, checked
-        # against the terminating 3F2 at unit argument in 40 digits
+        # against the terminating 3F2 at unit argument in 40 digits, and
+        # the state table is built from them
         mp = pytest.importorskip("mpmath")
         osc = OscParams(c)
         xi = np.array([0.5, 5.0, 17.0, 39.0])
-        with pytest.raises(NonConvergenceError):
-            eigenfunction_batch(0, osc, xi)
         poly, norms, conj_pref = conj_state_factors(12, osc, xi)
         got = norms[:, None] * poly * conj_pref
         assert np.isfinite(got).all()
+        assert np.array_equal(eigenfunction_batch(12, osc, xi), got.conj())
         with mp.workdps(40):
             g = (1 + mp.sqrt(1 + 2 * mp.mpf(c) ** 4)) / 2
             for i, x in enumerate(xi.tolist()):
