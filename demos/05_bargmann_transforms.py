@@ -9,7 +9,6 @@ function and the image is holomorphic.
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from relbargmann import (ModelParams, OscParams, basis_phi, classical_bargmann,
                          isometry_check, laguerre_l, oscillator_mode,
@@ -22,7 +21,7 @@ sigma, k = 5.5, 2
 
 def laguerre_mode(x):
     x = np.asarray(x, dtype=float)
-    return (math.exp(0.5 * (gammaln(k + 1) - gammaln(sigma + k)))
+    return (math.exp(0.5 * (math.lgamma(k + 1) - math.lgamma(sigma + k)))
             * x ** (0.5 * (sigma - 1.0)) * np.exp(-0.5 * x)
             * laguerre_l(k, sigma - 1.0, x))
 

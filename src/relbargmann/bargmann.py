@@ -53,12 +53,10 @@ the bits of an uncached one.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, loggamma
 
 from .coherent import _check_kernel_domain, _kernel_expansion, truncation_order
 # looked up here by the layer tracer of bench/tracing.py
@@ -66,22 +64,15 @@ from .coherent import transform_kernel  # noqa: F401
 from .disk import LandauIndex, basis_gram, check_disk
 from .errors import DomainError, InputFormatError, NonConvergenceError
 from .hypergeom import gauss_2f1_vec
-from .oscillator import (XI_LENGTH, ModelParams, OscParams, _check_order,
-                         _fine_columns, _project, eigenfunction_batch,
-                         state_end, state_polynomials, xi_layout)
+from .oscillator import (_ISOMETRY_KMAX, XI_LENGTH, ModelParams, OscParams,
+                         _check_order, _fine_columns, _project,
+                         eigenfunction_batch, state_end, state_polynomials,
+                         xi_layout)
 from .quadrature import _COARSE_RULE, _FINE_RULE, integrate_halfline
-
-
-def __getattr__(name):
-    # scipy.interpolate is imported on first use of ``CubicSpline``: it takes
-    # about a third of the package's import time, and only sampled inputs
-    # need it
-    if name == "CubicSpline":
-        from scipy.interpolate import CubicSpline
-
-        globals()[name] = CubicSpline
-        return CubicSpline
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from .special import log_gamma_ratio
+# looked up here by the layer tracer of bench/tracing.py, which counts the
+# spline builds
+from .spline import CubicSpline
 
 
 @dataclass(frozen=True)
@@ -108,16 +99,14 @@ class SampledFunction:
         object.__setattr__(self, "values", values)
 
     def as_callable(self):
-        """Cubic-spline interpolant, zero outside the sampled range; raises
-        InputFormatError if the spline overflows (samples too close)."""
-        # looked up on the module, so that its first use triggers the import
-        try:
-            with np.errstate(all="ignore"):
-                spline = sys.modules[__name__].CubicSpline(self.grid, self.values)
-            if not np.all(np.isfinite(spline.c)):
-                raise ValueError("non-finite coefficients")
-        except ValueError as exc:
-            raise InputFormatError(f"no finite cubic spline: {exc}") from exc
+        """Not-a-knot cubic-spline interpolant (``spline.CubicSpline``),
+        zero outside the sampled range; raises InputFormatError if the
+        spline overflows (samples too close)."""
+        with np.errstate(all="ignore"):
+            spline = CubicSpline(self.grid, self.values)
+        if not np.all(np.isfinite(spline.c)):
+            raise InputFormatError(
+                "no finite cubic spline: non-finite coefficients")
         lo, hi = self.grid[0], self.grid[-1]
 
         def f(xi):
@@ -175,7 +164,7 @@ def classical_bargmann(sigma: float, f, z):
     func = _as_callable(f)
     s = 0.5 * (1.0 + z) / (1.0 - z)
     pref = (math.sqrt((sigma - 1.0) / math.pi)
-            * math.exp(-0.5 * gammaln(sigma)) * (1.0 - z) ** (-sigma))
+            * math.exp(-0.5 * math.lgamma(sigma)) * (1.0 - z) ** (-sigma))
 
     def integrand(x):
         return np.exp(-s * x) * np.asarray(func(x)) * x ** (0.5 * (sigma - 1.0))
@@ -274,8 +263,7 @@ def _m0_exponent(osc: OscParams) -> np.ndarray:
     most 6,048 nodes, under 100 kB an entry); the array is read-only."""
     xi = xi_layout(osc, XI_LENGTH)[0].ravel()
     gamma = osc.gamma
-    expo = (2.0 * loggamma(gamma - 1j * xi) - loggamma(-1j * xi)
-            + 4j * xi * math.log(osc.c))
+    expo = log_gamma_ratio(gamma, -xi) + 4j * xi * math.log(osc.c)
     expo.flags.writeable = False
     return expo
 
@@ -294,7 +282,8 @@ def relativistic_transform_m0(osc: OscParams, f, z, with_error: bool = False):
     func = _as_callable(f)
     gamma = osc.gamma
     lpref = (0.5 * math.log(2.0) + 0.5 * (math.log(2.0 * gamma - 1.0)
-             - math.log(math.pi) - gammaln(2.0 * gamma)) - gammaln(gamma + 0.5))
+             - math.log(math.pi) - math.lgamma(2.0 * gamma))
+             - math.lgamma(gamma + 0.5))
     pref = (math.exp(lpref) * np.exp(-1j * math.pi * gamma / 2.0)
             * (1.0 - z) ** (-gamma))
 
@@ -326,9 +315,8 @@ def relativistic_transform_grid(params: ModelParams, f,
                            params=params, errors=np.array(errs, dtype=float))
 
 
-#: the fixed rule of ``isometry_check``: oscillator states projected on, and
-#: the largest share of ||f||^2 the last two panels of its layout may hold
-_ISOMETRY_KMAX = 20
+#: the largest share of ||f||^2 the last two panels of the layout of
+#: ``isometry_check`` may hold
 _NORM_TOL = 1e-8
 
 
@@ -374,7 +362,7 @@ def isometry_check(params: ModelParams, f) -> dict:
     """
     func = _as_callable(f)
     end = state_end(_ISOMETRY_KMAX, params.osc)
-    xi, weights, conj_pref = _fine_columns(params.osc, end)
+    xi, weights, conj_pref = _fine_columns(xi_layout(params.osc, end))
     f_nodes = _values_on(func, xi)
     mass = weights * np.abs(f_nodes) ** 2
     norm_f_sq = float(np.sum(mass))

@@ -31,13 +31,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, loggamma
 
 from .disk import (LandauIndex, basis_phi_batch, basis_radial_profiles,
                    check_disk)
 from .errors import DomainError, NonConvergenceError
 from .hypergeom import f5_kernel_vec
 from .oscillator import ModelParams, _check_xi, conj_state_factors
+from .special import log_gamma_ratio
 # looked up here by the layer tracer of bench/tracing.py
 from .oscillator import eigenfunction_batch  # noqa: F401
 
@@ -96,7 +96,8 @@ def overlap(idx: LandauIndex, z, w):
         term = term * ((-m + j) * (sigma - m + j)
                        / ((sigma - 2 * m + j) * (j + 1))) * rho
     val = ((1.0 - abs(z) ** 2) * (1.0 - np.abs(warr) ** 2)) ** (sigma / 2.0 - m)
-    val = val * ((-1.0) ** m * math.exp(gammaln(sigma - m) - gammaln(sigma - 2 * m))
+    val = val * ((-1.0) ** m * math.exp(math.lgamma(sigma - m)
+                                        - math.lgamma(sigma - 2 * m))
                  / math.factorial(m))
     val = val * (1.0 - np.conj(z) * warr) ** m * one_m_zwbar ** (m - sigma)
     out = val * f21
@@ -194,10 +195,11 @@ def _wavefunction_profile(params: ModelParams, z: complex, xi: np.ndarray,
     f5 = f5_kernel_vec(c=gamma + sgn * 1j * xp, d=gamma - sgn * 1j * xp,
                        e=gamma + 0.5, m=m, ap=2.0 * gamma, chi=tau, zeta=nu)
     zc = z if not conjugate else np.conj(z)
-    lpref = (0.5 * math.log(2.0) + 0.5 * (gammaln(m + 2.0 * gamma) - gammaln(m + 1.0))
-             - gammaln(2.0 * gamma) - gammaln(gamma + 0.5))
+    lpref = (0.5 * math.log(2.0)
+             + 0.5 * (math.lgamma(m + 2.0 * gamma) - math.lgamma(m + 1.0))
+             - math.lgamma(2.0 * gamma) - math.lgamma(gamma + 0.5))
     phase = np.exp(sgn * (1j * math.pi * gamma / 2.0 - 4j * xp * math.log(params.osc.c)))
-    gammas = np.exp(2.0 * loggamma(gamma + sgn * 1j * xp) - loggamma(sgn * 1j * xp))
+    gammas = np.exp(log_gamma_ratio(gamma, sgn * xp))
     zfac = ((1.0 - abs(z) ** 2) ** gamma * (1.0 - np.conj(zc)) ** (-2.0 * gamma)
             * ((zc - 1.0) / (1.0 - np.conj(zc))) ** m)
     out[pos] = math.exp(lpref) * phase * gammas * zfac * f5

@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 from .oscillator import _check_order
 from .quadrature import jacobi_rule_01
+from .special import gammaln
 
 DEFAULT_FD_STEP = 1e-4
 
@@ -85,16 +85,17 @@ def _phi_coeff_rows(k: np.ndarray, m: int, sigma: float) -> np.ndarray:
     through the connection formula and absorbing zbar^(m-k); ``math.exp``
     per element keeps a row independent of the other k built with it.
     """
-    lead = 0.5 * (math.log(sigma - 2 * m - 1.0) + gammaln(sigma - m)
+    lead = 0.5 * (math.log(sigma - 2 * m - 1.0) + math.lgamma(sigma - m)
                   + gammaln(k + 1) - math.log(math.pi)
-                  - gammaln(m + 1) - gammaln(sigma - 2 * m + k))
+                  - math.lgamma(m + 1) - gammaln(sigma - 2 * m + k))
     out = np.zeros((len(k), m + 1))
     for j in range(m + 1):
         has = k >= j
         kj = k[has]
-        lt = (gammaln(m + 1) + gammaln(sigma + kj - m - j) - gammaln(kj - j + 1)
-              - gammaln(m - j + 1) - gammaln(j + 1))
-        expo = lead[has] + lt - gammaln(sigma - m)
+        lt = (math.lgamma(m + 1) + gammaln(sigma + kj - m - j)
+              - gammaln(kj - j + 1) - math.lgamma(m - j + 1)
+              - math.lgamma(j + 1))
+        expo = lead[has] + lt - math.lgamma(sigma - m)
         out[has, j] = [(-1.0) ** j * math.exp(x) for x in expo.tolist()]
     return out
 

@@ -33,10 +33,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import loggamma
 
 from .errors import DomainError, NonConvergenceError, PoleError
 from .quadrature import _COARSE_RULE
+from .special import loggamma
 
 _EPS = float(np.finfo(float).eps)
 MAX_SERIES_TERMS = 10_000

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, loggamma
 
 from .errors import DomainError, NonConvergenceError
 from .orthopoly import cdhahn_normalized_batch
 from .quadrature import _COARSE_RULE, _FINE_RULE
+from .special import gammaln, log_gamma_ratio
 
 
 def gamma_of_c(c: float) -> float:
@@ -95,6 +95,9 @@ def energy(k: int, osc: OscParams) -> float:
 #: end of the xi layouts of the transforms, and the shortest end of
 #: ``state_end``
 XI_LENGTH = 40.0
+#: the states phi_0 .. phi_20 that ``isometry_check`` projects f on; it
+#: integrates on the layout at ``state_end(_ISOMETRY_KMAX, osc)``
+_ISOMETRY_KMAX = 20
 
 
 def state_end(kmax: int, osc: OscParams) -> float:
@@ -118,7 +121,7 @@ def _log_norms(kmax: int, gamma: float) -> np.ndarray:
     multiplying 3F2(-k, ...; 1) collapses to sqrt(Gamma(k+2g)/k!)/(Gamma(2g)Gamma(g+1/2))."""
     k = np.arange(kmax + 1, dtype=float)
     return (0.5 * (gammaln(k + 2.0 * gamma) - gammaln(k + 1.0))
-            - gammaln(2.0 * gamma) - gammaln(gamma + 0.5))
+            - math.lgamma(2.0 * gamma) - math.lgamma(gamma + 0.5))
 
 
 def _state_prefactor(osc: OscParams, xi: np.ndarray,
@@ -128,8 +131,7 @@ def _state_prefactor(osc: OscParams, xi: np.ndarray,
     exp(log_scale), which is added to its exponent."""
     gamma = osc.gamma
     lpref = (0.5 * math.log(2.0) + log_scale + 1j * math.pi * gamma / 2.0
-             - 4j * xi * math.log(osc.c)
-             + 2.0 * loggamma(gamma + 1j * xi) - loggamma(1j * xi))
+             - 4j * xi * math.log(osc.c) + log_gamma_ratio(gamma, xi))
     return np.exp(lpref)
 
 
@@ -264,7 +266,8 @@ def xi_layout(osc: OscParams, end: float):
     the 32-point Gauss-Legendre rule of each panel, ``half`` the half widths
     and ``conj_pref`` the flat :func:`conj_state_prefactor` at every node
     (all xi > 0).  The transforms read it at XI_LENGTH, ``isometry_check``
-    and ``oscillator_gram`` at ``state_end``.  It depends on (c, end) alone,
+    at ``state_end(20, osc)``, and ``oscillator_gram`` at ``state_end``
+    (from the cache at those two ends only).  It depends on (c, end) alone,
     so it is built once per key and cached (24 bytes a node, under 0.3 MB
     an entry for an end <= 80); the arrays are read-only.
     """
@@ -281,11 +284,11 @@ def xi_layout(osc: OscParams, end: float):
     return nodes, half, conj_pref
 
 
-def _fine_columns(osc: OscParams, end: float):
-    """``(xi, weights, conj_pref)`` of the 32-point rule alone on
-    ``xi_layout(osc, end)``, flat in panel order, with weights half w_32:
-    the half-line rule of the norms and Gram matrices."""
-    nodes, half, conj_pref = xi_layout(osc, end)
+def _fine_columns(layout):
+    """``(xi, weights, conj_pref)`` of the 32-point rule alone on the
+    ``xi_layout`` triple ``layout``, flat in panel order, with weights
+    half w_32: the half-line rule of the norms and Gram matrices."""
+    nodes, half, conj_pref = layout
     fine = slice(len(_COARSE_RULE[0]), None)
     weights = (half[:, None] * _FINE_RULE[1]).ravel()
     return (nodes[:, fine].ravel(), weights,
@@ -314,12 +317,19 @@ def oscillator_gram(osc: OscParams, kmax: int) -> np.ndarray:
     c <= 2.5) meets the identity to about 7e-14 for c <= 5 and to 2.4e-13
     at c = 8, and kmax <= 6 keeps the end at xi = 40 (the transforms'
     layout) for c <= 2.5.  The folded prefactor keeps it finite at large c
-    (within 1.5e-12 of the identity at c = 12 and 20).
+    (within 1.5e-12 of the identity at c = 12 and 20).  The layout comes
+    from the cache only at an end the transforms or ``isometry_check`` read
+    too (XI_LENGTH, ``state_end(20, osc)``); any other is built for the
+    call and dropped, since a long one is large (3.3 MB at kmax = 400,
+    c = 1) and would stay pinned in the cache.
 
     Raises NonConvergenceError if the matrix is not finite.
     """
     kmax = _check_order(kmax, "Gram order kmax")
-    xi, weights, conj_pref = _fine_columns(osc, state_end(kmax, osc))
+    end = state_end(kmax, osc)
+    shared = end in (XI_LENGTH, state_end(_ISOMETRY_KMAX, osc))
+    layout = xi_layout(osc, end) if shared else xi_layout.__wrapped__(osc, end)
+    xi, weights, conj_pref = _fine_columns(layout)
     poly, norms = state_polynomials(kmax, osc, xi)
     table = norms[:, None] * poly
     gram = (table * (weights * np.abs(conj_pref) ** 2)) @ table.T

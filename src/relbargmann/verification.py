@@ -289,13 +289,11 @@ def suite_isometry(config: dict) -> list[dict]:
 
     # classical baseline: Laguerre modes map to monomials
     worst = 0.0
-    from scipy.special import gammaln
-
     for sigma in (3.0, 5.5):
         for k in range(5):
             def mode(x, k=k, sigma=sigma):
                 x = np.asarray(x, dtype=float)
-                return (math.exp(0.5 * (gammaln(k + 1) - gammaln(sigma + k)))
+                return (math.exp(0.5 * (math.lgamma(k + 1) - math.lgamma(sigma + k)))
                         * x ** (0.5 * (sigma - 1.0)) * np.exp(-0.5 * x)
                         * laguerre_l(k, sigma - 1.0, x))
             ratios = [classical_bargmann(sigma, mode, z)[0] / z ** k

@@ -422,14 +422,70 @@ def test_gram_table_limit_boundary(tmp_path, monkeypatch, suite):
                 "--out", str(tmp_path / "s.json")]) == 2
 
 
-def test_import_leaves_out_scipy_interpolate():
+def one_shot_argv(name, samples, out):
+    """argv of one command of each kind a user runs once: start-up, a
+    transform of a sampled file, an eval of the kernel, a verify suite."""
+    return {
+        "version": ["--version"],
+        "transform": ["transform", "--c", "1", "--m", "1", "--input",
+                      str(samples), "--grid=0.3+0.2j", "--out",
+                      str(out / "t.csv")],
+        "eval-kernel": ["eval", "--function", "kernel", "--c", "1", "--m",
+                        "1", "--grid=0.3+0.2j", "--xi", "0.5,2.5", "--out",
+                        str(out / "e.csv")],
+        "verify-isometry": ["verify", "--suite", "isometry", "--out",
+                            str(out / "v.json")],
+    }[name]
+
+
+#: makes every ``scipy`` module unimportable in the interpreter it runs in
+BLOCK_SCIPY = """
+import importlib.abc, sys
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+sys.meta_path.insert(0, NoScipy())
+"""
+
+
+def run_fresh(argv, prelude=""):
+    """``python -m relbargmann argv`` in a fresh interpreter after
+    ``prelude``; prints the scipy modules loaded, then exits with the
+    command's code."""
     src = str(Path(relbargmann.__file__).resolve().parents[1])
-    probe = ("import sys, relbargmann.cli; "
-             "print('scipy.interpolate' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env={"PYTHONPATH": src}, timeout=60)
+    code = prelude + f"""
+import runpy, sys
+sys.argv = ["relbargmann", *{argv!r}]
+try:
+    runpy.run_module("relbargmann", run_name="__main__")
+except SystemExit as exc:
+    status = exc.code
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+sys.exit(status)
+"""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={"PYTHONPATH": src}, timeout=120)
+
+
+@pytest.mark.parametrize("command", ["version", "transform", "eval-kernel",
+                                     "verify-isometry"])
+def test_commands_load_no_scipy(command, ground_state_csv, tmp_path):
+    done = run_fresh(one_shot_argv(command, ground_state_csv, tmp_path))
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("command", ["version", "transform", "eval-kernel",
+                                     "verify-isometry"])
+def test_commands_run_without_scipy(command, ground_state_csv, tmp_path):
+    done = run_fresh(one_shot_argv(command, ground_state_csv, tmp_path),
+                     BLOCK_SCIPY)
+    assert done.returncode == 0, done.stderr
+    if command == "version":
+        assert relbargmann.__version__ in done.stdout
+    else:
+        assert len(list(tmp_path.iterdir())) == 1
 
 
 @pytest.fixture(scope="module")

@@ -13,7 +13,7 @@ from relbargmann.oscillator import (ModelParams, OscParams, _fine_columns,
                                     eigenfunction, eigenfunction_batch,
                                     energy, gamma_of_c,
                                     oscillator_gram, project_states,
-                                    state_end, state_polynomials)
+                                    state_end, state_polynomials, xi_layout)
 
 # 2 |Gamma(g+i)|^4 / (|Gamma(i)|^2 Gamma(g+1/2)^2 Gamma(2g)) at g = (1+sqrt 3)/2
 PHI0_SQ_AT_1 = 0.49802777027855049088
@@ -120,13 +120,41 @@ class TestEigenfunctions:
         gram = oscillator_gram(OscParams(c), kmax)
         assert np.abs(gram - np.eye(kmax + 1)).max() < 1e-12
 
+    @pytest.mark.parametrize("c, kmax", [(1.0, 5), (1.0, 20), (1.0, 30),
+                                         (3.0, 10), (3.0, 40)])
+    def test_gram_has_the_bits_of_the_cached_layout(self, c, kmax,
+                                                    cold_caches):
+        # a Gram past the shared ends builds its layout uncached: the same
+        # product on the cached layout at its end gives the same bits
+        osc = OscParams(c)
+        got = oscillator_gram(osc, kmax)
+        xi, weights, conj_pref = _fine_columns(
+            xi_layout(osc, state_end(kmax, osc)))
+        poly, norms = state_polynomials(kmax, osc, xi)
+        table = norms[:, None] * poly
+        want = (table * (weights * np.abs(conj_pref) ** 2)) @ table.T
+        assert got.tobytes() == want.tobytes()
+
+    def test_long_gram_leaves_no_layout_in_the_cache(self, cold_caches):
+        # only the transforms' end (40) and the isometry check's
+        # (state_end(20) = 80) are cached; kmax = 100 (end 320) held a
+        # 0.9 MB entry for the rest of the process
+        osc = OscParams(1.0)
+        oscillator_gram(osc, 100)
+        assert xi_layout.cache_info().currsize == 0
+        oscillator_gram(osc, 20)
+        oscillator_gram(osc, 5)
+        assert xi_layout.cache_info().currsize == 2
+        xi_layout(osc, 40.0), xi_layout(osc, 80.0)
+        assert xi_layout.cache_info().misses == 2
+
     @pytest.mark.parametrize("c, length", [(0.8, 40.0), (1.0, 80.0),
                                            (3.0, 1220.0)])
     def test_node_count_matches_grid(self, c, length):
         # verify's table-size guard counts the 32-point columns of the
         # layout without building it
         osc = OscParams(c)
-        xi, weights, _ = _fine_columns(osc, length)
+        xi, weights, _ = _fine_columns(xi_layout(osc, length))
         assert _panel_count(osc, length) * 32 == xi.size
         assert 0.0 < xi.min() and xi.max() < length
         assert abs(weights.sum() - length) < 1e-12 * length
