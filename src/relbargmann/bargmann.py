@@ -58,7 +58,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coherent import _check_kernel_domain, _kernel_expansion, truncation_order
+from .coherent import (_check_kernel_domain, _kernel_coeffs, _kernel_expansion,
+                       truncation_order)
 # looked up here by the layer tracer of bench/tracing.py
 from .coherent import transform_kernel  # noqa: F401
 from .disk import LandauIndex, basis_gram, check_disk
@@ -221,15 +222,15 @@ def _expansion_transform(params: ModelParams, func, points):
     if live.size:
         idx = params.landau_index()
         orders = [truncation_order(idx, z) for z in pts]
-        factors = (*state_polynomials(max(orders), params.osc, xi[live]),
-                   conj_pref[live])
-        f_live = f_vals[live]
+        poly, norms = state_polynomials(max(orders), params.osc, xi[live])
+        pref_live, f_live = conj_pref[live], f_vals[live]
     integrand = np.zeros(xi.shape, dtype=complex)
     for i, z in enumerate(pts):
         if live.size:
+            coeffs = _kernel_coeffs(idx, z, orders[i], norms)
             # f times the kernel, in this order, as at every node
-            integrand[live] = f_live * _kernel_expansion(params, z, orders[i],
-                                                         factors)
+            integrand[live] = f_live * _kernel_expansion(z, coeffs, poly,
+                                                         pref_live)
         value, err = _panel_sums(integrand.reshape(nodes.shape), half)
         values.append(value)
         errors.append(err)

@@ -17,12 +17,16 @@ import numpy as np
 
 from . import __version__
 from .bargmann import SampledFunction, relativistic_transform_grid
-from .coherent import (KERNEL_RMAX, CoherentLabel, cs_wavefunction,
-                       overlap, transform_kernel)
+from .coherent import (KERNEL_RMAX, _check_kernel_domain,
+                       _kernel_to_wavefunction, overlap,
+                       transform_kernel_series_grid)
+# looked up here by the layer tracer of bench/tracing.py
+from .coherent import cs_wavefunction, transform_kernel  # noqa: F401
 from .disk import LandauIndex, basis_phi, landau_level
 from .errors import (DomainError, InputFormatError, NonConvergenceError,
                      RelBargmannError)
-from .oscillator import ModelParams, OscParams, eigenfunction, energy
+from .oscillator import (MAX_TABLE_ENTRIES, ModelParams, OscParams,
+                         eigenfunction, energy)
 from .verification import (SUITE_KEYS, SUITES, gram_table_entries, run_suite,
                            unread_keys)
 
@@ -37,20 +41,17 @@ EVAL_FUNCTIONS = ("basis_phi", "eigenfunction", "cs_wavefunction", "overlap",
                   "kernel")
 
 #: most points a ``mesh:`` or ``lin:`` spec may hold, and most (z, xi) pairs
-#: one ``eval`` request may tabulate; checked before anything is allocated
-MAX_GRID_POINTS = 1_000_000
+#: one ``eval`` request may tabulate; checked before anything is allocated.
+#: The package's one table limit, which ``oscillator_gram`` applies too
+MAX_GRID_POINTS = MAX_TABLE_ENTRIES
 
-#: most values one vector call of ``eval`` computes: xi or z per call, or
-#: entries of the eigenfunction table
+#: most values one vector call of ``eval`` computes: z per call, or entries
+#: of the eigenfunction table or of the kernel's state table
 LAYOUT_BLOCK_NODES = 16384
 
 
 class ConfigError(Exception):
     pass
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _check_count(count: int, what: str) -> None:
@@ -141,10 +142,18 @@ def _write_text(path: str | None, text: str) -> None:
 def _records_to_output(records: list[dict], columns: list[str],
                        fmt: str, meta: dict) -> str:
     if fmt == "csv":
+        # one format string per row: "%.17g" for a float (f"{x:.17g}"),
+        # "%s" (str) for anything else, built once per tuple of field types
+        row_formats: dict[tuple, str] = {}
         lines = [",".join(columns)]
         for rec in records:
-            lines.append(",".join(_fmt(rec[c]) if isinstance(rec[c], float)
-                                  else str(rec[c]) for c in columns))
+            row = tuple([rec[c] for c in columns])
+            types = tuple(map(type, row))
+            row_fmt = row_formats.get(types)
+            if row_fmt is None:
+                row_fmt = row_formats[types] = ",".join(
+                    "%.17g" if issubclass(t, float) else "%s" for t in types)
+            lines.append(row_fmt % row)
         return "\n".join(lines) + "\n"
     payload = {"meta": meta, "records": records}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -167,13 +176,17 @@ def _meta(args: argparse.Namespace) -> dict:
 def cmd_eval(args: argparse.Namespace) -> int:
     """Tabulate one function of the model on a z grid, a xi grid, or both.
 
-    ``kernel`` and ``cs_wavefunction`` are evaluated once per disk point on
-    blocks of up to ``LAYOUT_BLOCK_NODES`` xi (records stay z-major, then
-    xi), ``basis_phi`` on blocks of up to ``LAYOUT_BLOCK_NODES`` z, and
-    ``eigenfunction`` on blocks of xi small enough that its table of all
-    k + 1 levels holds at most ``LAYOUT_BLOCK_NODES`` entries.  Each element
-    of those vector calls is computed as it would be alone, so the output
-    does not depend on the blocking.  ``overlap`` takes one z per call.
+    ``kernel`` and ``cs_wavefunction`` are summed as the basis expansion of
+    the kernel, ``coherent.transform_kernel_series_grid``: every point is
+    checked first, its truncation order and coefficients are computed once,
+    and one state table up to the largest order serves all points on each
+    block of xi, with at most ``LAYOUT_BLOCK_NODES`` table entries (records
+    stay z-major, then xi).  ``basis_phi`` is evaluated on blocks of up to
+    ``LAYOUT_BLOCK_NODES`` z, and ``eigenfunction`` on blocks of xi small
+    enough that its table of all k + 1 levels holds at most
+    ``LAYOUT_BLOCK_NODES`` entries.  Each element of those vector calls is
+    computed as it would be alone, so the output does not depend on the
+    blocking.  ``overlap`` is one vector call over the whole z grid.
     """
     fn = args.function
     records: list[dict] = []
@@ -218,29 +231,31 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 raise ConfigError(f"--w needs one disk point, got {args.w!r}")
             w = w_points[0]
             _check_grid_cap([w])
-            for z in points:
-                val = complex(overlap(idx, z, w))
-                records.append({"re_z": z.real, "im_z": z.imag,
-                                "re_val": val.real, "im_val": val.imag})
+            zs = np.array(points)
+            # <w|z> = conj(<z|w>), with w fixed; + 0.0 prints an exact
+            # zero (real z and w) as 0, never as -0
+            vals = np.conj(overlap(idx, w, zs)) + 0.0
+            records = _records(columns, zs.real.tolist(), zs.imag.tolist(),
+                               vals.real.tolist(), vals.imag.tolist())
         else:  # cs_wavefunction | kernel, on a z x xi grid
             if args.xi is None:
                 raise ConfigError(f"{fn} evaluation needs --xi")
             xis = parse_xi(args.xi)
             _check_count(len(points) * len(xis), f"{fn} evaluation")
-            params = ModelParams(OscParams(args.c), args.m)
-            columns = ["re_z", "im_z", "xi", "re_val", "im_val"]
             for z in points:
-                for start in range(0, len(xis), LAYOUT_BLOCK_NODES):
-                    chunk = xis[start:start + LAYOUT_BLOCK_NODES]
-                    if fn == "cs_wavefunction":
-                        vals = cs_wavefunction(CoherentLabel(z, params),
-                                               np.array(chunk))
-                    else:
-                        vals = transform_kernel(params, z, np.array(chunk))
-                    n = len(chunk)
-                    records += _records(columns, [z.real] * n, [z.imag] * n,
-                                        chunk, vals.real.tolist(),
-                                        vals.imag.tolist())
+                _check_kernel_domain(z)
+            params = ModelParams(OscParams(args.c), args.m)
+            idx = params.landau_index()
+            columns = ["re_z", "im_z", "xi", "re_val", "im_val"]
+            table = transform_kernel_series_grid(params, points, xis,
+                                                 LAYOUT_BLOCK_NODES)
+            n = len(xis)
+            for z, vals in zip(points, table):
+                if fn == "cs_wavefunction":
+                    vals = _kernel_to_wavefunction(idx, z, vals)
+                records += _records(columns, [z.real] * n, [z.imag] * n,
+                                    xis, vals.real.tolist(),
+                                    vals.imag.tolist())
 
     text = _records_to_output(records, columns, args.format, _meta(args))
     _write_text(args.out, text)

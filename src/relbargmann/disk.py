@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NonConvergenceError
 from .oscillator import _check_order
 from .quadrature import jacobi_rule_01
 from .special import gammaln
@@ -83,7 +83,9 @@ def _phi_coeff_rows(k: np.ndarray, m: int, sigma: float) -> np.ndarray:
 
     Derived by pushing the Jacobi polynomial with first parameter m - k
     through the connection formula and absorbing zbar^(m-k); ``math.exp``
-    per element keeps a row independent of the other k built with it.
+    per element keeps a row independent of the other k built with it.  A
+    coefficient past the double range, at large sigma and k (from k = 838
+    at sigma = 1,274, c = 30), raises NonConvergenceError.
     """
     lead = 0.5 * (math.log(sigma - 2 * m - 1.0) + math.lgamma(sigma - m)
                   + gammaln(k + 1) - math.log(math.pi)
@@ -96,7 +98,12 @@ def _phi_coeff_rows(k: np.ndarray, m: int, sigma: float) -> np.ndarray:
               - gammaln(kj - j + 1) - math.lgamma(m - j + 1)
               - math.lgamma(j + 1))
         expo = lead[has] + lt - math.lgamma(sigma - m)
-        out[has, j] = [(-1.0) ** j * math.exp(x) for x in expo.tolist()]
+        try:
+            out[has, j] = [(-1.0) ** j * math.exp(x) for x in expo.tolist()]
+        except OverflowError:
+            raise NonConvergenceError(
+                f"the disk basis coefficients of the level sigma = {sigma:.6g}, "
+                f"m = {m} overflow") from None
     return out
 
 

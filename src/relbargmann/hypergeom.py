@@ -83,13 +83,17 @@ def reciprocal_gamma(z) -> complex:
 
 
 def pochhammer(a, n: int) -> complex:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1); empty product for n = 0."""
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1); empty product for n = 0.
+
+    The product is taken for n <= 128 and whenever a is a nonpositive
+    integer, where the log-gamma route would meet poles; otherwise
+    exp(loggamma(a + n) - loggamma(a)).
+    """
     if n < 0 or n != int(n):
         raise DomainError("pochhammer order must be a nonnegative integer")
     a = complex(a)
     n = int(n)
-    q = _nonpos_int(a)
-    if n <= 128 or (q is not None and q < n):
+    if n <= 128 or _nonpos_int(a) is not None:
         out = 1.0 + 0.0j
         for i in range(n):
             out *= a + i

@@ -98,6 +98,10 @@ XI_LENGTH = 40.0
 #: the states phi_0 .. phi_20 that ``isometry_check`` projects f on; it
 #: integrates on the layout at ``state_end(_ISOMETRY_KMAX, osc)``
 _ISOMETRY_KMAX = 20
+#: most entries of a table built in one piece: the Gram matrices' basis
+#: tables here and in ``verify``, and the grids and (z, xi) pairs of the
+#: CLI; each is counted before anything is allocated
+MAX_TABLE_ENTRIES = 1_000_000
 
 
 def state_end(kmax: int, osc: OscParams) -> float:
@@ -214,18 +218,25 @@ def _project(factors, values: np.ndarray) -> np.ndarray:
     return norms * sums
 
 
+def state_norms(kmax: int, osc: OscParams) -> np.ndarray:
+    """The norm ratios norm_k / norm_0, k = 0..kmax, of
+    :func:`state_polynomials`, elementwise: the first rows of a longer
+    array have the bits of a shorter one."""
+    log_norms = _log_norms(kmax, osc.gamma)
+    return np.exp(log_norms - log_norms[0])
+
+
 @np.errstate(over="ignore", invalid="ignore")  # the kernel sum checks finiteness
 def state_polynomials(kmax: int, osc: OscParams, xi):
     """``(poly, norms)``: the real normalised polynomial table of phi_0 ..
     phi_kmax at the nodes xi, as in :func:`project_states`, and the norm
-    ratios norm_k / norm_0, the k-dependent factors of
-    conj(phi_k) = norms[k] * poly[k] * ``conj_state_prefactor``; a kmax
+    ratios norm_k / norm_0 (:func:`state_norms`), the k-dependent factors
+    of conj(phi_k) = norms[k] * poly[k] * ``conj_state_prefactor``; a kmax
     that is not a nonnegative integer raises DomainError."""
     kmax = _check_order(kmax, "state order kmax")
     gamma = osc.gamma
-    log_norms = _log_norms(kmax, gamma)
     poly = cdhahn_normalized_batch(kmax, xi, gamma, gamma, 0.5)
-    return poly, np.exp(log_norms - log_norms[0])
+    return poly, state_norms(kmax, osc)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the kernel sum checks finiteness
@@ -284,6 +295,14 @@ def xi_layout(osc: OscParams, end: float):
     return nodes, half, conj_pref
 
 
+def oscillator_gram_entries(osc: OscParams, kmax: int) -> int:
+    """Entries (kmax + 1) x nodes of the polynomial table of
+    ``oscillator_gram(osc, kmax)``: the 32-point columns of its layout,
+    counted without building it."""
+    nodes = _panel_count(osc, state_end(kmax, osc)) * len(_FINE_RULE[0])
+    return (kmax + 1) * nodes
+
+
 def _fine_columns(layout):
     """``(xi, weights, conj_pref)`` of the 32-point rule alone on the
     ``xi_layout`` triple ``layout``, flat in panel order, with weights
@@ -320,12 +339,23 @@ def oscillator_gram(osc: OscParams, kmax: int) -> np.ndarray:
     (within 1.5e-12 of the identity at c = 12 and 20).  The layout comes
     from the cache only at an end the transforms or ``isometry_check`` read
     too (XI_LENGTH, ``state_end(20, osc)``); any other is built for the
-    call and dropped, since a long one is large (3.3 MB at kmax = 400,
-    c = 1) and would stay pinned in the cache.
+    call and dropped, since a long one would stay pinned in the cache.
 
-    Raises NonConvergenceError if the matrix is not finite.
+    Raises
+    ------
+    DomainError
+        If kmax is not a nonnegative integer, or the polynomial table would
+        hold more than MAX_TABLE_ENTRIES entries (kmax above 63 at c = 1),
+        checked before the layout or the table is built.
+    NonConvergenceError
+        If the matrix is not finite.
     """
     kmax = _check_order(kmax, "Gram order kmax")
+    entries = oscillator_gram_entries(osc, kmax)
+    if entries > MAX_TABLE_ENTRIES:
+        raise DomainError(
+            f"the Gram table up to k = {kmax} at c = {osc.c:g} would hold "
+            f"{entries} entries, more than the limit of {MAX_TABLE_ENTRIES}")
     end = state_end(kmax, osc)
     shared = end in (XI_LENGTH, state_end(_ISOMETRY_KMAX, osc))
     layout = xi_layout(osc, end) if shared else xi_layout.__wrapped__(osc, end)

@@ -150,11 +150,19 @@ def jacobi_rule_01(n: int, exp_at_0: float, exp_at_1: float) -> QuadratureRule:
 
     This is the (-1, 1) Gauss-Jacobi rule mapped affinely; the weight
     normalisation is absorbed so that ``sum(w * f(t))`` approximates
-    ``int_0^1 t^a (1-t)^b f(t) dt`` directly.
+    ``int_0^1 t^a (1-t)^b f(t) dt`` directly.  Exponents that sum to 1,023
+    or more, where 2^(a + b + 1) overflows, raise NonConvergenceError
+    before the rule is built.
     """
+    try:
+        scale = 2.0 ** (exp_at_0 + exp_at_1 + 1.0)
+    except OverflowError:
+        raise NonConvergenceError(
+            f"the (0, 1) Jacobi rule with exponents {exp_at_0:.6g} and "
+            f"{exp_at_1:.6g} overflows") from None
     rule = gauss_jacobi(n, exp_at_1, exp_at_0)
     t = 0.5 * (rule.nodes + 1.0)
-    w = rule.weights / 2.0 ** (exp_at_0 + exp_at_1 + 1.0)
+    w = rule.weights / scale
     return QuadratureRule(nodes=t, weights=w)
 
 

@@ -25,9 +25,9 @@ from .hypergeom import (F5Args, _series_2f1_vec, _terminating_2f1, appell_f1,
                         gauss_2f1, kdf_f5, kdf_f5_integral, kdf_f5_series,
                         pochhammer)
 from .orthopoly import jacobi_p, laguerre_l
-from .oscillator import (ModelParams, OscParams, _panel_count, oscillator_gram,
-                         state_end)
-from .quadrature import _FINE_RULE, integrate_disk
+from .oscillator import (ModelParams, OscParams, oscillator_gram,
+                         oscillator_gram_entries)
+from .quadrature import integrate_disk
 
 SUITES = ("orthonormality-disk", "orthonormality-oscillator", "overlap",
           "resolution", "eigen-equation", "srivastava-rao", "saran",
@@ -46,13 +46,12 @@ def _check(name: str, error: float, tol: float) -> dict:
 def gram_table_entries(suite: str, kmax: int) -> int:
     """Entries of the largest basis table that ``suite`` builds for its Gram
     matrices at order ``kmax`` (0 for none), found without building it."""
-    disk = [math.prod(_gram_rule_sizes(kmax, m)) for _, m in _DISK_CASES]
-    # the 32-point columns of each ``oscillator_gram`` layout
-    osc = [_panel_count(p, state_end(kmax, p)) * len(_FINE_RULE[0])
-           for p in map(OscParams, _OSC_CASES)]
+    disk = [(kmax + 1) * math.prod(_gram_rule_sizes(kmax, m))
+            for _, m in _DISK_CASES]
+    osc = [oscillator_gram_entries(OscParams(c), kmax) for c in _OSC_CASES]
     sizes = {"orthonormality-disk": disk, "orthonormality-oscillator": osc,
              "all": disk + osc}
-    return (kmax + 1) * max(sizes.get(suite, [0]))
+    return max(sizes.get(suite, [0]))
 
 
 def suite_orthonormality_disk(config: dict) -> list[dict]:

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 import relbargmann
-from relbargmann import cli
+from relbargmann import cli, coherent
 from relbargmann.bargmann import SampledFunction, oscillator_mode
 from relbargmann.cli import ConfigError, main, parse_grid, parse_xi
-from relbargmann.coherent import CoherentLabel, cs_wavefunction, transform_kernel
+from relbargmann.coherent import (CoherentLabel, cs_wavefunction_oracle,
+                                  overlap, transform_kernel_series,
+                                  truncation_order)
 from relbargmann.disk import basis_phi
 from relbargmann.errors import InputFormatError
 from relbargmann.oscillator import ModelParams, OscParams, eigenfunction
@@ -110,9 +112,9 @@ def pairwise_records(fn, c, m, k, zs, xis):
     for z in zs:
         for xi in xis:
             if fn == "kernel":
-                v = complex(transform_kernel(params, z, xi))
+                v = transform_kernel_series(params, z, xi)
             else:
-                v = complex(cs_wavefunction(CoherentLabel(z, params), xi))
+                v = cs_wavefunction_oracle(CoherentLabel(z, params), xi)
             records.append({"re_z": z.real, "im_z": z.imag, "xi": xi,
                             "re_val": v.real, "im_val": v.imag})
     return ["re_z", "im_z", "xi", "re_val", "im_val"], records
@@ -123,6 +125,31 @@ def counting(fn, calls):
         calls.append(np.size(args[-1]))
         return fn(*args, **kwargs)
     return wrapped
+
+
+class TestOutput:
+    #: every kind of field a record holds: floats (numpy's too), signed
+    #: zeros, nan and infinities, ints, bools, strings, and others
+    FIELDS = [1.5, -0.0, 0.0, math.nan, math.inf, -math.inf, 1 / 3, 1e-300,
+              5e-324, 1.7976931348623157e308, np.float64(0.1),
+              np.float64(-0.0), 3, -7, np.int64(5), True, "energy", "a,b",
+              "50%", None, 1 + 2j, (1, 2)]
+
+    def test_csv_bytes_match_per_field_join(self):
+        rng = np.random.default_rng(7)
+        columns = ["kind", "index", "value", "x"]
+        records = [{c: self.FIELDS[i] for c, i in
+                    zip(columns, rng.integers(0, len(self.FIELDS), 4))}
+                   for _ in range(400)]
+        records += [dict(zip(columns, (v, v, v, v))) for v in self.FIELDS]
+        want = [",".join(columns)]
+        for rec in records:
+            want.append(",".join(f"{rec[c]:.17g}" if isinstance(rec[c], float)
+                                 else str(rec[c]) for c in columns))
+        got = cli._records_to_output(records, columns, "csv", {})
+        assert got == "\n".join(want) + "\n"
+        assert "\ninf,inf,inf,inf\n-inf,-inf,-inf,-inf\n" in got
+        assert "\n-0,-0,-0,-0\n" in got and "\nnan,nan,nan,nan\n" in got
 
 
 class TestEval:
@@ -145,27 +172,90 @@ class TestEval:
                                              meta).encode()
 
     @pytest.mark.parametrize("fn, name, k, calls, blocked_calls", [
-        # one call per disk point on all 20 xi, then blocks of 7
-        ("kernel", "transform_kernel", 0, 2, 6),
-        ("cs_wavefunction", "cs_wavefunction", 0, 2, 6),
+        # one state table on the 19 xi > 0, then one a xi, since
+        # 7 // (K + 1) = 0 for the largest truncation order K
+        ("kernel", "conj_state_factors", 0, 1, 19),
+        ("cs_wavefunction", "conj_state_factors", 0, 1, 19),
         # blocks of at most 7 // (k + 1) = 2 xi for the (k + 1)-level table
         ("eigenfunction", "eigenfunction", 2, 1, 10)])
     def test_blocks_bit_identical(self, tmp_path, monkeypatch, fn, name, k,
                                   calls, blocked_calls):
         xis = [0.5 * i for i in range(20)]
+        nodes = 20 if fn == "eigenfunction" else 19
         out = tmp_path / "v.json"
         argv = eval_argv(fn, 1.0, 1, k, EVAL_Z[:2], xis, "--format", "json",
                          "--out", str(out))
         seen = []
-        monkeypatch.setattr(cli, name, counting(getattr(cli, name), seen))
+        owner = cli if fn == "eigenfunction" else coherent
+        monkeypatch.setattr(owner, name, counting(getattr(owner, name), seen))
         assert run(argv) == 0
         one = out.read_bytes()
-        assert len(seen) == calls and sum(seen) == 20 * calls
+        assert len(seen) == calls and sum(seen) == nodes
         monkeypatch.setattr(cli, "LAYOUT_BLOCK_NODES", 7)
         del seen[:]
         assert run(argv) == 0
-        assert len(seen) == blocked_calls and sum(seen) == 20 * calls
+        assert len(seen) == blocked_calls and sum(seen) == nodes
         assert out.read_bytes() == one
+        if fn == "eigenfunction":
+            return
+        # blocks of 4 xi, and the bytes of one library call per (z, xi)
+        params = ModelParams(OscParams(1.0), 1)
+        kmax = max(truncation_order(params.landau_index(), z)
+                   for z in EVAL_Z[:2])
+        monkeypatch.setattr(cli, "LAYOUT_BLOCK_NODES", 4 * (kmax + 1) + 3)
+        del seen[:]
+        assert run(argv) == 0
+        assert seen == [4, 4, 4, 4, 3]
+        assert out.read_bytes() == one
+        columns, records = pairwise_records(fn, 1.0, 1, k, EVAL_Z[:2], xis)
+        meta = json.loads(one)["meta"]
+        assert one == cli._records_to_output(records, columns, "json",
+                                             meta).encode()
+
+    @pytest.mark.parametrize("c, m, z, xi, tol", [
+        # the F5 closed form gave 9147.86 - 7838.12i here
+        (2.0, 1, 0.479 - 0.379j, 40.0, 1e-8),
+        # F5 holds at these, within 3e-11 relative
+        (1.0, 0, 0.3 + 0.4j, 2.5, 1e-12),
+        (1.0, 2, 0.3 + 0.5j, 7.25, 1e-12),
+        (0.6, 1, -0.55 + 0j, 0.7, 1e-12),
+        (3.0, 2, 0.1 - 0.6j, 12.5, 1e-12)])
+    def test_kernel_matches_mpmath_expansion(self, tmp_path, c, m, z, xi,
+                                             tol):
+        # 30-digit sum of K(z, xi) = sum_k Phi_k(z) conj(phi_k(xi)) over
+        # k <= 2K, with Phi_k from its monomial expansion (as in
+        # test_disk.py::test_mpmath_map) and phi_k from the terminating 3F2
+        # (as in test_oscillator.py::test_state_factors_finite_at_large_c)
+        mp = pytest.importorskip("mpmath")
+        out = tmp_path / "k.csv"
+        assert run(eval_argv("kernel", c, m, 0, [z], [xi],
+                             "--out", str(out))) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        got = complex(float(row[3]), float(row[4]))
+        params = ModelParams(OscParams(c), m)
+        kmax = 2 * truncation_order(params.landau_index(), z)
+        with mp.workdps(30):
+            g = (1 + mp.sqrt(1 + 2 * mp.mpf(c) ** 4)) / 2
+            s, zz, x = 2 * (g + m), mp.mpc(z), mp.mpf(xi)
+            pref = (mp.sqrt(2) * mp.expjpi(g / 2) * mp.exp(-4j * x * mp.log(c))
+                    * mp.gamma(g + 1j * x) ** 2 / mp.gamma(1j * x))
+            total = 0
+            for k in range(kmax + 1):
+                lead = (mp.log(s - 2 * m - 1) + mp.loggamma(s - m)
+                        + mp.loggamma(k + 1) - mp.log(mp.pi)
+                        - mp.loggamma(m + 1) - mp.loggamma(s - 2 * m + k)) / 2
+                disk = sum((-1) ** j * mp.exp(
+                    lead + mp.loggamma(m + 1) + mp.loggamma(s + k - m - j)
+                    - mp.loggamma(k - j + 1) - mp.loggamma(m - j + 1)
+                    - mp.loggamma(j + 1) - mp.loggamma(s - m))
+                    * zz ** (k - j) * mp.conj(zz) ** (m - j)
+                    for j in range(min(k, m) + 1)) / (1 - abs(zz) ** 2) ** m
+                s3f2 = mp.hyp3f2(-k, g + 1j * x, g - 1j * x, 2 * g, g + 0.5, 1)
+                phi = (pref * mp.sqrt(mp.gamma(k + 2 * g) / mp.factorial(k))
+                       / (mp.gamma(2 * g) * mp.gamma(g + 0.5)) * s3f2.real)
+                total += disk * mp.conj(phi)
+            want = complex(total)
+        assert abs(got - want) <= tol * abs(want)
 
     def test_basis_phi_blocks_bit_identical(self, tmp_path, monkeypatch):
         # one call on all 20 z, then blocks of at most 7, and the bytes of
@@ -273,6 +363,25 @@ class TestEval:
         assert code == 0
         row = out.read_text().strip().splitlines()[1]
         assert row == "0,0,0"
+
+    def test_overlap_one_vector_call(self, tmp_path, monkeypatch):
+        # one call over the whole z grid, <w|z> = conj(<z|w>), within the
+        # last digits of one call per point; a real pair prints 0, not -0
+        zs = [0.3 + 0j, -0.1 + 0j, 0.2j, -0.5 + 0.4j, 0.6 - 0.2j]
+        out = tmp_path / "o.csv"
+        seen = []
+        monkeypatch.setattr(cli, "overlap", counting(cli.overlap, seen))
+        assert run(["eval", "--function", "overlap", "--c", "1", "--m", "1",
+                    "--grid=" + ",".join(repr(z) for z in zs), "--w", "0.2",
+                    "--out", str(out)]) == 0
+        assert seen == [len(zs)]
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        idx = ModelParams(OscParams(1.0), 1).landau_index()
+        for z, row in zip(zs, rows):
+            want = complex(overlap(idx, z, 0.2))
+            got = complex(float(row[2]), float(row[3]))
+            assert abs(got - want) <= 1e-14 * abs(want)
+        assert [row[3] for row in rows[:2]] == ["0", "0"]
 
     def test_overlap_needs_w(self, tmp_path):
         code = run(["eval", "--function", "overlap", "--sigma", "5",
@@ -770,6 +879,16 @@ class TestVerify:
                     "--kmax", "20", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert max(c["error"] for c in report["checks"]) < 1e-12
+
+    def test_isometry_at_c30_exit_4(self, tmp_path, capsys):
+        # sigma = 1,274: the disk basis coefficients overflow; this ended in
+        # an OverflowError traceback with exit 1
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--suite", "isometry", "--c", "30",
+                    "--out", str(out)]) == 4
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("non-convergence: ")
+        assert "Traceback" not in stderr and not out.exists()
 
     def test_unknown_suite_exit_2(self, tmp_path):
         code = run(["verify", "--suite", "nope",

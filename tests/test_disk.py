@@ -12,7 +12,7 @@ from relbargmann.disk import (LandauIndex, _phi_coeff_matrix, basis_gram,
                               bergman_distance, landau_level,
                               maass_apply_fd, measure_density,
                               wirtinger_dzbar_fd)
-from relbargmann.errors import DomainError
+from relbargmann.errors import DomainError, NonConvergenceError
 from relbargmann.hypergeom import ln_gamma
 from relbargmann.orthopoly import jacobi_p
 from relbargmann.oscillator import ModelParams, OscParams, gamma_of_c
@@ -182,6 +182,16 @@ class TestBasis:
             for kmax in range(k, 13):
                 assert np.array_equal(basis_phi_batch(kmax, idx, z)[k], flat)
             assert basis_phi_batch(12, idx, complex(z[7]))[k] == alone[7]
+
+    def test_coeff_overflow_raises(self):
+        # sigma = 1,274 (c = 30, m = 0): the coefficients pass the double
+        # range at k = 838, where math.exp raised OverflowError
+        idx = LandauIndex(1273.79, 0)
+        assert np.isfinite(basis_phi_batch(800, idx, 0.1)).all()
+        with pytest.raises(NonConvergenceError, match="overflow"):
+            basis_phi_batch(838, idx, 0.1)
+        with pytest.raises(NonConvergenceError, match="overflow"):
+            basis_phi(843, idx, 0.1)
 
     @pytest.mark.parametrize("kmax, m, sigma", [
         (0, 3, 9.1), (2, 4, 11.3), (60, 0, 2.5), (300, 1, 3.0000001),

@@ -1,5 +1,6 @@
 """Hypergeometric kernels: frozen oracles, reductions, and domain checks."""
 
+import cmath
 import math
 
 import numpy as np
@@ -106,6 +107,19 @@ class TestPochhammer:
 
     def test_terminating_zero(self):
         assert pochhammer(-3.0, 5) == 0.0
+
+    @pytest.mark.parametrize("q, n", [(150, 140), (129, 129), (200, 129),
+                                      (250, 130), (140, 141), (150, 151)])
+    def test_nonpositive_integer_past_128(self, q, n):
+        # a = -q with n > 128 took exp(loggamma(a + n) - loggamma(a)) at two
+        # poles and gave nan; the product is exact up to rounding (0 once
+        # n > q)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            want = complex(mp.rf(-q, n))
+        got = pochhammer(-float(q), n)
+        assert cmath.isfinite(got)
+        assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_negative_order_rejected(self):
         with pytest.raises(DomainError):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from relbargmann import cli, oscillator
 from relbargmann.bargmann import oscillator_mode
 from relbargmann.errors import DomainError, NonConvergenceError
 from relbargmann.hypergeom import ln_gamma
@@ -12,7 +13,8 @@ from relbargmann.oscillator import (ModelParams, OscParams, _fine_columns,
                                     _panel_count, conj_state_factors,
                                     eigenfunction, eigenfunction_batch,
                                     energy, gamma_of_c,
-                                    oscillator_gram, project_states,
+                                    oscillator_gram, oscillator_gram_entries,
+                                    project_states,
                                     state_end, state_polynomials, xi_layout)
 
 # 2 |Gamma(g+i)|^4 / (|Gamma(i)|^2 Gamma(g+1/2)^2 Gamma(2g)) at g = (1+sqrt 3)/2
@@ -137,10 +139,10 @@ class TestEigenfunctions:
 
     def test_long_gram_leaves_no_layout_in_the_cache(self, cold_caches):
         # only the transforms' end (40) and the isometry check's
-        # (state_end(20) = 80) are cached; kmax = 100 (end 320) held a
-        # 0.9 MB entry for the rest of the process
+        # (state_end(20) = 80) are cached; kmax = 50 (end 170) held a
+        # 0.5 MB entry for the rest of the process
         osc = OscParams(1.0)
-        oscillator_gram(osc, 100)
+        oscillator_gram(osc, 50)
         assert xi_layout.cache_info().currsize == 0
         oscillator_gram(osc, 20)
         oscillator_gram(osc, 5)
@@ -178,6 +180,30 @@ class TestEigenfunctions:
     def test_gram_order_validated(self, kmax):
         with pytest.raises(DomainError):
             oscillator_gram(OscParams(1.0), kmax)
+
+    def test_long_gram_refused_before_any_table(self, monkeypatch):
+        # kmax = 400 at c = 1 built a 401 x 89,792 table (835 MB of RSS)
+        # before it raised; the CLI's table limit now refuses it first
+        def never(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(oscillator, "state_polynomials", never)
+        monkeypatch.setattr(oscillator, "xi_layout", never)
+        osc = OscParams(1.0)
+        assert oscillator_gram_entries(osc, 400) == 401 * 89792
+        with pytest.raises(DomainError, match="more than the limit of 1000000"):
+            oscillator_gram(osc, 400)
+        assert oscillator.MAX_TABLE_ENTRIES == cli.MAX_GRID_POINTS
+
+    def test_gram_limit_boundary(self, monkeypatch):
+        # a table of exactly the limit is built, one entry more is refused
+        osc = OscParams(1.0)
+        entries = oscillator_gram_entries(osc, 5)
+        monkeypatch.setattr(oscillator, "MAX_TABLE_ENTRIES", entries)
+        assert oscillator_gram(osc, 5).shape == (6, 6)
+        monkeypatch.setattr(oscillator, "MAX_TABLE_ENTRIES", entries - 1)
+        with pytest.raises(DomainError):
+            oscillator_gram(osc, 5)
 
     ORDER_CALLS = {
         "eigenfunction_batch": lambda k, osc, xi: eigenfunction_batch(k, osc, xi),

@@ -182,6 +182,16 @@ def test_jacobi_rule_01_nodes_inside():
     assert np.all((rule.nodes > 0) & (rule.nodes < 1))
 
 
+@pytest.mark.filterwarnings("error")
+def test_jacobi_rule_01_overflow_raises():
+    # 2^(a + b + 1) is finite up to a + b = 1,022 and overflowed past it
+    # with an OverflowError; the weights' sum is the beta integral 1/(b + 1)
+    rule = jacobi_rule_01(8, 0.0, 1022.0)
+    assert abs(rule.weights.sum() * 1023.0 - 1.0) < 1e-12
+    with pytest.raises(NonConvergenceError, match="overflows"):
+        jacobi_rule_01(8, 0.0, 1023.0)
+
+
 def test_disk_weight_validation():
     with pytest.raises(DomainError):
         integrate_disk(lambda z: np.ones(z.shape), -1.0)
