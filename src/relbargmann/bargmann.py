@@ -28,7 +28,11 @@ keyed on (c, end): its nodes, half widths and the folded state prefactor
 ``conj_state_prefactor`` at every node are built once per key and kept in
 a small cache (read-only arrays).  Both transforms read it at XI_LENGTH;
 ``isometry_check`` reads the 32-point columns of the one at
-``state_end(20, osc)``, as ``oscillator_gram`` does at its own end.  The
+``state_end(20, osc)``, as ``oscillator_gram`` does at its own end, but
+evaluates f there only in blocks of panels from xi = 0, up to XI_LENGTH
+and then 4, 8, 16, ... panels more, until two panels in a row hold at most
+2^-104 of the mass of |f|^2 summed so far; past them f is taken as zero
+and never evaluated, which changes no bit of the result.  The
 kernel of ``relativistic_transform`` is summed at the nodes where f is
 non-zero, up to the ``coherent.truncation_order`` of the point, from one
 real table of the states' polynomials, which ``relativistic_transform_grid``
@@ -66,7 +70,7 @@ from .disk import LandauIndex, basis_gram, check_disk
 from .errors import DomainError, InputFormatError, NonConvergenceError
 from .hypergeom import gauss_2f1_vec
 from .oscillator import (_ISOMETRY_KMAX, XI_LENGTH, ModelParams, OscParams,
-                         _check_order, _fine_columns, _project,
+                         _check_order, _fine_columns, _panel_count, _project,
                          eigenfunction_batch, state_end, state_polynomials,
                          xi_layout)
 from .quadrature import _COARSE_RULE, _FINE_RULE, integrate_halfline
@@ -144,8 +148,14 @@ def _as_callable(f):
 
 
 def _values_on(func, xi: np.ndarray) -> np.ndarray:
-    """f at the nodes xi; a NaN or inf raises, naming the smallest such xi."""
+    """f at the nodes xi, one value a node; a result of another shape, or a
+    NaN or inf, raises InputFormatError (the latter naming the smallest
+    such xi)."""
     vals = np.asarray(func(xi))
+    if vals.shape != xi.shape:
+        raise InputFormatError(
+            f"f returned shape {vals.shape} at {xi.size} nodes; it must "
+            "return one value for each xi")
     bad = ~np.isfinite(vals)
     if bad.any():
         raise InputFormatError(f"f is not finite at xi = {xi[bad].min():.6g}")
@@ -248,8 +258,9 @@ def relativistic_transform(params: ModelParams, f, z, with_error: bool = False):
     states are evaluated only at the nodes where f is non-zero.  Returns
     B[f](z), or ``(value, err_estimate)`` with ``with_error``: the estimate
     is the sum over the panels of the distance between the 32-point and the
-    16-point Gauss-Legendre values.  A non-finite value of f at a node
-    raises InputFormatError, a kernel that is not finite (at very large c)
+    16-point Gauss-Legendre values.  A non-finite value of f at a node, or
+    a result of f that is not one value for each node, raises
+    InputFormatError, a kernel that is not finite (at very large c)
     NonConvergenceError.
     """
     (value,), (err,) = _expansion_transform(params, _as_callable(f), [z])
@@ -319,6 +330,44 @@ def relativistic_transform_grid(params: ModelParams, f,
 #: the largest share of ||f||^2 the last two panels of the layout of
 #: ``isometry_check`` may hold
 _NORM_TOL = 1e-8
+#: the share of the |f|^2 mass summed so far that each of two panels in a
+#: row may hold for the walk of ``isometry_check`` to stop there: about
+#: eps^2, so the mass it drops lies below the rounding of ||f||^2
+_QUIET = 2.0 ** -104
+
+
+def _walk_values(func, xi: np.ndarray, weights: np.ndarray,
+                 first: int):
+    """``(f_nodes, mass, n)``: f and w |f|^2 at the flat 32-point columns
+    ``xi`` (weights ``weights``) of a layout, evaluated from xi = 0 in
+    blocks of whole panels until f is quiet, and exact zeros past the
+    first ``n`` nodes, which f never sees.
+
+    The first block holds ``first`` panels, the next ones 4, 8, 16, ...
+    panels, up to the layout's end.  The walk stops at the end of a block
+    when each of the last two panels holds at most ``_QUIET`` of the mass
+    summed so far and that mass is positive, so a prefix where f is zero
+    is never quiet.  A walk that finds no quiet pair evaluates f on the
+    whole layout.
+    """
+    rows = len(_FINE_RULE[0])
+    panels = len(xi) // rows
+    f_nodes = np.zeros(xi.shape, dtype=complex)
+    mass = np.zeros(xi.shape)
+    start, stop, block = 0, min(first, panels), 4
+    while True:
+        now = slice(start * rows, stop * rows)
+        f_nodes[now] = _values_on(func, xi[now])
+        mass[now] = weights[now] * np.abs(f_nodes[now]) ** 2
+        if stop == panels:
+            break
+        total = np.sum(mass[:now.stop])
+        last_two = np.sum(mass[now.stop - 2 * rows:now.stop].reshape(2, rows),
+                          axis=1)
+        if total > 0 and np.all(last_two <= _QUIET * total):
+            break
+        start, stop, block = stop, min(stop + block, panels), 2 * block
+    return f_nodes, mass, now.stop
 
 
 @lru_cache(maxsize=32)
@@ -345,27 +394,40 @@ def isometry_check(params: ModelParams, f) -> dict:
     Phi_0 .. Phi_20, so it is small exactly when f lies in the span of the
     first 21 states.  Everything but f depends on the parameters alone:
     the nodes and the folded state prefactor of the layout are cached per
-    (c, end) and G per level (``_isometry_gram``), so a call evaluates f,
-    builds the real polynomial table of the projections, c_k = norms[k]
-    sum_n P_k(xi_n) conj_pref_n w_n f(xi_n), and takes the two sums.  The
-    folded prefactor keeps them finite at large c (a gap of 3.8e-12 for
-    phi_0 at c = 20).
+    (c, end) and G per level (``_isometry_gram``).
+
+    f is evaluated only where it lives.  The walk takes the panels up to
+    XI_LENGTH = 40 in one call, then blocks of 4, 8, 16, ... panels, and
+    stops at the end of a block when each of its last two panels holds at
+    most 2^-104 (about eps^2) of the |f|^2 mass summed so far, and that
+    mass is positive: past two quiet panels f is taken as zero, a NaN there
+    included, just as the transforms never read f past xi = 40.  The mass
+    dropped lies below the rounding of ||f||^2, so the result has the bits
+    of the check on the whole layout (a superposition of phi_0 .. phi_2
+    stops by xi = 46 of 80, in one or two calls).  A call then builds the
+    real polynomial table of the projections on the evaluated prefix,
+    c_k = norms[k] sum_n P_k(xi_n) conj_pref_n w_n f(xi_n), and takes the
+    two sums.  The folded prefactor keeps them finite at large c (a gap of
+    3.8e-12 for phi_0 at c = 20).
 
     Raises
     ------
     NonConvergenceError
-        If the last two panels of the layout hold more than 1e-8 of
-        ||f||^2: f does not decay within the layout.
+        If the walk finds no quiet pair and the last two panels of the
+        layout hold more than 1e-8 of ||f||^2: f does not decay within the
+        layout.
     InputFormatError
-        If f is not finite at a node of the layout.
+        If f is not finite at a node it is evaluated at, or does not return
+        one value for each node.
 
     Returns a dict with both norms and their relative gap.
     """
     func = _as_callable(f)
     end = state_end(_ISOMETRY_KMAX, params.osc)
     xi, weights, conj_pref = _fine_columns(xi_layout(params.osc, end))
-    f_nodes = _values_on(func, xi)
-    mass = weights * np.abs(f_nodes) ** 2
+    # at least two panels, so that the first block has a pair to test
+    first = max(2, _panel_count(params.osc, XI_LENGTH))
+    f_nodes, mass, n = _walk_values(func, xi, weights, first)
     norm_f_sq = float(np.sum(mass))
     tail = float(np.sum(mass[-2 * len(_FINE_RULE[0]):]))
     if tail > _NORM_TOL * norm_f_sq:
@@ -373,8 +435,10 @@ def isometry_check(params: ModelParams, f) -> dict:
             f"the last two xi panels before {end:g} hold {tail:.3g} of "
             f"||f||^2 = {norm_f_sq:.3g}; f does not decay within the layout")
     # project_states' arithmetic, with the prefactor from the cached layout
-    factors = (*state_polynomials(_ISOMETRY_KMAX, params.osc, xi), conj_pref)
-    coeffs = _project(factors, weights * f_nodes)
+    # on the evaluated prefix alone: f is zero past it
+    factors = (*state_polynomials(_ISOMETRY_KMAX, params.osc, xi[:n]),
+               conj_pref[:n])
+    coeffs = _project(factors, weights[:n] * f_nodes[:n])
     gram = _isometry_gram(params.landau_index())
     norm_B_sq = float((coeffs @ gram @ coeffs.conj()).real)
     if norm_f_sq == 0.0 and norm_B_sq == 0.0:

@@ -125,7 +125,9 @@ def cdhahn_normalized_batch(kmax: int, xi, a: float, b: float, c: float) -> np.n
     Uses the three-term recurrence of the continuous dual Hahn family in the
     normalised form S_n / ((a+b)_n (a+c)_n), which stays O(poly) in n and is
     the stable route for large degrees (the terminating sum cancels
-    catastrophically once n is a few dozen).
+    catastrophically once n is a few dozen).  Each row is built in place
+    with two scratch rows, by the operations of
+    ((A + C - lam) out[n] - C out[n-1]) / A in that order.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     lam = a * a + xi * xi
@@ -133,8 +135,13 @@ def cdhahn_normalized_batch(kmax: int, xi, a: float, b: float, c: float) -> np.n
     out[0] = 1.0
     if kmax >= 1:
         out[1] = 1.0 - lam / ((a + b) * (a + c))
+    head, tail = np.empty_like(lam), np.empty_like(lam)
     for n in range(1, kmax):
         A = (n + a + b) * (n + a + c)
         C = n * (n + b + c - 1.0)
-        out[n + 1] = ((A + C - lam) * out[n] - C * out[n - 1]) / A
+        np.subtract(A + C, lam, out=head)
+        np.multiply(head, out[n], out=head)
+        np.multiply(C, out[n - 1], out=tail)
+        np.subtract(head, tail, out=head)
+        np.divide(head, A, out=out[n + 1])
     return out

@@ -170,6 +170,37 @@ class TestRelativisticTransform:
             with pytest.raises(InputFormatError, match=r"xi = 5\.\d"):
                 call()
 
+    @pytest.mark.parametrize("shape", ["scalar", "three", "column", "row"])
+    def test_f_of_the_wrong_shape_rejected(self, shape):
+        # a scalar was an IndexError, and three values a silent 0j from the
+        # transform and an IndexError or ValueError elsewhere
+        params = ModelParams(OscParams(1.0), 0)
+        phi0 = oscillator_mode(0, params.osc)
+        f = {"scalar": lambda xi: 1.0,
+             "three": lambda xi: np.ones(3),
+             "column": lambda xi: phi0(xi)[:, None],
+             "row": lambda xi: phi0(xi)[None, :]}[shape]
+        calls = (lambda: relativistic_transform(params, f, 0.3),
+                 lambda: relativistic_transform_m0(params.osc, f, 0.3),
+                 lambda: relativistic_transform_grid(params, f, [0.3]),
+                 lambda: isometry_check(params, f))
+        for call in calls:
+            with pytest.raises(InputFormatError, match="one value for each"):
+                call()
+
+    def test_list_result_accepted(self):
+        params = ModelParams(OscParams(1.0), 0)
+        phi0 = oscillator_mode(0, params.osc)
+
+        def as_list(xi):
+            return phi0(xi).tolist()
+
+        assert (relativistic_transform(params, as_list, 0.3)
+                == relativistic_transform(params, phi0, 0.3))
+        assert (relativistic_transform_m0(params.osc, as_list, 0.3)
+                == relativistic_transform_m0(params.osc, phi0, 0.3))
+        assert isometry_check(params, as_list) == isometry_check(params, phi0)
+
     def test_grid_result(self):
         params = ModelParams(OscParams(1.0), 0)
         pts = [0.1, 0.2j, -0.15 - 0.1j]
@@ -920,3 +951,90 @@ class TestParameterCaches:
         assert all(cache.cache_info().currsize for cache in caches)
         cold_caches()
         assert not any(cache.cache_info().currsize for cache in caches)
+
+
+def recording(f):
+    """``(g, seen)``: f, and the list of the xi arrays g was called with."""
+    seen = []
+
+    def g(xi):
+        seen.append(np.array(xi))
+        return f(xi)
+
+    return g, seen
+
+
+def isometry_columns(osc):
+    """The flat 32-point columns of the layout of ``isometry_check``."""
+    return oscillator._fine_columns(xi_layout(osc, state_end(20, osc)))[0]
+
+
+def hex_report(report):
+    return {k: v.hex() for k, v in report.items()}
+
+
+class TestIsometryWalk:
+    """``isometry_check`` evaluates f in blocks of panels from xi = 0 and
+    stops after two quiet panels, with the bits of the full layout."""
+
+    @pytest.mark.parametrize("c, panels", [(0.6, 119), (1.0, 92), (2.0, 42)])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_superposition_stops_near_forty(self, c, panels, m):
+        # phi_0 .. phi_2 have no mass left past xi = 46; the layout ends at 80
+        params = ModelParams(OscParams(c), m)
+        f = mode_mix(params.osc, TestIsometryRings.MIX)
+        g, seen = recording(f)
+        got = isometry_check(params, g)
+        xi = isometry_columns(params.osc)
+        assert np.concatenate(seen).tobytes() == xi[:32 * panels].tobytes()
+        assert 32 * panels < xi.size and xi[32 * panels - 1] < 46.0
+        assert hex_report(got) == hex_report(uncached_isometry(params, f))
+
+    def test_empty_prefix_is_not_quiet(self):
+        params = ModelParams(OscParams(1.0), 0)
+
+        def f(xi):
+            return np.where(xi > XI_LENGTH, np.exp(-(xi - 60.0) ** 2), 0.0)
+
+        g, seen = recording(f)
+        got = isometry_check(params, g)
+        assert np.concatenate(seen).max() > 65.0
+        assert got["norm_f_sq"] > 1.0
+        assert hex_report(got) == hex_report(uncached_isometry(params, f))
+
+    @pytest.mark.parametrize("case", ["c8-ground", "phi0-phi21"])
+    def test_long_states_walk_past_forty(self, case):
+        if case == "c8-ground":
+            params = ModelParams(OscParams(8.0), 1)
+            f = oscillator_mode(0, params.osc)
+        else:
+            params = ModelParams(OscParams(1.0), 0)
+            f = mode_mix(params.osc, [1.0 / math.sqrt(2.0)] + [0.0] * 20
+                         + [1.0 / math.sqrt(2.0)])
+        g, seen = recording(f)
+        got = isometry_check(params, g)
+        assert np.concatenate(seen).max() > 50.0
+        assert hex_report(got) == hex_report(uncached_isometry(params, f))
+
+    @pytest.mark.parametrize("c", [0.6, 1.0, 2.0, 8.0, 20.0])
+    def test_calls_are_bounded(self, c):
+        # an f that is never quiet is evaluated once on every node, in at
+        # most 1 + log2(panels) calls
+        params = ModelParams(OscParams(c), 0)
+        g, seen = recording(lambda xi: np.exp(-xi / 200.0))
+        with pytest.raises(NonConvergenceError):
+            isometry_check(params, g)
+        xi = isometry_columns(params.osc)
+        assert np.concatenate(seen).tobytes() == xi.tobytes()
+        assert len(seen) <= 1 + math.ceil(math.log2(xi.size // 32))
+
+    def test_past_the_quiet_panels_f_is_not_read(self):
+        # a NaN past the stop is never seen, as past xi = 40 in the
+        # transforms
+        params = ModelParams(OscParams(1.0), 0)
+        phi0 = oscillator_mode(0, params.osc)
+
+        def f(xi):
+            return np.where(xi > 60.0, np.nan, phi0(xi))
+
+        assert isometry_check(params, f) == isometry_check(params, phi0)

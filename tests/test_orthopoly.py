@@ -7,6 +7,7 @@ import pytest
 
 from relbargmann.errors import DomainError
 from relbargmann.hypergeom import ln_gamma
+from relbargmann.oscillator import XI_LENGTH, OscParams, xi_layout
 from relbargmann.orthopoly import (cdhahn_normalized_batch, cdhahn_s,
                                    jacobi_connection, jacobi_p, laguerre_l)
 from relbargmann.quadrature import integrate_halfline
@@ -172,3 +173,30 @@ class TestContinuousDualHahn:
         assert batch.shape == (4, 3)
         one = cdhahn_normalized_batch(3, 1.0, 1.4, 1.4, 0.5)[:, 0]
         assert np.max(np.abs(batch[:, 1] - one)) < 1e-14
+
+
+def cdhahn_allocating_loop(kmax, xi, a, b, c):
+    """Reference: the recurrence of ``cdhahn_normalized_batch`` with one
+    fresh array per operation, as one expression a row."""
+    lam = a * a + xi * xi
+    out = np.empty((kmax + 1, len(xi)))
+    out[0] = 1.0
+    if kmax >= 1:
+        out[1] = 1.0 - lam / ((a + b) * (a + c))
+    for n in range(1, kmax):
+        A = (n + a + b) * (n + a + c)
+        C = n * (n + b + c - 1.0)
+        out[n + 1] = ((A + C - lam) * out[n] - C * out[n - 1]) / A
+    return out
+
+
+@pytest.mark.parametrize("kmax", [0, 1, 2, 84, 400])
+@pytest.mark.parametrize("c", [0.6, 1.0, 2.0, 12.0])
+def test_in_place_recurrence_has_the_bits_of_the_allocating_loop(kmax, c):
+    osc = OscParams(c)
+    xi = xi_layout(osc, XI_LENGTH)[0].ravel()
+    gamma = osc.gamma
+    with np.errstate(all="ignore"):
+        got = cdhahn_normalized_batch(kmax, xi, gamma, gamma, 0.5)
+        want = cdhahn_allocating_loop(kmax, xi, gamma, gamma, 0.5)
+    assert got.tobytes() == want.tobytes()
