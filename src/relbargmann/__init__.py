@@ -14,7 +14,8 @@ __version__ = "0.1.0"
 
 from .bargmann import (SampledFunction, TransformResult, classical_bargmann,
                        isometry_check, oscillator_mode, relativistic_transform,
-                       relativistic_transform_grid, relativistic_transform_m0)
+                       relativistic_transform_grid, relativistic_transform_m0,
+                       relativistic_transform_m0_grid)
 from .coherent import (CoherentLabel, cs_distance, cs_wavefunction,
                        cs_wavefunction_oracle, normalization, overlap,
                        overlap_series, transform_kernel, transform_kernel_series)
@@ -38,6 +39,7 @@ __all__ = [
     "SampledFunction", "TransformResult", "classical_bargmann",
     "isometry_check", "oscillator_mode", "relativistic_transform",
     "relativistic_transform_grid", "relativistic_transform_m0",
+    "relativistic_transform_m0_grid",
     "CoherentLabel", "cs_distance", "cs_wavefunction",
     "cs_wavefunction_oracle", "normalization", "overlap", "overlap_series",
     "transform_kernel", "transform_kernel_series",

@@ -16,6 +16,8 @@ Three transforms are implemented:
 * ``relativistic_transform_m0`` -- the analytic (m = 0) reduction, whose
   kernel collapses to a single Gauss function 2F1(gamma - i xi, 1/2 - i xi;
   gamma + 1/2; z); its image consists of holomorphic functions.
+  ``relativistic_transform_m0_grid`` evaluates it on a grid of points with
+  one evaluation of f, and the one-point call is its one-point case.
 
 Transforms are evaluated against either a callable f(xi) (vectorised over
 ndarray) or a :class:`SampledFunction`, which is interpolated by a cubic
@@ -42,7 +44,11 @@ nodes and points, so every result is the same as with the kernel evaluated
 at every node, and a grid value the same as the single-point value.  The
 F5 closed form (``coherent.transform_kernel``) is not used here; the m = 0
 reduction keeps its 2F1 kernel, whose z-independent exponent (its
-``loggamma``s) is cached per c on the same nodes.
+``loggamma``s) is cached per c on the same nodes and gathered at the live
+nodes once per grid, so each point adds only its own -i xi log(1 - z), the
+2F1 and the prefactor.  ``classical_bargmann`` alone integrates adaptively
+(``quadrature.integrate_halfline``), with one call of f per panel visit for
+both Gauss rules, its values checked as the other transforms check theirs.
 
 Every state, in the kernel, the projections of ``isometry_check`` and the
 Gram matrices alike, comes from the one factorisation conj(phi_k) =
@@ -57,6 +63,7 @@ the bits of an uncached one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -166,7 +173,10 @@ def classical_bargmann(sigma: float, f, z):
     """Laguerre-kernel Bargmann transform of f at the disk point z.
 
     Returns ``(value, err_estimate)`` of the half-line integral, taken to a
-    tolerance of 1e-10.
+    tolerance of 1e-10 by ``integrate_halfline``, which calls f once per
+    panel visit on the nodes of both Gauss rules.  A non-finite value of f
+    at a node (naming the smallest such xi of the panel), or a result that
+    is not one value for each node, raises InputFormatError.
     """
     if sigma <= 1.0:
         raise DomainError("classical transform requires sigma > 1")
@@ -178,7 +188,8 @@ def classical_bargmann(sigma: float, f, z):
             * math.exp(-0.5 * math.lgamma(sigma)) * (1.0 - z) ** (-sigma))
 
     def integrand(x):
-        return np.exp(-s * x) * np.asarray(func(x)) * x ** (0.5 * (sigma - 1.0))
+        return (np.exp(-s * x) * _values_on(func, x)
+                * x ** (0.5 * (sigma - 1.0)))
 
     decay = 1.0 / max(s.real, 0.05)
     value, err = integrate_halfline(integrand, decay_scale=decay, tol=1e-10)
@@ -280,6 +291,50 @@ def _m0_exponent(osc: OscParams) -> np.ndarray:
     return expo
 
 
+def _m0_transform(osc: OscParams, func, points):
+    """``(values, err_estimates)`` of the m = 0 transform at each of
+    ``points``, through its reduced single-2F1 kernel on the fixed layout.
+
+    Every point is checked before f is evaluated, once, on the layout.  The
+    live mask, the cached exponent and f are gathered at the live nodes
+    once; each point then adds only its own -i xi log(1 - z), the 2F1 and
+    the prefactor (1 - z)^(-gamma), keeping one point's integrand at a time.
+    The kernel is elementwise, so every value has the bits of the kernel
+    built at the live nodes for that point alone.
+    """
+    pts = _check_points(points)
+    if not pts:
+        return [], []
+    gamma = osc.gamma
+    lpref = (0.5 * math.log(2.0) + 0.5 * (math.log(2.0 * gamma - 1.0)
+             - math.log(math.pi) - math.lgamma(2.0 * gamma))
+             - math.lgamma(gamma + 0.5))
+    scale = math.exp(lpref) * np.exp(-1j * math.pi * gamma / 2.0)
+    nodes, half, _ = xi_layout(osc, XI_LENGTH)
+    xi = nodes.ravel()
+    f_vals = _values_on(func, xi)
+    live = f_vals != 0
+    any_live = live.any()
+    if any_live:
+        i_xl = 1j * xi[live]
+        expo, f_live = _m0_exponent(osc)[live], f_vals[live]
+    integrand = np.zeros(xi.shape, dtype=complex)
+    values, errors = [], []
+    for z in pts:
+        if any_live:
+            gam_fac = np.exp(expo - i_xl * np.log(1.0 - z))
+            # kernel times f, in this order: the product is not bitwise
+            # symmetric
+            integrand[live] = gam_fac * gauss_2f1_vec(gamma - i_xl,
+                                                      0.5 - i_xl, gamma + 0.5,
+                                                      z) * f_live
+        value, err = _panel_sums(integrand.reshape(nodes.shape), half)
+        pref = scale * (1.0 - z) ** (-gamma)
+        values.append(pref * value)
+        errors.append(abs(pref) * err)
+    return values, errors
+
+
 def relativistic_transform_m0(osc: OscParams, f, z, with_error: bool = False):
     """The m = 0 transform through its reduced single-2F1 kernel.
 
@@ -288,32 +343,24 @@ def relativistic_transform_m0(osc: OscParams, f, z, with_error: bool = False):
     Its z-independent exponent (the ``loggamma``s and the c^(4 i xi)
     phase) comes from a per-c cache, ``_m0_exponent``, and each call adds
     only -i xi log(1 - z) and the 2F1 at the live nodes; elementwise, so
-    the bits are those of the kernel built at those nodes alone.
+    the bits are those of the kernel built at those nodes alone.  This is
+    the one-point case of :func:`relativistic_transform_m0_grid`.
     """
-    (z,) = _check_points([z])
-    func = _as_callable(f)
-    gamma = osc.gamma
-    lpref = (0.5 * math.log(2.0) + 0.5 * (math.log(2.0 * gamma - 1.0)
-             - math.log(math.pi) - math.lgamma(2.0 * gamma))
-             - math.lgamma(gamma + 0.5))
-    pref = (math.exp(lpref) * np.exp(-1j * math.pi * gamma / 2.0)
-            * (1.0 - z) ** (-gamma))
-
-    nodes, half, _ = xi_layout(osc, XI_LENGTH)
-    xi = nodes.ravel()
-    f_vals = _values_on(func, xi)
-    live = f_vals != 0
-    integrand = np.zeros(xi.shape, dtype=complex)
-    if live.any():
-        xl = xi[live]
-        gam_fac = np.exp(_m0_exponent(osc)[live] - 1j * xl * np.log(1.0 - z))
-        # kernel times f, in this order: the product is not bitwise symmetric
-        integrand[live] = gam_fac * gauss_2f1_vec(gamma - 1j * xl,
-                                                  0.5 - 1j * xl, gamma + 0.5,
-                                                  z) * f_vals[live]
-    value, err = _panel_sums(integrand.reshape(nodes.shape), half)
-    value, err = pref * value, abs(pref) * err
+    (value,), (err,) = _m0_transform(osc, _as_callable(f), [z])
     return (value, err) if with_error else value
+
+
+def relativistic_transform_m0_grid(osc: OscParams, f,
+                                   points) -> TransformResult:
+    """The m = 0 transform on a grid of disk points, with one evaluation of
+    f for the whole grid; each value and error estimate has the bits of
+    :func:`relativistic_transform_m0` at its point.  A point outside the
+    kernel cap raises DomainError before f is evaluated."""
+    pts = np.asarray(points, dtype=complex).ravel()
+    vals, errs = _m0_transform(osc, _as_callable(f), pts)
+    return TransformResult(points=pts, values=np.array(vals, dtype=complex),
+                           params=ModelParams(osc, 0),
+                           errors=np.array(errs, dtype=float))
 
 
 def relativistic_transform_grid(params: ModelParams, f,
@@ -358,7 +405,9 @@ def _walk_values(func, xi: np.ndarray, weights: np.ndarray,
     while True:
         now = slice(start * rows, stop * rows)
         f_nodes[now] = _values_on(func, xi[now])
-        mass[now] = weights[now] * np.abs(f_nodes[now]) ** 2
+        # an |f|^2 past the double range is refused by the caller
+        with np.errstate(over="ignore"):
+            mass[now] = weights[now] * np.abs(f_nodes[now]) ** 2
         if stop == panels:
             break
         total = np.sum(mass[:now.stop])
@@ -413,9 +462,12 @@ def isometry_check(params: ModelParams, f) -> dict:
     Raises
     ------
     NonConvergenceError
-        If the walk finds no quiet pair and the last two panels of the
-        layout hold more than 1e-8 of ||f||^2: f does not decay within the
-        layout.
+        If either squared norm is not finite, or ||f||^2 lies below the
+        smallest normal double while f is non-zero at an evaluated node:
+        |f|^2 has left the double range, and the gap would be NaN or
+        meaningless.  Or if the walk finds no quiet pair and the last two
+        panels of the layout hold more than 1e-8 of ||f||^2: f does not
+        decay within the layout.
     InputFormatError
         If f is not finite at a node it is evaluated at, or does not return
         one value for each node.
@@ -429,6 +481,12 @@ def isometry_check(params: ModelParams, f) -> dict:
     first = max(2, _panel_count(params.osc, XI_LENGTH))
     f_nodes, mass, n = _walk_values(func, xi, weights, first)
     norm_f_sq = float(np.sum(mass))
+    # f_nodes is zero past the evaluated nodes
+    if not (math.isfinite(norm_f_sq)
+            and (norm_f_sq >= sys.float_info.min or not f_nodes.any())):
+        raise NonConvergenceError(
+            f"||f||^2 = {norm_f_sq:.3g} of a non-zero f is outside the range "
+            "of normal doubles; rescale f")
     tail = float(np.sum(mass[-2 * len(_FINE_RULE[0]):]))
     if tail > _NORM_TOL * norm_f_sq:
         raise NonConvergenceError(
@@ -440,7 +498,11 @@ def isometry_check(params: ModelParams, f) -> dict:
                conj_pref[:n])
     coeffs = _project(factors, weights[:n] * f_nodes[:n])
     gram = _isometry_gram(params.landau_index())
-    norm_B_sq = float((coeffs @ gram @ coeffs.conj()).real)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm_B_sq = float((coeffs @ gram @ coeffs.conj()).real)
+    if not math.isfinite(norm_B_sq):
+        raise NonConvergenceError(
+            f"||B[f]||^2 = {norm_B_sq} is outside the double range; rescale f")
     if norm_f_sq == 0.0 and norm_B_sq == 0.0:
         gap = 0.0
     else:

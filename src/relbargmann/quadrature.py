@@ -180,8 +180,10 @@ def integrate_halfline(f, decay_scale: float = 1.0, tol: float = 1e-10):
 
     Panels of width ``decay_scale`` are integrated with an embedded
     Gauss-Legendre pair (16 and 32 points); the pair difference is the
-    per-panel error estimate.  Panels whose estimate exceeds ``tol / 20``
-    are bisected, at most 12 times deep, and the panel chain grows until two
+    per-panel error estimate.  ``f`` is called once per panel visit, on the
+    48 nodes of both rules (the 16-point nodes first), and a scalar result
+    is broadcast to them.  Panels whose estimate exceeds ``tol / 20`` are
+    bisected, at most 12 times deep, and the panel chain grows until two
     consecutive panels are negligible.
 
     Returns ``(value, err_estimate)``.
@@ -195,11 +197,16 @@ def integrate_halfline(f, decay_scale: float = 1.0, tol: float = 1e-10):
         raise DomainError("decay_scale and tol must be positive")
     width = max(decay_scale, 1e-3)
     (xc, wc), (xf, wf) = _COARSE_RULE, _FINE_RULE
+    both, n_coarse = np.concatenate((xc, xf)), len(xc)
 
     def do_panel(lo, hi, depth):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        coarse = half * np.sum(wc * np.asarray(f(mid + half * xc)))
-        val = half * np.sum(wf * np.asarray(f(mid + half * xf)))
+        x = mid + half * both
+        vals = np.asarray(f(x))
+        if vals.shape != x.shape:
+            vals = np.broadcast_to(vals, x.shape)
+        coarse = half * (wc * vals[:n_coarse]).sum()
+        val = half * (wf * vals[n_coarse:]).sum()
         err = abs(val - coarse)
         if err > tol / 20.0 and depth < 12:
             v1, e1 = do_panel(lo, mid, depth + 1)

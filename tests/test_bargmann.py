@@ -3,6 +3,7 @@
 import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from relbargmann.bargmann import (SampledFunction, TransformResult,
                                   classical_bargmann, isometry_check,
                                   oscillator_mode, relativistic_transform,
                                   relativistic_transform_grid,
-                                  relativistic_transform_m0)
+                                  relativistic_transform_m0,
+                                  relativistic_transform_m0_grid)
 from relbargmann.coherent import (CoherentLabel, cs_wavefunction_oracle,
                                   normalization, transform_kernel_series)
 from relbargmann.disk import basis_gram, basis_phi, wirtinger_dzbar_fd
@@ -23,7 +25,8 @@ from relbargmann.orthopoly import laguerre_l
 from relbargmann.oscillator import (XI_LENGTH, ModelParams, OscParams,
                                     conj_state_factors, project_states,
                                     state_end, xi_layout)
-from relbargmann.quadrature import integrate_halfline
+from relbargmann.quadrature import (_COARSE_RULE, _FINE_RULE,
+                                    integrate_halfline)
 from relbargmann.special import loggamma
 
 
@@ -99,6 +102,26 @@ class TestClassicalBargmann:
     def test_sigma_validation(self):
         with pytest.raises(DomainError):
             classical_bargmann(1.0, lambda x: np.exp(-x), 0.2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_f_rejected(self, bad):
+        # a NaN f was a NonConvergenceError about the tail
+        with pytest.raises(InputFormatError, match=r"xi = 0\.0\d"):
+            classical_bargmann(3.0, lambda x: np.full(np.shape(x), bad), 0.2)
+
+        def f(x):
+            return np.where(x > 5.0, bad, np.exp(-x))
+
+        with pytest.raises(InputFormatError, match=r"xi = 5\.\d"):
+            classical_bargmann(3.0, f, 0.2)
+
+    @pytest.mark.parametrize("shape", ["scalar", "three", "column"])
+    def test_f_of_the_wrong_shape_rejected(self, shape):
+        f = {"scalar": lambda x: 1.0,
+             "three": lambda x: np.ones(3),
+             "column": lambda x: np.exp(-x)[:, None]}[shape]
+        with pytest.raises(InputFormatError, match="one value for each"):
+            classical_bargmann(3.0, f, 0.2)
 
 
 class TestRelativisticTransform:
@@ -490,6 +513,154 @@ class TestM0Reduction:
         assert abs(got - want) < 1e-7
 
 
+def counted_calls(f):
+    """``(g, calls)``: f, and a one-element list counting g's calls."""
+    calls = [0]
+
+    def g(xi):
+        calls[0] += 1
+        return f(xi)
+
+    return g, calls
+
+
+class TestM0Grid:
+    """``relativistic_transform_m0_grid``: one evaluation of f for every
+    point, and the bits of the one-point call at each."""
+
+    POINTS = [0.3 + 0.2j, -0.5 + 0.4j, 0.0, 0.25, -0.3 - 0.3j, 0.3 + 0.2j]
+
+    @pytest.mark.parametrize("c", [0.6, 1.0, 2.0])
+    @pytest.mark.parametrize("f", ["sampled", "scattered", "mode"])
+    def test_each_value_has_the_bits_of_the_one_point_call(self, c, f):
+        osc = OscParams(c)
+        func = {"sampled": sampled_modes(osc, np.linspace(2.0, 25.0, 231)),
+                "scattered": scattered_mode(osc),
+                "mode": oscillator_mode(1, osc)}[f]
+        res = relativistic_transform_m0_grid(osc, func, self.POINTS)
+        assert isinstance(res, TransformResult) and res.params.m == 0
+        for z, value, err in zip(self.POINTS, res.values, res.errors):
+            got = bits(value, err)
+            assert got == bits(*relativistic_transform_m0(osc, func, z,
+                                                          with_error=True))
+            assert got == bits(*live_node_transform_m0(osc, func, z))
+            if f == "sampled":
+                assert got == bits(*every_node_transform_m0(osc, func, z))
+
+    def test_grid_values_are_the_one_point_scalars(self):
+        # numpy complex scalars, as the one-point call returns: the stencil
+        # quotients of the holomorphy check depend on it
+        osc = OscParams(1.0)
+        f = oscillator_mode(1, osc)
+        value = relativistic_transform_m0_grid(osc, f, [0.2j]).values[0]
+        one = relativistic_transform_m0(osc, f, 0.2j)
+        assert type(value) is type(one) is np.complex128
+
+    def test_one_evaluation_of_f_per_call(self):
+        osc = OscParams(1.0)
+        g, calls = counted_calls(oscillator_mode(1, osc))
+        relativistic_transform_m0_grid(osc, g, self.POINTS)
+        assert calls == [1]
+        relativistic_transform_m0(osc, g, 0.1j)
+        assert calls == [2]
+
+    def test_empty_grid(self):
+        osc = OscParams(1.0)
+        g, calls = counted_calls(oscillator_mode(1, osc))
+        res = relativistic_transform_m0_grid(osc, g, [])
+        assert res.values.shape == res.errors.shape == res.points.shape == (0,)
+        assert res.quadrature_error == 0.0 and calls == [0]
+
+    @pytest.mark.parametrize("bad", [0.86, 1.2j, complex(np.nan, 0.0)])
+    def test_bad_point_raises_before_f_is_evaluated(self, bad):
+        osc = OscParams(1.0)
+        g, calls = counted_calls(oscillator_mode(1, osc))
+        with pytest.raises(DomainError):
+            relativistic_transform_m0_grid(osc, g, [0.1, bad, 0.2j])
+        assert calls == [0]
+
+
+def two_call_halfline(f, decay_scale=1.0, tol=1e-10, depths=None):
+    """Reference: ``integrate_halfline`` with one call of f for each Gauss
+    rule of a panel visit; the depth of each visit goes to ``depths``."""
+    width = max(decay_scale, 1e-3)
+    (xc, wc), (xf, wf) = _COARSE_RULE, _FINE_RULE
+
+    def do_panel(lo, hi, depth):
+        if depths is not None:
+            depths.append(depth)
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        coarse = half * np.sum(wc * np.asarray(f(mid + half * xc)))
+        val = half * np.sum(wf * np.asarray(f(mid + half * xf)))
+        err = abs(val - coarse)
+        if err > tol / 20.0 and depth < 12:
+            v1, e1 = do_panel(lo, mid, depth + 1)
+            v2, e2 = do_panel(mid, hi, depth + 1)
+            return v1 + v2, e1 + e2
+        return val, err
+
+    total = 0.0 + 0.0j
+    err_total = 0.0
+    max_length = 64.0 * decay_scale
+    quiet = 0
+    lo = 0.0
+    for _ in range(int(np.ceil(max_length / width))):
+        hi = min(lo + width, max_length)
+        val, err = do_panel(lo, hi, 0)
+        total += val
+        err_total += err
+        lo = hi
+        if abs(val) + err < tol / 10.0:
+            quiet += 1
+            if quiet >= 2:
+                err_total += abs(val)
+                return total, err_total
+        else:
+            quiet = 0
+    raise NonConvergenceError("tail not converged")
+
+
+def hex_pair(value, err):
+    return complex(value).real.hex(), complex(value).imag.hex(), err.hex()
+
+
+class TestHalflineOneCall:
+    """``integrate_halfline`` calls f once per panel visit, on the nodes of
+    both rules, with the bits of one call for each rule."""
+
+    @pytest.mark.parametrize("sigma", [3.0, 5.5])
+    def test_classical_modes_match_two_calls(self, sigma, monkeypatch):
+        got = {(k, z): classical_bargmann(sigma, laguerre_mode(k, sigma), z)
+               for k in range(5) for z in (0.1, 0.2, 0.3, 0.2 - 0.3j)}
+        monkeypatch.setattr(bargmann, "integrate_halfline", two_call_halfline)
+        for (k, z), pair in got.items():
+            want = classical_bargmann(sigma, laguerre_mode(k, sigma), z)
+            assert hex_pair(*pair) == hex_pair(*want)
+
+    def test_bisection_matches_two_calls_with_one_call_a_visit(self):
+        # sqrt(x) is not smooth at 0, so the first panel is bisected deep
+        def f(x):
+            return np.sqrt(x) * np.exp(-x) * (1.0 + 0.5j)
+
+        depths = []
+        want = two_call_halfline(f, 1.0, 1e-12, depths)
+        assert max(depths) >= 2
+        g, calls = counted_calls(f)
+        got = integrate_halfline(g, decay_scale=1.0, tol=1e-12)
+        assert hex_pair(*got) == hex_pair(*want)
+        assert calls == [len(depths)]
+
+    def test_scalar_result_is_broadcast(self):
+        # one value for the whole panel, e^-k on [k, k + 1]
+        def f(x):
+            return math.exp(-math.floor(x[0]))
+
+        got = integrate_halfline(f, decay_scale=1.0, tol=1e-10)
+        assert hex_pair(*got) == hex_pair(*two_call_halfline(f, 1.0, 1e-10))
+        assert abs(got[0] - 1.0 / (1.0 - math.exp(-1.0))) < 1e-10
+        assert integrate_halfline(lambda x: 0.0) == (0.0, 0.0)
+
+
 class TestIsometry:
     def test_ground_state(self):
         osc = OscParams(1.0)
@@ -518,6 +689,44 @@ class TestIsometry:
         osc = OscParams(1.0)
         rep = isometry_check(ModelParams(osc, 1), oscillator_mode(1, osc))
         assert rep["relative_gap"] < 1e-4
+
+    @pytest.mark.parametrize("case", ["overflow", "underflow", "subnormal"])
+    def test_f_past_the_double_range_raises(self, case):
+        # the overflow returned inf norms and a NaN gap, the underflow a
+        # gap of 0.0 where the unscaled f gives 0.5
+        osc = OscParams(1.0)
+        phi0, phi21 = oscillator_mode(0, osc), oscillator_mode(21, osc)
+        f = {"overflow": lambda xi: 1e160 * phi0(xi),
+             "underflow": lambda xi: 1e-170 * (phi0(xi) + phi21(xi))
+             / math.sqrt(2.0),
+             "subnormal": lambda xi: 1e-155 * phi0(xi)}[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergenceError, match="double"):
+                isometry_check(ModelParams(osc, 0), f)
+
+    def test_disk_norm_past_the_double_range_raises(self, monkeypatch):
+        # ||f||^2 = 1e308 is finite; a Gram ten times too large puts
+        # ||B[f]||^2 past the double range
+        osc = OscParams(1.0)
+        params = ModelParams(osc, 0)
+        phi0 = oscillator_mode(0, osc)
+        gram = bargmann._isometry_gram(params.landau_index())
+        monkeypatch.setattr(bargmann, "_isometry_gram", lambda idx: 10 * gram)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergenceError, match=r"B\[f\]"):
+                isometry_check(params, lambda xi: 1e154 * phi0(xi))
+
+    def test_small_f_inside_the_range_passes(self):
+        osc = OscParams(1.0)
+        phi0 = oscillator_mode(0, osc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = isometry_check(ModelParams(osc, 0),
+                                 lambda xi: 1e-100 * phi0(xi))
+        assert abs(rep["norm_f_sq"] / 1e-200 - 1.0) < 1e-12
+        assert rep["relative_gap"] < 1e-12
 
     def test_takes_no_budget(self):
         osc = OscParams(1.0)
