@@ -3,13 +3,15 @@
 Every rewrite rule used by the transform kernels is demonstrated
 numerically: the Pfaff transformation, the Appell collapse at d = b + c,
 the three F5 evaluation routes, and the two bilinear generating identities
-(Srivastava-Rao and Saran) that drive the closed forms.
+(Srivastava-Rao and Saran) that drive the closed forms.  Appell F1 and the
+F5 double series and integral are the oracles of ``relbargmann.reference``;
+the finite 2F1 reduction is the package's own F5.
 """
 
-import numpy as np
-
-from relbargmann import F5Args, appell_f1, gauss_2f1, kdf_f5, kdf_f5_integral, kdf_f5_series
-from relbargmann.verification import _saran_sides, _srivastava_rao_sides
+from relbargmann import gauss_2f1
+from relbargmann.reference import F5Args, appell_f1, kdf_f5_integral, kdf_f5_series
+from relbargmann.verification import (_f5_reduction, _saran_sides,
+                                      _srivastava_rao_sides)
 
 print("Pfaff transformation 2F1(a,b;c;x) = (1-x)^-a 2F1(a,c-b;c;x/(x-1)):")
 a, b, c, x = 0.7, 0.3, 1.9, 0.4
@@ -29,7 +31,7 @@ args = F5Args(c=1.2 + 0.5j, d=1.2 - 0.5j, e=1.7, a=3.4, a_prime=2.4,
               chi=0.15, zeta=0.2)
 series = kdf_f5_series(args)
 integral = kdf_f5_integral(args)
-reduction = kdf_f5(args)
+reduction = _f5_reduction(args)
 print(f"  double series        : {series:.12f}")
 print(f"  Euler-type integral  : gap {abs(integral - series):.1e}")
 print(f"  finite 2F1 reduction : gap {abs(reduction - series):.1e}")
@@ -38,7 +40,7 @@ print("\n  the reduction keeps working outside the series domain "
       "(|zeta| > 1, as the transform kernels require):")
 wide = F5Args(c=1.366 + 1j, d=1.366 - 1j, e=1.866, a=3.732, a_prime=2.732,
               chi=-5.0 / 3.0, zeta=4.0 / 3.0)
-print(f"  F5 at (chi, zeta) = (-5/3, 4/3): {kdf_f5(wide):.10f}")
+print(f"  F5 at (chi, zeta) = (-5/3, 4/3): {_f5_reduction(wide):.10f}")
 
 print("\n  collapse at a = a': F5 -> 2F1 at the combined argument:")
 col = F5Args(c=1.2 + 0.5j, d=1.2 - 0.5j, e=1.7, a=2.4, a_prime=2.4,

@@ -24,10 +24,8 @@ from .disk import (LandauIndex, basis_gram, basis_phi, basis_phi_batch,
                    measure_density, wirtinger_dzbar_fd)
 from .errors import (DomainError, InputFormatError, NonConvergenceError,
                      PoleError, RelBargmannError)
-from .hypergeom import (F5Args, appell_f1, gauss_2f1, hyp3f2_terminating_unit,
-                        kdf_f5, kdf_f5_integral, kdf_f5_series, ln_gamma,
-                        pochhammer, reciprocal_gamma)
-from .orthopoly import cdhahn_s, jacobi_connection, jacobi_p, laguerre_l
+from .hypergeom import gauss_2f1, pochhammer
+from .orthopoly import jacobi_p, laguerre_l
 from .oscillator import (ModelParams, OscParams, eigenfunction,
                          eigenfunction_batch, energy, gamma_of_c,
                          oscillator_gram)
@@ -48,10 +46,8 @@ __all__ = [
     "wirtinger_dzbar_fd",
     "DomainError", "InputFormatError", "NonConvergenceError", "PoleError",
     "RelBargmannError",
-    "F5Args", "appell_f1", "gauss_2f1", "hyp3f2_terminating_unit", "kdf_f5",
-    "kdf_f5_integral", "kdf_f5_series", "ln_gamma", "pochhammer",
-    "reciprocal_gamma",
-    "cdhahn_s", "jacobi_connection", "jacobi_p", "laguerre_l",
+    "gauss_2f1", "pochhammer",
+    "jacobi_p", "laguerre_l",
     "ModelParams", "OscParams", "eigenfunction", "eigenfunction_batch",
     "energy", "gamma_of_c", "oscillator_gram",
     "QuadratureRule", "gauss_jacobi", "gauss_legendre", "integrate_disk",

@@ -306,7 +306,6 @@ def cmd_transform(args: argparse.Namespace) -> int:
     points = parse_grid(args.grid) if args.grid else []
     if not points:
         raise ConfigError("transform needs a nonempty --grid")
-    _check_grid_cap(points)
     params = ModelParams(OscParams(args.c), args.m)
     result = relativistic_transform_grid(params, sampled, points)
     records = [{"re_z": z.real, "im_z": z.imag, "re_val": v.real,

@@ -71,10 +71,17 @@ class CoherentLabel:
 
 
 def normalization(idx: LandauIndex, z) -> float:
-    """Squared-norm factor N(z) = (sigma - 2m - 1) / (pi (1 - |z|^2)^sigma)."""
+    """Squared-norm factor N(z) = (sigma - 2m - 1) / (pi (1 - |z|^2)^sigma);
+    NonConvergenceError where it passes the double range (at c = 20,
+    |z| = 0.85)."""
     zz = check_disk(z)
     r = np.abs(np.asarray(zz)) ** 2
-    out = (idx.sigma - 2 * idx.m - 1.0) / (np.pi * (1.0 - r) ** idx.sigma)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = (idx.sigma - 2 * idx.m - 1.0) / (np.pi * (1.0 - r) ** idx.sigma)
+    if not np.isfinite(out).all():
+        raise NonConvergenceError(
+            f"N(z) overflows at |z| = {math.sqrt(np.max(r)):.6g}, "
+            f"sigma = {idx.sigma:.6g}")
     return out if np.shape(out) else float(out)
 
 
@@ -124,11 +131,7 @@ def truncation_order(idx: LandauIndex, z) -> int:
     r = abs(complex(z)) ** 2
     # |Phi_k(z)| = (1 - r)^-m |g_k(r)|: N(z) and the level on the scale of
     # the g_k
-    with np.errstate(over="ignore", divide="ignore"):
-        total = normalization(idx, z) * (1.0 - r) ** (2 * idx.m)
-    if not math.isfinite(total):
-        raise NonConvergenceError(
-            f"N(z) overflows at |z| = {math.sqrt(r):.6g}, sigma = {idx.sigma:.6g}")
+    total = normalization(idx, z) * (1.0 - r) ** (2 * idx.m)
     level = TAIL_LEVEL ** 2 * total
     n = 128
     while True:
@@ -175,11 +178,11 @@ def cs_distance(idx: LandauIndex, z, w) -> float:
 def _check_kernel_domain(z: complex):
     if abs(z) > KERNEL_RMAX:
         raise DomainError(
-            f"closed-form kernel is validated for |z| <= {KERNEL_RMAX}; "
-            f"got |z| = {abs(z):.4f}")
+            f"z = {z} violates the evaluation cap |z| <= {KERNEL_RMAX}")
     if abs(1.0 - z) < KERNEL_MIN_DIST_ONE:
         raise DomainError(
-            f"closed-form kernel requires |1 - z| >= {KERNEL_MIN_DIST_ONE}")
+            f"z = {z} violates the evaluation cap "
+            f"|1 - z| >= {KERNEL_MIN_DIST_ONE}")
 
 
 def _wavefunction_profile(params: ModelParams, z: complex, xi: np.ndarray,

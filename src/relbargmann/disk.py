@@ -107,16 +107,13 @@ def _phi_coeff_rows(k: np.ndarray, m: int, sigma: float) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=4096)
-def _phi_coeff_row(k: int, m: int, sigma: float) -> np.ndarray:
-    """Row k of the coefficients, built alone; cached, treat as read-only."""
-    return _phi_coeff_rows(np.array([k], dtype=float), m, sigma)
-
-
 @lru_cache(maxsize=64)
-def _phi_coeff_matrix(kmax: int, m: int, sigma: float) -> np.ndarray:
-    """Rows k = 0..kmax of the coefficients; cached, treat as read-only."""
-    return _phi_coeff_rows(np.arange(kmax + 1, dtype=float), m, sigma)
+def _phi_coeff_matrix(kmax: int, m: int, sigma: float,
+                      lo: int = 0) -> np.ndarray:
+    """Rows k = lo..kmax of the coefficients; cached, treat as read-only.
+    Callers ask for whole blocks of 32 rows, up to kmax | 31, so that a
+    k or kmax that moves from call to call reuses one build."""
+    return _phi_coeff_rows(np.arange(lo, kmax + 1, dtype=float), m, sigma)
 
 
 def _basis_rows(lo: int, coeffs: np.ndarray, idx: LandauIndex, z) -> np.ndarray:
@@ -162,8 +159,9 @@ def _check_basis(k: int, idx: LandauIndex, what: str) -> int:
 def basis_phi(k: int, idx: LandauIndex, z):
     """Orthonormal eigenbasis member Phi_k^{sigma,m}(z); z may be an ndarray."""
     k = _check_basis(k, idx, "basis index k")
-    row = _phi_coeff_row(k, idx.m, float(idx.sigma))
-    out = _basis_rows(k, row, idx, z)[0]
+    lo = k & ~31
+    block = _phi_coeff_matrix(k | 31, idx.m, float(idx.sigma), lo)
+    out = _basis_rows(k, block[k - lo:k - lo + 1], idx, z)[0]
     return out if out.shape else complex(out)
 
 
@@ -183,8 +181,6 @@ def basis_phi_batch(kmax: int, idx: LandauIndex, z) -> np.ndarray:
     """Stack of basis_phi(k, idx, z) for k = 0..kmax along the first axis,
     row k with the bits of ``basis_phi(k, idx, z)``."""
     kmax = _check_basis(kmax, idx, "basis order kmax")
-    # rows are built and cached in whole blocks of 32, so that a kmax that
-    # moves from call to call (a truncation order) reuses one build
     coeffs = _phi_coeff_matrix(kmax | 31, idx.m, float(idx.sigma))[:kmax + 1]
     return _basis_rows(0, coeffs, idx, z)
 

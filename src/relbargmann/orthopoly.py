@@ -18,10 +18,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .hypergeom import (_nonpos_int, _terminating_2f1,
-                        hyp3f2_terminating_unit, pochhammer)
-
-_REAL_TRUNC = 1e-12
+from .hypergeom import _nonpos_int, _terminating_2f1, pochhammer
 
 
 def _jacobi_series(n: int, alpha, beta, x) -> complex:
@@ -74,20 +71,6 @@ def jacobi_p(n: int, alpha, beta, x) -> complex:
     return ((1.0 - x) / 2.0) ** n * _jacobi_series(n, shifted, beta, (x + 3.0) / (x - 1.0))
 
 
-def jacobi_connection(n: int, alpha, beta, u) -> complex:
-    """Right-hand side of the parameter-shift connection formula.
-
-    Returns ((1-u)/2)^n P_n^{(-2n-alpha-beta-1, beta)}((u+3)/(u-1)); by the
-    connection identity this equals P_n^{(alpha, beta)}(u) wherever both are
-    defined.
-    """
-    u = complex(u)
-    if u == 1.0:
-        raise DomainError("connection formula is singular at u = 1")
-    shifted = -2 * n - complex(alpha) - complex(beta) - 1.0
-    return ((1.0 - u) / 2.0) ** n * jacobi_p(n, shifted, beta, (u + 3.0) / (u - 1.0))
-
-
 def laguerre_l(n: int, alpha: float, x):
     """Generalized Laguerre polynomial L_n^{(alpha)}(x); x may be an ndarray."""
     if n < 0 or n != int(n):
@@ -101,22 +84,6 @@ def laguerre_l(n: int, alpha: float, x):
     for k in range(1, n):
         prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
     return cur if cur.shape else float(cur)
-
-
-def cdhahn_s(n: int, xi: float, a: float, b: float, c: float) -> float:
-    """Continuous dual Hahn polynomial S_n(xi^2; a, b, c).
-
-    Defined through the terminating 3F2 at unit argument,
-    S_n = (a+b)_n (a+c)_n 3F2(-n, a+i xi, a-i xi; a+b, a+c; 1).  The terms are
-    individually complex but pair into conjugates, so the imaginary part is
-    pure roundoff and is truncated.
-    """
-    if n < 0 or n != int(n):
-        raise DomainError("polynomial degree must be a nonnegative integer")
-    n = int(n)
-    val = (complex(pochhammer(a + b, n) * pochhammer(a + c, n))
-           * hyp3f2_terminating_unit(n, a + 1j * xi, a - 1j * xi, a + b, a + c))
-    return float(val.real)
 
 
 def cdhahn_normalized_batch(kmax: int, xi, a: float, b: float, c: float) -> np.ndarray:

@@ -170,7 +170,8 @@ def jacobi_rule_01(n: int, exp_at_0: float, exp_at_1: float) -> QuadratureRule:
 #: ``oscillator.xi_layout``: the 32-point rule gives the value, its
 #: difference from the 16-point rule the error estimate.  The 32-point rule
 #: alone makes the norms and Gram matrices on that layout, the 16-point rule
-#: the panels of ``hypergeom._logit_panel_integral``
+#: the panels of the reference F5 integral,
+#: ``reference._logit_panel_integral``
 _COARSE_RULE = leggauss(16)
 _FINE_RULE = leggauss(32)
 

@@ -18,11 +18,11 @@ from relbargmann.coherent import (CoherentLabel, cs_wavefunction,
 from relbargmann.disk import (LandauIndex, basis_gram, basis_phi,
                               landau_level, maass_apply_fd,
                               wirtinger_dzbar_fd)
-from relbargmann.hypergeom import F5Args, kdf_f5, kdf_f5_series
 from relbargmann.orthopoly import laguerre_l
 from relbargmann.oscillator import ModelParams, OscParams, oscillator_gram
-from relbargmann.verification import (_reproducing_composition, _saran_sides,
-                                      _srivastava_rao_sides)
+from relbargmann.reference import F5Args, kdf_f5_series
+from relbargmann.verification import (_f5_reduction, _reproducing_composition,
+                                      _saran_sides, _srivastava_rao_sides)
 from test_hypergeom import _scalar_series_2f1
 
 DISK_CASES = ((5.0, 0), (7.5, 1), (9.0, 2))
@@ -134,9 +134,10 @@ def test_criterion_07_f5_and_pfaff():
         chi, zeta = rng.uniform(-0.25, 0.25, 2)
         args = F5Args(c=complex(gre, gim), d=complex(gre, -gim), e=e,
                       a=a, a_prime=a, chi=chi, zeta=zeta)
-        # kdf_f5 sums 2F1(c, d; e; chi + zeta) itself at a = a'; the double
-        # series is the independent reference
-        worst_f5 = max(worst_f5, abs(kdf_f5(args) - kdf_f5_series(args)))
+        # the package's reduction sums 2F1(c, d; e; chi + zeta) itself at
+        # a = a'; the double series is the independent reference
+        worst_f5 = max(worst_f5,
+                       abs(_f5_reduction(args) - kdf_f5_series(args)))
     worst_pfaff = 0.0
     for _ in range(100):
         a = rng.uniform(-2.0, 3.0)

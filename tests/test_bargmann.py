@@ -1154,8 +1154,7 @@ class TestParameterCaches:
         basis_phi(2, ModelParams(osc, 0).landau_index(), 0.1)
         cli.main(["spectrum", "--c", "1", "--kmax", "1", "--m", "0"])
         caches = [oscillator.xi_layout, bargmann._isometry_gram,
-                  bargmann._m0_exponent,
-                  disk._phi_coeff_row, disk._phi_coeff_matrix,
+                  bargmann._m0_exponent, disk._phi_coeff_matrix,
                   cli._shared_parser]
         assert all(cache.cache_info().currsize for cache in caches)
         cold_caches()

@@ -643,6 +643,15 @@ class TestTransform:
         assert code == 4
         assert "N(z) overflows" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, cap", [("0.1,0.9j", "|z| <= 0.85"),
+                                           ("0.85", "|1 - z| >= 0.2")])
+    def test_cap_violation_exit_3(self, ground_state_csv, tmp_path, capsys,
+                                  grid, cap):
+        code = run(["transform", "--input", str(ground_state_csv),
+                    "--grid", grid, "--out", str(tmp_path / "t.csv")])
+        assert code == 3
+        assert f"violates the evaluation cap {cap}" in capsys.readouterr().err
+
     def test_empty_grid_exit_2(self, ground_state_csv, tmp_path):
         code = run(["transform", "--c", "1", "--input", str(ground_state_csv),
                     "--grid", " ", "--out", str(tmp_path / "t.csv")])

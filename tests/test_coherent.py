@@ -1,6 +1,7 @@
 """Coherent states: normalization, overlap, distance, and wave functions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +34,18 @@ class TestNormalization:
         idx = LandauIndex(6.0, 1)
         vals = [normalization(idx, 0.4 * np.exp(1j * t)) for t in (0.0, 1.1, -2.3)]
         assert max(vals) - min(vals) < 1e-14
+
+    def test_overflow_raises_without_warning(self):
+        # c = 20, m = 0: sigma = 566.7 and N(0.85) is past the double range;
+        # it raises a typed error, never inf with a RuntimeWarning
+        idx = ModelParams(OscParams(20.0), 0).landau_index()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(normalization(idx, 0.5))
+            for z in (0.85, np.array([0.1, 0.85j])):
+                with pytest.raises(NonConvergenceError,
+                                   match=r"N\(z\) overflows at \|z\| = 0\.85"):
+                    normalization(idx, z)
 
 
 class TestOverlap:

@@ -1,4 +1,5 @@
-"""Hypergeometric kernels: frozen oracles, reductions, and domain checks."""
+"""Hypergeometric kernels and their reference oracles: frozen values,
+reductions, and domain checks."""
 
 import cmath
 import math
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from relbargmann.errors import DomainError, NonConvergenceError, PoleError
-from relbargmann.hypergeom import (F5Args, _series_2f1_vec, appell_f1,
-                                   gauss_2f1, gauss_2f1_vec,
-                                   hyp3f2_terminating_unit, kdf_f5,
-                                   kdf_f5_integral, kdf_f5_series, ln_gamma,
-                                   pochhammer, reciprocal_gamma)
+from relbargmann.hypergeom import (_nonpos_int, _series_2f1_vec, gauss_2f1,
+                                   gauss_2f1_vec, pochhammer)
 from relbargmann.oscillator import OscParams
+from relbargmann.reference import (F5Args, appell_f1, kdf_f5_integral,
+                                   kdf_f5_series)
+from relbargmann.special import loggamma
+from relbargmann.verification import _f5_reduction
 
 # mpmath loggamma(2+3i), 30 digits
 LOGGAMMA_2_3I = complex(-2.0928517530927333496, 2.3023965434668676262)
@@ -47,40 +49,45 @@ def _scalar_series_2f1(a, b, c, w):
     raise AssertionError("reference series did not settle")
 
 
+def hyp3f2_terminating_unit(n: int, a2, a3, b1, b2) -> complex:
+    """3F2(-n, a2, a3; b1, b2; 1) as the exact finite sum over n+1 terms:
+    the reference of the continuous dual Hahn recurrence."""
+    if n < 0 or n != int(n):
+        raise DomainError("3F2 termination order must be a nonnegative integer")
+    n = int(n)
+    for b in (b1, b2):
+        q = _nonpos_int(b)
+        if q is not None and q < n:
+            raise PoleError(f"3F2 denominator parameter {b} hits a pole")
+    a2, a3, b1, b2 = complex(a2), complex(a3), complex(b1), complex(b2)
+    total = 1.0 + 0.0j
+    term = 1.0 + 0.0j
+    for k in range(n):
+        term *= (-n + k) * (a2 + k) * (a3 + k) / ((b1 + k) * (b2 + k) * (k + 1))
+        total += term
+    return total
+
+
 class TestLnGamma:
+    """The principal log-gamma the package takes from ``special``."""
+
     def test_at_one(self):
-        assert ln_gamma(1.0) == 0.0
+        assert loggamma(1.0) == 0.0
 
     def test_at_half(self):
-        assert abs(ln_gamma(0.5) - math.log(math.sqrt(math.pi))) < 1e-14
+        assert abs(loggamma(0.5) - math.log(math.sqrt(math.pi))) < 1e-14
 
     def test_complex_reference(self):
-        assert abs(ln_gamma(2 + 3j) - LOGGAMMA_2_3I) < 1e-12
+        assert abs(loggamma(2 + 3j) - LOGGAMMA_2_3I) < 1e-12
 
     def test_exp_matches_factorials(self):
         for n in range(1, 10):
-            assert abs(np.exp(ln_gamma(n + 1)) - math.factorial(n)) \
+            assert abs(np.exp(loggamma(n + 1)) - math.factorial(n)) \
                 < 1e-12 * math.factorial(n)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, -7.0])
     def test_poles(self, bad):
-        with pytest.raises(PoleError):
-            ln_gamma(bad)
-
-
-class TestReciprocalGamma:
-    def test_regular_points(self):
-        assert abs(reciprocal_gamma(2.5) - 1.0 / math.gamma(2.5)) < 1e-14
-        w = 1.3 + 0.7j
-        assert abs(reciprocal_gamma(w) - np.exp(-ln_gamma(w))) < 1e-14
-
-    @pytest.mark.parametrize("zero", [0.0, -1.0, -2.0, -5.0])
-    def test_entire_zeros(self, zero):
-        assert reciprocal_gamma(zero) == 0.0
-
-    def test_near_pole_continuity(self):
-        eps = 1e-8
-        assert abs(reciprocal_gamma(eps)) < 2e-8
+        assert np.isnan(loggamma(bad))
 
 
 class TestPochhammer:
@@ -91,9 +98,9 @@ class TestPochhammer:
         assert pochhammer(1.0, 5) == 120.0
 
     def test_gamma_ratio(self):
-        # (a)_n = Gamma(a + n)/Gamma(a), cross-checked through ln_gamma
+        # (a)_n = Gamma(a + n)/Gamma(a), cross-checked through loggamma
         a, n = 2.8, 7
-        ratio = np.exp(ln_gamma(a + n) - ln_gamma(a))
+        ratio = np.exp(loggamma(a + n) - loggamma(a))
         assert abs(pochhammer(a, n) - ratio) < 1e-12 * abs(ratio)
 
     def test_large_order_switches_to_gamma(self):
@@ -373,7 +380,7 @@ class TestHyp3F2:
             t = np.exp(log_t)
             vals = np.exp(rho * log_t + omega * log_1mt) * inner(t)
             total += 0.5 * h * np.sum(wg * vals)
-        total *= np.exp(ln_gamma(rho + omega) - ln_gamma(rho) - ln_gamma(omega))
+        total *= np.exp(loggamma(rho + omega) - loggamma(rho) - loggamma(omega))
         want = hyp3f2_terminating_unit(3, beta, rho, tau, rho + omega)
         assert abs(total - want) < 1e-9
 
@@ -426,11 +433,12 @@ class TestKdfF5:
         args = F5Args(c=1.2 + 0.5j, d=1.2 - 0.5j, e=1.7, a=3.4, a_prime=2.4,
                       chi=0.0, zeta=0.2)
         want = gauss_2f1(args.c, args.d, args.e, 0.2)
-        assert abs(kdf_f5(args) - want) < 1e-11
+        assert abs(_f5_reduction(args) - want) < 1e-11
         assert abs(kdf_f5_integral(args) - want) < 1e-10
 
     def test_a_equals_aprime_collapse(self):
-        # kdf_f5 itself sums this 2F1 here, so the double series checks it
+        # the reduction itself sums this 2F1 here, so the double series
+        # checks it
         args = F5Args(c=1.2 + 0.5j, d=1.2 - 0.5j, e=1.7, a=2.4, a_prime=2.4,
                       chi=0.15, zeta=0.2)
         want = gauss_2f1(args.c, args.d, args.e, 0.35)
@@ -445,7 +453,7 @@ class TestKdfF5:
     def test_three_paths_agree_integer_gap(self, m):
         args = _kernel_args(m=m)
         series = kdf_f5_series(args)
-        assert abs(series - kdf_f5(args)) < 1e-12 * (1 + abs(series))
+        assert abs(series - _f5_reduction(args)) < 1e-12 * (1 + abs(series))
         assert abs(series - kdf_f5_integral(args)) < 1e-10 * (1 + abs(series))
 
     def test_wide_domain_against_series_limit(self):
@@ -453,7 +461,7 @@ class TestKdfF5:
         args = _kernel_args(m=1, chi=-5.0 / 3.0, zeta=4.0 / 3.0)
         with pytest.raises(DomainError):
             kdf_f5_series(args)
-        val = kdf_f5(args)
+        val = _f5_reduction(args)
         assert np.isfinite(val.real) and np.isfinite(val.imag)
 
     def test_conjugation_symmetry(self):
@@ -461,22 +469,26 @@ class TestKdfF5:
         conj_args = F5Args(c=np.conj(args.c), d=np.conj(args.d), e=args.e,
                            a=args.a, a_prime=args.a_prime, chi=args.chi,
                            zeta=args.zeta)
-        assert abs(kdf_f5(conj_args) - np.conj(kdf_f5(args))) < 1e-12
+        assert abs(_f5_reduction(conj_args)
+                   - np.conj(_f5_reduction(args))) < 1e-12
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            kdf_f5(F5Args(c=1.0, d=-0.5, e=1.0, a=2.0, a_prime=2.0,
-                          chi=0.1, zeta=0.1))
-        with pytest.raises(DomainError):
-            kdf_f5(F5Args(c=1.0, d=0.5, e=0.3, a=2.0, a_prime=2.0,
-                          chi=0.1, zeta=0.1))
-        with pytest.raises(PoleError):
-            kdf_f5(F5Args(c=1.0, d=0.5, e=2.0, a=2.0, a_prime=-1.0,
-                          chi=0.1, zeta=0.1))
+        for route in (kdf_f5_series, kdf_f5_integral):
+            with pytest.raises(DomainError):
+                route(F5Args(c=1.0, d=-0.5, e=1.0, a=2.0, a_prime=2.0,
+                             chi=0.1, zeta=0.1))
+            with pytest.raises(DomainError):
+                route(F5Args(c=1.0, d=0.5, e=0.3, a=2.0, a_prime=2.0,
+                             chi=0.1, zeta=0.1))
+            with pytest.raises(PoleError):
+                route(F5Args(c=1.0, d=0.5, e=2.0, a=2.0, a_prime=-1.0,
+                             chi=0.1, zeta=0.1))
 
     def test_no_valid_path_raises(self):
         # non-integer gap, far outside both series and integral domains
         args = F5Args(c=1.5 + 0.3j, d=1.5 - 0.3j, e=2.0, a=4.2, a_prime=3.0,
                       chi=-5.0, zeta=4.0 / 3.0)
-        with pytest.raises((DomainError, NonConvergenceError)):
-            kdf_f5(args)
+        assert args.integer_gap() is None
+        for route in (kdf_f5_series, kdf_f5_integral):
+            with pytest.raises((DomainError, NonConvergenceError)):
+                route(args)

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from relbargmann.errors import DomainError
-from relbargmann.hypergeom import ln_gamma
+from relbargmann.hypergeom import pochhammer
 from relbargmann.oscillator import XI_LENGTH, OscParams, xi_layout
-from relbargmann.orthopoly import (cdhahn_normalized_batch, cdhahn_s,
-                                   jacobi_connection, jacobi_p, laguerre_l)
+from relbargmann.orthopoly import cdhahn_normalized_batch, jacobi_p, laguerre_l
 from relbargmann.quadrature import integrate_halfline
+from relbargmann.special import loggamma
+from test_hypergeom import hyp3f2_terminating_unit
 
 
 def jacobi_recurrence(n, alpha, beta, x):
@@ -29,13 +30,36 @@ def jacobi_recurrence(n, alpha, beta, x):
     return p_cur
 
 
+def jacobi_connection(n: int, alpha, beta, u) -> complex:
+    """Right-hand side of the parameter-shift connection formula,
+    ((1-u)/2)^n P_n^{(-2n-alpha-beta-1, beta)}((u+3)/(u-1)), which equals
+    P_n^{(alpha, beta)}(u) wherever both are defined."""
+    u = complex(u)
+    if u == 1.0:
+        raise DomainError("connection formula is singular at u = 1")
+    shifted = -2 * n - complex(alpha) - complex(beta) - 1.0
+    return ((1.0 - u) / 2.0) ** n * jacobi_p(n, shifted, beta,
+                                             (u + 3.0) / (u - 1.0))
+
+
+def cdhahn_s(n: int, xi: float, a: float, b: float, c: float) -> float:
+    """Continuous dual Hahn polynomial S_n(xi^2; a, b, c) through the
+    terminating 3F2 at unit argument,
+    S_n = (a+b)_n (a+c)_n 3F2(-n, a+i xi, a-i xi; a+b, a+c; 1): the reference
+    of ``cdhahn_normalized_batch``.  The terms pair into conjugates, so the
+    imaginary part is pure roundoff and is truncated."""
+    val = (complex(pochhammer(a + b, n) * pochhammer(a + c, n))
+           * hyp3f2_terminating_unit(n, a + 1j * xi, a - 1j * xi, a + b, a + c))
+    return float(val.real)
+
+
 class TestJacobi:
     def test_degree_zero(self):
         assert jacobi_p(0, 2.4, -0.7, 0.3) == 1.0
 
     def test_value_at_one(self):
         n, alpha, beta = 4, 1.7, 0.4
-        want = math.exp((ln_gamma(n + alpha + 1) - ln_gamma(alpha + 1)).real) \
+        want = math.exp((loggamma(n + alpha + 1) - loggamma(alpha + 1)).real) \
             / math.factorial(n)
         assert abs(jacobi_p(n, alpha, beta, 1.0) - want) < 1e-13
 

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from relbargmann.bargmann import SampledFunction
-from relbargmann.errors import InputFormatError, PoleError
-from relbargmann.hypergeom import ln_gamma, reciprocal_gamma
+from relbargmann.errors import InputFormatError
 from relbargmann.quadrature import gauss_jacobi
 from relbargmann.special import gammaln, loggamma
 from relbargmann.spline import CubicSpline
@@ -95,14 +94,6 @@ class TestLogGamma:
         ref = mp_loggamma(z)
         got = loggamma(z)
         assert np.all(np.abs(got - ref) <= 2e-15 * (1.0 + np.abs(ref)))
-        assert np.all([ln_gamma(v) == g for v, g in zip(z, got)])
-
-    def test_reciprocal_gamma_near_negative_axis(self):
-        rng = np.random.default_rng(RNG_SEED)
-        z = rng.uniform(-30.0, 0.0, 200) + 1j * rng.uniform(-1e-3, 1e-3, 200)
-        got = np.array([reciprocal_gamma(v) for v in z])
-        ref = np.array([complex(mp.rgamma(mp.mpc(complex(v)))) for v in z])
-        assert np.all(np.abs(got - ref) <= 1e-13 * np.abs(ref))
 
     @pytest.mark.parametrize("pole", [0.0, -1.0, -2.0, -7.0, -30.0])
     def test_poles(self, pole):
@@ -110,9 +101,6 @@ class TestLogGamma:
             warnings.simplefilter("error")
             assert np.isnan(loggamma(pole))
             assert np.isnan(loggamma(np.array([1.5, pole, -0.5]))[1])
-            assert reciprocal_gamma(pole) == 0.0
-        with pytest.raises(PoleError):
-            ln_gamma(pole)
 
     def test_each_element_has_its_own_bits(self):
         # the layout and m = 0 caches evaluate loggamma on all nodes and
