@@ -16,8 +16,11 @@ Three transforms are implemented:
 * ``relativistic_transform_m0`` -- the analytic (m = 0) reduction, whose
   kernel collapses to a single Gauss function 2F1(gamma - i xi, 1/2 - i xi;
   gamma + 1/2; z); its image consists of holomorphic functions.
-  ``relativistic_transform_m0_grid`` evaluates it on a grid of points with
-  one evaluation of f, and the one-point call is its one-point case.
+
+The two relativistic transforms are one half-line integral against two
+kernels, summed by one driver, ``_layout_transform``: the two ``_grid``
+calls pass it only their kernel (the m = 0 route also its prefactor), and
+each one-point call is the grid call of its one point.
 
 Transforms are evaluated against either a callable f(xi) (vectorised over
 ndarray) or a :class:`SampledFunction`, which is interpolated by a cubic
@@ -74,10 +77,11 @@ from .coherent import (_check_kernel_domain, _kernel_coeffs, _kernel_expansion,
 # looked up here by the layer tracer of bench/tracing.py
 from .coherent import transform_kernel  # noqa: F401
 from .disk import LandauIndex, basis_gram, check_disk
-from .errors import DomainError, InputFormatError, NonConvergenceError
+from .errors import (DomainError, InputFormatError, NonConvergenceError,
+                     _check_order)
 from .hypergeom import gauss_2f1_vec
 from .oscillator import (_ISOMETRY_KMAX, XI_LENGTH, ModelParams, OscParams,
-                         _check_order, _fine_columns, _panel_count, _project,
+                         _fine_columns, _panel_count, _project,
                          eigenfunction_batch, state_end, state_polynomials,
                          xi_layout)
 from .quadrature import _COARSE_RULE, _FINE_RULE, integrate_halfline
@@ -178,8 +182,8 @@ def classical_bargmann(sigma: float, f, z):
     at a node (naming the smallest such xi of the panel), or a result that
     is not one value for each node, raises InputFormatError.
     """
-    if sigma <= 1.0:
-        raise DomainError("classical transform requires sigma > 1")
+    if not 1.0 < sigma < math.inf:
+        raise DomainError("classical transform requires a finite sigma > 1")
     z = complex(check_disk(z))
     _check_kernel_domain(z)
     func = _as_callable(f)
@@ -212,50 +216,43 @@ def _panel_sums(vals: np.ndarray, half: np.ndarray):
     return total, err_total
 
 
-def _check_points(points) -> list[complex]:
-    """The disk points as complex numbers, each inside the kernel cap."""
-    pts = [complex(check_disk(z)) for z in points]
-    for z in pts:
-        _check_kernel_domain(z)
-    return pts
+def _layout_transform(params: ModelParams, f, points, kernel,
+                      pref=None) -> TransformResult:
+    """The transform at each of ``points`` on the fixed layout of c at
+    XI_LENGTH, for both kernels.
 
-
-def _expansion_transform(params: ModelParams, func, points):
-    """``(values, err_estimates)`` of B[f] at each of ``points``, through the
-    basis expansion of the kernel on the fixed layout.
-
-    f is evaluated once on the layout, and the real polynomial table of the
-    states is built once, on the nodes where f is non-zero, up to the
-    largest ``truncation_order`` of the points; the state prefactor on those
-    nodes comes from the cached ``xi_layout`` of c at XI_LENGTH.  Each point
-    sums the rows up to its own order.  The integrand is an exact zero at
-    the other nodes, and a zero f builds no table.  Every Gauss node lies
-    inside its panel, so xi > 0.
+    Every point is checked against the disk and the kernel cap before f is
+    evaluated, once, on the layout.  ``kernel(zs, live, xi, f_live)`` is a
+    generator that yields each point's integrand at the nodes ``live``
+    where f is non-zero, whose xi and f values it is given; the integrand
+    is an exact zero at the other nodes, and a zero f starts no kernel.
+    ``pref(z)``, if given, scales the point's value, and its modulus the
+    error estimate.
     """
-    pts = _check_points(points)
-    if not pts:
-        return [], []
-    nodes, half, conj_pref = xi_layout(params.osc, XI_LENGTH)
-    xi = nodes.ravel()
-    f_vals = _values_on(func, xi)
-    live = np.flatnonzero(f_vals != 0)
+    pts = np.asarray(points, dtype=complex).ravel()
+    func = _as_callable(f)
+    zs = [complex(check_disk(z)) for z in pts]
+    for z in zs:
+        _check_kernel_domain(z)
     values, errors = [], []
-    if live.size:
-        idx = params.landau_index()
-        orders = [truncation_order(idx, z) for z in pts]
-        poly, norms = state_polynomials(max(orders), params.osc, xi[live])
-        pref_live, f_live = conj_pref[live], f_vals[live]
-    integrand = np.zeros(xi.shape, dtype=complex)
-    for i, z in enumerate(pts):
-        if live.size:
-            coeffs = _kernel_coeffs(idx, z, orders[i], norms)
-            # f times the kernel, in this order, as at every node
-            integrand[live] = f_live * _kernel_expansion(z, coeffs, poly,
-                                                         pref_live)
-        value, err = _panel_sums(integrand.reshape(nodes.shape), half)
-        values.append(value)
-        errors.append(err)
-    return values, errors
+    if zs:
+        nodes, half, _ = xi_layout(params.osc, XI_LENGTH)
+        xi = nodes.ravel()
+        f_vals = _values_on(func, xi)
+        live = np.flatnonzero(f_vals != 0)
+        rows = kernel(zs, live, xi[live], f_vals[live]) if live.size else None
+        integrand = np.zeros(xi.shape, dtype=complex)
+        for z in zs:
+            if rows is not None:
+                integrand[live] = next(rows)
+            value, err = _panel_sums(integrand.reshape(nodes.shape), half)
+            if pref is not None:
+                scale = pref(z)
+                value, err = scale * value, abs(scale) * err
+            values.append(value)
+            errors.append(err)
+    return TransformResult(points=pts, values=np.array(values, dtype=complex),
+                           params=params, errors=np.array(errors, dtype=float))
 
 
 def relativistic_transform(params: ModelParams, f, z, with_error: bool = False):
@@ -272,10 +269,33 @@ def relativistic_transform(params: ModelParams, f, z, with_error: bool = False):
     16-point Gauss-Legendre values.  A non-finite value of f at a node, or
     a result of f that is not one value for each node, raises
     InputFormatError, a kernel that is not finite (at very large c)
-    NonConvergenceError.
+    NonConvergenceError.  This is :func:`relativistic_transform_grid` at
+    the one point z.
     """
-    (value,), (err,) = _expansion_transform(params, _as_callable(f), [z])
+    res = relativistic_transform_grid(params, f, [z])
+    (value,), (err,) = res.values.tolist(), res.errors.tolist()
     return (value, err) if with_error else value
+
+
+def relativistic_transform_grid(params: ModelParams, f,
+                                points) -> TransformResult:
+    """Evaluate the transform on a grid of disk points, with one evaluation
+    of f for the whole grid.  The real polynomial table of the states is
+    built once, on the nodes where f is non-zero, up to the largest
+    ``truncation_order`` of the points; each point sums its rows up to its
+    own order, so a value has the bits of the same point alone.  A point
+    outside the kernel cap raises DomainError before f is evaluated."""
+    def integrands(zs, live, xi, f_live):
+        idx = params.landau_index()
+        orders = [truncation_order(idx, z) for z in zs]
+        poly, norms = state_polynomials(max(orders), params.osc, xi)
+        pref_live = xi_layout(params.osc, XI_LENGTH)[2][live]
+        for z, order in zip(zs, orders):
+            coeffs = _kernel_coeffs(idx, z, order, norms)
+            # f times the kernel, in this order, as at every node
+            yield f_live * _kernel_expansion(z, coeffs, poly, pref_live)
+
+    return _layout_transform(params, f, points, integrands)
 
 
 @lru_cache(maxsize=32)
@@ -291,87 +311,47 @@ def _m0_exponent(osc: OscParams) -> np.ndarray:
     return expo
 
 
-def _m0_transform(osc: OscParams, func, points):
-    """``(values, err_estimates)`` of the m = 0 transform at each of
-    ``points``, through its reduced single-2F1 kernel on the fixed layout.
-
-    Every point is checked before f is evaluated, once, on the layout.  The
-    live mask, the cached exponent and f are gathered at the live nodes
-    once; each point then adds only its own -i xi log(1 - z), the 2F1 and
-    the prefactor (1 - z)^(-gamma), keeping one point's integrand at a time.
-    The kernel is elementwise, so every value has the bits of the kernel
-    built at the live nodes for that point alone.
-    """
-    pts = _check_points(points)
-    if not pts:
-        return [], []
-    gamma = osc.gamma
-    lpref = (0.5 * math.log(2.0) + 0.5 * (math.log(2.0 * gamma - 1.0)
-             - math.log(math.pi) - math.lgamma(2.0 * gamma))
-             - math.lgamma(gamma + 0.5))
-    scale = math.exp(lpref) * np.exp(-1j * math.pi * gamma / 2.0)
-    nodes, half, _ = xi_layout(osc, XI_LENGTH)
-    xi = nodes.ravel()
-    f_vals = _values_on(func, xi)
-    live = f_vals != 0
-    any_live = live.any()
-    if any_live:
-        i_xl = 1j * xi[live]
-        expo, f_live = _m0_exponent(osc)[live], f_vals[live]
-    integrand = np.zeros(xi.shape, dtype=complex)
-    values, errors = [], []
-    for z in pts:
-        if any_live:
-            gam_fac = np.exp(expo - i_xl * np.log(1.0 - z))
-            # kernel times f, in this order: the product is not bitwise
-            # symmetric
-            integrand[live] = gam_fac * gauss_2f1_vec(gamma - i_xl,
-                                                      0.5 - i_xl, gamma + 0.5,
-                                                      z) * f_live
-        value, err = _panel_sums(integrand.reshape(nodes.shape), half)
-        pref = scale * (1.0 - z) ** (-gamma)
-        values.append(pref * value)
-        errors.append(abs(pref) * err)
-    return values, errors
-
-
 def relativistic_transform_m0(osc: OscParams, f, z, with_error: bool = False):
     """The m = 0 transform through its reduced single-2F1 kernel.
 
     Same layout and return value as :func:`relativistic_transform` at
-    m = 0; the kernel is evaluated only at the nodes where f is non-zero.
-    Its z-independent exponent (the ``loggamma``s and the c^(4 i xi)
-    phase) comes from a per-c cache, ``_m0_exponent``, and each call adds
-    only -i xi log(1 - z) and the 2F1 at the live nodes; elementwise, so
-    the bits are those of the kernel built at those nodes alone.  This is
-    the one-point case of :func:`relativistic_transform_m0_grid`.
+    m = 0, as numpy scalars; this is :func:`relativistic_transform_m0_grid`
+    at the one point z.
     """
-    (value,), (err,) = _m0_transform(osc, _as_callable(f), [z])
+    res = relativistic_transform_m0_grid(osc, f, [z])
+    (value,), (err,) = res.values, res.errors
     return (value, err) if with_error else value
 
 
 def relativistic_transform_m0_grid(osc: OscParams, f,
                                    points) -> TransformResult:
     """The m = 0 transform on a grid of disk points, with one evaluation of
-    f for the whole grid; each value and error estimate has the bits of
-    :func:`relativistic_transform_m0` at its point.  A point outside the
-    kernel cap raises DomainError before f is evaluated."""
-    pts = np.asarray(points, dtype=complex).ravel()
-    vals, errs = _m0_transform(osc, _as_callable(f), pts)
-    return TransformResult(points=pts, values=np.array(vals, dtype=complex),
-                           params=ModelParams(osc, 0),
-                           errors=np.array(errs, dtype=float))
+    f for the whole grid; the kernel is evaluated only at the nodes where f
+    is non-zero.  Its z-independent exponent (the ``loggamma``s and the
+    c^(4 i xi) phase) comes from a per-c cache, ``_m0_exponent``, gathered
+    at those nodes once; each point adds only its own -i xi log(1 - z), the
+    2F1 and the prefactor (1 - z)^(-gamma).  The kernel is elementwise, so
+    a value has the bits of the kernel built at the live nodes for that
+    point alone.  A point outside the kernel cap raises DomainError before
+    f is evaluated."""
+    gamma = osc.gamma
+    lpref = (0.5 * math.log(2.0) + 0.5 * (math.log(2.0 * gamma - 1.0)
+             - math.log(math.pi) - math.lgamma(2.0 * gamma))
+             - math.lgamma(gamma + 0.5))
+    scale = math.exp(lpref) * np.exp(-1j * math.pi * gamma / 2.0)
 
+    def integrands(zs, live, xi, f_live):
+        i_xl = 1j * xi
+        expo = _m0_exponent(osc)[live]
+        for z in zs:
+            gam_fac = np.exp(expo - i_xl * np.log(1.0 - z))
+            # kernel times f, in this order: the product is not bitwise
+            # symmetric
+            yield gam_fac * gauss_2f1_vec(gamma - i_xl, 0.5 - i_xl,
+                                          gamma + 0.5, z) * f_live
 
-def relativistic_transform_grid(params: ModelParams, f,
-                                points) -> TransformResult:
-    """Evaluate the transform on a grid of disk points, with one evaluation
-    of f and one table of the states for the whole grid; each value has the
-    bits of :func:`relativistic_transform` at its point."""
-    pts = np.asarray(points, dtype=complex).ravel()
-    vals, errs = _expansion_transform(params, _as_callable(f), pts)
-    return TransformResult(points=pts, values=np.array(vals, dtype=complex),
-                           params=params, errors=np.array(errs, dtype=float))
+    return _layout_transform(ModelParams(osc, 0), f, points, integrands,
+                             lambda z: scale * (1.0 - z) ** (-gamma))
 
 
 #: the largest share of ||f||^2 the last two panels of the layout of

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .bargmann import SampledFunction, relativistic_transform_grid
-from .coherent import (KERNEL_RMAX, _check_kernel_domain,
+from .coherent import (KERNEL_RMAX, LAYOUT_BLOCK_NODES, _check_kernel_domain,
                        _kernel_to_wavefunction, overlap,
                        transform_kernel_series_grid)
 # looked up here by the layer tracer of bench/tracing.py
@@ -44,10 +44,6 @@ EVAL_FUNCTIONS = ("basis_phi", "eigenfunction", "cs_wavefunction", "overlap",
 #: one ``eval`` request may tabulate; checked before anything is allocated.
 #: The package's one table limit, which ``oscillator_gram`` applies too
 MAX_GRID_POINTS = MAX_TABLE_ENTRIES
-
-#: most values one vector call of ``eval`` computes: z per call, or entries
-#: of the eigenfunction table or of the kernel's state table
-LAYOUT_BLOCK_NODES = 16384
 
 
 class ConfigError(Exception):
@@ -210,8 +206,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         points = parse_grid(args.grid)
         if not points:
             raise ConfigError("empty z grid")
-        _check_grid_cap(points)
         if fn in ("basis_phi", "overlap"):
+            _check_grid_cap(points)
             sigma = args.sigma if args.sigma is not None else ModelParams(
                 OscParams(args.c), args.m).sigma
             idx = LandauIndex(sigma, args.m)
@@ -247,8 +243,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             params = ModelParams(OscParams(args.c), args.m)
             idx = params.landau_index()
             columns = ["re_z", "im_z", "xi", "re_val", "im_val"]
-            table = transform_kernel_series_grid(params, points, xis,
-                                                 LAYOUT_BLOCK_NODES)
+            table = transform_kernel_series_grid(params, points, xis)
             n = len(xis)
             for z, vals in zip(points, table):
                 if fn == "cs_wavefunction":

@@ -57,6 +57,11 @@ KERNEL_MIN_DIST_ONE = 0.2
 TAIL_LEVEL = 1e-15
 K_CAP = 8000
 
+#: most entries of one block of the state table that
+#: ``transform_kernel_series_grid`` sums the kernel from; ``eval`` blocks
+#: its other vector calls at it too
+LAYOUT_BLOCK_NODES = 16384
+
 
 @dataclass(frozen=True)
 class CoherentLabel:
@@ -66,8 +71,7 @@ class CoherentLabel:
     params: ModelParams
 
     def __post_init__(self):
-        if abs(complex(self.z)) >= 1.0:
-            raise DomainError("coherent-state label must lie inside the unit disk")
+        check_disk(complex(self.z), "coherent-state label")
 
 
 def normalization(idx: LandauIndex, z) -> float:
@@ -303,16 +307,15 @@ def _kernel_expansion(z: complex, coeffs: np.ndarray, poly: np.ndarray,
     return out
 
 
-def transform_kernel_series_grid(params: ModelParams, points, xi,
-                                 max_entries: int | None = None) -> np.ndarray:
+def transform_kernel_series_grid(params: ModelParams, points, xi) -> np.ndarray:
     """The kernel expansion of :func:`transform_kernel_series` at every
     disk point of ``points`` (rows) and every xi of ``xi`` (columns).
 
     Each point's ``truncation_order`` K(z) and coefficients are computed
     once.  The states' polynomial table, up to the largest K, is built on
-    blocks of the xi > 0, each of at most max(1, max_entries // (K + 1))
-    nodes (all in one block without ``max_entries``), and every point sums
-    its own rows k <= K(z) of it.  Each value has the bits of
+    blocks of the xi > 0, each of at most
+    max(1, LAYOUT_BLOCK_NODES // (K + 1)) nodes, and every point sums its
+    own rows k <= K(z) of it.  Each value has the bits of
     :func:`transform_kernel_series` at its (z, xi) pair alone, whatever the
     blocking; the values at xi = 0 are 0.
     """
@@ -327,8 +330,7 @@ def transform_kernel_series_grid(params: ModelParams, points, xi,
     norms = state_norms(kmax, params.osc)
     coeffs = [_kernel_coeffs(idx, z, k, norms) for z, k in zip(pts, orders)]
     pos = np.flatnonzero(xi > 0)
-    block = max(1, len(pos) if max_entries is None
-                else max_entries // (kmax + 1))
+    block = max(1, LAYOUT_BLOCK_NODES // (kmax + 1))
     for start in range(0, len(pos), block):
         cols = pos[start:start + block]
         poly, _, conj_pref = conj_state_factors(kmax, params.osc, xi[cols])

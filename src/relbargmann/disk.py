@@ -25,8 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError
-from .oscillator import _check_order
+from .errors import DomainError, NonConvergenceError, _check_order
 from .quadrature import jacobi_rule_01
 from .special import gammaln
 
@@ -68,9 +67,10 @@ def check_disk(z, name: str = "z"):
 
 
 def bergman_distance(z, w) -> float:
-    """Hyperbolic (Bergman) distance between two points of the disk."""
-    z = complex(z)
-    w = complex(w)
+    """Hyperbolic (Bergman) distance between two points of the disk; a
+    point on or outside the unit circle, or NaN, raises DomainError."""
+    z = complex(check_disk(z, "z"))
+    w = complex(check_disk(w, "w"))
     num = (1.0 - z * np.conj(w)) * (1.0 - np.conj(z) * w)
     den = (1.0 - abs(z) ** 2) * (1.0 - abs(w) ** 2)
     ratio = num.real / den

@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and their one check of an
+order (a degree, level or node count)."""
 
 
 class RelBargmannError(Exception):
@@ -19,3 +20,15 @@ class NonConvergenceError(RelBargmannError):
 
 class InputFormatError(RelBargmannError):
     """An input file or sampled function fails validation."""
+
+
+def _check_order(k, what: str) -> int:
+    """k as an int; DomainError unless it is a nonnegative integer (a NaN,
+    an inf, a fraction or a non-number included)."""
+    try:
+        ok = k >= 0 and k == int(k)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise DomainError(f"{what} must be a nonnegative integer")
+    return int(k)

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError, PoleError
+from .errors import DomainError, NonConvergenceError, PoleError, _check_order
 from .special import loggamma
 
 _EPS = float(np.finfo(float).eps)
@@ -41,10 +41,8 @@ def pochhammer(a, n: int) -> complex:
     integer, where the log-gamma route would meet poles; otherwise
     exp(loggamma(a + n) - loggamma(a)).
     """
-    if n < 0 or n != int(n):
-        raise DomainError("pochhammer order must be a nonnegative integer")
+    n = _check_order(n, "pochhammer order")
     a = complex(a)
-    n = int(n)
     if n <= 128 or _nonpos_int(a) is not None:
         out = 1.0 + 0.0j
         for i in range(n):
@@ -206,6 +204,7 @@ def f5_kernel_vec(c, d, e, m: int, ap, chi, zeta) -> np.ndarray:
     with q_j = (-m)_j (a'-c)_j / ((a')_j j!).  For m = 0 this is the familiar
     collapse F5 = 2F1(c, d; e; chi + zeta).
     """
+    m = _check_order(m, "F5 order m")
     c = np.asarray(c, dtype=complex)
     d = np.asarray(d, dtype=complex)
     e, ap = complex(e), complex(ap)

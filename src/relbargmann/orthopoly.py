@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import _check_order
 from .hypergeom import _nonpos_int, _terminating_2f1, pochhammer
 
 
@@ -47,9 +47,7 @@ def jacobi_p(n: int, alpha, beta, x) -> complex:
     formula reroutes the evaluation (with the explicit binomial sum as a last
     resort when the shifted parameter degenerates as well).
     """
-    if n < 0 or n != int(n):
-        raise DomainError("Jacobi degree must be a nonnegative integer")
-    n = int(n)
+    n = _check_order(n, "Jacobi degree")
     if n == 0:
         return 1.0 + 0.0j
     x = complex(x)
@@ -73,9 +71,7 @@ def jacobi_p(n: int, alpha, beta, x) -> complex:
 
 def laguerre_l(n: int, alpha: float, x):
     """Generalized Laguerre polynomial L_n^{(alpha)}(x); x may be an ndarray."""
-    if n < 0 or n != int(n):
-        raise DomainError("Laguerre degree must be a nonnegative integer")
-    n = int(n)
+    n = _check_order(n, "Laguerre degree")
     x = np.asarray(x, dtype=float)
     prev = np.ones_like(x)
     if n == 0:

@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError, _check_order
 from .orthopoly import cdhahn_normalized_batch
 from .quadrature import _COARSE_RULE, _FINE_RULE
 from .special import gammaln, log_gamma_ratio
@@ -73,17 +73,6 @@ class ModelParams:
         from .disk import LandauIndex
 
         return LandauIndex(sigma=self.sigma, m=self.m)
-
-
-def _check_order(k, what: str) -> int:
-    """k as an int; DomainError unless it is a nonnegative integer."""
-    try:
-        ok = k >= 0 and k == int(k)
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        raise DomainError(f"{what} must be a nonnegative integer")
-    return int(k)
 
 
 def energy(k: int, osc: OscParams) -> float:

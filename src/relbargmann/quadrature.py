@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError, NonConvergenceError
+from .errors import DomainError, NonConvergenceError, _check_order
 
 MAX_RULE_SIZE = 4096
 
@@ -39,9 +39,10 @@ class QuadratureRule:
 
 def gauss_legendre(n: int) -> QuadratureRule:
     """Standard n-point Gauss-Legendre rule on (-1, 1)."""
+    n = _check_order(n, "node count")
     if not 1 <= n <= MAX_RULE_SIZE:
         raise DomainError(f"node count must be in [1, {MAX_RULE_SIZE}], got {n}")
-    x, w = leggauss(int(n))
+    x, w = leggauss(n)
     return QuadratureRule(nodes=x, weights=w)
 
 
@@ -62,13 +63,14 @@ def gauss_jacobi(n: int, alpha: float, beta: float) -> QuadratureRule:
     (n, alpha, beta) and cached (64 entries of read-only arrays).
     alpha = beta = 0 is ``gauss_legendre``.
     """
+    n = _check_order(n, "node count")
     if not 1 <= n <= MAX_RULE_SIZE:
         raise DomainError(f"node count must be in [1, {MAX_RULE_SIZE}], got {n}")
-    if alpha <= -1 or beta <= -1:
-        raise DomainError("Jacobi weight exponents must exceed -1")
+    if not (-1 < alpha < math.inf and -1 < beta < math.inf):
+        raise DomainError("Jacobi weight exponents must be finite and exceed -1")
     if alpha == 0 and beta == 0:
         return gauss_legendre(n)
-    x, w = _jacobi_rule(int(n), float(alpha), float(beta))
+    x, w = _jacobi_rule(n, float(alpha), float(beta))
     return QuadratureRule(nodes=x, weights=w)
 
 

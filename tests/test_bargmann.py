@@ -102,6 +102,9 @@ class TestClassicalBargmann:
     def test_sigma_validation(self):
         with pytest.raises(DomainError):
             classical_bargmann(1.0, lambda x: np.exp(-x), 0.2)
+        for sigma in (np.nan, np.inf):
+            with pytest.raises(DomainError, match="finite sigma"):
+                classical_bargmann(sigma, lambda x: np.exp(-x), 0.2)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_non_finite_f_rejected(self, bad):

@@ -191,7 +191,7 @@ class TestEval:
         assert run(argv) == 0
         one = out.read_bytes()
         assert len(seen) == calls and sum(seen) == nodes
-        monkeypatch.setattr(cli, "LAYOUT_BLOCK_NODES", 7)
+        monkeypatch.setattr(owner, "LAYOUT_BLOCK_NODES", 7)
         del seen[:]
         assert run(argv) == 0
         assert len(seen) == blocked_calls and sum(seen) == nodes
@@ -202,7 +202,7 @@ class TestEval:
         params = ModelParams(OscParams(1.0), 1)
         kmax = max(truncation_order(params.landau_index(), z)
                    for z in EVAL_Z[:2])
-        monkeypatch.setattr(cli, "LAYOUT_BLOCK_NODES", 4 * (kmax + 1) + 3)
+        monkeypatch.setattr(coherent, "LAYOUT_BLOCK_NODES", 4 * (kmax + 1) + 3)
         del seen[:]
         assert run(argv) == 0
         assert seen == [4, 4, 4, 4, 3]
@@ -411,6 +411,15 @@ class TestEval:
                     "--grid", "0.85", "--xi", "20",
                     "--out", str(tmp_path / "k.csv")])
         assert code == 3
+
+    def test_kernel_cap_is_checked_once(self, tmp_path, capsys):
+        # the kernel's own check names the point, not the grid's cap check
+        code = run(["eval", "--function", "kernel", "--grid", "0.9",
+                    "--xi", "1", "--out", str(tmp_path / "k.csv")])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "domain error: z = (0.9+0j) violates the evaluation cap "
+            "|z| <= 0.85\n")
 
     def test_kernel_json_format(self, tmp_path):
         out = tmp_path / "k.json"

@@ -153,8 +153,10 @@ class TestWaveFunction:
             cs_wavefunction(CoherentLabel(0.82 + 0.05j, params), 1.0)
 
     def test_label_validation(self):
-        with pytest.raises(DomainError):
-            CoherentLabel(1.01, ModelParams(OscParams(1.0), 0))
+        for z in (1.01, complex(math.nan, 0.0), complex(0.1, math.nan),
+                  complex(math.inf, 0.0)):
+            with pytest.raises(DomainError):
+                CoherentLabel(z, ModelParams(OscParams(1.0), 0))
 
 
 class TestOracle:

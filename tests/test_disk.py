@@ -1,6 +1,7 @@
 """Disk geometry, Landau levels, eigenbasis, and the finite-difference operator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +79,15 @@ class TestBergmanDistance:
     def test_radial_value(self):
         # cosh^2 d = 1/(1 - r^2) gives d = arccosh(1.25) = ln 2 at r = 0.6
         assert abs(bergman_distance(0.0, 0.6) - math.log(2.0)) < 1e-14
+
+    @pytest.mark.parametrize("z, w", [(0.1, 1.5), (0.1, 1.0), (2.0, 3.0),
+                                      (complex(math.nan, 0.0), 0.1),
+                                      (0.1, complex(0.2, math.nan))])
+    def test_point_off_the_disk_raises(self, z, w):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                bergman_distance(z, w)
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-0.7, 0.7), st.floats(-0.7, 0.7),

@@ -11,9 +11,12 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from relbargmann.errors import DomainError, NonConvergenceError, PoleError
-from relbargmann.hypergeom import (_nonpos_int, _series_2f1_vec, gauss_2f1,
-                                   gauss_2f1_vec, pochhammer)
+from relbargmann.hypergeom import (_nonpos_int, _series_2f1_vec,
+                                   f5_kernel_vec, gauss_2f1, gauss_2f1_vec,
+                                   pochhammer)
+from relbargmann.orthopoly import jacobi_p, laguerre_l
 from relbargmann.oscillator import OscParams
+from relbargmann.quadrature import gauss_jacobi, gauss_legendre
 from relbargmann.reference import (F5Args, appell_f1, kdf_f5_integral,
                                    kdf_f5_series)
 from relbargmann.special import loggamma
@@ -492,3 +495,23 @@ class TestKdfF5:
         for route in (kdf_f5_series, kdf_f5_integral):
             with pytest.raises((DomainError, NonConvergenceError)):
                 route(args)
+
+
+#: every public call that takes an order (a degree, a level or a node
+#: count) outside the oscillator and the disk, at that order
+ORDER_CALLS = {
+    "pochhammer": lambda n: pochhammer(1.0, n),
+    "f5_kernel_vec": lambda n: f5_kernel_vec(1.0, 1.0, 1.5, n, 2.0, -0.5, 0.8),
+    "jacobi_p": lambda n: jacobi_p(n, 0.5, 0.5, 0.3),
+    "laguerre_l": lambda n: laguerre_l(n, 0.5, 0.3),
+    "gauss_legendre": gauss_legendre,
+    "gauss_jacobi": lambda n: gauss_jacobi(n, 0.5, 0.5),
+}
+
+
+@pytest.mark.parametrize("order", [math.nan, math.inf, -math.inf, 2.5,
+                                   "two", None, -1])
+@pytest.mark.parametrize("name", list(ORDER_CALLS))
+def test_bad_order_raises_domain_error(name, order):
+    with pytest.raises(DomainError, match="must be a nonnegative integer"):
+        ORDER_CALLS[name](order)

@@ -70,6 +70,10 @@ def test_gauss_jacobi_validation():
         gauss_jacobi(8, -1.0, 0.0)
     with pytest.raises(DomainError):
         gauss_jacobi(8, 0.0, -1.5)
+    for alpha, beta in ((math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
+                        (0.5, math.inf)):
+        with pytest.raises(DomainError, match="finite"):
+            gauss_jacobi(8, alpha, beta)
 
 
 def test_jacobi_beta_function():
