@@ -72,18 +72,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coherent import (_check_kernel_domain, _kernel_coeffs, _kernel_expansion,
-                       truncation_order)
+from .coherent import (_check_cap, _kernel_coeffs, _kernel_expansion,
+                       _one_point, truncation_order)
 # looked up here by the layer tracer of bench/tracing.py
 from .coherent import transform_kernel  # noqa: F401
-from .disk import LandauIndex, basis_gram, check_disk
+from .disk import LandauIndex, basis_gram
 from .errors import (DomainError, InputFormatError, NonConvergenceError,
                      _check_order)
 from .hypergeom import gauss_2f1_vec
 from .oscillator import (_ISOMETRY_KMAX, XI_LENGTH, ModelParams, OscParams,
-                         _fine_columns, _panel_count, _project,
-                         eigenfunction_batch, state_end, state_polynomials,
-                         xi_layout)
+                         _fine_columns, _panel_count, _project, eigenfunction,
+                         state_end, state_polynomials, xi_layout)
+# looked up here by the layer tracer of bench/tracing.py
+from .oscillator import eigenfunction_batch  # noqa: F401
 from .quadrature import _COARSE_RULE, _FINE_RULE, integrate_halfline
 from .special import log_gamma_ratio
 # looked up here by the layer tracer of bench/tracing.py, which counts the
@@ -184,8 +185,7 @@ def classical_bargmann(sigma: float, f, z):
     """
     if not 1.0 < sigma < math.inf:
         raise DomainError("classical transform requires a finite sigma > 1")
-    z = complex(check_disk(z))
-    _check_kernel_domain(z)
+    (z,) = _check_cap(_one_point(z))
     func = _as_callable(f)
     s = 0.5 * (1.0 + z) / (1.0 - z)
     pref = (math.sqrt((sigma - 1.0) / math.pi)
@@ -221,7 +221,7 @@ def _layout_transform(params: ModelParams, f, points, kernel,
     """The transform at each of ``points`` on the fixed layout of c at
     XI_LENGTH, for both kernels.
 
-    Every point is checked against the disk and the kernel cap before f is
+    Every point is checked against the evaluation cap before f is
     evaluated, once, on the layout.  ``kernel(zs, live, xi, f_live)`` is a
     generator that yields each point's integrand at the nodes ``live``
     where f is non-zero, whose xi and f values it is given; the integrand
@@ -231,9 +231,7 @@ def _layout_transform(params: ModelParams, f, points, kernel,
     """
     pts = np.asarray(points, dtype=complex).ravel()
     func = _as_callable(f)
-    zs = [complex(check_disk(z)) for z in pts]
-    for z in zs:
-        _check_kernel_domain(z)
+    zs = _check_cap(pts)
     values, errors = [], []
     if zs:
         nodes, half, _ = xi_layout(params.osc, XI_LENGTH)
@@ -270,9 +268,10 @@ def relativistic_transform(params: ModelParams, f, z, with_error: bool = False):
     a result of f that is not one value for each node, raises
     InputFormatError, a kernel that is not finite (at very large c)
     NonConvergenceError.  This is :func:`relativistic_transform_grid` at
-    the one point z.
+    the one point z; a z of more than one point raises DomainError before
+    f is evaluated.
     """
-    res = relativistic_transform_grid(params, f, [z])
+    res = relativistic_transform_grid(params, f, [_one_point(z)])
     (value,), (err,) = res.values.tolist(), res.errors.tolist()
     return (value, err) if with_error else value
 
@@ -318,7 +317,7 @@ def relativistic_transform_m0(osc: OscParams, f, z, with_error: bool = False):
     m = 0, as numpy scalars; this is :func:`relativistic_transform_m0_grid`
     at the one point z.
     """
-    res = relativistic_transform_m0_grid(osc, f, [z])
+    res = relativistic_transform_m0_grid(osc, f, [_one_point(z)])
     (value,), (err,) = res.values, res.errors
     return (value, err) if with_error else value
 
@@ -497,6 +496,6 @@ def oscillator_mode(j: int, osc: OscParams):
     j = _check_order(j, "level index j")
 
     def f(xi):
-        return eigenfunction_batch(j, osc, np.atleast_1d(xi))[j]
+        return eigenfunction(j, osc, np.atleast_1d(xi))
 
     return f

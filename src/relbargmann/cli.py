@@ -17,8 +17,7 @@ import numpy as np
 
 from . import __version__
 from .bargmann import SampledFunction, relativistic_transform_grid
-from .coherent import (KERNEL_RMAX, LAYOUT_BLOCK_NODES, _check_kernel_domain,
-                       _kernel_to_wavefunction, overlap,
+from .coherent import (_check_cap, _kernel_to_wavefunction, overlap,
                        transform_kernel_series_grid)
 # looked up here by the layer tracer of bench/tracing.py
 from .coherent import cs_wavefunction, transform_kernel  # noqa: F401
@@ -37,8 +36,14 @@ EXIT_DOMAIN = 3
 EXIT_NONCONVERGENCE = 4
 EXIT_INPUT = 5
 
-EVAL_FUNCTIONS = ("basis_phi", "eigenfunction", "cs_wavefunction", "overlap",
-                  "kernel")
+#: the flags each ``eval`` function reads, besides --function, --format and
+#: --out; any other flag given to it is a config error
+EVAL_READS = {"basis_phi": {"c", "m", "k", "sigma", "grid"},
+              "eigenfunction": {"c", "k", "xi"},
+              "cs_wavefunction": {"c", "m", "grid", "xi"},
+              "overlap": {"c", "m", "sigma", "grid", "w"},
+              "kernel": {"c", "m", "grid", "xi"}}
+EVAL_FUNCTIONS = tuple(EVAL_READS)
 
 #: most points a ``mesh:`` or ``lin:`` spec may hold, and most (z, xi) pairs
 #: one ``eval`` request may tabulate; checked before anything is allocated.
@@ -120,13 +125,6 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def _check_grid_cap(points) -> None:
-    for z in points:
-        if abs(z) > KERNEL_RMAX:
-            raise DomainError(
-                f"grid point {z} violates the evaluation cap |z| <= {KERNEL_RMAX}")
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -135,15 +133,15 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _records_to_output(records: list[dict], columns: list[str],
-                       fmt: str, meta: dict) -> str:
+def _records_to_output(rows, columns: list[str], fmt: str, meta: dict) -> str:
+    """The text of ``rows``, tuples of the fields of ``columns`` in order:
+    a CSV table, or JSON with ``meta`` and one record (a dict) per row."""
     if fmt == "csv":
         # one format string per row: "%.17g" for a float (f"{x:.17g}"),
         # "%s" (str) for anything else, built once per tuple of field types
         row_formats: dict[tuple, str] = {}
         lines = [",".join(columns)]
-        for rec in records:
-            row = tuple([rec[c] for c in columns])
+        for row in rows:
             types = tuple(map(type, row))
             row_fmt = row_formats.get(types)
             if row_fmt is None:
@@ -151,13 +149,9 @@ def _records_to_output(records: list[dict], columns: list[str],
                     "%.17g" if issubclass(t, float) else "%s" for t in types)
             lines.append(row_fmt % row)
         return "\n".join(lines) + "\n"
+    records = [dict(zip(columns, row)) for row in rows]
     payload = {"meta": meta, "records": records}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _records(columns: list[str], *values) -> list[dict]:
-    """One record per position across the equally long ``values`` lists."""
-    return [dict(zip(columns, row)) for row in zip(*values)]
 
 
 def _meta(args: argparse.Namespace) -> dict:
@@ -170,36 +164,20 @@ def _meta(args: argparse.Namespace) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    """Tabulate one function of the model on a z grid, a xi grid, or both.
-
-    ``kernel`` and ``cs_wavefunction`` are summed as the basis expansion of
-    the kernel, ``coherent.transform_kernel_series_grid``: every point is
-    checked first, its truncation order and coefficients are computed once,
-    and one state table up to the largest order serves all points on each
-    block of xi, with at most ``LAYOUT_BLOCK_NODES`` table entries (records
-    stay z-major, then xi).  ``basis_phi`` is evaluated on blocks of up to
-    ``LAYOUT_BLOCK_NODES`` z, and ``eigenfunction`` on blocks of xi small
-    enough that its table of all k + 1 levels holds at most
-    ``LAYOUT_BLOCK_NODES`` entries.  Each element of those vector calls is
-    computed as it would be alone, so the output does not depend on the
-    blocking.  ``overlap`` is one vector call over the whole z grid.
-    """
+    """Tabulate one function of the model by one library call: on the xi
+    grid (``eigenfunction``), the z grid (``basis_phi``, ``overlap``) or
+    the z x xi grid, z-major (``kernel`` and ``cs_wavefunction``, summed
+    by ``coherent.transform_kernel_series_grid``).  Every z and ``--w`` must
+    meet ``coherent``'s cap |z| <= 0.85, and a kernel's z |1 - z| >= 0.2."""
     fn = args.function
-    records: list[dict] = []
-
     if fn == "eigenfunction":
         if args.xi is None:
             raise ConfigError("eigenfunction evaluation needs --xi")
         osc = OscParams(args.c)
         xis = parse_xi(args.xi)
+        vals = eigenfunction(args.k, osc, np.array(xis))
         columns = ["xi", "re_val", "im_val"]
-        # phi_k comes from a table of all k + 1 levels on the block's xi
-        block = max(1, LAYOUT_BLOCK_NODES // max(1, args.k + 1))
-        for start in range(0, len(xis), block):
-            chunk = xis[start:start + block]
-            vals = eigenfunction(args.k, osc, np.array(chunk))
-            records += _records(columns, chunk, vals.real.tolist(),
-                                vals.imag.tolist())
+        rows = zip(xis, vals.real.tolist(), vals.imag.tolist())
     else:
         if args.grid is None:
             raise ConfigError("this evaluation needs --grid")
@@ -207,52 +185,44 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if not points:
             raise ConfigError("empty z grid")
         if fn in ("basis_phi", "overlap"):
-            _check_grid_cap(points)
+            zs = np.array(_check_cap(points, near_one=False))
             sigma = args.sigma if args.sigma is not None else ModelParams(
                 OscParams(args.c), args.m).sigma
             idx = LandauIndex(sigma, args.m)
+            if fn == "basis_phi":
+                vals = basis_phi(args.k, idx, zs)
+            else:
+                if args.w is None:
+                    raise ConfigError("overlap evaluation needs --w")
+                w_points = parse_grid(args.w)
+                if len(w_points) != 1:
+                    raise ConfigError(
+                        f"--w needs one disk point, got {args.w!r}")
+                (w,) = _check_cap(w_points, near_one=False)
+                # <w|z> = conj(<z|w>), with w fixed; + 0.0 prints an exact
+                # zero (real z and w) as 0, never as -0
+                vals = np.conj(overlap(idx, w, zs)) + 0.0
             columns = ["re_z", "im_z", "re_val", "im_val"]
-        if fn == "basis_phi":
-            for start in range(0, len(points), LAYOUT_BLOCK_NODES):
-                chunk = np.array(points[start:start + LAYOUT_BLOCK_NODES])
-                vals = basis_phi(args.k, idx, chunk)
-                records += _records(columns, chunk.real.tolist(),
-                                    chunk.imag.tolist(), vals.real.tolist(),
-                                    vals.imag.tolist())
-        elif fn == "overlap":
-            if args.w is None:
-                raise ConfigError("overlap evaluation needs --w")
-            w_points = parse_grid(args.w)
-            if len(w_points) != 1:
-                raise ConfigError(f"--w needs one disk point, got {args.w!r}")
-            w = w_points[0]
-            _check_grid_cap([w])
-            zs = np.array(points)
-            # <w|z> = conj(<z|w>), with w fixed; + 0.0 prints an exact
-            # zero (real z and w) as 0, never as -0
-            vals = np.conj(overlap(idx, w, zs)) + 0.0
-            records = _records(columns, zs.real.tolist(), zs.imag.tolist(),
-                               vals.real.tolist(), vals.imag.tolist())
+            rows = zip(zs.real.tolist(), zs.imag.tolist(), vals.real.tolist(),
+                       vals.imag.tolist())
         else:  # cs_wavefunction | kernel, on a z x xi grid
             if args.xi is None:
                 raise ConfigError(f"{fn} evaluation needs --xi")
             xis = parse_xi(args.xi)
             _check_count(len(points) * len(xis), f"{fn} evaluation")
-            for z in points:
-                _check_kernel_domain(z)
+            _check_cap(points)
             params = ModelParams(OscParams(args.c), args.m)
             idx = params.landau_index()
-            columns = ["re_z", "im_z", "xi", "re_val", "im_val"]
             table = transform_kernel_series_grid(params, points, xis)
-            n = len(xis)
+            columns = ["re_z", "im_z", "xi", "re_val", "im_val"]
+            rows = []
             for z, vals in zip(points, table):
                 if fn == "cs_wavefunction":
                     vals = _kernel_to_wavefunction(idx, z, vals)
-                records += _records(columns, [z.real] * n, [z.imag] * n,
-                                    xis, vals.real.tolist(),
-                                    vals.imag.tolist())
+                rows += [(z.real, z.imag, *row) for row in
+                         zip(xis, vals.real.tolist(), vals.imag.tolist())]
 
-    text = _records_to_output(records, columns, args.format, _meta(args))
+    text = _records_to_output(rows, columns, args.format, _meta(args))
     _write_text(args.out, text)
     return EXIT_OK
 
@@ -303,11 +273,11 @@ def cmd_transform(args: argparse.Namespace) -> int:
         raise ConfigError("transform needs a nonempty --grid")
     params = ModelParams(OscParams(args.c), args.m)
     result = relativistic_transform_grid(params, sampled, points)
-    records = [{"re_z": z.real, "im_z": z.imag, "re_val": v.real,
-                "im_val": v.imag, "quad_error": float(e)}
-               for z, v, e in zip(result.points, result.values, result.errors)]
+    rows = zip(result.points.real.tolist(), result.points.imag.tolist(),
+               result.values.real.tolist(), result.values.imag.tolist(),
+               result.errors.tolist())
     columns = ["re_z", "im_z", "re_val", "im_val", "quad_error"]
-    text = _records_to_output(records, columns, args.format, _meta(args))
+    text = _records_to_output(rows, columns, args.format, _meta(args))
     _write_text(args.out, text)
     return EXIT_OK
 
@@ -347,16 +317,13 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         raise ConfigError("m must be nonnegative")
     _check_count(args.kmax + args.m + 2, "the spectrum listing")
     osc = OscParams(args.c)
-    records = []
-    for k in range(args.kmax + 1):
-        records.append({"kind": "energy", "index": k,
-                        "value": float(energy(k, osc))})
+    rows = [("energy", k, float(energy(k, osc)))
+            for k in range(args.kmax + 1)]
     for m in range(args.m + 1):
         idx = ModelParams(osc, m).landau_index()
-        records.append({"kind": "landau", "index": m,
-                        "value": float(landau_level(idx))})
-    text = _records_to_output(records, ["kind", "index", "value"],
-                              args.format, _meta(args))
+        rows.append(("landau", m, float(landau_level(idx))))
+    text = _records_to_output(rows, ["kind", "index", "value"], args.format,
+                              _meta(args))
     _write_text(args.out, text)
     return EXIT_OK
 
@@ -443,9 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_flags(args: argparse.Namespace) -> None:
+def resolve_flags(args: argparse.Namespace) -> set[str]:
     """Set every flag of ``args.command`` on ``args`` to its value: the flag
-    as given, else the config file's, else the table default.
+    as given, else the config file's, else the table default; return the
+    names of the flags given, on the command line or in the file.
 
     Every line of the file is checked, also for a flag given on the command
     line; an unknown key or a value its flag cannot take raises ConfigError.
@@ -465,9 +433,12 @@ def resolve_flags(args: argparse.Namespace) -> None:
         if flag.choices and from_file[key] not in flag.choices:
             raise ConfigError(f"bad value for config key {key!r}: {raw!r}; "
                               f"choose from {flag.choices}")
+    given = {name for name in table if getattr(args, name) is not None}
+    given |= from_file.keys()
     for name, flag in table.items():
         if getattr(args, name) is None:
             setattr(args, name, from_file.get(name, flag.default))
+    return given
 
 
 @functools.cache
@@ -484,7 +455,13 @@ def _shared_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
-        resolve_flags(args)
+        given = resolve_flags(args)
+        if args.command == "eval":
+            unread = given - EVAL_READS[args.function] - {"function", "format",
+                                                          "out"}
+            if unread:
+                raise ConfigError(f"function {args.function} does not read "
+                                  f"{', '.join(sorted(unread))}")
         return COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -42,8 +42,8 @@ from .disk import (LandauIndex, basis_phi_batch, basis_radial_profiles,
                    check_disk)
 from .errors import DomainError, NonConvergenceError
 from .hypergeom import f5_kernel_vec
-from .oscillator import (ModelParams, _check_xi, conj_state_factors,
-                         state_norms)
+from .oscillator import (LAYOUT_BLOCK_NODES, ModelParams, _check_xi,
+                         conj_state_factors, state_norms)
 from .special import log_gamma_ratio
 # looked up here by the layer tracer of bench/tracing.py
 from .oscillator import eigenfunction_batch  # noqa: F401
@@ -57,11 +57,6 @@ KERNEL_MIN_DIST_ONE = 0.2
 TAIL_LEVEL = 1e-15
 K_CAP = 8000
 
-#: most entries of one block of the state table that
-#: ``transform_kernel_series_grid`` sums the kernel from; ``eval`` blocks
-#: its other vector calls at it too
-LAYOUT_BLOCK_NODES = 16384
-
 
 @dataclass(frozen=True)
 class CoherentLabel:
@@ -71,7 +66,8 @@ class CoherentLabel:
     params: ModelParams
 
     def __post_init__(self):
-        check_disk(complex(self.z), "coherent-state label")
+        object.__setattr__(self, "z", check_disk(_one_point(self.z),
+                                                 "coherent-state label"))
 
 
 def normalization(idx: LandauIndex, z) -> float:
@@ -179,14 +175,31 @@ def cs_distance(idx: LandauIndex, z, w) -> float:
     return math.sqrt(max(gap, 0.0))
 
 
-def _check_kernel_domain(z: complex):
-    if abs(z) > KERNEL_RMAX:
+def _one_point(z) -> complex:
+    """z, a number or a list or array of one element, as a complex;
+    DomainError if it holds another number of points."""
+    zs = np.asarray(z, dtype=complex).ravel()
+    if zs.size != 1:
+        raise DomainError(f"z must be one point, got {zs.size}")
+    return zs.tolist()[0]
+
+
+def _check_cap(points, near_one: bool = True) -> list[complex]:
+    """``points`` (a point, or a list or array of them) as a list of
+    complex numbers within the evaluation cap |z| <= KERNEL_RMAX, which a
+    NaN fails, and with ``near_one`` (kernels, transforms) |1 - z| >=
+    KERNEL_MIN_DIST_ONE.  The cap lies inside the unit disk.  DomainError
+    names the first point outside."""
+    zs = np.asarray(points, dtype=complex).ravel()
+    far = ~(np.abs(zs) <= KERNEL_RMAX)
+    bad = far | ~(np.abs(1.0 - zs) >= KERNEL_MIN_DIST_ONE) if near_one else far
+    if bad.any():
+        i = int(np.argmax(bad))
+        cap = (f"|z| <= {KERNEL_RMAX}" if far[i]
+               else f"|1 - z| >= {KERNEL_MIN_DIST_ONE}")
         raise DomainError(
-            f"z = {z} violates the evaluation cap |z| <= {KERNEL_RMAX}")
-    if abs(1.0 - z) < KERNEL_MIN_DIST_ONE:
-        raise DomainError(
-            f"z = {z} violates the evaluation cap "
-            f"|1 - z| >= {KERNEL_MIN_DIST_ONE}")
+            f"z = {zs.tolist()[i]} violates the evaluation cap {cap}")
+    return zs.tolist()
 
 
 def _wavefunction_profile(params: ModelParams, z: complex, xi: np.ndarray,
@@ -227,8 +240,7 @@ def cs_wavefunction(label: CoherentLabel, xi):
     |1 - z| >= 0.2, the domain on which the closed-form kernel has been
     validated against the superposition oracle.
     """
-    z = complex(label.z)
-    _check_kernel_domain(z)
+    (z,) = _check_cap(label.z)
     scalar = np.ndim(xi) == 0
     vals = _wavefunction_profile(label.params, z, np.atleast_1d(xi))
     return complex(vals[0]) if scalar else vals
@@ -238,7 +250,7 @@ def cs_wavefunction_oracle(label: CoherentLabel, xi):
     """Wave function by the defining superposition
     N(z)^(-1/2) sum_k conj(Phi_k(z)) phi_k(xi), cut at ``truncation_order``:
     the conjugate of :func:`transform_kernel_series` over N(z)^(1/2)."""
-    params, z = label.params, complex(label.z)
+    params, z = label.params, label.z
     scalar = np.ndim(xi) == 0
     out = _kernel_to_wavefunction(
         params.landau_index(), z,
@@ -262,8 +274,7 @@ def transform_kernel(params: ModelParams, z, xi) -> np.ndarray:
     gamma - i xi) directly.  Restricted to the validated domain of
     :func:`cs_wavefunction`.
     """
-    z = complex(check_disk(z))
-    _check_kernel_domain(z)
+    (z,) = _check_cap(_one_point(z))
     idx = params.landau_index()
     scalar = np.ndim(xi) == 0
     vals = _wavefunction_profile(params, z, np.atleast_1d(xi), conjugate=True)
@@ -320,7 +331,7 @@ def transform_kernel_series_grid(params: ModelParams, points, xi) -> np.ndarray:
     blocking; the values at xi = 0 are 0.
     """
     idx = params.landau_index()
-    pts = [complex(check_disk(z)) for z in points]
+    pts = check_disk(np.asarray(points, dtype=complex).ravel()).tolist()
     xi = _check_xi(xi)
     out = np.zeros((len(pts), len(xi)), dtype=complex)
     if not pts:
@@ -347,5 +358,5 @@ def transform_kernel_series(params: ModelParams, z, xi) -> np.ndarray:
     and no cap on |z| or |1 - z|; the one-point case of
     :func:`transform_kernel_series_grid`."""
     scalar = np.ndim(xi) == 0
-    out = transform_kernel_series_grid(params, [z], xi)[0]
+    out = transform_kernel_series_grid(params, [_one_point(z)], xi)[0]
     return complex(out[0]) if scalar else out

@@ -91,6 +91,9 @@ _ISOMETRY_KMAX = 20
 #: tables here and in ``verify``, and the grids and (z, xi) pairs of the
 #: CLI; each is counted before anything is allocated
 MAX_TABLE_ENTRIES = 1_000_000
+#: most entries of one block of the state tables of :func:`eigenfunction`
+#: and ``coherent.transform_kernel_series_grid``
+LAYOUT_BLOCK_NODES = 16384
 
 
 def state_end(kmax: int, osc: OscParams) -> float:
@@ -307,11 +310,18 @@ def eigenfunction(k: int, osc: OscParams, xi):
     """Oscillator eigenfunction phi_k at xi >= 0 (scalar or ndarray).
 
     phi_k(0) = 0 for every k: the 1/Gamma(i xi) factor vanishes in the limit,
-    matching the boundary condition of the underlying wave equation.
+    matching the boundary condition of the underlying wave equation.  The
+    table of all k + 1 levels is built in blocks of at most
+    LAYOUT_BLOCK_NODES entries, and row k of each is written into one array.
     """
     k = _check_order(k, "level index k")
     scalar = np.ndim(xi) == 0
-    vals = eigenfunction_batch(k, osc, np.atleast_1d(xi))[k]
+    xi = _check_xi(xi)
+    vals = np.empty(len(xi), dtype=complex)
+    block = max(1, LAYOUT_BLOCK_NODES // (k + 1))
+    for start in range(0, len(xi), block):
+        part = slice(start, start + block)
+        vals[part] = eigenfunction_batch(k, osc, xi[part])[k]
     return complex(vals[0]) if scalar else vals
 
 

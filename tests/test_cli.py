@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import relbargmann
-from relbargmann import cli, coherent
+from relbargmann import cli, coherent, oscillator
 from relbargmann.bargmann import SampledFunction, oscillator_mode
 from relbargmann.cli import ConfigError, main, parse_grid, parse_xi
 from relbargmann.coherent import (CoherentLabel, cs_wavefunction_oracle,
@@ -85,39 +85,36 @@ EVAL_XI = [0.0, 0.05, 0.7, 3.1, 7.25, 12.5, 19.0, 26.3, 33.3, 40.0]
 
 
 def eval_argv(fn, c, m, k, zs, xis, *extra):
-    argv = ["eval", "--function", fn, "--c", repr(c), "--m", str(m),
-            "--k", str(k), *extra]
-    if fn != "eigenfunction":
-        argv.append("--grid=" + ",".join(repr(z) for z in zs))
-    if fn != "basis_phi":
-        argv.append("--xi=" + ",".join(repr(x) for x in xis))
-    return argv
+    """eval argv that gives ``fn`` only the flags it reads."""
+    given = {"c": repr(c), "m": str(m), "k": str(k),
+             "grid": ",".join(repr(z) for z in zs),
+             "xi": ",".join(repr(x) for x in xis)}
+    return ["eval", "--function", fn, *extra] + [
+        f"--{name}={value}" for name, value in given.items()
+        if name in cli.EVAL_READS[fn]]
 
 
-def pairwise_records(fn, c, m, k, zs, xis):
-    """Columns and records of one library call per (z, xi) pair, z-major."""
+def pairwise_rows(fn, c, m, k, zs, xis):
+    """Columns and rows of one library call per (z, xi) pair, z-major."""
     params = ModelParams(OscParams(c), m)
     if fn == "eigenfunction":
         vals = [eigenfunction(k, params.osc, xi) for xi in xis]
         return ["xi", "re_val", "im_val"], [
-            {"xi": xi, "re_val": v.real, "im_val": v.imag}
-            for xi, v in zip(xis, vals)]
+            (xi, v.real, v.imag) for xi, v in zip(xis, vals)]
     if fn == "basis_phi":
         idx = params.landau_index()
         vals = [complex(basis_phi(k, idx, z)) for z in zs]
         return ["re_z", "im_z", "re_val", "im_val"], [
-            {"re_z": z.real, "im_z": z.imag, "re_val": v.real, "im_val": v.imag}
-            for z, v in zip(zs, vals)]
-    records = []
+            (z.real, z.imag, v.real, v.imag) for z, v in zip(zs, vals)]
+    rows = []
     for z in zs:
         for xi in xis:
             if fn == "kernel":
                 v = transform_kernel_series(params, z, xi)
             else:
                 v = cs_wavefunction_oracle(CoherentLabel(z, params), xi)
-            records.append({"re_z": z.real, "im_z": z.imag, "xi": xi,
-                            "re_val": v.real, "im_val": v.imag})
-    return ["re_z", "im_z", "xi", "re_val", "im_val"], records
+            rows.append((z.real, z.imag, xi, v.real, v.imag))
+    return ["re_z", "im_z", "xi", "re_val", "im_val"], rows
 
 
 def counting(fn, calls):
@@ -138,15 +135,15 @@ class TestOutput:
     def test_csv_bytes_match_per_field_join(self):
         rng = np.random.default_rng(7)
         columns = ["kind", "index", "value", "x"]
-        records = [{c: self.FIELDS[i] for c, i in
-                    zip(columns, rng.integers(0, len(self.FIELDS), 4))}
-                   for _ in range(400)]
-        records += [dict(zip(columns, (v, v, v, v))) for v in self.FIELDS]
+        rows = [tuple(self.FIELDS[i]
+                      for i in rng.integers(0, len(self.FIELDS), 4))
+                for _ in range(400)]
+        rows += [(v, v, v, v) for v in self.FIELDS]
         want = [",".join(columns)]
-        for rec in records:
-            want.append(",".join(f"{rec[c]:.17g}" if isinstance(rec[c], float)
-                                 else str(rec[c]) for c in columns))
-        got = cli._records_to_output(records, columns, "csv", {})
+        for row in rows:
+            want.append(",".join(f"{v:.17g}" if isinstance(v, float)
+                                 else str(v) for v in row))
+        got = cli._records_to_output(rows, columns, "csv", {})
         assert got == "\n".join(want) + "\n"
         assert "\ninf,inf,inf,inf\n-inf,-inf,-inf,-inf\n" in got
         assert "\n-0,-0,-0,-0\n" in got and "\nnan,nan,nan,nan\n" in got
@@ -166,9 +163,9 @@ class TestEval:
         assert run(eval_argv(fn, c, m, k, EVAL_Z, EVAL_XI, "--format", fmt,
                              "--out", str(out))) == 0
         got = out.read_bytes()
-        columns, records = pairwise_records(fn, c, m, k, EVAL_Z, EVAL_XI)
+        columns, rows = pairwise_rows(fn, c, m, k, EVAL_Z, EVAL_XI)
         meta = json.loads(got)["meta"] if fmt == "json" else None
-        assert got == cli._records_to_output(records, columns, fmt,
+        assert got == cli._records_to_output(rows, columns, fmt,
                                              meta).encode()
 
     @pytest.mark.parametrize("fn, name, k, calls, blocked_calls", [
@@ -176,8 +173,9 @@ class TestEval:
         # 7 // (K + 1) = 0 for the largest truncation order K
         ("kernel", "conj_state_factors", 0, 1, 19),
         ("cs_wavefunction", "conj_state_factors", 0, 1, 19),
-        # blocks of at most 7 // (k + 1) = 2 xi for the (k + 1)-level table
-        ("eigenfunction", "eigenfunction", 2, 1, 10)])
+        # oscillator.eigenfunction's blocks of at most 7 // (k + 1) = 2 xi
+        # for the (k + 1)-level table
+        ("eigenfunction", "eigenfunction_batch", 2, 1, 10)])
     def test_blocks_bit_identical(self, tmp_path, monkeypatch, fn, name, k,
                                   calls, blocked_calls):
         xis = [0.5 * i for i in range(20)]
@@ -186,7 +184,7 @@ class TestEval:
         argv = eval_argv(fn, 1.0, 1, k, EVAL_Z[:2], xis, "--format", "json",
                          "--out", str(out))
         seen = []
-        owner = cli if fn == "eigenfunction" else coherent
+        owner = oscillator if fn == "eigenfunction" else coherent
         monkeypatch.setattr(owner, name, counting(getattr(owner, name), seen))
         assert run(argv) == 0
         one = out.read_bytes()
@@ -207,9 +205,9 @@ class TestEval:
         assert run(argv) == 0
         assert seen == [4, 4, 4, 4, 3]
         assert out.read_bytes() == one
-        columns, records = pairwise_records(fn, 1.0, 1, k, EVAL_Z[:2], xis)
+        columns, rows = pairwise_rows(fn, 1.0, 1, k, EVAL_Z[:2], xis)
         meta = json.loads(one)["meta"]
-        assert one == cli._records_to_output(records, columns, "json",
+        assert one == cli._records_to_output(rows, columns, "json",
                                              meta).encode()
 
     @pytest.mark.parametrize("c, m, z, xi, tol", [
@@ -258,8 +256,7 @@ class TestEval:
         assert abs(got - want) <= tol * abs(want)
 
     def test_basis_phi_blocks_bit_identical(self, tmp_path, monkeypatch):
-        # one call on all 20 z, then blocks of at most 7, and the bytes of
-        # one call per point
+        # one call on all 20 z has the bytes of one call per point
         zs = [complex(0.04 * i - 0.4, 0.5 - 0.03 * i) for i in range(20)]
         out = tmp_path / "v.json"
         argv = eval_argv("basis_phi", 0.8, 2, 5, zs, [], "--format", "json",
@@ -269,14 +266,9 @@ class TestEval:
         assert run(argv) == 0
         one = out.read_bytes()
         assert seen == [20]
-        monkeypatch.setattr(cli, "LAYOUT_BLOCK_NODES", 7)
-        del seen[:]
-        assert run(argv) == 0
-        assert seen == [7, 7, 6]
-        assert out.read_bytes() == one
-        columns, records = pairwise_records("basis_phi", 0.8, 2, 5, zs, [])
+        columns, rows = pairwise_rows("basis_phi", 0.8, 2, 5, zs, [])
         meta = json.loads(one)["meta"]
-        assert one == cli._records_to_output(records, columns, "json",
+        assert one == cli._records_to_output(rows, columns, "json",
                                              meta).encode()
 
     @pytest.mark.parametrize("fn, xi, code, err", [
@@ -355,6 +347,35 @@ class TestEval:
                     "--sigma", "5", "--m", "0", "--grid", "0.9",
                     "--out", str(tmp_path / "v.csv")])
         assert code == 3
+
+    @pytest.mark.parametrize("z", ["nan", "inf", "-inf", "1.5", "0.9",
+                                   "0.85"])
+    @pytest.mark.parametrize("argv", [
+        ["--function=basis_phi", "--grid=0.1,{z}"],
+        ["--function=overlap", "--grid=0.1,{z}", "--w=0.2"],
+        ["--function=overlap", "--grid=0.1", "--w={z}"],
+        ["--function=kernel", "--grid=0.1,{z}", "--xi=1"],
+        ["--function=cs_wavefunction", "--grid=0.1,{z}", "--xi=1"]],
+        ids=["basis_phi", "overlap-grid", "overlap-w", "kernel",
+             "cs_wavefunction"])
+    def test_cap_of_every_function(self, tmp_path, capsys, argv, z):
+        # non-finite specs are refused as input, |z| > 0.85 by the cap, and
+        # |1 - z| < 0.2 (at 0.85) by the kernels' cap alone
+        out = tmp_path / "v.csv"
+        code = run(["eval", *[a.format(z=z) for a in argv], "--out", str(out)])
+        err = capsys.readouterr().err
+        kernel = "--xi=1" in argv
+        if z in ("nan", "inf", "-inf"):
+            assert code == 2 and err.startswith("config error: non-finite")
+        elif z == "0.85" and not kernel:
+            assert code == 0 and out.exists()
+            return
+        else:
+            cap = "|1 - z| >= 0.2" if z == "0.85" else "|z| <= 0.85"
+            assert code == 3 and err == (
+                f"domain error: z = {complex(z)} violates the evaluation "
+                f"cap {cap}\n")
+        assert not out.exists()
 
     def test_eigenfunction_boundary_zero(self, tmp_path):
         out = tmp_path / "e.csv"
@@ -453,27 +474,58 @@ class TestEval:
         assert run(argv + ["--xi", "1,2,3,4,5"]) == 2
 
     def test_unread_key_exit_2(self, tmp_path, capsys):
-        out = tmp_path / "rep.json"
-        code = run(["verify", "--suite", "srivastava-rao", "--kmax", "3",
-                    "--c", "2", "--sigma", "9", "--out", str(out)])
+        # the kernel is summed at sigma = 2(gamma + m) and reads no --w
+        out = tmp_path / "k.json"
+        code = run(["eval", "--function", "kernel", "--sigma", "9", "--w",
+                    "0.3", "--grid", "0.1", "--xi", "1", "--out", str(out)])
         assert code == 2 and not out.exists()
         assert capsys.readouterr().err == (
-            "config error: suite srivastava-rao does not read c, kmax, sigma\n")
+            "config error: function kernel does not read sigma, w\n")
 
     def test_unread_key_from_file_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("k=2\n")
-        out = tmp_path / "rep.json"
-        code = run(["verify", "--suite", "orthonormality-disk", "--config",
-                    str(cfg), "--out", str(out)])
+        cfg.write_text("k=2\nsigma=6.5\n")
+        out = tmp_path / "e.csv"
+        code = run(["eval", "--function", "eigenfunction", "--xi", "1",
+                    "--config", str(cfg), "--out", str(out)])
         assert code == 2 and not out.exists()
-        assert capsys.readouterr().err.startswith("config error: ")
+        assert capsys.readouterr().err == (
+            "config error: function eigenfunction does not read sigma\n")
+
+    @pytest.mark.parametrize("fn, flag", [
+        (fn, flag) for fn in cli.EVAL_FUNCTIONS
+        for flag in ("c", "m", "k", "sigma", "grid", "xi", "w")
+        if flag not in cli.EVAL_READS[fn]])
+    def test_unread_flag_exit_2(self, tmp_path, capsys, fn, flag):
+        # a run that would pass, with one flag more, given by its default
+        # value where it has one
+        value = {"c": "1.0", "m": "0", "k": "0", "sigma": "5", "grid": "0.1",
+                 "xi": "1", "w": "0.2"}
+        argv = ["eval", "--function", fn, "--out", str(tmp_path / "v.csv")]
+        argv += [f"--{name}={value[name]}"
+                 for name in sorted(cli.EVAL_READS[fn] - {"sigma"})]
+        assert run(argv) == 0
+        assert run(argv + [f"--{flag}={value[flag]}"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: function {fn} does not read {flag}\n")
 
     def test_all_reads_every_given_key(self, tmp_path):
-        out = tmp_path / "rep.json"
-        assert run(["verify", "--suite", "all", "--c", "2", "--kmax", "3",
-                    "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["config"] == {"c": 2.0, "kmax": 3}
+        # each function takes every flag it reads; meta.config holds the
+        # flags given and the table defaults: no sigma unless it is given
+        value = {"c": 1.0, "m": 1, "k": 2, "sigma": 6.5, "grid": "0.1",
+                 "xi": "1", "w": "0.2"}
+        out = tmp_path / "v.json"
+        for fn in cli.EVAL_FUNCTIONS:
+            reads = cli.EVAL_READS[fn]
+            argv = ["eval", "--function", fn, "--format", "json", "--out",
+                    str(out)] + [f"--{name}={value[name]}" for name in reads]
+            assert run(argv) == 0, fn
+            config = json.loads(out.read_text())["meta"]["config"]
+            given = {name: value[name] for name in reads}
+            defaults = {"c": 1.0, "m": 0, "k": 0}
+            assert config == {"command": "eval", "function": fn,
+                              "format": "json", "out": str(out), **defaults,
+                              **given}
 
     def test_determinism(self, tmp_path):
         args = ["eval", "--function", "cs_wavefunction", "--c", "1",
@@ -815,6 +867,8 @@ class TestSharedParser:
         cfg_c.write_text("c=2\nm=1\nformat=json\n")
         cfg_v = tmp_path / "v.cfg"
         cfg_v.write_text("tol=1e-9\n")
+        cfg_e = tmp_path / "e.cfg"
+        cfg_e.write_text("k=2\n")
         out = tmp_path / "o"
         calls = [
             ["eval", "--function", "basis_phi", "--grid", "0.3",
@@ -828,10 +882,10 @@ class TestSharedParser:
             ["spectrum", "--kmax", "2", "--config", str(cfg_c)],
             ["spectrum", "--kmax", "2"],
             ["eval", "--function", "eigenfunction", "--xi", "0.5,1",
-             "--config", str(cfg_k)],
+             "--config", str(cfg_e)],
             ["verify", "--suite", "srivastava-rao", "--config", str(cfg_v)],
             ["eval", "--function", "kernel", "--grid", "0.2j", "--xi", "1,2",
-             "--k", "1"],
+             "--m", "1"],
         ]
 
         def outputs(fresh):

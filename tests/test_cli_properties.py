@@ -136,40 +136,46 @@ def _points(draw, count: int) -> str:
 def fuzz_argv(draw):
     """argv for eval, transform or spectrum on the reduced flag set, inside
     and outside the documented domain, with at most 8 points of each kind,
-    m <= 2 and xi <= 60.  ``verify`` is left out: its exit 1 is a verdict,
-    and its suites take seconds."""
+    m <= 2 and xi <= 60.  eval gets the flags its function reads, and in
+    one case out of four one flag more, which may be one it does not read.
+    ``verify`` is left out: its exit 1 is a verdict, and its suites take
+    seconds."""
     command = draw(st.sampled_from(["eval", "transform", "spectrum"]))
     c = draw(C_VALUES)
     m = draw(st.integers(-1, 2))
-    argv = [command, f"--c={c!r}", f"--m={m}",
+    argv = [command, f"--c={c!r}",
             f"--format={draw(st.sampled_from(['csv', 'json']))}"]
     if command == "spectrum":
-        return argv + [f"--kmax={draw(st.integers(-1, 8))}"], None
+        return argv + [f"--m={m}", f"--kmax={draw(st.integers(-1, 8))}"], None
     if draw(st.booleans()):
         grid = _points(draw, draw(st.integers(0, 8)))
     else:
         a, b = draw(st.floats(-0.6, 0.6)), draw(st.floats(-0.6, 0.6))
         grid = (f"mesh:{a!r}:{b!r}:{draw(st.integers(1, 2))},"
                 f"{-b!r}:{a!r}:{draw(st.integers(1, 4))}")
-    argv.append(f"--grid={grid}")
     if command == "transform":
         n = draw(st.integers(2, 8))
         xis = sorted(set(draw(st.lists(st.floats(0.0, 60.0), min_size=n,
                                         max_size=n))))
         rows = [(x, draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0)))
                 for x in xis]
-        return argv, rows
-    argv.append(f"--function={draw(st.sampled_from(cli.EVAL_FUNCTIONS))}")
-    argv.append(f"--k={draw(st.integers(0, 8))}")
-    if draw(st.booleans()):
-        argv.append(f"--sigma={draw(st.floats(0.0, 12.0))!r}")
+        return argv + [f"--m={m}", f"--grid={grid}"], rows
+    fn = draw(st.sampled_from(cli.EVAL_FUNCTIONS))
     xi = draw(st.one_of(
         st.lists(XI, max_size=8).map(lambda v: ",".join(map(repr, v))),
         st.builds(lambda a, b, n: f"lin:{a!r}:{b!r}:{n}", XI, XI,
                   st.integers(0, 8))))
-    argv.append(f"--xi={xi}")
+    values = {"m": m, "grid": grid, "k": draw(st.integers(0, 8)), "xi": xi}
+    # the optional flags, each given in one case out of two
     if draw(st.booleans()):
-        argv.append(f"--w={_points(draw, draw(st.integers(0, 2)))}")
+        values["sigma"] = repr(draw(st.floats(0.0, 12.0)))
+    if draw(st.booleans()):
+        values["w"] = _points(draw, draw(st.integers(0, 2)))
+    names = cli.EVAL_READS[fn] & values.keys()
+    if draw(st.integers(0, 3)) == 0:
+        names |= {draw(st.sampled_from(sorted(values)))}
+    argv += [f"--function={fn}"] + [f"--{name}={values[name]}"
+                                     for name in sorted(names)]
     return argv, None
 
 
@@ -215,7 +221,7 @@ def test_fuzz_typed_exit_and_finite_output(case):
         assert code in (0, 2, 3, 4, 5), (code, stderr.getvalue())
         assert "Traceback" not in stderr.getvalue()
         if code == 0:
-            fmt = argv[3].split("=", 1)[1]
+            fmt = argv[2].split("=", 1)[1]
             assert _all_finite(out.read_text(), fmt)
         else:
             assert not out.exists()

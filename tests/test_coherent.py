@@ -1,6 +1,7 @@
 """Coherent states: normalization, overlap, distance, and wave functions."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,9 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relbargmann.bargmann import relativistic_transform
+from relbargmann import bargmann, coherent
+from relbargmann.bargmann import (classical_bargmann, oscillator_mode,
+                                  relativistic_transform,
+                                  relativistic_transform_grid,
+                                  relativistic_transform_m0,
+                                  relativistic_transform_m0_grid)
 from relbargmann.coherent import (K_CAP, TAIL_LEVEL, CoherentLabel,
-                                  cs_distance, cs_wavefunction,
+                                  _check_cap, cs_distance, cs_wavefunction,
                                   cs_wavefunction_oracle, normalization,
                                   overlap, overlap_series, transform_kernel,
                                   transform_kernel_series, truncation_order)
@@ -337,3 +343,127 @@ def test_finite_overflow_is_non_convergence():
     for call in calls:
         with pytest.raises(NonConvergenceError):
             call()
+
+
+#: the model of the cap and one-point tests
+CAP_PARAMS = ModelParams(OscParams(1.0), 1)
+#: points past |z| <= 0.85, a NaN and the infinities included
+FAR = [math.nan, math.inf, -math.inf, 1.5, 0.9]
+#: within |z| <= 0.85, but |1 - z| = 0.15 < 0.2
+NEAR_ONE = 0.85
+
+
+def counted(calls):
+    """phi_0 at c = 1 as f, appending the node count of each call."""
+    phi0 = oscillator_mode(0, CAP_PARAMS.osc)
+
+    def f(xi):
+        calls.append(np.size(xi))
+        return phi0(xi)
+    return f
+
+
+#: each entry that checks the kernel cap, called at z with f (if it takes
+#: one); the grid calls get z after a point inside the cap
+CAP_ENTRIES = {
+    "relativistic_transform":
+        lambda f, z: relativistic_transform(CAP_PARAMS, f, z),
+    "relativistic_transform_grid":
+        lambda f, z: relativistic_transform_grid(CAP_PARAMS, f, [0.1, z]),
+    "relativistic_transform_m0":
+        lambda f, z: relativistic_transform_m0(CAP_PARAMS.osc, f, z),
+    "relativistic_transform_m0_grid":
+        lambda f, z: relativistic_transform_m0_grid(CAP_PARAMS.osc, f,
+                                                    [0.1, z]),
+    "classical_bargmann": lambda f, z: classical_bargmann(3.0, f, z),
+    "transform_kernel": lambda f, z: transform_kernel(CAP_PARAMS, z, 1.0),
+}
+#: each call that takes one point, with the entries above
+ONE_POINT_CALLS = {
+    "relativistic_transform": CAP_ENTRIES["relativistic_transform"],
+    "relativistic_transform_m0": CAP_ENTRIES["relativistic_transform_m0"],
+    "classical_bargmann": CAP_ENTRIES["classical_bargmann"],
+    "transform_kernel": CAP_ENTRIES["transform_kernel"],
+    "transform_kernel_series":
+        lambda f, z: transform_kernel_series(CAP_PARAMS, z, 1.0),
+    "CoherentLabel": lambda f, z: CoherentLabel(z, CAP_PARAMS).z,
+}
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts the calls of the kernels' building blocks."""
+    calls = []
+    for owner, name in ((coherent, "f5_kernel_vec"),
+                        (coherent, "conj_state_factors"),
+                        (coherent, "basis_phi_batch"),
+                        (bargmann, "state_polynomials"),
+                        (bargmann, "gauss_2f1_vec")):
+        def wrapped(*args, _fn=getattr(owner, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapped)
+    return calls
+
+
+class TestEvaluationCap:
+    @pytest.mark.parametrize("z", FAR)
+    @pytest.mark.parametrize("entry", sorted(CAP_ENTRIES))
+    def test_far_point_raises_before_f(self, kernel_calls, entry, z):
+        calls = []
+        with pytest.raises(DomainError, match=r"violates the evaluation cap "
+                                              r"\|z\| <= 0\.85$"):
+            CAP_ENTRIES[entry](counted(calls), z)
+        assert calls == [] and kernel_calls == []
+
+    @pytest.mark.parametrize("entry", sorted(CAP_ENTRIES))
+    def test_near_one_raises_before_f(self, kernel_calls, entry):
+        calls = []
+        with pytest.raises(DomainError, match=r"^z = \(0\.85\+0j\) violates "
+                                              r"the evaluation cap "
+                                              r"\|1 - z\| >= 0\.2$"):
+            CAP_ENTRIES[entry](counted(calls), NEAR_ONE)
+        assert calls == [] and kernel_calls == []
+
+    @pytest.mark.parametrize("z, cap", [(0.9, "|z| <= 0.85"),
+                                        (NEAR_ONE, "|1 - z| >= 0.2")])
+    def test_wavefunction_label_outside_cap(self, z, cap):
+        # NaN, inf and 1.5 are no disk labels (see test_label_validation)
+        label = CoherentLabel(z, CAP_PARAMS)
+        with pytest.raises(DomainError, match=f"cap {re.escape(cap)}$"):
+            cs_wavefunction(label, 1.0)
+
+    def test_first_point_outside_is_named(self):
+        far = "violates the evaluation cap |z| <= 0.85"
+        near = "violates the evaluation cap |1 - z| >= 0.2"
+        with pytest.raises(DomainError, match=re.escape("(0.85+0j) " + near)):
+            _check_cap([0.1, 0.85, 0.9])
+        with pytest.raises(DomainError, match=re.escape("(0.9+0j) " + far)):
+            _check_cap([0.1, 0.9, 0.85])
+        with pytest.raises(DomainError, match=re.escape("(nan+0j) " + far)):
+            _check_cap(np.array([0.1, math.nan]))
+
+    def test_points_within_cap(self):
+        points = [0.1, 0.85j, -0.85, 0.3 - 0.4j]
+        assert _check_cap(points) == [complex(z) for z in points]
+        assert _check_cap([NEAR_ONE, *points], near_one=False) == [
+            complex(z) for z in (NEAR_ONE, *points)]
+        assert _check_cap(0.2j) == [0.2j] and _check_cap([]) == []
+        for z in FAR:
+            with pytest.raises(DomainError):
+                _check_cap([0.1, z], near_one=False)
+
+
+class TestOnePoint:
+    @pytest.mark.parametrize("call", sorted(ONE_POINT_CALLS))
+    def test_two_points_raise_before_f(self, kernel_calls, call):
+        calls = []
+        with pytest.raises(DomainError, match="must be one point, got 2$"):
+            ONE_POINT_CALLS[call](counted(calls), np.array([0.1, 0.2]))
+        assert calls == [] and kernel_calls == []
+
+    @pytest.mark.parametrize("call", sorted(ONE_POINT_CALLS))
+    def test_one_element_gives_the_point_value(self, call):
+        want = ONE_POINT_CALLS[call](counted([]), 0.1 + 0.2j)
+        for z in (np.array([0.1 + 0.2j]), [0.1 + 0.2j]):
+            assert ONE_POINT_CALLS[call](counted([]), z) == want

@@ -1,6 +1,7 @@
 """Oscillator parameterization, spectrum, and eigenfunctions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,6 +245,36 @@ class TestEigenfunctions:
         for k in range(4):
             for i, x in enumerate(xi):
                 assert batch[k, i] == eigenfunction(k, osc, float(x))
+
+    def test_table_memory_is_blocked(self):
+        # one table of all 3001 levels on the 400 xi would take ~55 MiB; the
+        # blocks of at most LAYOUT_BLOCK_NODES entries write into one output
+        osc, xi = OscParams(1.0), np.linspace(0.05, 20.0, 400)
+        tracemalloc.start()
+        try:
+            vals = eigenfunction(3000, osc, xi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        assert np.array_equal(vals[::40],
+                              eigenfunction_batch(3000, osc, xi[::40])[3000])
+
+    def test_blocks_bit_identical(self, monkeypatch):
+        # blocks of 7 // (k + 1) = 2 xi give the bits of one table
+        osc, xi = OscParams(0.8), np.linspace(0.0, 9.0, 11)
+        one = eigenfunction(2, osc, xi)
+        seen = []
+        batch = oscillator.eigenfunction_batch
+
+        def counted(kmax, osc, xi):
+            seen.append(len(xi))
+            return batch(kmax, osc, xi)
+        monkeypatch.setattr(oscillator, "eigenfunction_batch", counted)
+        monkeypatch.setattr(oscillator, "LAYOUT_BLOCK_NODES", 7)
+        assert np.array_equal(eigenfunction(2, osc, xi), one)
+        assert seen == [2, 2, 2, 2, 2, 1]
+        assert np.array_equal(one, batch(2, osc, xi)[2])
 
     def test_overflowing_table_raises(self):
         osc = OscParams(1.0)

@@ -1,0 +1,63 @@
+"""Each evaluation policy has one owner module.
+
+The evaluation cap (``KERNEL_RMAX``, ``KERNEL_MIN_DIST_ONE``) is checked in
+``coherent`` alone, by ``coherent._check_cap``, and the blocking of the
+state tables lives in the library, so the CLI names no block constant.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import relbargmann
+
+PACKAGE = Path(relbargmann.__file__).parent
+CAP_NAMES = {"KERNEL_RMAX", "KERNEL_MIN_DIST_ONE"}
+BLOCK_NAMES = {"LAYOUT_BLOCK_NODES"}
+
+
+def _names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, binds, imports or takes as an
+    attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+            if node.asname:
+                names.add(node.asname)
+    return names
+
+
+def _parse(name: str) -> ast.Module:
+    return ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in PACKAGE.glob("*.py") if p.name != "coherent.py"),
+    ids=lambda p: p.name)
+def test_cap_is_named_in_coherent_alone(path):
+    assert not _names(_parse(path.name)) & CAP_NAMES
+
+
+def test_coherent_owns_the_cap():
+    assert CAP_NAMES <= _names(_parse("coherent.py"))
+
+
+def test_cli_names_no_block_constant():
+    assert not _names(_parse("cli.py")) & BLOCK_NAMES
+
+
+def test_name_check_sees_every_form():
+    for source in ("from .coherent import KERNEL_RMAX",
+                   "from .coherent import KERNEL_RMAX as cap",
+                   "x = coherent.KERNEL_MIN_DIST_ONE",
+                   "if abs(z) > KERNEL_RMAX: pass",
+                   "import relbargmann.coherent.KERNEL_RMAX"):
+        assert _names(ast.parse(source)) & CAP_NAMES, source
+    assert not _names(ast.parse("from .coherent import _check_cap")) \
+        & CAP_NAMES
