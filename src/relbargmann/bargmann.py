@@ -27,13 +27,14 @@ ndarray) or a :class:`SampledFunction`, which is interpolated by a cubic
 spline and taken as zero outside its grid.  The xi quadrature uses a panel
 layout fixed by the parameters alone, so the transforms are linear in f.
 It ends at ``oscillator.XI_LENGTH`` = 40 for every c, which takes at most
-126 panels of width gamma/pi, and f is evaluated in one call on all of its
-nodes.  The package has one source of xi nodes, ``oscillator.xi_layout``,
+63 panels of width ``oscillator.panel_width`` (2 gamma/pi up to c about
+4.1), each with the 21-point Gauss-Kronrod rule, and f is evaluated in one
+call on all of its nodes.  The package has one source of xi nodes, ``oscillator.xi_layout``,
 keyed on (c, end): its nodes, half widths and the folded state prefactor
 ``conj_state_prefactor`` at every node are built once per key and kept in
 a small cache (read-only arrays).  Both transforms read it at XI_LENGTH;
-``isometry_check`` reads the 32-point columns of the one at
-``state_end(20, osc)``, as ``oscillator_gram`` does at its own end, but
+``isometry_check`` reads the one at ``state_end(20, osc)``, with the
+Kronrod weights, as ``oscillator_gram`` does at its own end, but
 evaluates f there only in blocks of panels from xi = 0, up to XI_LENGTH
 and then 4, 8, 16, ... panels more, until two panels in a row hold at most
 2^-104 of the mass of |f|^2 summed so far; past them f is taken as zero
@@ -81,11 +82,12 @@ from .errors import (DomainError, InputFormatError, NonConvergenceError,
                      _check_order)
 from .hypergeom import gauss_2f1_vec
 from .oscillator import (_ISOMETRY_KMAX, XI_LENGTH, ModelParams, OscParams,
-                         _fine_columns, _panel_count, _project, eigenfunction,
-                         state_end, state_polynomials, xi_layout)
+                         _layout_columns, _panel_count, _project,
+                         eigenfunction, state_end, state_polynomials,
+                         xi_layout)
 # looked up here by the layer tracer of bench/tracing.py
 from .oscillator import eigenfunction_batch  # noqa: F401
-from .quadrature import _COARSE_RULE, _FINE_RULE, integrate_halfline
+from .quadrature import _KRONROD_RULE, integrate_halfline
 from .special import log_gamma_ratio
 # looked up here by the layer tracer of bench/tracing.py, which counts the
 # spline builds
@@ -202,17 +204,17 @@ def classical_bargmann(sigma: float, f, z):
 
 def _panel_sums(vals: np.ndarray, half: np.ndarray):
     """``(value, err_estimate)`` from the integrand on the nodes of an
-    ``xi_layout``, shape (panels, 48), and its half widths ``half``: the
-    sums over panels, in panel order, of the 32-point values and of their
-    distances from the 16-point values."""
-    (_, wc), (_, wf) = _COARSE_RULE, _FINE_RULE
-    coarse = half * np.sum(wc * vals[:, :len(wc)], axis=1)
-    fine = half * np.sum(wf * vals[:, len(wc):], axis=1)
+    ``xi_layout``, shape (panels, 21), and its half widths ``half``: the
+    sums over panels, in panel order, of the 21-point Kronrod values and of
+    their distances from the 10-point Gauss values on the odd columns."""
+    _, wk, wg = _KRONROD_RULE
+    kronrod = half * np.sum(wk * vals, axis=1)
+    gauss = half * np.sum(wg * vals[:, 1::2], axis=1)
     total = 0.0 + 0.0j
     err_total = 0.0
-    for value, coarse_value in zip(fine.tolist(), coarse.tolist()):
+    for value, gauss_value in zip(kronrod.tolist(), gauss.tolist()):
         total += value
-        err_total += abs(value - coarse_value)
+        err_total += abs(value - gauss_value)
     return total, err_total
 
 
@@ -263,8 +265,8 @@ def relativistic_transform(params: ModelParams, f, z, with_error: bool = False):
     model parameters, never on f, and there is no tolerance to set; the
     states are evaluated only at the nodes where f is non-zero.  Returns
     B[f](z), or ``(value, err_estimate)`` with ``with_error``: the estimate
-    is the sum over the panels of the distance between the 32-point and the
-    16-point Gauss-Legendre values.  A non-finite value of f at a node, or
+    is the sum over the panels of the distance between the 21-point Kronrod
+    and the 10-point Gauss values.  A non-finite value of f at a node, or
     a result of f that is not one value for each node, raises
     InputFormatError, a kernel that is not finite (at very large c)
     NonConvergenceError.  This is :func:`relativistic_transform_grid` at
@@ -302,7 +304,7 @@ def _m0_exponent(osc: OscParams) -> np.ndarray:
     """The z-independent part 2 loggamma(gamma - i xi) - loggamma(-i xi)
     + 4 i xi log c of the exponent of the m = 0 kernel, at every node of
     ``xi_layout(osc, XI_LENGTH)`` (flat).  Built once per c and cached (at
-    most 6,048 nodes, under 100 kB an entry); the array is read-only."""
+    most 1,323 nodes, under 25 kB an entry); the array is read-only."""
     xi = xi_layout(osc, XI_LENGTH)[0].ravel()
     gamma = osc.gamma
     expo = log_gamma_ratio(gamma, -xi) + 4j * xi * math.log(osc.c)
@@ -364,8 +366,8 @@ _QUIET = 2.0 ** -104
 
 def _walk_values(func, xi: np.ndarray, weights: np.ndarray,
                  first: int):
-    """``(f_nodes, mass, n)``: f and w |f|^2 at the flat 32-point columns
-    ``xi`` (weights ``weights``) of a layout, evaluated from xi = 0 in
+    """``(f_nodes, mass, n)``: f and w |f|^2 at the flat nodes ``xi``
+    (weights ``weights``) of a layout, evaluated from xi = 0 in
     blocks of whole panels until f is quiet, and exact zeros past the
     first ``n`` nodes, which f never sees.
 
@@ -376,7 +378,7 @@ def _walk_values(func, xi: np.ndarray, weights: np.ndarray,
     is never quiet.  A walk that finds no quiet pair evaluates f on the
     whole layout.
     """
-    rows = len(_FINE_RULE[0])
+    rows = len(_KRONROD_RULE[0])
     panels = len(xi) // rows
     f_nodes = np.zeros(xi.shape, dtype=complex)
     mass = np.zeros(xi.shape)
@@ -413,7 +415,7 @@ def isometry_check(params: ModelParams, f) -> dict:
     B[f] = sum_k c_k Phi_k with c_k = <f, phi_k>, so the isometry rests on
     two identities, and each side is computed by one of them.  The half
     line: ||f||^2 = sum w |f|^2 and the projections c_k, k <= 20, are
-    taken on the 32-point rule (weights half w_32) of one layout,
+    taken on the Kronrod rule (weights half w_21) of one layout,
     ``xi_layout(osc, state_end(20, osc))``, which ends at xi = 80 for
     c <= 2.5 and at 2 gamma + 70 beyond.  The disk:
     ||B[f]||^2 = c^T G conj(c) with G = ``basis_gram(idx, 20)``, an exact
@@ -432,11 +434,11 @@ def isometry_check(params: ModelParams, f) -> dict:
     included, just as the transforms never read f past xi = 40.  The mass
     dropped lies below the rounding of ||f||^2, so the result has the bits
     of the check on the whole layout (a superposition of phi_0 .. phi_2
-    stops by xi = 46 of 80, in one or two calls).  A call then builds the
+    stops by xi = 50 of 80, in one or two calls).  A call then builds the
     real polynomial table of the projections on the evaluated prefix,
     c_k = norms[k] sum_n P_k(xi_n) conj_pref_n w_n f(xi_n), and takes the
     two sums.  The folded prefactor keeps them finite at large c (a gap of
-    3.8e-12 for phi_0 at c = 20).
+    2.2e-13 for phi_0 at c = 20).
 
     Raises
     ------
@@ -455,7 +457,7 @@ def isometry_check(params: ModelParams, f) -> dict:
     """
     func = _as_callable(f)
     end = state_end(_ISOMETRY_KMAX, params.osc)
-    xi, weights, conj_pref = _fine_columns(xi_layout(params.osc, end))
+    xi, weights, conj_pref = _layout_columns(xi_layout(params.osc, end))
     # at least two panels, so that the first block has a pair to test
     first = max(2, _panel_count(params.osc, XI_LENGTH))
     f_nodes, mass, n = _walk_values(func, xi, weights, first)
@@ -466,7 +468,7 @@ def isometry_check(params: ModelParams, f) -> dict:
         raise NonConvergenceError(
             f"||f||^2 = {norm_f_sq:.3g} of a non-zero f is outside the range "
             "of normal doubles; rescale f")
-    tail = float(np.sum(mass[-2 * len(_FINE_RULE[0]):]))
+    tail = float(np.sum(mass[-2 * len(_KRONROD_RULE[0]):]))
     if tail > _NORM_TOL * norm_f_sq:
         raise NonConvergenceError(
             f"the last two xi panels before {end:g} hold {tail:.3g} of "

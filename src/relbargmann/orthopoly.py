@@ -14,6 +14,7 @@ maps those cases onto admissible parameters.
 from __future__ import annotations
 
 import math
+from itertools import cycle
 
 import numpy as np
 
@@ -82,6 +83,35 @@ def laguerre_l(n: int, alpha: float, x):
     return cur if cur.shape else float(cur)
 
 
+def _cdhahn_recurrence(kmax: int, lam: np.ndarray, a: float, b: float,
+                       c: float, rows) -> np.ndarray:
+    """Row kmax of :func:`cdhahn_normalized_batch` at lam = a^2 + xi^2.
+
+    The rows n = 0..kmax are written in turn into the arrays that ``rows``
+    yields, each built in place by the operations of
+    ((A + C - lam) row[n] - C row[n-1]) / A in that order; a row reads only
+    the two before it, so three arrays in a cycle serve any kmax.
+    """
+    rows = iter(rows)
+    prev = next(rows)
+    prev[...] = 1.0
+    if kmax < 1:
+        return prev
+    cur = next(rows)
+    np.subtract(1.0, lam / ((a + b) * (a + c)), out=cur)
+    head, tail = np.empty_like(lam), np.empty_like(lam)
+    for n in range(1, kmax):
+        A = (n + a + b) * (n + a + c)
+        C = n * (n + b + c - 1.0)
+        np.subtract(A + C, lam, out=head)
+        np.multiply(head, cur, out=head)
+        np.multiply(C, prev, out=tail)
+        np.subtract(head, tail, out=head)
+        prev, cur = cur, next(rows)
+        np.divide(head, A, out=cur)
+    return cur
+
+
 def cdhahn_normalized_batch(kmax: int, xi, a: float, b: float, c: float) -> np.ndarray:
     """3F2(-n, a+i xi, a-i xi; a+b, a+c; 1) for n = 0..kmax, vectorised in xi.
 
@@ -89,22 +119,18 @@ def cdhahn_normalized_batch(kmax: int, xi, a: float, b: float, c: float) -> np.n
     normalised form S_n / ((a+b)_n (a+c)_n), which stays O(poly) in n and is
     the stable route for large degrees (the terminating sum cancels
     catastrophically once n is a few dozen).  Each row is built in place
-    with two scratch rows, by the operations of
-    ((A + C - lam) out[n] - C out[n-1]) / A in that order.
+    by the one recurrence, ``_cdhahn_recurrence``.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    lam = a * a + xi * xi
     out = np.empty((kmax + 1, len(xi)))
-    out[0] = 1.0
-    if kmax >= 1:
-        out[1] = 1.0 - lam / ((a + b) * (a + c))
-    head, tail = np.empty_like(lam), np.empty_like(lam)
-    for n in range(1, kmax):
-        A = (n + a + b) * (n + a + c)
-        C = n * (n + b + c - 1.0)
-        np.subtract(A + C, lam, out=head)
-        np.multiply(head, out[n], out=head)
-        np.multiply(C, out[n - 1], out=tail)
-        np.subtract(head, tail, out=head)
-        np.divide(head, A, out=out[n + 1])
+    _cdhahn_recurrence(kmax, a * a + xi * xi, a, b, c, out)
     return out
+
+
+def cdhahn_normalized_row(n: int, xi, a: float, b: float, c: float) -> np.ndarray:
+    """Row n of :func:`cdhahn_normalized_batch` alone, with its bits, from
+    the same recurrence cycling through three rows: O(len(xi)) memory at
+    any n."""
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    rows = cycle(np.empty((3, len(xi))))
+    return _cdhahn_recurrence(n, a * a + xi * xi, a, b, c, rows)

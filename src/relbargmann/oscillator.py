@@ -23,8 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, _check_order
-from .orthopoly import cdhahn_normalized_batch
-from .quadrature import _COARSE_RULE, _FINE_RULE
+from .orthopoly import cdhahn_normalized_batch, cdhahn_normalized_row
+from .quadrature import _KRONROD_RULE
 from .special import gammaln, log_gamma_ratio
 
 
@@ -91,8 +91,8 @@ _ISOMETRY_KMAX = 20
 #: tables here and in ``verify``, and the grids and (z, xi) pairs of the
 #: CLI; each is counted before anything is allocated
 MAX_TABLE_ENTRIES = 1_000_000
-#: most entries of one block of the state tables of :func:`eigenfunction`
-#: and ``coherent.transform_kernel_series_grid``
+#: most entries of one block of the state tables of
+#: ``coherent.transform_kernel_series_grid``
 LAYOUT_BLOCK_NODES = 16384
 
 
@@ -107,8 +107,30 @@ def state_end(kmax: int, osc: OscParams) -> float:
 
 
 def panel_width(osc: OscParams) -> float:
-    """Width gamma/pi > 1/pi of the xi panels of every layout in xi."""
-    return osc.gamma / math.pi
+    """Width w(gamma) = min(2 gamma/pi, max(8, gamma/(4 pi))) > 2/pi of
+    the xi panels of every layout in xi, each with the 21-point
+    Gauss-Kronrod rule.
+
+    The law is kept by a scan over c in [0.2, 20] (``TestWidthLaw`` in
+    ``tests/test_oscillator.py``), which checks that
+    (i) ``oscillator_gram(osc, 20)`` is within 1e-11 of the identity,
+    (ii) B[phi_j] moves by at most 1e-12 max(1, |Phi_j|) from its value on
+    panels of half the width, for c <= 3,
+    (iii) the reported error is at most 1e-9 max(1, |Phi_j|) for c <= 2,
+    and the true error at most the reported one plus a rounding allowance
+    of 1e-13 max(1, |Phi_j|), and
+    (iv) no layout holds more than twice the nodes of panels of gamma/pi
+    with 48 nodes each (16- and 32-point Gauss-Legendre rules).
+    Up to gamma = 4 pi (c about 4.1) the panels are 2 gamma/pi wide, the
+    widest multiple of gamma/pi that keeps (iii) at c = 2 (3.8e-9 at
+    2.5 gamma/pi); from there they are 8 wide, and past gamma = 32 pi
+    (c about 11.9) gamma/(4 pi): at large gamma the weight |pref|^2 of the
+    states peaks near xi = gamma with a width of order sqrt(gamma), and
+    panels of gamma/pi leave the Gram matrices 2e-8 (c = 12) to 1e-3
+    (c = 20) from the identity.
+    """
+    gamma = osc.gamma
+    return min(2.0 * gamma / math.pi, max(8.0, gamma / (4.0 * math.pi)))
 
 
 def _log_norms(kmax: int, gamma: float) -> np.ndarray:
@@ -265,18 +287,19 @@ def xi_layout(osc: OscParams, end: float):
 
     Panels of ``panel_width(osc)`` from xi = 0, their edges made by repeated
     addition of the width as a panel walk makes them, the last one cut at
-    ``end``; ``nodes``, shape (panels, 48), carries the 16-point and then
-    the 32-point Gauss-Legendre rule of each panel, ``half`` the half widths
+    ``end``; ``nodes``, shape (panels, 21), carries the 21-point
+    Gauss-Kronrod rule of each panel (``quadrature._KRONROD_RULE``, with
+    the 10-point Gauss rule at its odd columns), ``half`` the half widths
     and ``conj_pref`` the flat :func:`conj_state_prefactor` at every node
     (all xi > 0).  The transforms read it at XI_LENGTH, ``isometry_check``
     at ``state_end(20, osc)``, and ``oscillator_gram`` at ``state_end``
     (from the cache at those two ends only).  It depends on (c, end) alone,
-    so it is built once per key and cached (24 bytes a node, under 0.3 MB
+    so it is built once per key and cached (24 bytes a node, under 64 kB
     an entry for an end <= 80); the arrays are read-only.
     """
     width = panel_width(osc)
     n_panels = _panel_count(osc, end)
-    rule = np.concatenate([_COARSE_RULE[0], _FINE_RULE[0]])
+    rule = _KRONROD_RULE[0]
     edges = np.minimum(np.cumsum(np.r_[0.0, np.full(n_panels, width)]), end)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -289,39 +312,55 @@ def xi_layout(osc: OscParams, end: float):
 
 def oscillator_gram_entries(osc: OscParams, kmax: int) -> int:
     """Entries (kmax + 1) x nodes of the polynomial table of
-    ``oscillator_gram(osc, kmax)``: the 32-point columns of its layout,
-    counted without building it."""
-    nodes = _panel_count(osc, state_end(kmax, osc)) * len(_FINE_RULE[0])
+    ``oscillator_gram(osc, kmax)``: the nodes of its layout, counted
+    without building it."""
+    nodes = _panel_count(osc, state_end(kmax, osc)) * len(_KRONROD_RULE[0])
     return (kmax + 1) * nodes
 
 
-def _fine_columns(layout):
-    """``(xi, weights, conj_pref)`` of the 32-point rule alone on the
-    ``xi_layout`` triple ``layout``, flat in panel order, with weights
-    half w_32: the half-line rule of the norms and Gram matrices."""
+def _layout_columns(layout):
+    """``(xi, weights, conj_pref)`` of the ``xi_layout`` triple ``layout``,
+    flat in panel order, with the Kronrod weights half w_21: the half-line
+    rule of the norms and Gram matrices."""
     nodes, half, conj_pref = layout
-    fine = slice(len(_COARSE_RULE[0]), None)
-    weights = (half[:, None] * _FINE_RULE[1]).ravel()
-    return (nodes[:, fine].ravel(), weights,
-            conj_pref.reshape(nodes.shape)[:, fine].ravel())
+    weights = (half[:, None] * _KRONROD_RULE[1]).ravel()
+    return nodes.ravel(), weights, conj_pref
 
 
 def eigenfunction(k: int, osc: OscParams, xi):
     """Oscillator eigenfunction phi_k at xi >= 0 (scalar or ndarray).
 
     phi_k(0) = 0 for every k: the 1/Gamma(i xi) factor vanishes in the limit,
-    matching the boundary condition of the underlying wave equation.  The
-    table of all k + 1 levels is built in blocks of at most
-    LAYOUT_BLOCK_NODES entries, and row k of each is written into one array.
+    matching the boundary condition of the underlying wave equation.  Row k
+    alone of the polynomial recurrence is kept (three rows in a cycle,
+    ``orthopoly.cdhahn_normalized_row``), with the bits of
+    ``eigenfunction_batch(k, osc, xi)[k]``.
+
+    Raises
+    ------
+    DomainError
+        If k is not a nonnegative integer, or xi is not finite and >= 0.
+    NonConvergenceError
+        If a value is not finite: the polynomial overflows for k >= 1 once
+        xi^2 does (xi above about 1e154), or at large k and xi.
     """
     k = _check_order(k, "level index k")
     scalar = np.ndim(xi) == 0
     xi = _check_xi(xi)
-    vals = np.empty(len(xi), dtype=complex)
-    block = max(1, LAYOUT_BLOCK_NODES // (k + 1))
-    for start in range(0, len(xi), block):
-        part = slice(start, start + block)
-        vals[part] = eigenfunction_batch(k, osc, xi[part])[k]
+    vals = np.zeros(len(xi), dtype=complex)
+    pos = xi > 0
+    if np.any(pos):
+        gamma = osc.gamma
+        # a non-finite value is raised below
+        with np.errstate(over="ignore", invalid="ignore"):
+            poly = cdhahn_normalized_row(k, xi[pos], gamma, gamma, 0.5)
+            # the operations of eigenfunction_batch's row k, in its order
+            vals[pos] = (state_norms(k, osc)[k] * poly
+                         * np.conj(conj_state_prefactor(osc, xi[pos])))
+    if not np.isfinite(vals).all():
+        raise NonConvergenceError(
+            f"oscillator state table up to k = {k} is not finite for xi up "
+            f"to {np.max(xi):.4g}")
     return complex(vals[0]) if scalar else vals
 
 
@@ -329,13 +368,13 @@ def eigenfunction(k: int, osc: OscParams, xi):
 def oscillator_gram(osc: OscParams, kmax: int) -> np.ndarray:
     """Gram matrix of {phi_k}_{k<=kmax} on L^2(0, inf), real, as the one
     real product (nP) diag(w |pref|^2) (nP)^T of the state factors
-    conj(phi_k) = norms[k] P_k conj_pref on the 32-point rule of
+    conj(phi_k) = norms[k] P_k conj_pref on the Kronrod rule of
     ``xi_layout(osc, state_end(kmax, osc))`` with weights w.  That end grows
     with kmax and gamma, as the states' tails do: kmax <= 20 (xi = 80 for
-    c <= 2.5) meets the identity to about 7e-14 for c <= 5 and to 2.4e-13
+    c <= 2.5) meets the identity to about 1.5e-13 for c <= 5 and to 2.2e-13
     at c = 8, and kmax <= 6 keeps the end at xi = 40 (the transforms'
     layout) for c <= 2.5.  The folded prefactor keeps it finite at large c
-    (within 1.5e-12 of the identity at c = 12 and 20).  The layout comes
+    (within 2e-13 of the identity at c = 12 and 1.5e-12 at c = 20).  The layout comes
     from the cache only at an end the transforms or ``isometry_check`` read
     too (XI_LENGTH, ``state_end(20, osc)``); any other is built for the
     call and dropped, since a long one would stay pinned in the cache.
@@ -344,7 +383,7 @@ def oscillator_gram(osc: OscParams, kmax: int) -> np.ndarray:
     ------
     DomainError
         If kmax is not a nonnegative integer, or the polynomial table would
-        hold more than MAX_TABLE_ENTRIES entries (kmax above 63 at c = 1),
+        hold more than MAX_TABLE_ENTRIES entries (kmax above 113 at c = 1),
         checked before the layout or the table is built.
     NonConvergenceError
         If the matrix is not finite.
@@ -358,7 +397,7 @@ def oscillator_gram(osc: OscParams, kmax: int) -> np.ndarray:
     end = state_end(kmax, osc)
     shared = end in (XI_LENGTH, state_end(_ISOMETRY_KMAX, osc))
     layout = xi_layout(osc, end) if shared else xi_layout.__wrapped__(osc, end)
-    xi, weights, conj_pref = _fine_columns(layout)
+    xi, weights, conj_pref = _layout_columns(layout)
     poly, norms = state_polynomials(kmax, osc, xi)
     table = norms[:, None] * poly
     gram = (table * (weights * np.abs(conj_pref) ** 2)) @ table.T

@@ -168,14 +168,57 @@ def jacobi_rule_01(n: int, exp_at_0: float, exp_at_1: float) -> QuadratureRule:
     return QuadratureRule(nodes=t, weights=w)
 
 
-#: embedded Gauss-Legendre pair on every half-line panel, here and in
-#: ``oscillator.xi_layout``: the 32-point rule gives the value, its
-#: difference from the 16-point rule the error estimate.  The 32-point rule
-#: alone makes the norms and Gram matrices on that layout, the 16-point rule
-#: the panels of the reference F5 integral,
-#: ``reference._logit_panel_integral``
+#: embedded Gauss-Legendre pair of ``integrate_halfline``: the 32-point
+#: rule gives the value, its difference from the 16-point rule the error
+#: estimate.  The 16-point rule also makes the panels of the reference F5
+#: integral, ``reference._logit_panel_integral``
 _COARSE_RULE = leggauss(16)
 _FINE_RULE = leggauss(32)
+
+#: the 21-point Gauss-Kronrod rule at x >= 0 on (-1, 1), from x = 1 down to
+#: the centre, its weights, and the weights of the 10-point Gauss-Legendre
+#: rule embedded at every other of its nodes, from the second on (QUADPACK's
+#: qk21: Piessens et al., Springer 1983; Laurie, Math. Comp. 66, 1997)
+_XGK = (0.995657163025808080735527280689002848,
+        0.973906528517171720077964012084452053,
+        0.930157491355708226001207180059508346,
+        0.865063366688984510732096688423493049,
+        0.780817726586416897063717578345042377,
+        0.679409568299024406234327365114873576,
+        0.562757134668604683339000099272694141,
+        0.433395394129247190799265943165784162,
+        0.294392862701460198131126603103865566,
+        0.148874338981631210884826001129719985,
+        0.0)
+_WGK = (0.0116946388673718742780643960621920484,
+        0.0325581623079647274788189724593897606,
+        0.0547558965743519960313813002445801764,
+        0.0750396748109199527670431409161900094,
+        0.0931254545836976055350654650833663444,
+        0.109387158802297641899210590325804960,
+        0.123491976262065851077958109831074160,
+        0.134709217311473325928054001771706833,
+        0.142775938577060080797094273138717061,
+        0.147739104901338491374841515972068046,
+        0.149445554002916905664936468389821204)
+_WG = (0.0666713443086881375935688098933317929,
+       0.149451349150580593145776339657697332,
+       0.219086362515982043995534934228163192,
+       0.269266719309996355091226921569469353,
+       0.295524224714752870173892994651338329)
+
+#: the one rule of every panel of ``oscillator.xi_layout``: ``(nodes,
+#: kronrod_weights, gauss_weights)``, the 21 Kronrod nodes on (-1, 1) in
+#: increasing order with their weights, exact to degree 31, and the weights
+#: of the 10-point Gauss rule on the odd ones, ``nodes[1::2]``.  The Kronrod
+#: sum gives the value, its distance from the Gauss sum the error estimate,
+#: and the Kronrod rule alone the norms and Gram matrices on the layout
+_KRONROD_RULE = tuple(np.array(v) for v in (
+    [-x for x in _XGK[:-1]] + list(_XGK[::-1]),
+    list(_WGK[:-1]) + list(_WGK[::-1]),
+    list(_WG) + list(_WG[::-1])))
+for _arr in _KRONROD_RULE:
+    _arr.flags.writeable = False
 
 
 def integrate_halfline(f, decay_scale: float = 1.0, tol: float = 1e-10):

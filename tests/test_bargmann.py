@@ -7,7 +7,6 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 
 from relbargmann import bargmann, cli, disk, oscillator, spline
 from relbargmann.bargmann import (SampledFunction, TransformResult,
@@ -25,7 +24,7 @@ from relbargmann.orthopoly import laguerre_l
 from relbargmann.oscillator import (XI_LENGTH, ModelParams, OscParams,
                                     conj_state_factors, project_states,
                                     state_end, xi_layout)
-from relbargmann.quadrature import (_COARSE_RULE, _FINE_RULE,
+from relbargmann.quadrature import (_COARSE_RULE, _FINE_RULE, _KRONROD_RULE,
                                     integrate_halfline)
 from relbargmann.special import loggamma
 
@@ -297,9 +296,9 @@ class TestRelativisticTransform:
 
 def layout_panels(params, end=XI_LENGTH):
     """(mid, half width) of each panel of the xi layout that ends at
-    ``end``, walked one panel at a time: width gamma/pi, the last panel cut
-    at ``end`` (xi = 40 for the transforms)."""
-    width = params.gamma / math.pi
+    ``end``, walked one panel at a time: width ``panel_width``, the last
+    panel cut at ``end`` (xi = 40 for the transforms)."""
+    width = oscillator.panel_width(params.osc)
     lo = 0.0
     for _ in range(math.ceil(end / width)):
         hi = min(lo + width, end)
@@ -309,17 +308,17 @@ def layout_panels(params, end=XI_LENGTH):
 
 def panel_walk_transform(params, f, z):
     """Reference: the xi layout walked one panel at a time, with one call of
-    the expansion kernel for the 16-point and one for the 32-point rule of
-    every panel."""
-    coarse, fine = leggauss(16), leggauss(32)
+    the expansion kernel for the 10-point Gauss and one for the 21-point
+    Kronrod rule of every panel."""
+    nodes, wk, wg = _KRONROD_RULE
     total, err_total = 0.0 + 0.0j, 0.0
     for mid, half in layout_panels(params):
-        vc, vf = (half * np.sum(w * (f(mid + half * x)
+        vg, vk = (half * np.sum(w * (f(mid + half * x)
                                      * transform_kernel_series(params, z,
                                                                mid + half * x)))
-                  for x, w in (coarse, fine))
-        total += vf
-        err_total += abs(vf - vc)
+                  for x, w in ((nodes[1::2], wg), (nodes, wk)))
+        total += vk
+        err_total += abs(vk - vg)
     return total, err_total
 
 
@@ -338,7 +337,7 @@ class TestFixedLayout:
     @pytest.mark.parametrize("m", [0, 2])
     def test_two_blocks_keep_basis_mapping(self, m):
         # c = 0.45 once took 612 panels in two blocks; the layout now ends
-        # at xi = 40 with 126 panels, 6048 nodes, in one call
+        # at xi = 40 with 62 panels, 1302 nodes, in one call
         params = ModelParams(OscParams(0.45), m)
         z = 0.3 + 0.4j
         got = relativistic_transform(params, oscillator_mode(1, params.osc), z)
@@ -346,7 +345,7 @@ class TestFixedLayout:
 
     def test_long_layout_memory_is_bounded(self):
         # c = 0.37 once took 21663 panels, 1.04 M nodes, where the series
-        # overflowed; the layout now ends at xi = 40, 126 panels
+        # overflowed; the layout now ends at xi = 40, 63 panels
         params = ModelParams(OscParams(0.37), 0)
         z = 0.3 + 0.4j
         f = oscillator_mode(1, params.osc)
@@ -474,8 +473,7 @@ class TestKernelOnSupport:
         assert grid[0] <= nodes.min() and nodes.max() <= grid[-1]
         inside = sum(np.count_nonzero((grid[0] <= x) & (x <= grid[-1]))
                      for mid, half in layout_panels(params)
-                     for x in (mid + half * leggauss(16)[0],
-                               mid + half * leggauss(32)[0]))
+                     for x in (mid + half * _KRONROD_RULE[0],))
         assert len(nodes) == inside
 
     def test_zero_input_gives_positive_zero(self, monkeypatch):
@@ -748,7 +746,7 @@ def point_loop_isometry(params, f):
     from relbargmann.quadrature import jacobi_rule_01
 
     kmax = bargmann._ISOMETRY_KMAX
-    xg, wg = leggauss(32)
+    xg, wg = _KRONROD_RULE[:2]
     norm_f_sq = 0.0
     projections = np.zeros(kmax + 1, dtype=complex)
     for mid, half in layout_panels(params, state_end(kmax, params.osc)):
@@ -840,10 +838,10 @@ class TestIsometryRings:
         # ending at xi = 80 left 0.66% of its norm in the last two panels
         params = ModelParams(OscParams(8.0), m)
         f = oscillator_mode(0, params.osc)
-        xi, weights, _ = oscillator._fine_columns(
+        xi, weights, _ = oscillator._layout_columns(
             xi_layout(params.osc, state_end(20, params.osc)))
         mass = weights * np.abs(f(xi)) ** 2
-        assert np.sum(mass[-64:]) < 1e-40 * np.sum(mass)
+        assert np.sum(mass[-42:]) < 1e-40 * np.sum(mass)
         assert isometry_check(params, f)["relative_gap"] < 1e-12
 
     @pytest.mark.parametrize("c", [12.0, 20.0])
@@ -903,13 +901,13 @@ def fresh_layout(osc, end):
 
 
 def uncached_isometry(params, f):
-    """Reference: the three values of ``isometry_check`` from the 32-point
-    columns of a freshly built layout, the public projections and a Gram
+    """Reference: the three values of ``isometry_check`` from the Kronrod
+    rule of a freshly built layout, the public projections and a Gram
     matrix built afresh."""
     kmax = bargmann._ISOMETRY_KMAX
     nodes, half, _ = fresh_layout(params.osc, state_end(kmax, params.osc))
-    xi = nodes[:, 16:].ravel()
-    weights = (half[:, None] * leggauss(32)[1]).ravel()
+    xi = nodes.ravel()
+    weights = (half[:, None] * _KRONROD_RULE[1]).ravel()
     f_nodes = np.asarray(f(xi))
     norm_f_sq = float(np.sum(weights * np.abs(f_nodes) ** 2))
     coeffs = project_states(kmax, params.osc, xi, weights * f_nodes)
@@ -1176,8 +1174,8 @@ def recording(f):
 
 
 def isometry_columns(osc):
-    """The flat 32-point columns of the layout of ``isometry_check``."""
-    return oscillator._fine_columns(xi_layout(osc, state_end(20, osc)))[0]
+    """The flat nodes of the layout of ``isometry_check``."""
+    return oscillator._layout_columns(xi_layout(osc, state_end(20, osc)))[0]
 
 
 def hex_report(report):
@@ -1188,17 +1186,20 @@ class TestIsometryWalk:
     """``isometry_check`` evaluates f in blocks of panels from xi = 0 and
     stops after two quiet panels, with the bits of the full layout."""
 
-    @pytest.mark.parametrize("c, panels", [(0.6, 119), (1.0, 92), (2.0, 42)])
+    @pytest.mark.parametrize("c, panels", [(0.6, 60), (1.0, 46), (2.0, 23)])
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_superposition_stops_near_forty(self, c, panels, m):
-        # phi_0 .. phi_2 have no mass left past xi = 46; the layout ends at 80
+        # phi_0 .. phi_2 have no mass left past xi = 46, so the walk stops
+        # after the first block of 4 panels past xi = 40 (2.2 wide at c = 2);
+        # the layout ends at 80
         params = ModelParams(OscParams(c), m)
         f = mode_mix(params.osc, TestIsometryRings.MIX)
         g, seen = recording(f)
         got = isometry_check(params, g)
         xi = isometry_columns(params.osc)
-        assert np.concatenate(seen).tobytes() == xi[:32 * panels].tobytes()
-        assert 32 * panels < xi.size and xi[32 * panels - 1] < 46.0
+        rows = len(_KRONROD_RULE[0])
+        assert np.concatenate(seen).tobytes() == xi[:rows * panels].tobytes()
+        assert rows * panels < xi.size and xi[rows * panels - 1] < 50.0
         assert hex_report(got) == hex_report(uncached_isometry(params, f))
 
     def test_empty_prefix_is_not_quiet(self):
@@ -1237,7 +1238,7 @@ class TestIsometryWalk:
             isometry_check(params, g)
         xi = isometry_columns(params.osc)
         assert np.concatenate(seen).tobytes() == xi.tobytes()
-        assert len(seen) <= 1 + math.ceil(math.log2(xi.size // 32))
+        assert len(seen) <= 1 + math.ceil(math.log2(xi.size // 21))
 
     def test_past_the_quiet_panels_f_is_not_read(self):
         # a NaN past the stop is never seen, as past xi = 40 in the

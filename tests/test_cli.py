@@ -173,13 +173,13 @@ class TestEval:
         # 7 // (K + 1) = 0 for the largest truncation order K
         ("kernel", "conj_state_factors", 0, 1, 19),
         ("cs_wavefunction", "conj_state_factors", 0, 1, 19),
-        # oscillator.eigenfunction's blocks of at most 7 // (k + 1) = 2 xi
-        # for the (k + 1)-level table
-        ("eigenfunction", "eigenfunction_batch", 2, 1, 10)])
+        # oscillator.eigenfunction builds row k alone, on the 19 xi > 0 in
+        # one piece whatever the block size
+        ("eigenfunction", "conj_state_prefactor", 2, 1, 1)])
     def test_blocks_bit_identical(self, tmp_path, monkeypatch, fn, name, k,
                                   calls, blocked_calls):
         xis = [0.5 * i for i in range(20)]
-        nodes = 20 if fn == "eigenfunction" else 19
+        nodes = 19
         out = tmp_path / "v.json"
         argv = eval_argv(fn, 1.0, 1, k, EVAL_Z[:2], xis, "--format", "json",
                          "--out", str(out))
@@ -319,7 +319,8 @@ class TestEval:
         assert not out.exists()
 
     def test_eigenfunction_table_memory_bounded(self, tmp_path):
-        # one table of all 3001 levels on the 400 xi would take ~55 MiB
+        # one table of all 3001 levels on the 400 xi would take ~55 MiB;
+        # the recurrence cycles through three rows
         tracemalloc.start()
         try:
             assert run(["eval", "--function", "eigenfunction", "--k", "3000",

@@ -8,7 +8,9 @@ import pytest
 from relbargmann.errors import DomainError
 from relbargmann.hypergeom import pochhammer
 from relbargmann.oscillator import XI_LENGTH, OscParams, xi_layout
-from relbargmann.orthopoly import cdhahn_normalized_batch, jacobi_p, laguerre_l
+from relbargmann.orthopoly import (cdhahn_normalized_batch,
+                                  cdhahn_normalized_row, jacobi_p,
+                                  laguerre_l)
 from relbargmann.quadrature import integrate_halfline
 from relbargmann.special import loggamma
 from test_hypergeom import hyp3f2_terminating_unit
@@ -223,4 +225,7 @@ def test_in_place_recurrence_has_the_bits_of_the_allocating_loop(kmax, c):
     with np.errstate(all="ignore"):
         got = cdhahn_normalized_batch(kmax, xi, gamma, gamma, 0.5)
         want = cdhahn_allocating_loop(kmax, xi, gamma, gamma, 0.5)
+        row = cdhahn_normalized_row(kmax, xi, gamma, gamma, 0.5)
     assert got.tobytes() == want.tobytes()
+    # the last row alone, from three rows in a cycle
+    assert row.tobytes() == want[kmax].tobytes()

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from relbargmann import cli, oscillator
-from relbargmann.bargmann import oscillator_mode
+from relbargmann.bargmann import oscillator_mode, relativistic_transform_grid
+from relbargmann.disk import basis_phi
 from relbargmann.errors import DomainError, NonConvergenceError
-from relbargmann.oscillator import (ModelParams, OscParams, _fine_columns,
+from relbargmann.oscillator import (XI_LENGTH, ModelParams, OscParams,
+                                    _layout_columns,
                                     _panel_count, conj_state_factors,
                                     eigenfunction, eigenfunction_batch,
                                     energy, gamma_of_c,
@@ -131,7 +133,7 @@ class TestEigenfunctions:
         # product on the cached layout at its end gives the same bits
         osc = OscParams(c)
         got = oscillator_gram(osc, kmax)
-        xi, weights, conj_pref = _fine_columns(
+        xi, weights, conj_pref = _layout_columns(
             xi_layout(osc, state_end(kmax, osc)))
         poly, norms = state_polynomials(kmax, osc, xi)
         table = norms[:, None] * poly
@@ -154,11 +156,11 @@ class TestEigenfunctions:
     @pytest.mark.parametrize("c, length", [(0.8, 40.0), (1.0, 80.0),
                                            (3.0, 1220.0)])
     def test_node_count_matches_grid(self, c, length):
-        # verify's table-size guard counts the 32-point columns of the
-        # layout without building it
+        # verify's table-size guard counts the nodes of the layout without
+        # building it
         osc = OscParams(c)
-        xi, weights, _ = _fine_columns(xi_layout(osc, length))
-        assert _panel_count(osc, length) * 32 == xi.size
+        xi, weights, _ = _layout_columns(xi_layout(osc, length))
+        assert _panel_count(osc, length) * 21 == xi.size
         assert 0.0 < xi.min() and xi.max() < length
         assert abs(weights.sum() - length) < 1e-12 * length
 
@@ -184,14 +186,15 @@ class TestEigenfunctions:
 
     def test_long_gram_refused_before_any_table(self, monkeypatch):
         # kmax = 400 at c = 1 built a 401 x 89,792 table (835 MB of RSS)
-        # before it raised; the CLI's table limit now refuses it first
+        # before it raised; the CLI's table limit now refuses it first (on
+        # the 21-point panels its table holds 401 x 29,463 entries)
         def never(*args):
             raise AssertionError("a table was built")
 
         monkeypatch.setattr(oscillator, "state_polynomials", never)
         monkeypatch.setattr(oscillator, "xi_layout", never)
         osc = OscParams(1.0)
-        assert oscillator_gram_entries(osc, 400) == 401 * 89792
+        assert oscillator_gram_entries(osc, 400) == 401 * 29463
         with pytest.raises(DomainError, match="more than the limit of 1000000"):
             oscillator_gram(osc, 400)
         assert oscillator.MAX_TABLE_ENTRIES == cli.MAX_GRID_POINTS
@@ -248,7 +251,7 @@ class TestEigenfunctions:
 
     def test_table_memory_is_blocked(self):
         # one table of all 3001 levels on the 400 xi would take ~55 MiB; the
-        # blocks of at most LAYOUT_BLOCK_NODES entries write into one output
+        # recurrence cycles through three rows and returns the last
         osc, xi = OscParams(1.0), np.linspace(0.05, 20.0, 400)
         tracemalloc.start()
         try:
@@ -261,20 +264,19 @@ class TestEigenfunctions:
                               eigenfunction_batch(3000, osc, xi[::40])[3000])
 
     def test_blocks_bit_identical(self, monkeypatch):
-        # blocks of 7 // (k + 1) = 2 xi give the bits of one table
+        # row k alone has the bits of row k of the whole table, and no
+        # table is built for it
         osc, xi = OscParams(0.8), np.linspace(0.0, 9.0, 11)
-        one = eigenfunction(2, osc, xi)
-        seen = []
-        batch = oscillator.eigenfunction_batch
+        levels = (0, 1, 2, 40)
+        want = [eigenfunction_batch(k, osc, xi)[k] for k in levels]
 
-        def counted(kmax, osc, xi):
-            seen.append(len(xi))
-            return batch(kmax, osc, xi)
-        monkeypatch.setattr(oscillator, "eigenfunction_batch", counted)
-        monkeypatch.setattr(oscillator, "LAYOUT_BLOCK_NODES", 7)
-        assert np.array_equal(eigenfunction(2, osc, xi), one)
-        assert seen == [2, 2, 2, 2, 2, 1]
-        assert np.array_equal(one, batch(2, osc, xi)[2])
+        def never(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(oscillator, "eigenfunction_batch", never)
+        monkeypatch.setattr(oscillator, "cdhahn_normalized_batch", never)
+        for k, row in zip(levels, want):
+            assert eigenfunction(k, osc, xi).tobytes() == row.tobytes()
 
     def test_overflowing_table_raises(self):
         osc = OscParams(1.0)
@@ -349,3 +351,59 @@ class TestEigenfunctions:
         xi = 0.8
         val = eigenfunction(1, osc, xi)
         assert abs(abs(np.exp(-1j * math.pi * g / 2.0) * val) - abs(val)) < 1e-15
+
+
+class TestWidthLaw:
+    """The scan that keeps ``panel_width``'s law w(gamma) for c in
+    [0.2, 20]; see its docstring for criteria (i) to (iv)."""
+
+    GRAM_C = [0.2, 0.4, 0.6, 0.8, 1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0, 16.0,
+              20.0]
+    POINTS = [0.3 + 0.2j, -0.5 + 0.4j, 0.7j, -0.8, 0.5 - 0.6j, 0.1]
+
+    @pytest.mark.parametrize("c", GRAM_C)
+    def test_gram_meets_the_identity(self, c):
+        # (i); panels of gamma/pi missed it by 2e-8 at c = 12 and 1e-3 at
+        # c = 20
+        gram = oscillator_gram(OscParams(c), 20)
+        assert np.abs(gram - np.eye(21)).max() <= 1e-11
+
+    def test_nodes_at_most_twice_the_former_layout(self):
+        # (iv): the former layout had panels of gamma/pi with 48 nodes each
+        for c in np.geomspace(0.2, 20.0, 61):
+            osc = OscParams(float(c))
+            for end in (XI_LENGTH, state_end(20, osc)):
+                former = 48 * math.ceil(end / (osc.gamma / math.pi))
+                assert 21 * _panel_count(osc, end) <= 2 * former, (c, end)
+
+    @pytest.mark.parametrize("c", [0.2, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+    def test_transform_against_half_width(self, c, monkeypatch, cold_caches):
+        # (ii) and (iii): B[phi_j], j <= 10, m <= 2, at six points, against
+        # the same transform on panels of half the width
+        law = oscillator.panel_width
+        factor = [1.0]
+        monkeypatch.setattr(oscillator, "panel_width",
+                            lambda osc: factor[0] * law(osc))
+
+        def transform(params, f, scale):
+            # the layout is the only cache that reads the width
+            factor[0] = scale
+            xi_layout.cache_clear()
+            return relativistic_transform_grid(params, f, self.POINTS)
+
+        for m in (0, 1, 2):
+            params = ModelParams(OscParams(c), m)
+            idx = params.landau_index()
+            for j in range(11):
+                f = oscillator_mode(j, params.osc)
+                got, ref = transform(params, f, 1.0), transform(params, f, 0.5)
+                for z, value, err, want in zip(self.POINTS, got.values,
+                                               got.errors, ref.values):
+                    size = max(1.0, abs(basis_phi(j, idx, z)))
+                    case = (m, j, z)
+                    assert abs(value - want) <= 1e-12 * size, case
+                    # the true error, above a rounding allowance, is
+                    # never above the reported one
+                    assert abs(value - want) <= err + 1e-13 * size, case
+                    if c <= 2.0:
+                        assert err <= 1e-9 * size, case

@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from relbargmann.bargmann import _panel_sums
 from relbargmann.errors import DomainError, NonConvergenceError
 from relbargmann.oscillator import XI_LENGTH, OscParams, xi_layout
-from relbargmann.quadrature import (QuadratureRule, gauss_jacobi,
+from relbargmann.quadrature import (_KRONROD_RULE, QuadratureRule,
+                                    gauss_jacobi,
                                     gauss_legendre, integrate_disk,
                                     integrate_halfline, jacobi_rule_01)
 from relbargmann.special import loggamma
@@ -49,6 +51,41 @@ def test_gauss_legendre_monomial_exactness(n):
 def test_gauss_legendre_symmetry():
     rule = gauss_legendre(12)
     assert np.allclose(rule.nodes, -rule.nodes[::-1])
+
+
+def monomial_error(nodes, weights, degree):
+    """The rule's error on x^degree over (-1, 1)."""
+    exact = 0.0 if degree % 2 else 2.0 / (degree + 1)
+    return float(np.sum(weights * nodes ** degree)) - exact
+
+
+class TestKronrodRule:
+    """The 21-point Gauss-Kronrod rule of every xi panel, with the 10-point
+    Gauss rule at its odd nodes."""
+
+    def test_exact_to_degree_31(self):
+        nodes, wk, _ = _KRONROD_RULE
+        for degree in range(32):
+            assert abs(monomial_error(nodes, wk, degree)) < 1e-15, degree
+        assert abs(monomial_error(nodes, wk, 32)) > 1e-13
+
+    def test_gauss_rule_is_embedded(self):
+        nodes, _, wg = _KRONROD_RULE
+        x, w = leggauss(10)
+        assert np.all(np.abs(nodes[1::2] - x) <= np.spacing(np.abs(x)))
+        assert np.max(np.abs(wg - w)) < 1e-14
+        for degree in range(20):
+            assert abs(monomial_error(nodes[1::2], wg, degree)) < 1e-15
+        assert abs(monomial_error(nodes[1::2], wg, 20)) > 1e-6
+
+    def test_shape_order_and_symmetry(self):
+        nodes, wk, wg = _KRONROD_RULE
+        assert nodes.shape == wk.shape == (21,) and wg.shape == (10,)
+        assert np.all(np.diff(nodes) > 0) and nodes[10] == 0.0
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(wk, wk[::-1]) and np.array_equal(wg, wg[::-1])
+        assert np.all(wk > 0) and np.all(wg > 0)
+        assert not any(arr.flags.writeable for arr in _KRONROD_RULE)
 
 
 def test_rule_size_validation():

@@ -2,7 +2,10 @@
 
 The evaluation cap (``KERNEL_RMAX``, ``KERNEL_MIN_DIST_ONE``) is checked in
 ``coherent`` alone, by ``coherent._check_cap``, and the blocking of the
-state tables lives in the library, so the CLI names no block constant.
+state tables lives in the library, so the CLI names no block constant.  The
+xi layout has one rule per panel, the Gauss-Kronrod pair, so the modules
+that build and sum it name neither Gauss-Legendre rule of
+``quadrature.integrate_halfline``.
 """
 
 import ast
@@ -15,6 +18,7 @@ import relbargmann
 PACKAGE = Path(relbargmann.__file__).parent
 CAP_NAMES = {"KERNEL_RMAX", "KERNEL_MIN_DIST_ONE"}
 BLOCK_NAMES = {"LAYOUT_BLOCK_NODES"}
+HALFLINE_RULE_NAMES = {"_COARSE_RULE", "_FINE_RULE"}
 
 
 def _names(tree: ast.Module) -> set[str]:
@@ -50,6 +54,11 @@ def test_coherent_owns_the_cap():
 
 def test_cli_names_no_block_constant():
     assert not _names(_parse("cli.py")) & BLOCK_NAMES
+
+
+@pytest.mark.parametrize("name", ["oscillator.py", "bargmann.py"])
+def test_layout_has_one_rule(name):
+    assert not _names(_parse(name)) & HALFLINE_RULE_NAMES
 
 
 def test_name_check_sees_every_form():
