@@ -86,35 +86,77 @@ def normalization(idx: LandauIndex, z) -> float:
 
 
 def overlap(idx: LandauIndex, z, w):
-    """Overlap <w|z> of two normalized coherent states, in closed form.
+    """Overlap <w|z> of two normalized coherent states, in closed form,
 
-    The value is ((1-|z|^2)(1-|w|^2))^(sigma/2 - m) times a ratio of gamma
-    factors, the principal-branch power (1 - z wbar)^(m - sigma), the integer
-    power (1 - zbar w)^m, and a terminating Gauss sum in the real cross-ratio
-    rho = (1-|z|^2)(1-|w|^2)/|1 - z wbar|^2.  Hermitian in (z, w), and of
-    modulus at most 1 with equality only at z = w.
+        <w|z> = (-1)^m rho^a P_m^(alpha, 0)(1 - 2 rho) exp(-i sigma Arg u),
 
-    ``w`` may be an ndarray.
+    with u = 1 - z wbar, the real cross-ratio
+    rho = (1-|z|^2)(1-|w|^2)/|u|^2, alpha = sigma - 2m - 1 >= 0 and
+    a = sigma/2 - m.  It is the Gauss form
+    C (1-|z|^2)^(sigma/2-m) (1-|w|^2)^(sigma/2-m) (1 - zbar w)^m u^(m-sigma)
+    2F1(-m, sigma-m; sigma-2m; rho) reduced by
+    C 2F1 = (-1)^m P_m^(alpha, 0)(1 - 2 rho) (DLMF 18.5.7).  The Jacobi
+    polynomial is summed by its three-term recurrence (DLMF 18.9.2) in
+    1 - rho = |z - w|^2/|u|^2, which keeps its digits near the diagonal,
+    where the overlap is largest.  Of modulus at most 1 with equality only
+    at z = w, and Hermitian in (z, w): the rounding is symmetric too, so
+    swapping z and w conjugates each value exactly when both calls see the
+    same shapes.
+
+    ``z`` and ``w`` are points or arrays of them and broadcast against each
+    other: two points give a complex, anything else an ndarray, and each
+    value is within 1e-15 of the one-point call at its pair.  Within 2e-14
+    absolute of a 40-digit evaluation of the Gauss form for c <= 8,
+    m <= 20, |z|, |w| <= 0.85 (tested to 1e-12).  On the diagonal the
+    recurrence runs at the end point x = -1 of the Jacobi interval, where
+    its rounding grows like m^1.5 eps: 1.8e-12 at c = 20, m = 1000.
+
+    Each rho^a P_k, k <= m, has modulus at most 1 (it is the overlap of the
+    level (alpha + 1 + 2k, k)), while P_k alone reaches
+    B_m = binomial(m + alpha, m), and rho^a underflows.  The recurrence runs
+    on e^s rho^a P_k with s = max(log B_m - 660, 0): it stays below
+    e^700, and where its start e^s rho^a underflows the value is below
+    e^-48.  NonConvergenceError where s would pass 700 (log B_m > 1360,
+    as at c = 30, m = 1000).
     """
     sigma, m = idx.sigma, idx.m
-    z = complex(check_disk(z, "z"))
-    w = check_disk(w, "w")
-    warr = np.asarray(w, dtype=complex)
-    one_m_zwbar = 1.0 - z * np.conj(warr)
-    rho = ((1.0 - abs(z) ** 2) * (1.0 - np.abs(warr) ** 2)
-           / np.abs(one_m_zwbar) ** 2)
-    f21 = np.zeros_like(rho, dtype=complex)
-    term = np.ones_like(rho, dtype=complex)
-    for j in range(m + 1):
-        f21 = f21 + term
-        term = term * ((-m + j) * (sigma - m + j)
-                       / ((sigma - 2 * m + j) * (j + 1))) * rho
-    val = ((1.0 - abs(z) ** 2) * (1.0 - np.abs(warr) ** 2)) ** (sigma / 2.0 - m)
-    val = val * ((-1.0) ** m * math.exp(math.lgamma(sigma - m)
-                                        - math.lgamma(sigma - 2 * m))
-                 / math.factorial(m))
-    val = val * (1.0 - np.conj(z) * warr) ** m * one_m_zwbar ** (m - sigma)
-    out = val * f21
+    z = np.asarray(check_disk(z, "z"))
+    w = np.asarray(check_disk(w, "w"))
+    alpha = sigma - 2 * m - 1.0
+    a = (alpha + 1.0) / 2.0
+    log_bound = math.fsum(math.log1p(alpha / j) for j in range(1, m + 1))
+    shift = max(log_bound - 660.0, 0.0)
+    if shift > 700.0:
+        raise NonConvergenceError(
+            f"the overlap at sigma = {sigma:.6g}, m = {m} needs P_m up to "
+            f"e^{log_bound:.0f}, past the double range")
+    zr, zi, wr, wi = z.real, z.imag, w.real, w.imag
+    ur = 1.0 - (zr * wr + zi * wi)
+    ui = zr * wi - zi * wr
+    den = ur * ur + ui * ui
+    rho = (1.0 - (zr * zr + zi * zi)) * (1.0 - (wr * wr + wi * wi)) / den
+    p = (rho * math.exp(shift / a)) ** a
+    if m:
+        gap = ((zr - wr) ** 2 + (zi - wi) ** 2) / den  # 1 - rho
+        p_prev, p = p, p * ((alpha + 2.0) * gap - 1.0)
+    for n in range(2, m + 1):
+        # P_n = (const + lead (1 - rho)) P_(n-1) - back P_(n-2)
+        s = 2.0 * n + alpha
+        d = 2.0 * n * (n + alpha) * (s - 2.0)
+        const = -2.0 * (s - 1.0) * (2.0 * n * (n + alpha - 1.0) - alpha) / d
+        lead = 2.0 * (s - 1.0) * s * (s - 2.0) / d
+        back = 2.0 * (n - 1.0) * (n + alpha - 1.0) * s / d
+        p_prev, p = p, (const + lead * gap) * p - back * p_prev
+    # exp(-i sigma Arg u) = (1 - t^2 + 2i t)/(1 + t^2) with
+    # t = tan(-sigma Arg u / 2): numpy's float64 tan is a vector loop, where
+    # its cos and sin call libm per element (a tenth of their time on 49k
+    # points, x86-64 with AVX-512)
+    t = np.tan(np.arctan2(ui, ur) * (-0.5 * sigma))
+    t2 = t * t
+    p = p * ((-1.0) ** m * math.exp(-shift)) / (1.0 + t2)
+    out = np.empty(np.shape(p), dtype=complex)
+    np.multiply(p, 1.0 - t2, out=out.real)
+    np.multiply(p, t + t, out=out.imag)
     return out if out.shape else complex(out)
 
 

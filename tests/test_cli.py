@@ -405,6 +405,30 @@ class TestEval:
             assert abs(got - want) <= 1e-14 * abs(want)
         assert [row[3] for row in rows[:2]] == ["0", "0"]
 
+    def test_overlap_at_a_high_level(self, tmp_path):
+        # c = 3, m = 20: the Gauss form printed 4.53 - 3.16i here, of
+        # modulus 5.5; the value is mpmath's at 40 digits
+        out = tmp_path / "o.csv"
+        assert run(["eval", "--function", "overlap", "--c", "3", "--m", "20",
+                    "--grid", "0.2079+0.3505j", "--w", "0.1591+0.3149j",
+                    "--out", str(out)]) == 0
+        row = out.read_text().splitlines()[1].split(",")
+        got = complex(float(row[2]), float(row[3]))
+        assert abs(got - (-0.32654608577509 + 0.22777157623313j)) < 1e-12
+
+    @pytest.mark.parametrize("c, m, code", [(20, 200, 0), (30, 1000, 4)])
+    def test_overlap_at_a_large_level_no_traceback(self, tmp_path, capsys,
+                                                   c, m, code):
+        # c = 20, m = 200 raised an OverflowError from the gamma ratio; c =
+        # 30, m = 1000 is past the range the recurrence can scale
+        assert run(["eval", "--function", "overlap", "--c", str(c),
+                    "--m", str(m), "--grid", "0.2079+0.3505j",
+                    "--w", "0.1591+0.3149j",
+                    "--out", str(tmp_path / "o.csv")]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("non-convergence: the overlap") == bool(code)
+
     def test_overlap_needs_w(self, tmp_path):
         code = run(["eval", "--function", "overlap", "--sigma", "5",
                     "--grid", "0.1", "--out", str(tmp_path / "o.csv")])

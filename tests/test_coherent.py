@@ -97,6 +97,84 @@ class TestOverlap:
         idx = LandauIndex(5.0, 0)
         assert abs(overlap(idx, 0.2, 0.201)) < 1.0
 
+    @pytest.mark.parametrize("c", [0.5, 1.0, 3.0, 8.0])
+    def test_against_mpmath_gauss_form(self, c):
+        # the Gauss form C ((1-|z|^2)(1-|w|^2))^(sigma/2-m) (1 - zbar w)^m
+        # (1 - z wbar)^(m-sigma) 2F1(-m, sigma-m; sigma-2m; rho) at 40
+        # digits; its alternating 2F1 sum, summed in doubles, was off by
+        # 2.7e-2 at c = 1, m = 20 and by 1.2e12 at c = 8, m = 20
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(25)
+        for m in (0, 1, 2, 4, 8, 20):
+            idx = ModelParams(OscParams(c), m).landau_index()
+            r = 0.85 * np.sqrt(rng.uniform(0.0, 1.0, (2, 6)))
+            z, w = r * np.exp(2j * math.pi * rng.uniform(0.0, 1.0, (2, 6)))
+            # near-diagonal pairs, |z - w| <= 0.2, kept inside |w| <= 0.85
+            near = z + 0.2 * np.sqrt(rng.uniform(0.0, 1.0, 6)) * np.exp(
+                2j * math.pi * rng.uniform(0.0, 1.0, 6))
+            near *= np.minimum(1.0, 0.85 / np.abs(near))
+            zs, ws = np.concatenate([z, z]), np.concatenate([w, near])
+            got = overlap(idx, zs, ws)
+            with mp.workdps(40):
+                s = mp.mpf(idx.sigma)
+                const = ((-1) ** m * mp.gamma(s - m)
+                         / (mp.gamma(s - 2 * m) * mp.factorial(m)))
+                for a, b, value in zip(zs.tolist(), ws.tolist(), got):
+                    a, b = mp.mpc(a), mp.mpc(b)
+                    u = 1 - a * mp.conj(b)
+                    prod = (1 - abs(a) ** 2) * (1 - abs(b) ** 2)
+                    want = (const * prod ** (s / 2 - m)
+                            * (1 - mp.conj(a) * b) ** m * u ** (m - s)
+                            * mp.hyp2f1(-m, s - m, s - 2 * m,
+                                        prod / abs(u) ** 2))
+                    assert abs(value - complex(want)) <= 1e-12, (m, a, b)
+
+    def test_broadcasting_matches_pairs(self):
+        # array against array, point against array and array against point
+        # give the one-point calls' values
+        idx = LandauIndex(9.3, 2)
+        zs = np.array([0.3 + 0.1j, -0.55j, 0.0, 0.7 - 0.2j])
+        ws = np.array([-0.2 + 0.25j, 0.1, 0.6j, 0.69 - 0.21j])
+        cases = [(zs, ws), (zs[0], ws), (zs, ws[0]),
+                 (zs[:, None], ws[None, :])]
+        for z, w in cases:
+            got = overlap(idx, z, w)
+            zb, wb = np.broadcast_arrays(z, w)
+            assert isinstance(got, np.ndarray) and got.shape == zb.shape
+            want = [overlap(idx, a, b)
+                    for a, b in zip(zb.ravel().tolist(), wb.ravel().tolist())]
+            assert np.abs(got.ravel() - want).max() <= 1e-14
+        assert isinstance(overlap(idx, zs[0], ws[0]), complex)
+
+    @pytest.mark.parametrize("m, want", [
+        (200, 0.0021798382814763096 - 0.0481443500221714j),
+        (1000, -0.041753668902221 + 0.04301758725396876j)])
+    def test_large_level(self, m, want):
+        # c = 20: at m = 200 the gamma ratio of the Gauss form overflowed,
+        # and at m = 1000 rho^a underflows where P_m overflows; the values
+        # are those of mpmath's jacobi at 1200 digits (5.3e-41 at 0.85,
+        # -0.85 for m = 1000)
+        idx = ModelParams(OscParams(20.0), m).landau_index()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert abs(overlap(idx, 0.2079 + 0.3505j, 0.1591 + 0.3149j)
+                       - want) < 1e-13
+            far = overlap(idx, 0.85, np.array([-0.85, 0.85j, -0.85j]))
+            # on the diagonal the recurrence sits at the end point x = -1
+            # of the Jacobi interval, where its rounding grows like
+            # m^1.5 eps: 1.8e-12 at m = 1000
+            diagonal = overlap(idx, np.array([0.5j, -0.85]),
+                               np.array([0.5j, -0.85]))
+        assert np.isfinite(far).all() and np.abs(far).max() <= 1.0 + 1e-12
+        assert np.abs(diagonal - 1.0).max() < 1e-11
+
+    def test_past_the_double_range_raises(self):
+        # c = 30, m = 1000: P_m reaches e^1559, and its product with
+        # rho^a may be large where rho^a alone underflows
+        idx = ModelParams(OscParams(30.0), 1000).landau_index()
+        with pytest.raises(NonConvergenceError, match="past the double"):
+            overlap(idx, 0.1, 0.2)
+
 
 @pytest.mark.parametrize("bad", [complex(math.nan, 0.0),
                                  np.array([0.1, complex(0.2, math.nan)])])

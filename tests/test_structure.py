@@ -5,7 +5,8 @@ The evaluation cap (``KERNEL_RMAX``, ``KERNEL_MIN_DIST_ONE``) is checked in
 state tables lives in the library, so the CLI names no block constant.  The
 xi layout has one rule per panel, the Gauss-Kronrod pair, so the modules
 that build and sum it name neither Gauss-Legendre rule of
-``quadrature.integrate_halfline``.
+``quadrature.integrate_halfline``.  The coherent-state overlap is one
+real Jacobi recurrence, with no gamma ratio.
 """
 
 import ast
@@ -59,6 +60,12 @@ def test_cli_names_no_block_constant():
 @pytest.mark.parametrize("name", ["oscillator.py", "bargmann.py"])
 def test_layout_has_one_rule(name):
     assert not _names(_parse(name)) & HALFLINE_RULE_NAMES
+
+
+def test_overlap_takes_no_gamma_ratio():
+    (func,) = [node for node in _parse("coherent.py").body
+               if isinstance(node, ast.FunctionDef) and node.name == "overlap"]
+    assert not _names(func) & {"lgamma", "factorial", "log_gamma_ratio"}
 
 
 def test_name_check_sees_every_form():

@@ -3,11 +3,13 @@ their grid calls give the bits of the one-point calls."""
 
 import json
 
+import numpy as np
 import pytest
 
 from relbargmann import verification
 from relbargmann.bargmann import (oscillator_mode, relativistic_transform,
                                   relativistic_transform_m0)
+from relbargmann.coherent import overlap_series
 from relbargmann.disk import basis_phi
 from relbargmann.errors import DomainError
 from relbargmann.oscillator import ModelParams, OscParams
@@ -92,6 +94,24 @@ def test_m0_kernel_consistency_equals_point_loop():
             worst = max(worst, abs(full - relativistic_transform_m0(osc, f, z)))
     checks = verification.suite_m0_reduction({})
     assert check_error(checks, "m0-kernel-consistency") == worst
+
+
+def test_overlap_suite_draws_the_pairs_of_the_point_loop(monkeypatch):
+    # one draw of shape (50, 2, 2) per level is the stream of 50 draws of
+    # shape (2, 2), one pair each, that the suite made before
+    seen = []
+
+    def series(idx, z, w):
+        seen.append((idx.sigma, idx.m, z, w))
+        return overlap_series(idx, z, w)
+
+    monkeypatch.setattr(verification, "overlap_series", series)
+    verification.suite_overlap({})
+    rng = np.random.default_rng(20240611)
+    want = [(sigma, m, *(complex(*p)
+                         for p in rng.uniform(-0.354, 0.354, (2, 2))))
+            for sigma, m in verification._DISK_CASES for _ in range(50)]
+    assert seen == want
 
 
 def test_report_is_the_same_cold_and_warm(cold_caches):
