@@ -1,6 +1,6 @@
 """Bargmann-type integral transforms from the half line to the disk.
 
-Three transforms are implemented:
+Two transforms are implemented:
 
 * ``classical_bargmann`` -- the Laguerre-kernel baseline mapping L^2(0, inf)
   into the weighted Bergman space, with kernel
@@ -11,16 +11,16 @@ Three transforms are implemented:
   = N(z)^(1/2) <f, phi_z>, whose kernel is the paper's superposition
   K(z, xi) = sum_k Phi_k(z) conj(phi_k(xi)); it maps the oscillator
   eigenstate phi_j to the disk eigenfunction Phi_j of the level
-  (2(gamma+m), m), and is an isometry onto that eigenspace;
+  (2(gamma+m), m), and is an isometry onto that eigenspace.
 
-* ``relativistic_transform_m0`` -- the analytic (m = 0) reduction, whose
-  kernel collapses to a single Gauss function 2F1(gamma - i xi, 1/2 - i xi;
-  gamma + 1/2; z); its image consists of holomorphic functions.
-
-The two relativistic transforms are one half-line integral against two
-kernels, summed by one driver, ``_layout_transform``: the two ``_grid``
-calls pass it only their kernel (the m = 0 route also its prefactor), and
-each one-point call is the grid call of its one point.
+At m = 0 the paper's kernel collapses to a single Gauss function
+2F1(gamma - i xi, 1/2 - i xi; gamma + 1/2; z), and the image consists of
+holomorphic functions.  That is an identity of kernels, not a second
+transform: ``relativistic_transform_m0(_grid)`` are the m = 0 calls of
+``relativistic_transform(_grid)``, and the reduced kernel is
+``reference.m0_reduced_kernel``, checked against the expansion by
+``verify``'s ``m0-reduction`` suite.
+Each one-point call is the grid call of its one point.
 
 Transforms are evaluated against either a callable f(xi) (vectorised over
 ndarray) or a :class:`SampledFunction`, which is interpolated by a cubic
@@ -29,11 +29,11 @@ layout fixed by the parameters alone, so the transforms are linear in f.
 It ends at ``oscillator.XI_LENGTH`` = 40 for every c, which takes at most
 63 panels of width ``oscillator.panel_width`` (2 gamma/pi up to c about
 4.1), each with the 21-point Gauss-Kronrod rule, and f is evaluated in one
-call on all of its nodes.  The package has one source of xi nodes, ``oscillator.xi_layout``,
-keyed on (c, end): its nodes, half widths and the folded state prefactor
-``conj_state_prefactor`` at every node are built once per key and kept in
-a small cache (read-only arrays).  Both transforms read it at XI_LENGTH;
-``isometry_check`` reads the one at ``state_end(20, osc)``, with the
+call on all of its nodes.  The package has one source of xi nodes,
+``oscillator.xi_layout``, keyed on (c, end): its nodes, half widths and
+the folded state prefactor ``conj_state_prefactor`` at every node are built
+once per key and kept in a small cache (read-only arrays).  The
+relativistic transform reads it at XI_LENGTH; ``isometry_check`` reads the one at ``state_end(20, osc)``, with the
 Kronrod weights, as ``oscillator_gram`` does at its own end, but
 evaluates f there only in blocks of panels from xi = 0, up to XI_LENGTH
 and then 4, 8, 16, ... panels more, until two panels in a row hold at most
@@ -46,22 +46,19 @@ builds once for all of its points; the integrand is an exact zero at the
 other nodes.  Each node's kernel value has the same bits whatever the other
 nodes and points, so every result is the same as with the kernel evaluated
 at every node, and a grid value the same as the single-point value.  The
-F5 closed form (``coherent.transform_kernel``) is not used here; the m = 0
-reduction keeps its 2F1 kernel, whose z-independent exponent (its
-``loggamma``s) is cached per c on the same nodes and gathered at the live
-nodes once per grid, so each point adds only its own -i xi log(1 - z), the
-2F1 and the prefactor.  ``classical_bargmann`` alone integrates adaptively
+F5 closed form (``coherent.transform_kernel``) is not used here.
+``classical_bargmann`` alone integrates adaptively
 (``quadrature.integrate_halfline``), with one call of f per panel visit for
-both Gauss rules, its values checked as the other transforms check theirs.
+both Gauss rules, its values checked as the relativistic transform checks
+its own.
 
 Every state, in the kernel, the projections of ``isometry_check`` and the
 Gram matrices alike, comes from the one factorisation conj(phi_k) =
 norms[k] P_k conj_pref of ``oscillator.conj_state_factors``, whose folded
 prefactor stays finite at large c.  The disk Gram matrix of
-``isometry_check`` is cached per level.  These three caches (the layout,
-the Gram and the m = 0 exponent) are bounded ``lru_cache``s of read-only
-arrays, built elementwise or by the uncached code, so a cached result has
-the bits of an uncached one.
+``isometry_check`` is cached per level.  Both caches (the layout and the
+Gram) are bounded ``lru_cache``s of read-only arrays, built elementwise or
+by the uncached code, so a cached result has the bits of an uncached one.
 """
 
 from __future__ import annotations
@@ -80,7 +77,8 @@ from .coherent import transform_kernel  # noqa: F401
 from .disk import LandauIndex, basis_gram
 from .errors import (DomainError, InputFormatError, NonConvergenceError,
                      _check_order)
-from .hypergeom import gauss_2f1_vec
+# looked up here by the layer tracer of bench/tracing.py
+from .hypergeom import gauss_2f1_vec  # noqa: F401
 from .oscillator import (_ISOMETRY_KMAX, XI_LENGTH, ModelParams, OscParams,
                          _layout_columns, _panel_count, _project,
                          eigenfunction, state_end, state_polynomials,
@@ -88,7 +86,6 @@ from .oscillator import (_ISOMETRY_KMAX, XI_LENGTH, ModelParams, OscParams,
 # looked up here by the layer tracer of bench/tracing.py
 from .oscillator import eigenfunction_batch  # noqa: F401
 from .quadrature import _KRONROD_RULE, integrate_halfline
-from .special import log_gamma_ratio
 # looked up here by the layer tracer of bench/tracing.py, which counts the
 # spline builds
 from .spline import CubicSpline
@@ -218,43 +215,6 @@ def _panel_sums(vals: np.ndarray, half: np.ndarray):
     return total, err_total
 
 
-def _layout_transform(params: ModelParams, f, points, kernel,
-                      pref=None) -> TransformResult:
-    """The transform at each of ``points`` on the fixed layout of c at
-    XI_LENGTH, for both kernels.
-
-    Every point is checked against the evaluation cap before f is
-    evaluated, once, on the layout.  ``kernel(zs, live, xi, f_live)`` is a
-    generator that yields each point's integrand at the nodes ``live``
-    where f is non-zero, whose xi and f values it is given; the integrand
-    is an exact zero at the other nodes, and a zero f starts no kernel.
-    ``pref(z)``, if given, scales the point's value, and its modulus the
-    error estimate.
-    """
-    pts = np.asarray(points, dtype=complex).ravel()
-    func = _as_callable(f)
-    zs = _check_cap(pts)
-    values, errors = [], []
-    if zs:
-        nodes, half, _ = xi_layout(params.osc, XI_LENGTH)
-        xi = nodes.ravel()
-        f_vals = _values_on(func, xi)
-        live = np.flatnonzero(f_vals != 0)
-        rows = kernel(zs, live, xi[live], f_vals[live]) if live.size else None
-        integrand = np.zeros(xi.shape, dtype=complex)
-        for z in zs:
-            if rows is not None:
-                integrand[live] = next(rows)
-            value, err = _panel_sums(integrand.reshape(nodes.shape), half)
-            if pref is not None:
-                scale = pref(z)
-                value, err = scale * value, abs(scale) * err
-            values.append(value)
-            errors.append(err)
-    return TransformResult(points=pts, values=np.array(values, dtype=complex),
-                           params=params, errors=np.array(errors, dtype=float))
-
-
 def relativistic_transform(params: ModelParams, f, z, with_error: bool = False):
     """Coherent-state Bargmann-type transform B[f] at the disk point z.
 
@@ -285,74 +245,51 @@ def relativistic_transform_grid(params: ModelParams, f,
     built once, on the nodes where f is non-zero, up to the largest
     ``truncation_order`` of the points; each point sums its rows up to its
     own order, so a value has the bits of the same point alone.  A point
-    outside the kernel cap raises DomainError before f is evaluated."""
-    def integrands(zs, live, xi, f_live):
-        idx = params.landau_index()
-        orders = [truncation_order(idx, z) for z in zs]
-        poly, norms = state_polynomials(max(orders), params.osc, xi)
-        pref_live = xi_layout(params.osc, XI_LENGTH)[2][live]
-        for z, order in zip(zs, orders):
-            coeffs = _kernel_coeffs(idx, z, order, norms)
-            # f times the kernel, in this order, as at every node
-            yield f_live * _kernel_expansion(z, coeffs, poly, pref_live)
+    outside the kernel cap raises DomainError before f is evaluated.
 
-    return _layout_transform(params, f, points, integrands)
-
-
-@lru_cache(maxsize=32)
-def _m0_exponent(osc: OscParams) -> np.ndarray:
-    """The z-independent part 2 loggamma(gamma - i xi) - loggamma(-i xi)
-    + 4 i xi log c of the exponent of the m = 0 kernel, at every node of
-    ``xi_layout(osc, XI_LENGTH)`` (flat).  Built once per c and cached (at
-    most 1,323 nodes, under 25 kB an entry); the array is read-only."""
-    xi = xi_layout(osc, XI_LENGTH)[0].ravel()
-    gamma = osc.gamma
-    expo = log_gamma_ratio(gamma, -xi) + 4j * xi * math.log(osc.c)
-    expo.flags.writeable = False
-    return expo
+    The integrand is f times the kernel at the nodes where f is non-zero,
+    and an exact zero at the other nodes; a zero f builds no table."""
+    pts = np.asarray(points, dtype=complex).ravel()
+    func = _as_callable(f)
+    zs = _check_cap(pts)
+    values, errors = [], []
+    if zs:
+        nodes, half, conj_pref = xi_layout(params.osc, XI_LENGTH)
+        xi = nodes.ravel()
+        f_vals = _values_on(func, xi)
+        live = np.flatnonzero(f_vals != 0)
+        integrand = np.zeros(xi.shape, dtype=complex)
+        if live.size:
+            idx = params.landau_index()
+            orders = [truncation_order(idx, z) for z in zs]
+            poly, norms = state_polynomials(max(orders), params.osc, xi[live])
+            pref_live, f_live = conj_pref[live], f_vals[live]
+        for i, z in enumerate(zs):
+            if live.size:
+                coeffs = _kernel_coeffs(idx, z, orders[i], norms)
+                # f times the kernel, in this order, as at every node
+                integrand[live] = f_live * _kernel_expansion(z, coeffs, poly,
+                                                             pref_live)
+            value, err = _panel_sums(integrand.reshape(nodes.shape), half)
+            values.append(value)
+            errors.append(err)
+    return TransformResult(points=pts, values=np.array(values, dtype=complex),
+                           params=params, errors=np.array(errors, dtype=float))
 
 
 def relativistic_transform_m0(osc: OscParams, f, z, with_error: bool = False):
-    """The m = 0 transform through its reduced single-2F1 kernel.
-
-    Same layout and return value as :func:`relativistic_transform` at
-    m = 0, as numpy scalars; this is :func:`relativistic_transform_m0_grid`
-    at the one point z.
-    """
-    res = relativistic_transform_m0_grid(osc, f, [_one_point(z)])
-    (value,), (err,) = res.values, res.errors
-    return (value, err) if with_error else value
+    """The m = 0 transform: :func:`relativistic_transform` at
+    ``ModelParams(osc, 0)``.  The paper's reduced single-2F1 kernel of this
+    level is ``reference.m0_reduced_kernel``, checked against the expansion
+    kernel by ``verify``'s ``m0-reduction`` suite."""
+    return relativistic_transform(ModelParams(osc, 0), f, z, with_error)
 
 
 def relativistic_transform_m0_grid(osc: OscParams, f,
                                    points) -> TransformResult:
-    """The m = 0 transform on a grid of disk points, with one evaluation of
-    f for the whole grid; the kernel is evaluated only at the nodes where f
-    is non-zero.  Its z-independent exponent (the ``loggamma``s and the
-    c^(4 i xi) phase) comes from a per-c cache, ``_m0_exponent``, gathered
-    at those nodes once; each point adds only its own -i xi log(1 - z), the
-    2F1 and the prefactor (1 - z)^(-gamma).  The kernel is elementwise, so
-    a value has the bits of the kernel built at the live nodes for that
-    point alone.  A point outside the kernel cap raises DomainError before
-    f is evaluated."""
-    gamma = osc.gamma
-    lpref = (0.5 * math.log(2.0) + 0.5 * (math.log(2.0 * gamma - 1.0)
-             - math.log(math.pi) - math.lgamma(2.0 * gamma))
-             - math.lgamma(gamma + 0.5))
-    scale = math.exp(lpref) * np.exp(-1j * math.pi * gamma / 2.0)
-
-    def integrands(zs, live, xi, f_live):
-        i_xl = 1j * xi
-        expo = _m0_exponent(osc)[live]
-        for z in zs:
-            gam_fac = np.exp(expo - i_xl * np.log(1.0 - z))
-            # kernel times f, in this order: the product is not bitwise
-            # symmetric
-            yield gam_fac * gauss_2f1_vec(gamma - i_xl, 0.5 - i_xl,
-                                          gamma + 0.5, z) * f_live
-
-    return _layout_transform(ModelParams(osc, 0), f, points, integrands,
-                             lambda z: scale * (1.0 - z) ** (-gamma))
+    """The m = 0 transform on a grid of disk points:
+    :func:`relativistic_transform_grid` at ``ModelParams(osc, 0)``."""
+    return relativistic_transform_grid(ModelParams(osc, 0), f, points)
 
 
 #: the largest share of ||f||^2 the last two panels of the layout of

@@ -1,7 +1,9 @@
-"""Reference evaluations of Appell F1 and the Kampe de Feriet function F5.
+"""Reference evaluations of Appell F1, the Kampe de Feriet function F5 and
+the reduced m = 0 transform kernel.
 
 Only ``verification``, the tests and the demos import these oracles; the
-transform's own F5 is the finite 2F1 reduction ``hypergeom.f5_kernel_vec``.
+transform's own F5 is the finite 2F1 reduction ``hypergeom.f5_kernel_vec``,
+and its kernel at every m is the basis expansion of ``coherent``.
 F5 is summed as its double series
 
     F5(c, d : a; e : a'; chi, zeta)
@@ -19,15 +21,17 @@ log-oscillation of complex exponents.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import hypergeom
 from .errors import DomainError, NonConvergenceError, PoleError
 from .hypergeom import (_EPS, MAX_SERIES_TERMS, _nonpos_int, _ray_distance,
                         _series_2f1_vec, gauss_2f1)
 from .quadrature import _COARSE_RULE
-from .special import loggamma
+from .special import log_gamma_ratio, loggamma
 
 _F5_SERIES_TERMS = 2000
 _CONSECUTIVE_SMALL = 20
@@ -254,3 +258,38 @@ def kdf_f5_integral(args: F5Args) -> complex:
     extra = abs(c.imag) * (1.0 + abs(zeta))
     val = _logit_panel_integral(d, e - d, smooth, extra)
     return prefactor * val
+
+
+# ---------------------------------------------------------------------------
+# The reduced m = 0 kernel
+# ---------------------------------------------------------------------------
+
+def m0_reduced_kernel(osc, z, xi) -> np.ndarray:
+    """The transform kernel at m = 0 as the paper's single Gauss function,
+
+        K0(z, xi) = C exp(-i pi gamma/2) Gamma(gamma - i xi)^2 / Gamma(-i xi)
+                    c^(4 i xi) (1 - z)^(-gamma - i xi)
+                    2F1(gamma - i xi, 1/2 - i xi; gamma + 1/2; z),
+
+    C = (2 (2 gamma - 1) / (pi Gamma(2 gamma)))^(1/2) / Gamma(gamma + 1/2),
+    at the disk point z and every xi > 0 of the 1-D array ``xi``.  It equals
+    the expansion kernel ``coherent.transform_kernel_series`` at m = 0;
+    ``verify``'s ``m0-reduction`` suite checks that identity.  Every factor
+    but the 2F1 is one exponent, so the kernel stays finite where the
+    factors alone leave the double range (at c = 12 and beyond).  The 2F1
+    is ``hypergeom.gauss_2f1_vec``, looked up on ``hypergeom`` at call time,
+    where the layer tracer of bench/tracing.py counts its calls; its direct
+    series loses digits to cancellation as xi grows (about xi > 15 at
+    |z| = 0.42).
+    """
+    gamma = osc.gamma
+    z = complex(z)
+    xi = np.asarray(xi, dtype=float)
+    i_xi = 1j * xi
+    const = (0.5 * math.log(2.0) + 0.5 * (math.log(2.0 * gamma - 1.0)
+             - math.log(math.pi) - math.lgamma(2.0 * gamma))
+             - math.lgamma(gamma + 0.5) - 0.5j * math.pi * gamma)
+    expo = (const + log_gamma_ratio(gamma, -xi) + 4.0 * i_xi * math.log(osc.c)
+            - (gamma + i_xi) * np.log(1.0 - z))
+    return np.exp(expo) * hypergeom.gauss_2f1_vec(gamma - i_xi, 0.5 - i_xi,
+                                                  gamma + 0.5, z)

@@ -2,8 +2,10 @@
 
 Every suite returns a list of check records ``{name, error, tol, pass}``;
 ``run_suite`` wraps them into the report schema
-``{suite, checks, pass, version, config}``.  All randomness is seeded, so a
-given configuration always produces the identical report.
+``{suite, checks, pass, version, config}``.  A check's error is the largest
+of its errors (``_worst``), NaN if any of them is, and a NaN error fails.
+All randomness is seeded, so a given configuration always produces the
+identical report.
 """
 
 from __future__ import annotations
@@ -14,12 +16,12 @@ import numpy as np
 
 from . import __version__, hypergeom
 from .bargmann import (classical_bargmann, isometry_check, oscillator_mode,
-                       relativistic_transform_grid,
-                       relativistic_transform_m0_grid)
+                       relativistic_transform_grid)
 # looked up here by the layer tracer of bench/tracing.py
 from .bargmann import relativistic_transform  # noqa: F401
 from .bargmann import relativistic_transform_m0  # noqa: F401
-from .coherent import overlap, overlap_series
+from .coherent import (normalization, overlap, overlap_series,
+                       transform_kernel_series_grid)
 from .disk import (LandauIndex, _gram_rule_sizes, basis_gram, basis_phi,
                    landau_level, maass_apply_fd, wirtinger_dzbar_fd)
 from .errors import DomainError
@@ -28,7 +30,8 @@ from .orthopoly import jacobi_p, laguerre_l
 from .oscillator import (ModelParams, OscParams, oscillator_gram,
                          oscillator_gram_entries)
 from .quadrature import integrate_disk
-from .reference import F5Args, appell_f1, kdf_f5_integral, kdf_f5_series
+from .reference import (F5Args, appell_f1, kdf_f5_integral, kdf_f5_series,
+                        m0_reduced_kernel)
 
 SUITES = ("orthonormality-disk", "orthonormality-oscillator", "overlap",
           "resolution", "eigen-equation", "srivastava-rao", "saran",
@@ -38,6 +41,23 @@ _DISK_CASES = ((5.0, 0), (7.5, 1), (9.0, 2))
 _OSC_CASES = (0.8, 1.0, 1.5)
 _MAPPING_POINTS = (0.25 + 0.1j, -0.2 + 0.15j, 0.3j, -0.35 - 0.1j, 0.1 - 0.25j)
 _HOLOMORPHY_POINTS = (0.2 + 0.1j, -0.25 - 0.2j, 0.3j)
+#: the xi of the m = 0 kernel checks, in (0, 15]: the window where the
+#: direct 2F1 series of the reduced kernel keeps its digits at the suite's
+#: points (at c = 5 it is off by 6.6e-9 up to xi = 20, 1.2e-4 up to 30)
+_M0_XI = np.linspace(0.25, 15.0, 60)
+#: the step of the Wirtinger stencil on the reduced kernel: its O(h^2 xi^3)
+#: truncation reaches 1.4e-4 at h = 1e-3 and 1.4e-8 at this step (c <= 20)
+_M0_STEP = 1e-5
+
+
+def _worst(errors) -> float:
+    """The largest of ``errors`` (0.0 for none), or NaN if any is NaN:
+    ``max`` drops a NaN that does not come first, and its check would
+    pass."""
+    errors = [float(e) for e in errors]
+    if any(map(math.isnan, errors)):
+        return math.nan
+    return max(errors, default=0.0)
 
 
 def _check(name: str, error: float, tol: float) -> dict:
@@ -103,10 +123,8 @@ def suite_resolution(config: dict) -> list[dict]:
     pairs = ((0.3 + 0.1j, -0.2 - 0.25j), (0.15 - 0.3j, 0.4 + 0.05j))
     for sigma, m in ((5.0, 0), (7.5, 1)):
         idx = LandauIndex(sigma, m)
-        worst = 0.0
-        for z, zp in pairs:
-            composed = _reproducing_composition(idx, z, zp)
-            worst = max(worst, abs(composed - overlap(idx, z, zp)))
+        worst = _worst(abs(_reproducing_composition(idx, z, zp)
+                           - overlap(idx, z, zp)) for z, zp in pairs)
         checks.append(_check(f"reproducing-sigma{sigma}-m{m}", worst, tol))
     return checks
 
@@ -137,16 +155,17 @@ def suite_eigen_equation(config: dict) -> list[dict]:
     idx = LandauIndex(sigma, m)
     eps = landau_level(idx)
     psi = lambda w: basis_phi(k, idx, w)
-    worst = 0.0
+    errors = []
     for x in np.linspace(-0.32, 0.32, 5):
         for y in np.linspace(-0.32, 0.32, 5):
             z = complex(x, y)
             lhs = maass_apply_fd(idx, psi, z, 1e-4)
             ref = eps * psi(z)
-            worst = max(worst, abs(lhs - ref) / (1.0 + abs(psi(z))))
-    checks = [_check(f"maass-eigen-sigma{sigma}-m{m}-k{k}", worst, tol)]
-    hol = max(abs(wirtinger_dzbar_fd(lambda w: w ** 3, z, 1e-4))
-              for z in (0.2 + 0.1j, -0.3j))
+            errors.append(abs(lhs - ref) / (1.0 + abs(psi(z))))
+    checks = [_check(f"maass-eigen-sigma{sigma}-m{m}-k{k}", _worst(errors),
+                     tol)]
+    hol = _worst(abs(wirtinger_dzbar_fd(lambda w: w ** 3, z, 1e-4))
+                 for z in (0.2 + 0.1j, -0.3j))
     checks.append(_check("holomorphic-killed", hol, 1e-6))
     return checks
 
@@ -167,10 +186,8 @@ def suite_srivastava_rao(config: dict) -> list[dict]:
     tol = float(config.get("tol", 1e-8))
     cases = ((0.2, 2.0, 1.5, 0.3, -0.4), (0.15, 1.3, 0.7, -0.2, 0.5),
              (-0.25, 3.0, 2.2, 0.6, 0.1), (0.25, 1.0, 1.9, -0.7, -0.2))
-    worst = 0.0
-    for t, g, alpha, x, y in cases:
-        lhs, rhs = _srivastava_rao_sides(t, g, alpha, x, y)
-        worst = max(worst, abs(lhs - rhs))
+    worst = _worst(abs(lhs - rhs) for lhs, rhs in
+                   (_srivastava_rao_sides(*case) for case in cases))
     return [_check("srivastava-rao-bilinear", worst, tol)]
 
 
@@ -190,13 +207,13 @@ def _saran_sides(g, mm, cpar, theta, V, y, n_terms=60):
 
 def suite_saran(config: dict) -> list[dict]:
     tol = float(config.get("tol", 1e-8))
-    worst = 0.0
+    errors = []
     for (g, mm, cpar) in ((1.15, 1, 0.8 + 0.3j), (1.3, 2, 0.6 - 0.2j)):
         for (theta, V, y) in ((0.25, -2.0, 0.3), (0.2, -3.0, -0.4),
                               (0.3, -2.5, 0.35)):
             lhs, rhs = _saran_sides(g, mm, cpar, theta, V, y)
-            worst = max(worst, abs(lhs - rhs))
-    return [_check("saran-bilinear-reduced", worst, tol)]
+            errors.append(abs(lhs - rhs))
+    return [_check("saran-bilinear-reduced", _worst(errors), tol)]
 
 
 def _f5_reduction(args: F5Args) -> complex:
@@ -215,7 +232,7 @@ def suite_f5_reductions(config: dict) -> list[dict]:
 
     # collapse at a = a' to a single Gauss function, the reduction at m = 0;
     # the double series is the reference, valid as |chi| + |zeta| <= 0.5
-    worst = 0.0
+    errors = []
     for _ in range(20):
         gre, gim = rng.uniform(1.1, 2.0), rng.uniform(-0.8, 0.8)
         e = gre + rng.uniform(0.3, 1.0)
@@ -223,24 +240,25 @@ def suite_f5_reductions(config: dict) -> list[dict]:
         chi, zeta = rng.uniform(-0.25, 0.25, 2)
         args = F5Args(c=complex(gre, gim), d=complex(gre, -gim), e=e,
                       a=a, a_prime=a, chi=chi, zeta=zeta)
-        worst = max(worst, abs(_f5_reduction(args) - kdf_f5_series(args)))
+        errors.append(abs(_f5_reduction(args) - kdf_f5_series(args)))
     args = F5Args(c=1.2 + 0.5j, d=1.2 - 0.5j, e=1.7, a=2.4, a_prime=2.4,
                   chi=0.15, zeta=0.2)
-    worst = max(worst, abs(_f5_reduction(args) - kdf_f5_series(args)))
-    checks.append(_check("f5-collapse-a-equals-aprime", worst, tol_f5))
+    errors.append(abs(_f5_reduction(args) - kdf_f5_series(args)))
+    checks.append(_check("f5-collapse-a-equals-aprime", _worst(errors),
+                         tol_f5))
 
     # series against the integral representation
-    worst = 0.0
+    errors = []
     for gap in (1.2, 0.7):
         args = F5Args(c=1.5 + 0.3j, d=1.5 - 0.3j, e=2.0, a=3.0 + gap,
                       a_prime=3.0, chi=0.1, zeta=0.15)
-        worst = max(worst, abs(kdf_f5_series(args) - kdf_f5_integral(args)))
+        errors.append(abs(kdf_f5_series(args) - kdf_f5_integral(args)))
     for m in (0, 1, 2):
         args = F5Args(c=1.2 + 0.5j, d=1.2 - 0.5j, e=1.7, a=2.4 + m,
                       a_prime=2.4, chi=0.15, zeta=0.2)
-        worst = max(worst, abs(kdf_f5_series(args) - kdf_f5_integral(args)))
-        worst = max(worst, abs(kdf_f5_series(args) - _f5_reduction(args)))
-    checks.append(_check("f5-series-vs-integral", worst, tol_f5))
+        errors.append(abs(kdf_f5_series(args) - kdf_f5_integral(args)))
+        errors.append(abs(kdf_f5_series(args) - _f5_reduction(args)))
+    checks.append(_check("f5-series-vs-integral", _worst(errors), tol_f5))
 
     # Pfaff transformation on randomized arguments, both sides summed as
     # plain series
@@ -253,7 +271,7 @@ def suite_f5_reductions(config: dict) -> list[dict]:
     checks.append(_check("pfaff-transformation", worst, 1e-10))
 
     # Appell F1 collapse at d = b + c
-    worst = 0.0
+    errors = []
     for _ in range(40):
         a = rng.uniform(0.3, 2.0)
         b = rng.uniform(0.2, 2.5)
@@ -261,11 +279,12 @@ def suite_f5_reductions(config: dict) -> list[dict]:
         x, y = rng.uniform(-0.3, 0.3, 2)
         lhs = appell_f1(a, b, c, b + c, x, y)
         rhs = (1.0 - y) ** (-a) * gauss_2f1(a, b, b + c, (x - y) / (1.0 - y))
-        worst = max(worst, abs(lhs - rhs))
+        errors.append(abs(lhs - rhs))
     lhs = appell_f1(1.3, 2.1, 0.4, 2.5, 0.2, -0.1)
     rhs = (1.0 + 0.1) ** (-1.3) * gauss_2f1(1.3, 2.1, 2.5, 0.3 / 1.1)
-    worst = max(worst, abs(lhs - rhs))
-    checks.append(_check("f1-collapse-d-equals-b-plus-c", worst, 1e-10))
+    errors.append(abs(lhs - rhs))
+    checks.append(_check("f1-collapse-d-equals-b-plus-c", _worst(errors),
+                         1e-10))
     return checks
 
 
@@ -274,7 +293,7 @@ def suite_isometry(config: dict) -> list[dict]:
     c = float(config.get("c", 1.0))
     osc = OscParams(c)
     checks = []
-    worst = 0.0
+    errors = []
     for m in (0, 1):
         params = ModelParams(osc, m)
         idx = params.landau_index()
@@ -282,23 +301,21 @@ def suite_isometry(config: dict) -> list[dict]:
             # one grid call: each value has the bits of the one-point call
             got = relativistic_transform_grid(params, oscillator_mode(j, osc),
                                               _MAPPING_POINTS).values
-            for z, value in zip(_MAPPING_POINTS, got.tolist()):
-                worst = max(worst, abs(value - basis_phi(j, idx, z)))
-    checks.append(_check("basis-mapping", worst, tol_map))
+            errors += [abs(value - basis_phi(j, idx, z))
+                       for z, value in zip(_MAPPING_POINTS, got.tolist())]
+    checks.append(_check("basis-mapping", _worst(errors), tol_map))
 
     def mix(xi):
         return (oscillator_mode(0, osc)(xi)
                 + oscillator_mode(1, osc)(xi)) / math.sqrt(2.0)
 
-    worst = 0.0
-    for m, f in ((0, oscillator_mode(0, osc)), (0, mix),
-                 (1, oscillator_mode(1, osc))):
-        rep = isometry_check(ModelParams(osc, m), f)
-        worst = max(worst, rep["relative_gap"])
+    worst = _worst(isometry_check(ModelParams(osc, m), f)["relative_gap"]
+                   for m, f in ((0, oscillator_mode(0, osc)), (0, mix),
+                                (1, oscillator_mode(1, osc))))
     checks.append(_check("norm-preservation", worst, 1e-10))
 
     # classical baseline: Laguerre modes map to monomials
-    worst = 0.0
+    errors = []
     for sigma in (3.0, 5.5):
         for k in range(5):
             def mode(x, k=k, sigma=sigma):
@@ -308,47 +325,32 @@ def suite_isometry(config: dict) -> list[dict]:
                         * laguerre_l(k, sigma - 1.0, x))
             ratios = [classical_bargmann(sigma, mode, z)[0] / z ** k
                       for z in (0.1, 0.2, 0.3)]
-            worst = max(worst, abs(ratios[0] - ratios[1]),
-                        abs(ratios[1] - ratios[2]))
-    checks.append(_check("classical-monomial-image", worst, 1e-7))
+            errors += [abs(ratios[0] - ratios[1]), abs(ratios[1] - ratios[2])]
+    checks.append(_check("classical-monomial-image", _worst(errors), 1e-7))
     return checks
 
 
-def _stencil_points(z: complex, h: float) -> list[complex]:
-    """The points at which ``wirtinger_dzbar_fd`` evaluates its function
-    at z, in its order."""
-    seen = []
-
-    def record(w):
-        seen.append(w)
-        return 0.0
-
-    wirtinger_dzbar_fd(record, z, h)
-    return seen
-
-
 def suite_m0_reduction(config: dict) -> list[dict]:
+    """The paper's m = 0 kernel identity: the reduced single-2F1 kernel
+    ``reference.m0_reduced_kernel`` against the expansion kernel, and its
+    holomorphy in z, both relative to N(z)^(1/2) (the size of a kernel row)
+    on the xi of ``_M0_XI``."""
     tol = float(config.get("tol", 1e-8))
-    c = float(config.get("c", 1.0))
-    osc = OscParams(c)
-    params = ModelParams(osc, 0)
-    f = oscillator_mode(1, osc)
+    osc = OscParams(float(config.get("c", 1.0)))
+    idx = ModelParams(osc, 0).landau_index()
     grid = [complex(x, y) for x in (-0.3, 0.0, 0.3) for y in (-0.3, 0.0, 0.3)]
-    stencils = [w for z in _HOLOMORPHY_POINTS
-                for w in _stencil_points(z, 1e-3)]
-    # one grid call for both checks; its values stay numpy scalars, whose
-    # differences and quotients are those of the one-point calls
-    reduced = relativistic_transform_m0_grid(osc, f, grid + stencils).values
-    full_values = relativistic_transform_grid(params, f, grid).values.tolist()
-    worst = 0.0
-    for full, value in zip(full_values, reduced[:len(grid)]):
-        worst = max(worst, abs(full - value))
-    checks = [_check("m0-kernel-consistency", worst, tol)]
+    expansion = transform_kernel_series_grid(ModelParams(osc, 0), grid, _M0_XI)
+    gaps = [np.abs(m0_reduced_kernel(osc, z, _M0_XI) - row).max()
+            / math.sqrt(normalization(idx, z))
+            for z, row in zip(grid, expansion)]
+    checks = [_check("m0-kernel-consistency", _worst(gaps), tol)]
 
-    at = dict(zip(stencils, reduced[len(grid):]))
-    hol = max(abs(wirtinger_dzbar_fd(at.__getitem__, z, 1e-3))
-              for z in _HOLOMORPHY_POINTS)
-    checks.append(_check("m0-holomorphy", hol, 1e-5))
+    def kernel(w):
+        return m0_reduced_kernel(osc, w, _M0_XI)
+
+    hol = [np.abs(wirtinger_dzbar_fd(kernel, z, _M0_STEP)).max()
+           / math.sqrt(normalization(idx, z)) for z in _HOLOMORPHY_POINTS]
+    checks.append(_check("m0-holomorphy", _worst(hol), 1e-5))
     return checks
 
 

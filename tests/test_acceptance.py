@@ -10,17 +10,17 @@ import time
 import numpy as np
 
 from relbargmann.bargmann import (classical_bargmann, oscillator_mode,
-                                  relativistic_transform,
-                                  relativistic_transform_m0)
+                                  relativistic_transform)
 from relbargmann.coherent import (CoherentLabel, cs_wavefunction,
-                                  cs_wavefunction_oracle, overlap,
-                                  overlap_series)
+                                  cs_wavefunction_oracle, normalization,
+                                  overlap, overlap_series,
+                                  transform_kernel_series)
 from relbargmann.disk import (LandauIndex, basis_gram, basis_phi,
                               landau_level, maass_apply_fd,
                               wirtinger_dzbar_fd)
 from relbargmann.orthopoly import laguerre_l
 from relbargmann.oscillator import ModelParams, OscParams, oscillator_gram
-from relbargmann.reference import F5Args, kdf_f5_series
+from relbargmann.reference import F5Args, kdf_f5_series, m0_reduced_kernel
 from relbargmann.verification import (_f5_reduction, _reproducing_composition,
                                       _saran_sides, _srivastava_rao_sides)
 from test_hypergeom import _scalar_series_2f1
@@ -172,18 +172,23 @@ def test_criterion_08_basis_mapping():
 
 
 def test_criterion_09_m0_reduction():
+    # the reduced single-2F1 kernel K0 against the expansion kernel, and
+    # its holomorphy in z, relative to N(z)^(1/2), for xi in (0, 15]
     t0 = time.time()
     osc = OscParams(1.0)
     params = ModelParams(osc, 0)
-    f = oscillator_mode(1, osc)
+    idx = params.landau_index()
+    xi = np.linspace(0.25, 15.0, 60)
     worst = 0.0
     for x in (-0.3, 0.0, 0.3):
         for y in (-0.3, 0.0, 0.3):
             z = complex(x, y)
-            worst = max(worst, abs(relativistic_transform(params, f, z)
-                                   - relativistic_transform_m0(osc, f, z)))
-    B = lambda w: relativistic_transform_m0(osc, f, w)
-    hol = max(abs(wirtinger_dzbar_fd(B, z, 1e-3))
+            gap = np.abs(m0_reduced_kernel(osc, z, xi)
+                         - transform_kernel_series(params, z, xi)).max()
+            worst = max(worst, gap / math.sqrt(normalization(idx, z)))
+    K0 = lambda w: m0_reduced_kernel(osc, w, xi)
+    hol = max(np.abs(wirtinger_dzbar_fd(K0, z, 1e-5)).max()
+              / math.sqrt(normalization(idx, z))
               for z in (0.2 + 0.1j, -0.25 - 0.2j, 0.3j))
     assert hol < 1e-5
     elapsed = report(9, "analytic-level kernel consistency and holomorphy",

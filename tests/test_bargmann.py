@@ -19,14 +19,12 @@ from relbargmann.coherent import (CoherentLabel, cs_wavefunction_oracle,
                                   normalization, transform_kernel_series)
 from relbargmann.disk import basis_gram, basis_phi, wirtinger_dzbar_fd
 from relbargmann.errors import DomainError, InputFormatError, NonConvergenceError
-from relbargmann.hypergeom import gauss_2f1_vec
 from relbargmann.orthopoly import laguerre_l
 from relbargmann.oscillator import (XI_LENGTH, ModelParams, OscParams,
                                     conj_state_factors, project_states,
                                     state_end, xi_layout)
 from relbargmann.quadrature import (_COARSE_RULE, _FINE_RULE, _KRONROD_RULE,
                                     integrate_halfline)
-from relbargmann.special import loggamma
 
 
 def laguerre_mode(k: int, sigma: float):
@@ -393,36 +391,6 @@ def every_node_transform(params, f, z):
     return layout_integral(integrand, xi_layout(params.osc, XI_LENGTH))
 
 
-def m0_prefactor(osc, z):
-    """The xi-independent factor of the reduced m = 0 kernel."""
-    gamma = osc.gamma
-    lpref = (0.5 * math.log(2.0) + 0.5 * (math.log(2.0 * gamma - 1.0)
-             - math.log(math.pi) - math.lgamma(2.0 * gamma)) - math.lgamma(gamma + 0.5))
-    return (math.exp(lpref) * np.exp(-1j * math.pi * gamma / 2.0)
-            * (1.0 - z) ** (-gamma))
-
-
-def every_node_transform_m0(osc, f, z):
-    """Reference: the reduced m = 0 kernel times f at every node xi > 0."""
-    func = f.as_callable() if isinstance(f, SampledFunction) else f
-    gamma = osc.gamma
-    pref = m0_prefactor(osc, z)
-
-    def integrand(xi):
-        out = np.zeros(len(xi), dtype=complex)
-        pos = xi > 0
-        xp = xi[pos]
-        gam_fac = np.exp(2.0 * loggamma(gamma - 1j * xp) - loggamma(-1j * xp)
-                         + 4j * xp * math.log(osc.c) - 1j * xp * np.log(1.0 - z))
-        kernel = gam_fac * gauss_2f1_vec(gamma - 1j * xp, 0.5 - 1j * xp,
-                                         gamma + 0.5, z)
-        out[pos] = kernel * np.asarray(func(xp))
-        return out
-
-    value, err = layout_integral(integrand, xi_layout(osc, XI_LENGTH))
-    return pref * value, abs(pref) * err
-
-
 def bits(value, err):
     """Value and error estimate as bytes, so that signed zeros count."""
     return np.array([value], dtype=complex).tobytes() + np.float64(err).tobytes()
@@ -450,7 +418,7 @@ class TestKernelOnSupport:
             assert bits(*got) == bits(*every_node_transform(params, f, z))
             if m == 0:
                 got = relativistic_transform_m0(params.osc, f, z, with_error=True)
-                assert bits(*got) == bits(*every_node_transform_m0(params.osc, f, z))
+                assert bits(*got) == bits(*every_node_transform(params, f, z))
 
     def test_grid_from_two_kernel_inside_grid(self, monkeypatch):
         # c = 0.6: the layout runs to xi = 40, the samples cover [2, 25]
@@ -485,20 +453,30 @@ class TestKernelOnSupport:
         got = relativistic_transform(params, f, 0.2 + 0.1j, with_error=True)
         assert bits(*got) == bits(0.0, 0.0) and not calls
         got = relativistic_transform_m0(params.osc, f, 0.2 + 0.1j, with_error=True)
-        assert bits(*got) == bits(*every_node_transform_m0(params.osc, f,
-                                                           0.2 + 0.1j))
-        assert got == (0.0, 0.0)
+        assert bits(*got) == bits(0.0, 0.0) and not calls
 
 
 class TestM0Reduction:
+    """``relativistic_transform_m0`` is the expansion transform at m = 0;
+    the reduced kernel itself is checked in tests/test_reference.py."""
+
     def test_matches_full_kernel(self):
         osc = OscParams(1.0)
         params = ModelParams(osc, 0)
         f = oscillator_mode(1, osc)
         for z in (0.25, 0.3 + 0.2j, -0.4 + 0.1j):
-            full = relativistic_transform(params, f, z)
-            reduced = relativistic_transform_m0(osc, f, z)
-            assert abs(full - reduced) < 1e-8
+            full = relativistic_transform(params, f, z, with_error=True)
+            reduced = relativistic_transform_m0(osc, f, z, with_error=True)
+            assert bits(*reduced) == bits(*full)
+
+    def test_tenth_mode_meets_the_disk_basis(self):
+        # the reduced 2F1 kernel was off by 2.4e3 here, the expansion by
+        # 7.2e-11
+        osc = OscParams(1.0)
+        z = 0.5 - 0.6j
+        got = relativistic_transform_m0(osc, oscillator_mode(10, osc), z)
+        want = basis_phi(10, ModelParams(osc, 0).landau_index(), z)
+        assert abs(got - want) < 1e-10
 
     def test_output_is_holomorphic(self):
         osc = OscParams(1.0)
@@ -531,31 +509,50 @@ class TestM0Grid:
 
     POINTS = [0.3 + 0.2j, -0.5 + 0.4j, 0.0, 0.25, -0.3 - 0.3j, 0.3 + 0.2j]
 
+    @staticmethod
+    def modes(osc, f):
+        return {"sampled": sampled_modes(osc, np.linspace(2.0, 25.0, 231)),
+                "scattered": scattered_mode(osc),
+                "mode": oscillator_mode(1, osc)}[f]
+
     @pytest.mark.parametrize("c", [0.6, 1.0, 2.0])
     @pytest.mark.parametrize("f", ["sampled", "scattered", "mode"])
     def test_each_value_has_the_bits_of_the_one_point_call(self, c, f):
         osc = OscParams(c)
-        func = {"sampled": sampled_modes(osc, np.linspace(2.0, 25.0, 231)),
-                "scattered": scattered_mode(osc),
-                "mode": oscillator_mode(1, osc)}[f]
+        func = self.modes(osc, f)
         res = relativistic_transform_m0_grid(osc, func, self.POINTS)
         assert isinstance(res, TransformResult) and res.params.m == 0
         for z, value, err in zip(self.POINTS, res.values, res.errors):
             got = bits(value, err)
             assert got == bits(*relativistic_transform_m0(osc, func, z,
                                                           with_error=True))
-            assert got == bits(*live_node_transform_m0(osc, func, z))
             if f == "sampled":
-                assert got == bits(*every_node_transform_m0(osc, func, z))
+                assert got == bits(*every_node_transform(res.params, func, z))
+
+    @pytest.mark.parametrize("c", [0.6, 1.0, 8.0])
+    @pytest.mark.parametrize("f", ["sampled", "scattered"])
+    def test_has_the_bits_of_the_expansion_transform(self, c, f):
+        osc = OscParams(c)
+        params = ModelParams(osc, 0)
+        func = self.modes(osc, f)
+        res = relativistic_transform_m0_grid(osc, func, self.POINTS)
+        want = relativistic_transform_grid(params, func, self.POINTS)
+        assert res.points.tobytes() == want.points.tobytes()
+        assert res.values.tobytes() == want.values.tobytes()
+        assert res.errors.tobytes() == want.errors.tobytes()
+        for z in self.POINTS:
+            assert (bits(*relativistic_transform_m0(osc, func, z, True))
+                    == bits(*relativistic_transform(params, func, z, True)))
 
     def test_grid_values_are_the_one_point_scalars(self):
-        # numpy complex scalars, as the one-point call returns: the stencil
-        # quotients of the holomorphy check depend on it
+        # the one-point call returns a Python complex, as the expansion
+        # transform does, with the bits of the grid value
         osc = OscParams(1.0)
         f = oscillator_mode(1, osc)
-        value = relativistic_transform_m0_grid(osc, f, [0.2j]).values[0]
+        (value,) = relativistic_transform_m0_grid(osc, f, [0.2j]).values.tolist()
         one = relativistic_transform_m0(osc, f, 0.2j)
-        assert type(value) is type(one) is np.complex128
+        assert type(value) is type(one) is complex
+        assert bits(one, 0.0) == bits(value, 0.0)
 
     def test_one_evaluation_of_f_per_call(self):
         osc = OscParams(1.0)
@@ -918,29 +915,6 @@ def uncached_isometry(params, f):
             "relative_gap": gap}
 
 
-def live_node_transform_m0(osc, f, z):
-    """Reference: the reduced m = 0 kernel built afresh, its loggammas
-    included, at the nodes of a freshly built layout where f is non-zero,
-    times f."""
-    func = f.as_callable() if isinstance(f, SampledFunction) else f
-    gamma = osc.gamma
-
-    def integrand(xi):
-        f_vals = np.asarray(func(xi))
-        live = f_vals != 0
-        xl = xi[live]
-        out = np.zeros(xi.shape, dtype=complex)
-        gam_fac = np.exp(2.0 * loggamma(gamma - 1j * xl) - loggamma(-1j * xl)
-                         + 4j * xl * math.log(osc.c) - 1j * xl * np.log(1.0 - z))
-        out[live] = gam_fac * gauss_2f1_vec(gamma - 1j * xl, 0.5 - 1j * xl,
-                                            gamma + 0.5, z) * f_vals[live]
-        return out
-
-    value, err = layout_integral(integrand, fresh_layout(osc, XI_LENGTH))
-    pref = m0_prefactor(osc, z)
-    return pref * value, abs(pref) * err
-
-
 def counting(monkeypatch, module, name):
     """Replace ``module.name`` by a wrapper that records its calls."""
     calls = []
@@ -977,12 +951,12 @@ class TestLayoutCache:
 
 
 class TestParameterCaches:
-    """The package's parameter caches: the xi layout per (c, end), the disk
-    Gram of the isometry check per level and the m = 0 kernel's exponent
-    per c.  Each holds read-only arrays, is bounded, builds each key once
-    and has the bits of an uncached build."""
+    """The package's parameter caches: the xi layout per (c, end) and the
+    disk Gram of the isometry check per level.  Each holds read-only arrays,
+    is bounded, builds each key once and has the bits of an uncached
+    build."""
 
-    CACHES = ["xi_layout", "_isometry_gram", "_m0_exponent"]
+    CACHES = ["xi_layout", "_isometry_gram"]
 
     @staticmethod
     def cache_and_keys(name):
@@ -990,9 +964,8 @@ class TestParameterCaches:
         one, two = OscParams(1.3), OscParams(2.0)
         if name == "xi_layout":
             return oscillator.xi_layout, [(one, XI_LENGTH), (one, 80.0)]
-        keys = {"_isometry_gram": [(ModelParams(one, 1).landau_index(),),
-                                   (ModelParams(two, 0).landau_index(),)],
-                "_m0_exponent": [(one,), (two,)]}[name]
+        keys = [(ModelParams(one, 1).landau_index(),),
+                (ModelParams(two, 0).landau_index(),)]
         return getattr(bargmann, name), keys
 
     @staticmethod
@@ -1003,8 +976,7 @@ class TestParameterCaches:
         # the isometry check's layout is xi_layout at state_end(20)
         osc = OscParams(1.0)
         arrays = [*xi_layout(osc, state_end(20, osc)),
-                  bargmann._isometry_gram(ModelParams(osc, 1).landau_index()),
-                  bargmann._m0_exponent(osc)]
+                  bargmann._isometry_gram(ModelParams(osc, 1).landau_index())]
         for arr in arrays:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -1014,8 +986,7 @@ class TestParameterCaches:
     # layout, once a cache of its own, is an entry of xi_layout
     @pytest.mark.parametrize("cache", [
         pytest.param(oscillator.xi_layout, id="_isometry_layout"),
-        pytest.param(bargmann._isometry_gram, id="_isometry_gram"),
-        pytest.param(bargmann._m0_exponent, id="_m0_exponent")])
+        pytest.param(bargmann._isometry_gram, id="_isometry_gram")])
     def test_cache_is_bounded(self, cache):
         maxsize = cache.cache_info().maxsize
         assert maxsize is not None and maxsize <= 64
@@ -1102,6 +1073,8 @@ class TestParameterCaches:
     @pytest.mark.parametrize("c", [0.6, 1.0, 2.0])
     @pytest.mark.parametrize("f", ["sampled", "scattered"])
     def test_m0_has_the_bits_of_an_uncached_kernel(self, c, f, cold_caches):
+        # the m = 0 call sums the expansion kernel from the cached layout;
+        # the reference builds the kernel afresh at every node
         osc = OscParams(c)
         if f == "sampled":
             func = sampled_modes(osc, np.linspace(2.0, 25.0, 231))
@@ -1109,7 +1082,8 @@ class TestParameterCaches:
             func = scattered_mode(osc)
         for z in (0.3 + 0.2j, -0.5 + 0.4j, 0.3 + 0.2j):
             got = relativistic_transform_m0(osc, func, z, with_error=True)
-            assert bits(*got) == bits(*live_node_transform_m0(osc, func, z))
+            want = every_node_transform(ModelParams(osc, 0), func, z)
+            assert bits(*got) == bits(*want)
 
     def test_second_isometry_check_builds_nothing(self, monkeypatch,
                                                   cold_caches):
@@ -1128,16 +1102,6 @@ class TestParameterCaches:
         isometry_check(ModelParams(OscParams(1.0), 0), f)
         assert len(prefactors) == 1 and len(batches) == 2
 
-    def test_second_m0_call_calls_no_loggamma(self, monkeypatch, cold_caches):
-        osc = OscParams(1.3)
-        f = sampled_modes(osc, np.linspace(0.0, 30.0, 301))
-        calls = counting(monkeypatch, bargmann, "log_gamma_ratio")
-        relativistic_transform_m0(osc, f, 0.2 - 0.3j)
-        assert len(calls) == 1
-        relativistic_transform_m0(osc, f, 0.1j)
-        relativistic_transform_m0(osc, f, 0.2 - 0.3j)
-        assert len(calls) == 1
-
     def test_public_gram_is_fresh_and_writable(self):
         params = ModelParams(OscParams(1.0), 0)
         f = mode_mix(params.osc, TestIsometryRings.MIX)
@@ -1155,8 +1119,7 @@ class TestParameterCaches:
         basis_phi(2, ModelParams(osc, 0).landau_index(), 0.1)
         cli.main(["spectrum", "--c", "1", "--kmax", "1", "--m", "0"])
         caches = [oscillator.xi_layout, bargmann._isometry_gram,
-                  bargmann._m0_exponent, disk._phi_coeff_matrix,
-                  cli._shared_parser]
+                  disk._phi_coeff_matrix, cli._shared_parser]
         assert all(cache.cache_info().currsize for cache in caches)
         cold_caches()
         assert not any(cache.cache_info().currsize for cache in caches)

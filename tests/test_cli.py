@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1023,6 +1024,19 @@ class TestVerify:
         assert run(["verify", "--suite", suite, "--c", repr(c),
                     "--out", str(out)]) == 0
         assert time.perf_counter() - start < 10.0
+
+    @pytest.mark.parametrize("c", [1.0, 3.0, 5.0, 8.0, 12.0, 20.0])
+    def test_m0_reduction_over_c_exit_0(self, tmp_path, c):
+        # the reduced kernel's factors in one exponent: at c = 12 and 20
+        # they overflowed to NaN, which passed; c = 5 and 8 failed
+        out = tmp_path / "rep.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["verify", "--suite", "m0-reduction", "--c", repr(c),
+                        "--out", str(out)]) == 0
+        errors = [check["error"] for check in
+                  json.loads(out.read_text())["checks"]]
+        assert len(errors) == 2 and all(map(math.isfinite, errors))
 
     def test_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

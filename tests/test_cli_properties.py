@@ -227,9 +227,9 @@ def test_fuzz_typed_exit_and_finite_output(case):
             assert not out.exists()
 
 
-#: verify's suites short enough to fuzz: ``isometry`` and ``m0-reduction``
-#: take about a second a run, and ``all`` holds them
-FUZZ_SUITES = [s for s in SUITES if s not in ("isometry", "m0-reduction", "all")]
+#: verify's suites short enough to fuzz, each under 0.1 s a run: all but
+#: ``all``, which runs every one of them
+FUZZ_SUITES = [s for s in SUITES if s != "all"]
 #: each suite parameter inside and outside its range; kmax stays <= 8
 PARAM_VALUES = {
     "c": st.one_of(st.floats(0.05, 5.0),

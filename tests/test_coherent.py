@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relbargmann import bargmann, coherent
+from relbargmann import bargmann, coherent, hypergeom
 from relbargmann.bargmann import (classical_bargmann, oscillator_mode,
                                   relativistic_transform,
                                   relativistic_transform_grid,
@@ -476,7 +476,7 @@ def kernel_calls(monkeypatch):
                         (coherent, "conj_state_factors"),
                         (coherent, "basis_phi_batch"),
                         (bargmann, "state_polynomials"),
-                        (bargmann, "gauss_2f1_vec")):
+                        (hypergeom, "gauss_2f1_vec")):
         def wrapped(*args, _fn=getattr(owner, name), _name=name, **kwargs):
             calls.append(_name)
             return _fn(*args, **kwargs)

@@ -1,17 +1,23 @@
 """The reference oracles stay apart from the package's chain.
 
-``relbargmann.reference`` holds the F5 double series and integral and Appell
-F1, which verify checks the closed forms against; only ``verification``
-(and the tests and demos) may import it.
+``relbargmann.reference`` holds the F5 double series and integral, Appell
+F1 and the reduced m = 0 kernel, which verify checks the package against;
+only ``verification`` (and the tests and demos) may import it.
 """
 
 import ast
+import math
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import relbargmann
 from relbargmann import hypergeom, orthopoly
+from relbargmann.coherent import normalization, transform_kernel_series_grid
+from relbargmann.oscillator import ModelParams, OscParams
+from relbargmann.reference import m0_reduced_kernel
 
 PACKAGE = Path(relbargmann.__file__).parent
 ORACLE_READERS = {"verification.py", "reference.py"}
@@ -68,3 +74,38 @@ def test_name_left_the_chain(name):
 
 def test_export_count():
     assert len(relbargmann.__all__) == 49
+
+
+class TestM0ReducedKernel:
+    """The paper's m = 0 kernel, one 2F1, is the expansion kernel at m = 0
+    on the window xi <= 15 where its direct series holds."""
+
+    XI = np.linspace(0.25, 15.0, 60)
+    POINTS = (0.3 + 0.3j, -0.3, 0.0, 0.2 - 0.1j)
+
+    @pytest.mark.parametrize("c", [0.05, 0.3, 1.0, 3.0, 5.0, 8.0, 12.0, 20.0])
+    def test_equals_the_expansion_kernel(self, c):
+        osc = OscParams(c)
+        params = ModelParams(osc, 0)
+        expansion = transform_kernel_series_grid(params, self.POINTS, self.XI)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z, row in zip(self.POINTS, expansion):
+                got = m0_reduced_kernel(osc, z, self.XI)
+                assert np.isfinite(got).all()
+                scale = math.sqrt(normalization(params.landau_index(), z))
+                assert np.abs(got - row).max() / scale < 1e-10
+
+    def test_one_gauss_call_on_the_module(self, monkeypatch):
+        # looked up on hypergeom at call time, where the layer tracer of
+        # bench/tracing.py replaces it
+        calls = []
+        original = hypergeom.gauss_2f1_vec
+
+        def counted(*args):
+            calls.append(np.size(args[0]))
+            return original(*args)
+
+        monkeypatch.setattr(hypergeom, "gauss_2f1_vec", counted)
+        m0_reduced_kernel(OscParams(1.0), 0.2j, self.XI)
+        assert calls == [len(self.XI)]

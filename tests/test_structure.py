@@ -6,7 +6,8 @@ state tables lives in the library, so the CLI names no block constant.  The
 xi layout has one rule per panel, the Gauss-Kronrod pair, so the modules
 that build and sum it name neither Gauss-Legendre rule of
 ``quadrature.integrate_halfline``.  The coherent-state overlap is one
-real Jacobi recurrence, with no gamma ratio.
+real Jacobi recurrence, with no gamma ratio.  ``bargmann`` has one
+transform route: the m = 0 reduction's 2F1 kernel lives in ``reference``.
 """
 
 import ast
@@ -20,6 +21,7 @@ PACKAGE = Path(relbargmann.__file__).parent
 CAP_NAMES = {"KERNEL_RMAX", "KERNEL_MIN_DIST_ONE"}
 BLOCK_NAMES = {"LAYOUT_BLOCK_NODES"}
 HALFLINE_RULE_NAMES = {"_COARSE_RULE", "_FINE_RULE"}
+M0_ROUTE_NAMES = {"gauss_2f1_vec", "log_gamma_ratio", "_m0_exponent"}
 
 
 def _names(tree: ast.Module) -> set[str]:
@@ -66,6 +68,24 @@ def test_overlap_takes_no_gamma_ratio():
     (func,) = [node for node in _parse("coherent.py").body
                if isinstance(node, ast.FunctionDef) and node.name == "overlap"]
     assert not _names(func) & {"lgamma", "factorial", "log_gamma_ratio"}
+
+
+def test_bargmann_has_one_transform_route():
+    # the one exception is the import of gauss_2f1_vec that the layer
+    # tracer of bench/tracing.py looks up on bargmann
+    path = PACKAGE / "bargmann.py"
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    imports = [node for node in tree.body
+               if isinstance(node, ast.ImportFrom)
+               and _names(node) & M0_ROUTE_NAMES]
+    assert [(node.module, [alias.name for alias in node.names])
+            for node in imports] == [("hypergeom", ["gauss_2f1_vec"])]
+    assert source.splitlines()[imports[0].lineno - 1].endswith(
+        "# noqa: F401")
+    for node in tree.body:
+        if node not in imports:
+            assert not _names(node) & M0_ROUTE_NAMES, ast.unparse(node)[:60]
 
 
 def test_name_check_sees_every_form():

@@ -1,18 +1,21 @@
-"""The verify suites read exactly the config keys their table names, and
-their grid calls give the bits of the one-point calls."""
+"""The verify suites read exactly the config keys their table names,
+their grid calls give the bits of the one-point calls, and a NaN error
+fails its check."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from relbargmann import verification
-from relbargmann.bargmann import (oscillator_mode, relativistic_transform,
-                                  relativistic_transform_m0)
-from relbargmann.coherent import overlap_series
+from relbargmann.bargmann import oscillator_mode, relativistic_transform
+from relbargmann.coherent import (normalization, overlap_series,
+                                  transform_kernel_series)
 from relbargmann.disk import basis_phi
 from relbargmann.errors import DomainError
 from relbargmann.oscillator import ModelParams, OscParams
+from relbargmann.reference import m0_reduced_kernel
 from relbargmann.verification import SUITE_KEYS, SUITES, run_suite, unread_keys
 
 
@@ -84,16 +87,47 @@ def test_basis_mapping_equals_point_loop():
 
 
 def test_m0_kernel_consistency_equals_point_loop():
+    # the reduced kernel against the expansion, one point at a time
     osc = OscParams(1.0)
-    f = oscillator_mode(1, osc)
+    params = ModelParams(osc, 0)
+    xi = verification._M0_XI
     worst = 0.0
     for x in (-0.3, 0.0, 0.3):
         for y in (-0.3, 0.0, 0.3):
             z = complex(x, y)
-            full = relativistic_transform(ModelParams(osc, 0), f, z)
-            worst = max(worst, abs(full - relativistic_transform_m0(osc, f, z)))
+            gap = np.abs(m0_reduced_kernel(osc, z, xi)
+                         - transform_kernel_series(params, z, xi)).max()
+            worst = max(worst, gap / math.sqrt(
+                normalization(params.landau_index(), z)))
     checks = verification.suite_m0_reduction({})
     assert check_error(checks, "m0-kernel-consistency") == worst
+
+
+def test_worst_keeps_a_nan():
+    assert verification._worst([1.0, 3.0, 2.0]) == 3.0
+    assert verification._worst([]) == 0.0
+    for errors in ([math.nan, 1.0], [1.0, math.nan], [0.0, math.nan, 2.0]):
+        assert math.isnan(verification._worst(errors))
+        assert math.isnan(verification._worst(iter(errors)))
+
+
+def test_nan_error_fails_its_check(monkeypatch):
+    # a NaN at one xi of the fifth point, past the first gap: max() would
+    # have dropped it and passed the check with the other points' error
+    kernel = verification.m0_reduced_kernel
+
+    def nan_at_origin(osc, z, xi):
+        out = kernel(osc, z, xi)
+        if z == 0:
+            out[3] = math.nan
+        return out
+
+    monkeypatch.setattr(verification, "m0_reduced_kernel", nan_at_origin)
+    report = run_suite("m0-reduction")
+    (check,) = [c for c in report["checks"]
+                if c["name"] == "m0-kernel-consistency"]
+    assert math.isnan(check["error"]) and check["pass"] is False
+    assert report["pass"] is False
 
 
 def test_overlap_suite_draws_the_pairs_of_the_point_loop(monkeypatch):
