@@ -42,6 +42,7 @@ from .disk import (LandauIndex, basis_phi_batch, basis_radial_profiles,
                    check_disk)
 from .errors import DomainError, NonConvergenceError
 from .hypergeom import f5_kernel_vec
+from .orthopoly import jacobi_q, jacobi_q_steps
 from .oscillator import (LAYOUT_BLOCK_NODES, ModelParams, _check_xi,
                          conj_state_factors, state_norms)
 from .special import log_gamma_ratio
@@ -95,10 +96,11 @@ def overlap(idx: LandauIndex, z, w):
     a = sigma/2 - m.  It is the Gauss form
     C (1-|z|^2)^(sigma/2-m) (1-|w|^2)^(sigma/2-m) (1 - zbar w)^m u^(m-sigma)
     2F1(-m, sigma-m; sigma-2m; rho) reduced by
-    C 2F1 = (-1)^m P_m^(alpha, 0)(1 - 2 rho) (DLMF 18.5.7).  The Jacobi
-    polynomial is summed by its three-term recurrence (DLMF 18.9.2) in
-    1 - rho = |z - w|^2/|u|^2, which keeps its digits near the diagonal,
-    where the overlap is largest.  Of modulus at most 1 with equality only
+    C 2F1 = (-1)^m P_m^(alpha, 0)(1 - 2 rho) (DLMF 18.5.7).  That is
+    P_m^(0, alpha)(1 - 2t) in t = 1 - rho = |z - w|^2/|u|^2, which keeps its
+    digits near the diagonal, where the overlap is largest, summed by the
+    package's one three-term recurrence (DLMF 18.9.2), ``orthopoly.jacobi_q``
+    at (a, b) = (0, alpha).  Of modulus at most 1 with equality only
     at z = w, and Hermitian in (z, w): the rounding is symmetric too, so
     swapping z and w conjugates each value exactly when both calls see the
     same shapes.
@@ -138,15 +140,7 @@ def overlap(idx: LandauIndex, z, w):
     p = (rho * math.exp(shift / a)) ** a
     if m:
         gap = ((zr - wr) ** 2 + (zi - wi) ** 2) / den  # 1 - rho
-        p_prev, p = p, p * ((alpha + 2.0) * gap - 1.0)
-    for n in range(2, m + 1):
-        # P_n = (const + lead (1 - rho)) P_(n-1) - back P_(n-2)
-        s = 2.0 * n + alpha
-        d = 2.0 * n * (n + alpha) * (s - 2.0)
-        const = -2.0 * (s - 1.0) * (2.0 * n * (n + alpha - 1.0) - alpha) / d
-        lead = 2.0 * (s - 1.0) * s * (s - 2.0) / d
-        back = 2.0 * (n - 1.0) * (n + alpha - 1.0) * s / d
-        p_prev, p = p, (const + lead * gap) * p - back * p_prev
+        p = jacobi_q(jacobi_q_steps(m, 0.0, alpha), gap, p)
     # exp(-i sigma Arg u) = (1 - t^2 + 2i t)/(1 + t^2) with
     # t = tan(-sigma Arg u / 2): numpy's float64 tan is a vector loop, where
     # its cos and sin call libm per element (a tenth of their time on 49k

@@ -10,11 +10,14 @@ sigma > 1 its discrete spectrum consists of the hyperbolic Landau levels
 the orthonormal basis ``basis_phi`` built from Jacobi polynomials with a
 negative-integer first parameter once k exceeds m.
 
-``basis_phi`` is evaluated through an equivalent finite monomial expansion
-(the image of the Jacobi connection formula), which is single-valued at
-z = 0 where the raw factor zbar^(m-k) and the degenerate polynomial would
-produce 0/0.  ``basis_phi`` and ``basis_phi_batch`` share one elementwise
-evaluation, so Phi_k(z) has the same bits alone, in any array and stack.
+Szego (4.22.2) maps that polynomial, of degree k and parameter m - k, onto
+P_m^(k-m, sigma-2m-1) times |z|^(2(k-m)), which is single-valued at z = 0
+where the raw factor zbar^(m-k) and the degenerate polynomial would produce
+0/0.  ``basis_phi`` evaluates it by the three-term recurrence
+``orthopoly.jacobi_q``, the one the coherent-state overlap runs; the
+alternating monomial sum of the same polynomial cancels from m = 5.
+``basis_phi`` and ``basis_phi_batch`` share one elementwise evaluation, so
+Phi_k(z) has the same bits alone, in any array and stack.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, _check_order
+from .orthopoly import jacobi_q, jacobi_q_steps
 from .quadrature import jacobi_rule_01
 from .special import gammaln
 
@@ -77,76 +81,59 @@ def bergman_distance(z, w) -> float:
     return float(np.arccosh(np.sqrt(max(ratio, 1.0))))
 
 
-def _phi_coeff_rows(k: np.ndarray, m: int, sigma: float) -> np.ndarray:
-    """Coefficients C_j of Phi_k = (1-|z|^2)^-m sum_j C_j z^(k-j) zbar^(m-j)
-    for each k of the array ``k``, shape (len(k), m+1), zero past j = k.
-
-    Derived by pushing the Jacobi polynomial with first parameter m - k
-    through the connection formula and absorbing zbar^(m-k); ``math.exp``
-    per element keeps a row independent of the other k built with it.  A
-    coefficient past the double range, at large sigma and k (from k = 838
-    at sigma = 1,274, c = 30), raises NonConvergenceError.
-    """
-    lead = 0.5 * (math.log(sigma - 2 * m - 1.0) + math.lgamma(sigma - m)
-                  + gammaln(k + 1) - math.log(math.pi)
-                  - math.lgamma(m + 1) - gammaln(sigma - 2 * m + k))
-    out = np.zeros((len(k), m + 1))
-    for j in range(m + 1):
-        has = k >= j
-        kj = k[has]
-        lt = (math.lgamma(m + 1) + gammaln(sigma + kj - m - j)
-              - gammaln(kj - j + 1) - math.lgamma(m - j + 1)
-              - math.lgamma(j + 1))
-        expo = lead[has] + lt - math.lgamma(sigma - m)
-        try:
-            out[has, j] = [(-1.0) ** j * math.exp(x) for x in expo.tolist()]
-        except OverflowError:
-            raise NonConvergenceError(
-                f"the disk basis coefficients of the level sigma = {sigma:.6g}, "
-                f"m = {m} overflow") from None
-    return out
-
-
 @lru_cache(maxsize=64)
-def _phi_coeff_matrix(kmax: int, m: int, sigma: float,
-                      lo: int = 0) -> np.ndarray:
-    """Rows k = lo..kmax of the coefficients; cached, treat as read-only.
-    Callers ask for whole blocks of 32 rows, up to kmax | 31, so that a
-    k or kmax that moves from call to call reuses one build."""
-    return _phi_coeff_rows(np.arange(lo, kmax + 1, dtype=float), m, sigma)
+def _basis_block(kmax: int, m: int, sigma: float, lo: int):
+    """``(scale, steps)`` of rows k = lo..kmax: the column s_k and the
+    ``jacobi_q_steps`` of the degrees min(k, m) and a = |k - m|; cached,
+    treat as read-only.
+
+    With b = sigma - 2m - 1 and G_k = Gamma(k+b+1) / k!, increasing in k,
+    s_k = sqrt(b/pi (G_k / G_m)^(+-1)), the sign that makes the power at
+    least 1 (Szego (4.22.2) for k >= m).  An s_k past the double range, at
+    large sigma and k (from k = 838 at sigma = 1,274, c = 30), raises
+    NonConvergenceError.
+    """
+    k = np.arange(lo, kmax + 1, dtype=float)
+    b = sigma - 2 * m - 1.0
+    log_g = (gammaln(k + b + 1.0) - gammaln(k + 1.0)
+             + (math.lgamma(m + 1) - math.lgamma(sigma - m)))
+    with np.errstate(over="ignore"):
+        scale = np.exp(0.5 * (math.log(b / math.pi) + np.abs(log_g)))
+    if not np.isfinite(scale).all():
+        raise NonConvergenceError(
+            f"the disk basis scales of the level sigma = {sigma:.6g}, "
+            f"m = {m} overflow")
+    return scale[:, None], jacobi_q_steps(np.minimum(k, m)[:, None],
+                                          np.abs(k - m)[:, None], b)
 
 
-def _basis_rows(lo: int, coeffs: np.ndarray, idx: LandauIndex, z) -> np.ndarray:
-    """Phi_k(z) for k = lo .. lo + len(coeffs) - 1 from their coefficient
-    rows, stacked on a first axis ahead of the shape of z.
+def _basis_rows(first: int, last: int, idx: LandauIndex, z) -> np.ndarray:
+    """Phi_k(z) for k = first .. last, stacked on a first axis ahead of the
+    shape of z.
 
-    Phi_k = (1-r)^-m P_k(r) w_k with r = |z|^2, the real Horner sum
-    P_k(r) = sum_j C_j r^(min(k,m)-j) divided m times by 1 - r, and
-    w_k = z^(k-m), or conj(z^(m-k)) for k < m.  Real arithmetic,
-    ``np.power`` and real-times-complex products round alike in numpy's
-    vector and scalar loops (a complex product's fused multiply-add depends
-    on the array layout), so the bits do not depend on how z is batched.
+    Phi_k = s_k w_k (1-r)^-m Q_n(r) with r = |z|^2, n = min(k, m) and
+    Q_n = (-1)^n P_n^(|k-m|, sigma-2m-1)(1 - 2r), by ``jacobi_q`` from the
+    start s_k (1-r)^-m, and w_k = z^(k-m), or conj(z^(m-k)) for k < m.
+    The rows come from the ``_basis_block`` of whole blocks of 32 rows, from
+    first & ~31 up to last | 31, so that a k or kmax that moves from call
+    to call reuses one build.  Real arithmetic, ``np.power`` and
+    real-times-complex products round alike in numpy's vector and scalar
+    loops (a complex product's fused multiply-add depends on the array
+    layout), so the bits do not depend on how z is batched.
     """
     arr = np.asarray(z, dtype=complex)
     flat = arr.reshape(-1)
     r = flat.real * flat.real + flat.imag * flat.imag
     if not (r < 1.0).all():
         raise DomainError("z must lie strictly inside the unit disk")
-    m, n_rows = idx.m, len(coeffs)
-    poly = np.empty((n_rows, flat.size))
-    poly[:] = coeffs[:, :1]
-    for j in range(1, m + 1):
-        rows = slice(max(lo, j) - lo, None)  # rows k < j have no j-th term
-        part = poly[rows]
-        part *= r
-        part += coeffs[rows, j, None]
-    gap = 1.0 - r
-    for _ in range(m):
-        poly /= gap
-    w = np.power(flat, np.abs(np.arange(lo - m, lo - m + n_rows))[:, None])
-    if lo < m:
-        w[:m - lo] = w[:m - lo].conj()
-    return (w * poly).reshape((n_rows,) + arr.shape)
+    m, lo = idx.m, first & ~31
+    scale, steps = _basis_block(last | 31, m, float(idx.sigma), lo)
+    rows = slice(first - lo, last + 1 - lo)
+    poly = jacobi_q(steps[:, :, rows], r, scale[rows] * (1.0 - r) ** -m)
+    w = np.power(flat, np.abs(np.arange(first - m, last + 1 - m))[:, None])
+    if first < m:
+        w[:m - first] = w[:m - first].conj()
+    return (w * poly).reshape((last + 1 - first,) + arr.shape)
 
 
 def _check_basis(k: int, idx: LandauIndex, what: str) -> int:
@@ -159,9 +146,7 @@ def _check_basis(k: int, idx: LandauIndex, what: str) -> int:
 def basis_phi(k: int, idx: LandauIndex, z):
     """Orthonormal eigenbasis member Phi_k^{sigma,m}(z); z may be an ndarray."""
     k = _check_basis(k, idx, "basis index k")
-    lo = k & ~31
-    block = _phi_coeff_matrix(k | 31, idx.m, float(idx.sigma), lo)
-    out = _basis_rows(k, block[k - lo:k - lo + 1], idx, z)[0]
+    out = _basis_rows(k, k, idx, z)[0]
     return out if out.shape else complex(out)
 
 
@@ -170,8 +155,8 @@ def basis_radial_profiles(kmax: int, idx: LandauIndex, r) -> np.ndarray:
 
     On the circle |z| = sqrt(r) every basis member factors as
     Phi_k = (1-r)^-m e^(i(k-m) arg z) g_k, with the real profile
-    g_k = sum_j C_j r^((k+m-2j)/2) over the monomial coefficients C_j,
-    here (1-r)^m Phi_k(sqrt(r)) on the one evaluation path of Phi_k.
+    g_k = s_k r^(|k-m|/2) Q_n(r) of ``_basis_rows``, here
+    (1-r)^m Phi_k(sqrt(r)) on the one evaluation path of Phi_k.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     return basis_phi_batch(kmax, idx, np.sqrt(r)).real * (1.0 - r) ** idx.m
@@ -181,8 +166,7 @@ def basis_phi_batch(kmax: int, idx: LandauIndex, z) -> np.ndarray:
     """Stack of basis_phi(k, idx, z) for k = 0..kmax along the first axis,
     row k with the bits of ``basis_phi(k, idx, z)``."""
     kmax = _check_basis(kmax, idx, "basis order kmax")
-    coeffs = _phi_coeff_matrix(kmax | 31, idx.m, float(idx.sigma))[:kmax + 1]
-    return _basis_rows(0, coeffs, idx, z)
+    return _basis_rows(0, kmax, idx, z)
 
 
 def measure_density(idx: LandauIndex, z) -> float:

@@ -1,14 +1,16 @@
 """Jacobi, Laguerre and continuous dual Hahn polynomial evaluation.
 
-The Jacobi evaluation must stay valid for negative-integer first parameters
-(alpha = m - k with k > m occurs throughout the disk eigenbasis); the
-terminating-series definition degenerates there, and the parameter-shift
-connection formula
+The scalar ``jacobi_p`` must stay valid for negative-integer first
+parameters (alpha = m - k with k > m in the disk eigenbasis as written);
+the terminating-series definition degenerates there, and the
+parameter-shift connection formula
 
     P_n^{(alpha, beta)}(u)
         = ((1-u)/2)^n P_n^{(-2n-alpha-beta-1, beta)}((u+3)/(u-1))
 
-maps those cases onto admissible parameters.
+maps those cases onto admissible parameters.  The vector ``jacobi_q``,
+the three-term recurrence behind the disk basis and the coherent-state
+overlap, runs on a, b >= 0 alone.
 """
 
 from __future__ import annotations
@@ -68,6 +70,50 @@ def jacobi_p(n: int, alpha, beta, x) -> complex:
     if q2 is not None and q2 < n:
         return _jacobi_explicit(n, alpha, beta, x)
     return ((1.0 - x) / 2.0) ** n * _jacobi_series(n, shifted, beta, (x + 3.0) / (x - 1.0))
+
+
+def jacobi_q_steps(n, a, b: float) -> np.ndarray:
+    """Steps (const_j, lead_j, back_j), j = 1 .. max n, of the recurrence
+
+        Q_j = (const_j + lead_j t) Q_(j-1) - back_j Q_(j-2)
+
+    of Q_j = (-1)^j P_j^(a, b)(1 - 2t) (DLMF 18.9.2) for a, b >= 0, shape
+    (3, max n) + the broadcast shape of ``n`` and ``a``: ``a`` may be a
+    column of per-row values, and a row of degree n below j takes the
+    identity step (1, 0, 0), so that it keeps its Q_n.  The constant is
+    written without cancellation, -2 (s-1) (2j (j+a+b-1) + (a+b)(a-1)) / d
+    with s = 2j + a + b and d = 2j (j+a+b) (s-2), where the textbook
+    s (s-2) + a^2 - b^2 loses digits at large b.
+    """
+    n, a = np.broadcast_arrays(np.asarray(n), np.asarray(a, dtype=float))
+    top = int(n.max(initial=0))
+    axis = (-1,) + (1,) * a.ndim
+    j = np.arange(2, top + 1, dtype=float).reshape(axis)
+    s = 2.0 * j + a + b
+    d = 2.0 * j * (j + a + b) * (s - 2.0)
+    steps = np.empty((3, top) + a.shape)
+    steps[:, :1] = [[-(a + 1.0)], [a + b + 2.0], [0.0 * a]]  # d = 0 at a + b = 0
+    steps[0, 1:] = -2.0 * (s - 1.0) * (2.0 * j * (j + a + b - 1.0)
+                                       + (a + b) * (a - 1.0)) / d
+    steps[1, 1:] = 2.0 * (s - 1.0) * s * (s - 2.0) / d
+    steps[2, 1:] = 2.0 * (j + a - 1.0) * (j + b - 1.0) * s / d
+    done = np.arange(1, top + 1).reshape(axis) > n
+    identity = np.array([1.0, 0.0, 0.0]).reshape((3, 1) + (1,) * a.ndim)
+    return np.where(done, identity, steps)
+
+
+def jacobi_q(steps: np.ndarray, t, start):
+    """``start`` times Q_n(t) by the steps of :func:`jacobi_q_steps`, with
+    ``t`` and ``start`` broadcast against the rows of the steps.
+
+    This is the package's one Jacobi recurrence: the disk basis and the
+    coherent-state overlap both run on it.  Forward recurrence is stable
+    on the Jacobi interval, t in [0, 1] (Gautschi 2004, section 2.1).
+    """
+    prev, cur = 0.0, start  # back_1 = 0: Q_(-1) never counts
+    for const, lead, back in zip(*steps):
+        prev, cur = cur, (const + lead * t) * cur - back * prev
+    return cur
 
 
 def laguerre_l(n: int, alpha: float, x):

@@ -1119,7 +1119,7 @@ class TestParameterCaches:
         basis_phi(2, ModelParams(osc, 0).landau_index(), 0.1)
         cli.main(["spectrum", "--c", "1", "--kmax", "1", "--m", "0"])
         caches = [oscillator.xi_layout, bargmann._isometry_gram,
-                  disk._phi_coeff_matrix, cli._shared_parser]
+                  disk._basis_block, cli._shared_parser]
         assert all(cache.cache_info().currsize for cache in caches)
         cold_caches()
         assert not any(cache.cache_info().currsize for cache in caches)

@@ -299,6 +299,16 @@ class TestEval:
         assert len(zero_rows) == (n_z if "0" in xi else 0)
         assert all(row[-2:] == ["0", "0"] for row in zero_rows)
 
+    def test_basis_phi_at_level_20(self, capsys):
+        # Phi_40 at c = 1, m = 20, z = 0.85 is -2.4911992906731e10 (mpmath);
+        # the alternating monomial sum printed 1.05e13 with exit 0
+        assert run(["eval", "--function", "basis_phi", "--c", "1", "--m", "20",
+                    "--k", "40", "--grid", "0.85"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "re_z,im_z,re_val,im_val" and len(lines) == 2
+        value = complex(*map(float, lines[1].split(",")[2:]))
+        assert abs(value + 24911992906.73) <= 1e-12 * 24911992906.73
+
     @pytest.mark.parametrize("k", [1, 2])
     def test_eigenfunction_overflow_exit_4(self, tmp_path, capsys, k):
         # for k >= 1 the polynomial table overflows once xi^2 does
@@ -979,7 +989,7 @@ class TestVerify:
         assert max(c["error"] for c in report["checks"]) < 1e-12
 
     def test_isometry_at_c30_exit_4(self, tmp_path, capsys):
-        # sigma = 1,274: the disk basis coefficients overflow; this ended in
+        # sigma = 1,274: the disk basis scales overflow; this ended in
         # an OverflowError traceback with exit 1
         out = tmp_path / "rep.json"
         assert run(["verify", "--suite", "isometry", "--c", "30",

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relbargmann.disk import (LandauIndex, _phi_coeff_matrix, basis_gram,
-                              basis_phi, basis_phi_batch, basis_radial_profiles,
+from relbargmann.disk import (LandauIndex, basis_gram, basis_phi,
+                              basis_phi_batch, basis_radial_profiles,
                               bergman_distance, landau_level,
                               maass_apply_fd, measure_density,
                               wirtinger_dzbar_fd)
@@ -203,31 +203,6 @@ class TestBasis:
         with pytest.raises(NonConvergenceError, match="overflow"):
             basis_phi(843, idx, 0.1)
 
-    @pytest.mark.parametrize("kmax, m, sigma", [
-        (0, 3, 9.1), (2, 4, 11.3), (60, 0, 2.5), (300, 1, 3.0000001),
-        (6910, 2, 7.46)])
-    def test_coeff_matrix_matches_rows(self, kmax, m, sigma):
-        # reference: the coefficients built one row at a time with scalar
-        # math.lgamma calls, the value the matrix's elementwise lgamma has
-        def row_coeffs(k):
-            lead = 0.5 * (math.log(sigma - 2 * m - 1.0) + math.lgamma(sigma - m)
-                          + math.lgamma(k + 1) - math.log(math.pi)
-                          - math.lgamma(m + 1) - math.lgamma(sigma - 2 * m + k))
-            coeffs = []
-            for j in range(min(k, m) + 1):
-                lt = (math.lgamma(m + 1) + math.lgamma(sigma + k - m - j)
-                      - math.lgamma(k - j + 1) - math.lgamma(m - j + 1)
-                      - math.lgamma(j + 1))
-                coeffs.append((-1.0) ** j
-                              * math.exp(lead + lt - math.lgamma(sigma - m)))
-            return coeffs
-
-        rows = np.zeros((kmax + 1, m + 1))
-        for k in range(kmax + 1):
-            row = row_coeffs(k)
-            rows[k, :len(row)] = row
-        assert np.array_equal(_phi_coeff_matrix(kmax, m, sigma), rows)
-
     def test_mpmath_map(self):
         # 30-digit reference from the same monomial expansion; the error is
         # measured against the size of the summed terms, since near a zero of
@@ -235,31 +210,17 @@ class TestBasis:
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 30
         gamma = gamma_of_c(1.0)
+        zs = [rho * np.exp(1j * (0.3 + 0.5 * np.pi * t))
+              for rho in (0.3, 0.6, 0.85) for t in range(4)]
         worst = 0.0
         for m in range(5):
             sigma = 2.0 * (gamma + m)
             idx = LandauIndex(sigma, m)
-            s = mp.mpf(sigma)
             for k in (0, 1, 2, 3, 5, 8, 13, 21, 34, 60):
-                lead = (mp.log(s - 2 * m - 1) + mp.loggamma(s - m)
-                        + mp.loggamma(k + 1) - mp.log(mp.pi)
-                        - mp.loggamma(m + 1) - mp.loggamma(s - 2 * m + k)) / 2
-                coeffs = [(-1) ** j * mp.exp(
-                    lead + mp.loggamma(m + 1) + mp.loggamma(s + k - m - j)
-                    - mp.loggamma(k - j + 1) - mp.loggamma(m - j + 1)
-                    - mp.loggamma(j + 1) - mp.loggamma(s - m))
-                    for j in range(min(k, m) + 1)]
-                for rho in (0.3, 0.6, 0.85):
-                    for t in range(4):
-                        z = rho * np.exp(1j * (0.3 + 0.5 * np.pi * t))
-                        zz = mp.mpc(z)
-                        terms = [cj * zz ** (k - j) * mp.conj(zz) ** (m - j)
-                                 for j, cj in enumerate(coeffs)]
-                        scale = (1 - abs(zz) ** 2) ** (-m)
-                        want = complex(mp.fsum(terms) * scale)
-                        size = float(mp.fsum(abs(t) for t in terms) * scale)
-                        err = abs(basis_phi(k, idx, z) - want)
-                        worst = max(worst, err / size)
+                for z, (want, size) in zip(zs, monomial_phi(mp, sigma, m, k,
+                                                            zs)):
+                    err = abs(basis_phi(k, idx, z) - want)
+                    worst = max(worst, err / size)
         assert worst < 1e-13
 
     @pytest.mark.parametrize("m", [0, 1, 2])
@@ -284,6 +245,69 @@ class TestBasis:
     def test_outside_disk_rejected(self):
         with pytest.raises(DomainError):
             basis_phi(0, LandauIndex(5.0, 0), 1.2)
+
+
+def monomial_phi(mp, sigma: float, m: int, k: int, zs) -> list:
+    """``(value, size)`` of Phi_k at each point of ``zs`` at mpmath's
+    working precision, from the monomial expansion
+    Phi_k = (1-|z|^2)^-m sum_j C_j z^(k-j) zbar^(m-j), j <= min(k, m); size
+    is the sum of the moduli of its terms."""
+    s = mp.mpf(sigma)
+    lead = (mp.log(s - 2 * m - 1) + mp.loggamma(s - m) + mp.loggamma(k + 1)
+            - mp.log(mp.pi) - mp.loggamma(m + 1)
+            - mp.loggamma(s - 2 * m + k)) / 2
+    coeffs = [(-1) ** j * mp.exp(
+        lead + mp.loggamma(m + 1) + mp.loggamma(s + k - m - j)
+        - mp.loggamma(k - j + 1) - mp.loggamma(m - j + 1)
+        - mp.loggamma(j + 1) - mp.loggamma(s - m))
+        for j in range(min(k, m) + 1)]
+    out = []
+    for z in zs:
+        zz = mp.mpc(z)
+        terms = [cj * zz ** (k - j) * mp.conj(zz) ** (m - j)
+                 for j, cj in enumerate(coeffs)]
+        scale = (1 - abs(zz) ** 2) ** (-m)
+        out.append((complex(mp.fsum(terms) * scale),
+                    float(mp.fsum(abs(t) for t in terms) * scale)))
+    return out
+
+
+def disk_side_error(c: float, m: int, ks, zs) -> float:
+    """Largest error of Phi_k(z), k in ``ks``, z in ``zs``, at the level m of
+    the coupled weight sigma = 2 (gamma(c) + m), relative to max(1, |Phi_k|),
+    against the monomial expansion summed at 60 digits."""
+    mp = pytest.importorskip("mpmath")
+    sigma = 2.0 * (gamma_of_c(c) + m)
+    idx = LandauIndex(sigma, m)
+    worst = 0.0
+    with mp.workdps(60):
+        for k in ks:
+            got = basis_phi(k, idx, np.array(zs))
+            for value, (want, _) in zip(got, monomial_phi(mp, sigma, m, k,
+                                                          zs)):
+                worst = max(worst, abs(value - want) / max(1.0, abs(want)))
+    return worst
+
+
+#: the disk-side map: relative to max(1, |Phi_k|), the alternating monomial
+#: sum lost up to 4.5e-8 at c = 8, m = 2 and 9e7 at c = 1, m = 20
+MAP_TOL = {0.5: 1e-12, 1.0: 1e-12, 3.0: 1e-12, 8.0: 5e-12}
+
+
+@pytest.mark.parametrize("c", [1.0, 8.0])
+@pytest.mark.parametrize("m", [2, 5, 20])
+def test_disk_side_map(c, m):
+    zs = [0.85, -0.85, -0.6j, 0.5 - 0.6j]
+    assert disk_side_error(c, m, (15, 100, 212), zs) <= MAP_TOL[c]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("c", [0.5, 1.0, 3.0, 8.0])
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 20, 40])
+def test_disk_side_map_full(c, m):
+    zs = [0.85, -0.85, -0.6j, 0.5 - 0.6j, 0.3 + 0.2j]
+    ks = (0, 1, 3, 15, 40, 100, 212, 250)
+    assert disk_side_error(c, m, ks, zs) <= MAP_TOL[c]
 
 
 class TestMeasureDensity:

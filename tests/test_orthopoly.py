@@ -9,8 +9,8 @@ from relbargmann.errors import DomainError
 from relbargmann.hypergeom import pochhammer
 from relbargmann.oscillator import XI_LENGTH, OscParams, xi_layout
 from relbargmann.orthopoly import (cdhahn_normalized_batch,
-                                  cdhahn_normalized_row, jacobi_p,
-                                  laguerre_l)
+                                  cdhahn_normalized_row, jacobi_p, jacobi_q,
+                                  jacobi_q_steps, laguerre_l)
 from relbargmann.quadrature import integrate_halfline
 from relbargmann.special import loggamma
 from test_hypergeom import hyp3f2_terminating_unit
@@ -136,6 +136,33 @@ class TestJacobi:
     def test_negative_degree_raises(self):
         with pytest.raises(DomainError):
             jacobi_p(-1, 0.0, 0.0, 0.0)
+
+
+class TestShiftedJacobiRecurrence:
+    def test_rows_match_jacobi_p(self):
+        # per-row a and degree, each row stopping at its own degree, against
+        # (-1)^n P_n^(a,b)(1 - 2t) summed as its Gauss series; a + b = 0 in
+        # the last row, where the general first step would divide by zero
+        cases = [(0, 2.0, 1.5), (1, 0.0, 1.5), (3, 5.0, 1.5), (7, 1.0, 1.5),
+                 (12, 0.0, 0.0)]
+        t = np.array([0.0, 0.13, 0.5, 0.87, 1.0])
+        for n, a, b in cases:
+            start = np.array([[2.0], [0.5]])
+            got = jacobi_q(jacobi_q_steps(n, a, b), t, start)
+            want = [(-1) ** n * jacobi_p(n, a, b, 1.0 - 2.0 * x).real
+                    for x in t]
+            assert np.abs(got - start * want).max() < 1e-13 * max(
+                1.0, np.abs(want).max()), (n, a, b)
+        n = np.array([[2], [0], [5], [1]])
+        a = np.array([[3.0], [0.0], [1.0], [4.0]])
+        stack = jacobi_q(jacobi_q_steps(n, a, 2.5), t, np.ones((4, 1)))
+        for row, (nk, ak) in enumerate(zip(n[:, 0], a[:, 0])):
+            alone = jacobi_q(jacobi_q_steps(int(nk), ak, 2.5), t, 1.0)
+            assert np.array_equal(stack[row], np.broadcast_to(alone, t.shape))
+
+    def test_degree_zero_returns_the_start(self):
+        start = np.array([1.5, -2.0])
+        assert jacobi_q(jacobi_q_steps(0, 3.0, 1.0), 0.4, start) is start
 
 
 class TestLaguerre:

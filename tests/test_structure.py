@@ -6,8 +6,10 @@ state tables lives in the library, so the CLI names no block constant.  The
 xi layout has one rule per panel, the Gauss-Kronrod pair, so the modules
 that build and sum it name neither Gauss-Legendre rule of
 ``quadrature.integrate_halfline``.  The coherent-state overlap is one
-real Jacobi recurrence, with no gamma ratio.  ``bargmann`` has one
-transform route: the m = 0 reduction's 2F1 kernel lives in ``reference``.
+real Jacobi recurrence, with no gamma ratio, and the disk basis runs the
+same recurrence, ``orthopoly.jacobi_q``, with no monomial coefficients.
+``bargmann`` has one transform route: the m = 0 reduction's 2F1 kernel
+lives in ``reference``.
 """
 
 import ast
@@ -22,6 +24,7 @@ CAP_NAMES = {"KERNEL_RMAX", "KERNEL_MIN_DIST_ONE"}
 BLOCK_NAMES = {"LAYOUT_BLOCK_NODES"}
 HALFLINE_RULE_NAMES = {"_COARSE_RULE", "_FINE_RULE"}
 M0_ROUTE_NAMES = {"gauss_2f1_vec", "log_gamma_ratio", "_m0_exponent"}
+COEFF_MATRIX_NAMES = {"_phi_coeff_rows", "_phi_coeff_matrix"}
 
 
 def _names(tree: ast.Module) -> set[str]:
@@ -64,10 +67,31 @@ def test_layout_has_one_rule(name):
     assert not _names(_parse(name)) & HALFLINE_RULE_NAMES
 
 
+def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
+    (func,) = [node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == name]
+    return func
+
+
+def _loops(node: ast.AST) -> list:
+    return [sub for sub in ast.walk(node)
+            if isinstance(sub, (ast.For, ast.While))]
+
+
 def test_overlap_takes_no_gamma_ratio():
-    (func,) = [node for node in _parse("coherent.py").body
-               if isinstance(node, ast.FunctionDef) and node.name == "overlap"]
+    func = _function(_parse("coherent.py"), "overlap")
     assert not _names(func) & {"lgamma", "factorial", "log_gamma_ratio"}
+
+
+def test_one_jacobi_recurrence():
+    # the disk basis and the overlap both run orthopoly.jacobi_q; neither
+    # keeps a loop of its own, and the monomial coefficients are gone
+    coherent, disk = _parse("coherent.py"), _parse("disk.py")
+    assert not _loops(_function(coherent, "overlap"))
+    assert not _loops(_function(disk, "_basis_rows"))
+    assert not _names(disk) & COEFF_MATRIX_NAMES
+    for tree in (coherent, disk):
+        assert {"jacobi_q", "jacobi_q_steps"} <= _names(tree)
 
 
 def test_bargmann_has_one_transform_route():
