@@ -24,29 +24,33 @@ Each one-point call is the grid call of its one point.
 
 Transforms are evaluated against either a callable f(xi) (vectorised over
 ndarray) or a :class:`SampledFunction`, which is interpolated by a cubic
-spline and taken as zero outside its grid.  The xi quadrature uses a panel
-layout fixed by the parameters alone, so the transforms are linear in f.
-It ends at ``oscillator.XI_LENGTH`` = 40 for every c, which takes at most
-63 panels of width ``oscillator.panel_width`` (2 gamma/pi up to c about
-4.1), each with the 21-point Gauss-Kronrod rule, and f is evaluated in one
-call on all of its nodes.  The package has one source of xi nodes,
-``oscillator.xi_layout``, keyed on (c, end): its nodes, half widths and
-the folded state prefactor ``conj_state_prefactor`` at every node are built
-once per key and kept in a small cache (read-only arrays).  The
-relativistic transform reads it at XI_LENGTH; ``isometry_check`` reads the one at ``state_end(20, osc)``, with the
-Kronrod weights, as ``oscillator_gram`` does at its own end, but
-evaluates f there only in blocks of panels from xi = 0, up to XI_LENGTH
-and then 4, 8, 16, ... panels more, until two panels in a row hold at most
-2^-104 of the mass of |f|^2 summed so far; past them f is taken as zero
-and never evaluated, which changes no bit of the result.  The
-kernel of ``relativistic_transform`` is summed at the nodes where f is
-non-zero, up to the ``coherent.truncation_order`` of the point, from one
+spline and taken as zero outside its grid.  The package has one source of
+xi nodes, ``oscillator.xi_layout``, and one layout per c: the one that ends
+at ``state_end(20, osc)`` (xi = 80 for c <= 2.5, 2 gamma + 70 beyond), in
+panels of width ``oscillator.panel_width``, each with the 21-point
+Gauss-Kronrod rule.  Its nodes, half widths and the folded state prefactor
+``conj_state_prefactor`` at every node are built once per c and kept in a
+small cache (read-only arrays), which the transforms, ``isometry_check``
+and ``oscillator_gram`` (kmax <= 20) all read.  f reaches the quadrature
+one way only, the walk ``_walk_values``: f is evaluated in blocks of panels
+from xi = 0, up to XI_LENGTH = 40 and then 4, 8, 16, ... panels more, until
+two panels in a row hold at most 2^-104 of the mass of |f|^2 summed so
+far; past them f is taken as zero and never evaluated.  A walk that
+reaches the end of the layout with more than 1e-8 of ||f||^2 in its last
+two panels raises NonConvergenceError: f does not decay within the
+layout.  Both rules read that prefix alone: a transform sums the Kronrod
+values of the walked panels, so it is linear in f up to rounding (the
+walk drops at most 2^-104 of ||f||^2, and f and g may stop at different
+panels), and ``isometry_check`` sums w |f|^2 and the projections there,
+with the bits of the check on the whole layout.  The kernel of
+``relativistic_transform`` is summed at the nodes where f is non-zero, up
+to the ``coherent.truncation_order`` of the point, from one
 real table of the states' polynomials, which ``relativistic_transform_grid``
 builds once for all of its points; the integrand is an exact zero at the
 other nodes.  Each node's kernel value has the same bits whatever the other
 nodes and points, so every result is the same as with the kernel evaluated
-at every node, and a grid value the same as the single-point value.  The
-F5 closed form (``coherent.transform_kernel``) is not used here.
+at every walked node, and a grid value the same as the single-point value.
+The F5 closed form (``coherent.transform_kernel``) is not used here.
 ``classical_bargmann`` alone integrates adaptively
 (``quadrature.integrate_halfline``), with one call of f per panel visit for
 both Gauss rules, its values checked as the relativistic transform checks
@@ -200,11 +204,14 @@ def classical_bargmann(sigma: float, f, z):
 
 
 def _panel_sums(vals: np.ndarray, half: np.ndarray):
-    """``(value, err_estimate)`` from the integrand on the nodes of an
-    ``xi_layout``, shape (panels, 21), and its half widths ``half``: the
-    sums over panels, in panel order, of the 21-point Kronrod values and of
-    their distances from the 10-point Gauss values on the odd columns."""
+    """``(value, err_estimate)`` from the integrand at the nodes of the
+    first panels of an ``xi_layout`` (flat, or one row a panel) and the
+    layout's half widths ``half``: the sums over those panels, in panel
+    order, of the 21-point Kronrod values and of their distances from the
+    10-point Gauss values on the odd columns."""
     _, wk, wg = _KRONROD_RULE
+    vals = vals.reshape(-1, len(wk))
+    half = half[:len(vals)]
     kronrod = half * np.sum(wk * vals, axis=1)
     gauss = half * np.sum(wg * vals[:, 1::2], axis=1)
     total = 0.0 + 0.0j
@@ -220,16 +227,18 @@ def relativistic_transform(params: ModelParams, f, z, with_error: bool = False):
 
     B[f](z) = N(z)^(1/2) integral_0^inf f(xi) conj(<xi|z>) dxi, with the
     kernel summed as its basis expansion sum_k Phi_k(z) conj(phi_k(xi)),
-    cut at ``coherent.truncation_order``, on the fixed panel layout cut at
-    xi = 40 (``XI_LENGTH``) for every c.  The layout depends only on the
-    model parameters, never on f, and there is no tolerance to set; the
-    states are evaluated only at the nodes where f is non-zero.  Returns
-    B[f](z), or ``(value, err_estimate)`` with ``with_error``: the estimate
-    is the sum over the panels of the distance between the 21-point Kronrod
-    and the 10-point Gauss values.  A non-finite value of f at a node, or
-    a result of f that is not one value for each node, raises
-    InputFormatError, a kernel that is not finite (at very large c)
-    NonConvergenceError.  This is :func:`relativistic_transform_grid` at
+    cut at ``coherent.truncation_order``, on the panels of the one layout
+    of c that the walk of f reads (``_walk_values``): from xi = 0 until two
+    panels in a row are quiet, at most to ``state_end(20, osc)``.  The
+    layout depends only on c, never on f, and there is no tolerance to
+    set; the states are evaluated only at the nodes where f is non-zero.
+    Returns B[f](z), or ``(value, err_estimate)`` with ``with_error``: the
+    estimate is the sum over the walked panels of the distance between the
+    21-point Kronrod and the 10-point Gauss values.  A non-finite value of
+    f at a node, or a result of f that is not one value for each node,
+    raises InputFormatError; an f that does not decay within the layout,
+    or a kernel that is not finite (at very large c), NonConvergenceError.
+    This is :func:`relativistic_transform_grid` at
     the one point z; a z of more than one point raises DomainError before
     f is evaluated.
     """
@@ -240,11 +249,12 @@ def relativistic_transform(params: ModelParams, f, z, with_error: bool = False):
 
 def relativistic_transform_grid(params: ModelParams, f,
                                 points) -> TransformResult:
-    """Evaluate the transform on a grid of disk points, with one evaluation
-    of f for the whole grid.  The real polynomial table of the states is
-    built once, on the nodes where f is non-zero, up to the largest
-    ``truncation_order`` of the points; each point sums its rows up to its
-    own order, so a value has the bits of the same point alone.  A point
+    """Evaluate the transform on a grid of disk points, with one walk of f
+    (``_walk_values``) for the whole grid.  The real polynomial table of
+    the states is built once, on the walked nodes where f is non-zero, up
+    to the largest ``truncation_order`` of the points; each point sums its
+    rows up to its own order, so a value has the bits of the same point
+    alone.  A point
     outside the kernel cap raises DomainError before f is evaluated.
 
     The integrand is f times the kernel at the nodes where f is non-zero,
@@ -254,11 +264,11 @@ def relativistic_transform_grid(params: ModelParams, f,
     zs = _check_cap(pts)
     values, errors = [], []
     if zs:
-        nodes, half, conj_pref = xi_layout(params.osc, XI_LENGTH)
-        xi = nodes.ravel()
-        f_vals = _values_on(func, xi)
+        layout, f_nodes, _, n = _walk_values(func, params.osc)
+        nodes, half, conj_pref = layout
+        xi, f_vals = nodes.ravel()[:n], f_nodes[:n]
         live = np.flatnonzero(f_vals != 0)
-        integrand = np.zeros(xi.shape, dtype=complex)
+        integrand = np.zeros(n, dtype=complex)
         if live.size:
             idx = params.landau_index()
             orders = [truncation_order(idx, z) for z in zs]
@@ -270,7 +280,7 @@ def relativistic_transform_grid(params: ModelParams, f,
                 # f times the kernel, in this order, as at every node
                 integrand[live] = f_live * _kernel_expansion(z, coeffs, poly,
                                                              pref_live)
-            value, err = _panel_sums(integrand.reshape(nodes.shape), half)
+            value, err = _panel_sums(integrand, half)
             values.append(value)
             errors.append(err)
     return TransformResult(points=pts, values=np.array(values, dtype=complex),
@@ -292,49 +302,57 @@ def relativistic_transform_m0_grid(osc: OscParams, f,
     return relativistic_transform_grid(ModelParams(osc, 0), f, points)
 
 
-#: the largest share of ||f||^2 the last two panels of the layout of
-#: ``isometry_check`` may hold
+#: the largest share of ||f||^2 the last two panels of the layout may hold
+#: when the walk of f reaches its end
 _NORM_TOL = 1e-8
 #: the share of the |f|^2 mass summed so far that each of two panels in a
-#: row may hold for the walk of ``isometry_check`` to stop there: about
-#: eps^2, so the mass it drops lies below the rounding of ||f||^2
+#: row may hold for the walk of f to stop there: about eps^2, so the mass
+#: it drops lies below the rounding of ||f||^2
 _QUIET = 2.0 ** -104
 
 
-def _walk_values(func, xi: np.ndarray, weights: np.ndarray,
-                 first: int):
-    """``(f_nodes, mass, n)``: f and w |f|^2 at the flat nodes ``xi``
-    (weights ``weights``) of a layout, evaluated from xi = 0 in
-    blocks of whole panels until f is quiet, and exact zeros past the
-    first ``n`` nodes, which f never sees.
+def _walk_values(func, osc: OscParams):
+    """``(layout, f_nodes, mass, n)``: the one ``xi_layout`` of c, which
+    ends at ``state_end(20, osc)``, and f and w |f|^2 (Kronrod weights w)
+    at its flat nodes, evaluated from xi = 0 in blocks of whole panels
+    until f is quiet, and exact zeros past the first ``n`` nodes, which f
+    never sees.  This is the only way f reaches the xi quadrature.
 
-    The first block holds ``first`` panels, the next ones 4, 8, 16, ...
-    panels, up to the layout's end.  The walk stops at the end of a block
-    when each of the last two panels holds at most ``_QUIET`` of the mass
-    summed so far and that mass is positive, so a prefix where f is zero
-    is never quiet.  A walk that finds no quiet pair evaluates f on the
-    whole layout.
+    The first block ends at XI_LENGTH (at least two panels), the next ones
+    hold 4, 8, 16, ... panels, up to the layout's end.  The walk stops at
+    the end of a block when each of the last two panels holds at most
+    ``_QUIET`` of the mass summed so far and that mass is positive, so a
+    prefix where f is zero is never quiet.  A walk that finds no quiet pair
+    evaluates f on the whole layout, and raises NonConvergenceError if the
+    last two panels hold more than ``_NORM_TOL`` of ||f||^2: f does not
+    decay within the layout.
     """
+    end = state_end(_ISOMETRY_KMAX, osc)
+    layout = xi_layout(osc, end)
+    xi, weights, _ = _layout_columns(layout)
     rows = len(_KRONROD_RULE[0])
     panels = len(xi) // rows
     f_nodes = np.zeros(xi.shape, dtype=complex)
     mass = np.zeros(xi.shape)
-    start, stop, block = 0, min(first, panels), 4
+    # at least two panels, so that the first block has a pair to test
+    start, stop, block = 0, min(max(2, _panel_count(osc, XI_LENGTH)),
+                                panels), 4
     while True:
         now = slice(start * rows, stop * rows)
         f_nodes[now] = _values_on(func, xi[now])
-        # an |f|^2 past the double range is refused by the caller
+        # an |f|^2 past the double range is left to isometry_check to refuse
         with np.errstate(over="ignore"):
             mass[now] = weights[now] * np.abs(f_nodes[now]) ** 2
-        if stop == panels:
-            break
-        total = np.sum(mass[:now.stop])
-        last_two = np.sum(mass[now.stop - 2 * rows:now.stop].reshape(2, rows),
-                          axis=1)
-        if total > 0 and np.all(last_two <= _QUIET * total):
+        total = mass[:now.stop].sum()
+        last_two = mass[now.stop - 2 * rows:now.stop].reshape(2, rows).sum(1)
+        if stop == panels or (0 < total and last_two.max() <= _QUIET * total):
             break
         start, stop, block = stop, min(stop + block, panels), 2 * block
-    return f_nodes, mass, now.stop
+    if stop == panels and last_two.sum() > _NORM_TOL * total:
+        raise NonConvergenceError(
+            f"the last two xi panels before {end:g} hold {last_two.sum():.3g} "
+            f"of ||f||^2 = {total:.3g}; f does not decay within the layout")
+    return layout, f_nodes, mass, now.stop
 
 
 @lru_cache(maxsize=32)
@@ -352,24 +370,25 @@ def isometry_check(params: ModelParams, f) -> dict:
     B[f] = sum_k c_k Phi_k with c_k = <f, phi_k>, so the isometry rests on
     two identities, and each side is computed by one of them.  The half
     line: ||f||^2 = sum w |f|^2 and the projections c_k, k <= 20, are
-    taken on the Kronrod rule (weights half w_21) of one layout,
-    ``xi_layout(osc, state_end(20, osc))``, which ends at xi = 80 for
-    c <= 2.5 and at 2 gamma + 70 beyond.  The disk:
+    taken on the Kronrod rule (weights half w_21) of the one layout of c,
+    which ends at ``state_end(20, osc)``: xi = 80 for c <= 2.5 and
+    2 gamma + 70 beyond.  The disk:
     ||B[f]||^2 = c^T G conj(c) with G = ``basis_gram(idx, 20)``, an exact
     polar rule over the whole disk.  The relative gap is then the Parseval
     defect of f against phi_0 .. phi_20 plus the orthonormality defect of
     Phi_0 .. Phi_20, so it is small exactly when f lies in the span of the
     first 21 states.  Everything but f depends on the parameters alone:
     the nodes and the folded state prefactor of the layout are cached per
-    (c, end) and G per level (``_isometry_gram``).
+    c and G per level (``_isometry_gram``).
 
-    f is evaluated only where it lives.  The walk takes the panels up to
-    XI_LENGTH = 40 in one call, then blocks of 4, 8, 16, ... panels, and
-    stops at the end of a block when each of its last two panels holds at
-    most 2^-104 (about eps^2) of the |f|^2 mass summed so far, and that
-    mass is positive: past two quiet panels f is taken as zero, a NaN there
-    included, just as the transforms never read f past xi = 40.  The mass
-    dropped lies below the rounding of ||f||^2, so the result has the bits
+    f is evaluated only where it lives, by the transforms' walk
+    (``_walk_values``): the panels up to XI_LENGTH = 40 in one call, then
+    blocks of 4, 8, 16, ... panels, until each of the last two panels of a
+    block holds at most 2^-104 (about eps^2) of the |f|^2 mass summed so
+    far, and that mass is positive.  Past two quiet panels f is taken as
+    zero, a NaN there included, and the transforms read f no further
+    either.  The mass dropped lies below the rounding of ||f||^2, so the
+    result has the bits
     of the check on the whole layout (a superposition of phi_0 .. phi_2
     stops by xi = 50 of 80, in one or two calls).  A call then builds the
     real polynomial table of the projections on the evaluated prefix,
@@ -380,24 +399,20 @@ def isometry_check(params: ModelParams, f) -> dict:
     Raises
     ------
     NonConvergenceError
-        If either squared norm is not finite, or ||f||^2 lies below the
-        smallest normal double while f is non-zero at an evaluated node:
-        |f|^2 has left the double range, and the gap would be NaN or
-        meaningless.  Or if the walk finds no quiet pair and the last two
-        panels of the layout hold more than 1e-8 of ||f||^2: f does not
-        decay within the layout.
+        If the walk finds no quiet pair and the last two panels of the
+        layout hold more than 1e-8 of ||f||^2: f does not decay within the
+        layout.  Or if either squared norm is not finite, or ||f||^2 lies
+        below the smallest normal double while f is non-zero at an
+        evaluated node: |f|^2 has left the double range, and the gap would
+        be NaN or meaningless.
     InputFormatError
         If f is not finite at a node it is evaluated at, or does not return
         one value for each node.
 
     Returns a dict with both norms and their relative gap.
     """
-    func = _as_callable(f)
-    end = state_end(_ISOMETRY_KMAX, params.osc)
-    xi, weights, conj_pref = _layout_columns(xi_layout(params.osc, end))
-    # at least two panels, so that the first block has a pair to test
-    first = max(2, _panel_count(params.osc, XI_LENGTH))
-    f_nodes, mass, n = _walk_values(func, xi, weights, first)
+    layout, f_nodes, mass, n = _walk_values(_as_callable(f), params.osc)
+    xi, weights, conj_pref = _layout_columns(layout)
     norm_f_sq = float(np.sum(mass))
     # f_nodes is zero past the evaluated nodes
     if not (math.isfinite(norm_f_sq)
@@ -405,11 +420,6 @@ def isometry_check(params: ModelParams, f) -> dict:
         raise NonConvergenceError(
             f"||f||^2 = {norm_f_sq:.3g} of a non-zero f is outside the range "
             "of normal doubles; rescale f")
-    tail = float(np.sum(mass[-2 * len(_KRONROD_RULE[0]):]))
-    if tail > _NORM_TOL * norm_f_sq:
-        raise NonConvergenceError(
-            f"the last two xi panels before {end:g} hold {tail:.3g} of "
-            f"||f||^2 = {norm_f_sq:.3g}; f does not decay within the layout")
     # project_states' arithmetic, with the prefactor from the cached layout
     # on the evaluated prefix alone: f is zero past it
     factors = (*state_polynomials(_ISOMETRY_KMAX, params.osc, xi[:n]),

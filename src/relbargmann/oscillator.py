@@ -81,11 +81,11 @@ def energy(k: int, osc: OscParams) -> float:
     return 2.0 * k + 2.0 * osc.gamma
 
 
-#: end of the xi layouts of the transforms, and the shortest end of
-#: ``state_end``
+#: end of the first block of the walk of f over the xi layout
+#: (``bargmann._walk_values``), and the shortest end of ``state_end``
 XI_LENGTH = 40.0
-#: the states phi_0 .. phi_20 that ``isometry_check`` projects f on; it
-#: integrates on the layout at ``state_end(_ISOMETRY_KMAX, osc)``
+#: the states phi_0 .. phi_20 that ``isometry_check`` projects f on; the
+#: one xi layout of c ends at ``state_end(_ISOMETRY_KMAX, osc)``
 _ISOMETRY_KMAX = 20
 #: most entries of a table built in one piece: the Gram matrices' basis
 #: tables here and in ``verify``, and the grids and (z, xi) pairs of the
@@ -101,8 +101,9 @@ def state_end(kmax: int, osc: OscParams) -> float:
     that holds the states phi_0 .. phi_kmax: phi_k reaches about xi = 2k,
     past which the tail of phi_0 adds about 20, or 2 gamma + 10 once gamma
     passes 5 (c above about 2.5), where phi_0 peaks near xi = gamma.  The
-    ``xi_layout`` of c at this end is the one ``isometry_check`` (kmax = 20)
-    and ``oscillator_gram`` integrate on."""
+    ``xi_layout`` of c at the end of kmax = 20 is the one layout that the
+    transforms, ``isometry_check`` and ``oscillator_gram`` integrate on;
+    only a Gram past kmax = 20 takes a longer end."""
     return max(XI_LENGTH, 3.0 * kmax + 20.0, 3.0 * kmax + 2.0 * osc.gamma + 10.0)
 
 
@@ -291,11 +292,13 @@ def xi_layout(osc: OscParams, end: float):
     Gauss-Kronrod rule of each panel (``quadrature._KRONROD_RULE``, with
     the 10-point Gauss rule at its odd columns), ``half`` the half widths
     and ``conj_pref`` the flat :func:`conj_state_prefactor` at every node
-    (all xi > 0).  The transforms read it at XI_LENGTH, ``isometry_check``
-    at ``state_end(20, osc)``, and ``oscillator_gram`` at ``state_end``
-    (from the cache at those two ends only).  It depends on (c, end) alone,
-    so it is built once per key and cached (24 bytes a node, under 64 kB
-    an entry for an end <= 80); the arrays are read-only.
+    (all xi > 0).  The package reads one end per c, ``state_end(20, osc)``:
+    the transforms and ``isometry_check`` through the walk of f
+    (``bargmann._walk_values``), and ``oscillator_gram`` up to kmax = 20;
+    a longer Gram builds its own layout past the cache.  It depends on
+    (c, end) alone, so it is built once per key and cached (24 bytes a
+    node, under 64 kB an entry for an end <= 80); the arrays are
+    read-only.
     """
     width = panel_width(osc)
     n_panels = _panel_count(osc, end)
@@ -314,8 +317,8 @@ def oscillator_gram_entries(osc: OscParams, kmax: int) -> int:
     """Entries (kmax + 1) x nodes of the polynomial table of
     ``oscillator_gram(osc, kmax)``: the nodes of its layout, counted
     without building it."""
-    nodes = _panel_count(osc, state_end(kmax, osc)) * len(_KRONROD_RULE[0])
-    return (kmax + 1) * nodes
+    end = state_end(max(kmax, _ISOMETRY_KMAX), osc)
+    return (kmax + 1) * _panel_count(osc, end) * len(_KRONROD_RULE[0])
 
 
 def _layout_columns(layout):
@@ -369,15 +372,15 @@ def oscillator_gram(osc: OscParams, kmax: int) -> np.ndarray:
     """Gram matrix of {phi_k}_{k<=kmax} on L^2(0, inf), real, as the one
     real product (nP) diag(w |pref|^2) (nP)^T of the state factors
     conj(phi_k) = norms[k] P_k conj_pref on the Kronrod rule of
-    ``xi_layout(osc, state_end(kmax, osc))`` with weights w.  That end grows
-    with kmax and gamma, as the states' tails do: kmax <= 20 (xi = 80 for
-    c <= 2.5) meets the identity to about 1.5e-13 for c <= 5 and to 2.2e-13
-    at c = 8, and kmax <= 6 keeps the end at xi = 40 (the transforms'
-    layout) for c <= 2.5.  The folded prefactor keeps it finite at large c
-    (within 2e-13 of the identity at c = 12 and 1.5e-12 at c = 20).  The layout comes
-    from the cache only at an end the transforms or ``isometry_check`` read
-    too (XI_LENGTH, ``state_end(20, osc)``); any other is built for the
-    call and dropped, since a long one would stay pinned in the cache.
+    ``xi_layout(osc, state_end(max(kmax, 20), osc))`` with weights w.  Up
+    to kmax = 20 that is the one cached layout of c, which the transforms
+    and ``isometry_check`` read too (xi = 80 for c <= 2.5); it meets the
+    identity to about 1.5e-13 for c <= 5 and to 2.2e-13 at c = 8.  Past
+    kmax = 20 the end grows with kmax, as the states' tails do, and the
+    layout is built for the call and dropped, since a long one would stay
+    pinned in the cache.  The folded prefactor keeps the matrix finite at
+    large c (within 2e-13 of the identity at c = 12 and 1.5e-12 at
+    c = 20).
 
     Raises
     ------
@@ -394,10 +397,9 @@ def oscillator_gram(osc: OscParams, kmax: int) -> np.ndarray:
         raise DomainError(
             f"the Gram table up to k = {kmax} at c = {osc.c:g} would hold "
             f"{entries} entries, more than the limit of {MAX_TABLE_ENTRIES}")
-    end = state_end(kmax, osc)
-    shared = end in (XI_LENGTH, state_end(_ISOMETRY_KMAX, osc))
-    layout = xi_layout(osc, end) if shared else xi_layout.__wrapped__(osc, end)
-    xi, weights, conj_pref = _layout_columns(layout)
+    end = state_end(max(kmax, _ISOMETRY_KMAX), osc)
+    build = xi_layout if kmax <= _ISOMETRY_KMAX else xi_layout.__wrapped__
+    xi, weights, conj_pref = _layout_columns(build(osc, end))
     poly, norms = state_polynomials(kmax, osc, xi)
     table = norms[:, None] * poly
     gram = (table * (weights * np.abs(conj_pref) ** 2)) @ table.T

@@ -168,6 +168,23 @@ class TestRelativisticTransform:
                - 1.5j * relativistic_transform(params, g, z))
         assert abs(lhs - rhs) < 1e-14
 
+    @pytest.mark.parametrize("c", [1.0, 3.0])
+    def test_linearity_across_walk_stops(self, c):
+        # the walk of f stops at xi = 40 (61 at c = 3), that of g near 64
+        # (84), and that of the sum with g's: each drops at most 2^-104 of
+        # ||f||^2, so B stays linear up to rounding
+        params = ModelParams(OscParams(c), 1)
+        f = oscillator_mode(0, params.osc)
+        g = oscillator_mode(10, params.osc)
+        stops = [bargmann._walk_values(h, params.osc)[3] for h in (f, g)]
+        assert stops[0] < stops[1]
+        combo = lambda x: 2.0 * f(x) - 1.5j * g(x)
+        for z in (0.3 - 0.2j, -0.5 + 0.4j):
+            lhs = relativistic_transform(params, combo, z)
+            rhs = (2.0 * relativistic_transform(params, f, z)
+                   - 1.5j * relativistic_transform(params, g, z))
+            assert abs(lhs - rhs) <= 1e-14 * max(1.0, abs(lhs))
+
     def test_caps(self):
         params = ModelParams(OscParams(1.0), 0)
         f = oscillator_mode(0, params.osc)
@@ -292,10 +309,37 @@ class TestRelativisticTransform:
         assert len(builds) == 1 + len(points)
 
 
+class TestAccuracyMap:
+    """B[phi_j] = Phi_j over the disk, one grid call per (c, m, j) against
+    ``disk.basis_phi``.  With the layout cut at xi = 40 for every c, the
+    worst relative error here was 0.68 to 1.6 for c <= 3, 1.7 at c = 5 and
+    2.4e4 at c = 8, with rounding-level reported errors."""
+
+    ARGS = (0.5, 2.0, 3.1, 4.5)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 3.0, 5.0, 8.0])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_basis_mapping(self, c, m):
+        radii = (0.3, 0.6, 0.85) if c <= 3.0 else (0.3, 0.5)
+        bound = 1e-8 if c == 8.0 else 1e-9
+        points = [z for z in (r * np.exp(1j * a)
+                              for r in radii for a in self.ARGS)
+                  if abs(1.0 - z) >= 0.2]
+        params = ModelParams(OscParams(c), m)
+        idx = params.landau_index()
+        for j in (0, 5, 10, 15, 20):
+            got = relativistic_transform_grid(
+                params, oscillator_mode(j, params.osc), points).values
+            want = np.array([basis_phi(j, idx, z) for z in points])
+            rel = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+            assert rel.max() <= bound, (j, points[int(rel.argmax())])
+
+
 def layout_panels(params, end=XI_LENGTH):
     """(mid, half width) of each panel of the xi layout that ends at
     ``end``, walked one panel at a time: width ``panel_width``, the last
-    panel cut at ``end`` (xi = 40 for the transforms)."""
+    panel cut at ``end`` (xi = 40, where the first block of the transforms'
+    walk of f ends)."""
     width = oscillator.panel_width(params.osc)
     lo = 0.0
     for _ in range(math.ceil(end / width)):
@@ -334,8 +378,9 @@ class TestFixedLayout:
 
     @pytest.mark.parametrize("m", [0, 2])
     def test_two_blocks_keep_basis_mapping(self, m):
-        # c = 0.45 once took 612 panels in two blocks; the layout now ends
-        # at xi = 40 with 62 panels, 1302 nodes, in one call
+        # c = 0.45 once took 612 panels in two blocks; the walk of f now
+        # stops after its first block, at xi = 40: 62 panels, 1302 nodes,
+        # in one call
         params = ModelParams(OscParams(0.45), m)
         z = 0.3 + 0.4j
         got = relativistic_transform(params, oscillator_mode(1, params.osc), z)
@@ -343,7 +388,7 @@ class TestFixedLayout:
 
     def test_long_layout_memory_is_bounded(self):
         # c = 0.37 once took 21663 panels, 1.04 M nodes, where the series
-        # overflowed; the layout now ends at xi = 40, 63 panels
+        # overflowed; the walk of f now stops at xi = 40, after 63 panels
         params = ModelParams(OscParams(0.37), 0)
         z = 0.3 + 0.4j
         f = oscillator_mode(1, params.osc)
@@ -363,7 +408,8 @@ class TestFixedLayout:
     @pytest.mark.parametrize("m", [0, 2])
     def test_callable_near_one_over_e_keeps_basis_mapping(self, c, m):
         # phi_1 does not vanish before xi = 450, and the 2F1 series of the
-        # kernel overflows far out; the layout stops at xi = 40 for every c
+        # kernel overflows far out; the layout ends at state_end(20) = 80,
+        # and the walk of f stops at xi = 40 here
         params = ModelParams(OscParams(c), m)
         f = oscillator_mode(1, params.osc)
         for z in (0.3 + 0.4j, 0.1j):
@@ -421,7 +467,8 @@ class TestKernelOnSupport:
                 assert bits(*got) == bits(*every_node_transform(params, f, z))
 
     def test_grid_from_two_kernel_inside_grid(self, monkeypatch):
-        # c = 0.6: the layout runs to xi = 40, the samples cover [2, 25]
+        # c = 0.6: the walk's first block runs to xi = 40, the samples
+        # cover [2, 25]
         params = ModelParams(OscParams(0.6), 1)
         grid = np.linspace(2.0, 25.0, 231)
         f = sampled_modes(params.osc, grid)
@@ -1040,9 +1087,9 @@ class TestParameterCaches:
         assert bits(grid.values[1], grid.errors[1]) == bits(*first)
 
     def test_one_layout_per_end(self, monkeypatch, cold_caches):
-        # at c = 1 the transforms and the Gram of phi_0 .. phi_5 share the
-        # layout that ends at xi = 40, and the isometry check reads the one
-        # that ends at state_end(20) = 80
+        # at c = 1 the transforms, the isometry check and the Gram of
+        # phi_0 .. phi_5 all read the one layout, which ends at
+        # state_end(20) = 80
         osc = OscParams(1.0)
 
         def f(xi):
@@ -1054,10 +1101,10 @@ class TestParameterCaches:
         isometry_check(ModelParams(osc, 0), f)
         oscillator.oscillator_gram(osc, 5)
         info = oscillator.xi_layout.cache_info()
-        assert (info.currsize, info.misses) == (2, 2)
-        xi_layout(osc, 40.0), xi_layout(osc, 80.0)
-        assert oscillator.xi_layout.cache_info().misses == 2
-        assert len(prefactors) == 2
+        assert (info.currsize, info.misses) == (1, 1)
+        xi_layout(osc, 80.0)
+        assert oscillator.xi_layout.cache_info().misses == 1
+        assert len(prefactors) == 1
 
     @pytest.mark.parametrize("c", [0.6, 1.0, 2.0, 8.0])
     @pytest.mark.parametrize("m", [0, 1, 2])
@@ -1204,8 +1251,7 @@ class TestIsometryWalk:
         assert len(seen) <= 1 + math.ceil(math.log2(xi.size // 21))
 
     def test_past_the_quiet_panels_f_is_not_read(self):
-        # a NaN past the stop is never seen, as past xi = 40 in the
-        # transforms
+        # a NaN past the stop is never seen, by the transforms either
         params = ModelParams(OscParams(1.0), 0)
         phi0 = oscillator_mode(0, params.osc)
 

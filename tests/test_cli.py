@@ -732,6 +732,20 @@ class TestTransform:
         row = [float(tok) for tok in out.read_text().splitlines()[1].split(",")]
         assert len(row) == 5 and all(math.isfinite(v) for v in row)
 
+    def test_slowly_decaying_input_exit_4(self, tmp_path, capsys):
+        # 1/(1 + xi) keeps 0.7% of ||f||^2 past the layout's end (xi = 80);
+        # the transform read it up to xi = 40 and printed that value with
+        # exit 0
+        grid = np.linspace(0.0, 200.0, 2001)
+        path = tmp_path / "slow.csv"
+        write_samples(path, grid, 1.0 / (1.0 + grid) + 0j)
+        out = tmp_path / "t.csv"
+        assert run(["transform", "--c", "1", "--input", str(path),
+                    "--grid=0.3+0.2j", "--out", str(out)]) == 4
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("non-convergence: ")
+        assert "does not decay" in stderr and not out.exists()
+
     def test_overflowing_normalization_exit_4(self, ground_state_csv, tmp_path,
                                               capsys):
         code = run(["transform", "--c", "20", "--m", "1",
@@ -879,8 +893,9 @@ class TestSampleFile:
                                math.nextafter(1 / math.e, 1)])
 @pytest.mark.parametrize("z", [0.3 + 0.4j, 0.1j])
 def test_transform_near_one_over_e(tmp_path, c, z):
-    # the xi layout ends at 40 for every c: no pole at c = 1/e, and no
-    # nodes far out where the 2F1 series of the kernel overflows
+    # the xi layout ends at state_end(20) = 80 for c <= 2.5: no pole at
+    # c = 1/e, and no nodes far out where the 2F1 series of the kernel
+    # overflows
     osc = OscParams(c)
     grid = np.linspace(0.0, 30.0, 1201)
     path = tmp_path / "phi1.csv"
@@ -987,6 +1002,17 @@ class TestVerify:
                     "--kmax", "20", "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert max(c["error"] for c in report["checks"]) < 1e-12
+
+    @pytest.mark.parametrize("c", [5.0, 8.0])
+    def test_isometry_at_large_c_exit_0(self, tmp_path, c):
+        # phi_0 peaks near xi = gamma (19 at c = 5, 46 at c = 8); cut at
+        # xi = 40, the basis mapping missed by 0.039 and 1.6e2
+        out = tmp_path / "rep.json"
+        assert run(["verify", "--suite", "isometry", "--c", repr(c),
+                    "--out", str(out)]) == 0
+        checks = {check["name"]: check["error"]
+                  for check in json.loads(out.read_text())["checks"]}
+        assert checks["basis-mapping"] < 1e-10
 
     def test_isometry_at_c30_exit_4(self, tmp_path, capsys):
         # sigma = 1,274: the disk basis scales overflow; this ended in

@@ -129,29 +129,45 @@ class TestEigenfunctions:
                                          (3.0, 10), (3.0, 40)])
     def test_gram_has_the_bits_of_the_cached_layout(self, c, kmax,
                                                     cold_caches):
-        # a Gram past the shared ends builds its layout uncached: the same
-        # product on the cached layout at its end gives the same bits
+        # up to kmax = 20 the Gram reads the one layout of c; past it, it
+        # builds its own uncached: the same product on the cached layout at
+        # its end gives the same bits
         osc = OscParams(c)
         got = oscillator_gram(osc, kmax)
         xi, weights, conj_pref = _layout_columns(
-            xi_layout(osc, state_end(kmax, osc)))
+            xi_layout(osc, state_end(max(kmax, 20), osc)))
         poly, norms = state_polynomials(kmax, osc, xi)
         table = norms[:, None] * poly
         want = (table * (weights * np.abs(conj_pref) ** 2)) @ table.T
         assert got.tobytes() == want.tobytes()
 
     def test_long_gram_leaves_no_layout_in_the_cache(self, cold_caches):
-        # only the transforms' end (40) and the isometry check's
-        # (state_end(20) = 80) are cached; kmax = 50 (end 170) held a
-        # 0.5 MB entry for the rest of the process
+        # only the one layout of c (state_end(20) = 80) is cached; kmax =
+        # 50 (end 170) held a 0.5 MB entry for the rest of the process
         osc = OscParams(1.0)
         oscillator_gram(osc, 50)
         assert xi_layout.cache_info().currsize == 0
         oscillator_gram(osc, 20)
         oscillator_gram(osc, 5)
-        assert xi_layout.cache_info().currsize == 2
-        xi_layout(osc, 40.0), xi_layout(osc, 80.0)
-        assert xi_layout.cache_info().misses == 2
+        assert xi_layout.cache_info().currsize == 1
+        xi_layout(osc, 80.0)
+        assert xi_layout.cache_info().misses == 1
+
+    @pytest.mark.parametrize("c", [0.8, 1.0, 3.0])
+    @pytest.mark.parametrize("kmax", [5, 20, 30])
+    def test_gram_entries_count_the_built_table(self, c, kmax, monkeypatch):
+        # verify's table guard counts the table the Gram builds, on the
+        # layout of state_end(max(kmax, 20))
+        osc = OscParams(c)
+        shapes = []
+
+        def recorded(k, osc, xi):
+            shapes.append((k + 1) * len(xi))
+            return state_polynomials(k, osc, xi)
+
+        monkeypatch.setattr(oscillator, "state_polynomials", recorded)
+        oscillator_gram(osc, kmax)
+        assert shapes == [oscillator_gram_entries(osc, kmax)]
 
     @pytest.mark.parametrize("c, length", [(0.8, 40.0), (1.0, 80.0),
                                            (3.0, 1220.0)])

@@ -9,7 +9,8 @@ that build and sum it name neither Gauss-Legendre rule of
 real Jacobi recurrence, with no gamma ratio, and the disk basis runs the
 same recurrence, ``orthopoly.jacobi_q``, with no monomial coefficients.
 ``bargmann`` has one transform route: the m = 0 reduction's 2F1 kernel
-lives in ``reference``.
+lives in ``reference``.  f reaches the xi quadrature through one walk,
+``bargmann._walk_values``, the only code there that names the layout.
 """
 
 import ast
@@ -25,6 +26,7 @@ BLOCK_NAMES = {"LAYOUT_BLOCK_NODES"}
 HALFLINE_RULE_NAMES = {"_COARSE_RULE", "_FINE_RULE"}
 M0_ROUTE_NAMES = {"gauss_2f1_vec", "log_gamma_ratio", "_m0_exponent"}
 COEFF_MATRIX_NAMES = {"_phi_coeff_rows", "_phi_coeff_matrix"}
+LAYOUT_NAMES = {"xi_layout", "state_end", "XI_LENGTH"}
 
 
 def _names(tree: ast.Module) -> set[str]:
@@ -110,6 +112,23 @@ def test_bargmann_has_one_transform_route():
     for node in tree.body:
         if node not in imports:
             assert not _names(node) & M0_ROUTE_NAMES, ast.unparse(node)[:60]
+
+
+def test_one_walk_of_f():
+    # the oscillator import aside, only the walk names the layout, and the
+    # transforms and the isometry check read f through it alone
+    tree = _parse("bargmann.py")
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "oscillator":
+            continue
+        named = _names(node) & LAYOUT_NAMES
+        if getattr(node, "name", None) == "_walk_values":
+            assert named == LAYOUT_NAMES
+        else:
+            assert not named, ast.unparse(node)[:60]
+    for name in ("relativistic_transform_grid", "isometry_check"):
+        names = _names(_function(tree, name))
+        assert "_walk_values" in names and "_values_on" not in names, name
 
 
 def test_name_check_sees_every_form():
