@@ -52,9 +52,9 @@ nodes and points, so every result is the same as with the kernel evaluated
 at every walked node, and a grid value the same as the single-point value.
 The F5 closed form (``coherent.transform_kernel``) is not used here.
 ``classical_bargmann`` alone integrates adaptively
-(``quadrature.integrate_halfline``), with one call of f per panel visit for
-both Gauss rules, its values checked as the relativistic transform checks
-its own.
+(``quadrature.integrate_halfline``), with one call of f per bisection level
+of each block of panels, on both Gauss rules of every open panel, its
+values checked as the relativistic transform checks its own.
 
 Every state, in the kernel, the projections of ``isometry_check`` and the
 Gram matrices alike, comes from the one factorisation conj(phi_k) =
@@ -181,10 +181,13 @@ def classical_bargmann(sigma: float, f, z):
     """Laguerre-kernel Bargmann transform of f at the disk point z.
 
     Returns ``(value, err_estimate)`` of the half-line integral, taken to a
-    tolerance of 1e-10 by ``integrate_halfline``, which calls f once per
-    panel visit on the nodes of both Gauss rules.  A non-finite value of f
-    at a node (naming the smallest such xi of the panel), or a result that
-    is not one value for each node, raises InputFormatError.
+    tolerance of 1e-10 by ``integrate_halfline`` on panels of width
+    1 / max(Re s, 0.05), s = (1 + z) / (2 (1 - z)).  It calls f once per
+    bisection level of each block of panels, on the nodes of both Gauss
+    rules of every panel still open, and never past the block that holds
+    the first two negligible panels.  A non-finite value of f at a node
+    (naming the smallest such xi of the call), or a result that is not one
+    value for each node, raises InputFormatError.
     """
     if not 1.0 < sigma < math.inf:
         raise DomainError("classical transform requires a finite sigma > 1")
@@ -265,7 +268,7 @@ def relativistic_transform_grid(params: ModelParams, f,
     values, errors = [], []
     if zs:
         layout, f_nodes, _, n = _walk_values(func, params.osc)
-        nodes, half, conj_pref = layout
+        nodes, half, conj_pref, _ = layout
         xi, f_vals = nodes.ravel()[:n], f_nodes[:n]
         live = np.flatnonzero(f_vals != 0)
         integrand = np.zeros(n, dtype=complex)

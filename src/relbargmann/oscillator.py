@@ -283,21 +283,22 @@ def _panel_count(osc: OscParams, end: float) -> int:
 
 @lru_cache(maxsize=32)
 def xi_layout(osc: OscParams, end: float):
-    """``(nodes, half, conj_pref)`` of the xi layout of c that ends at
-    ``end``: the one source of xi nodes of the package.
+    """``(nodes, half, conj_pref, weights)`` of the xi layout of c that
+    ends at ``end``: the one source of xi nodes of the package.
 
     Panels of ``panel_width(osc)`` from xi = 0, their edges made by repeated
     addition of the width as a panel walk makes them, the last one cut at
     ``end``; ``nodes``, shape (panels, 21), carries the 21-point
     Gauss-Kronrod rule of each panel (``quadrature._KRONROD_RULE``, with
-    the 10-point Gauss rule at its odd columns), ``half`` the half widths
-    and ``conj_pref`` the flat :func:`conj_state_prefactor` at every node
-    (all xi > 0).  The package reads one end per c, ``state_end(20, osc)``:
+    the 10-point Gauss rule at its odd columns), ``half`` the half widths,
+    ``conj_pref`` the flat :func:`conj_state_prefactor` at every node (all
+    xi > 0) and ``weights`` the flat Kronrod weights half w_21 of every
+    node, the half-line rule of the norms and Gram matrices.  The package reads one end per c, ``state_end(20, osc)``:
     the transforms and ``isometry_check`` through the walk of f
     (``bargmann._walk_values``), and ``oscillator_gram`` up to kmax = 20;
     a longer Gram builds its own layout past the cache.  It depends on
-    (c, end) alone, so it is built once per key and cached (24 bytes a
-    node, under 64 kB an entry for an end <= 80); the arrays are
+    (c, end) alone, so it is built once per key and cached (32 bytes a
+    node, under 86 kB an entry for an end <= 80); the arrays are
     read-only.
     """
     width = panel_width(osc)
@@ -308,9 +309,10 @@ def xi_layout(osc: OscParams, end: float):
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = mid[:, None] + half[:, None] * rule
     conj_pref = conj_state_prefactor(osc, nodes.ravel())
-    for arr in (nodes, half, conj_pref):
+    weights = (half[:, None] * _KRONROD_RULE[1]).ravel()
+    for arr in (nodes, half, conj_pref, weights):
         arr.flags.writeable = False
-    return nodes, half, conj_pref
+    return nodes, half, conj_pref, weights
 
 
 def oscillator_gram_entries(osc: OscParams, kmax: int) -> int:
@@ -322,11 +324,10 @@ def oscillator_gram_entries(osc: OscParams, kmax: int) -> int:
 
 
 def _layout_columns(layout):
-    """``(xi, weights, conj_pref)`` of the ``xi_layout`` triple ``layout``,
-    flat in panel order, with the Kronrod weights half w_21: the half-line
-    rule of the norms and Gram matrices."""
-    nodes, half, conj_pref = layout
-    weights = (half[:, None] * _KRONROD_RULE[1]).ravel()
+    """``(xi, weights, conj_pref)`` of the ``xi_layout`` tuple ``layout``,
+    flat in panel order: the nodes, and the layout's own Kronrod weights
+    and prefactor."""
+    nodes, _, conj_pref, weights = layout
     return nodes.ravel(), weights, conj_pref
 
 

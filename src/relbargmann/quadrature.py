@@ -18,7 +18,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError, NonConvergenceError, _check_order
+from .errors import (DomainError, InputFormatError, NonConvergenceError,
+                     _check_order)
 
 MAX_RULE_SIZE = 4096
 
@@ -226,61 +227,90 @@ def integrate_halfline(f, decay_scale: float = 1.0, tol: float = 1e-10):
 
     Panels of width ``decay_scale`` are integrated with an embedded
     Gauss-Legendre pair (16 and 32 points); the pair difference is the
-    per-panel error estimate.  ``f`` is called once per panel visit, on the
-    48 nodes of both rules (the 16-point nodes first), and a scalar result
-    is broadcast to them.  Panels whose estimate exceeds ``tol / 20`` are
-    bisected, at most 12 times deep, and the panel chain grows until two
-    consecutive panels are negligible.
+    per-panel error estimate.  Panels whose estimate exceeds ``tol / 20``
+    are bisected, at most 12 times deep, and a split panel's value and
+    estimate are the sums of its halves'.  The panels are taken from 0 in
+    blocks that end at 8, 16, 32 and 64 panels; within a block f is called
+    once per bisection level, on the 48 nodes of every panel still open at
+    that level (the 16-point nodes of each panel first), and it must return
+    one value for each node.  The value and the estimate sum the panels up
+    to the first two consecutive negligible ones; f is never evaluated past
+    the block that holds them.
 
     Returns ``(value, err_estimate)``.
 
     Raises
     ------
+    InputFormatError
+        If f does not return one value for each node.
     NonConvergenceError
         If the tail has not become negligible by ``64 * decay_scale``.
     """
     if decay_scale <= 0 or tol <= 0:
         raise DomainError("decay_scale and tol must be positive")
     width = max(decay_scale, 1e-3)
-    (xc, wc), (xf, wf) = _COARSE_RULE, _FINE_RULE
-    both, n_coarse = np.concatenate((xc, xf)), len(xc)
-
-    def do_panel(lo, hi, depth):
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        x = mid + half * both
-        vals = np.asarray(f(x))
-        if vals.shape != x.shape:
-            vals = np.broadcast_to(vals, x.shape)
-        coarse = half * (wc * vals[:n_coarse]).sum()
-        val = half * (wf * vals[n_coarse:]).sum()
-        err = abs(val - coarse)
-        if err > tol / 20.0 and depth < 12:
-            v1, e1 = do_panel(lo, mid, depth + 1)
-            v2, e2 = do_panel(mid, hi, depth + 1)
-            return v1 + v2, e1 + e2
-        return val, err
-
+    max_length = 64.0 * decay_scale
+    n_panels = math.ceil(max_length / width)
+    # the edges of a walk that adds the width one panel at a time
+    edges = np.minimum(np.cumsum(np.r_[0.0, np.full(n_panels, width)]),
+                       max_length)
     total = 0.0 + 0.0j
     err_total = 0.0
-    max_length = 64.0 * decay_scale
-    n_panels = int(np.ceil(max_length / width))
     quiet = 0
-    lo = 0.0
-    for k in range(n_panels):
-        hi = min(lo + width, max_length)
-        val, err = do_panel(lo, hi, 0)
-        total += val
-        err_total += err
-        lo = hi
-        if abs(val) + err < tol / 10.0:
-            quiet += 1
-            if quiet >= 2:
-                err_total += abs(val)
-                return total, err_total
-        else:
-            quiet = 0
+    start, stop = 0, min(8, n_panels)
+    while start < n_panels:
+        values, errors = _bisected_panels(f, edges[start:stop],
+                                          edges[start + 1:stop + 1], tol)
+        for val, err in zip(values, errors):
+            total += val
+            err_total += err
+            if abs(val) + err < tol / 10.0:
+                quiet += 1
+                if quiet >= 2:
+                    return total, err_total + abs(val)
+            else:
+                quiet = 0
+        start, stop = stop, min(2 * stop, n_panels)
     raise NonConvergenceError(
         f"half-line tail not converged by L = {max_length:g}")
+
+
+def _bisected_panels(f, lo: np.ndarray, hi: np.ndarray, tol: float):
+    """``(values, errors)``, lists in panel order, of the 16/32-point pair
+    of ``integrate_halfline`` on the panels [lo, hi], each bisected while
+    its estimate exceeds ``tol / 20``, at most 12 times deep, with one call
+    of f a level on the nodes of the panels still open."""
+    (xc, wc), (xf, wf) = _COARSE_RULE, _FINE_RULE
+    both, n_coarse = np.concatenate((xc, xf)), len(xc)
+    levels = []
+    for depth in range(13):
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        x = (mid[:, None] + half[:, None] * both).ravel()
+        vals = np.asarray(f(x))
+        if vals.shape != x.shape:
+            raise InputFormatError(
+                f"f returned shape {vals.shape} at {x.size} nodes; it must "
+                "return one value for each node")
+        vals = vals.reshape(len(mid), len(both))
+        coarse = half * np.sum(wc * vals[:, :n_coarse], axis=1)
+        val = half * np.sum(wf * vals[:, n_coarse:], axis=1)
+        # libm's hypot, as abs() of one complex value; np.abs of a complex
+        # array may differ from it in the last bit
+        diff = val - coarse
+        err = np.hypot(diff.real, diff.imag)
+        split = (err > tol / 20.0) & (depth < 12)
+        levels.append((val, err, split))
+        if not split.any():
+            break
+        lo, hi = (np.column_stack((lo[split], mid[split])).ravel(),
+                  np.column_stack((mid[split], hi[split])).ravel())
+    # from the deepest level up, a split panel sums its two halves
+    val, err, _ = levels.pop()
+    for level_val, level_err, split in reversed(levels):
+        level_val[split] = val[0::2] + val[1::2]
+        level_err[split] = err[0::2] + err[1::2]
+        val, err = level_val, level_err
+    return val.tolist(), err.tolist()
 
 
 def integrate_disk(g, weight_exponent: float) -> complex:
@@ -290,9 +320,11 @@ def integrate_disk(g, weight_exponent: float) -> complex:
     the weight is Jacobi-type and handled exactly by ``jacobi_rule_01``;
     the angular direction uses the trapezoid rule on a uniform periodic grid,
     which is exact for trigonometric polynomials of degree below the grid
-    size.  The grids start at 96 radial nodes and 128 angles and are doubled,
-    at most twice (NonConvergenceError after that), until the estimate moves
-    by less than 1e-9 * (1 + |estimate|).
+    size and converges geometrically for an analytic periodic integrand.
+    The grids start at 24 radial nodes and 32 angles and are doubled, at
+    most four times, to 384 x 512 (NonConvergenceError after that), until
+    the estimate moves by less than 1e-9 * (1 + |estimate|); the value
+    returned is the finer grid's of that pair, so at least 48 x 64.
 
     ``g`` must accept a 2-D complex ndarray and evaluate elementwise.
     """
@@ -307,9 +339,9 @@ def integrate_disk(g, weight_exponent: float) -> complex:
         angular = vals.mean(axis=1) * 2.0 * np.pi
         return complex(0.5 * np.sum(rule.weights * angular))
 
-    n_radial, n_angular = 96, 128
+    n_radial, n_angular = 24, 32
     prev = estimate(n_radial, n_angular)
-    for _ in range(2):
+    for _ in range(4):
         n_radial *= 2
         n_angular *= 2
         cur = estimate(n_radial, n_angular)

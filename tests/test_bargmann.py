@@ -115,6 +115,22 @@ class TestClassicalBargmann:
         with pytest.raises(InputFormatError, match=r"xi = 5\.\d"):
             classical_bargmann(3.0, f, 0.2)
 
+    def test_f_is_not_read_past_the_quiet_block(self):
+        # panels are 4/3 wide at z = 0.2; the first quiet pair ends at
+        # xi = 18.7, in the block that ends at 16 panels (xi = 21.3), so
+        # the NaN past xi = 30 is never seen, though a walk of all 64
+        # panels would see it
+        seen = []
+
+        def f(x):
+            seen.append(x.max())
+            return np.where(x <= 30.0, np.exp(-x), np.nan)
+
+        val, _ = classical_bargmann(3.0, f, 0.2)
+        want = 0.35981478542578615
+        assert abs(val - want) <= 1e-15 * want
+        assert max(seen) < 30.0
+
     @pytest.mark.parametrize("shape", ["scalar", "three", "column"])
     def test_f_of_the_wrong_shape_rejected(self, shape):
         f = {"scalar": lambda x: 1.0,
@@ -335,26 +351,33 @@ class TestAccuracyMap:
             assert rel.max() <= bound, (j, points[int(rel.argmax())])
 
 
-def layout_panels(params, end=XI_LENGTH):
-    """(mid, half width) of each panel of the xi layout that ends at
-    ``end``, walked one panel at a time: width ``panel_width``, the last
-    panel cut at ``end`` (xi = 40, where the first block of the transforms'
-    walk of f ends)."""
+def walked_panels(params, f):
+    """The number of panels of the one layout of c that the transforms'
+    walk of f (``bargmann._walk_values``) reads."""
+    func = f.as_callable() if isinstance(f, SampledFunction) else f
+    return bargmann._walk_values(func, params.osc)[3] // len(_KRONROD_RULE[0])
+
+
+def layout_panels(params, panels=None):
+    """(mid, half width) of the first ``panels`` panels of the one layout
+    of c (all of them by default), walked one panel at a time: width
+    ``panel_width``, the last panel of the layout cut at ``state_end(20)``."""
     width = oscillator.panel_width(params.osc)
+    end = state_end(20, params.osc)
     lo = 0.0
-    for _ in range(math.ceil(end / width)):
+    for _ in range(math.ceil(end / width) if panels is None else panels):
         hi = min(lo + width, end)
         yield 0.5 * (hi + lo), 0.5 * (hi - lo)
         lo = hi
 
 
 def panel_walk_transform(params, f, z):
-    """Reference: the xi layout walked one panel at a time, with one call of
-    the expansion kernel for the 10-point Gauss and one for the 21-point
-    Kronrod rule of every panel."""
+    """Reference: the walked panels of the one layout, one panel at a time,
+    with one call of the expansion kernel for the 10-point Gauss and one
+    for the 21-point Kronrod rule of every panel."""
     nodes, wk, wg = _KRONROD_RULE
     total, err_total = 0.0 + 0.0j, 0.0
-    for mid, half in layout_panels(params):
+    for mid, half in layout_panels(params, walked_panels(params, f)):
         vg, vk = (half * np.sum(w * (f(mid + half * x)
                                      * transform_kernel_series(params, z,
                                                                mid + half * x)))
@@ -417,24 +440,25 @@ class TestFixedLayout:
             assert abs(got - basis_phi(1, params.landau_index(), z)) < 1e-6
 
 
-def layout_integral(integrand, layout):
+def layout_integral(integrand, layout, panels):
     """``(value, err_estimate)`` of ``integrand``, called once on all the
-    nodes of ``layout`` (an ``xi_layout`` triple), by the transforms' panel
-    sums."""
-    nodes, half, _ = layout
+    nodes of the first ``panels`` panels of ``layout`` (an ``xi_layout``
+    tuple), by the transforms' panel sums."""
+    nodes, half = layout[0][:panels], layout[1]
     vals = np.asarray(integrand(nodes.ravel())).reshape(nodes.shape)
     return bargmann._panel_sums(vals, half)
 
 
 def every_node_transform(params, f, z):
-    """Reference: f times the expansion kernel at every node of the fixed
-    layout."""
+    """Reference: f times the expansion kernel at every node of the walked
+    panels of the one layout."""
     func = f.as_callable() if isinstance(f, SampledFunction) else f
 
     def integrand(xi):
         return np.asarray(func(xi)) * transform_kernel_series(params, z, xi)
 
-    return layout_integral(integrand, xi_layout(params.osc, XI_LENGTH))
+    layout = xi_layout(params.osc, state_end(20, params.osc))
+    return layout_integral(integrand, layout, walked_panels(params, func))
 
 
 def bits(value, err):
@@ -487,9 +511,26 @@ class TestKernelOnSupport:
         nodes = np.concatenate(seen)
         assert grid[0] <= nodes.min() and nodes.max() <= grid[-1]
         inside = sum(np.count_nonzero((grid[0] <= x) & (x <= grid[-1]))
-                     for mid, half in layout_panels(params)
+                     for mid, half in layout_panels(params,
+                                                    walked_panels(params, f))
                      for x in (mid + half * _KRONROD_RULE[0],))
         assert len(nodes) == inside
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_long_walk_matches_every_node(self, m):
+        # phi_10 at c = 1 is quiet only near xi = 64: the walk reads 74 of
+        # the 92 panels of the layout, past XI_LENGTH and its first block
+        params = ModelParams(OscParams(1.0), m)
+        f = oscillator_mode(10, params.osc)
+        panels = walked_panels(params, f)
+        assert panels * oscillator.panel_width(params.osc) > 60.0
+        assert panels < len(xi_layout(params.osc, state_end(20, params.osc))[1])
+        for z in (0.3 + 0.2j, -0.5 + 0.4j):
+            got = relativistic_transform(params, f, z, with_error=True)
+            assert bits(*got) == bits(*every_node_transform(params, f, z))
+            want, want_err = panel_walk_transform(params, f, z)
+            assert abs(got[0] - want) <= 1e-12 * abs(want)
+            assert abs(got[1] - want_err) <= 1e-12 * want_err
 
     def test_zero_input_gives_positive_zero(self, monkeypatch):
         params = ModelParams(OscParams(1.0), 1)
@@ -625,43 +666,69 @@ class TestM0Grid:
         assert calls == [0]
 
 
-def two_call_halfline(f, decay_scale=1.0, tol=1e-10, depths=None):
-    """Reference: ``integrate_halfline`` with one call of f for each Gauss
-    rule of a panel visit; the depth of each visit goes to ``depths``."""
-    width = max(decay_scale, 1e-3)
-    (xc, wc), (xf, wf) = _COARSE_RULE, _FINE_RULE
+def level_halfline(f, decay_scale=1.0, tol=1e-10, depths=None):
+    """Reference: ``integrate_halfline`` one level of one block at a time.
 
-    def do_panel(lo, hi, depth):
-        if depths is not None:
-            depths.append(depth)
-        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        coarse = half * np.sum(wc * np.asarray(f(mid + half * xc)))
-        val = half * np.sum(wf * np.asarray(f(mid + half * xf)))
-        err = abs(val - coarse)
-        if err > tol / 20.0 and depth < 12:
-            v1, e1 = do_panel(lo, mid, depth + 1)
-            v2, e2 = do_panel(mid, hi, depth + 1)
+    The panels, made by adding the width one at a time, are taken in
+    blocks that end at 8, 16, 32 and 64 panels.  Each level of a block is
+    one call of f on the nodes of its open panels, the 16-point nodes of
+    each panel first, and each panel's pair is then summed on its own; a
+    split panel's value and estimate are the sums of its halves'.  The
+    depth of each call goes to ``depths``."""
+    width = max(decay_scale, 1e-3)
+    max_length = 64.0 * decay_scale
+    (xc, wc), (xf, wf) = _COARSE_RULE, _FINE_RULE
+    both = np.concatenate((xc, xf))
+    edges = [0.0]
+    for _ in range(math.ceil(max_length / width)):
+        edges.append(min(edges[-1] + width, max_length))
+    n_panels = len(edges) - 1
+
+    def block_pairs(panels):
+        leaves, open_panels, depth = {}, panels, 0
+        while open_panels:
+            if depths is not None:
+                depths.append(depth)
+            x = np.concatenate([0.5 * (hi + lo) + 0.5 * (hi - lo) * both
+                                for lo, hi in open_panels])
+            vals = np.asarray(f(x)).reshape(len(open_panels), len(both))
+            split = []
+            for (lo, hi), v in zip(open_panels, vals):
+                mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+                coarse = half * np.sum(wc * v[:len(xc)])
+                val = half * np.sum(wf * v[len(xc):])
+                err = abs(val - coarse)
+                if err > tol / 20.0 and depth < 12:
+                    split += [(lo, mid), (mid, hi)]
+                else:
+                    leaves[lo, hi] = (val, err)
+            open_panels, depth = split, depth + 1
+
+        def pair(lo, hi):
+            if (lo, hi) in leaves:
+                return leaves[lo, hi]
+            mid = 0.5 * (hi + lo)
+            (v1, e1), (v2, e2) = pair(lo, mid), pair(mid, hi)
             return v1 + v2, e1 + e2
-        return val, err
+
+        return [pair(lo, hi) for lo, hi in panels]
 
     total = 0.0 + 0.0j
     err_total = 0.0
-    max_length = 64.0 * decay_scale
     quiet = 0
-    lo = 0.0
-    for _ in range(int(np.ceil(max_length / width))):
-        hi = min(lo + width, max_length)
-        val, err = do_panel(lo, hi, 0)
-        total += val
-        err_total += err
-        lo = hi
-        if abs(val) + err < tol / 10.0:
-            quiet += 1
-            if quiet >= 2:
-                err_total += abs(val)
-                return total, err_total
-        else:
-            quiet = 0
+    start, stop = 0, min(8, n_panels)
+    while start < n_panels:
+        panels = list(zip(edges[start:stop], edges[start + 1:stop + 1]))
+        for val, err in block_pairs(panels):
+            total += val
+            err_total += err
+            if abs(val) + err < tol / 10.0:
+                quiet += 1
+                if quiet >= 2:
+                    return total, err_total + abs(val)
+            else:
+                quiet = 0
+        start, stop = stop, min(2 * stop, n_panels)
     raise NonConvergenceError("tail not converged")
 
 
@@ -670,40 +737,46 @@ def hex_pair(value, err):
 
 
 class TestHalflineOneCall:
-    """``integrate_halfline`` calls f once per panel visit, on the nodes of
-    both rules, with the bits of one call for each rule."""
+    """``integrate_halfline`` calls f once per bisection level of each block
+    of panels, on the nodes of both rules of every open panel, with the
+    bits of a reference that sums each panel on its own."""
 
     @pytest.mark.parametrize("sigma", [3.0, 5.5])
-    def test_classical_modes_match_two_calls(self, sigma, monkeypatch):
+    def test_classical_modes_match_level_reference(self, sigma, monkeypatch):
         got = {(k, z): classical_bargmann(sigma, laguerre_mode(k, sigma), z)
                for k in range(5) for z in (0.1, 0.2, 0.3, 0.2 - 0.3j)}
-        monkeypatch.setattr(bargmann, "integrate_halfline", two_call_halfline)
+        monkeypatch.setattr(bargmann, "integrate_halfline", level_halfline)
         for (k, z), pair in got.items():
             want = classical_bargmann(sigma, laguerre_mode(k, sigma), z)
             assert hex_pair(*pair) == hex_pair(*want)
 
-    def test_bisection_matches_two_calls_with_one_call_a_visit(self):
+    def test_bisection_makes_one_call_per_level_per_block(self):
         # sqrt(x) is not smooth at 0, so the first panel is bisected deep
         def f(x):
             return np.sqrt(x) * np.exp(-x) * (1.0 + 0.5j)
 
         depths = []
-        want = two_call_halfline(f, 1.0, 1e-12, depths)
+        want = level_halfline(f, 1.0, 1e-12, depths)
         assert max(depths) >= 2
         g, calls = counted_calls(f)
         got = integrate_halfline(g, decay_scale=1.0, tol=1e-12)
         assert hex_pair(*got) == hex_pair(*want)
         assert calls == [len(depths)]
+        # one call per level of each block: the first block (8 panels) is
+        # bisected to the depth limit at 0, the blocks that end at 16, 32
+        # and 64 panels need one level each, and the quiet pair starts at
+        # xi = 32
+        assert depths == list(range(13)) + [0, 0, 0]
 
-    def test_scalar_result_is_broadcast(self):
-        # one value for the whole panel, e^-k on [k, k + 1]
-        def f(x):
-            return math.exp(-math.floor(x[0]))
-
-        got = integrate_halfline(f, decay_scale=1.0, tol=1e-10)
-        assert hex_pair(*got) == hex_pair(*two_call_halfline(f, 1.0, 1e-10))
-        assert abs(got[0] - 1.0 / (1.0 - math.exp(-1.0))) < 1e-10
-        assert integrate_halfline(lambda x: 0.0) == (0.0, 0.0)
+    @pytest.mark.parametrize("result", ["scalar", "per-panel", "column"])
+    def test_result_of_another_shape_is_refused(self, result):
+        # one value a panel, e^-k on [k, k + 1], was once broadcast to its
+        # nodes; a result must now be one value for each node
+        f = {"scalar": lambda x: 0.0,
+             "per-panel": lambda x: np.exp(-np.floor(x[::48])),
+             "column": lambda x: np.exp(-x)[:, None]}[result]
+        with pytest.raises(InputFormatError, match="one value for each node"):
+            integrate_halfline(f, decay_scale=1.0, tol=1e-10)
 
 
 class TestIsometry:
@@ -793,7 +866,7 @@ def point_loop_isometry(params, f):
     xg, wg = _KRONROD_RULE[:2]
     norm_f_sq = 0.0
     projections = np.zeros(kmax + 1, dtype=complex)
-    for mid, half in layout_panels(params, state_end(kmax, params.osc)):
+    for mid, half in layout_panels(params):
         xi = mid + half * xg
         w, fx = half * wg, np.asarray(f(xi))
         norm_f_sq += float(np.sum(w * np.abs(fx) ** 2))
@@ -949,7 +1022,7 @@ def uncached_isometry(params, f):
     rule of a freshly built layout, the public projections and a Gram
     matrix built afresh."""
     kmax = bargmann._ISOMETRY_KMAX
-    nodes, half, _ = fresh_layout(params.osc, state_end(kmax, params.osc))
+    nodes, half, _, _ = fresh_layout(params.osc, state_end(kmax, params.osc))
     xi = nodes.ravel()
     weights = (half[:, None] * _KRONROD_RULE[1]).ravel()
     f_nodes = np.asarray(f(xi))
@@ -1065,7 +1138,7 @@ class TestParameterCaches:
             func = sampled_modes(osc, np.linspace(2.0, 25.0, 231)).as_callable()
         else:
             func = scattered_mode(osc)
-        nodes, _, conj_pref = xi_layout(osc, XI_LENGTH)
+        nodes, _, conj_pref, _ = xi_layout(osc, XI_LENGTH)
         xi = nodes.ravel()
         live = np.flatnonzero(func(xi) != 0)
         assert 0 < live.size < xi.size

@@ -188,7 +188,7 @@ def test_halfline_fixed_layout_is_linear():
         return integrand
 
     def fixed_layout_integral(integrand):
-        nodes, half, _ = xi_layout(osc, XI_LENGTH)
+        nodes, half, _, _ = xi_layout(osc, XI_LENGTH)
         vals = np.asarray(integrand(nodes.ravel())).reshape(nodes.shape)
         return _panel_sums(vals, half)
 
@@ -216,6 +216,37 @@ def test_disk_constant_weight_mass():
 def test_disk_angular_symmetry():
     val = integrate_disk(lambda z: z, 2.0)
     assert abs(val) < 1e-14
+
+
+def test_disk_grid_fits_the_integrand():
+    # the grid starts at 24 x 32 and doubles at most four times: a step
+    # does not settle by 384 x 512, the four reproducing compositions of
+    # verify's resolution suite keep the values of a grid that started at
+    # 96 x 128, and a value always comes from a doubled grid
+    from relbargmann.disk import LandauIndex
+    from relbargmann.verification import _reproducing_composition
+
+    shapes = []
+
+    def step(z):
+        shapes.append(z.shape)
+        return np.where(z.real > 0.1, 1.0, 0.0)
+
+    with pytest.raises(NonConvergenceError):
+        integrate_disk(step, 2.0)
+    assert shapes == [(24 * 2 ** k, 32 * 2 ** k) for k in range(5)]
+    shapes.clear()
+    integrate_disk(lambda z: shapes.append(z.shape) or np.ones(z.shape), 2.0)
+    assert shapes == [(24, 32), (48, 64)]
+    pairs = ((0.3 + 0.1j, -0.2 - 0.25j), (0.15 - 0.3j, 0.4 + 0.05j))
+    wanted = {(5.0, 0): (0.3751286667213718 + 0.0970815968469654j,
+                         0.45194313891408044 - 0.35338052774928447j),
+              (7.5, 1): (-0.3441630431833075 - 0.13740690899739683j,
+                         -0.08723431880338421 + 0.1345012138028513j)}
+    for (sigma, m), want in wanted.items():
+        for (z, zp), value in zip(pairs, want):
+            got = _reproducing_composition(LandauIndex(sigma, m), z, zp)
+            assert abs(got - value) <= 1e-15
 
 
 def test_jacobi_rule_01_nodes_inside():
