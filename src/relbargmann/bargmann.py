@@ -43,8 +43,9 @@ values of the walked panels, so it is linear in f up to rounding (the
 walk drops at most 2^-104 of ||f||^2, and f and g may stop at different
 panels), and ``isometry_check`` sums w |f|^2 and the projections there,
 with the bits of the check on the whole layout.  The kernel of
-``relativistic_transform`` is summed at the nodes where f is non-zero, up
-to the ``coherent.truncation_order`` of the point, from one
+``relativistic_transform`` is summed at the nodes where f is non-zero, on
+the column Phi_0(z) .. Phi_K(z) that the truncation rule of ``coherent``
+cut at the point (``coherent._kernel_coeffs``), from one
 real table of the states' polynomials, which ``relativistic_transform_grid``
 builds once for all of its points; the integrand is an exact zero at the
 other nodes.  Each node's kernel value has the same bits whatever the other
@@ -74,8 +75,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coherent import (_check_cap, _kernel_coeffs, _kernel_expansion,
-                       _one_point, truncation_order)
+from .coherent import _check_cap, _kernel_coeffs, _kernel_expansion, _one_point
 # looked up here by the layer tracer of bench/tracing.py
 from .coherent import transform_kernel  # noqa: F401
 from .disk import LandauIndex, basis_gram
@@ -84,7 +84,7 @@ from .errors import (DomainError, InputFormatError, NonConvergenceError,
 # looked up here by the layer tracer of bench/tracing.py
 from .hypergeom import gauss_2f1_vec  # noqa: F401
 from .oscillator import (_ISOMETRY_KMAX, XI_LENGTH, ModelParams, OscParams,
-                         _layout_columns, _panel_count, _project,
+                         _panel_count, _project,
                          eigenfunction, state_end, state_polynomials,
                          xi_layout)
 # looked up here by the layer tracer of bench/tracing.py
@@ -207,11 +207,11 @@ def classical_bargmann(sigma: float, f, z):
 
 
 def _panel_sums(vals: np.ndarray, half: np.ndarray):
-    """``(value, err_estimate)`` from the integrand at the nodes of the
-    first panels of an ``xi_layout`` (flat, or one row a panel) and the
-    layout's half widths ``half``: the sums over those panels, in panel
-    order, of the 21-point Kronrod values and of their distances from the
-    10-point Gauss values on the odd columns."""
+    """``(value, err_estimate)`` from the integrand at the flat nodes of
+    the first panels of an ``xi_layout`` and the layout's half widths
+    ``half``: the sums over those panels, in panel order, of the 21-point
+    Kronrod values and of their distances from the 10-point Gauss values
+    on the odd nodes of each panel."""
     _, wk, wg = _KRONROD_RULE
     vals = vals.reshape(-1, len(wk))
     half = half[:len(vals)]
@@ -230,7 +230,7 @@ def relativistic_transform(params: ModelParams, f, z, with_error: bool = False):
 
     B[f](z) = N(z)^(1/2) integral_0^inf f(xi) conj(<xi|z>) dxi, with the
     kernel summed as its basis expansion sum_k Phi_k(z) conj(phi_k(xi)),
-    cut at ``coherent.truncation_order``, on the panels of the one layout
+    cut by the truncation rule of ``coherent``, on the panels of the one layout
     of c that the walk of f reads (``_walk_values``): from xi = 0 until two
     panels in a row are quiet, at most to ``state_end(20, osc)``.  The
     layout depends only on c, never on f, and there is no tolerance to
@@ -255,9 +255,9 @@ def relativistic_transform_grid(params: ModelParams, f,
     """Evaluate the transform on a grid of disk points, with one walk of f
     (``_walk_values``) for the whole grid.  The real polynomial table of
     the states is built once, on the walked nodes where f is non-zero, up
-    to the largest ``truncation_order`` of the points; each point sums its
-    rows up to its own order, so a value has the bits of the same point
-    alone.  A point
+    to the largest order K of the points' ``_kernel_coeffs``; each point
+    sums its rows up to its own order, so a value has the bits of the same
+    point alone.  A point
     outside the kernel cap raises DomainError before f is evaluated.
 
     The integrand is f times the kernel at the nodes where f is non-zero,
@@ -268,21 +268,18 @@ def relativistic_transform_grid(params: ModelParams, f,
     values, errors = [], []
     if zs:
         layout, f_nodes, _, n = _walk_values(func, params.osc)
-        nodes, half, conj_pref, _ = layout
-        xi, f_vals = nodes.ravel()[:n], f_nodes[:n]
-        live = np.flatnonzero(f_vals != 0)
+        xi, half, conj_pref, _ = layout
+        live = np.flatnonzero(f_nodes[:n] != 0)
         integrand = np.zeros(n, dtype=complex)
         if live.size:
-            idx = params.landau_index()
-            orders = [truncation_order(idx, z) for z in zs]
-            poly, norms = state_polynomials(max(orders), params.osc, xi[live])
-            pref_live, f_live = conj_pref[live], f_vals[live]
+            coeffs, kmax = _kernel_coeffs(params, zs)
+            poly, _ = state_polynomials(kmax, params.osc, xi[live])
+            pref_live, f_live = conj_pref[live], f_nodes[live]
         for i, z in enumerate(zs):
             if live.size:
-                coeffs = _kernel_coeffs(idx, z, orders[i], norms)
+                kernel = _kernel_expansion(z, coeffs[i], poly, pref_live)
                 # f times the kernel, in this order, as at every node
-                integrand[live] = f_live * _kernel_expansion(z, coeffs, poly,
-                                                             pref_live)
+                integrand[live] = f_live * kernel
             value, err = _panel_sums(integrand, half)
             values.append(value)
             errors.append(err)
@@ -332,7 +329,7 @@ def _walk_values(func, osc: OscParams):
     """
     end = state_end(_ISOMETRY_KMAX, osc)
     layout = xi_layout(osc, end)
-    xi, weights, _ = _layout_columns(layout)
+    xi, _, _, weights = layout
     rows = len(_KRONROD_RULE[0])
     panels = len(xi) // rows
     f_nodes = np.zeros(xi.shape, dtype=complex)
@@ -415,7 +412,7 @@ def isometry_check(params: ModelParams, f) -> dict:
     Returns a dict with both norms and their relative gap.
     """
     layout, f_nodes, mass, n = _walk_values(_as_callable(f), params.osc)
-    xi, weights, conj_pref = _layout_columns(layout)
+    xi, _, conj_pref, weights = layout
     norm_f_sq = float(np.sum(mass))
     # f_nodes is zero past the evaluated nodes
     if not (math.isfinite(norm_f_sq)

@@ -18,9 +18,12 @@ oscillator gamma-weights; the conjugate of this kernel, scaled by N^(1/2),
 is the integral kernel of the Bargmann-type transform.
 
 Every sum over the disk basis here (both superposition oracles and
-``overlap_series``) is cut at ``truncation_order``, set by the summed tail
-of |Phi_k(z)|^2, so the cut follows the level (sigma, m) as well as |z|.
-The superposition route of the kernel, ``transform_kernel_series``, is the
+``overlap_series``) is cut by one rule, ``_basis_cut``, set by the summed
+tail of |Phi_k(z)|^2, so the cut follows the level (sigma, m) as well as
+|z|.  The rule reads the column Phi_0(z) .. Phi_K(z) it cuts and returns
+it; ``_kernel_coeffs`` scales that column, so a transform or kernel point
+evaluates its basis once, and ``truncation_order`` is its K.  The
+superposition route of the kernel, ``transform_kernel_series``, is the
 one sum ``_kernel_expansion`` that the transforms of ``bargmann``
 integrate, and ``transform_kernel_series_grid`` sums it on a grid of
 disk points and xi from one state table per block of xi: the route of
@@ -38,8 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import (LandauIndex, basis_phi_batch, basis_radial_profiles,
-                   check_disk)
+from .disk import LandauIndex, basis_phi_batch, check_disk
 from .errors import DomainError, NonConvergenceError
 from .hypergeom import f5_kernel_vec
 from .orthopoly import jacobi_q, jacobi_q_steps
@@ -154,24 +156,27 @@ def overlap(idx: LandauIndex, z, w):
     return out if out.shape else complex(out)
 
 
-def truncation_order(idx: LandauIndex, z) -> int:
-    """Smallest K with sum_{k>K} |Phi_k(z)|^2 <= TAIL_LEVEL^2 N(z); past
-    K_CAP (|z| near 1, or a large sigma) it raises NonConvergenceError.
+def _basis_cut(idx: LandauIndex, z) -> np.ndarray:
+    """Phi_k(z), k = 0..K, with K the smallest order that meets
+    sum_{k>K} |Phi_k(z)|^2 <= TAIL_LEVEL^2 N(z): the one truncation rule of
+    every basis sum, and the column those sums read.  Past K_CAP (|z| near
+    1, or a large sigma) it raises NonConvergenceError.
 
-    The tail is summed term by term, smallest first, from the radial
-    profiles up to at least 2K, never as N(z) minus a partial sum, which
-    cancels below about 1e-13; the profiles summed must also hold at least
-    half of N(z), so that the bulk of the sum, which moves out with sigma,
-    is not missed.  At z = 0, K = m.
+    The column is ``basis_phi_batch(n, idx, z)`` at n = 128, 256, ...; its
+    tail is summed term by term, smallest first, up to at least 2K, never
+    as N(z) minus a partial sum, which cancels below about 1e-13, and the
+    terms summed must also hold at least half of N(z), so that the bulk of
+    the sum, which moves out with sigma, is not missed.  At z = 0, K = m.
+    The rows returned have the bits of ``basis_phi_batch(K, idx, z)``.
     """
     r = abs(complex(z)) ** 2
-    # |Phi_k(z)| = (1 - r)^-m |g_k(r)|: N(z) and the level on the scale of
-    # the g_k
+    # the terms |Phi_k(z)| (1 - r)^m: N(z) and the level on their scale
     total = normalization(idx, z) * (1.0 - r) ** (2 * idx.m)
     level = TAIL_LEVEL ** 2 * total
     n = 128
     while True:
-        g = basis_radial_profiles(n, idx, r)[:, 0]
+        column = basis_phi_batch(n, idx, z)
+        g = np.abs(column) * (1.0 - r) ** idx.m
         tails = np.cumsum((g * g)[::-1])[::-1]  # sum of g_j^2 over j >= k
         order = max(int(np.count_nonzero(tails > level)) - 1, 0)
         bulk = tails[0] >= 0.5 * total
@@ -180,8 +185,15 @@ def truncation_order(idx: LandauIndex, z) -> int:
                 f"the basis sum at |z| = {math.sqrt(r):.6g} needs more than "
                 f"{K_CAP} terms to reach a relative tail of {TAIL_LEVEL:g}")
         if bulk and 2 * order <= n:
-            return order
+            return column[:order + 1]
         n *= 2
+
+
+def truncation_order(idx: LandauIndex, z) -> int:
+    """The order K at which every basis sum at z is cut, the length of
+    ``_basis_cut(idx, z)`` minus one (and its NonConvergenceError); the cut
+    of ``overlap_series``."""
+    return len(_basis_cut(idx, z)) - 1
 
 
 def overlap_series(idx: LandauIndex, z, w) -> complex:
@@ -318,11 +330,16 @@ def transform_kernel(params: ModelParams, z, xi) -> np.ndarray:
     return complex(out[0]) if scalar else out
 
 
-def _kernel_coeffs(idx: LandauIndex, z: complex, kmax: int,
-                   norms: np.ndarray) -> np.ndarray:
-    """The coefficients Phi_k(z) norms[k], k <= kmax, of the kernel
-    expansion at z, from the ``state_norms`` of any order >= kmax."""
-    return basis_phi_batch(kmax, idx, z) * norms[:kmax + 1]
+def _kernel_coeffs(params: ModelParams, points):
+    """``(coeffs, kmax)``: the coefficients Phi_k(z) norms[k], k <= K(z),
+    of the kernel expansion at each z of the list ``points``, its
+    ``_basis_cut`` column times the ``state_norms`` of the largest K, and
+    that largest K."""
+    idx = params.landau_index()
+    columns = [_basis_cut(idx, z) for z in points]
+    kmax = max(map(len, columns)) - 1
+    norms = state_norms(kmax, params.osc)
+    return [column * norms[:len(column)] for column in columns], kmax
 
 
 @np.errstate(over="ignore", invalid="ignore")  # non-finite values raise below
@@ -358,24 +375,20 @@ def transform_kernel_series_grid(params: ModelParams, points, xi) -> np.ndarray:
     """The kernel expansion of :func:`transform_kernel_series` at every
     disk point of ``points`` (rows) and every xi of ``xi`` (columns).
 
-    Each point's ``truncation_order`` K(z) and coefficients are computed
-    once.  The states' polynomial table, up to the largest K, is built on
-    blocks of the xi > 0, each of at most
+    Each point's basis column is evaluated once, by the cut that sets its
+    order K(z) (``_kernel_coeffs``).  The states' polynomial table, up to
+    the largest K, is built on blocks of the xi > 0, each of at most
     max(1, LAYOUT_BLOCK_NODES // (K + 1)) nodes, and every point sums its
     own rows k <= K(z) of it.  Each value has the bits of
     :func:`transform_kernel_series` at its (z, xi) pair alone, whatever the
     blocking; the values at xi = 0 are 0.
     """
-    idx = params.landau_index()
     pts = check_disk(np.asarray(points, dtype=complex).ravel()).tolist()
     xi = _check_xi(xi)
     out = np.zeros((len(pts), len(xi)), dtype=complex)
     if not pts:
         return out
-    orders = [truncation_order(idx, z) for z in pts]
-    kmax = max(orders)
-    norms = state_norms(kmax, params.osc)
-    coeffs = [_kernel_coeffs(idx, z, k, norms) for z, k in zip(pts, orders)]
+    coeffs, kmax = _kernel_coeffs(params, pts)
     pos = np.flatnonzero(xi > 0)
     block = max(1, LAYOUT_BLOCK_NODES // (kmax + 1))
     for start in range(0, len(pos), block):

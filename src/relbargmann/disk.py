@@ -119,7 +119,10 @@ def _basis_rows(first: int, last: int, idx: LandauIndex, z) -> np.ndarray:
     to call reuses one build.  Real arithmetic, ``np.power`` and
     real-times-complex products round alike in numpy's vector and scalar
     loops (a complex product's fused multiply-add depends on the array
-    layout), so the bits do not depend on how z is batched.
+    layout), so the bits do not depend on how z is batched.  Where the
+    recurrence leaves the double range (at sigma = 606.7, |z| = 0.5 from
+    k = 1772, where w_k underflows and 0 inf would give NaN) the call
+    raises NonConvergenceError naming the first such k.
     """
     arr = np.asarray(z, dtype=complex)
     flat = arr.reshape(-1)
@@ -129,11 +132,19 @@ def _basis_rows(first: int, last: int, idx: LandauIndex, z) -> np.ndarray:
     m, lo = idx.m, first & ~31
     scale, steps = _basis_block(last | 31, m, float(idx.sigma), lo)
     rows = slice(first - lo, last + 1 - lo)
-    poly = jacobi_q(steps[:, :, rows], r, scale[rows] * (1.0 - r) ** -m)
-    w = np.power(flat, np.abs(np.arange(first - m, last + 1 - m))[:, None])
-    if first < m:
-        w[:m - first] = w[:m - first].conj()
-    return (w * poly).reshape((last + 1 - first,) + arr.shape)
+    # a row past the double range is raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        poly = jacobi_q(steps[:, :, rows], r, scale[rows] * (1.0 - r) ** -m)
+        w = np.power(flat, np.abs(np.arange(first - m, last + 1 - m))[:, None])
+        if first < m:
+            w[:m - first] = w[:m - first].conj()
+        out = w * poly
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        raise NonConvergenceError(
+            f"the disk basis of the level sigma = {idx.sigma:.6g}, m = {m} "
+            f"leaves the double range from k = {first + np.argmin(finite)} on")
+    return out.reshape((last + 1 - first,) + arr.shape)
 
 
 def _check_basis(k: int, idx: LandauIndex, what: str) -> int:
@@ -148,18 +159,6 @@ def basis_phi(k: int, idx: LandauIndex, z):
     k = _check_basis(k, idx, "basis index k")
     out = _basis_rows(k, k, idx, z)[0]
     return out if out.shape else complex(out)
-
-
-def basis_radial_profiles(kmax: int, idx: LandauIndex, r) -> np.ndarray:
-    """Radial profiles g_k at |z|^2 = r for k = 0..kmax, shape (kmax+1, len(r)).
-
-    On the circle |z| = sqrt(r) every basis member factors as
-    Phi_k = (1-r)^-m e^(i(k-m) arg z) g_k, with the real profile
-    g_k = s_k r^(|k-m|/2) Q_n(r) of ``_basis_rows``, here
-    (1-r)^m Phi_k(sqrt(r)) on the one evaluation path of Phi_k.
-    """
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    return basis_phi_batch(kmax, idx, np.sqrt(r)).real * (1.0 - r) ** idx.m
 
 
 def basis_phi_batch(kmax: int, idx: LandauIndex, z) -> np.ndarray:

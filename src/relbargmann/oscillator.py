@@ -288,12 +288,13 @@ def xi_layout(osc: OscParams, end: float):
 
     Panels of ``panel_width(osc)`` from xi = 0, their edges made by repeated
     addition of the width as a panel walk makes them, the last one cut at
-    ``end``; ``nodes``, shape (panels, 21), carries the 21-point
+    ``end``; ``nodes``, flat in panel order, carries the 21-point
     Gauss-Kronrod rule of each panel (``quadrature._KRONROD_RULE``, with
-    the 10-point Gauss rule at its odd columns), ``half`` the half widths,
-    ``conj_pref`` the flat :func:`conj_state_prefactor` at every node (all
-    xi > 0) and ``weights`` the flat Kronrod weights half w_21 of every
-    node, the half-line rule of the norms and Gram matrices.  The package reads one end per c, ``state_end(20, osc)``:
+    the 10-point Gauss rule at its odd positions), ``half`` the half
+    widths, ``conj_pref`` the :func:`conj_state_prefactor` at every node
+    (all xi > 0) and ``weights`` the Kronrod weights half w_21 of every
+    node, the half-line rule of the norms and Gram matrices.  The package
+    reads one end per c, ``state_end(20, osc)``:
     the transforms and ``isometry_check`` through the walk of f
     (``bargmann._walk_values``), and ``oscillator_gram`` up to kmax = 20;
     a longer Gram builds its own layout past the cache.  It depends on
@@ -303,12 +304,11 @@ def xi_layout(osc: OscParams, end: float):
     """
     width = panel_width(osc)
     n_panels = _panel_count(osc, end)
-    rule = _KRONROD_RULE[0]
     edges = np.minimum(np.cumsum(np.r_[0.0, np.full(n_panels, width)]), end)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
-    nodes = mid[:, None] + half[:, None] * rule
-    conj_pref = conj_state_prefactor(osc, nodes.ravel())
+    nodes = (mid[:, None] + half[:, None] * _KRONROD_RULE[0]).ravel()
+    conj_pref = conj_state_prefactor(osc, nodes)
     weights = (half[:, None] * _KRONROD_RULE[1]).ravel()
     for arr in (nodes, half, conj_pref, weights):
         arr.flags.writeable = False
@@ -321,14 +321,6 @@ def oscillator_gram_entries(osc: OscParams, kmax: int) -> int:
     without building it."""
     end = state_end(max(kmax, _ISOMETRY_KMAX), osc)
     return (kmax + 1) * _panel_count(osc, end) * len(_KRONROD_RULE[0])
-
-
-def _layout_columns(layout):
-    """``(xi, weights, conj_pref)`` of the ``xi_layout`` tuple ``layout``,
-    flat in panel order: the nodes, and the layout's own Kronrod weights
-    and prefactor."""
-    nodes, _, conj_pref, weights = layout
-    return nodes.ravel(), weights, conj_pref
 
 
 def eigenfunction(k: int, osc: OscParams, xi):
@@ -400,7 +392,7 @@ def oscillator_gram(osc: OscParams, kmax: int) -> np.ndarray:
             f"{entries} entries, more than the limit of {MAX_TABLE_ENTRIES}")
     end = state_end(max(kmax, _ISOMETRY_KMAX), osc)
     build = xi_layout if kmax <= _ISOMETRY_KMAX else xi_layout.__wrapped__
-    xi, weights, conj_pref = _layout_columns(build(osc, end))
+    xi, _, conj_pref, weights = build(osc, end)
     poly, norms = state_polynomials(kmax, osc, xi)
     table = norms[:, None] * poly
     gram = (table * (weights * np.abs(conj_pref) ** 2)) @ table.T

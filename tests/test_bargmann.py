@@ -444,8 +444,8 @@ def layout_integral(integrand, layout, panels):
     """``(value, err_estimate)`` of ``integrand``, called once on all the
     nodes of the first ``panels`` panels of ``layout`` (an ``xi_layout``
     tuple), by the transforms' panel sums."""
-    nodes, half = layout[0][:panels], layout[1]
-    vals = np.asarray(integrand(nodes.ravel())).reshape(nodes.shape)
+    nodes, half = layout[0][:panels * len(_KRONROD_RULE[0])], layout[1]
+    vals = np.asarray(integrand(nodes))
     return bargmann._panel_sums(vals, half)
 
 
@@ -955,8 +955,7 @@ class TestIsometryRings:
         # ending at xi = 80 left 0.66% of its norm in the last two panels
         params = ModelParams(OscParams(8.0), m)
         f = oscillator_mode(0, params.osc)
-        xi, weights, _ = oscillator._layout_columns(
-            xi_layout(params.osc, state_end(20, params.osc)))
+        xi, _, _, weights = xi_layout(params.osc, state_end(20, params.osc))
         mass = weights * np.abs(f(xi)) ** 2
         assert np.sum(mass[-42:]) < 1e-40 * np.sum(mass)
         assert isometry_check(params, f)["relative_gap"] < 1e-12
@@ -1022,8 +1021,7 @@ def uncached_isometry(params, f):
     rule of a freshly built layout, the public projections and a Gram
     matrix built afresh."""
     kmax = bargmann._ISOMETRY_KMAX
-    nodes, half, _, _ = fresh_layout(params.osc, state_end(kmax, params.osc))
-    xi = nodes.ravel()
+    xi, half, _, _ = fresh_layout(params.osc, state_end(kmax, params.osc))
     weights = (half[:, None] * _KRONROD_RULE[1]).ravel()
     f_nodes = np.asarray(f(xi))
     norm_f_sq = float(np.sum(weights * np.abs(f_nodes) ** 2))
@@ -1138,8 +1136,7 @@ class TestParameterCaches:
             func = sampled_modes(osc, np.linspace(2.0, 25.0, 231)).as_callable()
         else:
             func = scattered_mode(osc)
-        nodes, _, conj_pref, _ = xi_layout(osc, XI_LENGTH)
-        xi = nodes.ravel()
+        xi, _, conj_pref, _ = xi_layout(osc, XI_LENGTH)
         live = np.flatnonzero(func(xi) != 0)
         assert 0 < live.size < xi.size
         want = oscillator.conj_state_prefactor(osc, xi[live])
@@ -1258,7 +1255,7 @@ def recording(f):
 
 def isometry_columns(osc):
     """The flat nodes of the layout of ``isometry_check``."""
-    return oscillator._layout_columns(xi_layout(osc, state_end(20, osc)))[0]
+    return xi_layout(osc, state_end(20, osc))[0]
 
 
 def hex_report(report):

@@ -320,6 +320,25 @@ class TestEval:
         assert "Traceback" not in stderr and "Warning" not in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, k", [
+        (["--function", "basis_phi", "--k", "1900"], 1900),
+        (["--function", "kernel", "--xi", "1"], 1772)],
+        ids=["basis_phi", "kernel"])
+    def test_basis_overflow_exit_4(self, tmp_path, capsys, argv, k):
+        # at c = 20, m = 20 (sigma = 606.7) and |z| = 0.5 the basis
+        # recurrence overflows from k = 1772 while z^k underflows: Phi_1900
+        # printed nan,nan with exit 0, and both calls leaked RuntimeWarnings
+        out = tmp_path / "v.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["eval", *argv, "--c", "20", "--m", "20", "--grid",
+                        "0.5", "--out", str(out)]) == 4
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("non-convergence: the disk basis of the "
+                                 "level sigma = 606.686, m = 20")
+        assert f"from k = {k} on" in stderr and "Traceback" not in stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("fn", ["kernel", "cs_wavefunction"])
     def test_near_one_exit_3(self, tmp_path, capsys, fn):
         # |z| = 0.84 is under the cap, but |1 - z| = 0.17 < 0.2

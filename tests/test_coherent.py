@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relbargmann import bargmann, coherent, hypergeom
+from relbargmann import bargmann, coherent, disk, hypergeom
 from relbargmann.bargmann import (classical_bargmann, oscillator_mode,
                                   relativistic_transform,
                                   relativistic_transform_grid,
@@ -19,11 +19,40 @@ from relbargmann.coherent import (K_CAP, TAIL_LEVEL, CoherentLabel,
                                   _check_cap, cs_distance, cs_wavefunction,
                                   cs_wavefunction_oracle, normalization,
                                   overlap, overlap_series, transform_kernel,
-                                  transform_kernel_series, truncation_order)
-from relbargmann.disk import LandauIndex, basis_phi_batch, basis_radial_profiles
+                                  transform_kernel_series,
+                                  transform_kernel_series_grid,
+                                  truncation_order)
+from relbargmann.disk import LandauIndex, basis_phi_batch
 from relbargmann.errors import DomainError, NonConvergenceError
 from relbargmann.oscillator import (ModelParams, OscParams, eigenfunction,
                                     eigenfunction_batch)
+
+
+def radial_profiles(kmax, idx, r):
+    """The real radial profiles g_k = (1-r)^m Phi_k(sqrt(r)), k <= kmax, at
+    |z|^2 = r (an array): |Phi_k(z)| = (1-r)^-m |g_k| on the circle."""
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    return basis_phi_batch(kmax, idx, np.sqrt(r)).real * (1.0 - r) ** idx.m
+
+
+def radial_truncation_order(idx, z):
+    """Reference: the truncation rule summed on the real radial profiles
+    at |z| instead of the basis column at z, with the same level, bulk
+    test, 2K <= n test and K_CAP refusal."""
+    r = abs(complex(z)) ** 2
+    total = normalization(idx, z) * (1.0 - r) ** (2 * idx.m)
+    level = TAIL_LEVEL ** 2 * total
+    n = 128
+    while True:
+        g = radial_profiles(n, idx, r)[:, 0]
+        tails = np.cumsum((g * g)[::-1])[::-1]
+        order = max(int(np.count_nonzero(tails > level)) - 1, 0)
+        bulk = tails[0] >= 0.5 * total
+        if order > K_CAP or (not bulk and n >= K_CAP):
+            raise NonConvergenceError("past K_CAP")
+        if bulk and 2 * order <= n:
+            return order
+        n *= 2
 
 
 class TestNormalization:
@@ -337,7 +366,7 @@ class TestTruncationOrder:
         z = rho * np.exp(0.9j)
         order = truncation_order(idx, z)
         r = rho ** 2
-        g = basis_radial_profiles(4 * order + 64, idx, r)[:, 0]
+        g = radial_profiles(4 * order + 64, idx, r)[:, 0]
         tails = (np.cumsum((g * g)[::-1])[::-1]
                  / (1.0 - r) ** (2 * m) / normalization(idx, z))
         assert tails[order + 1] <= TAIL_LEVEL ** 2 < tails[order]
@@ -375,7 +404,7 @@ class TestTruncationOrder:
         z = rho * np.exp(0.4j)
         order = truncation_order(idx, z)
         r = rho ** 2
-        g = basis_radial_profiles(4 * order + 64, idx, r)[:, 0]
+        g = radial_profiles(4 * order + 64, idx, r)[:, 0]
         total = normalization(idx, z) * (1.0 - r) ** 2
         tails = np.cumsum((g * g)[::-1])[::-1] / total
         assert abs(tails[0] - 1.0) < 1e-12
@@ -393,6 +422,64 @@ class TestTruncationOrder:
         with pytest.raises(NonConvergenceError):
             truncation_order(idx, 0.999)
         assert truncation_order(idx, 0.98) <= K_CAP
+
+    @pytest.mark.parametrize("c", [0.2, 1.0, 5.0, 20.0])
+    def test_cut_keeps_the_radial_order(self, c):
+        # the cut reads |Phi_k(z)| at z itself; K, or the refusal, is the
+        # one the rule gave on the real radial profiles at |z|
+        for m in (0, 1, 2, 5, 10, 20, 40):
+            try:
+                idx = ModelParams(OscParams(c), m).landau_index()
+            except DomainError:
+                continue
+            for rho in (0.0, 0.3, 0.6, 0.85):
+                for arg in (0.0, 0.9, 2.0, math.pi, -1.3):
+                    z = rho * complex(math.cos(arg), math.sin(arg))
+                    try:
+                        want = radial_truncation_order(idx, z)
+                    except NonConvergenceError:
+                        with pytest.raises(NonConvergenceError):
+                            truncation_order(idx, z)
+                        continue
+                    assert truncation_order(idx, z) == want, (m, z)
+
+    @pytest.mark.parametrize("c, m, z", [(1.0, 0, 0.3 + 0.2j),
+                                         (3.0, 4, 0.85j)])
+    def test_cut_rows_are_the_basis_column(self, c, m, z):
+        idx = ModelParams(OscParams(c), m).landau_index()
+        column = coherent._basis_cut(idx, z)
+        assert len(column) == truncation_order(idx, z) + 1
+        want = basis_phi_batch(len(column) - 1, idx, z)
+        assert column.tobytes() == want.tobytes()
+
+
+class TestOneColumnPerPoint:
+    """Each disk point of a transform or a kernel grid evaluates its basis
+    in the cut alone: every ``basis_phi_batch`` call is a step n = 128,
+    256, ... of the cut's doubling loop, one call when K <= 64."""
+
+    @pytest.mark.parametrize("route", ["transform", "kernel"])
+    @pytest.mark.parametrize("c, m, z, orders", [
+        (1.0, 1, 0.3 + 0.2j, [128]),
+        (3.0, 4, 0.85j, [128, 256, 512, 1024])])
+    def test_basis_calls_come_from_the_cut(self, monkeypatch, route, c, m,
+                                           z, orders):
+        seen = []
+        evaluate = disk.basis_phi_batch
+
+        def counted(kmax, idx, z):
+            seen.append(kmax)
+            return evaluate(kmax, idx, z)
+
+        monkeypatch.setattr(disk, "basis_phi_batch", counted)
+        monkeypatch.setattr(coherent, "basis_phi_batch", counted)
+        params = ModelParams(OscParams(c), m)
+        if route == "transform":
+            relativistic_transform_grid(params,
+                                        oscillator_mode(1, params.osc), [z])
+        else:
+            transform_kernel_series_grid(params, [z], [0.0, 1.5, 7.0])
+        assert seen == orders
 
 
 @pytest.mark.parametrize("xi", [math.nan, math.inf, np.array([1.0, math.nan])])

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relbargmann.disk import (LandauIndex, basis_gram, basis_phi,
-                              basis_phi_batch, basis_radial_profiles,
-                              bergman_distance, landau_level,
+                              basis_phi_batch, bergman_distance, landau_level,
                               maass_apply_fd, measure_density,
                               wirtinger_dzbar_fd)
 from relbargmann.errors import DomainError, NonConvergenceError
@@ -225,10 +224,13 @@ class TestBasis:
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_radial_profiles_factor_the_basis(self, m):
-        # Phi_k = (1-r)^-m e^(i(k-m) theta) g_k on |z|^2 = r, also at r = 0
+        # Phi_k = (1-r)^-m e^(i(k-m) theta) g_k on |z|^2 = r, also at r = 0,
+        # with the real profile g_k = (1-r)^m Phi_k(sqrt(r))
         idx = LandauIndex(9.0, m)
         r = np.array([0.0, 0.04, 0.3, 0.81])
-        profiles = basis_radial_profiles(12, idx, r)
+        on_axis = basis_phi_batch(12, idx, np.sqrt(r))
+        assert not on_axis.imag.any()
+        profiles = on_axis.real * (1.0 - r) ** m
         theta = 0.7
         for k in range(13):
             z = np.sqrt(r) * np.exp(1j * theta)
@@ -236,6 +238,19 @@ class TestBasis:
                     * np.exp(-1j * (k - m) * theta))
             scale = 1.0 + np.max(np.abs(want))
             assert np.max(np.abs(profiles[k] - want)) < 1e-13 * scale
+
+    def test_overflowing_rows_raise(self):
+        # at sigma = 606.7 (c = 20, m = 20) and |z| = 0.5 the recurrence
+        # overflows from k = 1772 while z^(k-m) underflows: 0 inf gave NaN
+        idx = ModelParams(OscParams(20.0), 20).landau_index()
+        with pytest.raises(NonConvergenceError, match="from k = 1772 on"):
+            basis_phi_batch(1800, idx, 0.5)
+        with pytest.raises(NonConvergenceError, match="from k = 1900 on"):
+            basis_phi(1900, idx, 0.5)
+        rows = basis_phi_batch(1771, idx, 0.5)
+        assert np.isfinite(rows).all()
+        assert rows[-1].tobytes() == np.array(basis_phi(1771, idx,
+                                                        0.5)).tobytes()
 
     def test_normalization_guard(self):
         idx = LandauIndex(5.0, 2)  # sigma - 2m - 1 = 0

@@ -137,19 +137,42 @@ class TestJacobi:
         with pytest.raises(DomainError):
             jacobi_p(-1, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("n", [10, 20, 40, 80])
+    def test_matches_mpmath_at_high_degree(self, n):
+        # the terminating Gauss series at (1 - x)/2 cancelled: 9.3e-11 at
+        # n = 10, 22 at n = 30 and 1.8e28 at n = 80, relative to max(1, |P|)
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        rng = np.random.default_rng(n)
+        cases = [(float(rng.uniform(-0.9, 6.0)), float(rng.uniform(-0.9, 6.0)),
+                  float(x)) for x in [*rng.uniform(-1.0, 1.0, 60), -1.0, 1.0]]
+        worst = 0.0
+        for alpha, beta, x in cases:
+            want = complex(mp.jacobi(n, alpha, beta, x))
+            got = jacobi_p(n, alpha, beta, x)
+            worst = max(worst, abs(got - want) / max(1.0, abs(want)))
+        assert worst < 1e-11
+
+    def test_high_degree_spots(self):
+        # the series gave -103.44 and -0.446
+        assert abs(jacobi_p(40, 0.5, 0.5, 0.3) - 0.18366614969821) < 1e-12
+        assert abs(jacobi_p(30, 2.0, 3.0, 0.1) - 0.57521643752567) < 1e-12
+
 
 class TestShiftedJacobiRecurrence:
-    def test_rows_match_jacobi_p(self):
+    def test_rows_match_mpmath_jacobi(self):
         # per-row a and degree, each row stopping at its own degree, against
-        # (-1)^n P_n^(a,b)(1 - 2t) summed as its Gauss series; a + b = 0 in
-        # the last row, where the general first step would divide by zero
+        # (-1)^n P_n^(a,b)(1 - 2t) of mpmath; a + b = 0 in the last row,
+        # where the general first step would divide by zero
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
         cases = [(0, 2.0, 1.5), (1, 0.0, 1.5), (3, 5.0, 1.5), (7, 1.0, 1.5),
                  (12, 0.0, 0.0)]
         t = np.array([0.0, 0.13, 0.5, 0.87, 1.0])
         for n, a, b in cases:
             start = np.array([[2.0], [0.5]])
             got = jacobi_q(jacobi_q_steps(n, a, b), t, start)
-            want = [(-1) ** n * jacobi_p(n, a, b, 1.0 - 2.0 * x).real
+            want = [(-1) ** n * float(mp.jacobi(n, a, b, 1.0 - 2.0 * x))
                     for x in t]
             assert np.abs(got - start * want).max() < 1e-13 * max(
                 1.0, np.abs(want).max()), (n, a, b)
@@ -247,7 +270,7 @@ def cdhahn_allocating_loop(kmax, xi, a, b, c):
 @pytest.mark.parametrize("c", [0.6, 1.0, 2.0, 12.0])
 def test_in_place_recurrence_has_the_bits_of_the_allocating_loop(kmax, c):
     osc = OscParams(c)
-    xi = xi_layout(osc, XI_LENGTH)[0].ravel()
+    xi = xi_layout(osc, XI_LENGTH)[0]
     gamma = osc.gamma
     with np.errstate(all="ignore"):
         got = cdhahn_normalized_batch(kmax, xi, gamma, gamma, 0.5)

@@ -11,7 +11,6 @@ from relbargmann.bargmann import oscillator_mode, relativistic_transform_grid
 from relbargmann.disk import basis_phi
 from relbargmann.errors import DomainError, NonConvergenceError
 from relbargmann.oscillator import (XI_LENGTH, ModelParams, OscParams,
-                                    _layout_columns,
                                     _panel_count, conj_state_factors,
                                     eigenfunction, eigenfunction_batch,
                                     energy, gamma_of_c,
@@ -134,8 +133,8 @@ class TestEigenfunctions:
         # its end gives the same bits
         osc = OscParams(c)
         got = oscillator_gram(osc, kmax)
-        xi, weights, conj_pref = _layout_columns(
-            xi_layout(osc, state_end(max(kmax, 20), osc)))
+        xi, _, conj_pref, weights = xi_layout(osc,
+                                              state_end(max(kmax, 20), osc))
         poly, norms = state_polynomials(kmax, osc, xi)
         table = norms[:, None] * poly
         want = (table * (weights * np.abs(conj_pref) ** 2)) @ table.T
@@ -175,7 +174,7 @@ class TestEigenfunctions:
         # verify's table-size guard counts the nodes of the layout without
         # building it
         osc = OscParams(c)
-        xi, weights, _ = _layout_columns(xi_layout(osc, length))
+        xi, _, _, weights = xi_layout(osc, length)
         assert _panel_count(osc, length) * 21 == xi.size
         assert 0.0 < xi.min() and xi.max() < length
         assert abs(weights.sum() - length) < 1e-12 * length

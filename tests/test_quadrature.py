@@ -189,7 +189,7 @@ def test_halfline_fixed_layout_is_linear():
 
     def fixed_layout_integral(integrand):
         nodes, half, _, _ = xi_layout(osc, XI_LENGTH)
-        vals = np.asarray(integrand(nodes.ravel())).reshape(nodes.shape)
+        vals = np.asarray(integrand(nodes))
         return _panel_sums(vals, half)
 
     f = lambda x: np.exp(-x)

@@ -11,6 +11,10 @@ same recurrence, ``orthopoly.jacobi_q``, with no monomial coefficients.
 ``bargmann`` has one transform route: the m = 0 reduction's 2F1 kernel
 lives in ``reference``.  f reaches the xi quadrature through one walk,
 ``bargmann._walk_values``, the only code there that names the layout.
+Every disk point of a transform or a kernel grid evaluates its basis once,
+in the truncation rule ``coherent._basis_cut``, whose column
+``coherent._kernel_coeffs`` scales: the grid routes take their
+coefficients from it alone, and ``disk`` keeps no second, radial path.
 """
 
 import ast
@@ -27,6 +31,7 @@ HALFLINE_RULE_NAMES = {"_COARSE_RULE", "_FINE_RULE"}
 M0_ROUTE_NAMES = {"gauss_2f1_vec", "log_gamma_ratio", "_m0_exponent"}
 COEFF_MATRIX_NAMES = {"_phi_coeff_rows", "_phi_coeff_matrix"}
 LAYOUT_NAMES = {"xi_layout", "state_end", "XI_LENGTH"}
+BASIS_NAMES = {"basis_phi_batch", "truncation_order", "_basis_cut"}
 
 
 def _names(tree: ast.Module) -> set[str]:
@@ -129,6 +134,26 @@ def test_one_walk_of_f():
     for name in ("relativistic_transform_grid", "isometry_check"):
         names = _names(_function(tree, name))
         assert "_walk_values" in names and "_values_on" not in names, name
+
+
+def test_disk_has_one_basis_path():
+    functions = [node.name for node in ast.walk(_parse("disk.py"))
+                 if isinstance(node, ast.FunctionDef)]
+    assert not [name for name in functions if "radial" in name]
+
+
+def test_grid_routes_take_the_cut_column():
+    # the cut evaluates the basis; _kernel_coeffs scales its column, and
+    # the two grid routes read their coefficients from there alone
+    coherent, bargmann = _parse("coherent.py"), _parse("bargmann.py")
+    assert not _names(bargmann) & {"truncation_order", "basis_phi_batch"}
+    assert "basis_phi_batch" in _names(_function(coherent, "_basis_cut"))
+    assert _names(_function(coherent, "_kernel_coeffs")) & BASIS_NAMES == {
+        "_basis_cut"}
+    for tree, name in ((coherent, "transform_kernel_series_grid"),
+                       (bargmann, "relativistic_transform_grid")):
+        names = _names(_function(tree, name))
+        assert "_kernel_coeffs" in names and not names & BASIS_NAMES, name
 
 
 def test_name_check_sees_every_form():
