@@ -20,9 +20,13 @@ is the integral kernel of the Bargmann-type transform.
 Every sum over the disk basis here (both superposition oracles and
 ``overlap_series``) is cut by one rule, ``_basis_cut``, set by the summed
 tail of |Phi_k(z)|^2, so the cut follows the level (sigma, m) as well as
-|z|.  The rule reads the column Phi_0(z) .. Phi_K(z) it cuts and returns
-it; ``_kernel_coeffs`` scales that column, so a transform or kernel point
-evaluates its basis once, and ``truncation_order`` is its K.  The
+|z|.  The rule takes a whole grid: one table of the points still open,
+extended by the rows n + 1 .. 2n at each doubling of n, from which it
+returns each point's column Phi_0(z) .. Phi_K(z).  ``_kernel_coeffs``
+scales those columns, one cut per grid, so a transform or kernel point
+evaluates each row of its basis once; ``truncation_order`` is the K of a
+one-point cut, and ``overlap_series`` cuts the farther labels of all its
+pairs in one call.  The
 superposition route of the kernel, ``transform_kernel_series``, is the
 one sum ``_kernel_expansion`` that the transforms of ``bargmann``
 integrate, and ``transform_kernel_series_grid`` sums it on a grid of
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disk import LandauIndex, basis_phi_batch, check_disk
+from .disk import LandauIndex, _basis_rows, basis_phi_batch, check_disk
 from .errors import DomainError, NonConvergenceError
 from .hypergeom import f5_kernel_vec
 from .orthopoly import jacobi_q, jacobi_q_steps
@@ -156,59 +160,113 @@ def overlap(idx: LandauIndex, z, w):
     return out if out.shape else complex(out)
 
 
-def _basis_cut(idx: LandauIndex, z) -> np.ndarray:
-    """Phi_k(z), k = 0..K, with K the smallest order that meets
+def _basis_cut(idx: LandauIndex, points) -> list[np.ndarray]:
+    """The columns Phi_k(z), k = 0..K(z), of every z of ``points`` (a point,
+    or a list or array of them), with K(z) the smallest order that meets
     sum_{k>K} |Phi_k(z)|^2 <= TAIL_LEVEL^2 N(z): the one truncation rule of
-    every basis sum, and the column those sums read.  Past K_CAP (|z| near
+    every basis sum, and the columns those sums read.  Past K_CAP (|z| near
     1, or a large sigma) it raises NonConvergenceError.
 
-    The column is ``basis_phi_batch(n, idx, z)`` at n = 128, 256, ...; its
-    tail is summed term by term, smallest first, up to at least 2K, never
-    as N(z) minus a partial sum, which cancels below about 1e-13, and the
-    terms summed must also hold at least half of N(z), so that the bulk of
-    the sum, which moves out with sigma, is not missed.  At z = 0, K = m.
-    The rows returned have the bits of ``basis_phi_batch(K, idx, z)``.
+    One table holds the points still open: ``basis_phi_batch(128, idx, .)``
+    first, and at each doubling n -> 2n the rows n + 1 .. 2n alone
+    (``disk._basis_rows``), so no row of a point is evaluated twice; a
+    point leaves the table once its cut holds.  Each tail is summed term by
+    term, smallest first, up to at least 2K, never as N(z) minus a partial
+    sum, which cancels below about 1e-13, and the terms summed must also
+    hold at least half of N(z), so that the bulk of the sum, which moves out
+    with sigma, is not missed.  At z = 0, K = m.  The level and the weights
+    of each point are taken from that point alone (an array's N(z) and
+    |z|^2 round differently), and each column has the bits of
+    ``basis_phi_batch(K, idx, z)``, whatever the other points.
     """
-    r = abs(complex(z)) ** 2
+    zs = np.asarray(points, dtype=complex).ravel()
+    pts = zs.tolist()
+    r = [abs(z) ** 2 for z in pts]
     # the terms |Phi_k(z)| (1 - r)^m: N(z) and the level on their scale
-    total = normalization(idx, z) * (1.0 - r) ** (2 * idx.m)
-    level = TAIL_LEVEL ** 2 * total
+    total = [normalization(idx, z) * (1.0 - rz) ** (2 * idx.m)
+             for z, rz in zip(pts, r)]
+    weight = np.array([(1.0 - rz) ** idx.m for rz in r])
+    level = np.array([TAIL_LEVEL ** 2 * t for t in total])
+    columns = [None] * len(zs)
+    active = list(range(len(zs)))  # the points of the table's columns
     n = 128
+    table = basis_phi_batch(n, idx, zs)
+    g = np.abs(table) * weight
+    squares = g * g
     while True:
-        column = basis_phi_batch(n, idx, z)
-        g = np.abs(column) * (1.0 - r) ** idx.m
-        tails = np.cumsum((g * g)[::-1])[::-1]  # sum of g_j^2 over j >= k
-        order = max(int(np.count_nonzero(tails > level)) - 1, 0)
-        bulk = tails[0] >= 0.5 * total
-        if order > K_CAP or (not bulk and n >= K_CAP):
-            raise NonConvergenceError(
-                f"the basis sum at |z| = {math.sqrt(r):.6g} needs more than "
-                f"{K_CAP} terms to reach a relative tail of {TAIL_LEVEL:g}")
-        if bulk and 2 * order <= n:
-            return column[:order + 1]
+        tails = np.cumsum(squares[::-1], axis=0)[::-1]  # sum over j >= k
+        keep = []
+        for j, (i, size, head) in enumerate(zip(
+                active, (tails > level).sum(axis=0).tolist(),
+                tails[0].tolist())):
+            order = max(size - 1, 0)
+            bulk = head >= 0.5 * total[i]
+            if order > K_CAP or (not bulk and n >= K_CAP):
+                raise NonConvergenceError(
+                    f"the basis sum at |z| = {math.sqrt(r[i]):.6g} needs "
+                    f"more than {K_CAP} terms to reach a relative tail of "
+                    f"{TAIL_LEVEL:g}")
+            if bulk and 2 * order <= n:
+                columns[i] = table[:order + 1, j]
+            else:
+                keep.append(j)
+        if not keep:
+            return columns
+        if len(keep) < len(active):
+            active = [active[j] for j in keep]
+            zs, table, squares = zs[keep], table[:, keep], squares[:, keep]
+            weight, level = weight[keep], level[keep]
+        rows = _basis_rows(n + 1, 2 * n, idx, zs)
+        g = np.abs(rows) * weight
+        table = np.concatenate([table, rows])
+        squares = np.concatenate([squares, g * g])
         n *= 2
 
 
 def truncation_order(idx: LandauIndex, z) -> int:
-    """The order K at which every basis sum at z is cut, the length of
-    ``_basis_cut(idx, z)`` minus one (and its NonConvergenceError); the cut
-    of ``overlap_series``."""
-    return len(_basis_cut(idx, z)) - 1
+    """The order K at which every basis sum at the point z is cut, the
+    length of its ``_basis_cut`` column minus one (and its
+    NonConvergenceError)."""
+    return len(_basis_cut(idx, _one_point(z))[0]) - 1
 
 
-def overlap_series(idx: LandauIndex, z, w) -> complex:
-    """Overlap by the defining basis expansion, cut at the
-    ``truncation_order`` of the label farther from the origin.
+def overlap_series(idx: LandauIndex, z, w):
+    """Overlap by the defining basis expansion,
+    sum_k conj(Phi_k(w)) Phi_k(z) / (N(z) N(w))^(1/2), cut at the
+    ``_basis_cut`` of the label farther from the origin (z on a tie).
+
+    ``z`` and ``w`` are points or arrays of them and broadcast against each
+    other, as in :func:`overlap`: two points give a complex, anything else
+    an ndarray, and each value has the bits of the one-pair call.  The
+    farther labels take one cut, the nearer ones one table up to the
+    largest K, and each pair's two columns sit side by side, as in a
+    two-column table of that pair alone, so that ``np.vdot`` strides
+    through them alike whatever the number of pairs.
 
     Independent of :func:`overlap`; serves as its brute-force oracle.
     """
-    z = complex(check_disk(z, "z"))
-    w = complex(check_disk(w, "w"))
-    kmax = truncation_order(idx, max(z, w, key=abs))
-    zw = np.array([z, w])
-    phi_z, phi_w = basis_phi_batch(kmax, idx, zw).T
-    norms = normalization(idx, zw)
-    return complex(np.vdot(phi_w, phi_z)) / math.sqrt(norms[0] * norms[1])
+    z, w = np.broadcast_arrays(np.asarray(check_disk(z, "z")),
+                               np.asarray(check_disk(w, "w")))
+    zs, ws = z.ravel().tolist(), w.ravel().tolist()
+    flip = [int(abs(b) > abs(a)) for a, b in zip(zs, ws)]  # w is farther
+    far = [b if f else a for a, b, f in zip(zs, ws, flip)]
+    near = [a if f else b for a, b, f in zip(zs, ws, flip)]
+    columns = _basis_cut(idx, far)
+    kmax = max(map(len, columns), default=1) - 1
+    pair = np.empty((kmax + 1, len(zs), 2), dtype=complex)
+    pair[:, :, 1] = basis_phi_batch(kmax, idx, np.array(near, dtype=complex))
+    dots = np.empty(len(zs), dtype=complex)
+    for j, (column, f) in enumerate(zip(columns, flip)):
+        k = len(column)
+        pair[:k, j, 0] = column
+        dots[j] = np.vdot(pair[:k, j, 1 - f], pair[:k, j, f])
+    norms = normalization(idx, np.array(zs + ws, dtype=complex))
+    scale = np.sqrt(norms[:len(zs)] * norms[len(zs):])
+    out = np.empty(len(zs), dtype=complex)
+    np.divide(dots.real, scale, out=out.real)
+    np.divide(dots.imag, scale, out=out.imag)
+    out = out.reshape(z.shape)
+    return out if out.shape else complex(out)
 
 
 def cs_distance(idx: LandauIndex, z, w) -> float:
@@ -332,11 +390,10 @@ def transform_kernel(params: ModelParams, z, xi) -> np.ndarray:
 
 def _kernel_coeffs(params: ModelParams, points):
     """``(coeffs, kmax)``: the coefficients Phi_k(z) norms[k], k <= K(z),
-    of the kernel expansion at each z of the list ``points``, its
-    ``_basis_cut`` column times the ``state_norms`` of the largest K, and
-    that largest K."""
-    idx = params.landau_index()
-    columns = [_basis_cut(idx, z) for z in points]
+    of the kernel expansion at each z of the list ``points``, its column of
+    the one ``_basis_cut`` of the grid times the ``state_norms`` of the
+    largest K, and that largest K."""
+    columns = _basis_cut(params.landau_index(), points)
     kmax = max(map(len, columns)) - 1
     norms = state_norms(kmax, params.osc)
     return [column * norms[:len(column)] for column in columns], kmax

@@ -65,7 +65,7 @@ def check_disk(z, name: str = "z"):
     NaN fails the test, as it fails every comparison.
     """
     arr = np.asarray(z, dtype=complex)
-    if not np.all(np.abs(arr) < 1.0):
+    if not (np.abs(arr) < 1.0).all():
         raise DomainError(f"{name} must lie strictly inside the unit disk")
     return arr if arr.shape else complex(arr)
 
@@ -139,8 +139,8 @@ def _basis_rows(first: int, last: int, idx: LandauIndex, z) -> np.ndarray:
         if first < m:
             w[:m - first] = w[:m - first].conj()
         out = w * poly
-    finite = np.isfinite(out).all(axis=1)
-    if not finite.all():
+    if not np.isfinite(out).all():
+        finite = np.isfinite(out).all(axis=1)
         raise NonConvergenceError(
             f"the disk basis of the level sigma = {idx.sigma:.6g}, m = {m} "
             f"leaves the double range from k = {first + np.argmin(finite)} on")

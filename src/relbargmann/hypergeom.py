@@ -12,6 +12,7 @@ chi + zeta; its defining double series and integral are the oracles of
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -25,8 +26,9 @@ _CHECK_STRIDE = 4
 
 
 def _nonpos_int(v) -> int | None:
-    """Return -v as an int when v is a nonpositive integer, else None."""
-    v = complex(v)
+    """Return -v as an int when v is a nonpositive integer, else None;
+    DomainError for a non-finite v."""
+    v = _finite(v)
     if v.imag != 0.0:
         return None
     if v.real > 0 or v.real != int(v.real):
@@ -34,15 +36,23 @@ def _nonpos_int(v) -> int | None:
     return -int(v.real)
 
 
+def _finite(v) -> complex:
+    """v as a complex; DomainError if it is not finite."""
+    v = complex(v)
+    if not cmath.isfinite(v):
+        raise DomainError(f"argument {v} is not finite")
+    return v
+
+
 def pochhammer(a, n: int) -> complex:
     """Rising factorial (a)_n = a (a+1) ... (a+n-1); empty product for n = 0.
 
     The product is taken for n <= 128 and whenever a is a nonpositive
     integer, where the log-gamma route would meet poles; otherwise
-    exp(loggamma(a + n) - loggamma(a)).
+    exp(loggamma(a + n) - loggamma(a)).  DomainError for a non-finite a.
     """
     n = _check_order(n, "pochhammer order")
-    a = complex(a)
+    a = _finite(a)
     if n <= 128 or _nonpos_int(a) is not None:
         out = 1.0 + 0.0j
         for i in range(n):
@@ -81,9 +91,10 @@ def gauss_2f1(a, b, c, z) -> complex:
     PoleError
         For a nonpositive-integer c reached before the series terminates.
     DomainError
-        For a non-terminating series with min(|z|, |z/(z-1)|) >= 1.
+        For a non-finite argument, or a non-terminating series with
+        min(|z|, |z/(z-1)|) >= 1.
     """
-    a, b, c, z = complex(a), complex(b), complex(c), complex(z)
+    a, b, c, z = map(_finite, (a, b, c, z))
     na, nb = _nonpos_int(a), _nonpos_int(b)
     if na is not None or nb is not None:
         if na is not None and (nb is None or na <= nb):

@@ -233,12 +233,16 @@ def _project(factors, values: np.ndarray) -> np.ndarray:
     return norms * sums
 
 
+@lru_cache(maxsize=64)
 def state_norms(kmax: int, osc: OscParams) -> np.ndarray:
     """The norm ratios norm_k / norm_0, k = 0..kmax, of
     :func:`state_polynomials`, elementwise: the first rows of a longer
-    array have the bits of a shorter one."""
+    array have the bits of a shorter one.  Cached, read-only: a grid route
+    reads them for its coefficients and again with its state table."""
     log_norms = _log_norms(kmax, osc.gamma)
-    return np.exp(log_norms - log_norms[0])
+    out = np.exp(log_norms - log_norms[0])
+    out.flags.writeable = False
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the kernel sum checks finiteness

@@ -25,7 +25,7 @@ from .coherent import (normalization, overlap, overlap_series,
 from .disk import (LandauIndex, _gram_rule_sizes, basis_gram, basis_phi,
                    landau_level, maass_apply_fd, wirtinger_dzbar_fd)
 from .errors import DomainError
-from .hypergeom import _series_2f1_vec, _terminating_2f1, gauss_2f1, pochhammer
+from .hypergeom import _series_2f1_vec, gauss_2f1
 from .orthopoly import jacobi_p, laguerre_l
 from .oscillator import (ModelParams, OscParams, oscillator_gram,
                          oscillator_gram_entries)
@@ -105,11 +105,11 @@ def suite_overlap(config: dict) -> list[dict]:
     checks = []
     for sigma, m in _DISK_CASES:
         idx = LandauIndex(sigma, m)
-        # 50 pairs (z, w), the draws of 50 calls of shape (2, 2) in one
+        # 50 pairs (z, w), the draws of 50 calls of shape (2, 2) in one,
+        # and one call of each overlap on them
         z, w = rng.uniform(-0.354, 0.354, (50, 2, 2)).view(complex)[..., 0].T
         zw = overlap(idx, z, w)
-        series = [overlap_series(idx, *pair)
-                  for pair in zip(z.tolist(), w.tolist())]
+        series = overlap_series(idx, z, w)
         worst = float(np.max(np.abs(zw - series)))
         worst_sym = float(np.max(np.abs(zw - np.conj(overlap(idx, w, z)))))
         checks.append(_check(f"overlap-series-sigma{sigma}-m{m}", worst, tol))
@@ -171,10 +171,13 @@ def suite_eigen_equation(config: dict) -> list[dict]:
 
 
 def _srivastava_rao_sides(t, g, alpha, x, y, n_terms=80):
-    lhs = 0.0 + 0.0j
-    for n in range(n_terms):
-        coef = math.factorial(n) * t ** n / pochhammer(1.0 + alpha, n)
-        lhs += coef * jacobi_p(n, g - n, alpha, x) * jacobi_p(n, g - n, alpha, y)
+    """Both sides of the Srivastava-Rao bilinear generating relation,
+    sum_n n! t^n / (1 + alpha)_n P_n^(g-n, alpha)(x) P_n^(g-n, alpha)(y),
+    its terms from one ``jacobi_p`` call on the degrees n < n_terms."""
+    n = np.arange(n_terms)
+    coef = np.cumprod(np.concatenate([[1.0], n[1:] / (alpha + n[1:])]))
+    px, py = jacobi_p(n, g - n, alpha, np.array([[x], [y]]))
+    lhs = complex(np.sum(coef * t ** n * px * py))
     quarter = 0.25 * (x - 1.0) * (y - 1.0)
     arg = -(x + 1.0) * (y + 1.0) * t / ((1.0 - t) * (4.0 - 4.0 * quarter * t))
     rhs = ((1.0 - quarter * t) ** (-(1.0 + g + alpha)) * (1.0 - t) ** g
@@ -192,11 +195,21 @@ def suite_srivastava_rao(config: dict) -> list[dict]:
 
 
 def _saran_sides(g, mm, cpar, theta, V, y, n_terms=60):
+    """Both sides of Saran's reduced bilinear relation,
+    sum_k theta^k P_k^(alpha-k, beta-k)(V) 2F1(-k, cpar; b; y).  The
+    terminating 2F1 of every k < n_terms is one row of a term table,
+    C(k, j) (cpar)_j / (b)_j (-y)^j, j <= k, with C(k, j) = 0 past k, and
+    the Jacobi factors are one ``jacobi_p`` call."""
     alpha, beta, b = -2.0 * g - mm, float(mm), 2.0 * g
-    lhs = 0.0 + 0.0j
-    for k in range(n_terms):
-        lhs += (theta ** k * jacobi_p(k, alpha - k, beta - k, V)
-                * _terminating_2f1(k, cpar, b, y))
+    k = np.arange(n_terms)
+    j = k[1:]
+    binom = np.cumprod(np.concatenate(
+        [np.ones((n_terms, 1)), (k[:, None] - j + 1.0) / j], axis=1), axis=1)
+    ratio = np.cumprod(np.concatenate([[1.0], (cpar + j - 1.0) / (b + j - 1.0)
+                                       * -y]))
+    gauss = (binom * ratio).sum(axis=1)
+    lhs = complex(np.sum(theta ** k * jacobi_p(k, alpha - k, beta - k, V)
+                         * gauss))
     X = y * (V + 1.0) * theta / (2.0 + (V + 1.0) * theta)
     Y = y * (V - 1.0) * theta / (2.0 + (V - 1.0) * theta)
     pref = ((1.0 + (V + 1.0) * theta / 2.0) ** alpha

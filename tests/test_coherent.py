@@ -175,6 +175,38 @@ class TestOverlap:
             assert np.abs(got.ravel() - want).max() <= 1e-14
         assert isinstance(overlap(idx, zs[0], ws[0]), complex)
 
+    def test_series_on_arrays_has_the_pair_bits(self):
+        # one cut of the farther labels, one table of the nearer ones: each
+        # value has the bits of the one-pair call, ties |z| = |w| (cut at
+        # z) and the pair z = w included, whatever the shapes
+        idx = LandauIndex(7.5, 1)
+        rng = np.random.default_rng(31)
+        z = rng.uniform(-0.6, 0.6, (40, 2)).view(complex)[:, 0]
+        w = rng.uniform(-0.6, 0.6, (40, 2)).view(complex)[:, 0]
+        w[:6] = np.conj(z[:6])
+        w[6:9] = -z[6:9]
+        w[9] = z[9]
+        assert (np.abs(w[:10]) == np.abs(z[:10])).all()
+        want = [overlap_series(idx, a, b)
+                for a, b in zip(z.tolist(), w.tolist())]
+        assert all(type(value) is complex for value in want)
+        got = overlap_series(idx, z, w)
+        assert got.shape == (40,) and got.tolist() == want
+        assert overlap_series(idx, z.reshape(8, 5),
+                              w.reshape(8, 5)).ravel().tolist() == want
+        column = overlap_series(idx, z[:, None], w[0])
+        assert column.shape == (40, 1)
+        assert column[:, 0].tolist() == [overlap_series(idx, a, w[0])
+                                         for a in z.tolist()]
+        assert overlap_series(idx, np.zeros(0), 0.1).shape == (0,)
+
+    def test_series_on_arrays_refuses_a_pair_past_the_cap(self):
+        # one pair past K_CAP refuses the call, as that pair alone does
+        idx = ModelParams(OscParams(1.0), 2).landau_index()
+        with pytest.raises(NonConvergenceError, match=str(K_CAP)):
+            overlap_series(idx, np.array([0.1, 0.2j, 0.3]),
+                           np.array([0.2, 0.999, -0.1]))
+
     @pytest.mark.parametrize("m, want", [
         (200, 0.0021798382814763096 - 0.0481443500221714j),
         (1000, -0.041753668902221 + 0.04301758725396876j)])
@@ -447,32 +479,56 @@ class TestTruncationOrder:
                                          (3.0, 4, 0.85j)])
     def test_cut_rows_are_the_basis_column(self, c, m, z):
         idx = ModelParams(OscParams(c), m).landau_index()
-        column = coherent._basis_cut(idx, z)
+        (column,) = coherent._basis_cut(idx, z)
         assert len(column) == truncation_order(idx, z) + 1
         want = basis_phi_batch(len(column) - 1, idx, z)
         assert column.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("c, m", [(0.5, 0), (1.0, 1), (3.0, 4),
+                                      (8.0, 2)])
+    def test_grid_cut_has_the_point_bits(self, c, m):
+        # one cut of the whole grid: every column, of every length, has the
+        # bits of the point's own cut, and K is the one-point K
+        idx = ModelParams(OscParams(c), m).landau_index()
+        rng = np.random.default_rng(int(8 * c) + m)
+        z = 0.85 * np.sqrt(rng.uniform(0.0, 1.0, 40)) * np.exp(
+            2j * math.pi * rng.uniform(0.0, 1.0, 40))
+        points = [*z.tolist(), 0.0, 0.85j, -0.85, z[3]]
+        columns = coherent._basis_cut(idx, points)
+        assert len(columns) == len(points)
+        assert len({len(column) for column in columns}) > 3
+        for point, column in zip(points, columns):
+            (alone,) = coherent._basis_cut(idx, point)
+            assert column.tobytes() == alone.tobytes(), point
+            assert len(column) == truncation_order(idx, point) + 1
+
 
 class TestOneColumnPerPoint:
     """Each disk point of a transform or a kernel grid evaluates its basis
-    in the cut alone: every ``basis_phi_batch`` call is a step n = 128,
-    256, ... of the cut's doubling loop, one call when K <= 64."""
+    in the cut alone, and no row twice: ``basis_phi_batch`` gives the rows
+    0..128 of the cut's table, and each doubling n -> 2n of its loop adds
+    the rows n + 1 .. 2n alone, by ``disk._basis_rows``."""
 
     @pytest.mark.parametrize("route", ["transform", "kernel"])
     @pytest.mark.parametrize("c, m, z, orders", [
-        (1.0, 1, 0.3 + 0.2j, [128]),
-        (3.0, 4, 0.85j, [128, 256, 512, 1024])])
+        (1.0, 1, 0.3 + 0.2j, [(0, 128)]),
+        (3.0, 4, 0.85j, [(0, 128), (129, 256), (257, 512), (513, 1024)])])
     def test_basis_calls_come_from_the_cut(self, monkeypatch, route, c, m,
                                            z, orders):
         seen = []
-        evaluate = disk.basis_phi_batch
+        evaluate, extend = disk.basis_phi_batch, disk._basis_rows
 
         def counted(kmax, idx, z):
-            seen.append(kmax)
+            seen.append((0, kmax))
             return evaluate(kmax, idx, z)
+
+        def extended(first, last, idx, z):
+            seen.append((first, last))
+            return extend(first, last, idx, z)
 
         monkeypatch.setattr(disk, "basis_phi_batch", counted)
         monkeypatch.setattr(coherent, "basis_phi_batch", counted)
+        monkeypatch.setattr(coherent, "_basis_rows", extended)
         params = ModelParams(OscParams(c), m)
         if route == "transform":
             relativistic_transform_grid(params,
@@ -480,6 +536,25 @@ class TestOneColumnPerPoint:
         else:
             transform_kernel_series_grid(params, [z], [0.0, 1.5, 7.0])
         assert seen == orders
+
+    def test_a_grid_extends_its_open_points_alone(self, monkeypatch):
+        # one table for the grid: the rows past 128 are evaluated for the
+        # points whose cut has not held yet, once each
+        seen = []
+        extend = disk._basis_rows
+
+        def extended(first, last, idx, z):
+            seen.append((first, last, np.asarray(z).tolist()))
+            return extend(first, last, idx, z)
+
+        monkeypatch.setattr(coherent, "_basis_rows", extended)
+        params = ModelParams(OscParams(3.0), 4)
+        points = [0.1, 0.85j, 0.3 - 0.2j, 0.6]
+        transform_kernel_series_grid(params, points, [0.0, 1.5])
+        assert [(first, last) for first, last, _ in seen] == [
+            (129, 256), (257, 512), (513, 1024)]
+        assert seen[-1][2] == [0.85j]
+        assert 0.1 not in seen[0][2]
 
 
 @pytest.mark.parametrize("xi", [math.nan, math.inf, np.array([1.0, math.nan])])

@@ -136,6 +136,23 @@ class TestPochhammer:
             pochhammer(1.0, -1)
 
 
+class TestNonFiniteArguments:
+    @pytest.mark.parametrize("args", [(math.nan, 1.0, 2.0, 0.3),
+                                      (1.0, math.inf, 2.0, 0.3),
+                                      (1.0, 1.0, complex(2.0, math.nan), 0.3),
+                                      (-2.0, 1.0, 2.0, math.inf)])
+    def test_gauss_2f1(self, args):
+        # a NaN parameter raised a bare ValueError from int(nan)
+        with pytest.raises(DomainError, match="not finite"):
+            gauss_2f1(*args)
+
+    @pytest.mark.parametrize("a", [math.inf, math.nan, complex(1.0, -math.inf)])
+    def test_pochhammer(self, a):
+        # pochhammer(inf, 3) returned NaN
+        with pytest.raises(DomainError, match="not finite"):
+            pochhammer(a, 3)
+
+
 class TestGauss2F1:
     def test_at_zero(self):
         assert gauss_2f1(0.3, 1.7, 2.2, 0.0) == 1.0

@@ -1,11 +1,12 @@
 """Orthogonal polynomial evaluation, including degenerate Jacobi parameters."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from relbargmann.errors import DomainError
+from relbargmann.errors import DomainError, NonConvergenceError
 from relbargmann.hypergeom import pochhammer
 from relbargmann.oscillator import XI_LENGTH, OscParams, xi_layout
 from relbargmann.orthopoly import (cdhahn_normalized_batch,
@@ -157,6 +158,123 @@ class TestJacobi:
         # the series gave -103.44 and -0.446
         assert abs(jacobi_p(40, 0.5, 0.5, 0.3) - 0.18366614969821) < 1e-12
         assert abs(jacobi_p(30, 2.0, 3.0, 0.1) - 0.57521643752567) < 1e-12
+
+
+#: the Saran sums of ``verify``: (g, mm) of its two levels, P_k^(alpha - k,
+#: beta - k) with alpha = -2g - mm, beta = mm, k < 60
+SARAN_LEVELS = ((1.15, 1), (1.3, 2))
+
+
+class TestJacobiMap:
+    """``jacobi_p`` against 40-digit ``mpmath.jacobi`` on the parameters of
+    the bilinear sums of ``verify``, relative to max(1, |P|).  The
+    terminating Gauss series was off by up to 7.1e4 on the first map, or
+    overflowed."""
+
+    def test_alpha_g_minus_n(self):
+        # alpha = g - n, n <= 80, g in (0, 6), beta in (-1, 6], x in
+        # [-1, 1], the end points included: the Srivastava-Rao terms
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2100)
+        cases = [(int(rng.integers(0, 81)), float(rng.uniform(0.0, 6.0)),
+                  float(rng.uniform(-1.0, 6.0)), float(x))
+                 for x in [*rng.uniform(-1.0, 1.0, 236), *[-1.0, 1.0] * 2]]
+        cases += [(80, 5.99, 6.0, 0.0), (79, 3.6, 1.9, -0.2),
+                  (78, 1.0, 1.9, -0.2), (60, 0.01, -0.99, 0.5)]
+        n, g, beta, x = (np.array(v) for v in zip(*cases))
+        got = jacobi_p(n, g - n, beta, x)
+        with mp.workdps(40):
+            want = [complex(mp.jacobi(int(k), mp.mpf(gk) - int(k),
+                                      mp.mpf(bk), mp.mpf(xk)))
+                    for k, gk, bk, xk in cases]
+        err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+        assert err.max() < 1e-11, cases[int(err.argmax())]
+
+    @pytest.mark.parametrize("g, mm", SARAN_LEVELS)
+    def test_saran_parameters(self, g, mm):
+        mp = pytest.importorskip("mpmath")
+        alpha, beta = -2.0 * g - mm, float(mm)
+        k = np.arange(60)[:, None]
+        v = np.linspace(-3.0, -2.0, 9)
+        got = jacobi_p(k, alpha - k, beta - k, v)
+        with mp.workdps(40):
+            want = np.array([[complex(mp.jacobi(int(j), mp.mpf(alpha) - int(j),
+                                                beta - int(j), mp.mpf(x)))
+                              for x in v.tolist()] for j in range(60)])
+        err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+        assert err.max() < 1e-11
+
+
+class TestJacobiArrays:
+    def test_array_matches_one_degree_calls(self):
+        # every route in one call: recurrence, connection image, explicit
+        # sum (real and complex parameters)
+        n = np.array([0, 3, 7, 12, 5, 4, 6, 9, 2])
+        alpha = np.array([0.5, 2.0, -17.5, -9.3, -2.0, 1.0 + 0.5j, 3.0,
+                          -12.0, -1.0])
+        beta = np.array([0.2, -0.5, 1.2, 0.4, 1.3, 0.7, -2.5, 2.0, 0.0])
+        x = np.array([0.3, -0.9, -7.0, 0.25, 0.45, -0.6, 0.1, -0.3, 1.0])
+        got = jacobi_p(n, alpha, beta, x)
+        assert got.dtype == complex and got.shape == (9,)
+        for value, args in zip(got, zip(n.tolist(), alpha.tolist(),
+                                        beta.tolist(), x.tolist())):
+            alone = jacobi_p(*args)
+            assert type(alone) is complex
+            assert abs(value - alone) <= 1e-13 * max(1.0, abs(alone)), args
+
+    def test_broadcast_shapes(self):
+        n = np.arange(5)
+        table = jacobi_p(n, 1.5 - n, 0.5, np.array([[0.3], [-0.4]]))
+        assert table.shape == (2, 5)
+        assert abs(table[1, 4] - jacobi_p(4, -2.5, 0.5, -0.4)) < 1e-14
+        assert jacobi_p(np.zeros(0, dtype=int), 0.5, 0.5, 0.3).shape == (0,)
+
+    def test_connection_image_takes_the_recurrence(self):
+        # x < -1 with (-2n - alpha - beta - 1, beta) in alpha, beta > -1;
+        # the explicit sum cancelled to 1.5e-11 of 1 + |value| here
+        mp = pytest.importorskip("mpmath")
+        n, a0, beta, u = 7, 1.3047152913830415, 2.922398610219809, 0.907
+        x = (u + 3.0) / (u - 1.0)
+        alpha = -2 * n - a0 - beta - 1.0
+        with mp.workdps(40):
+            want = complex(mp.jacobi(n, mp.mpf(alpha), mp.mpf(beta),
+                                     mp.mpf(x)))
+        assert abs(jacobi_p(n, alpha, beta, x) - want) < 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("bad", [[1, -1], [2.5], [np.nan], ["3"]])
+    def test_bad_degrees_raise(self, bad):
+        with pytest.raises(DomainError, match="nonnegative integer"):
+            jacobi_p(np.array(bad), 0.5, 0.5, 0.3)
+
+
+class TestJacobiTypedErrors:
+    @pytest.mark.parametrize("args", [(3, math.nan, 0.5, 0.2),
+                                      (3, 0.5, math.inf, 0.2),
+                                      (3, 0.5, 0.5, math.inf),
+                                      (3, -2.5, 0.5, complex(0.2, math.nan)),
+                                      (np.arange(3), 0.5, 0.5,
+                                       np.array([0.1, math.nan, 0.2]))])
+    def test_non_finite_argument(self, args):
+        # a NaN raised a bare ValueError, an inf gave NaN and a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite"):
+                jacobi_p(*args)
+
+    @pytest.mark.parametrize("args", [(300, 0.5, 0.5, 1e3),
+                                      (300, -1.5, 0.5, 1e3),
+                                      (300, -150.5, 0.5, -1e3)])
+    def test_past_the_double_range(self, args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonConvergenceError, match="double range"):
+                jacobi_p(*args)
+
+    def test_large_degree_in_range(self):
+        # the Gauss series overflowed a Python float here (OverflowError);
+        # the value is mpmath's at 40 digits
+        got = jacobi_p(200, -150.3, 2.0, 0.3)
+        assert abs(got - 6.821209577606172e-35) < 1e-11
 
 
 class TestShiftedJacobiRecurrence:

@@ -15,6 +15,9 @@ Every disk point of a transform or a kernel grid evaluates its basis once,
 in the truncation rule ``coherent._basis_cut``, whose column
 ``coherent._kernel_coeffs`` scales: the grid routes take their
 coefficients from it alone, and ``disk`` keeps no second, radial path.
+The cut takes a whole grid, and ``overlap_series`` cuts its farther labels
+there; the bilinear sums of ``verify`` are array calls, with no loop over
+their terms.
 """
 
 import ast
@@ -165,3 +168,17 @@ def test_name_check_sees_every_form():
         assert _names(ast.parse(source)) & CAP_NAMES, source
     assert not _names(ast.parse("from .coherent import _check_cap")) \
         & CAP_NAMES
+
+
+def test_overlap_series_takes_the_grid_cut():
+    names = _names(_function(_parse("coherent.py"), "overlap_series"))
+    assert "_basis_cut" in names and "truncation_order" not in names
+
+
+@pytest.mark.parametrize("name", ["_srivastava_rao_sides", "_saran_sides"])
+def test_bilinear_sums_are_array_calls(name):
+    # one jacobi_p call on the degrees, and the terminating 2F1 of Saran's
+    # sum as one term table
+    func = _function(_parse("verification.py"), name)
+    assert not _loops(func)
+    assert "_terminating_2f1" not in _names(func)

@@ -132,19 +132,22 @@ def test_nan_error_fails_its_check(monkeypatch):
 
 def test_overlap_suite_draws_the_pairs_of_the_point_loop(monkeypatch):
     # one draw of shape (50, 2, 2) per level is the stream of 50 draws of
-    # shape (2, 2), one pair each, that the suite made before
+    # shape (2, 2), one pair each, that the suite made before; the 50 pairs
+    # of a level go to one overlap_series call, as arrays
     seen = []
 
     def series(idx, z, w):
-        seen.append((idx.sigma, idx.m, z, w))
+        seen.append((idx.sigma, idx.m, z.tolist(), w.tolist()))
         return overlap_series(idx, z, w)
 
     monkeypatch.setattr(verification, "overlap_series", series)
     verification.suite_overlap({})
     rng = np.random.default_rng(20240611)
-    want = [(sigma, m, *(complex(*p)
-                         for p in rng.uniform(-0.354, 0.354, (2, 2))))
-            for sigma, m in verification._DISK_CASES for _ in range(50)]
+    want = []
+    for sigma, m in verification._DISK_CASES:
+        pairs = [[complex(*p) for p in rng.uniform(-0.354, 0.354, (2, 2))]
+                 for _ in range(50)]
+        want.append((sigma, m, *map(list, zip(*pairs))))
     assert seen == want
 
 
