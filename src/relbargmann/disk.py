@@ -179,15 +179,41 @@ def measure_density(idx: LandauIndex, z) -> float:
     return out if np.shape(out) else float(out)
 
 
-def wirtinger_dzbar_fd(psi, z, h: float = DEFAULT_FD_STEP) -> complex:
-    """Central finite-difference d(psi)/d(zbar) = (d/dx + i d/dy)/2 at z."""
-    x, y = complex(z).real, complex(z).imag
-    dx = (psi(complex(x + h, y)) - psi(complex(x - h, y))) / (2.0 * h)
-    dy = (psi(complex(x, y + h)) - psi(complex(x, y - h))) / (2.0 * h)
+def _stencil_point(z, dx: float, dy: float):
+    """z shifted by dx + i dy, each part shifted exactly (a zero shift
+    leaves its part as it is): the Python complex complex(x + dx, y + dy)
+    at a Python complex z, an array of the shape of z at an array."""
+    x = z.real + dx if dx else z.real
+    y = z.imag + dy if dy else z.imag
+    if not np.ndim(z):
+        return complex(x, y)
+    out = np.empty(z.shape, dtype=complex)
+    out.real, out.imag = x, y
+    return out
+
+
+def _stencil_center(z):
+    """z as a Python complex, or as a complex ndarray if it is an array."""
+    return np.asarray(z, dtype=complex) if np.ndim(z) else complex(z)
+
+
+def wirtinger_dzbar_fd(psi, z, h: float = DEFAULT_FD_STEP):
+    """Central finite-difference d(psi)/d(zbar) = (d/dx + i d/dy)/2 at z.
+
+    ``z`` is a point or an array of points.  psi is called once per
+    stencil point: on a Python complex at a scalar z, so a psi that takes
+    scalars alone works there, and on an array of the shape of z at an
+    array z, where psi's values may carry trailing axes of their own.
+    """
+    z = _stencil_center(z)
+    dx = (psi(_stencil_point(z, h, 0.0))
+          - psi(_stencil_point(z, -h, 0.0))) / (2.0 * h)
+    dy = (psi(_stencil_point(z, 0.0, h))
+          - psi(_stencil_point(z, 0.0, -h))) / (2.0 * h)
     return 0.5 * (dx + 1j * dy)
 
 
-def maass_apply_fd(idx: LandauIndex, psi, z, h: float = DEFAULT_FD_STEP) -> complex:
+def maass_apply_fd(idx: LandauIndex, psi, z, h: float = DEFAULT_FD_STEP):
     """Apply the weighted Laplacian to psi at z by central finite differences.
 
     The mixed Wirtinger second derivative is a quarter of the flat Laplacian,
@@ -195,22 +221,26 @@ def maass_apply_fd(idx: LandauIndex, psi, z, h: float = DEFAULT_FD_STEP) -> comp
     d/dzbar = (d/dx + i d/dy)/2 uses the centred first-difference pair.  Both
     pieces are O(h^2) accurate.
 
+    ``z`` is a point or an array of points, and psi is called once per
+    stencil point, nine calls in all: on a Python complex at a scalar z, as
+    a psi that takes scalars alone needs, and on an array of the shape of z
+    at an array z, where psi returns values of that shape.
+
     Raises
     ------
     DomainError
-        If z is within 2h of the unit circle.
+        If a z is within 2h of the unit circle, or not finite.
     """
-    z = complex(z)
-    if abs(z) + 2.0 * h >= 1.0:
+    z = _stencil_center(z)
+    if not np.all(abs(z) + 2.0 * h < 1.0):
         raise DomainError("finite-difference stencil too close to the boundary")
-    x, y = z.real, z.imag
+
+    def at(dx, dy):
+        return psi(_stencil_point(z, dx, dy))
+
     center = psi(z)
-    east = psi(complex(x + h, y))
-    west = psi(complex(x - h, y))
-    north = psi(complex(x, y + h))
-    south = psi(complex(x, y - h))
-    corners = (psi(complex(x + h, y + h)) + psi(complex(x - h, y + h))
-               + psi(complex(x + h, y - h)) + psi(complex(x - h, y - h)))
+    east, west, north, south = at(h, 0.0), at(-h, 0.0), at(0.0, h), at(0.0, -h)
+    corners = at(h, h) + at(-h, h) + at(h, -h) + at(-h, -h)
     lap = (4.0 * (east + west + north + south) + corners - 20.0 * center) / (6.0 * h * h)
     dzbar = 0.5 * ((east - west) / (2.0 * h) + 1j * (north - south) / (2.0 * h))
     r = abs(z) ** 2

@@ -3,11 +3,15 @@
 Everything here is built from Pochhammer symbols, terminating sums, and one
 summation of the non-terminating Gauss series, ``_series_2f1_vec``, with
 one stopping rule; ``gauss_2f1_vec`` and ``gauss_2f1`` apply the Pfaff
-transformation to shrink the argument first.  ``f5_kernel_vec`` is the
-Kampe de Feriet F5(c, d : a; e : a'; chi, zeta) at a nonnegative integer
-a - a' = m, an exact finite sum of (m+1)(m+2)/2 Gauss functions at
-chi + zeta; its defining double series and integral are the oracles of
-``relbargmann.reference``.
+transformation to shrink the argument first, ``gauss_2f1_vec`` element by
+element over an array of arguments (the argument-shrinking choice of
+Pearson, Olver & Porter, Numer. Algorithms 74 (2017)).
+``f5_kernel_vec`` is the Kampe de Feriet F5(c, d : a; e : a'; chi, zeta)
+at a nonnegative integer a - a' = m, an exact finite sum of
+(m+1)(m+2)/2 Gauss functions at chi + zeta, broadcast over its parameters
+and arguments; its defining double series and integral are the oracles of
+``relbargmann.reference``.  A non-finite parameter or argument raises
+DomainError.
 """
 
 from __future__ import annotations
@@ -42,6 +46,18 @@ def _finite(v) -> complex:
     if not cmath.isfinite(v):
         raise DomainError(f"argument {v} is not finite")
     return v
+
+
+def _check_finite(*values) -> None:
+    """DomainError naming the first non-finite entry of the numbers or
+    arrays ``values``."""
+    for v in values:
+        if isinstance(v, (int, float, complex)):
+            _finite(v)
+            continue
+        ok = np.isfinite(v)
+        if not ok.all():
+            _finite(np.ravel(v)[np.argmin(np.ravel(ok))])
 
 
 def pochhammer(a, n: int) -> complex:
@@ -163,23 +179,32 @@ def _series_2f1_vec(a, b, c, w):
 
 
 def gauss_2f1_vec(a, b, c, z) -> np.ndarray:
-    """2F1(a, b; c; z) over arrays of pole-free parameters at one scalar z.
+    """2F1(a, b; c; z) over arrays of pole-free parameters and arguments,
+    broadcast against each other.
 
-    The series is summed at whichever of z and the Pfaff image z/(z-1) has
-    the smaller modulus, so the domain is min(|z|, |z/(z-1)|) < 1: every z
-    with |z| < 1 or Re z < 1/2.
+    Each element is summed at whichever of z and its Pfaff image z/(z-1)
+    has the smaller modulus, so the domain is min(|z|, |z/(z-1)|) < 1:
+    every z with |z| < 1 or Re z < 1/2.  A scalar z (the transform kernels'
+    case) is summed in Python complex arithmetic, an array of z in numpy's;
+    the two round differently, so an element of an array-z call has the
+    bits of the one-element-array call at its z, not those of the scalar
+    call.
 
     Raises
     ------
     DomainError
-        For z outside that domain.
+        For a non-finite parameter or argument, or a z outside that domain,
+        naming the first such z.
     """
+    _check_finite(a, b, c, z)
+    if np.ndim(z):
+        return _gauss_2f1_array(a, b, c, np.asarray(z, dtype=complex))
     z = complex(z)
     if z == 0.0:
         a = np.asarray(a, dtype=complex)
         return np.ones(np.broadcast(np.asarray(a), np.asarray(b), np.asarray(c)).shape, complex)
     if abs(z) >= 1.0 and (z == 1.0 or abs(z / (z - 1.0)) >= 1.0):
-        raise DomainError("2F1 argument outside the series/Pfaff domain")
+        raise DomainError(_outside(z))
     zp = z / (z - 1.0)
     if abs(zp) < abs(z):
         a_arr = np.asarray(a, dtype=complex)
@@ -187,23 +212,46 @@ def gauss_2f1_vec(a, b, c, z) -> np.ndarray:
     return _series_2f1_vec(a, b, c, z)
 
 
+def _outside(z) -> str:
+    return (f"2F1 argument z = {z} outside the series/Pfaff domain "
+            "min(|z|, |z/(z-1)|) < 1")
+
+
+@np.errstate(divide="ignore", invalid="ignore")  # z = 1 is refused below
+def _gauss_2f1_array(a, b, c, z: np.ndarray) -> np.ndarray:
+    """``gauss_2f1_vec`` at an array of finite z: the Pfaff image chosen
+    element by element, and one series for all elements."""
+    zp = z / (z - 1.0)
+    pfaff = np.abs(zp) < np.abs(z)
+    w = np.where(pfaff, zp, z)
+    outside = ~(np.abs(w) < 1.0)
+    if outside.any():
+        raise DomainError(_outside(z.ravel()[np.argmax(outside.ravel())]))
+    a, b, c = (np.asarray(v, dtype=complex) for v in (a, b, c))
+    series = _series_2f1_vec(a, np.where(pfaff, c - b, b), c, w)
+    return np.where(pfaff, (1.0 - z) ** (-a) * series, series)
+
+
 # ---------------------------------------------------------------------------
 # Kampe de Feriet F5
 # ---------------------------------------------------------------------------
 
-def _ray_distance(s: complex) -> float:
-    """Distance from s to the ray [1, oo) on the real axis."""
-    if s.real >= 1.0:
-        return abs(s.imag)
-    return abs(s - 1.0)
+def _ray_distance(s):
+    """Distance from s, a number or an array, to the ray [1, oo) on the
+    real axis."""
+    return np.where(np.real(s) >= 1.0, np.abs(np.imag(s)), np.abs(s - 1.0))
 
 
 def f5_kernel_vec(c, d, e, m: int, ap, chi, zeta) -> np.ndarray:
-    """Vectorised F5 reduction over arrays of (c, d) with a = a' + m.
+    """Vectorised F5 reduction with a = a' + m, over arrays of c, d, e, a',
+    chi and zeta broadcast against each other.
 
-    Exposed for the coherent-state and transform kernels, where c and d carry
-    a whole vector of spectral points and (chi, zeta) are fixed by the disk
-    label.  Requires min(|s|, |s/(s-1)|) < 1 for s = chi + zeta.
+    The coherent-state and transform kernels pass c and d for a whole
+    vector of spectral points at one disk label, fixing scalar (chi, zeta):
+    scalars among e, a', chi and zeta keep Python complex arithmetic, and
+    an element of an array call has the bits of the one-element-array call
+    (see :func:`gauss_2f1_vec`).  Requires min(|s|, |s/(s-1)|) < 1 for
+    s = chi + zeta, and finite inputs (DomainError otherwise).
 
     Expanding the (1 - zeta t)^{m-j} polynomials in the regularised
     Kulshreshtha integrand and integrating each Euler kernel exactly gives
@@ -212,23 +260,28 @@ def f5_kernel_vec(c, d, e, m: int, ap, chi, zeta) -> np.ndarray:
         F5 = sum_{j<=m} sum_{l<=m-j} q_j C(m-j, l) chi^j (-zeta)^l
              * (d)_{j+l}/(e)_{j+l} * 2F1(c + m, d + j + l; e + j + l; s)
 
-    with q_j = (-m)_j (a'-c)_j / ((a')_j j!).  For m = 0 this is the familiar
-    collapse F5 = 2F1(c, d; e; chi + zeta).
+    with q_j = (-m)_j (a'-c)_j / ((a')_j j!), one ``gauss_2f1_vec`` call
+    per term.  For m = 0 this is the familiar collapse
+    F5 = 2F1(c, d; e; chi + zeta).
     """
     m = _check_order(m, "F5 order m")
+    _check_finite(c, d, e, ap, chi, zeta)
     c = np.asarray(c, dtype=complex)
     d = np.asarray(d, dtype=complex)
-    e, ap = complex(e), complex(ap)
-    s = complex(chi) + complex(zeta)
-    if _ray_distance(s) < 1e-12:
-        raise DomainError("F5 kernel needs chi + zeta off the ray [1, oo)")
+    e, ap, chi, zeta = (np.asarray(v, dtype=complex) if np.ndim(v)
+                        else complex(v) for v in (e, ap, chi, zeta))
+    s = chi + zeta
+    near = _ray_distance(s) < 1e-12
+    if near.any():
+        raise DomainError("F5 kernel needs chi + zeta off the ray [1, oo), "
+                          f"got {np.ravel(s)[np.argmax(np.ravel(near))]}")
     total = 0.0
     qj = np.ones(np.shape(c), dtype=complex)
     dj_over_ej = np.ones(np.shape(d), dtype=complex)
     for j in range(m + 1):
-        inner = qj * complex(chi) ** j * dj_over_ej
+        inner = qj * chi ** j * dj_over_ej
         for l in range(m - j + 1):
-            coef = inner * math.comb(m - j, l) * (-complex(zeta)) ** l
+            coef = inner * math.comb(m - j, l) * (-zeta) ** l
             val = gauss_2f1_vec(c + m, d + j + l, e + j + l, s)
             total = total + coef * val
             inner = inner * (d + j + l) / (e + j + l)

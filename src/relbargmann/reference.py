@@ -272,19 +272,23 @@ def m0_reduced_kernel(osc, z, xi) -> np.ndarray:
                     2F1(gamma - i xi, 1/2 - i xi; gamma + 1/2; z),
 
     C = (2 (2 gamma - 1) / (pi Gamma(2 gamma)))^(1/2) / Gamma(gamma + 1/2),
-    at the disk point z and every xi > 0 of the 1-D array ``xi``.  It equals
-    the expansion kernel ``coherent.transform_kernel_series`` at m = 0;
-    ``verify``'s ``m0-reduction`` suite checks that identity.  Every factor
-    but the 2F1 is one exponent, so the kernel stays finite where the
-    factors alone leave the double range (at c = 12 and beyond).  The 2F1
-    is ``hypergeom.gauss_2f1_vec``, looked up on ``hypergeom`` at call time,
-    where the layer tracer of bench/tracing.py counts its calls; its direct
-    series loses digits to cancellation as xi grows (about xi > 15 at
-    |z| = 0.42).
+    at the disk points z (a point or an array) and every xi > 0 of the 1-D
+    array ``xi``, of shape ``z.shape + xi.shape``.  It equals the expansion
+    kernel ``coherent.transform_kernel_series`` at m = 0; ``verify``'s
+    ``m0-reduction`` suite checks that identity.  Every factor but the 2F1
+    is one exponent, so the kernel stays finite where the factors alone
+    leave the double range (at c = 12 and beyond).  The 2F1 is one
+    ``hypergeom.gauss_2f1_vec`` call, looked up on ``hypergeom`` at call
+    time, where the layer tracer of bench/tracing.py counts its calls; a
+    scalar z keeps its scalar arithmetic, and each row of an array of z has
+    the bits of the one-element-array call at its z.  Its direct series
+    loses digits to cancellation as xi grows (about xi > 15 at |z| = 0.42).
+    DomainError for a non-finite z.
     """
     gamma = osc.gamma
-    z = complex(z)
     xi = np.asarray(xi, dtype=float)
+    z = np.asarray(z, dtype=complex)
+    z = z.reshape(z.shape + (1,) * xi.ndim) if z.ndim else complex(z)
     i_xi = 1j * xi
     const = (0.5 * math.log(2.0) + 0.5 * (math.log(2.0 * gamma - 1.0)
              - math.log(math.pi) - math.lgamma(2.0 * gamma))

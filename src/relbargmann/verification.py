@@ -155,17 +155,17 @@ def suite_eigen_equation(config: dict) -> list[dict]:
     idx = LandauIndex(sigma, m)
     eps = landau_level(idx)
     psi = lambda w: basis_phi(k, idx, w)
-    errors = []
-    for x in np.linspace(-0.32, 0.32, 5):
-        for y in np.linspace(-0.32, 0.32, 5):
-            z = complex(x, y)
-            lhs = maass_apply_fd(idx, psi, z, 1e-4)
-            ref = eps * psi(z)
-            errors.append(abs(lhs - ref) / (1.0 + abs(psi(z))))
+    # the 25 points of a 5 x 5 grid, one stencil call on all of them
+    axis = np.linspace(-0.32, 0.32, 5)
+    z = np.array([complex(x, y) for x in axis for y in axis])
+    lhs = maass_apply_fd(idx, psi, z, 1e-4)
+    value = psi(z)
+    errors = np.abs(lhs - eps * value) / (1.0 + np.abs(value))
     checks = [_check(f"maass-eigen-sigma{sigma}-m{m}-k{k}", _worst(errors),
                      tol)]
-    hol = _worst(abs(wirtinger_dzbar_fd(lambda w: w ** 3, z, 1e-4))
-                 for z in (0.2 + 0.1j, -0.3j))
+    hol = _worst(np.abs(wirtinger_dzbar_fd(lambda w: w ** 3,
+                                           np.array([0.2 + 0.1j, -0.3j]),
+                                           1e-4)))
     checks.append(_check("holomorphic-killed", hol, 1e-6))
     return checks
 
@@ -243,20 +243,24 @@ def suite_f5_reductions(config: dict) -> list[dict]:
     rng = np.random.default_rng(20240613)
     checks = []
 
-    # collapse at a = a' to a single Gauss function, the reduction at m = 0;
-    # the double series is the reference, valid as |chi| + |zeta| <= 0.5
-    errors = []
+    # collapse at a = a' to a single Gauss function, the reduction at m = 0,
+    # one array call over all cases; the double series is the reference,
+    # valid as |chi| + |zeta| <= 0.5
+    cases = []
     for _ in range(20):
         gre, gim = rng.uniform(1.1, 2.0), rng.uniform(-0.8, 0.8)
         e = gre + rng.uniform(0.3, 1.0)
         a = rng.uniform(1.0, 4.0)
         chi, zeta = rng.uniform(-0.25, 0.25, 2)
-        args = F5Args(c=complex(gre, gim), d=complex(gre, -gim), e=e,
-                      a=a, a_prime=a, chi=chi, zeta=zeta)
-        errors.append(abs(_f5_reduction(args) - kdf_f5_series(args)))
-    args = F5Args(c=1.2 + 0.5j, d=1.2 - 0.5j, e=1.7, a=2.4, a_prime=2.4,
-                  chi=0.15, zeta=0.2)
-    errors.append(abs(_f5_reduction(args) - kdf_f5_series(args)))
+        cases.append(F5Args(c=complex(gre, gim), d=complex(gre, -gim), e=e,
+                            a=a, a_prime=a, chi=chi, zeta=zeta))
+    cases.append(F5Args(c=1.2 + 0.5j, d=1.2 - 0.5j, e=1.7, a=2.4,
+                        a_prime=2.4, chi=0.15, zeta=0.2))
+    c, d, e, ap, chi, zeta = np.array(
+        [[args.c, args.d, args.e, args.a_prime, args.chi, args.zeta]
+         for args in cases]).T
+    reduced = hypergeom.f5_kernel_vec(c, d, e, 0, ap, chi, zeta)
+    errors = np.abs(reduced - [kdf_f5_series(args) for args in cases])
     checks.append(_check("f5-collapse-a-equals-aprime", _worst(errors),
                          tol_f5))
 
@@ -283,21 +287,21 @@ def suite_f5_reductions(config: dict) -> list[dict]:
     worst = float(np.max(np.abs(lhs - rhs)))
     checks.append(_check("pfaff-transformation", worst, 1e-10))
 
-    # Appell F1 collapse at d = b + c
-    errors = []
+    # Appell F1 collapse at d = b + c, the right-hand sides one array call
+    cases = []
     for _ in range(40):
         a = rng.uniform(0.3, 2.0)
         b = rng.uniform(0.2, 2.5)
         c = rng.uniform(0.2, 2.0)
         x, y = rng.uniform(-0.3, 0.3, 2)
-        lhs = appell_f1(a, b, c, b + c, x, y)
-        rhs = (1.0 - y) ** (-a) * gauss_2f1(a, b, b + c, (x - y) / (1.0 - y))
-        errors.append(abs(lhs - rhs))
-    lhs = appell_f1(1.3, 2.1, 0.4, 2.5, 0.2, -0.1)
-    rhs = (1.0 + 0.1) ** (-1.3) * gauss_2f1(1.3, 2.1, 2.5, 0.3 / 1.1)
-    errors.append(abs(lhs - rhs))
-    checks.append(_check("f1-collapse-d-equals-b-plus-c", _worst(errors),
-                         1e-10))
+        cases.append((a, b, c, x, y))
+    cases.append((1.3, 2.1, 0.4, 0.2, -0.1))
+    lhs = [appell_f1(a, b, c, b + c, x, y) for a, b, c, x, y in cases]
+    a, b, c, x, y = np.array(cases).T
+    rhs = (1.0 - y) ** (-a) * hypergeom.gauss_2f1_vec(a, b, b + c,
+                                                      (x - y) / (1.0 - y))
+    checks.append(_check("f1-collapse-d-equals-b-plus-c",
+                         _worst(np.abs(lhs - rhs)), 1e-10))
     return checks
 
 
@@ -351,18 +355,19 @@ def suite_m0_reduction(config: dict) -> list[dict]:
     tol = float(config.get("tol", 1e-8))
     osc = OscParams(float(config.get("c", 1.0)))
     idx = ModelParams(osc, 0).landau_index()
-    grid = [complex(x, y) for x in (-0.3, 0.0, 0.3) for y in (-0.3, 0.0, 0.3)]
+    grid = np.array([complex(x, y) for x in (-0.3, 0.0, 0.3)
+                     for y in (-0.3, 0.0, 0.3)])
     expansion = transform_kernel_series_grid(ModelParams(osc, 0), grid, _M0_XI)
-    gaps = [np.abs(m0_reduced_kernel(osc, z, _M0_XI) - row).max()
-            / math.sqrt(normalization(idx, z))
-            for z, row in zip(grid, expansion)]
+    gaps = (np.abs(m0_reduced_kernel(osc, grid, _M0_XI) - expansion).max(axis=1)
+            / np.sqrt(normalization(idx, grid)))
     checks = [_check("m0-kernel-consistency", _worst(gaps), tol)]
 
     def kernel(w):
         return m0_reduced_kernel(osc, w, _M0_XI)
 
-    hol = [np.abs(wirtinger_dzbar_fd(kernel, z, _M0_STEP)).max()
-           / math.sqrt(normalization(idx, z)) for z in _HOLOMORPHY_POINTS]
+    points = np.array(_HOLOMORPHY_POINTS)
+    hol = (np.abs(wirtinger_dzbar_fd(kernel, points, _M0_STEP)).max(axis=1)
+           / np.sqrt(normalization(idx, points)))
     checks.append(_check("m0-holomorphy", _worst(hol), 1e-5))
     return checks
 

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -501,6 +502,46 @@ class TestTruncationOrder:
             (alone,) = coherent._basis_cut(idx, point)
             assert column.tobytes() == alone.tobytes(), point
             assert len(column) == truncation_order(idx, point) + 1
+
+    @pytest.mark.parametrize("block", [1, 7, 45])
+    def test_blocks_of_points_keep_the_columns(self, monkeypatch, block):
+        # the grid is cut in blocks of CUT_BLOCK_POINTS points, the last one
+        # short: the columns keep the bits of one cut of the whole grid,
+        # and no table holds more points than a block
+        idx = ModelParams(OscParams(3.0), 4).landau_index()
+        rng = np.random.default_rng(7)
+        points = 0.85 * np.sqrt(rng.uniform(0.0, 1.0, 45)) * np.exp(
+            2j * math.pi * rng.uniform(0.0, 1.0, 45))
+        whole = coherent._basis_cut(idx, points)
+        sizes = []
+        evaluate = coherent.basis_phi_batch
+
+        def counted(kmax, idx, z):
+            sizes.append(np.size(z))
+            return evaluate(kmax, idx, z)
+
+        monkeypatch.setattr(coherent, "CUT_BLOCK_POINTS", block)
+        monkeypatch.setattr(coherent, "basis_phi_batch", counted)
+        columns = coherent._basis_cut(idx, points)
+        assert sizes == [min(block, 45 - start)
+                         for start in range(0, 45, block)]
+        assert [c.tobytes() for c in columns] == [c.tobytes() for c in whole]
+
+    def test_a_large_grid_is_cut_in_bounded_memory(self):
+        # 4,872 points of |z| <= 0.8 at c = 1, m = 1: one table of all
+        # points peaked at 51 MB here, the blocks at 16 MB
+        params = ModelParams(OscParams(1.0), 1)
+        axis = np.linspace(-0.8, 0.8, 80)
+        grid = (axis[:, None] + 1j * axis[None, :]).ravel()
+        points = grid[np.abs(grid) <= 0.8].tolist()
+        tracemalloc.start()
+        try:
+            coeffs, kmax = coherent._kernel_coeffs(params, points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(coeffs) == 4872 and kmax == 186
+        assert peak < 30e6
 
 
 class TestOneColumnPerPoint:

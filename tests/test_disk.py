@@ -367,3 +367,91 @@ class TestMaassOperator:
         got = wirtinger_dzbar_fd(lambda z: np.conj(z) ** 2, 0.3 + 0.1j, 1e-4)
         want = 2.0 * np.conj(0.3 + 0.1j)
         assert abs(got - want) < 1e-7
+
+
+def _scalar_maass_fd(idx, psi, z, h):
+    """Reference: the 9-point stencil one point at a time, each stencil
+    point a Python complex -- the arithmetic of a scalar z."""
+    x, y = z.real, z.imag
+    center = psi(z)
+    east, west = psi(complex(x + h, y)), psi(complex(x - h, y))
+    north, south = psi(complex(x, y + h)), psi(complex(x, y - h))
+    corners = (psi(complex(x + h, y + h)) + psi(complex(x - h, y + h))
+               + psi(complex(x + h, y - h)) + psi(complex(x - h, y - h)))
+    lap = (4.0 * (east + west + north + south) + corners - 20.0 * center) / (6.0 * h * h)
+    dzbar = 0.5 * ((east - west) / (2.0 * h) + 1j * (north - south) / (2.0 * h))
+    r = abs(z) ** 2
+    return -4.0 * (1.0 - r) * ((1.0 - r) * 0.25 * lap - idx.sigma * np.conj(z) * dzbar)
+
+
+class TestStencilsOverArrays:
+    """The FD helpers take an array of z: psi is called once per stencil
+    point on an array of the shape of z, and each element has the bits of
+    the one-element-array call; a scalar z calls psi on Python complex
+    scalars, with the scalar arithmetic."""
+
+    IDX = LandauIndex(7.5, 1)
+    Z = np.array([[0.3 + 0.2j, -0.32, 0.0], [0.1j, -0.2 - 0.25j, 0.31 - 0.3j]])
+
+    def psi(self, w):
+        return basis_phi(3, self.IDX, w)
+
+    def test_maass_elements_have_the_one_element_bits(self):
+        shapes = []
+
+        def psi(w):
+            shapes.append(np.shape(w))
+            return self.psi(w)
+
+        got = maass_apply_fd(self.IDX, psi, self.Z, 1e-4)
+        assert got.shape == self.Z.shape and shapes == [self.Z.shape] * 9
+        for i, z in np.ndenumerate(self.Z):
+            alone = maass_apply_fd(self.IDX, self.psi, np.array([z]), 1e-4)
+            assert alone.shape == (1,) and alone.tobytes() == got[i].tobytes()
+            scalar = maass_apply_fd(self.IDX, self.psi, z, 1e-4)
+            assert abs(scalar - got[i]) < 1e-7 * (1.0 + abs(scalar))
+
+    def test_maass_scalar_z_keeps_its_arithmetic(self):
+        for z in (0.3 + 0.2j, -0.32, 0.1j):
+            got = maass_apply_fd(self.IDX, self.psi, z, 1e-4)
+            want = _scalar_maass_fd(self.IDX, self.psi, complex(z), 1e-4)
+            assert type(got) is type(want)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_scalar_only_psi(self):
+        # a psi that takes a Python complex alone still works at a scalar z
+        def psi(w):
+            assert type(w) is complex
+            return w * w.conjugate()
+
+        # |w|^2: d^2/dz dzbar = 1 and d/dzbar = z, at r = |z|^2 = 0.1
+        val = maass_apply_fd(LandauIndex(4.0, 0), psi, 0.3 + 0.1j, 1e-4)
+        assert abs(val - (-4.0) * 0.9 * (0.9 - 4.0 * 0.1)) < 1e-6
+        assert abs(wirtinger_dzbar_fd(psi, 0.3 + 0.1j) - (0.3 + 0.1j)) < 1e-7
+
+    def test_wirtinger_keeps_the_values_axes(self):
+        # psi's own trailing axes ride along, as the m = 0 kernel's xi do
+        xi = np.array([1.0, 2.0, 3.0])
+        psi = lambda w: np.conj(w)[..., None] ** 2 * xi
+        got = wirtinger_dzbar_fd(psi, self.Z, 1e-4)
+        assert got.shape == self.Z.shape + (3,)
+        for i, z in np.ndenumerate(self.Z):
+            alone = wirtinger_dzbar_fd(psi, np.array([z]), 1e-4)
+            assert alone.tobytes() == got[i].tobytes()
+            want = 2.0 * np.conj(z) * xi
+            assert np.abs(got[i] - want).max() < 1e-7
+        scalar = wirtinger_dzbar_fd(lambda w: w ** 3, 0.2 + 0.1j, 1e-4)
+        x, y, h = 0.2, 0.1, 1e-4
+        want = 0.5 * ((complex(x + h, y) ** 3 - complex(x - h, y) ** 3)
+                      / (2.0 * h) + 1j * (complex(x, y + h) ** 3
+                                          - complex(x, y - h) ** 3) / (2.0 * h))
+        assert type(scalar) is complex and scalar == want
+
+    def test_empty_and_boundary(self):
+        assert maass_apply_fd(self.IDX, self.psi, np.zeros(0)).shape == (0,)
+        assert wirtinger_dzbar_fd(self.psi, np.zeros((2, 0))).shape == (2, 0)
+        # one point of the array within 2h of the circle refuses the call
+        with pytest.raises(DomainError, match="too close"):
+            maass_apply_fd(self.IDX, self.psi, np.array([0.1, 0.9999]), 1e-3)
+        with pytest.raises(DomainError):
+            maass_apply_fd(self.IDX, self.psi, np.array([0.1, math.nan]))

@@ -146,6 +146,31 @@ class TestNonFiniteArguments:
         with pytest.raises(DomainError, match="not finite"):
             gauss_2f1(*args)
 
+    @pytest.mark.parametrize("args", [
+        (1.0, 1.0, 1.5, math.nan),
+        (math.nan, 1.0, 1.5, 0.3),
+        (np.array([1.0, math.nan]), 1.0, 1.5, 0.3),
+        (1.0, 1.0, complex(1.5, math.nan), 0.3),
+        (1.0, 1.0, 1.5, complex(0.2, math.inf)),
+        (1.0, 1.0, 1.5, math.inf),
+        (1.0, 1.0, 1.5, np.array([0.3, math.nan])),
+        (1.0, 1.0, 1.5, np.array([-0.2, math.inf]))])
+    def test_gauss_2f1_vec(self, args):
+        # these raised NonConvergenceError (the series overflowed at
+        # |w| = nan), and z = inf passed the domain test, inf/(inf - 1)
+        # being NaN
+        with pytest.raises(DomainError, match="not finite"):
+            gauss_2f1_vec(*args)
+
+    @pytest.mark.parametrize("name", ["c", "e", "ap", "chi", "zeta"])
+    def test_f5_kernel_vec(self, name):
+        # a NaN chi raised NonConvergenceError, a NaN a' gave a NaN value
+        args = dict(c=1.2 + 0.5j, d=1.2 - 0.5j, e=1.7, m=1, ap=2.4, chi=0.15,
+                    zeta=0.2)
+        args[name] = math.nan
+        with pytest.raises(DomainError, match="not finite"):
+            f5_kernel_vec(**args)
+
     @pytest.mark.parametrize("a", [math.inf, math.nan, complex(1.0, -math.inf)])
     def test_pochhammer(self, a):
         # pochhammer(inf, 3) returned NaN
@@ -229,6 +254,147 @@ class TestGauss2F1:
         assert np.max(np.abs(got - np.asarray(want))) < 1e-13
         for ai, bi, gi in zip(a, b, got):
             assert gauss_2f1(ai, bi, 1.9, 0.3 + 0.1j) == gi
+
+
+#: arguments of both kinds: summed at z (|z| < |z/(z-1)|), at the Pfaff
+#: image (|z| >= 1 with Re z < 1/2 among them), and z = 0
+ARRAY_Z = np.array([0.3 + 0.1j, -3.0, -0.9 + 0.5j, 0.0, 0.45j, -0.6 - 0.2j,
+                    0.35 + 0.2j])
+
+
+class TestGauss2F1ArrayArgument:
+    """``gauss_2f1_vec`` over an array of z: the Pfaff image chosen per
+    element, each element with the bits of the one-element-array call; a
+    scalar z keeps the scalar arithmetic of the series."""
+
+    A, B, C = 0.9 + 0.4j, 1.3 - 0.2j, 2.1 + 0.1j
+
+    def test_elements_have_the_one_element_bits(self):
+        got = gauss_2f1_vec(self.A, self.B, self.C, ARRAY_Z)
+        assert got.shape == ARRAY_Z.shape
+        for i in range(ARRAY_Z.size):
+            alone = gauss_2f1_vec(self.A, self.B, self.C, ARRAY_Z[i:i + 1])
+            assert alone.shape == (1,) and alone.tobytes() == got[i].tobytes()
+        # the scalar call rounds otherwise, and agrees to rounding
+        scalar = [gauss_2f1_vec(self.A, self.B, self.C, z) for z in ARRAY_Z]
+        assert np.max(np.abs(got - scalar) / np.abs(got)) < 1e-14
+        assert abs(got[-1] - HYP2F1_SPOT) < 1e-13
+
+    def test_parameters_broadcast_with_z(self):
+        xi = np.array([0.3, 1.1, 2.4])[:, None]
+        got = gauss_2f1_vec(1.4 - 1j * xi, 0.5 - 1j * xi, 1.9, ARRAY_Z)
+        assert got.shape == (3, ARRAY_Z.size)
+        for i in range(3):
+            for j in range(ARRAY_Z.size):
+                alone = gauss_2f1_vec(1.4 - 1j * xi[i], 0.5 - 1j * xi[i], 1.9,
+                                      ARRAY_Z[j:j + 1])
+                assert alone.tobytes() == got[i, j].tobytes()
+        assert gauss_2f1_vec(1.4, 0.5, 1.9,
+                             ARRAY_Z.reshape(7, 1)).shape == (7, 1)
+
+    def test_empty(self):
+        assert gauss_2f1_vec(1.0, 1.0, 1.5, np.zeros(0)).shape == (0,)
+        assert gauss_2f1_vec(np.zeros((0, 1)), 1.0, 1.5,
+                             np.full(3, 0.2)).shape == (0, 3)
+
+    @pytest.mark.parametrize("z", [0.3 + 0.1j, -0.9 + 0.5j, -3.0, 0.0])
+    def test_scalar_z_keeps_the_scalar_series(self, z):
+        # a scalar w stays a Python complex in the series: the expressions
+        # of the one-z path, bit for bit, as an array of the parameters'
+        # shape
+        xi = np.array([0.3, 1.1, 2.4])
+        a, b, c = 1.4 - 1j * xi, 0.5 - 1j * xi, 1.9
+        got = gauss_2f1_vec(a, b, c, z)
+        zp = z / (z - 1.0)
+        if z == 0.0:
+            want = np.ones(3, dtype=complex)
+        elif abs(zp) < abs(z):
+            want = (1.0 - z) ** (-a) * _series_2f1_vec(a, c - b, c, zp)
+        else:
+            want = _series_2f1_vec(a, b, c, z)
+        assert type(got) is np.ndarray and got.shape == (3,)
+        assert got.tobytes() == want.tobytes()
+        assert gauss_2f1_vec(self.A, self.B, self.C, z).shape == ()
+
+    def test_domain_error_names_the_first_z_outside(self):
+        for z in (1.2, 1.0, 0.6 + 0.9j):
+            with pytest.raises(DomainError, match="series/Pfaff domain"):
+                gauss_2f1_vec(0.5, 0.7, 1.9, np.array([0.3, z, 0.2]))
+        with pytest.raises(DomainError, match=r"z = \(1\.2\+0j\)"):
+            gauss_2f1_vec(0.5, 0.7, 1.9, np.array([0.3, 1.2, 1.0]))
+        with pytest.raises(DomainError, match=r"z = \(1\.2\+0j\)"):
+            gauss_2f1_vec(0.5, 0.7, 1.9, 1.2)
+
+
+def _scalar_f5(c, d, e, m, ap, chi, zeta):
+    """Reference: the F5 reduction at one (chi, zeta), every parameter but
+    the arrays c and d a Python complex -- the arithmetic of the scalar
+    kernels' calls."""
+    e, ap, chi, zeta = map(complex, (e, ap, chi, zeta))
+    s = chi + zeta
+    total = 0.0
+    qj = dj_over_ej = np.ones(np.shape(c), dtype=complex)
+    for j in range(m + 1):
+        inner = qj * chi ** j * dj_over_ej
+        for l in range(m - j + 1):
+            coef = inner * math.comb(m - j, l) * (-zeta) ** l
+            total = total + coef * gauss_2f1_vec(c + m, d + j + l, e + j + l, s)
+            inner = inner * (d + j + l) / (e + j + l)
+        qj = qj * (-m + j) * (ap - c + j) / ((ap + j) * (j + 1))
+        dj_over_ej = dj_over_ej * (d + j) / (e + j)
+    return total
+
+
+class TestF5KernelBroadcast:
+    """``f5_kernel_vec`` broadcasts e, a', chi and zeta with c and d."""
+
+    XI = np.array([0.4, 1.3, 3.0])
+    G = 1.3660254037844386
+    CHI = np.array([-0.3, 0.15, -1.5, 0.05])
+    ZETA = np.array([0.4 + 0.2j, 0.2, 1.2 - 0.4j, -0.3j])
+
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_elements_have_the_one_element_bits(self, m):
+        c, d = self.G - 1j * self.XI, self.G + 1j * self.XI
+        e = self.G + 0.5 + np.arange(4.0)[:, None] / 8
+        chi, zeta = self.CHI[:, None], self.ZETA[:, None]
+        got = f5_kernel_vec(c, d, e, m, 2 * self.G, chi, zeta)
+        assert got.shape == (4, 3)
+        for i in range(4):
+            # e, chi and zeta of one element each, shape (1,)
+            alone = f5_kernel_vec(c, d, e[i], m, 2 * self.G, chi[i], zeta[i])
+            assert alone.shape == (3,)
+            assert alone.tobytes() == got[i].tobytes()
+            scalar = f5_kernel_vec(c, d, complex(e[i, 0]), m, 2 * self.G,
+                                   self.CHI[i], self.ZETA[i])
+            assert np.max(np.abs(scalar - got[i]) / np.abs(scalar)) < 1e-12
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_scalar_arguments_keep_their_arithmetic(self, m):
+        c, d = self.G - 1j * self.XI, self.G + 1j * self.XI
+        got = f5_kernel_vec(c, d, self.G + 0.5, m, 2 * self.G, 0.15 - 0.1j,
+                            0.2 + 0.3j)
+        want = _scalar_f5(c, d, self.G + 0.5, m, 2 * self.G, 0.15 - 0.1j,
+                          0.2 + 0.3j)
+        assert type(got) is np.ndarray and got.tobytes() == want.tobytes()
+
+    def test_a_equals_aprime_is_one_gauss_call(self):
+        # m = 0: the collapse F5 = 2F1(c, d; e; chi + zeta), its bits too
+        c, d = 1.2 + 0.5j, 1.2 - 0.5j
+        got = f5_kernel_vec(c, d, 1.7, 0, 2.4, self.CHI, self.ZETA)
+        want = gauss_2f1_vec(c, d, 1.7, self.CHI + self.ZETA)
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty(self):
+        assert f5_kernel_vec(np.zeros(0), np.zeros(0), 1.7, 1, 2.4, 0.15,
+                             0.2).shape == (0,)
+        assert f5_kernel_vec(1.2, 1.2, 1.7, 1, 2.4, np.zeros(0),
+                             np.zeros(0)).shape == (0,)
+
+    def test_ray_names_the_first_argument_on_it(self):
+        with pytest.raises(DomainError, match=r"off the ray.*\(1\.5\+0j\)"):
+            f5_kernel_vec(1.2, 1.2, 1.7, 1, 2.4, np.array([0.1, 1.0, 2.0]),
+                          np.array([0.2, 0.5, 0.5]))
 
 
 def _abs_series(a, b, c, w):

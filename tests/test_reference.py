@@ -16,6 +16,7 @@ import pytest
 import relbargmann
 from relbargmann import hypergeom, orthopoly
 from relbargmann.coherent import normalization, transform_kernel_series_grid
+from relbargmann.errors import DomainError
 from relbargmann.oscillator import ModelParams, OscParams
 from relbargmann.reference import m0_reduced_kernel
 
@@ -109,3 +110,52 @@ class TestM0ReducedKernel:
         monkeypatch.setattr(hypergeom, "gauss_2f1_vec", counted)
         m0_reduced_kernel(OscParams(1.0), 0.2j, self.XI)
         assert calls == [len(self.XI)]
+        # an array of z is one call too
+        m0_reduced_kernel(OscParams(1.0), np.array(self.POINTS), self.XI)
+        assert calls == [len(self.XI)] * 2
+
+    def test_rows_have_the_one_element_bits(self):
+        osc = OscParams(1.0)
+        z = np.array(self.POINTS)
+        got = m0_reduced_kernel(osc, z, self.XI)
+        assert got.shape == (len(z), len(self.XI))
+        for i in range(len(z)):
+            alone = m0_reduced_kernel(osc, z[i:i + 1], self.XI)
+            assert alone.shape == (1, len(self.XI))
+            assert alone.tobytes() == got[i].tobytes()
+            # the scalar call rounds otherwise; where the series cancels
+            # (large xi) the two part by more than rounding relative to K
+            # itself, but not on the scale of the row
+            scalar = m0_reduced_kernel(osc, z[i], self.XI)
+            assert (np.abs(scalar - got[i]).max()
+                    < 1e-14 * np.abs(scalar).max())
+        square = m0_reduced_kernel(osc, z.reshape(2, 2), self.XI)
+        assert square.shape == (2, 2, len(self.XI))
+        assert square.tobytes() == got.tobytes()
+        assert m0_reduced_kernel(osc, np.zeros(0), self.XI).shape == (
+            0, len(self.XI))
+
+    def test_scalar_z_keeps_its_arithmetic(self, monkeypatch):
+        # a scalar z reaches the 2F1 as a Python complex, the scalar-z call;
+        # an array as a column against the row of xi
+        seen = []
+        original = hypergeom.gauss_2f1_vec
+
+        def recorded(a, b, c, z):
+            seen.append(z)
+            return original(a, b, c, z)
+
+        monkeypatch.setattr(hypergeom, "gauss_2f1_vec", recorded)
+        osc = OscParams(1.0)
+        got = m0_reduced_kernel(osc, 0.2 - 0.1j, self.XI)
+        assert type(got) is np.ndarray and got.shape == self.XI.shape
+        m0_reduced_kernel(osc, np.array(self.POINTS), self.XI)
+        assert type(seen[0]) is complex and seen[0] == 0.2 - 0.1j
+        assert seen[1].shape == (len(self.POINTS), 1)
+
+    @pytest.mark.parametrize("z", [math.nan, complex(0.1, math.nan),
+                                   np.array([0.1, math.nan])])
+    def test_nan_z_is_a_domain_error(self, z):
+        # raised NonConvergenceError from the series at |w| = nan
+        with pytest.raises(DomainError, match="not finite"):
+            m0_reduced_kernel(OscParams(1.0), z, self.XI)

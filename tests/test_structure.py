@@ -17,7 +17,8 @@ in the truncation rule ``coherent._basis_cut``, whose column
 coefficients from it alone, and ``disk`` keeps no second, radial path.
 The cut takes a whole grid, and ``overlap_series`` cuts its farther labels
 there; the bilinear sums of ``verify`` are array calls, with no loop over
-their terms.
+their terms, and so are its series and stencil checks, by their count of
+library calls.
 """
 
 import ast
@@ -26,6 +27,7 @@ from pathlib import Path
 import pytest
 
 import relbargmann
+from relbargmann import hypergeom, verification
 
 PACKAGE = Path(relbargmann.__file__).parent
 CAP_NAMES = {"KERNEL_RMAX", "KERNEL_MIN_DIST_ONE"}
@@ -182,3 +184,26 @@ def test_bilinear_sums_are_array_calls(name):
     func = _function(_parse("verification.py"), name)
     assert not _loops(func)
     assert "_terminating_2f1" not in _names(func)
+
+
+@pytest.mark.parametrize("suite, module, name, most", [
+    ("f5-reductions", "hypergeom", "gauss_2f1_vec", 12),
+    ("m0-reduction", "hypergeom", "gauss_2f1_vec", 5),
+    ("eigen-equation", "verification", "basis_phi", 10)])
+def test_series_and_stencil_checks_are_array_calls(monkeypatch, suite, module,
+                                                    name, most):
+    # one call for the m = 0 reductions, one for the F1 right-hand sides,
+    # one kernel call for the grid and one per stencil point for the
+    # holomorphy points, one per stencil point for the eigen-equation grid
+    # (at most 72, 21 and 275 calls made one point at a time)
+    target = {"hypergeom": hypergeom, "verification": verification}[module]
+    original = getattr(target, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(target, name, counted)
+    assert verification.run_suite(suite)["pass"]
+    assert 0 < len(calls) <= most

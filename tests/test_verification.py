@@ -87,7 +87,8 @@ def test_basis_mapping_equals_point_loop():
 
 
 def test_m0_kernel_consistency_equals_point_loop():
-    # the reduced kernel against the expansion, one point at a time
+    # the reduced kernel against the expansion, one point at a time; the
+    # suite's one array call has the bits of the one-element-array calls
     osc = OscParams(1.0)
     params = ModelParams(osc, 0)
     xi = verification._M0_XI
@@ -95,7 +96,7 @@ def test_m0_kernel_consistency_equals_point_loop():
     for x in (-0.3, 0.0, 0.3):
         for y in (-0.3, 0.0, 0.3):
             z = complex(x, y)
-            gap = np.abs(m0_reduced_kernel(osc, z, xi)
+            gap = np.abs(m0_reduced_kernel(osc, np.array([z]), xi)[0]
                          - transform_kernel_series(params, z, xi)).max()
             worst = max(worst, gap / math.sqrt(
                 normalization(params.landau_index(), z)))
@@ -113,17 +114,21 @@ def test_worst_keeps_a_nan():
 
 def test_nan_error_fails_its_check(monkeypatch):
     # a NaN at one xi of the fifth point, past the first gap: max() would
-    # have dropped it and passed the check with the other points' error
+    # have dropped it and passed the check with the other points' error.
+    # The suite takes the kernel of all its points in one call, a row each
     kernel = verification.m0_reduced_kernel
+    rows = []
 
     def nan_at_origin(osc, z, xi):
         out = kernel(osc, z, xi)
-        if z == 0:
-            out[3] = math.nan
+        origin = np.flatnonzero(np.ravel(z) == 0)
+        rows.extend(origin.tolist())
+        out.reshape(-1, len(xi))[origin, 3] = math.nan
         return out
 
     monkeypatch.setattr(verification, "m0_reduced_kernel", nan_at_origin)
     report = run_suite("m0-reduction")
+    assert rows == [4]
     (check,) = [c for c in report["checks"]
                 if c["name"] == "m0-kernel-consistency"]
     assert math.isnan(check["error"]) and check["pass"] is False
