@@ -52,9 +52,6 @@ def _check_finite(*values) -> None:
     """DomainError naming the first non-finite entry of the numbers or
     arrays ``values``."""
     for v in values:
-        if isinstance(v, (int, float, complex)):
-            _finite(v)
-            continue
         ok = np.isfinite(v)
         if not ok.all():
             _finite(np.ravel(v)[np.argmin(np.ravel(ok))])
@@ -229,7 +226,9 @@ def _gauss_2f1_array(a, b, c, z: np.ndarray) -> np.ndarray:
         raise DomainError(_outside(z.ravel()[np.argmax(outside.ravel())]))
     a, b, c = (np.asarray(v, dtype=complex) for v in (a, b, c))
     series = _series_2f1_vec(a, np.where(pfaff, c - b, b), c, w)
-    return np.where(pfaff, (1.0 - z) ** (-a) * series, series)
+    # the Pfaff factor is taken at the Pfaff elements alone: (1 - z)^(-a)
+    # may overflow at an element summed directly
+    return np.where(pfaff, np.where(pfaff, 1.0 - z, 1.0) ** (-a) * series, series)
 
 
 # ---------------------------------------------------------------------------

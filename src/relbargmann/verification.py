@@ -347,6 +347,13 @@ def suite_isometry(config: dict) -> list[dict]:
     return checks
 
 
+def _root_normalization(idx, points: np.ndarray) -> np.ndarray:
+    """N(z)^(1/2) at each of ``points``, one point at a time: the array form
+    of ``normalization`` rounds otherwise on some machines (numpy's vector
+    pow), and the one-point value is the one a kernel row is scaled by."""
+    return np.array([math.sqrt(normalization(idx, z)) for z in points.tolist()])
+
+
 def suite_m0_reduction(config: dict) -> list[dict]:
     """The paper's m = 0 kernel identity: the reduced single-2F1 kernel
     ``reference.m0_reduced_kernel`` against the expansion kernel, and its
@@ -359,7 +366,7 @@ def suite_m0_reduction(config: dict) -> list[dict]:
                      for y in (-0.3, 0.0, 0.3)])
     expansion = transform_kernel_series_grid(ModelParams(osc, 0), grid, _M0_XI)
     gaps = (np.abs(m0_reduced_kernel(osc, grid, _M0_XI) - expansion).max(axis=1)
-            / np.sqrt(normalization(idx, grid)))
+            / _root_normalization(idx, grid))
     checks = [_check("m0-kernel-consistency", _worst(gaps), tol)]
 
     def kernel(w):
@@ -367,7 +374,7 @@ def suite_m0_reduction(config: dict) -> list[dict]:
 
     points = np.array(_HOLOMORPHY_POINTS)
     hol = (np.abs(wirtinger_dzbar_fd(kernel, points, _M0_STEP)).max(axis=1)
-           / np.sqrt(normalization(idx, points)))
+           / _root_normalization(idx, points))
     checks.append(_check("m0-holomorphy", _worst(hol), 1e-5))
     return checks
 

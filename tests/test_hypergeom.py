@@ -3,6 +3,7 @@ reductions, and domain checks."""
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -315,6 +316,19 @@ class TestGauss2F1ArrayArgument:
         assert type(got) is np.ndarray and got.shape == (3,)
         assert got.tobytes() == want.tobytes()
         assert gauss_2f1_vec(self.A, self.B, self.C, z).shape == ()
+
+    def test_no_pfaff_factor_at_a_direct_element(self):
+        # at z = 0.99 the series is summed at z, and (1 - z)^(-200) would
+        # overflow: the factor is taken at the Pfaff element -0.5 alone
+        z = np.array([0.99, -0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gauss_2f1_vec(200, 0.5, 300, z)
+        for i in range(z.size):
+            alone = gauss_2f1_vec(200, 0.5, 300, z[i:i + 1])
+            assert alone.tobytes() == got[i].tobytes()
+            scalar = gauss_2f1_vec(200, 0.5, 300, z[i])
+            assert abs(got[i] - scalar) < 1e-13 * abs(scalar)
 
     def test_domain_error_names_the_first_z_outside(self):
         for z in (1.2, 1.0, 0.6 + 0.9j):
