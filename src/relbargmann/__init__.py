@@ -14,8 +14,7 @@ __version__ = "0.1.0"
 
 from .bargmann import (SampledFunction, TransformResult, classical_bargmann,
                        isometry_check, oscillator_mode, relativistic_transform,
-                       relativistic_transform_grid, relativistic_transform_m0,
-                       relativistic_transform_m0_grid)
+                       relativistic_transform_grid, relativistic_transform_m0)
 from .coherent import (CoherentLabel, cs_distance, cs_wavefunction,
                        cs_wavefunction_oracle, normalization, overlap,
                        overlap_series, transform_kernel, transform_kernel_series)
@@ -37,7 +36,6 @@ __all__ = [
     "SampledFunction", "TransformResult", "classical_bargmann",
     "isometry_check", "oscillator_mode", "relativistic_transform",
     "relativistic_transform_grid", "relativistic_transform_m0",
-    "relativistic_transform_m0_grid",
     "CoherentLabel", "cs_distance", "cs_wavefunction",
     "cs_wavefunction_oracle", "normalization", "overlap", "overlap_series",
     "transform_kernel", "transform_kernel_series",

@@ -16,8 +16,8 @@ Two transforms are implemented:
 At m = 0 the paper's kernel collapses to a single Gauss function
 2F1(gamma - i xi, 1/2 - i xi; gamma + 1/2; z), and the image consists of
 holomorphic functions.  That is an identity of kernels, not a second
-transform: ``relativistic_transform_m0(_grid)`` are the m = 0 calls of
-``relativistic_transform(_grid)``, and the reduced kernel is
+transform: ``relativistic_transform_m0`` is the m = 0 call of
+``relativistic_transform``, and the reduced kernel is
 ``reference.m0_reduced_kernel``, checked against the expansion by
 ``verify``'s ``m0-reduction`` suite.
 Each one-point call is the grid call of its one point.
@@ -293,13 +293,6 @@ def relativistic_transform_m0(osc: OscParams, f, z, with_error: bool = False):
     level is ``reference.m0_reduced_kernel``, checked against the expansion
     kernel by ``verify``'s ``m0-reduction`` suite."""
     return relativistic_transform(ModelParams(osc, 0), f, z, with_error)
-
-
-def relativistic_transform_m0_grid(osc: OscParams, f,
-                                   points) -> TransformResult:
-    """The m = 0 transform on a grid of disk points:
-    :func:`relativistic_transform_grid` at ``ModelParams(osc, 0)``."""
-    return relativistic_transform_grid(ModelParams(osc, 0), f, points)
 
 
 #: the largest share of ||f||^2 the last two panels of the layout may hold

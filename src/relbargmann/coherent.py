@@ -82,18 +82,21 @@ class CoherentLabel:
 
 
 def normalization(idx: LandauIndex, z) -> float:
-    """Squared-norm factor N(z) = (sigma - 2m - 1) / (pi (1 - |z|^2)^sigma);
-    NonConvergenceError where it passes the double range (at c = 20,
-    |z| = 0.85)."""
+    """Squared-norm factor N(z) = (sigma - 2m - 1) / (pi (1 - |z|^2)^sigma)
+    at a point (a float) or an array of them; a point is taken as the
+    one-element array, so it has the bits of its element in any array
+    call.  NonConvergenceError, naming the first point, where it passes the
+    double range (at c = 20, |z| = 0.85)."""
     zz = check_disk(z)
-    r = np.abs(np.asarray(zz)) ** 2
+    r = np.abs(np.atleast_1d(zz)) ** 2
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         out = (idx.sigma - 2 * idx.m - 1.0) / (np.pi * (1.0 - r) ** idx.sigma)
-    if not np.isfinite(out).all():
+    bad = ~np.isfinite(out)
+    if bad.any():
         raise NonConvergenceError(
-            f"N(z) overflows at |z| = {math.sqrt(np.max(r)):.6g}, "
+            f"N(z) overflows at |z| = {math.sqrt(r[np.argmax(bad)]):.6g}, "
             f"sigma = {idx.sigma:.6g}")
-    return out if np.shape(out) else float(out)
+    return out.reshape(np.shape(zz)) if np.ndim(zz) else float(out[0])
 
 
 def overlap(idx: LandauIndex, z, w):
@@ -179,51 +182,49 @@ def _basis_cut(idx: LandauIndex, points) -> list[np.ndarray]:
     term, smallest first, up to at least 2K, never as N(z) minus a partial
     sum, which cancels below about 1e-13, and the terms summed must also
     hold at least half of N(z), so that the bulk of the sum, which moves out
-    with sigma, is not missed.  At z = 0, K = m.  The level and the weights
-    of each point are taken from that point alone (an array's N(z) and
-    |z|^2 round differently), and each column has the bits of
+    with sigma, is not missed.  At z = 0, K = m.  |z|^2, N(z), the weights
+    and the level are arrays over the block's open points, in the one
+    arithmetic of an array (``normalization`` rounds a point as the
+    one-element array), and each column has the bits of
     ``basis_phi_batch(K, idx, z)``, whatever the other points and blocks.
+    The error names the first point that fails.
     """
     points = np.asarray(points, dtype=complex).ravel()
     columns = []
     for start in range(0, len(points), CUT_BLOCK_POINTS):
         zs = points[start:start + CUT_BLOCK_POINTS]
-        pts = zs.tolist()
-        r = [abs(z) ** 2 for z in pts]
+        r = np.abs(zs) ** 2
         # the terms |Phi_k(z)| (1 - r)^m: N(z) and the level on their scale
-        total = [normalization(idx, z) * (1.0 - rz) ** (2 * idx.m)
-                 for z, rz in zip(pts, r)]
-        weight = np.array([(1.0 - rz) ** idx.m for rz in r])
-        level = np.array([TAIL_LEVEL ** 2 * t for t in total])
+        total = normalization(idx, zs) * (1.0 - r) ** (2 * idx.m)
+        weight = (1.0 - r) ** idx.m
+        level = TAIL_LEVEL ** 2 * total
         block = [None] * len(zs)
-        active = list(range(len(zs)))  # the points of the table's columns
+        active = np.arange(len(zs))  # the points of the table's columns
         n = 128
         table = basis_phi_batch(n, idx, zs)
         g = np.abs(table) * weight
         squares = g * g
         while True:
             tails = np.cumsum(squares[::-1], axis=0)[::-1]  # sum over j >= k
-            keep = []
-            for j, (i, size, head) in enumerate(zip(
-                    active, (tails > level).sum(axis=0).tolist(),
-                    tails[0].tolist())):
-                order = max(size - 1, 0)
-                bulk = head >= 0.5 * total[i]
-                if order > K_CAP or (not bulk and n >= K_CAP):
-                    raise NonConvergenceError(
-                        f"the basis sum at |z| = {math.sqrt(r[i]):.6g} needs "
-                        f"more than {K_CAP} terms to reach a relative tail "
-                        f"of {TAIL_LEVEL:g}")
-                if bulk and 2 * order <= n:
-                    block[i] = table[:order + 1, j]
-                else:
-                    keep.append(j)
-            if not keep:
+            order = np.maximum((tails > level).sum(axis=0) - 1, 0)
+            bulk = tails[0] >= 0.5 * total
+            failed = (order > K_CAP) | (~bulk & (n >= K_CAP))
+            if failed.any():
+                raise NonConvergenceError(
+                    f"the basis sum at |z| = "
+                    f"{math.sqrt(r[np.argmax(failed)]):.6g} needs more than "
+                    f"{K_CAP} terms to reach a relative tail of "
+                    f"{TAIL_LEVEL:g}")
+            done = bulk & (2 * order <= n)
+            for j in np.flatnonzero(done).tolist():
+                block[active[j]] = table[:order[j] + 1, j]
+            if done.all():
                 break
-            if len(keep) < len(active):
-                active = [active[j] for j in keep]
-                zs, table, squares = zs[keep], table[:, keep], squares[:, keep]
-                weight, level = weight[keep], level[keep]
+            if done.any():
+                keep = ~done
+                active, zs, r, total, weight, level = (
+                    v[keep] for v in (active, zs, r, total, weight, level))
+                table, squares = table[:, keep], squares[:, keep]
             rows = _basis_rows(n + 1, 2 * n, idx, zs)
             g = np.abs(rows) * weight
             table = np.concatenate([table, rows])

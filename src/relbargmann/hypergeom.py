@@ -10,8 +10,10 @@ Pearson, Olver & Porter, Numer. Algorithms 74 (2017)).
 at a nonnegative integer a - a' = m, an exact finite sum of
 (m+1)(m+2)/2 Gauss functions at chi + zeta, broadcast over its parameters
 and arguments; its defining double series and integral are the oracles of
-``relbargmann.reference``.  A non-finite parameter or argument raises
-DomainError.
+``relbargmann.reference``.  The series, ``gauss_2f1_vec`` and
+``f5_kernel_vec`` have one arithmetic: a number is summed as the
+one-element array, so a scalar call has the bits of its element in any
+array call.  A non-finite parameter or argument raises DomainError.
 """
 
 from __future__ import annotations
@@ -124,26 +126,27 @@ def _series_2f1_vec(a, b, c, w):
 
     This is the package's one summation of a non-terminating Gauss series.
     The parameters and the argument broadcast against each other; the
-    transform kernels pass a vector of spectral parameters at one scalar w,
-    the reference F5 integral one scalar parameter set at a vector of w.
-    Convergence is tested every ``_CHECK_STRIDE`` terms, element by element:
-    an element whose term passes two consecutive tests is done and leaves
-    the sum, so its value does not depend on the other elements.
+    transform kernels pass a vector of spectral parameters at one w, the
+    reference F5 integral one parameter set at a vector of w.  All four are
+    broadcast to one flat array, so a number is summed as the
+    one-element array: each element has the same bits whatever the shapes
+    of the call.  Convergence is tested every ``_CHECK_STRIDE`` terms,
+    element by element: an element whose term passes two consecutive tests
+    is done and leaves the sum, so its value does not depend on the other
+    elements.
 
     Raises
     ------
     NonConvergenceError
         If a sum overflows, or the term budget runs out.
     """
-    a, b, c, w = (np.asarray(v, dtype=complex) for v in (a, b, c, w))
-    out = np.empty(np.broadcast(a, b, c, w).shape, dtype=complex)
+    a, b, c, w = np.broadcast_arrays(
+        *(np.asarray(v, dtype=complex) for v in (a, b, c, w)))
+    out = np.empty(a.shape, dtype=complex)
     flat = out.reshape(-1)
-    # state of the elements still being summed; a scalar c or w stays a
-    # Python complex, whose division rounds differently from numpy's
+    # state of the elements still being summed
     index = np.arange(flat.size)
-    a, b = (np.broadcast_to(v, out.shape).ravel() for v in (a, b))
-    c, w = (np.broadcast_to(v, out.shape).ravel() if v.ndim else complex(v)
-            for v in (c, w))
+    a, b, c, w = (v.ravel() for v in (a, b, c, w))
     total = np.ones(flat.size, dtype=complex)
     term = np.ones_like(total)
     small = np.zeros(flat.size, dtype=bool)
@@ -165,27 +168,22 @@ def _series_2f1_vec(a, b, c, w):
         if done.any():
             flat[index[done]] = total[done]
             keep = ~done
-            index, a, b, term, total, small = (
-                v[keep] for v in (index, a, b, term, total, small))
-            if np.ndim(c):
-                c = c[keep]
-            if np.ndim(w):
-                w = w[keep]
+            index, a, b, c, w, term, total, small = (
+                v[keep] for v in (index, a, b, c, w, term, total, small))
     raise NonConvergenceError(
         f"2F1 series stalled at |w| = {np.max(np.abs(w)):.4f}")
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # z = 1 is refused below
 def gauss_2f1_vec(a, b, c, z) -> np.ndarray:
     """2F1(a, b; c; z) over arrays of pole-free parameters and arguments,
-    broadcast against each other.
+    broadcast against each other, of their broadcast shape.
 
     Each element is summed at whichever of z and its Pfaff image z/(z-1)
     has the smaller modulus, so the domain is min(|z|, |z/(z-1)|) < 1:
-    every z with |z| < 1 or Re z < 1/2.  A scalar z (the transform kernels'
-    case) is summed in Python complex arithmetic, an array of z in numpy's;
-    the two round differently, so an element of an array-z call has the
-    bits of the one-element-array call at its z, not those of the scalar
-    call.
+    every z with |z| < 1 or Re z < 1/2.  A number z is taken as the
+    one-element array, so the value at a z has the same bits in a scalar
+    call and as an element of any array call.
 
     Raises
     ------
@@ -194,41 +192,22 @@ def gauss_2f1_vec(a, b, c, z) -> np.ndarray:
         naming the first such z.
     """
     _check_finite(a, b, c, z)
-    if np.ndim(z):
-        return _gauss_2f1_array(a, b, c, np.asarray(z, dtype=complex))
-    z = complex(z)
-    if z == 0.0:
-        a = np.asarray(a, dtype=complex)
-        return np.ones(np.broadcast(np.asarray(a), np.asarray(b), np.asarray(c)).shape, complex)
-    if abs(z) >= 1.0 and (z == 1.0 or abs(z / (z - 1.0)) >= 1.0):
-        raise DomainError(_outside(z))
-    zp = z / (z - 1.0)
-    if abs(zp) < abs(z):
-        a_arr = np.asarray(a, dtype=complex)
-        return (1.0 - z) ** (-a_arr) * _series_2f1_vec(a, np.asarray(c) - np.asarray(b), c, zp)
-    return _series_2f1_vec(a, b, c, z)
-
-
-def _outside(z) -> str:
-    return (f"2F1 argument z = {z} outside the series/Pfaff domain "
-            "min(|z|, |z/(z-1)|) < 1")
-
-
-@np.errstate(divide="ignore", invalid="ignore")  # z = 1 is refused below
-def _gauss_2f1_array(a, b, c, z: np.ndarray) -> np.ndarray:
-    """``gauss_2f1_vec`` at an array of finite z: the Pfaff image chosen
-    element by element, and one series for all elements."""
+    a, b, c, z = (np.asarray(v, dtype=complex) for v in (a, b, c, z))
+    shape = np.broadcast(a, b, c, z).shape
+    z = np.atleast_1d(z)
     zp = z / (z - 1.0)
     pfaff = np.abs(zp) < np.abs(z)
     w = np.where(pfaff, zp, z)
     outside = ~(np.abs(w) < 1.0)
     if outside.any():
-        raise DomainError(_outside(z.ravel()[np.argmax(outside.ravel())]))
-    a, b, c = (np.asarray(v, dtype=complex) for v in (a, b, c))
+        raise DomainError(
+            f"2F1 argument z = {z.ravel()[np.argmax(outside.ravel())]} "
+            "outside the series/Pfaff domain min(|z|, |z/(z-1)|) < 1")
     series = _series_2f1_vec(a, np.where(pfaff, c - b, b), c, w)
     # the Pfaff factor is taken at the Pfaff elements alone: (1 - z)^(-a)
     # may overflow at an element summed directly
-    return np.where(pfaff, np.where(pfaff, 1.0 - z, 1.0) ** (-a) * series, series)
+    return np.where(pfaff, np.where(pfaff, 1.0 - z, 1.0) ** (-a) * series,
+                    series).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +222,13 @@ def _ray_distance(s):
 
 def f5_kernel_vec(c, d, e, m: int, ap, chi, zeta) -> np.ndarray:
     """Vectorised F5 reduction with a = a' + m, over arrays of c, d, e, a',
-    chi and zeta broadcast against each other.
+    chi and zeta broadcast against each other, of their broadcast shape.
 
     The coherent-state and transform kernels pass c and d for a whole
-    vector of spectral points at one disk label, fixing scalar (chi, zeta):
-    scalars among e, a', chi and zeta keep Python complex arithmetic, and
-    an element of an array call has the bits of the one-element-array call
-    (see :func:`gauss_2f1_vec`).  Requires min(|s|, |s/(s-1)|) < 1 for
+    vector of spectral points at one disk label, fixing scalar (chi, zeta).
+    Every input is taken as an array of at least one element, so a scalar
+    call has the bits of its element in any array call (see
+    :func:`gauss_2f1_vec`).  Requires min(|s|, |s/(s-1)|) < 1 for
     s = chi + zeta, and finite inputs (DomainError otherwise).
 
     Expanding the (1 - zeta t)^{m-j} polynomials in the regularised
@@ -265,10 +244,11 @@ def f5_kernel_vec(c, d, e, m: int, ap, chi, zeta) -> np.ndarray:
     """
     m = _check_order(m, "F5 order m")
     _check_finite(c, d, e, ap, chi, zeta)
-    c = np.asarray(c, dtype=complex)
-    d = np.asarray(d, dtype=complex)
-    e, ap, chi, zeta = (np.asarray(v, dtype=complex) if np.ndim(v)
-                        else complex(v) for v in (e, ap, chi, zeta))
+    shape = np.broadcast_shapes(*map(np.shape, (c, d, e, ap, chi, zeta)))
+    # at least one element: numpy's scalar arithmetic (a sum of two 0-d
+    # arrays is a scalar) rounds otherwise than its array loops
+    c, d, e, ap, chi, zeta = (np.atleast_1d(np.asarray(v, dtype=complex))
+                              for v in (c, d, e, ap, chi, zeta))
     s = chi + zeta
     near = _ray_distance(s) < 1e-12
     if near.any():
@@ -286,4 +266,4 @@ def f5_kernel_vec(c, d, e, m: int, ap, chi, zeta) -> np.ndarray:
             inner = inner * (d + j + l) / (e + j + l)
         qj = qj * (-m + j) * (ap - c + j) / ((ap + j) * (j + 1))
         dj_over_ej = dj_over_ej * (d + j) / (e + j)
-    return total
+    return total.reshape(shape)

@@ -280,20 +280,21 @@ def m0_reduced_kernel(osc, z, xi) -> np.ndarray:
     leave the double range (at c = 12 and beyond).  The 2F1 is one
     ``hypergeom.gauss_2f1_vec`` call, looked up on ``hypergeom`` at call
     time, where the layer tracer of bench/tracing.py counts its calls; a
-    scalar z keeps its scalar arithmetic, and each row of an array of z has
-    the bits of the one-element-array call at its z.  Its direct series
-    loses digits to cancellation as xi grows (about xi > 15 at |z| = 0.42).
-    DomainError for a non-finite z.
+    scalar z is the one-element array, so the row of a z has the same bits
+    in a scalar call and in any array call.  Its direct series loses digits
+    to cancellation as xi grows (about xi > 15 at |z| = 0.42).  DomainError
+    for a non-finite z.
     """
     gamma = osc.gamma
     xi = np.asarray(xi, dtype=float)
-    z = np.asarray(z, dtype=complex)
-    z = z.reshape(z.shape + (1,) * xi.ndim) if z.ndim else complex(z)
+    shape = np.shape(z) + xi.shape
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    z = z.reshape(z.shape + (1,) * xi.ndim)
     i_xi = 1j * xi
     const = (0.5 * math.log(2.0) + 0.5 * (math.log(2.0 * gamma - 1.0)
              - math.log(math.pi) - math.lgamma(2.0 * gamma))
              - math.lgamma(gamma + 0.5) - 0.5j * math.pi * gamma)
     expo = (const + log_gamma_ratio(gamma, -xi) + 4.0 * i_xi * math.log(osc.c)
             - (gamma + i_xi) * np.log(1.0 - z))
-    return np.exp(expo) * hypergeom.gauss_2f1_vec(gamma - i_xi, 0.5 - i_xi,
-                                                  gamma + 0.5, z)
+    return (np.exp(expo) * hypergeom.gauss_2f1_vec(
+        gamma - i_xi, 0.5 - i_xi, gamma + 0.5, z)).reshape(shape)

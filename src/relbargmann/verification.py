@@ -11,6 +11,7 @@ identical report.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .coherent import (normalization, overlap, overlap_series,
                        transform_kernel_series_grid)
 from .disk import (LandauIndex, _gram_rule_sizes, basis_gram, basis_phi,
                    landau_level, maass_apply_fd, wirtinger_dzbar_fd)
-from .errors import DomainError
+from .errors import DomainError, _check_order
 from .hypergeom import _series_2f1_vec, gauss_2f1
 from .orthopoly import jacobi_p, laguerre_l
 from .oscillator import (ModelParams, OscParams, oscillator_gram,
@@ -347,13 +348,6 @@ def suite_isometry(config: dict) -> list[dict]:
     return checks
 
 
-def _root_normalization(idx, points: np.ndarray) -> np.ndarray:
-    """N(z)^(1/2) at each of ``points``, one point at a time: the array form
-    of ``normalization`` rounds otherwise on some machines (numpy's vector
-    pow), and the one-point value is the one a kernel row is scaled by."""
-    return np.array([math.sqrt(normalization(idx, z)) for z in points.tolist()])
-
-
 def suite_m0_reduction(config: dict) -> list[dict]:
     """The paper's m = 0 kernel identity: the reduced single-2F1 kernel
     ``reference.m0_reduced_kernel`` against the expansion kernel, and its
@@ -366,7 +360,7 @@ def suite_m0_reduction(config: dict) -> list[dict]:
                      for y in (-0.3, 0.0, 0.3)])
     expansion = transform_kernel_series_grid(ModelParams(osc, 0), grid, _M0_XI)
     gaps = (np.abs(m0_reduced_kernel(osc, grid, _M0_XI) - expansion).max(axis=1)
-            / _root_normalization(idx, grid))
+            / np.sqrt(normalization(idx, grid)))
     checks = [_check("m0-kernel-consistency", _worst(gaps), tol)]
 
     def kernel(w):
@@ -374,7 +368,7 @@ def suite_m0_reduction(config: dict) -> list[dict]:
 
     points = np.array(_HOLOMORPHY_POINTS)
     hol = (np.abs(wirtinger_dzbar_fd(kernel, points, _M0_STEP)).max(axis=1)
-           / _root_normalization(idx, points))
+           / np.sqrt(normalization(idx, points)))
     checks.append(_check("m0-holomorphy", _worst(hol), 1e-5))
     return checks
 
@@ -421,18 +415,39 @@ def unread_keys(suite: str, config) -> list[str]:
     return sorted(set(config) - read)
 
 
+def _parse_config(config: dict) -> dict:
+    """``config`` with each value as the suites read it: the orders kmax, m
+    and k as ints, every other key as a finite float.  DomainError names
+    the first key whose value is neither; a fractional order is refused
+    rather than cut to an int."""
+    parsed = {}
+    for key, value in config.items():
+        if key in ("kmax", "m", "k"):
+            parsed[key] = _check_order(value, f"config {key}")
+        elif (isinstance(value, numbers.Real) and not isinstance(value, bool)
+              and math.isfinite(value)):
+            parsed[key] = float(value)
+        else:
+            raise DomainError(
+                f"config {key} must be a finite number, got {value!r}")
+    return parsed
+
+
 def run_suite(suite: str, config: dict | None = None) -> dict:
-    """Run one named suite (or ``all``) and return the JSON-ready report.
+    """Run one named suite (or ``all``) and return the JSON-ready report,
+    whose ``config`` holds the values the suites ran with.
 
     Raises DomainError for an unknown suite, a config key it does not read,
-    or a tolerance outside (0, inf): at 0 every check fails, at inf every
-    check passes.
+    a value that is not a nonnegative integer (kmax, m, k) or a finite
+    number (c, sigma, tol), or a tolerance outside (0, inf): at 0 every
+    check fails, at inf every check passes.
     """
     config = dict(config or {})
     unread = unread_keys(suite, config)
     if unread:
         raise DomainError(f"suite {suite} does not read {', '.join(unread)}")
-    if "tol" in config and not 0.0 < float(config["tol"]) < math.inf:
+    config = _parse_config(config)
+    if "tol" in config and not config["tol"] > 0.0:
         raise DomainError(f"tol must lie in (0, inf), got {config['tol']!r}")
     checks = []
     for name in _suite_names(suite):

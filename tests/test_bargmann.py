@@ -13,8 +13,7 @@ from relbargmann.bargmann import (SampledFunction, TransformResult,
                                   classical_bargmann, isometry_check,
                                   oscillator_mode, relativistic_transform,
                                   relativistic_transform_grid,
-                                  relativistic_transform_m0,
-                                  relativistic_transform_m0_grid)
+                                  relativistic_transform_m0)
 from relbargmann.coherent import (CoherentLabel, cs_wavefunction_oracle,
                                   normalization, transform_kernel_series)
 from relbargmann.disk import basis_gram, basis_phi, wirtinger_dzbar_fd
@@ -592,10 +591,15 @@ def counted_calls(f):
 
 
 class TestM0Grid:
-    """``relativistic_transform_m0_grid``: one evaluation of f for every
-    point, and the bits of the one-point call at each."""
+    """The m = 0 transform on a grid, ``relativistic_transform_grid`` at
+    ``ModelParams(osc, 0)``: one evaluation of f for every point, and the
+    bits of the one-point call ``relativistic_transform_m0`` at each."""
 
     POINTS = [0.3 + 0.2j, -0.5 + 0.4j, 0.0, 0.25, -0.3 - 0.3j, 0.3 + 0.2j]
+
+    @staticmethod
+    def grid(osc, f, points):
+        return relativistic_transform_grid(ModelParams(osc, 0), f, points)
 
     @staticmethod
     def modes(osc, f):
@@ -608,7 +612,7 @@ class TestM0Grid:
     def test_each_value_has_the_bits_of_the_one_point_call(self, c, f):
         osc = OscParams(c)
         func = self.modes(osc, f)
-        res = relativistic_transform_m0_grid(osc, func, self.POINTS)
+        res = self.grid(osc, func, self.POINTS)
         assert isinstance(res, TransformResult) and res.params.m == 0
         for z, value, err in zip(self.POINTS, res.values, res.errors):
             got = bits(value, err)
@@ -620,14 +624,10 @@ class TestM0Grid:
     @pytest.mark.parametrize("c", [0.6, 1.0, 8.0])
     @pytest.mark.parametrize("f", ["sampled", "scattered"])
     def test_has_the_bits_of_the_expansion_transform(self, c, f):
+        # the one-point m = 0 call is the expansion transform at m = 0
         osc = OscParams(c)
         params = ModelParams(osc, 0)
         func = self.modes(osc, f)
-        res = relativistic_transform_m0_grid(osc, func, self.POINTS)
-        want = relativistic_transform_grid(params, func, self.POINTS)
-        assert res.points.tobytes() == want.points.tobytes()
-        assert res.values.tobytes() == want.values.tobytes()
-        assert res.errors.tobytes() == want.errors.tobytes()
         for z in self.POINTS:
             assert (bits(*relativistic_transform_m0(osc, func, z, True))
                     == bits(*relativistic_transform(params, func, z, True)))
@@ -637,7 +637,7 @@ class TestM0Grid:
         # transform does, with the bits of the grid value
         osc = OscParams(1.0)
         f = oscillator_mode(1, osc)
-        (value,) = relativistic_transform_m0_grid(osc, f, [0.2j]).values.tolist()
+        (value,) = self.grid(osc, f, [0.2j]).values.tolist()
         one = relativistic_transform_m0(osc, f, 0.2j)
         assert type(value) is type(one) is complex
         assert bits(one, 0.0) == bits(value, 0.0)
@@ -645,7 +645,7 @@ class TestM0Grid:
     def test_one_evaluation_of_f_per_call(self):
         osc = OscParams(1.0)
         g, calls = counted_calls(oscillator_mode(1, osc))
-        relativistic_transform_m0_grid(osc, g, self.POINTS)
+        self.grid(osc, g, self.POINTS)
         assert calls == [1]
         relativistic_transform_m0(osc, g, 0.1j)
         assert calls == [2]
@@ -653,7 +653,7 @@ class TestM0Grid:
     def test_empty_grid(self):
         osc = OscParams(1.0)
         g, calls = counted_calls(oscillator_mode(1, osc))
-        res = relativistic_transform_m0_grid(osc, g, [])
+        res = self.grid(osc, g, [])
         assert res.values.shape == res.errors.shape == res.points.shape == (0,)
         assert res.quadrature_error == 0.0 and calls == [0]
 
@@ -662,7 +662,7 @@ class TestM0Grid:
         osc = OscParams(1.0)
         g, calls = counted_calls(oscillator_mode(1, osc))
         with pytest.raises(DomainError):
-            relativistic_transform_m0_grid(osc, g, [0.1, bad, 0.2j])
+            self.grid(osc, g, [0.1, bad, 0.2j])
         assert calls == [0]
 
 

@@ -14,8 +14,7 @@ from relbargmann import bargmann, coherent, disk, hypergeom
 from relbargmann.bargmann import (classical_bargmann, oscillator_mode,
                                   relativistic_transform,
                                   relativistic_transform_grid,
-                                  relativistic_transform_m0,
-                                  relativistic_transform_m0_grid)
+                                  relativistic_transform_m0)
 from relbargmann.coherent import (K_CAP, TAIL_LEVEL, CoherentLabel,
                                   _check_cap, cs_distance, cs_wavefunction,
                                   cs_wavefunction_oracle, normalization,
@@ -653,9 +652,10 @@ CAP_ENTRIES = {
         lambda f, z: relativistic_transform_grid(CAP_PARAMS, f, [0.1, z]),
     "relativistic_transform_m0":
         lambda f, z: relativistic_transform_m0(CAP_PARAMS.osc, f, z),
+    # the m = 0 transform on a grid
     "relativistic_transform_m0_grid":
-        lambda f, z: relativistic_transform_m0_grid(CAP_PARAMS.osc, f,
-                                                    [0.1, z]),
+        lambda f, z: relativistic_transform_grid(
+            ModelParams(CAP_PARAMS.osc, 0), f, [0.1, z]),
     "classical_bargmann": lambda f, z: classical_bargmann(3.0, f, z),
     "transform_kernel": lambda f, z: transform_kernel(CAP_PARAMS, z, 1.0),
 }

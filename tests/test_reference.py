@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import relbargmann
-from relbargmann import hypergeom, orthopoly
+from relbargmann import bargmann, hypergeom, orthopoly
 from relbargmann.coherent import normalization, transform_kernel_series_grid
 from relbargmann.errors import DomainError
 from relbargmann.oscillator import ModelParams, OscParams
@@ -74,7 +74,9 @@ def test_name_left_the_chain(name):
 
 
 def test_export_count():
-    assert len(relbargmann.__all__) == 49
+    # the m = 0 grid alias left: the m = 0 grid is the grid call at m = 0
+    assert len(relbargmann.__all__) == 48
+    assert not hasattr(bargmann, "relativistic_transform_m0_grid")
 
 
 class TestM0ReducedKernel:
@@ -123,35 +125,15 @@ class TestM0ReducedKernel:
             alone = m0_reduced_kernel(osc, z[i:i + 1], self.XI)
             assert alone.shape == (1, len(self.XI))
             assert alone.tobytes() == got[i].tobytes()
-            # the scalar call rounds otherwise; where the series cancels
-            # (large xi) the two part by more than rounding relative to K
-            # itself, but not on the scale of the row
+            # a scalar z is the one-element array
             scalar = m0_reduced_kernel(osc, z[i], self.XI)
-            assert (np.abs(scalar - got[i]).max()
-                    < 1e-14 * np.abs(scalar).max())
+            assert scalar.shape == self.XI.shape
+            assert scalar.tobytes() == got[i].tobytes()
         square = m0_reduced_kernel(osc, z.reshape(2, 2), self.XI)
         assert square.shape == (2, 2, len(self.XI))
         assert square.tobytes() == got.tobytes()
         assert m0_reduced_kernel(osc, np.zeros(0), self.XI).shape == (
             0, len(self.XI))
-
-    def test_scalar_z_keeps_its_arithmetic(self, monkeypatch):
-        # a scalar z reaches the 2F1 as a Python complex, the scalar-z call;
-        # an array as a column against the row of xi
-        seen = []
-        original = hypergeom.gauss_2f1_vec
-
-        def recorded(a, b, c, z):
-            seen.append(z)
-            return original(a, b, c, z)
-
-        monkeypatch.setattr(hypergeom, "gauss_2f1_vec", recorded)
-        osc = OscParams(1.0)
-        got = m0_reduced_kernel(osc, 0.2 - 0.1j, self.XI)
-        assert type(got) is np.ndarray and got.shape == self.XI.shape
-        m0_reduced_kernel(osc, np.array(self.POINTS), self.XI)
-        assert type(seen[0]) is complex and seen[0] == 0.2 - 0.1j
-        assert seen[1].shape == (len(self.POINTS), 1)
 
     @pytest.mark.parametrize("z", [math.nan, complex(0.1, math.nan),
                                    np.array([0.1, math.nan])])

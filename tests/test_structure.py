@@ -18,18 +18,22 @@ coefficients from it alone, and ``disk`` keeps no second, radial path.
 The cut takes a whole grid, and ``overlap_series`` cuts its farther labels
 there; the bilinear sums of ``verify`` are array calls, with no loop over
 their terms, and so are its series and stencil checks, by their count of
-library calls.
+library calls; the cut takes N(z) of a grid in one call.  An import kept
+only for the layer tracer of bench/tracing.py names one of its sites.
 """
 
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import relbargmann
-from relbargmann import hypergeom, verification
+from relbargmann import coherent, hypergeom, verification
+from relbargmann.disk import LandauIndex
 
 PACKAGE = Path(relbargmann.__file__).parent
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 CAP_NAMES = {"KERNEL_RMAX", "KERNEL_MIN_DIST_ONE"}
 BLOCK_NAMES = {"LAYOUT_BLOCK_NODES"}
 HALFLINE_RULE_NAMES = {"_COARSE_RULE", "_FINE_RULE"}
@@ -207,3 +211,57 @@ def test_series_and_stencil_checks_are_array_calls(monkeypatch, suite, module,
     monkeypatch.setattr(target, name, counted)
     assert verification.run_suite(suite)["pass"]
     assert 0 < len(calls) <= most
+
+
+def test_cut_takes_one_normalization_per_grid(monkeypatch):
+    # N(z) of the nine points of a grid is one array call, not nine
+    calls = []
+    original = coherent.normalization
+
+    def counted(idx, z):
+        calls.append(np.size(z))
+        return original(idx, z)
+
+    monkeypatch.setattr(coherent, "normalization", counted)
+    axis = np.linspace(-0.3, 0.3, 3)
+    columns = coherent._basis_cut(LandauIndex(7.5, 1),
+                                  (axis[:, None] + 1j * axis).ravel())
+    assert len(columns) == 9 and calls == [9]
+
+
+def _tracer_sites() -> dict:
+    """The ``SITES`` of bench/tracing.py, read without importing it: each
+    site name with the modules it is looked up on."""
+    (sites,) = [node.value for node in ast.parse(TRACING.read_text(
+        encoding="utf-8")).body if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["SITES"]]
+    return {key.value: {m.value for m in value.elts[0].elts}
+            for key, value in zip(sites.keys, sites.values)}
+
+
+def _unused_imports():
+    """``(module, imported module, names, comment)`` of every import in the
+    package marked ``# noqa: F401``, with the comment line above it (or
+    above the run of such imports it ends)."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for node in ast.parse("\n".join(lines)).body:
+            if (isinstance(node, ast.ImportFrom)
+                    and lines[node.end_lineno - 1].endswith("# noqa: F401")):
+                above = node.lineno - 2
+                while lines[above].endswith("# noqa: F401"):
+                    above -= 1
+                yield (path.stem, node.module,
+                       [alias.name for alias in node.names], lines[above])
+
+
+def test_tracer_imports_name_their_sites():
+    # an import kept for the tracer alone must be one of its sites, on the
+    # module that imports it; a moved or removed site fails here
+    sites = _tracer_sites()
+    found = list(_unused_imports())
+    assert found
+    for module, source, names, comment in found:
+        assert "looked up here by the layer tracer" in comment, module
+        for name in names:
+            assert module in sites.get(f"{source}.{name}", ()), (module, name)

@@ -67,6 +67,34 @@ def test_run_suite_rejects_unknown_suite():
         run_suite("nope")
 
 
+@pytest.mark.parametrize("suite, config, key", [
+    ("overlap", {"tol": "abc"}, "tol"),
+    ("overlap", {"tol": None}, "tol"),
+    ("overlap", {"tol": math.inf}, "tol"),
+    ("orthonormality-disk", {"kmax": "x"}, "kmax"),
+    ("orthonormality-disk", {"kmax": 2.9}, "kmax"),
+    ("eigen-equation", {"m": 2.7}, "m"),
+    ("eigen-equation", {"k": -1}, "k"),
+    ("eigen-equation", {"sigma": math.nan}, "sigma"),
+    ("eigen-equation", {"sigma": "7.5"}, "sigma"),
+    ("isometry", {"c": math.inf}, "c"),
+    ("isometry", {"c": None}, "c")])
+def test_run_suite_refuses_an_untyped_value(suite, config, key):
+    # a value is refused naming its key, never cut to an int or left to
+    # raise a ValueError or TypeError inside the suite
+    with pytest.raises(DomainError, match=f"config {key} must be"):
+        run_suite(suite, config)
+
+
+def test_run_suite_reports_the_values_it_ran_with():
+    # an integral float order runs as that int, and the report says so
+    report = run_suite("orthonormality-disk", {"kmax": 3.0, "tol": 1})
+    assert report["config"] == {"kmax": 3, "tol": 1.0}
+    assert type(report["config"]["kmax"]) is int
+    assert report["checks"] == run_suite(
+        "orthonormality-disk", {"kmax": 3, "tol": 1.0})["checks"]
+
+
 def check_error(checks, name):
     (error,) = [c["error"] for c in checks if c["name"] == name]
     return error
