@@ -54,8 +54,11 @@ at every walked node, and a grid value the same as the single-point value.
 The F5 closed form (``coherent.transform_kernel``) is not used here.
 ``classical_bargmann`` alone integrates adaptively
 (``quadrature.integrate_halfline``), with one call of f per bisection level
-of each block of panels, on both Gauss rules of every open panel, its
-values checked as the relativistic transform checks its own.
+of each block of panels, on the 21 nodes of every open panel, its values
+checked as the relativistic transform checks its own.  Both run on the one
+panel rule of the half line: the 21-point Gauss-Kronrod value, and its
+distance from the embedded 10-point Gauss value as the error estimate, from
+one routine of panel sums (``quadrature._kronrod_panels``).
 
 Every state, in the kernel, the projections of ``isometry_check`` and the
 Gram matrices alike, comes from the one factorisation conj(phi_k) =
@@ -89,7 +92,7 @@ from .oscillator import (_ISOMETRY_KMAX, XI_LENGTH, ModelParams, OscParams,
                          xi_layout)
 # looked up here by the layer tracer of bench/tracing.py
 from .oscillator import eigenfunction_batch  # noqa: F401
-from .quadrature import _KRONROD_RULE, integrate_halfline
+from .quadrature import _KRONROD_RULE, _kronrod_panels, integrate_halfline
 # looked up here by the layer tracer of bench/tracing.py, which counts the
 # spline builds
 from .spline import CubicSpline
@@ -183,9 +186,10 @@ def classical_bargmann(sigma: float, f, z):
     Returns ``(value, err_estimate)`` of the half-line integral, taken to a
     tolerance of 1e-10 by ``integrate_halfline`` on panels of width
     1 / max(Re s, 0.05), s = (1 + z) / (2 (1 - z)).  It calls f once per
-    bisection level of each block of panels, on the nodes of both Gauss
-    rules of every panel still open, and never past the block that holds
-    the first two negligible panels.  A non-finite value of f at a node
+    bisection level of each block of panels, on the 21 Gauss-Kronrod nodes
+    of every panel still open, and never past the block that holds the
+    first two negligible panels, negligible both in themselves and against
+    the mass of the panels before.  A non-finite value of f at a node
     (naming the smallest such xi of the call), or a result that is not one
     value for each node, raises InputFormatError.
     """
@@ -209,19 +213,14 @@ def classical_bargmann(sigma: float, f, z):
 def _panel_sums(vals: np.ndarray, half: np.ndarray):
     """``(value, err_estimate)`` from the integrand at the flat nodes of
     the first panels of an ``xi_layout`` and the layout's half widths
-    ``half``: the sums over those panels, in panel order, of the 21-point
-    Kronrod values and of their distances from the 10-point Gauss values
-    on the odd nodes of each panel."""
-    _, wk, wg = _KRONROD_RULE
-    vals = vals.reshape(-1, len(wk))
-    half = half[:len(vals)]
-    kronrod = half * np.sum(wk * vals, axis=1)
-    gauss = half * np.sum(wg * vals[:, 1::2], axis=1)
-    total = 0.0 + 0.0j
-    err_total = 0.0
-    for value, gauss_value in zip(kronrod.tolist(), gauss.tolist()):
+    ``half``: the sums in panel order of the Kronrod values and estimates
+    of ``quadrature._kronrod_panels``, the panel rule that
+    ``integrate_halfline`` runs too."""
+    values, errors = _kronrod_panels(vals, half)
+    total, err_total = 0.0 + 0.0j, 0.0
+    for value, err in zip(values.tolist(), errors.tolist()):
         total += value
-        err_total += abs(value - gauss_value)
+        err_total += err
     return total, err_total
 
 

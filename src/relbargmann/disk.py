@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError, _check_order
 from .orthopoly import jacobi_q, jacobi_q_steps
+from .oscillator import MAX_TABLE_ENTRIES
 from .quadrature import jacobi_rule_01
 from .special import gammaln
 
@@ -252,6 +253,12 @@ def _gram_rule_sizes(kmax: int, m: int) -> tuple[int, int]:
     return kmax + 2 * m + 4, 2 * (kmax + m) + 4
 
 
+def _gram_table_entries(kmax: int, m: int) -> int:
+    """Entries (kmax + 1) x nodes of the basis table of ``basis_gram``,
+    counted without building it."""
+    return (kmax + 1) * math.prod(_gram_rule_sizes(kmax, m))
+
+
 def basis_gram(idx: LandauIndex, kmax: int) -> np.ndarray:
     """Gram matrix of {Phi_k}_{k<=kmax} in L^2 with weight (1-|z|^2)^(sigma-2).
 
@@ -260,9 +267,16 @@ def basis_gram(idx: LandauIndex, kmax: int) -> np.ndarray:
     is exact for node counts past the polynomial degrees: trapezoid in the
     angle, Gauss-Jacobi in r = |z|^2.  With F the table of Phi_k (1-r)^m on
     the nodes and W their weights the matrix is the one product F W F^H.
+    A table of more than ``oscillator.MAX_TABLE_ENTRIES`` entries (kmax
+    above 77 at m = 0) raises DomainError before anything is built.
     """
     sigma, m = idx.sigma, idx.m
     kmax = _check_basis(kmax, idx, "Gram order kmax")
+    entries = _gram_table_entries(kmax, m)
+    if entries > MAX_TABLE_ENTRIES:
+        raise DomainError(
+            f"the disk Gram table up to k = {kmax} at m = {m} would hold "
+            f"{entries} entries, more than the limit of {MAX_TABLE_ENTRIES}")
     n_radial, n_angular = _gram_rule_sizes(kmax, m)
     rule = jacobi_rule_01(n_radial, 0.0, sigma - 2 * m - 2.0)
     phi = np.arange(n_angular) * (2.0 * np.pi / n_angular)

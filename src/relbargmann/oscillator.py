@@ -24,15 +24,25 @@ import numpy as np
 
 from .errors import DomainError, NonConvergenceError, _check_order
 from .orthopoly import cdhahn_normalized_batch, cdhahn_normalized_row
-from .quadrature import _KRONROD_RULE
+from .quadrature import _KRONROD_RULE, _panel_edges
 from .special import gammaln, log_gamma_ratio
 
 
 def gamma_of_c(c: float) -> float:
-    """Oscillator exponent gamma = (1 + sqrt(1 + 2 c^4)) / 2 for c > 0."""
+    """Oscillator exponent gamma = (1 + sqrt(1 + 2 c^4)) / 2 for c > 0.
+
+    A c whose gamma is not a finite double (c above about 9.7e76, where
+    2 c^4 overflows) raises DomainError naming it."""
     if not c > 0:
         raise DomainError("oscillator parameter c must be positive")
-    return 0.5 * (1.0 + math.sqrt(1.0 + 2.0 * c ** 4))
+    try:
+        # math.pow has the bits of c ** 4, and raises on a numpy float too
+        gamma = 0.5 * (1.0 + math.sqrt(1.0 + 2.0 * math.pow(c, 4)))
+    except OverflowError:
+        gamma = math.inf
+    if not math.isfinite(gamma):
+        raise DomainError(f"gamma(c) is not a finite double at c = {c!r}")
+    return gamma
 
 
 @dataclass(frozen=True)
@@ -45,6 +55,7 @@ class OscParams:
         if not (self.c > 0 and math.isfinite(self.c)):
             raise DomainError("oscillator parameter c must be positive and "
                               f"finite, got {self.c!r}")
+        gamma_of_c(self.c)
 
     @property
     def gamma(self) -> float:
@@ -291,8 +302,9 @@ def xi_layout(osc: OscParams, end: float):
     ends at ``end``: the one source of xi nodes of the package.
 
     Panels of ``panel_width(osc)`` from xi = 0, their edges made by repeated
-    addition of the width as a panel walk makes them, the last one cut at
-    ``end``; ``nodes``, flat in panel order, carries the 21-point
+    addition of the width, the last one cut at ``end``
+    (``quadrature._panel_edges``, as ``integrate_halfline`` makes its
+    own); ``nodes``, flat in panel order, carries the 21-point
     Gauss-Kronrod rule of each panel (``quadrature._KRONROD_RULE``, with
     the 10-point Gauss rule at its odd positions), ``half`` the half
     widths, ``conj_pref`` the :func:`conj_state_prefactor` at every node
@@ -306,9 +318,7 @@ def xi_layout(osc: OscParams, end: float):
     node, under 86 kB an entry for an end <= 80); the arrays are
     read-only.
     """
-    width = panel_width(osc)
-    n_panels = _panel_count(osc, end)
-    edges = np.minimum(np.cumsum(np.r_[0.0, np.full(n_panels, width)]), end)
+    edges = _panel_edges(panel_width(osc), _panel_count(osc, end), end)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * _KRONROD_RULE[0]).ravel()

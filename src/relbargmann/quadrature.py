@@ -5,6 +5,13 @@ Jacobi), panel-wise integration on the half line for integrands with
 exponential-type decay, and polar-coordinate integration on the unit disk
 against a Jacobi-type radial weight.
 
+The half line has one panel rule, the 21-point Gauss-Kronrod rule with its
+embedded 10-point Gauss rule (``_KRONROD_RULE``), one routine for the panel
+edges (``_panel_edges``) and one for the per-panel values and error
+estimates (``_kronrod_panels``).  The xi layout of the transforms
+(``oscillator.xi_layout``) and the adaptive ``integrate_halfline`` both
+run on them; no rule is built at import.
+
 Integrands passed to the composite integrators must accept numpy arrays and
 evaluate elementwise; this keeps the hot loops vectorised.
 """
@@ -169,13 +176,6 @@ def jacobi_rule_01(n: int, exp_at_0: float, exp_at_1: float) -> QuadratureRule:
     return QuadratureRule(nodes=t, weights=w)
 
 
-#: embedded Gauss-Legendre pair of ``integrate_halfline``: the 32-point
-#: rule gives the value, its difference from the 16-point rule the error
-#: estimate.  The 16-point rule also makes the panels of the reference F5
-#: integral, ``reference._logit_panel_integral``
-_COARSE_RULE = leggauss(16)
-_FINE_RULE = leggauss(32)
-
 #: the 21-point Gauss-Kronrod rule at x >= 0 on (-1, 1), from x = 1 down to
 #: the centre, its weights, and the weights of the 10-point Gauss-Legendre
 #: rule embedded at every other of its nodes, from the second on (QUADPACK's
@@ -208,12 +208,14 @@ _WG = (0.0666713443086881375935688098933317929,
        0.269266719309996355091226921569469353,
        0.295524224714752870173892994651338329)
 
-#: the one rule of every panel of ``oscillator.xi_layout``: ``(nodes,
+#: the one panel rule of the half line, on every panel of
+#: ``oscillator.xi_layout`` and of ``integrate_halfline``: ``(nodes,
 #: kronrod_weights, gauss_weights)``, the 21 Kronrod nodes on (-1, 1) in
 #: increasing order with their weights, exact to degree 31, and the weights
 #: of the 10-point Gauss rule on the odd ones, ``nodes[1::2]``.  The Kronrod
-#: sum gives the value, its distance from the Gauss sum the error estimate,
-#: and the Kronrod rule alone the norms and Gram matrices on the layout
+#: sum gives the value, its distance from the Gauss sum the error estimate
+#: (``_kronrod_panels``), and the Kronrod rule alone the norms and Gram
+#: matrices on the layout
 _KRONROD_RULE = tuple(np.array(v) for v in (
     [-x for x in _XGK[:-1]] + list(_XGK[::-1]),
     list(_WGK[:-1]) + list(_WGK[::-1]),
@@ -222,20 +224,47 @@ for _arr in _KRONROD_RULE:
     _arr.flags.writeable = False
 
 
+def _panel_edges(width: float, n_panels: int, end: float) -> np.ndarray:
+    """The ``n_panels + 1`` edges of panels of ``width`` from 0, made by
+    adding the width one panel at a time, the last one cut at ``end``."""
+    return np.minimum(np.cumsum(np.r_[0.0, np.full(n_panels, width)]), end)
+
+
+def _kronrod_panels(vals: np.ndarray, half: np.ndarray):
+    """``(values, errors)``, arrays in panel order, from the integrand at
+    the 21 nodes of ``_KRONROD_RULE`` on each of the first panels (flat in
+    panel order, or one row a panel) and the panels' half widths ``half``:
+    the Kronrod values, and their distances from the 10-point Gauss values
+    on the odd nodes, the error estimates."""
+    _, wk, wg = _KRONROD_RULE
+    vals = vals.reshape(-1, len(wk))
+    half = half[:len(vals)]
+    values = half * np.sum(wk * vals, axis=1)
+    diff = values - half * np.sum(wg * vals[:, 1::2], axis=1)
+    # libm's hypot, as abs() of one complex value; np.abs of a complex
+    # array may differ from it in the last bit
+    return values, np.hypot(diff.real, diff.imag)
+
+
 def integrate_halfline(f, decay_scale: float = 1.0, tol: float = 1e-10):
     """Integrate ``f`` over (0, inf) for integrands with exponential-type decay.
 
-    Panels of width ``decay_scale`` are integrated with an embedded
-    Gauss-Legendre pair (16 and 32 points); the pair difference is the
-    per-panel error estimate.  Panels whose estimate exceeds ``tol / 20``
-    are bisected, at most 12 times deep, and a split panel's value and
-    estimate are the sums of its halves'.  The panels are taken from 0 in
-    blocks that end at 8, 16, 32 and 64 panels; within a block f is called
-    once per bisection level, on the 48 nodes of every panel still open at
-    that level (the 16-point nodes of each panel first), and it must return
-    one value for each node.  The value and the estimate sum the panels up
-    to the first two consecutive negligible ones; f is never evaluated past
-    the block that holds them.
+    Panels of width ``decay_scale`` carry the one panel rule of the package,
+    the 21-point Gauss-Kronrod rule of ``_KRONROD_RULE``: its value, and
+    its distance from the 10-point Gauss value as the per-panel error
+    estimate.  Panels whose estimate exceeds ``tol / 20`` are bisected, at
+    most 12 times deep, and a split panel's value and estimate are the sums
+    of its halves'.  The panels are taken from 0 in blocks that end at 8,
+    16, 32 and 64 panels; within a block f is called once per bisection
+    level, on the 21 nodes of every panel still open at that level, and it
+    must return one value for each node.  A panel is negligible when
+    |value| + estimate is below ``tol / 10`` times the smaller of 1 and
+    the mass sum |value| of the panels up to it: negligible against the
+    panels before it, so a walk does not stop where f is still small
+    before its bulk, nor on a prefix where f is zero.  The value and the
+    estimate sum the panels up to the first two consecutive negligible
+    ones; f is never evaluated past the block that holds them.  An f that
+    is zero on all 64 panels gives (0, 0).
 
     Returns ``(value, err_estimate)``.
 
@@ -251,11 +280,9 @@ def integrate_halfline(f, decay_scale: float = 1.0, tol: float = 1e-10):
     width = max(decay_scale, 1e-3)
     max_length = 64.0 * decay_scale
     n_panels = math.ceil(max_length / width)
-    # the edges of a walk that adds the width one panel at a time
-    edges = np.minimum(np.cumsum(np.r_[0.0, np.full(n_panels, width)]),
-                       max_length)
+    edges = _panel_edges(width, n_panels, max_length)
     total = 0.0 + 0.0j
-    err_total = 0.0
+    err_total = mass = 0.0
     quiet = 0
     start, stop = 0, min(8, n_panels)
     while start < n_panels:
@@ -264,40 +291,36 @@ def integrate_halfline(f, decay_scale: float = 1.0, tol: float = 1e-10):
         for val, err in zip(values, errors):
             total += val
             err_total += err
-            if abs(val) + err < tol / 10.0:
+            mass += abs(val)
+            if abs(val) + err < tol / 10.0 * min(1.0, mass):
                 quiet += 1
                 if quiet >= 2:
                     return total, err_total + abs(val)
             else:
                 quiet = 0
         start, stop = stop, min(2 * stop, n_panels)
+    if mass == 0.0:
+        return total, err_total
     raise NonConvergenceError(
         f"half-line tail not converged by L = {max_length:g}")
 
 
 def _bisected_panels(f, lo: np.ndarray, hi: np.ndarray, tol: float):
-    """``(values, errors)``, lists in panel order, of the 16/32-point pair
-    of ``integrate_halfline`` on the panels [lo, hi], each bisected while
-    its estimate exceeds ``tol / 20``, at most 12 times deep, with one call
-    of f a level on the nodes of the panels still open."""
-    (xc, wc), (xf, wf) = _COARSE_RULE, _FINE_RULE
-    both, n_coarse = np.concatenate((xc, xf)), len(xc)
+    """``(values, errors)``, lists in panel order, of the Kronrod pair of
+    ``integrate_halfline`` (``_kronrod_panels``) on the panels [lo, hi],
+    each bisected while its estimate exceeds ``tol / 20``, at most 12 times
+    deep, with one call of f a level on the nodes of the panels still
+    open."""
     levels = []
     for depth in range(13):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        x = (mid[:, None] + half[:, None] * both).ravel()
+        x = (mid[:, None] + half[:, None] * _KRONROD_RULE[0]).ravel()
         vals = np.asarray(f(x))
         if vals.shape != x.shape:
             raise InputFormatError(
                 f"f returned shape {vals.shape} at {x.size} nodes; it must "
                 "return one value for each node")
-        vals = vals.reshape(len(mid), len(both))
-        coarse = half * np.sum(wc * vals[:, :n_coarse], axis=1)
-        val = half * np.sum(wf * vals[:, n_coarse:], axis=1)
-        # libm's hypot, as abs() of one complex value; np.abs of a complex
-        # array may differ from it in the last bit
-        diff = val - coarse
-        err = np.hypot(diff.real, diff.imag)
+        val, err = _kronrod_panels(vals, half)
         split = (err > tol / 20.0) & (depth < 12)
         levels.append((val, err, split))
         if not split.any():

@@ -25,16 +25,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from . import hypergeom
 from .errors import DomainError, NonConvergenceError, PoleError
 from .hypergeom import (_EPS, MAX_SERIES_TERMS, _nonpos_int, _ray_distance,
                         _series_2f1_vec, gauss_2f1)
-from .quadrature import _COARSE_RULE
 from .special import log_gamma_ratio, loggamma
 
 _F5_SERIES_TERMS = 2000
 _CONSECUTIVE_SMALL = 20
+#: the 16-point Gauss-Legendre rule of the panels of the F5 integral
+#: oracle, ``_logit_panel_integral``: an oracle keeps a rule of its own,
+#: apart from the package's one half-line rule
+_LOGIT_RULE = leggauss(16)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +171,10 @@ def _logit_panel_integral(exp0, exp1, smooth, extra_freq: float = 0.0):
     The logit substitution t = 1/(1 + e^-v) turns the endpoint algebra into
     two-sided exponential decay and the log-oscillation of complex exponents
     into a bounded-frequency phase e^{i Im(exp0) v}; composite 16-point
-    Gauss-Legendre panels then converge spectrally.  The panel width is
-    halved, at most four times, until two successive estimates agree to
-    1e-10 relative to 1 + |estimate|.
+    Gauss-Legendre panels (``_LOGIT_RULE``, the oracle's own rule) then
+    converge spectrally.  The panel width is halved, at most four times,
+    until two successive estimates agree to 1e-10 relative to
+    1 + |estimate|.
 
     ``smooth`` must accept an ndarray of t values in (0, 1).
     """
@@ -182,7 +187,7 @@ def _logit_panel_integral(exp0, exp1, smooth, extra_freq: float = 0.0):
 
     def estimate(h):
         edges = np.arange(-span_neg, span_pos + h, h)
-        xg, wg = _COARSE_RULE
+        xg, wg = _LOGIT_RULE
         mids = 0.5 * (edges[1:] + edges[:-1])
         halves = 0.5 * np.diff(edges)
         v = (mids[:, None] + halves[:, None] * xg[None, :]).ravel()

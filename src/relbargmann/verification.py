@@ -23,7 +23,7 @@ from .bargmann import relativistic_transform  # noqa: F401
 from .bargmann import relativistic_transform_m0  # noqa: F401
 from .coherent import (normalization, overlap, overlap_series,
                        transform_kernel_series_grid)
-from .disk import (LandauIndex, _gram_rule_sizes, basis_gram, basis_phi,
+from .disk import (LandauIndex, _gram_table_entries, basis_gram, basis_phi,
                    landau_level, maass_apply_fd, wirtinger_dzbar_fd)
 from .errors import DomainError, _check_order
 from .hypergeom import _series_2f1_vec, gauss_2f1
@@ -69,8 +69,7 @@ def _check(name: str, error: float, tol: float) -> dict:
 def gram_table_entries(suite: str, kmax: int) -> int:
     """Entries of the largest basis table that ``suite`` builds for its Gram
     matrices at order ``kmax`` (0 for none), found without building it."""
-    disk = [(kmax + 1) * math.prod(_gram_rule_sizes(kmax, m))
-            for _, m in _DISK_CASES]
+    disk = [_gram_table_entries(kmax, m) for _, m in _DISK_CASES]
     osc = [oscillator_gram_entries(OscParams(c), kmax) for c in _OSC_CASES]
     sizes = {"orthonormality-disk": disk, "orthonormality-oscillator": osc,
              "all": disk + osc}

@@ -22,8 +22,7 @@ from relbargmann.orthopoly import laguerre_l
 from relbargmann.oscillator import (XI_LENGTH, ModelParams, OscParams,
                                     conj_state_factors, project_states,
                                     state_end, xi_layout)
-from relbargmann.quadrature import (_COARSE_RULE, _FINE_RULE, _KRONROD_RULE,
-                                    integrate_halfline)
+from relbargmann.quadrature import _KRONROD_RULE, integrate_halfline
 
 
 def laguerre_mode(k: int, sigma: float):
@@ -115,20 +114,56 @@ class TestClassicalBargmann:
             classical_bargmann(3.0, f, 0.2)
 
     def test_f_is_not_read_past_the_quiet_block(self):
-        # panels are 4/3 wide at z = 0.2; the first quiet pair ends at
-        # xi = 18.7, in the block that ends at 16 panels (xi = 21.3), so
-        # the NaN past xi = 30 is never seen, though a walk of all 64
-        # panels would see it
+        # panels are 4/3 wide at z = 0.2; the first quiet pair lies in the
+        # block that ends at 16 panels (xi = 21.3), so the NaN past
+        # xi = 30 is never seen, though a walk of all 64 panels would see it
         seen = []
 
         def f(x):
             seen.append(x.max())
             return np.where(x <= 30.0, np.exp(-x), np.nan)
 
-        val, _ = classical_bargmann(3.0, f, 0.2)
-        want = 0.35981478542578615
-        assert abs(val - want) <= 1e-15 * want
+        sigma, z = 3.0, 0.2
+        val, _ = classical_bargmann(sigma, f, z)
+        # the integrand is x e^{-(s + 1) x}: pref / (s + 1)^2
+        s = 0.5 * (1.0 + z) / (1.0 - z)
+        pref = (math.sqrt((sigma - 1.0) / math.pi)
+                * math.exp(-0.5 * math.lgamma(sigma)) * (1.0 - z) ** -sigma)
+        want = pref / (s + 1.0) ** 2
+        assert abs(val - want) <= 1e-13 * want
         assert max(seen) < 30.0
+
+    @pytest.mark.parametrize("sigma", [15.0, 20.0, 25.0])
+    def test_large_sigma_reaches_the_bulk(self, sigma):
+        # x^(sigma - 1) e^{-(s + 1/2) x} is below 1e-11 on the first
+        # panels, so a walk that calls them quiet on an absolute test
+        # stops before the bulk (4.6e-8 for 2.111 at sigma = 15); a case
+        # may instead refuse with a typed error
+        ran = 0
+        for k, z in ((0, 0.75), (0, 0.75j), (2, -0.5), (4, 0.3 + 0.3j)):
+            want = math.exp(0.5 * (math.log(sigma - 1.0)
+                                   + math.lgamma(sigma + k)
+                                   - math.log(math.pi) - math.lgamma(sigma)
+                                   - math.lgamma(k + 1.0))) * z ** k
+            try:
+                got, _ = classical_bargmann(sigma, laguerre_mode(k, sigma), z)
+            except NonConvergenceError:
+                continue
+            assert abs(got - want) <= 1e-7 * max(1.0, abs(want))
+            ran += 1
+        assert ran >= 2
+
+    def test_zero_f_walks_every_panel(self):
+        # a zero prefix is never quiet, so a zero f is read on all 64
+        # panels, in the four blocks, and gives exact zeros
+        seen = []
+
+        def f(x):
+            seen.append(x.size)
+            return np.zeros(x.shape)
+
+        assert classical_bargmann(3.0, f, 0.2) == (0.0, 0.0)
+        assert seen == [8 * 21, 8 * 21, 16 * 21, 32 * 21]
 
     @pytest.mark.parametrize("shape", ["scalar", "three", "column"])
     def test_f_of_the_wrong_shape_rejected(self, shape):
@@ -666,19 +701,21 @@ class TestM0Grid:
         assert calls == [0]
 
 
-def level_halfline(f, decay_scale=1.0, tol=1e-10, depths=None):
+def level_halfline(f, decay_scale=1.0, tol=1e-10, calls=None):
     """Reference: ``integrate_halfline`` one level of one block at a time.
 
     The panels, made by adding the width one at a time, are taken in
     blocks that end at 8, 16, 32 and 64 panels.  Each level of a block is
-    one call of f on the nodes of its open panels, the 16-point nodes of
-    each panel first, and each panel's pair is then summed on its own; a
-    split panel's value and estimate are the sums of its halves'.  The
-    depth of each call goes to ``depths``."""
+    one call of f on the 21 Gauss-Kronrod nodes of each of its open
+    panels, and each panel's Kronrod value, and its distance from the
+    10-point Gauss value on the odd nodes, are then summed on their own; a
+    split panel's value and estimate are the sums of its halves'.  A panel
+    is quiet when |value| + estimate is below tol / 10 times the smaller of
+    1 and the sum of |value| up to it.  The depth and the number of open
+    panels of each call go to ``calls``."""
     width = max(decay_scale, 1e-3)
     max_length = 64.0 * decay_scale
-    (xc, wc), (xf, wf) = _COARSE_RULE, _FINE_RULE
-    both = np.concatenate((xc, xf))
+    nodes, wk, wg = _KRONROD_RULE
     edges = [0.0]
     for _ in range(math.ceil(max_length / width)):
         edges.append(min(edges[-1] + width, max_length))
@@ -687,17 +724,16 @@ def level_halfline(f, decay_scale=1.0, tol=1e-10, depths=None):
     def block_pairs(panels):
         leaves, open_panels, depth = {}, panels, 0
         while open_panels:
-            if depths is not None:
-                depths.append(depth)
-            x = np.concatenate([0.5 * (hi + lo) + 0.5 * (hi - lo) * both
+            if calls is not None:
+                calls.append((depth, len(open_panels)))
+            x = np.concatenate([0.5 * (hi + lo) + 0.5 * (hi - lo) * nodes
                                 for lo, hi in open_panels])
-            vals = np.asarray(f(x)).reshape(len(open_panels), len(both))
+            vals = np.asarray(f(x)).reshape(len(open_panels), len(nodes))
             split = []
             for (lo, hi), v in zip(open_panels, vals):
                 mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-                coarse = half * np.sum(wc * v[:len(xc)])
-                val = half * np.sum(wf * v[len(xc):])
-                err = abs(val - coarse)
+                val = complex(half * np.sum(wk * v))
+                err = abs(val - complex(half * np.sum(wg * v[1::2])))
                 if err > tol / 20.0 and depth < 12:
                     split += [(lo, mid), (mid, hi)]
                 else:
@@ -714,7 +750,7 @@ def level_halfline(f, decay_scale=1.0, tol=1e-10, depths=None):
         return [pair(lo, hi) for lo, hi in panels]
 
     total = 0.0 + 0.0j
-    err_total = 0.0
+    err_total = mass = 0.0
     quiet = 0
     start, stop = 0, min(8, n_panels)
     while start < n_panels:
@@ -722,13 +758,16 @@ def level_halfline(f, decay_scale=1.0, tol=1e-10, depths=None):
         for val, err in block_pairs(panels):
             total += val
             err_total += err
-            if abs(val) + err < tol / 10.0:
+            mass += abs(val)
+            if abs(val) + err < tol / 10.0 * min(1.0, mass):
                 quiet += 1
                 if quiet >= 2:
                     return total, err_total + abs(val)
             else:
                 quiet = 0
         start, stop = stop, min(2 * stop, n_panels)
+    if mass == 0.0:
+        return total, err_total
     raise NonConvergenceError("tail not converged")
 
 
@@ -736,15 +775,26 @@ def hex_pair(value, err):
     return complex(value).real.hex(), complex(value).imag.hex(), err.hex()
 
 
+def node_counts(f):
+    """``(g, sizes)``: f, and the list of the node counts of g's calls."""
+    sizes = []
+
+    def g(x):
+        sizes.append(np.size(x))
+        return f(x)
+
+    return g, sizes
+
+
 class TestHalflineOneCall:
     """``integrate_halfline`` calls f once per bisection level of each block
-    of panels, on the nodes of both rules of every open panel, with the
+    of panels, on the 21 Gauss-Kronrod nodes of every open panel, with the
     bits of a reference that sums each panel on its own."""
 
-    @pytest.mark.parametrize("sigma", [3.0, 5.5])
+    @pytest.mark.parametrize("sigma", [3.0, 5.5, 15.0])
     def test_classical_modes_match_level_reference(self, sigma, monkeypatch):
         got = {(k, z): classical_bargmann(sigma, laguerre_mode(k, sigma), z)
-               for k in range(5) for z in (0.1, 0.2, 0.3, 0.2 - 0.3j)}
+               for k in range(5) for z in (0.1, 0.2, 0.3, 0.2 - 0.3j, 0.75)}
         monkeypatch.setattr(bargmann, "integrate_halfline", level_halfline)
         for (k, z), pair in got.items():
             want = classical_bargmann(sigma, laguerre_mode(k, sigma), z)
@@ -755,25 +805,39 @@ class TestHalflineOneCall:
         def f(x):
             return np.sqrt(x) * np.exp(-x) * (1.0 + 0.5j)
 
-        depths = []
-        want = level_halfline(f, 1.0, 1e-12, depths)
+        calls = []
+        want = level_halfline(f, 1.0, 1e-12, calls)
+        depths = [depth for depth, _ in calls]
         assert max(depths) >= 2
-        g, calls = counted_calls(f)
+        g, sizes = node_counts(f)
         got = integrate_halfline(g, decay_scale=1.0, tol=1e-12)
         assert hex_pair(*got) == hex_pair(*want)
-        assert calls == [len(depths)]
-        # one call per level of each block: the first block (8 panels) is
-        # bisected to the depth limit at 0, the blocks that end at 16, 32
-        # and 64 panels need one level each, and the quiet pair starts at
-        # xi = 32
-        assert depths == list(range(13)) + [0, 0, 0]
+        # one call per level of each block, each on the 21 nodes of every
+        # panel open at that level
+        assert sizes == [21 * panels for _, panels in calls]
+        assert depths.count(0) == 4 and depths[:2] == [0, 1]
+
+    @pytest.mark.parametrize("sigma, z", [(5.5, 0.2 - 0.3j), (1.5, 0.3),
+                                          (15.0, 0.75)])
+    def test_classical_transform_reads_21_nodes_an_open_panel(
+            self, monkeypatch, sigma, z):
+        f, sizes = node_counts(laguerre_mode(2, sigma))
+        classical_bargmann(sigma, f, z)
+        calls = []
+        monkeypatch.setattr(
+            bargmann, "integrate_halfline",
+            lambda g, **kw: level_halfline(g, calls=calls, **kw))
+        classical_bargmann(sigma, laguerre_mode(2, sigma), z)
+        assert sizes == [21 * panels for _, panels in calls]
+        # the first call holds the first block: 8 panels of 21 nodes
+        assert sizes[0] == 8 * 21
 
     @pytest.mark.parametrize("result", ["scalar", "per-panel", "column"])
     def test_result_of_another_shape_is_refused(self, result):
         # one value a panel, e^-k on [k, k + 1], was once broadcast to its
         # nodes; a result must now be one value for each node
         f = {"scalar": lambda x: 0.0,
-             "per-panel": lambda x: np.exp(-np.floor(x[::48])),
+             "per-panel": lambda x: np.exp(-np.floor(x[::21])),
              "column": lambda x: np.exp(-x)[:, None]}[result]
         with pytest.raises(InputFormatError, match="one value for each node"):
             integrate_halfline(f, decay_scale=1.0, tol=1e-10)

@@ -373,6 +373,18 @@ class TestEval:
         assert abs(vals[2] - math.sqrt(4.0 / math.pi)) < 1e-12
         assert vals[3] == 0.0
 
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--c", "1e200"],
+        ["spectrum", "--c", "1.1e77"],
+        ["eval", "--function", "kernel", "--c", "1e300", "--grid", "0.1",
+         "--xi", "1"]], ids=["spectrum", "spectrum-inf-gamma", "kernel"])
+    def test_c_past_the_gamma_range_exit_3(self, capsys, argv):
+        # gamma(c) is not a finite double here: a domain error, no traceback
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("domain error: gamma(c) is not a finite double "
+                              f"at c = {float(argv[argv.index('--c') + 1])!r}")
+
     def test_cap_violation_exit_3(self, tmp_path):
         code = run(["eval", "--function", "basis_phi", "--k", "0",
                     "--sigma", "5", "--m", "0", "--grid", "0.9",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relbargmann import disk
 from relbargmann.disk import (LandauIndex, basis_gram, basis_phi,
                               basis_phi_batch, bergman_distance, landau_level,
                               maass_apply_fd, measure_density,
@@ -17,6 +18,7 @@ from relbargmann.orthopoly import jacobi_p
 from relbargmann.oscillator import ModelParams, OscParams, gamma_of_c
 from relbargmann.quadrature import integrate_disk
 from relbargmann.special import loggamma
+from relbargmann.verification import run_suite
 
 
 class TestLandauIndex:
@@ -146,6 +148,20 @@ class TestBasis:
         for sigma, m in ((5.0, 0), (7.5, 1), (9.0, 2)):
             gram = basis_gram(LandauIndex(sigma, m), 4)
             assert np.abs(gram - np.eye(5)).max() < 1e-12
+
+    def test_gram_table_past_the_limit_is_refused(self, monkeypatch):
+        # kmax = 400 at m = 2 would build 401 x 408 x 808 complex entries;
+        # the count is refused before any basis value is evaluated
+        def refuse(*args):
+            raise AssertionError("basis_phi_batch called")
+
+        monkeypatch.setattr(disk, "basis_phi_batch", refuse)
+        with pytest.raises(DomainError, match="132195264 entries"):
+            basis_gram(LandauIndex(9.0, 2), 400)
+        with pytest.raises(DomainError, match="more than the limit"):
+            run_suite("orthonormality-disk", {"kmax": 400})
+        with pytest.raises(DomainError):
+            basis_gram(LandauIndex(5.0, 0), 78)
 
     @pytest.mark.parametrize("kmax", [-1, -7, 2.5])
     def test_gram_order_validated(self, kmax):

@@ -1,6 +1,7 @@
 """Oscillator parameterization, spectrum, and eigenfunctions."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -39,6 +40,16 @@ class TestParameterization:
         for bad in (-1.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 OscParams(bad)
+
+    @pytest.mark.parametrize("c", [1e77, 1.1e77, 1.2e77, 1e200,
+                                   np.float64(1e200)])
+    def test_gamma_past_the_double_range_is_refused(self, c):
+        # 2 c^4 overflows to inf above about 9.7e76, and c^4 itself above
+        # about 1.2e77, where c ** 4 raises OverflowError
+        for call in (gamma_of_c, OscParams):
+            with pytest.raises(DomainError, match=re.escape(repr(float(c)))):
+                call(c)
+        assert math.isfinite(gamma_of_c(1e76))
 
     def test_gamma_is_derived(self):
         osc = OscParams(1.3)

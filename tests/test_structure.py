@@ -3,9 +3,10 @@
 The evaluation cap (``KERNEL_RMAX``, ``KERNEL_MIN_DIST_ONE``) is checked in
 ``coherent`` alone, by ``coherent._check_cap``, and the blocking of the
 state tables lives in the library, so the CLI names no block constant.  The
-xi layout has one rule per panel, the Gauss-Kronrod pair, so the modules
-that build and sum it name neither Gauss-Legendre rule of
-``quadrature.integrate_halfline``.  The coherent-state overlap is one
+half line has one panel rule, the Gauss-Kronrod pair: no module but the
+oracles of ``reference`` names or builds a Gauss-Legendre panel rule, and
+the xi layout and ``quadrature.integrate_halfline`` share one routine of
+panel sums and one of panel edges.  The coherent-state overlap is one
 real Jacobi recurrence, with no gamma ratio, and the disk basis runs the
 same recurrence, ``orthopoly.jacobi_q``, with no monomial coefficients.
 ``bargmann`` has one transform route: the m = 0 reduction's 2F1 kernel
@@ -36,7 +37,7 @@ PACKAGE = Path(relbargmann.__file__).parent
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 CAP_NAMES = {"KERNEL_RMAX", "KERNEL_MIN_DIST_ONE"}
 BLOCK_NAMES = {"LAYOUT_BLOCK_NODES"}
-HALFLINE_RULE_NAMES = {"_COARSE_RULE", "_FINE_RULE"}
+LEGENDRE_RULE_NAMES = {"_COARSE_RULE", "_FINE_RULE"}
 M0_ROUTE_NAMES = {"gauss_2f1_vec", "log_gamma_ratio", "_m0_exponent"}
 COEFF_MATRIX_NAMES = {"_phi_coeff_rows", "_phi_coeff_matrix"}
 LAYOUT_NAMES = {"xi_layout", "state_end", "XI_LENGTH"}
@@ -78,9 +79,34 @@ def test_cli_names_no_block_constant():
     assert not _names(_parse("cli.py")) & BLOCK_NAMES
 
 
-@pytest.mark.parametrize("name", ["oscillator.py", "bargmann.py"])
+@pytest.mark.parametrize("name", sorted(
+    p.name for p in PACKAGE.glob("*.py") if p.name != "reference.py"))
 def test_layout_has_one_rule(name):
-    assert not _names(_parse(name)) & HALFLINE_RULE_NAMES
+    # the half line has one panel rule, the Gauss-Kronrod pair: no module
+    # but the oracles of reference names or builds a Gauss-Legendre panel
+    # rule, and quadrature calls leggauss in gauss_legendre alone
+    tree = _parse(name)
+    assert not _names(tree) & LEGENDRE_RULE_NAMES
+    inside = set()
+    if name == "quadrature.py":
+        inside = {id(node) for node in ast.walk(
+            _function(tree, "gauss_legendre"))}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and "leggauss" in _names(node.func)]
+    assert all(id(node) in inside for node in calls)
+
+
+def test_one_panel_sum_and_one_edge_walk():
+    quadrature, bargmann = _parse("quadrature.py"), _parse("bargmann.py")
+    oscillator = _parse("oscillator.py")
+    for tree, name in ((quadrature, "_bisected_panels"),
+                       (bargmann, "_panel_sums")):
+        names = _names(_function(tree, name))
+        assert "_kronrod_panels" in names and "hypot" not in names, name
+    for tree, name in ((quadrature, "integrate_halfline"),
+                       (oscillator, "xi_layout")):
+        names = _names(_function(tree, name))
+        assert "_panel_edges" in names and "cumsum" not in names, name
 
 
 def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
