@@ -133,23 +133,53 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _records_to_output(rows, columns: list[str], fmt: str, meta: dict) -> str:
-    """The text of ``rows``, tuples of the fields of ``columns`` in order:
-    a CSV table, or JSON with ``meta`` and one record (a dict) per row."""
+def _conversions(fields) -> list[str]:
+    """The %-conversion of each of ``fields`` in a CSV table: ``%.17g`` for
+    a float, numpy's too (f"{x:.17g}"), ``%s`` (str) for anything else."""
+    floats = {issubclass(t, float) for t in set(map(type, fields))}
+    if len(floats) == 2:  # floats and other fields: one conversion each
+        return ["%.17g" if isinstance(v, float) else "%s" for v in fields]
+    return ["%.17g" if True in floats else "%s"] * len(fields)
+
+
+def _row_texts(columns) -> list[str]:
+    """The CSV text of each row of ``columns``, one conversion a field."""
+    texts = [map(str.__mod__, _conversions(col), zip(col)) for col in columns]
+    return list(map(",".join, zip(*texts)))
+
+
+def _table_to_output(columns: dict, fmt: str, meta: dict,
+                     blocks: dict | None = None,
+                     keys: dict | None = None) -> str:
+    """The text of a table given by its columns, z-major in blocks: row j
+    of block i holds field i of each ``blocks`` column, field j of each
+    ``keys`` column (the same in every block) and field i n + j of each of
+    ``columns``, n the rows of a block; no ``blocks`` is one block.  A CSV
+    table, or JSON with ``meta`` and one record (a dict) per row.
+
+    The CSV text converts the fields of each block head and of each key
+    once, and a block's columns, with the key texts, in one % operation."""
+    blocks, keys = blocks or {}, keys or {}
+    names = [*blocks, *keys, *columns]
+    columns = list(columns.values())
+    # a head's text is part of a block's format string, a key's an argument
+    heads = [text.replace("%", "%%") + ","
+             for text in _row_texts(blocks.values())] or [""]
+    n = len(columns[0]) // len(heads)
     if fmt == "csv":
-        # one format string per row: "%.17g" for a float (f"{x:.17g}"),
-        # "%s" (str) for anything else, built once per tuple of field types
-        row_formats: dict[tuple, str] = {}
-        lines = [",".join(columns)]
-        for row in rows:
-            types = tuple(map(type, row))
-            row_fmt = row_formats.get(types)
-            if row_fmt is None:
-                row_fmt = row_formats[types] = ",".join(
-                    "%.17g" if issubclass(t, float) else "%s" for t in types)
-            lines.append(row_fmt % row)
+        key_texts = [_row_texts(keys.values())] if keys else []
+        lines = [",".join(names)]
+        for i, head in enumerate(heads if n else ()):
+            block = key_texts + [col[i * n:(i + 1) * n] for col in columns]
+            args = [None] * (len(block) * n)
+            for c, col in enumerate(block):
+                args[c::len(block)] = col
+            specs = map(",".join, zip(*map(_conversions, block)))
+            lines.append((head + ("\n" + head).join(specs)) % tuple(args))
         return "\n".join(lines) + "\n"
-    records = [dict(zip(columns, row)) for row in rows]
+    full = [*([v for v in col for _ in range(n)] for col in blocks.values()),
+            *(list(col) * len(heads) for col in keys.values()), *columns]
+    records = [dict(zip(names, row)) for row in zip(*full)]
     payload = {"meta": meta, "records": records}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -170,14 +200,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     by ``coherent.transform_kernel_series_grid``).  Every z and ``--w`` must
     meet ``coherent``'s cap |z| <= 0.85, and a kernel's z |1 - z| >= 0.2."""
     fn = args.function
+    blocks = keys = None
     if fn == "eigenfunction":
         if args.xi is None:
             raise ConfigError("eigenfunction evaluation needs --xi")
         osc = OscParams(args.c)
         xis = parse_xi(args.xi)
         vals = eigenfunction(args.k, osc, np.array(xis))
-        columns = ["xi", "re_val", "im_val"]
-        rows = zip(xis, vals.real.tolist(), vals.imag.tolist())
+        columns = {"xi": xis}
     else:
         if args.grid is None:
             raise ConfigError("this evaluation needs --grid")
@@ -202,9 +232,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 # <w|z> = conj(<z|w>), with w fixed; + 0.0 prints an exact
                 # zero (real z and w) as 0, never as -0
                 vals = np.conj(overlap(idx, w, zs)) + 0.0
-            columns = ["re_z", "im_z", "re_val", "im_val"]
-            rows = zip(zs.real.tolist(), zs.imag.tolist(), vals.real.tolist(),
-                       vals.imag.tolist())
+            columns = {"re_z": zs.real.tolist(), "im_z": zs.imag.tolist()}
         else:  # cs_wavefunction | kernel, on a z x xi grid
             if args.xi is None:
                 raise ConfigError(f"{fn} evaluation needs --xi")
@@ -213,16 +241,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
             _check_cap(points)
             params = ModelParams(OscParams(args.c), args.m)
             idx = params.landau_index()
-            table = transform_kernel_series_grid(params, points, xis)
-            columns = ["re_z", "im_z", "xi", "re_val", "im_val"]
-            rows = []
-            for z, vals in zip(points, table):
-                if fn == "cs_wavefunction":
-                    vals = _kernel_to_wavefunction(idx, z, vals)
-                rows += [(z.real, z.imag, *row) for row in
-                         zip(xis, vals.real.tolist(), vals.imag.tolist())]
+            vals = transform_kernel_series_grid(params, points, xis)
+            if fn == "cs_wavefunction":
+                for i, z in enumerate(points):
+                    vals[i] = _kernel_to_wavefunction(idx, z, vals[i])
+            # one block a z, its rows the xi: no field is converted twice
+            columns = {}
+            blocks = {"re_z": [z.real for z in points],
+                      "im_z": [z.imag for z in points]}
+            keys = {"xi": xis}
 
-    text = _records_to_output(rows, columns, args.format, _meta(args))
+    columns |= {"re_val": vals.real.ravel().tolist(),
+                "im_val": vals.imag.ravel().tolist()}
+    text = _table_to_output(columns, args.format, _meta(args), blocks, keys)
     _write_text(args.out, text)
     return EXIT_OK
 
@@ -273,11 +304,11 @@ def cmd_transform(args: argparse.Namespace) -> int:
         raise ConfigError("transform needs a nonempty --grid")
     params = ModelParams(OscParams(args.c), args.m)
     result = relativistic_transform_grid(params, sampled, points)
-    rows = zip(result.points.real.tolist(), result.points.imag.tolist(),
-               result.values.real.tolist(), result.values.imag.tolist(),
-               result.errors.tolist())
-    columns = ["re_z", "im_z", "re_val", "im_val", "quad_error"]
-    text = _records_to_output(rows, columns, args.format, _meta(args))
+    pts, vals = result.points, result.values
+    columns = {"re_z": pts.real.tolist(), "im_z": pts.imag.tolist(),
+               "re_val": vals.real.tolist(), "im_val": vals.imag.tolist(),
+               "quad_error": result.errors.tolist()}
+    text = _table_to_output(columns, args.format, _meta(args))
     _write_text(args.out, text)
     return EXIT_OK
 
@@ -322,8 +353,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     for m in range(args.m + 1):
         idx = ModelParams(osc, m).landau_index()
         rows.append(("landau", m, float(landau_level(idx))))
-    text = _records_to_output(rows, ["kind", "index", "value"], args.format,
-                              _meta(args))
+    columns = dict(zip(["kind", "index", "value"], zip(*rows)))
+    text = _table_to_output(columns, args.format, _meta(args))
     _write_text(args.out, text)
     return EXIT_OK
 

@@ -273,8 +273,9 @@ def suite_f5_reductions(config: dict) -> list[dict]:
     for m in (0, 1, 2):
         args = F5Args(c=1.2 + 0.5j, d=1.2 - 0.5j, e=1.7, a=2.4 + m,
                       a_prime=2.4, chi=0.15, zeta=0.2)
-        errors.append(abs(kdf_f5_series(args) - kdf_f5_integral(args)))
-        errors.append(abs(kdf_f5_series(args) - _f5_reduction(args)))
+        series = kdf_f5_series(args)
+        errors.append(abs(series - kdf_f5_integral(args)))
+        errors.append(abs(series - _f5_reduction(args)))
     checks.append(_check("f5-series-vs-integral", _worst(errors), tol_f5))
 
     # Pfaff transformation on randomized arguments, both sides summed as

@@ -118,6 +118,42 @@ def pairwise_rows(fn, c, m, k, zs, xis):
     return ["re_z", "im_z", "xi", "re_val", "im_val"], rows
 
 
+def records_to_output(rows, columns, fmt, meta):
+    """A CLI table's text written a row tuple at a time: the reference of
+    ``cli._table_to_output``, which takes the table as its columns."""
+    if fmt == "csv":
+        # one format string per row: "%.17g" for a float (f"{x:.17g}"),
+        # "%s" (str) for anything else, built once per tuple of field types
+        row_formats = {}
+        lines = [",".join(columns)]
+        for row in rows:
+            types = tuple(map(type, row))
+            row_fmt = row_formats.get(types)
+            if row_fmt is None:
+                row_fmt = row_formats[types] = ",".join(
+                    "%.17g" if issubclass(t, float) else "%s" for t in types)
+            lines.append(row_fmt % row)
+        return "\n".join(lines) + "\n"
+    records = [dict(zip(columns, row)) for row in rows]
+    payload = {"meta": meta, "records": records}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def grid_rows(fn, c, m, zs, xis):
+    """Columns and rows of a kernel or wave-function table from one grid
+    call, one row tuple per (z, xi) pair, z-major."""
+    params = ModelParams(OscParams(c), m)
+    table = coherent.transform_kernel_series_grid(params, zs, xis)
+    rows = []
+    for z, vals in zip(zs, table):
+        if fn == "cs_wavefunction":
+            vals = coherent._kernel_to_wavefunction(params.landau_index(), z,
+                                                    vals)
+        rows += [(z.real, z.imag, *row) for row in
+                 zip(xis, vals.real.tolist(), vals.imag.tolist())]
+    return ["re_z", "im_z", "xi", "re_val", "im_val"], rows
+
+
 def counting(fn, calls):
     def wrapped(*args, **kwargs):
         calls.append(np.size(args[-1]))
@@ -144,10 +180,34 @@ class TestOutput:
         for row in rows:
             want.append(",".join(f"{v:.17g}" if isinstance(v, float)
                                  else str(v) for v in row))
-        got = cli._records_to_output(rows, columns, "csv", {})
+        got = cli._table_to_output(dict(zip(columns, zip(*rows))), "csv", {})
         assert got == "\n".join(want) + "\n"
         assert "\ninf,inf,inf,inf\n-inf,-inf,-inf,-inf\n" in got
         assert "\n-0,-0,-0,-0\n" in got and "\nnan,nan,nan,nan\n" in got
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n_blocks, n", [(1, 0), (1, 5), (7, 1), (6, 9)])
+    def test_blocks_match_reference_rows(self, fmt, n_blocks, n):
+        # heads, keys and values of every kind, "50%" in a head's text among
+        # them; JSON takes the fields that json.dumps writes
+        fields = self.FIELDS if fmt == "csv" else [
+            v for v in self.FIELDS if type(v) in (float, int, bool, str)
+            or v is None]
+        rng = np.random.default_rng(n_blocks * 10 + n)
+
+        def column(size):
+            return [fields[i] for i in rng.integers(0, len(fields), size)]
+
+        blocks = {"b0": column(n_blocks), "b1": ["50%"] * n_blocks}
+        keys = {"key": column(n)}
+        values = {"v0": column(n_blocks * n), "v1": column(n_blocks * n)}
+        rows = [(*head, key, *vals) for i, head in
+                enumerate(zip(*blocks.values())) for key, vals in
+                zip(keys["key"], list(zip(*values.values()))[i * n:][:n])]
+        columns = [*blocks, *keys, *values]
+        meta = {"version": "x"}
+        assert cli._table_to_output(values, fmt, meta, blocks, keys) == \
+            records_to_output(rows, columns, fmt, meta)
 
 
 class TestEval:
@@ -166,8 +226,31 @@ class TestEval:
         got = out.read_bytes()
         columns, rows = pairwise_rows(fn, c, m, k, EVAL_Z, EVAL_XI)
         meta = json.loads(got)["meta"] if fmt == "json" else None
-        assert got == cli._records_to_output(rows, columns, fmt,
-                                             meta).encode()
+        assert got == records_to_output(rows, columns, fmt, meta).encode()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fn", ["kernel", "cs_wavefunction"])
+    @pytest.mark.parametrize("grid, xi", [
+        ("-0.3-0j,0.2+0.1j", "0.5,3.1"),  # a signed-zero z
+        ("0.2+0.1j,-0.4+0.3j,0.2+0.1j", "0,0.7,12.5"),  # a repeated z
+        ("0.1-0.6j,0.3", "0.7,2,0.7,0.7"),  # a repeated xi
+        ("0.25-0.15j", "0,1.5,40"),  # one z
+        ("-0.3-0j,0.1+0.5j", "lin:0:20:41"),
+        ("0.3+0.2j,-0.3-0j", ",")],  # no xi: the header alone
+        ids=["signed-zero-z", "repeated-z", "repeated-xi", "one-z", "lin-xi",
+             "empty-xi"])
+    def test_grid_table_matches_row_writer(self, tmp_path, fn, grid, xi,
+                                           fmt):
+        out = tmp_path / f"v.{fmt}"
+        assert run(["eval", "--function", fn, "--c", "0.6", "--m", "1",
+                    f"--grid={grid}", f"--xi={xi}", "--format", fmt,
+                    "--out", str(out)]) == 0
+        got = out.read_bytes()
+        columns, rows = grid_rows(fn, 0.6, 1, parse_grid(grid), parse_xi(xi))
+        meta = json.loads(got)["meta"] if fmt == "json" else None
+        assert got == records_to_output(rows, columns, fmt, meta).encode()
+        if not rows and fmt == "csv":
+            assert got == b"re_z,im_z,xi,re_val,im_val\n"
 
     @pytest.mark.parametrize("fn, name, k, calls, blocked_calls", [
         # one state table on the 19 xi > 0, then one a xi, since
@@ -208,8 +291,7 @@ class TestEval:
         assert out.read_bytes() == one
         columns, rows = pairwise_rows(fn, 1.0, 1, k, EVAL_Z[:2], xis)
         meta = json.loads(one)["meta"]
-        assert one == cli._records_to_output(rows, columns, "json",
-                                             meta).encode()
+        assert one == records_to_output(rows, columns, "json", meta).encode()
 
     @pytest.mark.parametrize("c, m, z, xi, tol", [
         # the F5 closed form gave 9147.86 - 7838.12i here
@@ -269,8 +351,7 @@ class TestEval:
         assert seen == [20]
         columns, rows = pairwise_rows("basis_phi", 0.8, 2, 5, zs, [])
         meta = json.loads(one)["meta"]
-        assert one == cli._records_to_output(rows, columns, "json",
-                                             meta).encode()
+        assert one == records_to_output(rows, columns, "json", meta).encode()
 
     @pytest.mark.parametrize("fn, xi, code, err", [
         (fn, xi, code, err)

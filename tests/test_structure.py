@@ -20,7 +20,8 @@ The cut takes a whole grid, and ``overlap_series`` cuts its farther labels
 there; the bilinear sums of ``verify`` are array calls, with no loop over
 their terms, and so are its series and stencil checks, by their count of
 library calls; the cut takes N(z) of a grid in one call.  An import kept
-only for the layer tracer of bench/tracing.py names one of its sites.
+only for the layer tracer of bench/tracing.py names one of its sites.  A
+CSV table's float format is spelled in ``cli._conversions`` alone.
 """
 
 import ast
@@ -291,3 +292,23 @@ def test_tracer_imports_name_their_sites():
         assert "looked up here by the layer tracer" in comment, module
         for name in names:
             assert module in sites.get(f"{source}.{name}", ()), (module, name)
+
+
+def _spellings(node: ast.AST, spec: str) -> list:
+    """Every string constant under ``node`` that contains ``spec``, format
+    specs of f-strings included."""
+    return [sub for sub in ast.walk(node) if isinstance(sub, ast.Constant)
+            and isinstance(sub.value, str) and spec in sub.value]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_float_format_is_spelled_in_one_routine(path):
+    # cli._conversions alone converts a float for a CSV table, so the
+    # blocks of a z x xi table cannot fork from the rows of another table
+    tree = _parse(path.name)
+    inside = []
+    if path.name == "cli.py":
+        inside = _spellings(_function(tree, "_conversions"), ".17g")
+        assert inside
+    assert _spellings(tree, ".17g") == inside
