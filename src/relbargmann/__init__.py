@@ -20,16 +20,16 @@ from .coherent import (CoherentLabel, cs_distance, cs_wavefunction,
                        overlap_series, transform_kernel, transform_kernel_series)
 from .disk import (LandauIndex, basis_gram, basis_phi, basis_phi_batch,
                    bergman_distance, landau_level, maass_apply_fd,
-                   measure_density, wirtinger_dzbar_fd)
+                   wirtinger_dzbar_fd)
 from .errors import (DomainError, InputFormatError, NonConvergenceError,
                      PoleError, RelBargmannError)
-from .hypergeom import gauss_2f1, pochhammer
+from .hypergeom import gauss_2f1
 from .orthopoly import jacobi_p, laguerre_l
 from .oscillator import (ModelParams, OscParams, eigenfunction,
                          eigenfunction_batch, energy, gamma_of_c,
                          oscillator_gram)
-from .quadrature import (QuadratureRule, gauss_jacobi, gauss_legendre,
-                         integrate_disk, integrate_halfline)
+from .quadrature import (QuadratureRule, gauss_jacobi, integrate_disk,
+                         integrate_halfline)
 
 __all__ = [
     "__version__",
@@ -40,14 +40,13 @@ __all__ = [
     "cs_wavefunction_oracle", "normalization", "overlap", "overlap_series",
     "transform_kernel", "transform_kernel_series",
     "LandauIndex", "basis_gram", "basis_phi", "basis_phi_batch",
-    "bergman_distance", "landau_level", "maass_apply_fd", "measure_density",
+    "bergman_distance", "landau_level", "maass_apply_fd",
     "wirtinger_dzbar_fd",
     "DomainError", "InputFormatError", "NonConvergenceError", "PoleError",
     "RelBargmannError",
-    "gauss_2f1", "pochhammer",
+    "gauss_2f1",
     "jacobi_p", "laguerre_l",
     "ModelParams", "OscParams", "eigenfunction", "eigenfunction_batch",
     "energy", "gamma_of_c", "oscillator_gram",
-    "QuadratureRule", "gauss_jacobi", "gauss_legendre", "integrate_disk",
-    "integrate_halfline",
+    "QuadratureRule", "gauss_jacobi", "integrate_disk", "integrate_halfline",
 ]

@@ -62,8 +62,9 @@ one routine of panel sums (``quadrature._kronrod_panels``).
 
 Every state, in the kernel, the projections of ``isometry_check`` and the
 Gram matrices alike, comes from the one factorisation conj(phi_k) =
-norms[k] P_k conj_pref of ``oscillator.conj_state_factors``, whose folded
-prefactor stays finite at large c.  The disk Gram matrix of
+norms[k] P_k conj_pref of ``oscillator.state_polynomials`` and
+``oscillator.conj_state_prefactor``, whose folded prefactor stays finite at
+large c.  The disk Gram matrix of
 ``isometry_check`` is cached per level.  Both caches (the layout and the
 Gram) are bounded ``lru_cache``s of read-only arrays, built elementwise or
 by the uncached code, so a cached result has the bits of an uncached one.
@@ -151,10 +152,6 @@ class TransformResult:
     values: np.ndarray
     params: ModelParams
     errors: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    @property
-    def quadrature_error(self) -> float:
-        return float(np.max(self.errors)) if len(self.errors) else 0.0
 
 
 def _as_callable(f):
@@ -412,11 +409,10 @@ def isometry_check(params: ModelParams, f) -> dict:
         raise NonConvergenceError(
             f"||f||^2 = {norm_f_sq:.3g} of a non-zero f is outside the range "
             "of normal doubles; rescale f")
-    # project_states' arithmetic, with the prefactor from the cached layout
-    # on the evaluated prefix alone: f is zero past it
-    factors = (*state_polynomials(_ISOMETRY_KMAX, params.osc, xi[:n]),
-               conj_pref[:n])
-    coeffs = _project(factors, weights[:n] * f_nodes[:n])
+    # the projections on the evaluated prefix alone, with the prefactor
+    # from the cached layout: f is zero past it
+    poly, norms = state_polynomials(_ISOMETRY_KMAX, params.osc, xi[:n])
+    coeffs = _project(poly, norms, conj_pref[:n], weights[:n] * f_nodes[:n])
     gram = _isometry_gram(params.landau_index())
     with np.errstate(over="ignore", invalid="ignore"):
         norm_B_sq = float((coeffs @ gram @ coeffs.conj()).real)

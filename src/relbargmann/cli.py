@@ -45,20 +45,19 @@ EVAL_READS = {"basis_phi": {"c", "m", "k", "sigma", "grid"},
               "kernel": {"c", "m", "grid", "xi"}}
 EVAL_FUNCTIONS = tuple(EVAL_READS)
 
-#: most points a ``mesh:`` or ``lin:`` spec may hold, and most (z, xi) pairs
-#: one ``eval`` request may tabulate; checked before anything is allocated.
-#: The package's one table limit, which ``oscillator_gram`` applies too
-MAX_GRID_POINTS = MAX_TABLE_ENTRIES
-
 
 class ConfigError(Exception):
     pass
 
 
 def _check_count(count: int, what: str) -> None:
-    if count > MAX_GRID_POINTS:
+    """ConfigError past the package's one table limit, MAX_TABLE_ENTRIES:
+    the most points a ``mesh:`` or ``lin:`` spec may hold, and the most
+    (z, xi) pairs one ``eval`` request may tabulate, checked before
+    anything is allocated."""
+    if count > MAX_TABLE_ENTRIES:
         raise ConfigError(f"{what} has {count} points, more than the limit "
-                          f"of {MAX_GRID_POINTS}")
+                          f"of {MAX_TABLE_ENTRIES}")
 
 
 def _finite(values: list, what: str, spec: str) -> list:

@@ -24,14 +24,13 @@ tail of |Phi_k(z)|^2, so the cut follows the level (sigma, m) as well as
 extended by the rows n + 1 .. 2n at each doubling of n, from which it
 returns each point's column Phi_0(z) .. Phi_K(z).  ``_kernel_coeffs``
 scales those columns, one cut per grid, so a transform or kernel point
-evaluates each row of its basis once; ``truncation_order`` is the K of a
-one-point cut, and ``overlap_series`` cuts the farther labels of all its
-pairs in one call.  The
-superposition route of the kernel, ``transform_kernel_series``, is the
-one sum ``_kernel_expansion`` that the transforms of ``bargmann``
-integrate, and ``transform_kernel_series_grid`` sums it on a grid of
-disk points and xi from one state table per block of xi: the route of
-``eval --function kernel`` and ``cs_wavefunction``.  The closed form is
+evaluates each row of its basis once, and ``overlap_series`` cuts the
+farther labels of all its pairs in one call.  The superposition route of
+the kernel, ``transform_kernel_series``, is the one sum
+``_kernel_expansion`` that the transforms of ``bargmann`` integrate, and
+``transform_kernel_series_grid`` sums it on a grid of disk points and xi
+from one state table per block of at most ``MAX_TABLE_ENTRIES`` entries:
+the route of ``eval --function kernel`` and ``cs_wavefunction``.  The closed form is
 checked against it; it holds to about 1e-14 relative on most of the
 validated domain, but is lost in places (at c = 2, m = 1,
 z = 0.479 - 0.379i, xi = 40 it is off by a factor of 3e9), where the
@@ -49,8 +48,9 @@ from .disk import LandauIndex, _basis_rows, basis_phi_batch, check_disk
 from .errors import DomainError, NonConvergenceError
 from .hypergeom import f5_kernel_vec
 from .orthopoly import jacobi_q, jacobi_q_steps
-from .oscillator import (LAYOUT_BLOCK_NODES, ModelParams, _check_xi,
-                         conj_state_factors, state_norms)
+from .oscillator import (MAX_TABLE_ENTRIES, ModelParams, _check_xi,
+                         conj_state_prefactor, state_norms,
+                         state_polynomials)
 from .special import log_gamma_ratio
 # looked up here by the layer tracer of bench/tracing.py
 from .oscillator import eigenfunction_batch  # noqa: F401
@@ -238,13 +238,6 @@ def _basis_cut(idx: LandauIndex, points) -> list[np.ndarray]:
     return columns
 
 
-def truncation_order(idx: LandauIndex, z) -> int:
-    """The order K at which every basis sum at the point z is cut, the
-    length of its ``_basis_cut`` column minus one (and its
-    NonConvergenceError)."""
-    return len(_basis_cut(idx, _one_point(z))[0]) - 1
-
-
 def overlap_series(idx: LandauIndex, z, w):
     """Overlap by the defining basis expansion,
     sum_k conj(Phi_k(w)) Phi_k(z) / (N(z) N(w))^(1/2), cut at the
@@ -369,7 +362,7 @@ def cs_wavefunction(label: CoherentLabel, xi):
 
 def cs_wavefunction_oracle(label: CoherentLabel, xi):
     """Wave function by the defining superposition
-    N(z)^(-1/2) sum_k conj(Phi_k(z)) phi_k(xi), cut at ``truncation_order``:
+    N(z)^(-1/2) sum_k conj(Phi_k(z)) phi_k(xi), cut at ``_basis_cut``:
     the conjugate of :func:`transform_kernel_series` over N(z)^(1/2)."""
     params, z = label.params, label.z
     scalar = np.ndim(xi) == 0
@@ -418,8 +411,9 @@ def _kernel_coeffs(params: ModelParams, points):
 def _kernel_expansion(z: complex, coeffs: np.ndarray, poly: np.ndarray,
                       conj_pref: np.ndarray) -> np.ndarray:
     """sum_{k<=kmax} Phi_k(z) conj(phi_k(xi)) on the nodes of the
-    ``conj_state_factors`` table ``poly`` of any order >= kmax and its
-    prefactor ``conj_pref``, with the ``_kernel_coeffs`` of z up to kmax.
+    ``state_polynomials`` table ``poly`` of any order >= kmax and the
+    ``conj_state_prefactor`` ``conj_pref`` there, with the
+    ``_kernel_coeffs`` of z up to kmax.
 
     The sum over k is two real products of the rows k <= kmax of the
     polynomial table, by ``einsum``: each node's value has the same bits
@@ -450,7 +444,7 @@ def transform_kernel_series_grid(params: ModelParams, points, xi) -> np.ndarray:
     Each point's basis column is evaluated once, by the cut that sets its
     order K(z) (``_kernel_coeffs``).  The states' polynomial table, up to
     the largest K, is built on blocks of the xi > 0, each of at most
-    max(1, LAYOUT_BLOCK_NODES // (K + 1)) nodes, and every point sums its
+    max(1, MAX_TABLE_ENTRIES // (K + 1)) nodes, and every point sums its
     own rows k <= K(z) of it.  Each value has the bits of
     :func:`transform_kernel_series` at its (z, xi) pair alone, whatever the
     blocking; the values at xi = 0 are 0.
@@ -462,10 +456,11 @@ def transform_kernel_series_grid(params: ModelParams, points, xi) -> np.ndarray:
         return out
     coeffs, kmax = _kernel_coeffs(params, pts)
     pos = np.flatnonzero(xi > 0)
-    block = max(1, LAYOUT_BLOCK_NODES // (kmax + 1))
+    block = max(1, MAX_TABLE_ENTRIES // (kmax + 1))
     for start in range(0, len(pos), block):
         cols = pos[start:start + block]
-        poly, _, conj_pref = conj_state_factors(kmax, params.osc, xi[cols])
+        poly, _ = state_polynomials(kmax, params.osc, xi[cols])
+        conj_pref = conj_state_prefactor(params.osc, xi[cols])
         for row, z, c in zip(out, pts, coeffs):
             row[cols] = _kernel_expansion(z, c, poly, conj_pref)
     return out
@@ -473,7 +468,7 @@ def transform_kernel_series_grid(params: ModelParams, points, xi) -> np.ndarray:
 
 def transform_kernel_series(params: ModelParams, z, xi) -> np.ndarray:
     """The transform kernel by its defining expansion
-    K(z, xi) = sum_k Phi_k(z) conj(phi_k(xi)), k <= ``truncation_order``,
+    K(z, xi) = sum_k Phi_k(z) conj(phi_k(xi)), k <= K(z) of ``_basis_cut``,
     the kernel the transforms integrate: the oracle of
     :func:`transform_kernel`, with no code in common with the F5 closed form
     and no cap on |z| or |1 - z|; the one-point case of

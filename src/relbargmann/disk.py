@@ -169,17 +169,6 @@ def basis_phi_batch(kmax: int, idx: LandauIndex, z) -> np.ndarray:
     return _basis_rows(0, kmax, idx, z)
 
 
-def measure_density(idx: LandauIndex, z) -> float:
-    """Density of the coherent-state measure against Lebesgue measure.
-
-    Equals (sigma - 2m - 1) / (pi (1 - |z|^2)^2).
-    """
-    zz = check_disk(z)
-    r = np.abs(np.asarray(zz)) ** 2
-    out = (idx.sigma - 2 * idx.m - 1.0) / (np.pi * (1.0 - r) ** 2)
-    return out if np.shape(out) else float(out)
-
-
 def _stencil_point(z, dx: float, dy: float):
     """z shifted by dx + i dy, each part shifted exactly (a zero shift
     leaves its part as it is): the Python complex complex(x + dx, y + dy)
@@ -198,14 +187,23 @@ def _stencil_center(z):
     return np.asarray(z, dtype=complex) if np.ndim(z) else complex(z)
 
 
+def _check_step(h) -> None:
+    """DomainError unless the stencil step h is finite and nonzero."""
+    if not (math.isfinite(h) and h != 0):
+        raise DomainError(f"finite-difference step must be finite and "
+                          f"nonzero, got {h!r}")
+
+
 def wirtinger_dzbar_fd(psi, z, h: float = DEFAULT_FD_STEP):
     """Central finite-difference d(psi)/d(zbar) = (d/dx + i d/dy)/2 at z.
 
     ``z`` is a point or an array of points.  psi is called once per
     stencil point: on a Python complex at a scalar z, so a psi that takes
     scalars alone works there, and on an array of the shape of z at an
-    array z, where psi's values may carry trailing axes of their own.
+    array z, where psi's values may carry trailing axes of their own.  A
+    step h that is not finite and nonzero raises DomainError.
     """
+    _check_step(h)
     z = _stencil_center(z)
     dx = (psi(_stencil_point(z, h, 0.0))
           - psi(_stencil_point(z, -h, 0.0))) / (2.0 * h)
@@ -230,10 +228,12 @@ def maass_apply_fd(idx: LandauIndex, psi, z, h: float = DEFAULT_FD_STEP):
     Raises
     ------
     DomainError
-        If a z is within 2h of the unit circle, or not finite.
+        If the step h is not finite and nonzero, or a z is within 2|h| of
+        the unit circle, or not finite.
     """
+    _check_step(h)
     z = _stencil_center(z)
-    if not np.all(abs(z) + 2.0 * h < 1.0):
+    if not np.all(abs(z) + 2.0 * abs(h) < 1.0):
         raise DomainError("finite-difference stencil too close to the boundary")
 
     def at(dx, dy):

@@ -24,7 +24,6 @@ import math
 import numpy as np
 
 from .errors import DomainError, NonConvergenceError, PoleError, _check_order
-from .special import loggamma
 
 _EPS = float(np.finfo(float).eps)
 MAX_SERIES_TERMS = 10_000
@@ -57,24 +56,6 @@ def _check_finite(*values) -> None:
         ok = np.isfinite(v)
         if not ok.all():
             _finite(np.ravel(v)[np.argmin(np.ravel(ok))])
-
-
-def pochhammer(a, n: int) -> complex:
-    """Rising factorial (a)_n = a (a+1) ... (a+n-1); empty product for n = 0.
-
-    The product is taken for n <= 128 and whenever a is a nonpositive
-    integer, where the log-gamma route would meet poles; otherwise
-    exp(loggamma(a + n) - loggamma(a)).  DomainError for a non-finite a.
-    """
-    n = _check_order(n, "pochhammer order")
-    a = _finite(a)
-    if n <= 128 or _nonpos_int(a) is not None:
-        out = 1.0 + 0.0j
-        for i in range(n):
-            out *= a + i
-        return out
-    # exp is 2*pi*i periodic, so the branch constant in loggamma cancels
-    return complex(np.exp(loggamma(a + n) - loggamma(a)))
 
 
 # ---------------------------------------------------------------------------

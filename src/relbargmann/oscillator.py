@@ -99,12 +99,10 @@ XI_LENGTH = 40.0
 #: one xi layout of c ends at ``state_end(_ISOMETRY_KMAX, osc)``
 _ISOMETRY_KMAX = 20
 #: most entries of a table built in one piece: the Gram matrices' basis
-#: tables here and in ``verify``, and the grids and (z, xi) pairs of the
-#: CLI; each is counted before anything is allocated
+#: tables here and in ``verify``, the grids and (z, xi) pairs of the CLI,
+#: each counted before anything is allocated, and a block of the state
+#: table of ``coherent.transform_kernel_series_grid``
 MAX_TABLE_ENTRIES = 1_000_000
-#: most entries of one block of the state tables of
-#: ``coherent.transform_kernel_series_grid``
-LAYOUT_BLOCK_NODES = 16384
 
 
 def state_end(kmax: int, osc: OscParams) -> float:
@@ -154,17 +152,6 @@ def _log_norms(kmax: int, gamma: float) -> np.ndarray:
             - math.lgamma(2.0 * gamma) - math.lgamma(gamma + 0.5))
 
 
-def _state_prefactor(osc: OscParams, xi: np.ndarray,
-                     log_scale: float = 0.0) -> np.ndarray:
-    """The k-independent factor sqrt(2) i^gamma c^(-4 i xi)
-    Gamma(gamma + i xi)^2 / Gamma(i xi) of every phi_k, at xi > 0, times
-    exp(log_scale), which is added to its exponent."""
-    gamma = osc.gamma
-    lpref = (0.5 * math.log(2.0) + log_scale + 1j * math.pi * gamma / 2.0
-             - 4j * xi * math.log(osc.c) + log_gamma_ratio(gamma, xi))
-    return np.exp(lpref)
-
-
 def _check_xi(xi) -> np.ndarray:
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     bad = ~(np.isfinite(xi) & (xi >= 0))
@@ -180,9 +167,9 @@ def eigenfunction_batch(kmax: int, osc: OscParams, xi) -> np.ndarray:
 
     Large-k evaluation goes through the normalised three-term recurrence of
     the continuous dual Hahn family, so the stack is stable for hundreds of
-    levels.  phi_k = norms[k] P_k conj(conj_pref) from the
-    :func:`conj_state_factors`, whose folded prefactor stays finite at
-    large c.
+    levels.  phi_k = norms[k] P_k conj(conj_pref), from
+    :func:`state_polynomials` and :func:`conj_state_prefactor`, whose folded
+    prefactor stays finite at large c.
 
     Raises
     ------
@@ -197,7 +184,8 @@ def eigenfunction_batch(kmax: int, osc: OscParams, xi) -> np.ndarray:
     out = np.zeros((kmax + 1, len(xi)), dtype=complex)
     pos = xi > 0
     if np.any(pos):
-        poly, norms, conj_pref = conj_state_factors(kmax, osc, xi[pos])
+        poly, norms = state_polynomials(kmax, osc, xi[pos])
+        conj_pref = conj_state_prefactor(osc, xi[pos])
         out[:, pos] = norms[:, None] * poly * np.conj(conj_pref)[None, :]
     if not np.isfinite(out).all():
         raise NonConvergenceError(
@@ -206,35 +194,13 @@ def eigenfunction_batch(kmax: int, osc: OscParams, xi) -> np.ndarray:
     return out
 
 
-def project_states(kmax: int, osc: OscParams, xi, values) -> np.ndarray:
-    """sum_n conj(phi_k(xi_n)) values_n for k = 0..kmax.
-
-    With quadrature weights folded into ``values`` these are the projections
-    <f, phi_k>.  Since conj(phi_k) = norms[k] P_k conj_pref with P_k the
-    real normalised polynomial (:func:`conj_state_factors`), only the real
-    polynomial table is built, never the complex state stack.
-
-    Raises
-    ------
-    DomainError
-        If kmax is not a nonnegative integer, or xi is not finite and >= 0.
-    NonConvergenceError
-        If a sum is not finite: at large k and xi the polynomials overflow
-        while the prefactor underflows to 0 (from xi near 455 at k = 8000).
-    """
-    kmax = _check_order(kmax, "projection order kmax")
-    xi = _check_xi(xi)
-    values = np.asarray(values, dtype=complex)
-    pos = xi > 0
-    return _project(conj_state_factors(kmax, osc, xi[pos]), values[pos])
-
-
 @np.errstate(over="ignore", invalid="ignore")  # non-finite sums are raised below
-def _project(factors, values: np.ndarray) -> np.ndarray:
-    """sum_n conj(phi_k(xi_n)) values_n from the ``conj_state_factors``
-    ``(poly, norms, conj_pref)`` at nodes xi_n > 0, by two real products
-    with the polynomial table."""
-    poly, norms, conj_pref = factors
+def _project(poly: np.ndarray, norms: np.ndarray, conj_pref: np.ndarray,
+             values: np.ndarray) -> np.ndarray:
+    """sum_n conj(phi_k(xi_n)) values_n from the factors norms[k] poly[k]
+    conj_pref of conj(phi_k) at nodes xi_n > 0 (:func:`state_polynomials`
+    and :func:`conj_state_prefactor`), by two real products with the
+    polynomial table, never the complex state stack."""
     weighted = conj_pref * values
     sums = poly @ weighted.real + 1j * (poly @ weighted.imag)
     if not np.isfinite(sums).all():
@@ -259,10 +225,12 @@ def state_norms(kmax: int, osc: OscParams) -> np.ndarray:
 @np.errstate(over="ignore", invalid="ignore")  # the kernel sum checks finiteness
 def state_polynomials(kmax: int, osc: OscParams, xi):
     """``(poly, norms)``: the real normalised polynomial table of phi_0 ..
-    phi_kmax at the nodes xi, as in :func:`project_states`, and the norm
-    ratios norm_k / norm_0 (:func:`state_norms`), the k-dependent factors
-    of conj(phi_k) = norms[k] * poly[k] * ``conj_state_prefactor``; a kmax
-    that is not a nonnegative integer raises DomainError."""
+    phi_kmax at the nodes xi and the norm ratios norm_k / norm_0
+    (:func:`state_norms`), the k-dependent factors of
+    conj(phi_k) = norms[k] * poly[k] * ``conj_state_prefactor``: the one
+    factorisation of the states that every table, projection, Gram matrix
+    and kernel sum of the package uses.  A kmax that is not a nonnegative
+    integer raises DomainError."""
     kmax = _check_order(kmax, "state order kmax")
     gamma = osc.gamma
     poly = cdhahn_normalized_batch(kmax, xi, gamma, gamma, 0.5)
@@ -271,24 +239,20 @@ def state_polynomials(kmax: int, osc: OscParams, xi):
 
 @np.errstate(over="ignore", invalid="ignore")  # the kernel sum checks finiteness
 def conj_state_prefactor(osc: OscParams, xi) -> np.ndarray:
-    """The conjugated prefactor of every phi_k at nodes xi > 0, with the log
-    of the k = 0 norm folded into its exponent.
+    """The conjugated k-independent factor sqrt(2) i^gamma c^(-4 i xi)
+    Gamma(gamma + i xi)^2 / Gamma(i xi) of every phi_k at nodes xi > 0,
+    with the log of the k = 0 norm folded into its exponent.
 
     Apart, the prefactor overflows and norm_0 underflows once gamma is large
     (norm_0 = exp(-813) against a prefactor of exp(739) and more at c = 12);
     the folded factor stays finite.  Elementwise: its value at a node has the
     same bits whatever the other nodes.
     """
-    return np.conj(_state_prefactor(osc, xi, _log_norms(0, osc.gamma)[0]))
-
-
-def conj_state_factors(kmax: int, osc: OscParams, xi):
-    """conj(phi_k(xi)) for k = 0..kmax at nodes xi > 0 as the three factors
-    ``(poly, norms, conj_pref)`` of norms[k] * poly[k] * conj_pref, from
-    :func:`state_polynomials` and :func:`conj_state_prefactor`: the one
-    factorisation of the states that every table, projection, Gram matrix
-    and kernel sum of the package uses."""
-    return (*state_polynomials(kmax, osc, xi), conj_state_prefactor(osc, xi))
+    gamma = osc.gamma
+    lpref = (0.5 * math.log(2.0) + _log_norms(0, gamma)[0]
+             + 1j * math.pi * gamma / 2.0 - 4j * xi * math.log(osc.c)
+             + log_gamma_ratio(gamma, xi))
+    return np.conj(np.exp(lpref))
 
 
 def _panel_count(osc: OscParams, end: float) -> int:

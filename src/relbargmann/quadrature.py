@@ -1,9 +1,10 @@
 """Deterministic quadrature engines.
 
-Three geometries are covered: finite-interval Gauss rules (Legendre and
-Jacobi), panel-wise integration on the half line for integrands with
-exponential-type decay, and polar-coordinate integration on the unit disk
-against a Jacobi-type radial weight.
+Three geometries are covered: finite-interval Gauss-Jacobi rules
+(``gauss_jacobi``, Gauss-Legendre at alpha = beta = 0), panel-wise
+integration on the half line for integrands with exponential-type decay,
+and polar-coordinate integration on the unit disk against a Jacobi-type
+radial weight.
 
 The half line has one panel rule, the 21-point Gauss-Kronrod rule with its
 embedded 10-point Gauss rule (``_KRONROD_RULE``), one routine for the panel
@@ -45,15 +46,6 @@ class QuadratureRule:
             raise DomainError("quadrature weights must be positive")
 
 
-def gauss_legendre(n: int) -> QuadratureRule:
-    """Standard n-point Gauss-Legendre rule on (-1, 1)."""
-    n = _check_order(n, "node count")
-    if not 1 <= n <= MAX_RULE_SIZE:
-        raise DomainError(f"node count must be in [1, {MAX_RULE_SIZE}], got {n}")
-    x, w = leggauss(n)
-    return QuadratureRule(nodes=x, weights=w)
-
-
 def gauss_jacobi(n: int, alpha: float, beta: float) -> QuadratureRule:
     """Gauss-Jacobi rule for the weight (1-x)^alpha (1+x)^beta on (-1, 1).
 
@@ -69,7 +61,7 @@ def gauss_jacobi(n: int, alpha: float, beta: float) -> QuadratureRule:
     an x86-64 machine (three times scipy's ``roots_jacobi``), and 130 MB
     and some seconds at MAX_RULE_SIZE.  So each rule is built once per
     (n, alpha, beta) and cached (64 entries of read-only arrays).
-    alpha = beta = 0 is ``gauss_legendre``.
+    alpha = beta = 0 is the Gauss-Legendre rule, numpy's ``leggauss``.
     """
     n = _check_order(n, "node count")
     if not 1 <= n <= MAX_RULE_SIZE:
@@ -77,8 +69,9 @@ def gauss_jacobi(n: int, alpha: float, beta: float) -> QuadratureRule:
     if not (-1 < alpha < math.inf and -1 < beta < math.inf):
         raise DomainError("Jacobi weight exponents must be finite and exceed -1")
     if alpha == 0 and beta == 0:
-        return gauss_legendre(n)
-    x, w = _jacobi_rule(n, float(alpha), float(beta))
+        x, w = leggauss(n)
+    else:
+        x, w = _jacobi_rule(n, float(alpha), float(beta))
     return QuadratureRule(nodes=x, weights=w)
 
 
@@ -270,13 +263,16 @@ def integrate_halfline(f, decay_scale: float = 1.0, tol: float = 1e-10):
 
     Raises
     ------
+    DomainError
+        If decay_scale or tol is not finite and positive.
     InputFormatError
         If f does not return one value for each node.
     NonConvergenceError
         If the tail has not become negligible by ``64 * decay_scale``.
     """
-    if decay_scale <= 0 or tol <= 0:
-        raise DomainError("decay_scale and tol must be positive")
+    if not (0 < decay_scale < math.inf and 0 < tol < math.inf):
+        raise DomainError("decay_scale and tol must be finite and positive, "
+                          f"got {decay_scale!r} and {tol!r}")
     width = max(decay_scale, 1e-3)
     max_length = 64.0 * decay_scale
     n_panels = math.ceil(max_length / width)

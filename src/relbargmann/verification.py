@@ -170,11 +170,17 @@ def suite_eigen_equation(config: dict) -> list[dict]:
     return checks
 
 
-def _srivastava_rao_sides(t, g, alpha, x, y, n_terms=80):
+#: the number of terms of the sum on the left side of each bilinear relation
+_SRIVASTAVA_RAO_TERMS = 80
+_SARAN_TERMS = 60
+
+
+def _srivastava_rao_sides(t, g, alpha, x, y):
     """Both sides of the Srivastava-Rao bilinear generating relation,
     sum_n n! t^n / (1 + alpha)_n P_n^(g-n, alpha)(x) P_n^(g-n, alpha)(y),
-    its terms from one ``jacobi_p`` call on the degrees n < n_terms."""
-    n = np.arange(n_terms)
+    its terms from one ``jacobi_p`` call on the degrees
+    n < _SRIVASTAVA_RAO_TERMS."""
+    n = np.arange(_SRIVASTAVA_RAO_TERMS)
     coef = np.cumprod(np.concatenate([[1.0], n[1:] / (alpha + n[1:])]))
     px, py = jacobi_p(n, g - n, alpha, np.array([[x], [y]]))
     lhs = complex(np.sum(coef * t ** n * px * py))
@@ -194,17 +200,18 @@ def suite_srivastava_rao(config: dict) -> list[dict]:
     return [_check("srivastava-rao-bilinear", worst, tol)]
 
 
-def _saran_sides(g, mm, cpar, theta, V, y, n_terms=60):
+def _saran_sides(g, mm, cpar, theta, V, y):
     """Both sides of Saran's reduced bilinear relation,
     sum_k theta^k P_k^(alpha-k, beta-k)(V) 2F1(-k, cpar; b; y).  The
-    terminating 2F1 of every k < n_terms is one row of a term table,
+    terminating 2F1 of every k < _SARAN_TERMS is one row of a term table,
     C(k, j) (cpar)_j / (b)_j (-y)^j, j <= k, with C(k, j) = 0 past k, and
     the Jacobi factors are one ``jacobi_p`` call."""
     alpha, beta, b = -2.0 * g - mm, float(mm), 2.0 * g
-    k = np.arange(n_terms)
+    k = np.arange(_SARAN_TERMS)
     j = k[1:]
     binom = np.cumprod(np.concatenate(
-        [np.ones((n_terms, 1)), (k[:, None] - j + 1.0) / j], axis=1), axis=1)
+        [np.ones((_SARAN_TERMS, 1)), (k[:, None] - j + 1.0) / j], axis=1),
+        axis=1)
     ratio = np.cumprod(np.concatenate([[1.0], (cpar + j - 1.0) / (b + j - 1.0)
                                        * -y]))
     gauss = (binom * ratio).sum(axis=1)

@@ -17,11 +17,11 @@ from relbargmann import cli, coherent, oscillator
 from relbargmann.bargmann import SampledFunction, oscillator_mode
 from relbargmann.cli import ConfigError, main, parse_grid, parse_xi
 from relbargmann.coherent import (CoherentLabel, cs_wavefunction_oracle,
-                                  overlap, transform_kernel_series,
-                                  truncation_order)
+                                  overlap, transform_kernel_series)
 from relbargmann.disk import basis_phi
 from relbargmann.errors import InputFormatError
 from relbargmann.oscillator import ModelParams, OscParams, eigenfunction
+from test_coherent import truncation_order
 
 
 def run(args):
@@ -71,7 +71,7 @@ class TestParsers:
         assert peak < 1 << 20
 
     def test_size_limit_boundary(self, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 12)
+        monkeypatch.setattr(cli, "MAX_TABLE_ENTRIES", 12)
         assert len(parse_xi("lin:0:1:12")) == 12
         assert len(parse_grid("mesh:0:0.1:3,0:0.1:4")) == 12
         with pytest.raises(ConfigError):
@@ -255,8 +255,8 @@ class TestEval:
     @pytest.mark.parametrize("fn, name, k, calls, blocked_calls", [
         # one state table on the 19 xi > 0, then one a xi, since
         # 7 // (K + 1) = 0 for the largest truncation order K
-        ("kernel", "conj_state_factors", 0, 1, 19),
-        ("cs_wavefunction", "conj_state_factors", 0, 1, 19),
+        ("kernel", "state_polynomials", 0, 1, 19),
+        ("cs_wavefunction", "state_polynomials", 0, 1, 19),
         # oscillator.eigenfunction builds row k alone, on the 19 xi > 0 in
         # one piece whatever the block size
         ("eigenfunction", "conj_state_prefactor", 2, 1, 1)])
@@ -273,7 +273,7 @@ class TestEval:
         assert run(argv) == 0
         one = out.read_bytes()
         assert len(seen) == calls and sum(seen) == nodes
-        monkeypatch.setattr(owner, "LAYOUT_BLOCK_NODES", 7)
+        monkeypatch.setattr(owner, "MAX_TABLE_ENTRIES", 7)
         del seen[:]
         assert run(argv) == 0
         assert len(seen) == blocked_calls and sum(seen) == nodes
@@ -284,7 +284,7 @@ class TestEval:
         params = ModelParams(OscParams(1.0), 1)
         kmax = max(truncation_order(params.landau_index(), z)
                    for z in EVAL_Z[:2])
-        monkeypatch.setattr(coherent, "LAYOUT_BLOCK_NODES", 4 * (kmax + 1) + 3)
+        monkeypatch.setattr(coherent, "MAX_TABLE_ENTRIES", 4 * (kmax + 1) + 3)
         del seen[:]
         assert run(argv) == 0
         assert seen == [4, 4, 4, 4, 3]
@@ -614,7 +614,7 @@ class TestEval:
         assert "tol must lie in [1e-12, 1e-2]" in capsys.readouterr().err
 
     def test_pair_count_limit_exit_2(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_GRID_POINTS", 12)
+        monkeypatch.setattr(cli, "MAX_TABLE_ENTRIES", 12)
         out = tmp_path / "k.csv"
         argv = ["eval", "--function", "kernel", "--grid", "0.1,0.2,0.3",
                 "--out", str(out)]
@@ -639,6 +639,28 @@ class TestEval:
         assert code == 2 and not out.exists()
         assert capsys.readouterr().err == (
             "config error: function eigenfunction does not read sigma\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eigenfunction", "--k", "1"], "eigenfunction evaluation needs --xi"),
+        (["kernel", "--grid", "0.1"], "kernel evaluation needs --xi"),
+        (["cs_wavefunction", "--grid", "0.1"],
+         "cs_wavefunction evaluation needs --xi"),
+        (["basis_phi"], "this evaluation needs --grid"),
+        (["basis_phi", "--grid", ","], "empty z grid"),
+        (["basis_phi", "--grid", "mesh:0:0.1:3"],
+         "bad mesh spec 'mesh:0:0.1:3'"),
+        (["kernel", "--grid", "0.1", "--xi", "lin:0:1"],
+         "bad xi spec 'lin:0:1'"),
+        (["overlap", "--grid", "0.1", "--w", "0.1,0.2"],
+         "--w needs one disk point, got '0.1,0.2'")],
+        ids=["eigenfunction-no-xi", "kernel-no-xi", "cs-no-xi", "no-grid",
+             "empty-grid", "bad-mesh", "bad-lin", "two-w"])
+    def test_missing_or_malformed_input_exit_2(self, tmp_path, capsys, argv,
+                                               message):
+        out = tmp_path / "e.csv"
+        assert run(["eval", "--function", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("fn, flag", [
         (fn, flag) for fn in cli.EVAL_FUNCTIONS
@@ -731,7 +753,7 @@ def test_count_flags_typed_exit(tmp_path, capsys, argv, message):
 def test_gram_table_limit_boundary(tmp_path, monkeypatch, suite):
     from relbargmann.verification import gram_table_entries
 
-    monkeypatch.setattr(cli, "MAX_GRID_POINTS", gram_table_entries(suite, 2))
+    monkeypatch.setattr(cli, "MAX_TABLE_ENTRIES", gram_table_entries(suite, 2))
     argv = ["verify", "--suite", suite, "--out", str(tmp_path / "r.json")]
     assert run(argv + ["--kmax", "2"]) == 0
     assert run(argv + ["--kmax", "3"]) == 2

@@ -20,8 +20,7 @@ from relbargmann.coherent import (K_CAP, TAIL_LEVEL, CoherentLabel,
                                   cs_wavefunction_oracle, normalization,
                                   overlap, overlap_series, transform_kernel,
                                   transform_kernel_series,
-                                  transform_kernel_series_grid,
-                                  truncation_order)
+                                  transform_kernel_series_grid)
 from relbargmann.disk import LandauIndex, basis_phi_batch
 from relbargmann.errors import DomainError, NonConvergenceError
 from relbargmann.oscillator import (ModelParams, OscParams, eigenfunction,
@@ -33,6 +32,13 @@ def radial_profiles(kmax, idx, r):
     |z|^2 = r (an array): |Phi_k(z)| = (1-r)^-m |g_k| on the circle."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
     return basis_phi_batch(kmax, idx, np.sqrt(r)).real * (1.0 - r) ** idx.m
+
+
+def truncation_order(idx, z):
+    """The order K(z) at which every basis sum at the point z is cut: the
+    length of its ``_basis_cut`` column minus one."""
+    (column,) = coherent._basis_cut(idx, [z])
+    return len(column) - 1
 
 
 def radial_truncation_order(idx, z):
@@ -676,7 +682,7 @@ def kernel_calls(monkeypatch):
     """Counts the calls of the kernels' building blocks."""
     calls = []
     for owner, name in ((coherent, "f5_kernel_vec"),
-                        (coherent, "conj_state_factors"),
+                        (coherent, "state_polynomials"),
                         (coherent, "basis_phi_batch"),
                         (bargmann, "state_polynomials"),
                         (hypergeom, "gauss_2f1_vec")):

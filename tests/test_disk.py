@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from relbargmann import disk
 from relbargmann.disk import (LandauIndex, basis_gram, basis_phi,
                               basis_phi_batch, bergman_distance, landau_level,
-                              maass_apply_fd, measure_density,
-                              wirtinger_dzbar_fd)
+                              maass_apply_fd, wirtinger_dzbar_fd)
 from relbargmann.errors import DomainError, NonConvergenceError
 from relbargmann.orthopoly import jacobi_p
 from relbargmann.oscillator import ModelParams, OscParams, gamma_of_c
@@ -341,19 +340,6 @@ def test_disk_side_map_full(c, m):
     assert disk_side_error(c, m, ks, zs) <= MAP_TOL[c]
 
 
-class TestMeasureDensity:
-    def test_at_origin(self):
-        idx = LandauIndex(7.5, 1)
-        want = (7.5 - 2.0 - 1.0) / math.pi
-        assert abs(measure_density(idx, 0.0) - want) < 1e-15
-
-    def test_radial_growth(self):
-        idx = LandauIndex(5.0, 0)
-        r = 0.99
-        want = (5.0 - 1.0) / (math.pi * (1.0 - r ** 2) ** 2)
-        assert abs(measure_density(idx, r) - want) < 1e-9 * want
-
-
 class TestMaassOperator:
     def test_kills_constants(self):
         idx = LandauIndex(6.0, 1)
@@ -471,3 +457,31 @@ class TestStencilsOverArrays:
             maass_apply_fd(self.IDX, self.psi, np.array([0.1, 0.9999]), 1e-3)
         with pytest.raises(DomainError):
             maass_apply_fd(self.IDX, self.psi, np.array([0.1, math.nan]))
+
+    @pytest.mark.parametrize("h", [0.0, -0.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("z", [0.2 + 0.1j, np.array([0.2 + 0.1j, -0.3j])],
+                             ids=["scalar", "array"])
+    def test_step_must_be_finite_and_nonzero(self, h, z):
+        # h = 0 raised ZeroDivisionError at a scalar z and gave NaN at an
+        # array z; wirtinger_dzbar_fd gave NaN at h = NaN or inf
+        calls = []
+
+        def psi(w):
+            calls.append(w)
+            return self.psi(w)
+
+        with pytest.raises(DomainError, match="step"):
+            maass_apply_fd(self.IDX, psi, z, h)
+        with pytest.raises(DomainError, match="step"):
+            wirtinger_dzbar_fd(psi, z, h)
+        assert calls == []
+
+    def test_negative_step_keeps_the_boundary_test(self):
+        # the stencil reaches 2|h| from z whatever the sign of h; with
+        # h = -1e-3 the point 0.9985 passed the test on |z| + 2h
+        with pytest.raises(DomainError, match="too close"):
+            maass_apply_fd(self.IDX, self.psi, 0.9985, -1e-3)
+        z = 0.3 + 0.2j
+        minus = maass_apply_fd(self.IDX, self.psi, z, -1e-4)
+        plus = maass_apply_fd(self.IDX, self.psi, z, 1e-4)
+        assert abs(minus - plus) < 1e-7 * (1.0 + abs(plus))

@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
-from relbargmann.errors import DomainError, NonConvergenceError, PoleError
-from relbargmann.hypergeom import (_nonpos_int, _series_2f1_vec,
-                                   f5_kernel_vec, gauss_2f1, gauss_2f1_vec,
-                                   pochhammer)
+from relbargmann.errors import (DomainError, NonConvergenceError, PoleError,
+                                _check_order)
+from relbargmann.hypergeom import (_finite, _nonpos_int, _series_2f1_vec,
+                                   f5_kernel_vec, gauss_2f1, gauss_2f1_vec)
 from relbargmann.orthopoly import jacobi_p, laguerre_l
 from relbargmann.oscillator import OscParams
-from relbargmann.quadrature import gauss_jacobi, gauss_legendre
+from relbargmann.quadrature import gauss_jacobi
 from relbargmann.reference import (F5Args, appell_f1, kdf_f5_integral,
                                    kdf_f5_series)
 from relbargmann.special import loggamma
@@ -51,6 +51,19 @@ def _scalar_series_2f1(a, b, c, w):
         else:
             small = 0
     raise AssertionError("reference series did not settle")
+
+
+def pochhammer(a, n) -> complex:
+    """Rising factorial (a)_n = a (a+1) ... (a+n-1) as the product, 1 for
+    n = 0: the reference of the Appell collapse below and of the
+    continuous dual Hahn polynomials of test_orthopoly.py.  An order that
+    is not a nonnegative integer, or a non-finite a, raises DomainError."""
+    n = _check_order(n, "pochhammer order")
+    a = _finite(a)
+    out = 1.0 + 0.0j
+    for i in range(n):
+        out *= a + i
+    return out
 
 
 def hyp3f2_terminating_unit(n: int, a2, a3, b1, b2) -> complex:
@@ -95,6 +108,8 @@ class TestLnGamma:
 
 
 class TestPochhammer:
+    """The reference ``pochhammer`` of the tests."""
+
     def test_empty_product(self):
         assert pochhammer(1.7 + 0.3j, 0) == 1.0
 
@@ -107,24 +122,14 @@ class TestPochhammer:
         ratio = np.exp(loggamma(a + n) - loggamma(a))
         assert abs(pochhammer(a, n) - ratio) < 1e-12 * abs(ratio)
 
-    def test_large_order_switches_to_gamma(self):
-        # n = 140 exceeds the direct-product threshold but stays clear of
-        # double-precision overflow
-        a = 0.3 + 0.2j
-        direct = 1.0 + 0.0j
-        for i in range(140):
-            direct *= a + i
-        assert abs(pochhammer(a, 140) - direct) < 1e-10 * abs(direct)
-
     def test_terminating_zero(self):
         assert pochhammer(-3.0, 5) == 0.0
 
     @pytest.mark.parametrize("q, n", [(150, 140), (129, 129), (200, 129),
                                       (250, 130), (140, 141), (150, 151)])
     def test_nonpositive_integer_past_128(self, q, n):
-        # a = -q with n > 128 took exp(loggamma(a + n) - loggamma(a)) at two
-        # poles and gave nan; the product is exact up to rounding (0 once
-        # n > q)
+        # a log-gamma route past n = 128 met two poles at a = -q and gave
+        # nan; the product is exact up to rounding (0 once n > q)
         mp = pytest.importorskip("mpmath")
         with mp.workdps(30):
             want = complex(mp.rf(-q, n))
@@ -174,7 +179,7 @@ class TestNonFiniteArguments:
 
     @pytest.mark.parametrize("a", [math.inf, math.nan, complex(1.0, -math.inf)])
     def test_pochhammer(self, a):
-        # pochhammer(inf, 3) returned NaN
+        # the reference refuses a non-finite a, as the package's series do
         with pytest.raises(DomainError, match="not finite"):
             pochhammer(a, 3)
 
@@ -681,13 +686,14 @@ class TestKdfF5:
 
 
 #: every public call that takes an order (a degree, a level or a node
-#: count) outside the oscillator and the disk, at that order
+#: count) outside the oscillator and the disk, at that order, with the
+#: Gauss-Legendre rule and the reference ``pochhammer``
 ORDER_CALLS = {
     "pochhammer": lambda n: pochhammer(1.0, n),
     "f5_kernel_vec": lambda n: f5_kernel_vec(1.0, 1.0, 1.5, n, 2.0, -0.5, 0.8),
     "jacobi_p": lambda n: jacobi_p(n, 0.5, 0.5, 0.3),
     "laguerre_l": lambda n: laguerre_l(n, 0.5, 0.3),
-    "gauss_legendre": gauss_legendre,
+    "gauss_legendre": lambda n: gauss_jacobi(n, 0.0, 0.0),
     "gauss_jacobi": lambda n: gauss_jacobi(n, 0.5, 0.5),
 }
 

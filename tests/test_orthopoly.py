@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from relbargmann.errors import DomainError, NonConvergenceError
-from relbargmann.hypergeom import pochhammer
 from relbargmann.oscillator import XI_LENGTH, OscParams, xi_layout
 from relbargmann.orthopoly import (cdhahn_normalized_batch,
                                   cdhahn_normalized_row, jacobi_p, jacobi_q,
                                   jacobi_q_steps, laguerre_l)
 from relbargmann.quadrature import integrate_halfline
 from relbargmann.special import loggamma
-from test_hypergeom import hyp3f2_terminating_unit
+from test_hypergeom import hyp3f2_terminating_unit, pochhammer
 
 
 def jacobi_recurrence(n, alpha, beta, x):

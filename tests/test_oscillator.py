@@ -12,13 +12,24 @@ from relbargmann.bargmann import oscillator_mode, relativistic_transform_grid
 from relbargmann.disk import basis_phi
 from relbargmann.errors import DomainError, NonConvergenceError
 from relbargmann.oscillator import (XI_LENGTH, ModelParams, OscParams,
-                                    _panel_count, conj_state_factors,
-                                    eigenfunction, eigenfunction_batch,
-                                    energy, gamma_of_c,
+                                    _panel_count, _project,
+                                    conj_state_prefactor, eigenfunction,
+                                    eigenfunction_batch, energy, gamma_of_c,
                                     oscillator_gram, oscillator_gram_entries,
-                                    project_states,
                                     state_end, state_polynomials, xi_layout)
 from relbargmann.special import loggamma
+
+
+def project_states(kmax, osc, xi, values):
+    """sum_n conj(phi_k(xi_n)) values_n, k <= kmax, as ``isometry_check``
+    takes the projections: ``_project`` on the state factors at the
+    xi_n > 0."""
+    xi = np.asarray(xi, dtype=float)
+    pos = xi > 0
+    poly, norms = state_polynomials(kmax, osc, xi[pos])
+    return _project(poly, norms, conj_state_prefactor(osc, xi[pos]),
+                    np.asarray(values, dtype=complex)[pos])
+
 
 # 2 |Gamma(g+i)|^4 / (|Gamma(i)|^2 Gamma(g+1/2)^2 Gamma(2g)) at g = (1+sqrt 3)/2
 PHI0_SQ_AT_1 = 0.49802777027855049088
@@ -223,7 +234,7 @@ class TestEigenfunctions:
         assert oscillator_gram_entries(osc, 400) == 401 * 29463
         with pytest.raises(DomainError, match="more than the limit of 1000000"):
             oscillator_gram(osc, 400)
-        assert oscillator.MAX_TABLE_ENTRIES == cli.MAX_GRID_POINTS
+        assert cli.MAX_TABLE_ENTRIES == oscillator.MAX_TABLE_ENTRIES
 
     def test_gram_limit_boundary(self, monkeypatch):
         # a table of exactly the limit is built, one entry more is refused
@@ -317,7 +328,7 @@ class TestEigenfunctions:
         with pytest.raises(DomainError):
             eigenfunction(0, OscParams(1.0), -0.5)
         with pytest.raises(DomainError):
-            project_states(2, OscParams(1.0), [1.0, -0.5], [1.0, 1.0])
+            eigenfunction_batch(2, OscParams(1.0), [1.0, -0.5])
 
     def test_projections_match_state_table(self):
         osc = OscParams(0.8)
@@ -340,7 +351,8 @@ class TestEigenfunctions:
     def test_state_factors_match_state_table(self, c):
         osc = OscParams(c)
         xi = np.linspace(0.05, 40.0, 97)
-        poly, norms, conj_pref = conj_state_factors(60, osc, xi)
+        poly, norms = state_polynomials(60, osc, xi)
+        conj_pref = conj_state_prefactor(osc, xi)
         want = np.conj(eigenfunction_batch(60, osc, xi))
         got = norms[:, None] * poly * conj_pref
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -354,7 +366,8 @@ class TestEigenfunctions:
         mp = pytest.importorskip("mpmath")
         osc = OscParams(c)
         xi = np.array([0.5, 5.0, 17.0, 39.0])
-        poly, norms, conj_pref = conj_state_factors(12, osc, xi)
+        poly, norms = state_polynomials(12, osc, xi)
+        conj_pref = conj_state_prefactor(osc, xi)
         got = norms[:, None] * poly * conj_pref
         assert np.isfinite(got).all()
         assert np.array_equal(eigenfunction_batch(12, osc, xi), got.conj())

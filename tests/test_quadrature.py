@@ -10,9 +10,9 @@ from relbargmann.bargmann import _panel_sums
 from relbargmann.errors import DomainError, NonConvergenceError
 from relbargmann.oscillator import XI_LENGTH, OscParams, xi_layout
 from relbargmann.quadrature import (_KRONROD_RULE, QuadratureRule,
-                                    gauss_jacobi,
-                                    gauss_legendre, integrate_disk,
-                                    integrate_halfline, jacobi_rule_01)
+                                    _jacobi_rule, gauss_jacobi,
+                                    integrate_disk, integrate_halfline,
+                                    jacobi_rule_01)
 from relbargmann.special import loggamma
 
 # int_0^1 t^0.6 (1-t)^(-1/2) cos(0.6 ln t) dt, high-precision reference
@@ -22,26 +22,26 @@ GAMMA_RATIO_HALFLINE = 1.3272818427052103919
 
 
 def test_gauss_legendre_one_point():
-    rule = gauss_legendre(1)
+    rule = gauss_jacobi(1, 0.0, 0.0)
     assert rule.nodes.tolist() == [0.0]
     assert rule.weights.tolist() == [2.0]
 
 
 def test_gauss_legendre_degree_exactness():
-    rule = gauss_legendre(5)
+    rule = gauss_jacobi(5, 0.0, 0.0)
     val = np.sum(rule.weights * rule.nodes ** 8)
     assert abs(val - 2.0 / 9.0) < 1e-14
 
 
 def test_gauss_legendre_exp():
-    rule = gauss_legendre(64)
+    rule = gauss_jacobi(64, 0.0, 0.0)
     val = np.sum(rule.weights * np.exp(rule.nodes))
     assert abs(val - (math.e - 1.0 / math.e)) < 1e-14
 
 
 @pytest.mark.parametrize("n", [2, 5, 9, 17])
 def test_gauss_legendre_monomial_exactness(n):
-    rule = gauss_legendre(n)
+    rule = gauss_jacobi(n, 0.0, 0.0)
     for deg in range(2 * n):
         val = np.sum(rule.weights * rule.nodes ** deg)
         exact = 0.0 if deg % 2 else 2.0 / (deg + 1)
@@ -49,7 +49,7 @@ def test_gauss_legendre_monomial_exactness(n):
 
 
 def test_gauss_legendre_symmetry():
-    rule = gauss_legendre(12)
+    rule = gauss_jacobi(12, 0.0, 0.0)
     assert np.allclose(rule.nodes, -rule.nodes[::-1])
 
 
@@ -90,16 +90,20 @@ class TestKronrodRule:
 
 def test_rule_size_validation():
     with pytest.raises(DomainError):
-        gauss_legendre(0)
+        gauss_jacobi(0, 0.0, 0.0)
     with pytest.raises(DomainError):
-        gauss_legendre(5000)
+        gauss_jacobi(5000, 0.0, 0.0)
 
 
 def test_gauss_jacobi_reduces_to_legendre():
+    # alpha = beta = 0 is numpy's Gauss-Legendre rule, and the Golub-Welsch
+    # rule of that weight meets it
     gj = gauss_jacobi(16, 0.0, 0.0)
-    gl = gauss_legendre(16)
-    assert np.allclose(gj.nodes, gl.nodes)
-    assert np.allclose(gj.weights, gl.weights)
+    x, w = leggauss(16)
+    assert gj.nodes.tobytes() == x.tobytes()
+    assert gj.weights.tobytes() == w.tobytes()
+    nodes, weights = _jacobi_rule(16, 0.0, 0.0)
+    assert np.allclose(nodes, x) and np.allclose(weights, w)
 
 
 def test_gauss_jacobi_validation():
@@ -173,6 +177,24 @@ def test_halfline_nonconvergence():
     with pytest.raises(NonConvergenceError):
         integrate_halfline(lambda x: 1.0 / (1.0 + np.asarray(x)),
                            decay_scale=0.5, tol=1e-10)
+
+
+@pytest.mark.parametrize("decay_scale, tol", [
+    (math.nan, 1e-10), (math.inf, 1e-10), (0.0, 1e-10), (-1.0, 1e-10),
+    (1.0, math.nan), (1.0, math.inf), (1.0, 0.0), (1.0, -1e-10)])
+def test_halfline_scale_and_tol_must_be_finite_and_positive(decay_scale, tol):
+    # a NaN or infinite scale raised an untyped ValueError from ceil(nan);
+    # tol = inf returned 0.8647 for the integral 1 of exp(-x), and
+    # tol = NaN walked all 64 panels into NonConvergenceError
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.exp(-x)
+
+    with pytest.raises(DomainError, match="finite and positive"):
+        integrate_halfline(f, decay_scale=decay_scale, tol=tol)
+    assert calls == []
 
 
 def test_halfline_fixed_layout_is_linear():

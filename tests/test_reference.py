@@ -74,9 +74,13 @@ def test_name_left_the_chain(name):
 
 
 def test_export_count():
-    # the m = 0 grid alias left: the m = 0 grid is the grid call at m = 0
-    assert len(relbargmann.__all__) == 48
+    # the m = 0 grid alias left: the m = 0 grid is the grid call at m = 0;
+    # measure_density, pochhammer and gauss_legendre, which only the tests
+    # called, left too (gauss_jacobi is the Legendre rule at alpha = beta = 0)
+    assert len(relbargmann.__all__) == 45
     assert not hasattr(bargmann, "relativistic_transform_m0_grid")
+    for name in ("measure_density", "pochhammer", "gauss_legendre"):
+        assert not hasattr(relbargmann, name), name
 
 
 class TestM0ReducedKernel:

@@ -2,7 +2,8 @@
 
 The evaluation cap (``KERNEL_RMAX``, ``KERNEL_MIN_DIST_ONE``) is checked in
 ``coherent`` alone, by ``coherent._check_cap``, and the blocking of the
-state tables lives in the library, so the CLI names no block constant.  The
+state tables lives in the library, so the CLI names no routine that
+builds a block of them.  The
 half line has one panel rule, the Gauss-Kronrod pair: no module but the
 oracles of ``reference`` names or builds a Gauss-Legendre panel rule, and
 the xi layout and ``quadrature.integrate_halfline`` share one routine of
@@ -21,10 +22,12 @@ there; the bilinear sums of ``verify`` are array calls, with no loop over
 their terms, and so are its series and stencil checks, by their count of
 library calls; the cut takes N(z) of a grid in one call.  An import kept
 only for the layer tracer of bench/tracing.py names one of its sites.  A
-CSV table's float format is spelled in ``cli._conversions`` alone.
+CSV table's float format is spelled in ``cli._conversions`` alone.  Every
+function the package exports is called somewhere outside the tests.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -37,12 +40,14 @@ from relbargmann.disk import LandauIndex
 PACKAGE = Path(relbargmann.__file__).parent
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 CAP_NAMES = {"KERNEL_RMAX", "KERNEL_MIN_DIST_ONE"}
-BLOCK_NAMES = {"LAYOUT_BLOCK_NODES"}
+#: the routines that build a block of the state tables
+BLOCK_NAMES = {"state_polynomials", "conj_state_prefactor",
+               "eigenfunction_batch"}
 LEGENDRE_RULE_NAMES = {"_COARSE_RULE", "_FINE_RULE"}
 M0_ROUTE_NAMES = {"gauss_2f1_vec", "log_gamma_ratio", "_m0_exponent"}
 COEFF_MATRIX_NAMES = {"_phi_coeff_rows", "_phi_coeff_matrix"}
 LAYOUT_NAMES = {"xi_layout", "state_end", "XI_LENGTH"}
-BASIS_NAMES = {"basis_phi_batch", "truncation_order", "_basis_cut"}
+BASIS_NAMES = {"basis_phi_batch", "_basis_cut"}
 
 
 def _names(tree: ast.Module) -> set[str]:
@@ -85,13 +90,13 @@ def test_cli_names_no_block_constant():
 def test_layout_has_one_rule(name):
     # the half line has one panel rule, the Gauss-Kronrod pair: no module
     # but the oracles of reference names or builds a Gauss-Legendre panel
-    # rule, and quadrature calls leggauss in gauss_legendre alone
+    # rule, and quadrature calls leggauss in gauss_jacobi alone
     tree = _parse(name)
     assert not _names(tree) & LEGENDRE_RULE_NAMES
     inside = set()
     if name == "quadrature.py":
         inside = {id(node) for node in ast.walk(
-            _function(tree, "gauss_legendre"))}
+            _function(tree, "gauss_jacobi"))}
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
              and "leggauss" in _names(node.func)]
     assert all(id(node) in inside for node in calls)
@@ -182,7 +187,7 @@ def test_grid_routes_take_the_cut_column():
     # the cut evaluates the basis; _kernel_coeffs scales its column, and
     # the two grid routes read their coefficients from there alone
     coherent, bargmann = _parse("coherent.py"), _parse("bargmann.py")
-    assert not _names(bargmann) & {"truncation_order", "basis_phi_batch"}
+    assert "basis_phi_batch" not in _names(bargmann)
     assert "basis_phi_batch" in _names(_function(coherent, "_basis_cut"))
     assert _names(_function(coherent, "_kernel_coeffs")) & BASIS_NAMES == {
         "_basis_cut"}
@@ -205,7 +210,7 @@ def test_name_check_sees_every_form():
 
 def test_overlap_series_takes_the_grid_cut():
     names = _names(_function(_parse("coherent.py"), "overlap_series"))
-    assert "_basis_cut" in names and "truncation_order" not in names
+    assert "_basis_cut" in names
 
 
 @pytest.mark.parametrize("name", ["_srivastava_rao_sides", "_saran_sides"])
@@ -312,3 +317,31 @@ def test_float_format_is_spelled_in_one_routine(path):
         inside = _spellings(_function(tree, "_conversions"), ".17g")
         assert inside
     assert _spellings(tree, ".17g") == inside
+
+
+def _callers_of(name: str, home: str) -> list:
+    """The files besides ``__init__`` that name ``name`` in code (a string
+    does not count): every module of the package, its home module
+    ``home`` without the definition of ``name``, and the scripts of bench/
+    and demos/."""
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    paths += sorted(TRACING.parent.glob("*.py"))
+    paths += sorted((TRACING.parents[1] / "demos").glob("*.py"))
+    found = []
+    for path in paths:
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        if path.stem == home:
+            body = [node for node in body
+                    if getattr(node, "name", None) != name]
+        if any(name in _names(node) for node in body):
+            found.append(path.name)
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name in relbargmann.__all__
+    if inspect.isfunction(getattr(relbargmann, name))))
+def test_every_exported_function_is_called_outside_the_tests(name):
+    # a function that only the tests call is deleted, or moved to the tests
+    home = getattr(relbargmann, name).__module__.rpartition(".")[2]
+    assert _callers_of(name, home), name
