@@ -38,30 +38,32 @@ two panels in a row hold at most 2^-104 of the mass of |f|^2 summed so
 far; past them f is taken as zero and never evaluated.  A walk that
 reaches the end of the layout with more than 1e-8 of ||f||^2 in its last
 two panels raises NonConvergenceError: f does not decay within the
-layout.  Both rules read that prefix alone: a transform sums the Kronrod
-values of the walked panels, so it is linear in f up to rounding (the
-walk drops at most 2^-104 of ||f||^2, and f and g may stop at different
-panels), and ``isometry_check`` sums w |f|^2 and the projections there,
-with the bits of the check on the whole layout.  The kernel of
-``relativistic_transform`` is summed at the nodes where f is non-zero, on
-the column Phi_0(z) .. Phi_K(z) that the truncation rule of ``coherent``
-cut at the point (``coherent._kernel_coeffs``), from one
-real table of the states' polynomials, which ``relativistic_transform_grid``
-builds once for all of its points; the integrand is an exact zero at the
-other nodes.  Each node's kernel value has the same bits whatever the other
-nodes and points, so every result is the same as with the kernel evaluated
-at every walked node, and a grid value the same as the single-point value.
-The F5 closed form (``coherent.transform_kernel``) is not used here.
-``classical_bargmann`` alone integrates adaptively
+layout.  Both rules read that prefix alone, and project f there on the
+Kronrod rule by one routine, ``oscillator._project``: c_k = <f, phi_k>,
+k <= 20 for ``isometry_check``, which sums w |f|^2 too, with the bits of
+the check on the whole layout.  ``relativistic_transform_grid`` takes the
+c_k up to the largest order K of its points, on the walked panels up to
+the last one where f is non-zero, and B[f](z) = sum_k c_k Phi_k(z) on the
+column Phi_0(z) .. Phi_K(z) that the truncation rule of ``coherent`` cut
+at the point (``coherent._basis_cut``): the paper's coherent-state sum,
+and the kernel's basis expansion integrated against f with the sum over
+xi taken first, once for all the points.  It is linear in f up to
+rounding (the walk drops at most 2^-104 of ||f||^2, and f and g may stop
+at different panels), and a grid value has the bits of the single-point
+value.  The F5 closed form (``coherent.transform_kernel``) is not used
+here.  ``classical_bargmann`` alone integrates adaptively
 (``quadrature.integrate_halfline``), with one call of f per bisection level
 of each block of panels, on the 21 nodes of every open panel, its values
 checked as the relativistic transform checks its own.  Both run on the one
 panel rule of the half line: the 21-point Gauss-Kronrod value, and its
-distance from the embedded 10-point Gauss value as the error estimate, from
-one routine of panel sums (``quadrature._kronrod_panels``).
+distance from the embedded 10-point Gauss value as the error estimate
+(``quadrature._kronrod_panels``; for the transforms, the projections on
+the difference of the two rules' weights, ``quadrature._kronrod_gaps``,
+per panel and state).
 
-Every state, in the kernel, the projections of ``isometry_check`` and the
-Gram matrices alike, comes from the one factorisation conj(phi_k) =
+Every state, in the projections of the transforms and of
+``isometry_check`` and the Gram matrices alike, comes from the one
+factorisation conj(phi_k) =
 norms[k] P_k conj_pref of ``oscillator.state_polynomials`` and
 ``oscillator.conj_state_prefactor``, whose folded prefactor stays finite at
 large c.  The disk Gram matrix of
@@ -79,7 +81,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coherent import _check_cap, _kernel_coeffs, _kernel_expansion, _one_point
+from .coherent import _basis_cut, _check_cap, _one_point
 # looked up here by the layer tracer of bench/tracing.py
 from .coherent import transform_kernel  # noqa: F401
 from .disk import LandauIndex, basis_gram
@@ -88,12 +90,11 @@ from .errors import (DomainError, InputFormatError, NonConvergenceError,
 # looked up here by the layer tracer of bench/tracing.py
 from .hypergeom import gauss_2f1_vec  # noqa: F401
 from .oscillator import (_ISOMETRY_KMAX, XI_LENGTH, ModelParams, OscParams,
-                         _panel_count, _project,
-                         eigenfunction, state_end, state_polynomials,
-                         xi_layout)
+                         _panel_count, _project, eigenfunction, state_end,
+                         state_polynomials, xi_layout)
 # looked up here by the layer tracer of bench/tracing.py
 from .oscillator import eigenfunction_batch  # noqa: F401
-from .quadrature import _KRONROD_RULE, _kronrod_panels, integrate_halfline
+from .quadrature import _KRONROD_RULE, _kronrod_gaps, integrate_halfline
 # looked up here by the layer tracer of bench/tracing.py, which counts the
 # spline builds
 from .spline import CubicSpline
@@ -207,36 +208,24 @@ def classical_bargmann(sigma: float, f, z):
     return pref * value, abs(pref) * err
 
 
-def _panel_sums(vals: np.ndarray, half: np.ndarray):
-    """``(value, err_estimate)`` from the integrand at the flat nodes of
-    the first panels of an ``xi_layout`` and the layout's half widths
-    ``half``: the sums in panel order of the Kronrod values and estimates
-    of ``quadrature._kronrod_panels``, the panel rule that
-    ``integrate_halfline`` runs too."""
-    values, errors = _kronrod_panels(vals, half)
-    total, err_total = 0.0 + 0.0j, 0.0
-    for value, err in zip(values.tolist(), errors.tolist()):
-        total += value
-        err_total += err
-    return total, err_total
-
-
 def relativistic_transform(params: ModelParams, f, z, with_error: bool = False):
     """Coherent-state Bargmann-type transform B[f] at the disk point z.
 
-    B[f](z) = N(z)^(1/2) integral_0^inf f(xi) conj(<xi|z>) dxi, with the
-    kernel summed as its basis expansion sum_k Phi_k(z) conj(phi_k(xi)),
-    cut by the truncation rule of ``coherent``, on the panels of the one layout
-    of c that the walk of f reads (``_walk_values``): from xi = 0 until two
-    panels in a row are quiet, at most to ``state_end(20, osc)``.  The
-    layout depends only on c, never on f, and there is no tolerance to
-    set; the states are evaluated only at the nodes where f is non-zero.
+    B[f](z) = N(z)^(1/2) integral_0^inf f(xi) conj(<xi|z>) dxi
+    = sum_k <f, phi_k> Phi_k(z), with the kernel's basis expansion
+    sum_k Phi_k(z) conj(phi_k(xi)) cut by the truncation rule of
+    ``coherent``, on the panels of the one layout of c that the walk of f
+    reads (``_walk_values``): from xi = 0 until two panels in a row are
+    quiet, at most to ``state_end(20, osc)``.  The layout depends only on
+    c, never on f, and there is no tolerance to set; the states are
+    evaluated only up to the last panel where f is non-zero.
     Returns B[f](z), or ``(value, err_estimate)`` with ``with_error``: the
     estimate is the sum over the walked panels of the distance between the
     21-point Kronrod and the 10-point Gauss values.  A non-finite value of
     f at a node, or a result of f that is not one value for each node,
     raises InputFormatError; an f that does not decay within the layout,
-    or a kernel that is not finite (at very large c), NonConvergenceError.
+    or projections that are not finite (at very large c),
+    NonConvergenceError.
     This is :func:`relativistic_transform_grid` at
     the one point z; a z of more than one point raises DomainError before
     f is evaluated.
@@ -249,38 +238,47 @@ def relativistic_transform(params: ModelParams, f, z, with_error: bool = False):
 def relativistic_transform_grid(params: ModelParams, f,
                                 points) -> TransformResult:
     """Evaluate the transform on a grid of disk points, with one walk of f
-    (``_walk_values``) for the whole grid.  The real polynomial table of
-    the states is built once, on the walked nodes where f is non-zero, up
-    to the largest order K of the points' ``_kernel_coeffs``; each point
-    sums its rows up to its own order, so a value has the bits of the same
-    point alone.  A point
-    outside the kernel cap raises DomainError before f is evaluated.
+    (``_walk_values``) and one projection of f for the whole grid.
 
-    The integrand is f times the kernel at the nodes where f is non-zero,
-    and an exact zero at the other nodes; a zero f builds no table."""
+    B[f](z) = sum_k Phi_k(z) c_k with c_k = <f, phi_k>: the states' real
+    polynomial table is built once, on the walked nodes up to the last
+    panel where f is non-zero (f is zero past it), up to the largest order
+    K of the points' truncation cuts (``coherent._basis_cut``); the c_k
+    are ``oscillator._project`` of f, as in ``isometry_check``, and the
+    per-panel projections on the Kronrod and Gauss rules give their
+    differences (``quadrature._kronrod_gaps``).  A point's value is its
+    cut column Phi_0(z) .. Phi_K(z) dotted with c, and its error estimate
+    sums over the panels the moduli of the column dotted with those
+    differences: the distance between the 21-point Kronrod and the
+    10-point Gauss values of each panel.  Every row of the table, the
+    projections and the differences has the same bits whatever K, so a
+    value has the bits of the same point alone.  A point outside the
+    kernel cap raises DomainError before f is evaluated; a zero f builds no
+    table and gives zeros."""
     pts = np.asarray(points, dtype=complex).ravel()
     func = _as_callable(f)
     zs = _check_cap(pts)
-    values, errors = [], []
+    values, errors = np.zeros(len(zs), dtype=complex), np.zeros(len(zs))
     if zs:
-        layout, f_nodes, _, n = _walk_values(func, params.osc)
-        xi, half, conj_pref, _ = layout
-        live = np.flatnonzero(f_nodes[:n] != 0)
-        integrand = np.zeros(n, dtype=complex)
+        (xi, half, conj_pref, weights), f_nodes, _, n = _walk_values(
+            func, params.osc)
+        # the panels where f is non-zero
+        live = np.flatnonzero(f_nodes[:n]) // len(_KRONROD_RULE[0])
         if live.size:
-            coeffs, kmax = _kernel_coeffs(params, zs)
-            poly, _ = state_polynomials(kmax, params.osc, xi[live])
-            pref_live, f_live = conj_pref[live], f_nodes[live]
-        for i, z in enumerate(zs):
-            if live.size:
-                kernel = _kernel_expansion(z, coeffs[i], poly, pref_live)
-                # f times the kernel, in this order, as at every node
-                integrand[live] = f_live * kernel
-            value, err = _panel_sums(integrand, half)
-            values.append(value)
-            errors.append(err)
-    return TransformResult(points=pts, values=np.array(values, dtype=complex),
-                           params=params, errors=np.array(errors, dtype=float))
+            n = (live[-1] + 1) * len(_KRONROD_RULE[0])
+            columns = _basis_cut(params.landau_index(), zs)
+            poly, norms = state_polynomials(max(map(len, columns)) - 1,
+                                            params.osc, xi[:n])
+            coeffs = _project(poly, norms, conj_pref[:n],
+                              weights[:n] * f_nodes[:n])
+            gaps = norms[:, None] * _kronrod_gaps(
+                poly, conj_pref[:n] * f_nodes[:n], half)
+            # each column a contiguous copy of its view of the cut's table,
+            # which a dot product rounds as the column of a one-point cut
+            for i, column in enumerate(map(np.ascontiguousarray, columns)):
+                values[i] = column @ coeffs[:len(column)]
+                errors[i] = np.abs(column @ gaps[:len(column)]).sum()
+    return TransformResult(pts, values, params, errors)
 
 
 def relativistic_transform_m0(osc: OscParams, f, z, with_error: bool = False):
@@ -381,7 +379,8 @@ def isometry_check(params: ModelParams, f) -> dict:
     of the check on the whole layout (a superposition of phi_0 .. phi_2
     stops by xi = 50 of 80, in one or two calls).  A call then builds the
     real polynomial table of the projections on the evaluated prefix,
-    c_k = norms[k] sum_n P_k(xi_n) conj_pref_n w_n f(xi_n), and takes the
+    c_k = norms[k] sum_n P_k(xi_n) conj_pref_n w_n f(xi_n) (by
+    ``oscillator._project``, as the transforms take theirs), and takes the
     two sums.  The folded prefactor keeps them finite at large c (a gap of
     2.2e-13 for phi_0 at c = 20).
 

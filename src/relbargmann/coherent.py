@@ -22,15 +22,16 @@ Every sum over the disk basis here (both superposition oracles and
 tail of |Phi_k(z)|^2, so the cut follows the level (sigma, m) as well as
 |z|.  The rule takes a whole grid: one table of the points still open,
 extended by the rows n + 1 .. 2n at each doubling of n, from which it
-returns each point's column Phi_0(z) .. Phi_K(z).  ``_kernel_coeffs``
-scales those columns, one cut per grid, so a transform or kernel point
-evaluates each row of its basis once, and ``overlap_series`` cuts the
-farther labels of all its pairs in one call.  The superposition route of
-the kernel, ``transform_kernel_series``, is the one sum
-``_kernel_expansion`` that the transforms of ``bargmann`` integrate, and
+returns each point's column Phi_0(z) .. Phi_K(z), one cut per grid, so a
+transform or kernel point evaluates each row of its basis once, and
+``overlap_series`` cuts the farther labels of all its pairs in one call.
+The transforms of ``bargmann`` dot those columns with the projections
+<f, phi_k> of f.  The superposition route of the kernel,
+``transform_kernel_series``, is the one sum ``_kernel_expansion``, and
 ``transform_kernel_series_grid`` sums it on a grid of disk points and xi
 from one state table per block of at most ``MAX_TABLE_ENTRIES`` entries:
-the route of ``eval --function kernel`` and ``cs_wavefunction``.  The closed form is
+the route of ``eval --function kernel`` and ``cs_wavefunction``.  The
+closed form is
 checked against it; it holds to about 1e-14 relative on most of the
 validated domain, but is lost in places (at c = 2, m = 1,
 z = 0.479 - 0.379i, xi = 40 it is off by a factor of 3e9), where the
@@ -396,24 +397,13 @@ def transform_kernel(params: ModelParams, z, xi) -> np.ndarray:
     return complex(out[0]) if scalar else out
 
 
-def _kernel_coeffs(params: ModelParams, points):
-    """``(coeffs, kmax)``: the coefficients Phi_k(z) norms[k], k <= K(z),
-    of the kernel expansion at each z of the list ``points``, its column of
-    the one ``_basis_cut`` of the grid times the ``state_norms`` of the
-    largest K, and that largest K."""
-    columns = _basis_cut(params.landau_index(), points)
-    kmax = max(map(len, columns)) - 1
-    norms = state_norms(kmax, params.osc)
-    return [column * norms[:len(column)] for column in columns], kmax
-
-
 @np.errstate(over="ignore", invalid="ignore")  # non-finite values raise below
 def _kernel_expansion(z: complex, coeffs: np.ndarray, poly: np.ndarray,
                       conj_pref: np.ndarray) -> np.ndarray:
     """sum_{k<=kmax} Phi_k(z) conj(phi_k(xi)) on the nodes of the
     ``state_polynomials`` table ``poly`` of any order >= kmax and the
-    ``conj_state_prefactor`` ``conj_pref`` there, with the
-    ``_kernel_coeffs`` of z up to kmax.
+    ``conj_state_prefactor`` ``conj_pref`` there, with the coefficients
+    ``coeffs`` = Phi_k(z) norms[k] of z up to kmax.
 
     The sum over k is two real products of the rows k <= kmax of the
     polynomial table, by ``einsum``: each node's value has the same bits
@@ -442,7 +432,8 @@ def transform_kernel_series_grid(params: ModelParams, points, xi) -> np.ndarray:
     disk point of ``points`` (rows) and every xi of ``xi`` (columns).
 
     Each point's basis column is evaluated once, by the cut that sets its
-    order K(z) (``_kernel_coeffs``).  The states' polynomial table, up to
+    order K(z) (``_basis_cut``), and scaled by the ``state_norms`` into
+    its coefficients Phi_k(z) norms[k].  The states' polynomial table, up to
     the largest K, is built on blocks of the xi > 0, each of at most
     max(1, MAX_TABLE_ENTRIES // (K + 1)) nodes, and every point sums its
     own rows k <= K(z) of it.  Each value has the bits of
@@ -454,12 +445,14 @@ def transform_kernel_series_grid(params: ModelParams, points, xi) -> np.ndarray:
     out = np.zeros((len(pts), len(xi)), dtype=complex)
     if not pts:
         return out
-    coeffs, kmax = _kernel_coeffs(params, pts)
+    columns = _basis_cut(params.landau_index(), pts)
+    norms = state_norms(max(map(len, columns)) - 1, params.osc)
+    coeffs = [column * norms[:len(column)] for column in columns]
     pos = np.flatnonzero(xi > 0)
-    block = max(1, MAX_TABLE_ENTRIES // (kmax + 1))
+    block = max(1, MAX_TABLE_ENTRIES // len(norms))
     for start in range(0, len(pos), block):
         cols = pos[start:start + block]
-        poly, _ = state_polynomials(kmax, params.osc, xi[cols])
+        poly, _ = state_polynomials(len(norms) - 1, params.osc, xi[cols])
         conj_pref = conj_state_prefactor(params.osc, xi[cols])
         for row, z, c in zip(out, pts, coeffs):
             row[cols] = _kernel_expansion(z, c, poly, conj_pref)

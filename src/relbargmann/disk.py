@@ -91,13 +91,16 @@ def _basis_block(kmax: int, m: int, sigma: float, lo: int):
     With b = sigma - 2m - 1 and G_k = Gamma(k+b+1) / k!, increasing in k,
     s_k = sqrt(b/pi (G_k / G_m)^(+-1)), the sign that makes the power at
     least 1 (Szego (4.22.2) for k >= m).  An s_k past the double range, at
-    large sigma and k (from k = 838 at sigma = 1,274, c = 30), raises
-    NonConvergenceError.
+    large sigma and k (from k = 838 at sigma = 1,274, c = 30), or a log
+    Gamma past it (sigma from about 2.6e305), raises NonConvergenceError.
     """
     k = np.arange(lo, kmax + 1, dtype=float)
     b = sigma - 2 * m - 1.0
-    log_g = (gammaln(k + b + 1.0) - gammaln(k + 1.0)
-             + (math.lgamma(m + 1) - math.lgamma(sigma - m)))
+    try:
+        log_g = (gammaln(k + b + 1.0) - gammaln(k + 1.0)
+                 + (math.lgamma(m + 1) - math.lgamma(sigma - m)))
+    except OverflowError:  # math.lgamma past the double range
+        log_g = math.inf
     with np.errstate(over="ignore"):
         scale = np.exp(0.5 * (math.log(b / math.pi) + np.abs(log_g)))
     if not np.isfinite(scale).all():

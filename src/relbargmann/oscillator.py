@@ -200,9 +200,14 @@ def _project(poly: np.ndarray, norms: np.ndarray, conj_pref: np.ndarray,
     """sum_n conj(phi_k(xi_n)) values_n from the factors norms[k] poly[k]
     conj_pref of conj(phi_k) at nodes xi_n > 0 (:func:`state_polynomials`
     and :func:`conj_state_prefactor`), by two real products with the
-    polynomial table, never the complex state stack."""
+    polynomial table, never the complex state stack.  Each row is summed
+    by ``einsum``, so it has the same bits whatever the table's height (a
+    BLAS matrix product's rows do not); the parts are contiguous copies,
+    which einsum sums in its vector loop, where strided views take the
+    slower scalar one."""
     weighted = conj_pref * values
-    sums = poly @ weighted.real + 1j * (poly @ weighted.imag)
+    sums = (np.einsum("kn,n->k", poly, weighted.real.copy())
+            + 1j * np.einsum("kn,n->k", poly, weighted.imag.copy()))
     if not np.isfinite(sums).all():
         raise NonConvergenceError(
             f"oscillator projections up to k = {len(poly) - 1} are not "

@@ -9,7 +9,8 @@ radial weight.
 The half line has one panel rule, the 21-point Gauss-Kronrod rule with its
 embedded 10-point Gauss rule (``_KRONROD_RULE``), one routine for the panel
 edges (``_panel_edges``) and one for the per-panel values and error
-estimates (``_kronrod_panels``).  The xi layout of the transforms
+estimates (``_kronrod_panels``), which the transforms take per state of a
+table (``_kronrod_gaps``).  The xi layout of the transforms
 (``oscillator.xi_layout``) and the adaptive ``integrate_halfline`` both
 run on them; no rule is built at import.
 
@@ -213,7 +214,10 @@ _KRONROD_RULE = tuple(np.array(v) for v in (
     [-x for x in _XGK[:-1]] + list(_XGK[::-1]),
     list(_WGK[:-1]) + list(_WGK[::-1]),
     list(_WG) + list(_WG[::-1])))
-for _arr in _KRONROD_RULE:
+#: the weights of the difference K21 - G10 on the 21 nodes: the Kronrod
+#: weights less the Gauss weights on the odd nodes (``_kronrod_gaps``)
+_GAP_WEIGHTS = _KRONROD_RULE[1] - np.insert(_KRONROD_RULE[2], range(11), 0.0)
+for _arr in (*_KRONROD_RULE, _GAP_WEIGHTS):
     _arr.flags.writeable = False
 
 
@@ -237,6 +241,23 @@ def _kronrod_panels(vals: np.ndarray, half: np.ndarray):
     # libm's hypot, as abs() of one complex value; np.abs of a complex
     # array may differ from it in the last bit
     return values, np.hypot(diff.real, diff.imag)
+
+
+def _kronrod_gaps(table: np.ndarray, vals: np.ndarray, half: np.ndarray):
+    """The complex differences K21 - G10 of the 21-point Kronrod and the
+    10-point Gauss values of ``_kronrod_panels``, one row a row of the real
+    ``table`` and one column a panel, for the integrands table[k] * vals:
+    ``table`` and the complex ``vals`` at the flat nodes of the first
+    panels, ``half`` the panels' half widths.  Each is one sum on the
+    difference of the two rules' weights (``_GAP_WEIGHTS``), by two real
+    ``einsum`` products with contiguous parts (as in
+    ``oscillator._project``), so a row has the same bits whatever the other
+    rows of the table."""
+    rows = table.reshape(len(table), -1, len(_GAP_WEIGHTS))
+    weighted = (vals.reshape(rows.shape[1:]) * _GAP_WEIGHTS
+                * half[:rows.shape[1], None])
+    return (np.einsum("kpj,pj->kp", rows, weighted.real.copy())
+            + 1j * np.einsum("kpj,pj->kp", rows, weighted.imag.copy()))
 
 
 def integrate_halfline(f, decay_scale: float = 1.0, tol: float = 1e-10):

@@ -14,15 +14,17 @@ from relbargmann.bargmann import (SampledFunction, TransformResult,
                                   oscillator_mode, relativistic_transform,
                                   relativistic_transform_grid,
                                   relativistic_transform_m0)
-from relbargmann.coherent import (CoherentLabel, cs_wavefunction_oracle,
-                                  normalization, transform_kernel_series)
+from relbargmann.coherent import (CUT_BLOCK_POINTS, CoherentLabel,
+                                  cs_wavefunction_oracle, normalization,
+                                  transform_kernel_series)
 from relbargmann.disk import basis_gram, basis_phi, wirtinger_dzbar_fd
 from relbargmann.errors import DomainError, InputFormatError, NonConvergenceError
 from relbargmann.orthopoly import laguerre_l
 from relbargmann.oscillator import (XI_LENGTH, ModelParams, OscParams,
                                     conj_state_prefactor, state_end,
                                     state_polynomials, xi_layout)
-from relbargmann.quadrature import _KRONROD_RULE, integrate_halfline
+from relbargmann.quadrature import (_KRONROD_RULE, _kronrod_panels,
+                                    integrate_halfline)
 from test_oscillator import project_states
 
 
@@ -429,10 +431,9 @@ class TestFixedLayout:
         params = ModelParams(OscParams(c), m)
         f = oscillator_mode(1, params.osc)
         for z in (0.3 + 0.2j, -0.5 + 0.4j):
-            got, got_err = relativistic_transform(params, f, z, with_error=True)
-            want, want_err = panel_walk_transform(params, f, z)
-            assert abs(got - want) <= 1e-12 * abs(want)
-            assert abs(got_err - want_err) <= 1e-12 * want_err
+            assert_kernel_route(
+                relativistic_transform(params, f, z, with_error=True),
+                panel_walk_transform(params, f, z))
 
     @pytest.mark.parametrize("m", [0, 2])
     def test_two_blocks_keep_basis_mapping(self, m):
@@ -478,10 +479,11 @@ class TestFixedLayout:
 def layout_integral(integrand, layout, panels):
     """``(value, err_estimate)`` of ``integrand``, called once on all the
     nodes of the first ``panels`` panels of ``layout`` (an ``xi_layout``
-    tuple), by the transforms' panel sums."""
+    tuple): the sums in panel order of the Kronrod values and estimates of
+    the panel rule, ``quadrature._kronrod_panels``."""
     nodes, half = layout[0][:panels * len(_KRONROD_RULE[0])], layout[1]
-    vals = np.asarray(integrand(nodes))
-    return bargmann._panel_sums(vals, half)
+    values, errors = _kronrod_panels(np.asarray(integrand(nodes)), half)
+    return sum(values.tolist(), 0j), sum(errors.tolist(), 0.0)
 
 
 def every_node_transform(params, f, z):
@@ -501,6 +503,27 @@ def bits(value, err):
     return np.array([value], dtype=complex).tobytes() + np.float64(err).tobytes()
 
 
+#: the transforms sum c_k Phi_k(z) with c_k = <f, phi_k>, and the oracles
+#: above f times the expansion kernel at every walked node: the same finite
+#: double sum in another order.  On the cases of this file (c <= 2) the
+#: values differed by at most 1.4e-15 max(1, |value|); on c <= 3, m <= 4,
+#: j <= 10 and 40 points each with |z| <= 0.85, by at most 1.1e-13
+ROUTE_TOL = 1e-14
+#: the error estimates sit at rounding level, and moved by at most 2.1e-16
+#: max(1, |value|) beyond 1e-12 of themselves on the same cases
+ERR_ROUNDING = 2e-15
+
+
+def assert_kernel_route(got, want):
+    """``(value, err_estimate)`` of a transform within the route tolerances
+    of an oracle's: the value within ROUTE_TOL max(1, |value|), the error
+    estimate within 1e-12 relative plus ERR_ROUNDING max(1, |value|)."""
+    size = max(1.0, abs(want[0]))
+    assert abs(got[0] - want[0]) <= ROUTE_TOL * size, (got, want)
+    assert abs(got[1] - want[1]) <= 1e-12 * want[1] + ERR_ROUNDING * size, (
+        got, want)
+
+
 def sampled_modes(osc, grid, coeffs=(1.0, 0.5j, -0.3)):
     """Samples of sum_j coeffs[j] phi_j on ``grid``."""
     return SampledFunction(grid=grid, values=sum(
@@ -508,8 +531,9 @@ def sampled_modes(osc, grid, coeffs=(1.0, 0.5j, -0.3)):
 
 
 class TestKernelOnSupport:
-    """The states are evaluated only where f is non-zero, with results equal
-    bit for bit to f times the kernel at every node."""
+    """The state table stops at the last walked panel where f is non-zero,
+    and the results are those of f times the kernel at every walked node,
+    within the route tolerances."""
 
     GRID = np.linspace(0.0, 30.0, 301)
 
@@ -520,14 +544,15 @@ class TestKernelOnSupport:
         f = sampled_modes(params.osc, self.GRID)
         for z in (0.3 + 0.2j, -0.5 + 0.4j):
             got = relativistic_transform(params, f, z, with_error=True)
-            assert bits(*got) == bits(*every_node_transform(params, f, z))
+            assert_kernel_route(got, every_node_transform(params, f, z))
             if m == 0:
-                got = relativistic_transform_m0(params.osc, f, z, with_error=True)
-                assert bits(*got) == bits(*every_node_transform(params, f, z))
+                assert bits(*relativistic_transform_m0(
+                    params.osc, f, z, with_error=True)) == bits(*got)
 
     def test_grid_from_two_kernel_inside_grid(self, monkeypatch):
         # c = 0.6: the walk's first block runs to xi = 40, the samples
-        # cover [2, 25]
+        # cover [2, 25]; the table holds the walked nodes up to the end of
+        # the panel that holds xi = 25, and no node past it
         params = ModelParams(OscParams(0.6), 1)
         grid = np.linspace(2.0, 25.0, 231)
         f = sampled_modes(params.osc, grid)
@@ -542,14 +567,13 @@ class TestKernelOnSupport:
 
         monkeypatch.setattr(bargmann, "state_polynomials", recorded)
         got = relativistic_transform(params, f, z, with_error=True)
-        assert bits(*got) == bits(*want)
-        nodes = np.concatenate(seen)
-        assert grid[0] <= nodes.min() and nodes.max() <= grid[-1]
-        inside = sum(np.count_nonzero((grid[0] <= x) & (x <= grid[-1]))
-                     for mid, half in layout_panels(params,
-                                                    walked_panels(params, f))
-                     for x in (mid + half * _KRONROD_RULE[0],))
-        assert len(nodes) == inside
+        assert_kernel_route(got, want)
+        (nodes,) = seen
+        panels = [mid + half * _KRONROD_RULE[0]
+                  for mid, half in layout_panels(params)]
+        last = max(i for i, x in enumerate(panels) if x.min() <= grid[-1])
+        assert last < walked_panels(params, f) - 1
+        assert nodes.tobytes() == np.concatenate(panels[:last + 1]).tobytes()
 
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_long_walk_matches_every_node(self, m):
@@ -562,10 +586,8 @@ class TestKernelOnSupport:
         assert panels < len(xi_layout(params.osc, state_end(20, params.osc))[1])
         for z in (0.3 + 0.2j, -0.5 + 0.4j):
             got = relativistic_transform(params, f, z, with_error=True)
-            assert bits(*got) == bits(*every_node_transform(params, f, z))
-            want, want_err = panel_walk_transform(params, f, z)
-            assert abs(got[0] - want) <= 1e-12 * abs(want)
-            assert abs(got[1] - want_err) <= 1e-12 * want_err
+            assert_kernel_route(got, every_node_transform(params, f, z))
+            assert_kernel_route(got, panel_walk_transform(params, f, z))
 
     def test_zero_input_gives_positive_zero(self, monkeypatch):
         params = ModelParams(OscParams(1.0), 1)
@@ -577,6 +599,78 @@ class TestKernelOnSupport:
         assert bits(*got) == bits(0.0, 0.0) and not calls
         got = relativistic_transform_m0(params.osc, f, 0.2 + 0.1j, with_error=True)
         assert bits(*got) == bits(0.0, 0.0) and not calls
+
+
+class TestOneProjection:
+    """B[f](z) = sum_k c_k Phi_k(z): the transforms project f once,
+    c_k = <f, phi_k> by ``oscillator._project``, and dot each point's cut
+    column with it, so a grid value has the bits of its one-point call
+    whatever the grid's largest order, and a zero f builds nothing."""
+
+    @staticmethod
+    def disk_points(n, seed):
+        """n points of |z| <= 0.8 with |1 - z| >= 0.2."""
+        rng = np.random.default_rng(seed)
+        points = []
+        while len(points) < n:
+            z = complex(*rng.uniform(-0.8, 0.8, 2))
+            if abs(z) <= 0.8 and abs(1.0 - z) >= 0.2:
+                points.append(z)
+        return points
+
+    @staticmethod
+    def mode(osc, f):
+        return {"callable": oscillator_mode(3, osc),
+                "sampled": sampled_modes(osc, np.linspace(0.0, 30.0, 301)),
+                "scattered": scattered_mode(osc)}[f]
+
+    @staticmethod
+    def assert_one_point_bits(params, f, points, res):
+        for z, value, err in zip(points, res.values, res.errors):
+            assert bits(value, err) == bits(*relativistic_transform(
+                params, f, z, with_error=True)), z
+
+    @pytest.mark.parametrize("c", [0.6, 1.0, 2.0])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("f", ["callable", "sampled", "scattered"])
+    def test_grid_value_has_the_bits_of_its_one_point_call(self, c, m, f):
+        # the points' orders K(z) differ, and the grid's table goes to the
+        # largest of them
+        params = ModelParams(OscParams(c), m)
+        func = self.mode(params.osc, f)
+        points = self.disk_points(12, 5) + [0.0]
+        res = relativistic_transform_grid(params, func, points)
+        self.assert_one_point_bits(params, func, points, res)
+
+    def test_more_points_than_a_cut_block(self):
+        # the cut's columns are views of a table of up to CUT_BLOCK_POINTS
+        # points, dotted as contiguous copies; every 9th point and the
+        # last ones are checked, from both blocks
+        params = ModelParams(OscParams(1.0), 1)
+        func = self.mode(params.osc, "sampled")
+        points = self.disk_points(CUT_BLOCK_POINTS + 30, 3)
+        res = relativistic_transform_grid(params, func, points)
+        picked = list(range(0, len(points), 9)) + [len(points) - 1]
+        self.assert_one_point_bits(
+            params, func, [points[i] for i in picked],
+            TransformResult(points=res.points[picked],
+                            values=res.values[picked], params=params,
+                            errors=res.errors[picked]))
+
+    def test_zero_f_builds_nothing_and_gives_positive_zeros(self,
+                                                            monkeypatch):
+        params = ModelParams(OscParams(1.0), 1)
+        calls = []
+        for name in ("state_polynomials", "_basis_cut", "_project",
+                     "_kronrod_gaps"):
+            monkeypatch.setattr(bargmann, name,
+                                lambda *args: calls.append(args))
+        points = self.disk_points(5, 1)
+        res = relativistic_transform_grid(
+            params, lambda xi: np.zeros(np.shape(xi)), points)
+        assert not calls
+        assert [bits(v, e) for v, e in zip(res.values, res.errors)] == [
+            bits(0.0, 0.0)] * len(points)
 
 
 class TestM0Reduction:
@@ -655,7 +749,8 @@ class TestM0Grid:
             assert got == bits(*relativistic_transform_m0(osc, func, z,
                                                           with_error=True))
             if f == "sampled":
-                assert got == bits(*every_node_transform(res.params, func, z))
+                assert_kernel_route((value, err), every_node_transform(
+                    res.params, func, z))
 
     @pytest.mark.parametrize("c", [0.6, 1.0, 8.0])
     @pytest.mark.parametrize("f", ["sampled", "scattered"])
@@ -1256,17 +1351,20 @@ class TestParameterCaches:
     @pytest.mark.parametrize("c", [0.6, 1.0, 2.0])
     @pytest.mark.parametrize("f", ["sampled", "scattered"])
     def test_m0_has_the_bits_of_an_uncached_kernel(self, c, f, cold_caches):
-        # the m = 0 call sums the expansion kernel from the cached layout;
-        # the reference builds the kernel afresh at every node
+        # the m = 0 call projects f on the cached layout, cold at the first
+        # point and warm at the last, which repeats it; the reference
+        # builds the kernel afresh at every node
         osc = OscParams(c)
         if f == "sampled":
             func = sampled_modes(osc, np.linspace(2.0, 25.0, 231))
         else:
             func = scattered_mode(osc)
-        for z in (0.3 + 0.2j, -0.5 + 0.4j, 0.3 + 0.2j):
-            got = relativistic_transform_m0(osc, func, z, with_error=True)
-            want = every_node_transform(ModelParams(osc, 0), func, z)
-            assert bits(*got) == bits(*want)
+        got = [relativistic_transform_m0(osc, func, z, with_error=True)
+               for z in (0.3 + 0.2j, -0.5 + 0.4j, 0.3 + 0.2j)]
+        assert bits(*got[0]) == bits(*got[2])
+        for z, value in zip((0.3 + 0.2j, -0.5 + 0.4j), got):
+            assert_kernel_route(value, every_node_transform(
+                ModelParams(osc, 0), func, z))
 
     def test_second_isometry_check_builds_nothing(self, monkeypatch,
                                                   cold_caches):

@@ -420,6 +420,23 @@ class TestEval:
         assert f"from k = {k} on" in stderr and "Traceback" not in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--function", "basis_phi", "--k", "2", "--grid", "0.3",
+         "--sigma", "1e308"],
+        ["eval", "--function", "basis_phi", "--k", "3", "--m", "2", "--grid",
+         "0.3", "--sigma", "1e306"],
+        ["verify", "--suite", "eigen-equation", "--sigma", "1e308"]],
+        ids=["eval-m0", "eval-m2", "verify"])
+    def test_huge_sigma_exit_4(self, tmp_path, capsys, argv):
+        # log Gamma(sigma - m) passes the double range: math.lgamma's
+        # OverflowError printed a traceback with exit 1, the code of a
+        # failed verification
+        out = tmp_path / "v.out"
+        assert run([*argv, "--out", str(out)]) == 4
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("non-convergence: the disk basis scales")
+        assert "Traceback" not in stderr and not out.exists()
+
     @pytest.mark.parametrize("fn", ["kernel", "cs_wavefunction"])
     def test_near_one_exit_3(self, tmp_path, capsys, fn):
         # |z| = 0.84 is under the cap, but |1 - z| = 0.17 < 0.2

@@ -217,6 +217,14 @@ class TestBasis:
         with pytest.raises(NonConvergenceError, match="overflow"):
             basis_phi(843, idx, 0.1)
 
+    @pytest.mark.parametrize("sigma, m, k", [(1e308, 0, 2), (1e306, 2, 3),
+                                             (2.6e305, 0, 0)])
+    def test_log_gamma_overflow_raises(self, sigma, m, k):
+        # log Gamma(sigma - m) passes the double range, where math.lgamma
+        # raised OverflowError through to a traceback
+        with pytest.raises(NonConvergenceError, match="overflow"):
+            basis_phi(k, LandauIndex(sigma, m), 0.3)
+
     def test_mpmath_map(self):
         # 30-digit reference from the same monomial expansion; the error is
         # measured against the size of the summed terms, since near a zero of

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from relbargmann.bargmann import _panel_sums
 from relbargmann.errors import DomainError, NonConvergenceError
 from relbargmann.oscillator import XI_LENGTH, OscParams, xi_layout
 from relbargmann.quadrature import (_KRONROD_RULE, QuadratureRule,
-                                    _jacobi_rule, gauss_jacobi,
+                                    _jacobi_rule, _kronrod_gaps,
+                                    _kronrod_panels, gauss_jacobi,
                                     integrate_disk, integrate_halfline,
                                     jacobi_rule_01)
 from relbargmann.special import loggamma
@@ -211,8 +211,8 @@ def test_halfline_fixed_layout_is_linear():
 
     def fixed_layout_integral(integrand):
         nodes, half, _, _ = xi_layout(osc, XI_LENGTH)
-        vals = np.asarray(integrand(nodes))
-        return _panel_sums(vals, half)
+        values, errors = _kronrod_panels(np.asarray(integrand(nodes)), half)
+        return sum(values.tolist(), 0j), sum(errors.tolist(), 0.0)
 
     f = lambda x: np.exp(-x)
     g = lambda x: np.exp(-2.0 * x) * np.cos(x)
@@ -227,6 +227,38 @@ def test_halfline_fixed_layout_is_linear():
     assert abs(vf - 1.0) < 1e-14
     eps = np.finfo(float).eps
     assert abs(vc - (2.0 * vf - 3.0 * vg)) <= 8 * eps * (2.0 * abs(vf) + 3.0 * abs(vg))
+
+
+class TestKronrodGaps:
+    """``_kronrod_gaps``: the Kronrod minus Gauss values of each panel of
+    the integrands table[k] * vals, a row with the bits of a one-row
+    table."""
+
+    @staticmethod
+    def integrands():
+        nodes, half, _, _ = xi_layout(OscParams(1.0), XI_LENGTH)
+        # up to 24 radians of oscillation a panel: gaps far above rounding
+        k = np.arange(7.0)[:, None]
+        table = np.cos(4.0 * k * nodes) * np.exp(-nodes / (k + 1.0))
+        return table, np.exp(-nodes * (0.2 + 1j)), half
+
+    def test_moduli_are_the_panel_estimates(self):
+        table, vals, half = self.integrands()
+        gaps = _kronrod_gaps(table, vals, half)
+        assert gaps.shape == (len(table), len(half))
+        for row, gap in zip(table, gaps):
+            _, errors = _kronrod_panels(row * vals, half)
+            assert np.allclose(np.abs(gap), errors, rtol=1e-9, atol=1e-15)
+        assert np.abs(gaps).max() > 1e-6
+
+    def test_a_row_has_the_bits_of_a_one_row_table(self):
+        table, vals, half = self.integrands()
+        gaps = _kronrod_gaps(table, vals, half)
+        for k in range(len(table)):
+            assert (_kronrod_gaps(table[k:k + 1], vals, half).tobytes()
+                    == gaps[k:k + 1].tobytes())
+            assert (_kronrod_gaps(table[:k + 1], vals, half).tobytes()
+                    == gaps[:k + 1].tobytes())
 
 
 def test_disk_constant_weight_mass():

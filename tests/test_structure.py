@@ -5,18 +5,20 @@ The evaluation cap (``KERNEL_RMAX``, ``KERNEL_MIN_DIST_ONE``) is checked in
 state tables lives in the library, so the CLI names no routine that
 builds a block of them.  The
 half line has one panel rule, the Gauss-Kronrod pair: no module but the
-oracles of ``reference`` names or builds a Gauss-Legendre panel rule, and
-the xi layout and ``quadrature.integrate_halfline`` share one routine of
-panel sums and one of panel edges.  The coherent-state overlap is one
+oracles of ``reference`` names or builds a Gauss-Legendre panel rule, only
+``quadrature`` combines its Kronrod and Gauss weights, and the xi layout
+and ``quadrature.integrate_halfline`` share one routine of panel edges.
+The coherent-state overlap is one
 real Jacobi recurrence, with no gamma ratio, and the disk basis runs the
 same recurrence, ``orthopoly.jacobi_q``, with no monomial coefficients.
 ``bargmann`` has one transform route: the m = 0 reduction's 2F1 kernel
 lives in ``reference``.  f reaches the xi quadrature through one walk,
-``bargmann._walk_values``, the only code there that names the layout.
+``bargmann._walk_values``, the only code there that names the layout, and
+is projected on the states by one routine, ``oscillator._project``: the
+transforms dot those projections with the basis and never sum the kernel.
 Every disk point of a transform or a kernel grid evaluates its basis once,
-in the truncation rule ``coherent._basis_cut``, whose column
-``coherent._kernel_coeffs`` scales: the grid routes take their
-coefficients from it alone, and ``disk`` keeps no second, radial path.
+in the truncation rule ``coherent._basis_cut``: the grid routes take their
+columns from it alone, and ``disk`` keeps no second, radial path.
 The cut takes a whole grid, and ``overlap_series`` cuts its farther labels
 there; the bilinear sums of ``verify`` are array calls, with no loop over
 their terms, and so are its series and stencil checks, by their count of
@@ -105,10 +107,11 @@ def test_layout_has_one_rule(name):
 def test_one_panel_sum_and_one_edge_walk():
     quadrature, bargmann = _parse("quadrature.py"), _parse("bargmann.py")
     oscillator = _parse("oscillator.py")
-    for tree, name in ((quadrature, "_bisected_panels"),
-                       (bargmann, "_panel_sums")):
+    for tree, name, sums in (
+            (quadrature, "_bisected_panels", "_kronrod_panels"),
+            (bargmann, "relativistic_transform_grid", "_kronrod_gaps")):
         names = _names(_function(tree, name))
-        assert "_kronrod_panels" in names and "hypot" not in names, name
+        assert sums in names and "hypot" not in names, name
     for tree, name in ((quadrature, "integrate_halfline"),
                        (oscillator, "xi_layout")):
         names = _names(_function(tree, name))
@@ -184,17 +187,48 @@ def test_disk_has_one_basis_path():
 
 
 def test_grid_routes_take_the_cut_column():
-    # the cut evaluates the basis; _kernel_coeffs scales its column, and
-    # the two grid routes read their coefficients from there alone
+    # the cut evaluates the basis, and the two grid routes read their
+    # columns from there alone
     coherent, bargmann = _parse("coherent.py"), _parse("bargmann.py")
     assert "basis_phi_batch" not in _names(bargmann)
     assert "basis_phi_batch" in _names(_function(coherent, "_basis_cut"))
-    assert _names(_function(coherent, "_kernel_coeffs")) & BASIS_NAMES == {
-        "_basis_cut"}
     for tree, name in ((coherent, "transform_kernel_series_grid"),
                        (bargmann, "relativistic_transform_grid")):
         names = _names(_function(tree, name))
-        assert "_kernel_coeffs" in names and not names & BASIS_NAMES, name
+        assert names & BASIS_NAMES == {"_basis_cut"}, name
+
+
+def test_transforms_dot_one_projection_of_f():
+    # B[f](z) = sum_k c_k Phi_k(z): the transforms and the isometry check
+    # take c_k = <f, phi_k> from oscillator._project alone, and bargmann
+    # sums neither the kernel nor a panel of it
+    bargmann = _parse("bargmann.py")
+    assert not _names(bargmann) & {"_kernel_expansion", "_panel_sums",
+                                   "_kernel_coeffs", "_kronrod_panels",
+                                   "einsum"}
+    for name in ("relativistic_transform_grid", "isometry_check"):
+        assert "_project" in _names(_function(bargmann, name)), name
+    assert [node.name for node in bargmann.body
+            if isinstance(node, ast.FunctionDef)
+            and "state_polynomials" in _names(node)] == [
+        "relativistic_transform_grid", "isometry_check"]
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in PACKAGE.glob("*.py") if p.name != "quadrature.py"),
+    ids=lambda p: p.name)
+def test_kronrod_and_gauss_weights_meet_in_quadrature(path):
+    # outside quadrature the panel rule is read for its nodes or its
+    # Kronrod weights alone: ``_KRONROD_RULE[0]`` or ``[1]``, never the
+    # Gauss weights or the whole tuple
+    tree = _parse(path.name)
+    reads = {id(node.value) for node in ast.walk(tree)
+             if isinstance(node, ast.Subscript)
+             and isinstance(node.slice, ast.Constant)
+             and node.slice.value in (0, 1)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "_KRONROD_RULE":
+            assert id(node) in reads, (path.name, node.lineno)
 
 
 def test_name_check_sees_every_form():
