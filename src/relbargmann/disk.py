@@ -197,21 +197,34 @@ def _check_step(h) -> None:
                           f"nonzero, got {h!r}")
 
 
+def _stencil_values(psi, z, steps):
+    """psi at the points z + dx + i dy of ``steps``: one call of psi per
+    point, on a Python complex, at a scalar z, and one call on the points
+    stacked along a leading axis, of shape (len(steps),) + z.shape, at an
+    array z."""
+    points = [_stencil_point(z, dx, dy) for dx, dy in steps]
+    if not np.ndim(z):
+        return [psi(p) for p in points]
+    return psi(np.stack(points))
+
+
 def wirtinger_dzbar_fd(psi, z, h: float = DEFAULT_FD_STEP):
     """Central finite-difference d(psi)/d(zbar) = (d/dx + i d/dy)/2 at z.
 
-    ``z`` is a point or an array of points.  psi is called once per
-    stencil point: on a Python complex at a scalar z, so a psi that takes
-    scalars alone works there, and on an array of the shape of z at an
-    array z, where psi's values may carry trailing axes of their own.  A
-    step h that is not finite and nonzero raises DomainError.
+    ``z`` is a point or an array of points.  At a scalar z psi is called
+    once per stencil point, on a Python complex, so a psi that takes
+    scalars alone works there.  At an array z it is called once, on the
+    four stencil points stacked along a leading axis, shape (4,) + z.shape,
+    so psi must be elementwise along that axis; its values may carry
+    trailing axes of their own.  A step h that is not finite and nonzero
+    raises DomainError.
     """
     _check_step(h)
     z = _stencil_center(z)
-    dx = (psi(_stencil_point(z, h, 0.0))
-          - psi(_stencil_point(z, -h, 0.0))) / (2.0 * h)
-    dy = (psi(_stencil_point(z, 0.0, h))
-          - psi(_stencil_point(z, 0.0, -h))) / (2.0 * h)
+    east, west, north, south = _stencil_values(
+        psi, z, ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)))
+    dx = (east - west) / (2.0 * h)
+    dy = (north - south) / (2.0 * h)
     return 0.5 * (dx + 1j * dy)
 
 
@@ -223,10 +236,12 @@ def maass_apply_fd(idx: LandauIndex, psi, z, h: float = DEFAULT_FD_STEP):
     d/dzbar = (d/dx + i d/dy)/2 uses the centred first-difference pair.  Both
     pieces are O(h^2) accurate.
 
-    ``z`` is a point or an array of points, and psi is called once per
-    stencil point, nine calls in all: on a Python complex at a scalar z, as
-    a psi that takes scalars alone needs, and on an array of the shape of z
-    at an array z, where psi returns values of that shape.
+    ``z`` is a point or an array of points.  At a scalar z psi is called
+    once per stencil point, nine calls on Python complex scalars, as a psi
+    that takes scalars alone needs.  At an array z it is called once, on
+    the nine stencil points stacked along a leading axis, shape
+    (9,) + z.shape, so psi must be elementwise along that axis and return
+    values of that shape.
 
     Raises
     ------
@@ -238,13 +253,11 @@ def maass_apply_fd(idx: LandauIndex, psi, z, h: float = DEFAULT_FD_STEP):
     z = _stencil_center(z)
     if not np.all(abs(z) + 2.0 * abs(h) < 1.0):
         raise DomainError("finite-difference stencil too close to the boundary")
-
-    def at(dx, dy):
-        return psi(_stencil_point(z, dx, dy))
-
-    center = psi(z)
-    east, west, north, south = at(h, 0.0), at(-h, 0.0), at(0.0, h), at(0.0, -h)
-    corners = at(h, h) + at(-h, h) + at(h, -h) + at(-h, -h)
+    (center, east, west, north, south,
+     ne, nw, se, sw) = _stencil_values(psi, z, (
+         (0.0, 0.0), (h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h),
+         (h, h), (-h, h), (h, -h), (-h, -h)))
+    corners = ne + nw + se + sw
     lap = (4.0 * (east + west + north + south) + corners - 20.0 * center) / (6.0 * h * h)
     dzbar = 0.5 * ((east - west) / (2.0 * h) + 1j * (north - south) / (2.0 * h))
     r = abs(z) ** 2

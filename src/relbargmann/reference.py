@@ -52,17 +52,31 @@ def appell_f1(a, b, c, d, x, y) -> complex:
     When b or c is a nonpositive integer the corresponding index terminates
     and the sum collapses to finitely many 2F1 evaluations, valid for any
     argument that :func:`gauss_2f1` accepts; otherwise both |x| < 1 and
-    |y| < 1 are required.
+    |y| < 1 are required.  At c = -n the functions 2F1(a + q, b; d + q; x),
+    q <= n, that :func:`gauss_2f1` would sum as a series (neither a + q nor
+    b a nonpositive integer) come from one ``hypergeom.gauss_2f1_vec``
+    call, looked up on ``hypergeom`` where the layer tracer of
+    bench/tracing.py counts its calls, with the bits of one ``gauss_2f1``
+    call per q; the rest are its exact terminating sums.
     """
     a, b, c, d, x, y = (complex(v) for v in (a, b, c, d, x, y))
     if _nonpos_int(d) is not None:
         raise PoleError(f"F1 denominator parameter {d} is a nonpositive integer")
     nc, nb = _nonpos_int(c), _nonpos_int(b)
     if nc is not None and (nb is None or nc <= nb):
+        # the q that gauss_2f1 would sum as a series, in one call
+        qs = [q for q in range(nc + 1)
+              if nb is None and _nonpos_int(a + q) is None]
+        series = {}
+        if qs:
+            series = dict(zip(qs, hypergeom.gauss_2f1_vec(
+                np.array([a + q for q in qs]), b,
+                np.array([d + q for q in qs]), x).tolist()))
         total = 0.0 + 0.0j
         coef = 1.0 + 0.0j
         for q in range(nc + 1):
-            total += coef * y ** q * gauss_2f1(a + q, b, d + q, x)
+            gauss = series[q] if q in series else gauss_2f1(a + q, b, d + q, x)
+            total += coef * y ** q * gauss
             coef *= (a + q) * (c + q) / ((d + q) * (q + 1))
         return total
     if nb is not None:
@@ -78,8 +92,9 @@ def appell_f1(a, b, c, d, x, y) -> complex:
     for p in range(MAX_SERIES_TERMS):
         term = row_head
         row = term
+        ap, dp = a + p, d + p
         for q in range(MAX_SERIES_TERMS):
-            term *= (a + p + q) * (c + q) / ((d + p + q) * (q + 1)) * y
+            term *= (ap + q) * (c + q) / ((dp + q) * (q + 1)) * y
             row += term
             if abs(term) < _EPS * (1.0 + abs(row)):
                 break
@@ -90,7 +105,7 @@ def appell_f1(a, b, c, d, x, y) -> complex:
                 return total
         else:
             small = 0
-        row_head *= (a + p) * (b + p) / ((d + p) * (p + 1)) * x
+        row_head *= ap * (b + p) / (dp * (p + 1)) * x
     raise NonConvergenceError("F1 double series exceeded its term budget")
 
 
@@ -149,8 +164,9 @@ def kdf_f5_series(args: F5Args) -> complex:
     for p in range(_F5_SERIES_TERMS):
         inner = outer
         acc = inner
+        cp, dp, ep = c + p, d + p, e + p
         for q in range(_F5_SERIES_TERMS):
-            inner *= (c + p + q) * (d + p + q) / (e + p + q) * zeta / (q + 1)
+            inner *= (cp + q) * (dp + q) / (ep + q) * zeta / (q + 1)
             acc += inner
             if abs(inner) < _EPS * (1.0 + abs(acc)):
                 break
@@ -161,7 +177,7 @@ def kdf_f5_series(args: F5Args) -> complex:
                 return total
         else:
             small = 0
-        outer *= (c + p) * (d + p) * (a + p) / ((e + p) * (ap + p) * (p + 1)) * chi
+        outer *= cp * dp * (a + p) / (ep * (ap + p) * (p + 1)) * chi
     raise NonConvergenceError("F5 double series exceeded its term budget")
 
 
@@ -250,9 +266,8 @@ def kdf_f5_integral(args: F5Args) -> complex:
     # generic path: the inner 2F1 as one plain series over all nodes
     if abs(zeta) > 0.97:
         raise DomainError("generic F5 integral needs |zeta| < 1")
-    worst = max(abs(chi * t / (1.0 - zeta * t))
-                for t in np.linspace(1e-6, 1.0, 201))
-    if worst >= 0.97:
+    t = np.linspace(1e-6, 1.0, 201)
+    if np.abs(chi * t / (1.0 - zeta * t)).max() >= 0.97:
         raise DomainError(
             "generic F5 integral needs |chi t/(1 - zeta t)| < 1 on the path")
 

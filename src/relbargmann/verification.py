@@ -286,12 +286,13 @@ def suite_f5_reductions(config: dict) -> list[dict]:
     checks.append(_check("f5-series-vs-integral", _worst(errors), tol_f5))
 
     # Pfaff transformation on randomized arguments, both sides summed as
-    # plain series
+    # plain series in one call
     a, b, c, x = np.array([[rng.uniform(-2.0, 3.0), rng.uniform(-2.0, 3.0),
                             rng.uniform(0.4, 4.0), rng.uniform(-0.5, 0.5)]
                            for _ in range(100)]).T
-    lhs = _series_2f1_vec(a, b, c, x)
-    rhs = (1.0 - x) ** (-a) * _series_2f1_vec(a, c - b, c, x / (x - 1.0))
+    lhs, pfaff = _series_2f1_vec(a, np.stack([b, c - b]), c,
+                                 np.stack([x, x / (x - 1.0)]))
+    rhs = (1.0 - x) ** (-a) * pfaff
     worst = float(np.max(np.abs(lhs - rhs)))
     checks.append(_check("pfaff-transformation", worst, 1e-10))
 
@@ -326,8 +327,9 @@ def suite_isometry(config: dict) -> list[dict]:
             # one grid call: each value has the bits of the one-point call
             got = relativistic_transform_grid(params, oscillator_mode(j, osc),
                                               _MAPPING_POINTS).values
-            errors += [abs(value - basis_phi(j, idx, z))
-                       for z, value in zip(_MAPPING_POINTS, got.tolist())]
+            want = basis_phi(j, idx, np.array(_MAPPING_POINTS))
+            errors += [abs(value - ref)
+                       for value, ref in zip(got.tolist(), want.tolist())]
     checks.append(_check("basis-mapping", _worst(errors), tol_map))
 
     def mix(xi):

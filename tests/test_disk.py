@@ -395,10 +395,11 @@ def _scalar_maass_fd(idx, psi, z, h):
 
 
 class TestStencilsOverArrays:
-    """The FD helpers take an array of z: psi is called once per stencil
-    point on an array of the shape of z, and each element has the bits of
-    the one-element-array call; a scalar z calls psi on Python complex
-    scalars, with the scalar arithmetic."""
+    """The FD helpers take an array of z: psi is called once, on the
+    stencil points stacked along a leading axis ahead of the shape of z,
+    and each element has the bits of the one-element-array call; a scalar z
+    calls psi once per stencil point on Python complex scalars, with the
+    scalar arithmetic."""
 
     IDX = LandauIndex(7.5, 1)
     Z = np.array([[0.3 + 0.2j, -0.32, 0.0], [0.1j, -0.2 - 0.25j, 0.31 - 0.3j]])
@@ -414,7 +415,7 @@ class TestStencilsOverArrays:
             return self.psi(w)
 
         got = maass_apply_fd(self.IDX, psi, self.Z, 1e-4)
-        assert got.shape == self.Z.shape and shapes == [self.Z.shape] * 9
+        assert got.shape == self.Z.shape and shapes == [(9,) + self.Z.shape]
         for i, z in np.ndenumerate(self.Z):
             alone = maass_apply_fd(self.IDX, self.psi, np.array([z]), 1e-4)
             assert alone.shape == (1,) and alone.tobytes() == got[i].tobytes()
@@ -442,9 +443,15 @@ class TestStencilsOverArrays:
     def test_wirtinger_keeps_the_values_axes(self):
         # psi's own trailing axes ride along, as the m = 0 kernel's xi do
         xi = np.array([1.0, 2.0, 3.0])
-        psi = lambda w: np.conj(w)[..., None] ** 2 * xi
+        shapes = []
+
+        def psi(w):
+            shapes.append(np.shape(w))
+            return np.conj(w)[..., None] ** 2 * xi
+
         got = wirtinger_dzbar_fd(psi, self.Z, 1e-4)
         assert got.shape == self.Z.shape + (3,)
+        assert shapes == [(4,) + self.Z.shape]
         for i, z in np.ndenumerate(self.Z):
             alone = wirtinger_dzbar_fd(psi, np.array([z]), 1e-4)
             assert alone.tobytes() == got[i].tobytes()

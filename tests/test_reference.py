@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 import relbargmann
-from relbargmann import bargmann, hypergeom, orthopoly
+from relbargmann import bargmann, hypergeom, orthopoly, verification
 from relbargmann.coherent import normalization, transform_kernel_series_grid
 from relbargmann.errors import DomainError
 from relbargmann.oscillator import ModelParams, OscParams
-from relbargmann.reference import m0_reduced_kernel
+from relbargmann.reference import appell_f1, m0_reduced_kernel
 
 PACKAGE = Path(relbargmann.__file__).parent
 ORACLE_READERS = {"verification.py", "reference.py"}
@@ -145,3 +145,72 @@ class TestM0ReducedKernel:
         # raised NonConvergenceError from the series at |w| = nan
         with pytest.raises(DomainError, match="not finite"):
             m0_reduced_kernel(OscParams(1.0), z, self.XI)
+
+
+def per_q_appell_f1(a, b, n, d, x, y):
+    """The terminating branch of ``appell_f1`` at c = -n, one ``gauss_2f1``
+    call per q."""
+    a, b, c, d, x, y = (complex(v) for v in (a, b, -n, d, x, y))
+    total = 0.0 + 0.0j
+    coef = 1.0 + 0.0j
+    for q in range(n + 1):
+        total += coef * y ** q * hypergeom.gauss_2f1(a + q, b, d + q, x)
+        coef *= (a + q) * (c + q) / ((d + q) * (q + 1))
+    return total
+
+
+class TestTerminatingAppellF1:
+    """The terminating branch takes the 2F1 series of all its q from one
+    ``gauss_2f1_vec`` call, with the bits of one ``gauss_2f1`` call per q."""
+
+    @staticmethod
+    def assert_per_q_bits(a, b, n, d, x, y):
+        got = appell_f1(a, b, -n, d, x, y)
+        want = per_q_appell_f1(a, b, n, d, x, y)
+        assert type(got) is complex
+        assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
+
+    def test_saran_cases(self, monkeypatch):
+        seen = []
+
+        def recorded(*args):
+            seen.append(args)
+            return appell_f1(*args)
+
+        monkeypatch.setattr(verification, "appell_f1", recorded)
+        verification.suite_saran({})
+        assert len(seen) == 6
+        for a, b, c, d, x, y in seen:
+            self.assert_per_q_bits(a, b, -int(c), d, x, y)
+
+    def test_seeded_complex_parameters(self, monkeypatch):
+        calls = []
+        original = hypergeom.gauss_2f1_vec
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(hypergeom, "gauss_2f1_vec", counted)
+        rng = np.random.default_rng(38)
+        # x = 0.3 + 0.2j is summed directly, -0.8 + 0.1j at its Pfaff image
+        for x in (0.3 + 0.2j, -0.8 + 0.1j, -0.6):
+            for n in range(5):
+                a, b, d = rng.uniform(0.2, 3.0, 3) + 1j * rng.uniform(-1, 1, 3)
+                y = complex(*rng.uniform(-2.0, 2.0, 2))
+                calls.clear()
+                appell_f1(a, b, -n, d, x, y)
+                assert len(calls) == 1
+                self.assert_per_q_bits(a, b, n, d, x, y)
+
+    @pytest.mark.parametrize("a, b, n, d, points", [
+        # a + q <= 0 for q <= 2, a series past it
+        (-2.0, 1.3 + 0.2j, 4, 2.5, ((0.4 - 0.1j, 0.5), (-0.9 + 0.3j, 3j))),
+        # every a + q <= 0, or b <= 0 with n <= -b: exact sums at any x
+        (-4.0, 0.7, 3, 1.5 - 0.5j, ((0.4 - 0.1j, 0.5), (1.7, -1.5 + 2j))),
+        (1.2 + 0.4j, -3.0, 2, 2.2, ((-0.9 + 0.3j, 0.5), (1.7, -1.5 + 2j))),
+        (0.8, 0.0, 1, 3.0, ((0.4 - 0.1j, 0.5), (1.7, 3.0))),
+    ])
+    def test_nonpositive_integer_parameters(self, a, b, n, d, points):
+        for x, y in points:
+            self.assert_per_q_bits(a, b, n, d, x, y)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from relbargmann import verification
+from relbargmann import hypergeom, verification
 from relbargmann.bargmann import oscillator_mode, relativistic_transform
 from relbargmann.coherent import (normalization, overlap_series,
                                   transform_kernel_series)
@@ -188,3 +188,21 @@ def test_report_is_the_same_cold_and_warm(cold_caches):
     # every package cache empty, then filled by the first run
     cold = json.dumps(run_suite("all"), sort_keys=True)
     assert json.dumps(run_suite("all"), sort_keys=True) == cold
+
+
+@pytest.mark.parametrize("suite, calls", [("m0-reduction", 2), ("saran", 6),
+                                          ("all", 21)])
+def test_gauss_calls_per_suite(monkeypatch, suite, calls):
+    # the batches of the checks: the Wirtinger stencil sums the reduced
+    # kernel in one call on its four stacked points, and a terminating
+    # Appell F1 takes its 2F1 series in one call; a split batch shows here
+    seen = []
+    original = hypergeom.gauss_2f1_vec
+
+    def counted(*args):
+        seen.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(hypergeom, "gauss_2f1_vec", counted)
+    assert run_suite(suite)["pass"]
+    assert len(seen) == calls
